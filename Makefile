@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json sim-bench serve-bench fleet-bench load-bench graph-bench reliab-bench tune-bench serve-tune-db clean
+.PHONY: all build test lint bench bench-json sim-bench serve-bench graph-bench reliab-bench tune-bench serve-tune-db clean
 
 all: build
 
@@ -40,22 +40,11 @@ serve-bench:
 	dune build bin/serve.exe
 	./_build/default/bin/serve.exe --trace synthetic-medium --devices 4 --out BENCH_serve.homogeneous.json
 
-# Regenerate BENCH_serve.json at the repo root: the same 1k-request
-# trace on a mixed fleet (2 analog crossbars, 2 digital tiles, 2
-# dual-mode tiles) with cost-based placement, per-class telemetry
-# sections and one golden sequential check per compute class.
-# Wall-clock is regression-compared against the committed report
-# before it is overwritten. A --fleet smoke variant of the same check
-# also runs under `dune runtest`.
-fleet-bench: tune.serve.db.json
-	dune build bin/serve.exe
-	./_build/default/bin/serve.exe --trace synthetic-medium --fleet pcm:2,digital:2,dual:2 --tune-db tune.serve.db.json --baseline BENCH_serve.json --out BENCH_serve.json
-
 # Tuning database covering the serving mix: every (kernel, n) the
 # synthetic traces and the loadgen tenants draw from, tuned for both
 # the analog-crossbar and digital-tile classes, merged into one file
 # (tdo-tune extends an existing --db rather than clobbering it). This
-# is what makes served_tuned non-zero in the fleet and load benches.
+# is what makes served_tuned non-zero in graph-bench.
 serve-tune-db tune.serve.db.json:
 	dune build bin/tune.exe
 	./_build/default/bin/tune.exe -n 16 --kernels gemm,2mm --db tune.serve.db.json --out BENCH_tune.serve.json
@@ -65,20 +54,9 @@ serve-tune-db tune.serve.db.json:
 	./_build/default/bin/tune.exe -n 24 --kernels gemm,gesummv,bicg,mvt --device-class digital --db tune.serve.db.json --out BENCH_tune.serve.json
 	./_build/default/bin/tune.exe -n 12 --kernels 3mm,conv --device-class digital --db tune.serve.db.json --out BENCH_tune.serve.json
 
-# Regenerate BENCH_serve.json with the open-loop load sections on top
-# of the classic fleet replay: 100k requests per arrival pattern
-# (sustained Poisson, 6x overload, bursty recovery) from the
-# three-tenant loadgen workload, driven through the mixed fleet under
-# per-tenant token buckets + SLO-class load shedding, with online
-# cost-model calibration, live windowed telemetry on stderr and one
-# golden sequential check per compute class per pattern. A --smoke
-# variant of the same invocation runs under `dune runtest`.
-load-bench: tune.serve.db.json
-	dune build bin/serve.exe
-	./_build/default/bin/serve.exe --load --fleet pcm:2,digital:2,dual:2 --tune-db tune.serve.db.json --baseline BENCH_serve.json --out BENCH_serve.json
-
-# Regenerate BENCH_serve.json in full, graph-serving sections
-# included: the classic fleet replay and all four open-loop load
+# Regenerate BENCH_serve.json, the one target that writes it, in full:
+# the classic mixed-fleet replay (per-class telemetry and one golden
+# check per compute class) and all four open-loop load
 # patterns (sustained, overload, burst-recovery, diurnal) ride along,
 # then 100k multi-kernel requests (MLP-4 and attention blocks from
 # lib/graph) run through the mixed fleet with cross-request weight

@@ -15,7 +15,8 @@
 
    Frontend (--listen / --socket PATH): serve live requests in wall
    clock over stdin/stdout or a Unix socket, speaking the line/JSON
-   protocol documented in Serve.Frontend.
+   protocol documented in Serve.Frontend, through the same scheduler
+   core (and so the same scheduling flags) as replay.
 
    The pool is a mixed fleet when --fleet is given (e.g.
    "pcm:2,digital:2,dual:2"): analog PCM crossbars, digital SRAM CIM
@@ -627,42 +628,47 @@ let run_graph c ~requests ~rate ~no_golden =
 
 (* ---------- frontend mode ---------- *)
 
-let run_frontend c ~window_us ~socket =
+(* The wall-clock front-end drives the same scheduler core as replay,
+   so every scheduling flag means the same here; on top it always runs
+   the default admission policy and a live view on stderr. *)
+let run_frontend c ~window_us ~calibrate ~socket ~strict =
   let config =
     {
-      Frontend.default_config with
-      Frontend.fleet = Option.value ~default:Frontend.default_config.Frontend.fleet c.fleet;
-      platform_config = c.platform_config;
-      cache_capacity = c.cache_capacity;
-      queue_capacity = c.queue_capacity;
-      tuning = c.tuning;
+      (scheduler_config c) with
+      Scheduler.admission = Some Admission.default_policy;
+      calibrate_after = (if calibrate > 0 then Some calibrate else None);
       device_seed = c.seed;
-      window_us = Some window_us;
+      on_record = Some (Telemetry.live_view ~window_us ~emit:prerr_endline ());
     }
   in
-  let summarise_session t =
+  let summarise_session (r : Scheduler.report) =
+    let t = r.Scheduler.telemetry in
     let s = Telemetry.summary t in
     let pct p = match Telemetry.latency_percentile t ~p with Some v -> v | None -> 0.0 in
     Printf.eprintf
-      "session: %d requests, %d completed (%d tuned), shed %d rate-limited + %d load, %d \
-       rejected, %d failed | p50 %.1f us p99 %.1f us\n%!"
+      "session: %d requests, %d completed (%d tuned), %d host, shed %d rate-limited + %d \
+       load, %d rejected, %d failed | p50 %.1f us p99 %.1f us\n%!"
       s.Telemetry.requests s.Telemetry.completed s.Telemetry.served_tuned
+      (s.Telemetry.cpu_fallbacks + s.Telemetry.recovered_host)
       s.Telemetry.shed_rate_limited s.Telemetry.shed_load s.Telemetry.rejected
       s.Telemetry.failed (pct 50.0) (pct 99.0)
   in
-  match socket with
-  | Some path ->
-      Printf.eprintf "tdo-serve: listening on %s (fleet %s)\n%!" path (fleet_desc c);
-      let sessions = Frontend.serve_unix_socket ~config ~path () in
-      List.iter summarise_session sessions;
-      0
-  | None ->
-      Printf.eprintf "tdo-serve: serving on stdin/stdout (fleet %s)\n%!" (fleet_desc c);
-      let telemetry, _stop =
-        Frontend.serve ~config ~input:Unix.stdin ~output:Unix.stdout ()
-      in
-      summarise_session telemetry;
-      0
+  let sessions =
+    match socket with
+    | Some path ->
+        Printf.eprintf "tdo-serve: listening on %s (fleet %s)\n%!" path (fleet_desc c);
+        Frontend.serve_unix_socket ~config ~path ()
+    | None ->
+        Printf.eprintf "tdo-serve: serving on stdin/stdout (fleet %s)\n%!" (fleet_desc c);
+        [ fst (Frontend.serve ~config ~input:Unix.stdin ~output:Unix.stdout ()) ]
+  in
+  List.iter summarise_session sessions;
+  let failures = List.fold_left (fun acc r -> acc + Scheduler.failures r) 0 sessions in
+  if strict && failures > 0 then begin
+    prerr_endline "FAIL: request failures under --strict";
+    1
+  end
+  else 0
 
 (* ---------- main ---------- *)
 
@@ -711,12 +717,12 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch no_batching 
       seed;
     }
   in
-  if listen || socket <> None then run_frontend c ~window_us ~socket
+  let calibrate = if calibrate >= 0 then calibrate else if load then 200 else 0 in
+  if listen || socket <> None then run_frontend c ~window_us ~calibrate ~socket ~strict
   else begin
     (* --smoke shrinks the open-loop patterns to a few hundred requests
        and arms the wall-clock budget: the CI shape of --load *)
     let requests = if smoke then min requests 300 else requests in
-    let calibrate = if calibrate >= 0 then calibrate else if load then 200 else 0 in
     let replay_base () =
       Result.map
         (fun (report, sections, extra, div) ->
@@ -918,7 +924,10 @@ let cmd =
       & info [ "no-golden" ] ~doc:"Skip the sequential single-device golden checks.")
   in
   let strict_arg =
-    Arg.(value & flag & info [ "strict" ] ~doc:"Also fail on any per-request failure.")
+    Arg.(
+      value & flag
+      & info [ "strict" ]
+          ~doc:"Also fail on any per-request failure (in every mode, the front-end included).")
   in
   let load_arg =
     Arg.(

@@ -3,8 +3,9 @@
     Layered in front of the scheduler's bounded submission queue: every
     arrival is first charged against its tenant's token bucket (rate
     plus burst allowance, refilled lazily from the arrival timestamps —
-    virtual picoseconds during replay, wall-clock picoseconds in the
-    {!Frontend}), then checked against its SLO class's fill limit on
+    virtual picoseconds in a {!Scheduler.replay}, wall-clock
+    picoseconds when the {!Frontend} stamps and submits live requests
+    to the same core), then checked against its SLO class's fill limit on
     the shared queue. Best-effort traffic loses queue eligibility at
     [best_effort_above] fill, batch at [batch_above], and interactive
     traffic rides the queue to the hard bound, where the scheduler's

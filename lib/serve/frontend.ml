@@ -1,65 +1,51 @@
-module Platform = Tdo_runtime.Platform
-module Flow = Tdo_cim.Flow
-module Kernels = Tdo_polybench.Kernels
 module Backend = Tdo_backend.Backend
-module Offload = Tdo_tactics.Offload
-module Cost_model = Tdo_tune.Cost_model
 module Json = Tdo_util.Json
 module Time_base = Tdo_sim.Time_base
-
-type config = {
-  fleet : Backend.profile list;
-  platform_config : Platform.config;
-  options : Flow.options;
-  cache_capacity : int;
-  queue_capacity : int;
-  admission : Admission.policy option;
-  tuning : Tdo_tune.Db.t option;
-  device_seed : int;
-  window_us : float option;
-}
-
-let default_config =
-  {
-    fleet = [ Backend.pcm; Backend.pcm; Backend.digital; Backend.dual ];
-    platform_config = Platform.default_config;
-    options = Flow.o3_loop_tactics;
-    cache_capacity = 64;
-    queue_capacity = 256;
-    admission = Some Admission.default_policy;
-    tuning = None;
-    device_seed = 0;
-    window_us = Some 100_000.0 (* one roll-up line per 100 ms of wall time *);
-  }
 
 type stop = Eof | Quit
 
 (* ---------- request parsing (line protocol + JSON objects) ---------- *)
 
+(* Integers arrive as JSON numbers (doubles): accept only integral
+   values that convert to an OCaml int exactly. *)
+let json_int ?default j k =
+  match (Json.member k j, default) with
+  | None, Some d -> Ok d
+  | None, None -> Error ("missing field " ^ k)
+  | Some (Json.Num f), _ when Float.is_integer f && Float.abs f < 0x1p62 -> Ok (int_of_float f)
+  | Some v, _ -> Error (Printf.sprintf "field %s: %s is not an integer" k (Json.to_string v))
+
 let json_request j =
-  let str k = Option.bind (Json.member k j) Json.to_string_opt in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let int_or d k = match num k with Some f -> int_of_float f | None -> d in
-  match (str "kernel", num "n") with
-  | None, _ -> Error "missing field kernel"
-  | _, None -> Error "missing field n"
-  | Some kernel, Some n ->
-      Result.bind
-        (match str "class" with None -> Ok Trace.Interactive | Some s -> Trace.slo_of_name s)
-        (fun slo ->
-          Ok
-            {
-              Trace.id = int_or 0 "id";
-              kernel;
-              n = int_of_float n;
-              seed = int_or 0 "seed";
-              arrival_ps = 0;
-              deadline_ps =
-                Option.map (fun us -> int_of_float (us *. float_of_int Time_base.ps_per_us))
-                  (num "deadline_us");
-              tenant = int_or 0 "tenant";
-              slo;
-            })
+  let ( let* ) = Result.bind in
+  let* kernel =
+    match Option.bind (Json.member "kernel" j) Json.to_string_opt with
+    | Some k -> Ok k
+    | None -> Error "missing field kernel"
+  in
+  let* n = json_int j "n" in
+  let* () =
+    if n < 1 || n > Trace.max_n then
+      Error (Printf.sprintf "field n: %d outside 1..%d" n Trace.max_n)
+    else Ok ()
+  in
+  let* id = json_int ~default:0 j "id" in
+  let* seed = json_int ~default:0 j "seed" in
+  let* tenant = json_int ~default:0 j "tenant" in
+  let* deadline_ps =
+    match Json.member "deadline_us" j with
+    | None -> Ok None
+    | Some (Json.Num us)
+      when us >= 0.0 && us *. float_of_int Time_base.ps_per_us < 0x1p62 ->
+        Ok (Some (int_of_float (us *. float_of_int Time_base.ps_per_us)))
+    | Some v ->
+        Error (Printf.sprintf "field deadline_us: %s is not a duration" (Json.to_string v))
+  in
+  let* slo =
+    match Option.bind (Json.member "class" j) Json.to_string_opt with
+    | None -> Ok Trace.Interactive
+    | Some s -> Trace.slo_of_name s
+  in
+  Ok { Trace.id; kernel; n; seed; arrival_ps = 0; deadline_ps; tenant; slo }
 
 type command = Request of Trace.request | Stats | Quit_cmd
 
@@ -93,119 +79,42 @@ let write_line fd line =
 
 let us_of_ps ps = float_of_int ps /. float_of_int Time_base.ps_per_us
 
-let serve ?(emit = prerr_endline) ?(config = default_config) ~input ~output () =
-  if config.fleet = [] then invalid_arg "Frontend.serve: empty fleet";
-  let fleet = Array.of_list config.fleet in
+(* One response line per record, whatever outcome the core reached. *)
+let response_line (r : Telemetry.record) =
+  let id = r.Telemetry.request.Trace.id in
+  match r.Telemetry.outcome with
+  | Telemetry.Completed | Telemetry.Cpu_fallback | Telemetry.Recovered_host ->
+      Printf.sprintf "ok id=%d%s class=%s latency_us=%.1f service_us=%.1f checksum=%s" id
+        (match r.Telemetry.device with Some d -> Printf.sprintf " device=%d" d | None -> "")
+        (match Scheduler.record_class r with
+        | Some cls -> Backend.class_name cls
+        | None -> Backend.class_name Backend.Host_blas)
+        (us_of_ps (Telemetry.latency_ps r))
+        (us_of_ps r.Telemetry.service_ps)
+        (Option.value r.Telemetry.checksum ~default:"-")
+  | Telemetry.Shed reason ->
+      Printf.sprintf "shed id=%d reason=%s" id (Telemetry.shed_reason_name reason)
+  | Telemetry.Rejected_overloaded -> Printf.sprintf "rejected id=%d" id
+  | Telemetry.Failed msg -> Printf.sprintf "err id=%d msg=%s" id msg
+
+let serve ?(config = Scheduler.default_config) ~input ~output () =
   let t0 = Unix.gettimeofday () in
   (* wall-clock picoseconds since the front-end came up: the time base
      of arrivals, admission refills and telemetry windows *)
   let now_ps () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e12) in
-  let observer =
-    Option.map (fun w -> Telemetry.live_view ~window_us:w ~emit ()) config.window_us
-  in
-  let telemetry = Telemetry.create ?observer () in
-  let admission = Option.map Admission.create config.admission in
-  let xbar = config.platform_config.Platform.engine.Tdo_cimacc.Micro_engine.xbar in
-  let geometry = (xbar.Tdo_pcm.Crossbar.rows, xbar.Tdo_pcm.Crossbar.cols) in
-  let classes =
-    Array.to_list fleet
-    |> List.map (fun (p : Backend.profile) -> p.Backend.cls)
-    |> List.sort_uniq compare
-  in
-  let cache =
-    Kernel_cache.create ~capacity:config.cache_capacity ~options:config.options
-      ?tuning:config.tuning
-      ~geometries:(List.map (fun cls -> (cls, geometry)) classes)
-      ()
-  in
-  let devices =
-    Array.init (Array.length fleet) (fun id ->
-        Device.create ~platform_config:config.platform_config
-          ~seed:(config.device_seed + id) ~backend:fleet.(id) ~id ())
-  in
-  (* same placement estimate the replay scheduler uses, memoised on
-     (kernel, n, class); the front-end serves one request at a time so
-     every device is free at placement time and the score reduces to
-     predicted service plus the conversion charge *)
-  let est_memo : (string * int * string, float) Hashtbl.t = Hashtbl.create 64 in
-  let estimate ~cls (bench : Kernels.benchmark) ~n =
-    let key = (bench.Kernels.name, n, Backend.class_name cls) in
-    match Hashtbl.find_opt est_memo key with
-    | Some v -> v
-    | None ->
-        let v =
-          match
-            let entry = Kernel_cache.find_or_compile cache ~cls (bench.Kernels.source ~n) in
-            let plan =
-              Offload.plan entry.Kernel_cache.options.Flow.tactics
-                entry.Kernel_cache.compiled.Flow.func
-            in
-            Cost_model.predict_cycles (Cost_model.uncalibrated_for cls) plan
-          with
-          | cycles -> cycles *. Backend.ps_per_cycle
-          | exception _ -> Float.max_float
-        in
-        Hashtbl.add est_memo key v;
-        v
-  in
-  let choose_device (bench : Kernels.benchmark) ~n =
-    Array.fold_left
-      (fun acc d ->
-        let profile = Device.profile d in
-        let conversion =
-          if Device.mode d = Backend.Memory_mode then
-            float_of_int profile.Backend.conversion_latency_ps
-          else 0.0
-        in
-        let s = (estimate ~cls:profile.Backend.cls bench ~n +. conversion, Device.id d) in
-        match acc with Some (_, s') when s' <= s -> acc | _ -> Some (d, s))
-      None devices
-    |> Option.map fst
-  in
-  let pending : Trace.request Queue.t = Queue.create () in
   let respond line = write_line output line in
-  let record = Telemetry.record telemetry in
-  let record_dropped (r : Trace.request) outcome =
-    record
-      {
-        Telemetry.request = r;
-        outcome;
-        device = None;
-        profile = None;
-        batch = None;
-        cache_hit = false;
-        queue_depth = Queue.length pending;
-        start_ps = r.Trace.arrival_ps;
-        finish_ps = r.Trace.arrival_ps;
-        service_ps = 0;
-        retries = 0;
-        tuned = false;
-        write_bytes = 0;
-        checksum = None;
-      }
+  let on_record r =
+    respond (response_line r);
+    Option.iter (fun f -> f r) config.Scheduler.on_record
   in
-  let fail (r : Trace.request) depth msg =
-    record
-      {
-        Telemetry.request = r;
-        outcome = Telemetry.Failed msg;
-        device = None;
-        profile = None;
-        batch = None;
-        cache_hit = false;
-        queue_depth = depth;
-        start_ps = now_ps ();
-        finish_ps = now_ps ();
-        service_ps = 0;
-        retries = 0;
-        tuned = false;
-        write_bytes = 0;
-        checksum = None;
-      };
-    respond (Printf.sprintf "err id=%d msg=%s" r.Trace.id msg)
-  in
+  let core = Scheduler.create ~config:{ config with Scheduler.on_record = Some on_record } () in
+  let submitted = ref [] in
+  (* the last instant the core was advanced to: arrivals are stamped
+     strictly after it, so the core never sees an arrival in its past *)
+  let clock = ref (-1) in
   let quit = ref false in
   let handle_stats () =
+    let telemetry = Scheduler.telemetry core in
     let s = Telemetry.summary telemetry in
     let pct p =
       match Telemetry.latency_percentile telemetry ~p with Some v -> v | None -> 0.0
@@ -218,121 +127,34 @@ let serve ?(emit = prerr_endline) ?(config = default_config) ~input ~output () =
          s.Telemetry.shed_load s.Telemetry.rejected s.Telemetry.failed
          s.Telemetry.served_tuned (pct 50.0) (pct 99.0))
   in
-  let handle_request (r : Trace.request) =
-    (* the client's arrival stamp is replaced with the wall clock: the
-       front-end is open-loop in real time, not a replayer *)
-    let r = { r with Trace.arrival_ps = now_ps () } in
-    let verdict =
-      match admission with
-      | None -> Admission.Admit
-      | Some adm ->
-          Admission.admit adm ~now_ps:r.Trace.arrival_ps ~queue_len:(Queue.length pending)
-            ~capacity:config.queue_capacity r
-    in
-    match verdict with
-    | Admission.Shed_rate ->
-        record_dropped r (Telemetry.Shed Telemetry.Rate_limited);
-        respond (Printf.sprintf "shed id=%d reason=rate_limited" r.Trace.id)
-    | Admission.Shed_load ->
-        record_dropped r (Telemetry.Shed Telemetry.Load_shed);
-        respond (Printf.sprintf "shed id=%d reason=load_shed" r.Trace.id)
-    | Admission.Admit ->
-        if config.queue_capacity > 0 && Queue.length pending >= config.queue_capacity then begin
-          record_dropped r Telemetry.Rejected_overloaded;
-          respond (Printf.sprintf "rejected id=%d" r.Trace.id)
-        end
-        else begin
-          Queue.push r pending;
-          Telemetry.sample_queue_depth telemetry ~at_ps:r.Trace.arrival_ps
-            ~depth:(Queue.length pending)
-        end
-  in
-  let handle_line line =
+  let handle_line ~at line =
     if String.trim line <> "" then
       match parse_line line with
       | Error msg -> respond (Printf.sprintf "err id=0 msg=%s" msg)
       | Ok Stats -> handle_stats ()
       | Ok Quit_cmd -> quit := true
-      | Ok (Request r) -> handle_request r
-  in
-  let execute_one (r : Trace.request) =
-    let depth = Queue.length pending in
-    match Kernels.find r.Trace.kernel with
-    | Error msg -> fail r depth msg
-    | Ok bench -> (
-        match choose_device bench ~n:r.Trace.n with
-        | None -> fail r depth "no usable device"
-        | Some dev -> (
-            let start = now_ps () in
-            if Device.mode dev = Backend.Memory_mode then begin
-              let (_ : float) = Device.convert ~at_ps:start dev ~to_compute:true in
-              Telemetry.record_conversion telemetry ~at_ps:start ~device:(Device.id dev)
-                ~profile:(Device.profile dev).Backend.name ~to_compute:true
-            end;
-            let misses0 = (Kernel_cache.stats cache).Kernel_cache.misses in
-            match
-              Kernel_cache.find_or_compile cache ~cls:(Device.device_class dev)
-                (bench.Kernels.source ~n:r.Trace.n)
-            with
-            | exception e -> fail r depth (Printexc.to_string e)
-            | entry -> (
-                let cache_hit = (Kernel_cache.stats cache).Kernel_cache.misses = misses0 in
-                let args, readback =
-                  bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed
-                in
-                match
-                  match Device.device_class dev with
-                  | Backend.Host_blas ->
-                      Device.run_host dev ~ast:entry.Kernel_cache.ast ~args
-                        ~macs:(bench.Kernels.macs ~n:r.Trace.n)
-                  | Backend.Pcm_crossbar | Backend.Digital_tile ->
-                      Device.run dev entry.Kernel_cache.compiled ~args
-                with
-                | exception Tdo_ir.Exec.Exec_error msg -> fail r depth msg
-                | stats when stats.Device.abft_mismatches > 0 ->
-                    fail r depth "abft mismatch: corrupted result discarded"
-                | stats ->
-                    let finish = now_ps () in
-                    let checksum = Scheduler.output_checksum (readback ()) in
-                    record
-                      {
-                        Telemetry.request = r;
-                        outcome = Telemetry.Completed;
-                        device = Some (Device.id dev);
-                        profile = Some (Device.profile dev).Backend.name;
-                        batch = None;
-                        cache_hit;
-                        queue_depth = depth;
-                        start_ps = start;
-                        finish_ps = finish;
-                        service_ps = stats.Device.service_ps;
-                        retries = 0;
-                        tuned = entry.Kernel_cache.tuned;
-                        write_bytes = stats.Device.write_bytes;
-                        checksum = Some checksum;
-                      };
-                    respond
-                      (Printf.sprintf
-                         "ok id=%d device=%d class=%s latency_us=%.1f service_us=%.1f \
-                          checksum=%s"
-                         r.Trace.id (Device.id dev)
-                         (Backend.class_name (Device.device_class dev))
-                         (us_of_ps (finish - r.Trace.arrival_ps))
-                         (us_of_ps stats.Device.service_ps)
-                         checksum))))
+      | Ok (Request r) ->
+          (* the client's arrival stamp is replaced with the wall clock:
+             the front-end is open-loop in real time, not a replayer *)
+          let r = { r with Trace.arrival_ps = at } in
+          submitted := r :: !submitted;
+          Scheduler.submit core r
   in
   (* One reader buffer across reads: lines can arrive split. *)
   let partial = Buffer.create 256 in
   let chunk = Bytes.create 65536 in
   let eof = ref false in
-  (* Drain everything the client has written so far: admission sees the
-     backlog the moment it forms, not one request at a time. [block]
-     waits (bounded) for the first byte when there is nothing to do. *)
+  (* Drain everything the client has written so far and stamp it with
+     one arrival time: a burst of lines forms a visible backlog, which
+     admission judges and the dispatcher batches. [block] waits
+     (bounded) for the first byte when the core has nothing to do;
+     otherwise the wait is short so queued work is dispatched as the
+     wall clock reaches the devices' free times. *)
   let pump ~block =
     let rec drain first =
       if !eof then ()
       else
-        let timeout = if first && block then 0.2 else 0.0 in
+        let timeout = if not first then 0.0 else if block then 0.2 else 0.001 in
         match Unix.select [ input ] [] [] timeout with
         | [], _, _ -> ()
         | _ -> (
@@ -344,28 +166,35 @@ let serve ?(emit = prerr_endline) ?(config = default_config) ~input ~output () =
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain first)
     in
     drain true;
+    let at = max (now_ps ()) (!clock + 1) in
     let data = Buffer.contents partial in
     Buffer.clear partial;
     let rec split from =
       match String.index_from_opt data from '\n' with
       | Some i ->
-          handle_line (String.sub data from (i - from));
+          handle_line ~at (String.sub data from (i - from));
           split (i + 1)
       | None -> Buffer.add_string partial (String.sub data from (String.length data - from))
     in
-    split 0
+    split 0;
+    let until_ps = max (now_ps ()) at in
+    Scheduler.advance core ~until_ps;
+    clock := until_ps
   in
-  while (not !quit) && not (!eof && Queue.is_empty pending) do
-    pump ~block:(Queue.is_empty pending);
-    if (not !quit) && not (Queue.is_empty pending) then execute_one (Queue.pop pending)
+  while not (!quit || !eof) do
+    pump ~block:(Scheduler.pending core = 0)
   done;
-  (* requests still queued when the client said quit are answered *)
-  while not (Queue.is_empty pending) do
-    execute_one (Queue.pop pending)
-  done;
-  (telemetry, if !quit then Quit else Eof)
+  (* requests still queued at session end are served and answered *)
+  let trace =
+    {
+      Trace.name = "frontend";
+      seed = config.Scheduler.device_seed;
+      requests = List.rev !submitted;
+    }
+  in
+  (Scheduler.finish core trace, if !quit then Quit else Eof)
 
-let serve_unix_socket ?emit ?(config = default_config) ~path () =
+let serve_unix_socket ?config ~path () =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -379,12 +208,12 @@ let serve_unix_socket ?emit ?(config = default_config) ~path () =
       let sessions = ref [] in
       while not !stop do
         let client, _ = Unix.accept sock in
-        let telemetry, reason =
+        let report, reason =
           Fun.protect
             ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())
-            (fun () -> serve ?emit ~config ~input:client ~output:client ())
+            (fun () -> serve ?config ~input:client ~output:client ())
         in
-        sessions := telemetry :: !sessions;
+        sessions := report :: !sessions;
         if reason = Quit then stop := true
       done;
       List.rev !sessions)

@@ -1,84 +1,76 @@
 (** Wall-clock serving front-end.
 
-    Where {!Scheduler.replay} drives a pre-recorded trace through
-    virtual time, the front-end accepts live requests over a file
-    descriptor — a pipe, a socket, anything [Unix.select] can watch —
-    and serves them against a real device fleet in {e wall-clock} time:
-    arrival stamps, admission-bucket refills and telemetry windows all
-    read the host clock (as picoseconds since the front-end came up).
+    The front-end is a second driver of the one scheduler core
+    ({!Scheduler.create}): where {!Scheduler.replay} feeds a
+    pre-recorded trace and drains it in virtual time, the front-end
+    reads live requests from a file descriptor — a pipe, a socket,
+    anything [Unix.select] can watch — stamps each with the wall clock
+    (picoseconds since the front-end came up), submits it, and advances
+    the core to the wall clock after every read. The policy is the
+    replay's, all of it: admission and the hard queue bound, batching
+    of same-(kernel, n) requests, cost-based placement with dual-tile
+    drafting, weight residency, ABFT retry and quarantine, deadlines
+    with host degradation, and online calibration. A session's records
+    are therefore exactly what {!Scheduler.replay} produces for the
+    same requests at the same arrival stamps.
 
     {b Protocol.} One request per line, either the {!Trace} line codec
     ([req kernel=gemm n=16 ...] — only [kernel] and [n] are required)
     or a JSON object ([{"kernel":"gemm","n":16,"tenant":1,
-    "class":"batch","seed":7,"deadline_us":500}]). Two control verbs:
-    [stats] answers with a one-line run summary, [quit] ends the
-    session. Responses are one line per request:
+    "class":"batch","seed":7,"deadline_us":500}]). [n] must lie in
+    [1..]{!Trace.max_n}; unknown line keys and non-integral or
+    out-of-range JSON integers are errors. Two control verbs: [stats]
+    answers with a one-line run summary, [quit] ends the session.
+    Every request gets one response line, written when the core reaches
+    its outcome:
 
     - [ok id=.. device=.. class=.. latency_us=.. service_us=.. checksum=..]
+      (served on a fleet device)
+    - [ok id=.. class=host latency_us=.. service_us=.. checksum=..]
+      (deadline expired in the queue, or recovery ran out of devices:
+      the host interpreter computed the result)
     - [shed id=.. reason=rate_limited|load_shed] (admission drop)
     - [rejected id=..] (hard queue bound)
-    - [err id=.. msg=..] (unknown kernel, compile or device error)
+    - [err id=.. msg=..] (unknown kernel, compile or device error; a
+      line that does not parse is answered [err id=0])
 
-    [latency_us] is wall time from arrival to response; [service_us]
-    is the device's {e simulated} service time — the front-end runs on
-    an emulated fleet, so the two deliberately differ.
+    {b Clocks.} Arrivals are wall time; service is the fleet's
+    {e simulated} service time, since the fleet is emulated. The core
+    places a batch once the wall clock has passed its dispatch instant
+    and answers it right away. [latency_us] is the record clock's
+    finish minus arrival ({!Telemetry.latency_ps}) — the same number
+    [stats], the live view and the session telemetry report — not the
+    wall time the response took to come back.
 
-    {b Admission.} Input is drained eagerly, so a burst of lines forms
-    a visible backlog; each arrival is judged by the {!Admission}
-    policy against that backlog (best-effort shed first, then batch)
-    and its tenant's token bucket before it may queue, and the hard
-    [queue_capacity] bound rejects what admission let through when the
-    backlog is full. Execution is synchronous, one request at a time,
-    on the cheapest device by the same per-class cost-model estimate
-    the replay scheduler uses (memory-mode dual tiles are drafted on
-    first use and the conversion is counted).
-
-    {b Live telemetry.} With [window_us] set, a {!Telemetry.live_view}
-    observer emits one roll-up line per elapsed wall-time window to
-    [emit] (default [stderr]) while the session runs. *)
-
-module Platform = Tdo_runtime.Platform
-module Flow = Tdo_cim.Flow
-module Backend = Tdo_backend.Backend
-
-type config = {
-  fleet : Backend.profile list;  (** device [i] gets profile [i]; non-empty *)
-  platform_config : Platform.config;
-  options : Flow.options;
-  cache_capacity : int;
-  queue_capacity : int;  (** backlog bound; [<= 0] = unbounded *)
-  admission : Admission.policy option;  (** [None] = admit everything *)
-  tuning : Tdo_tune.Db.t option;
-  device_seed : int;
-  window_us : float option;
-      (** live roll-up window (wall microseconds); [None] = no live lines *)
-}
-
-val default_config : config
-(** Two analog crossbars, a digital tile and a dual-mode tile; default
-    platform and compile options; 256-deep backlog;
-    {!Admission.default_policy}; live roll-ups every 100 ms. *)
+    All lines read in one pump share one arrival stamp, strictly after
+    the last instant the core was advanced to, so a burst forms one
+    backlog: admission sees its full depth and same-(kernel, n)
+    requests in it share a batch. *)
 
 type stop =
   | Eof  (** the client closed its end *)
   | Quit  (** the client sent [quit] *)
 
 val serve :
-  ?emit:(string -> unit) ->
-  ?config:config ->
+  ?config:Scheduler.config ->
   input:Unix.file_descr ->
   output:Unix.file_descr ->
   unit ->
-  Telemetry.t * stop
-(** Serve one session: read requests from [input] until EOF or [quit],
-    answer on [output], return the session's telemetry. Requests still
-    queued at session end are executed and answered before returning.
-    Raises [Invalid_argument] on an empty fleet. *)
+  Scheduler.report * stop
+(** Serve one session on a fresh core built from [config] (default
+    {!Scheduler.default_config}; its [on_record], e.g. a
+    {!Telemetry.live_view}, sees every record after its response is
+    written): read requests from [input] until EOF or [quit], answer on
+    [output]. At session end {!Scheduler.finish} drains the core, so
+    requests still queued are served and answered before returning.
+    The report's trace lists the session's requests with their wall
+    arrival stamps, in arrival order. Raises [Invalid_argument] where
+    {!Scheduler.create} does. *)
 
 val serve_unix_socket :
-  ?emit:(string -> unit) -> ?config:config -> path:string -> unit -> Telemetry.t list
+  ?config:Scheduler.config -> path:string -> unit -> Scheduler.report list
 (** Bind a Unix-domain socket at [path] (replacing any stale file) and
     serve clients one at a time — each connection is a fresh {!serve}
-    session over a shared fleet configuration — until a client sends
-    [quit]. Returns the per-session telemetry, oldest first. The socket
-    file is removed on exit. *)
+    session on a fresh core — until a client sends [quit]. Returns the
+    per-session reports, oldest first. The socket file is removed on
+    exit. *)

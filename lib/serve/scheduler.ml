@@ -318,19 +318,29 @@ let execute_batch (b : batch) =
   Device.set_available_ps b.dev !cursor;
   results
 
-let replay ?(config = default_config) (trace : Trace.t) =
+(* The steppable core: the event loop's state lives in the closures
+   [create] builds, and this record is their handle. *)
+type t = {
+  push : Trace.request -> unit;
+  step : int -> unit;
+  close : Trace.t -> report;
+  core_telemetry : Telemetry.t;
+  backlog : unit -> int;
+}
+
+let create ?(config = default_config) () =
   let fleet =
     match config.fleet with
     | Some (_ :: _ as profiles) -> Array.of_list profiles
-    | Some [] -> invalid_arg "Scheduler.replay: empty fleet"
+    | Some [] -> invalid_arg "Scheduler.create: empty fleet"
     | None ->
-        if config.devices < 1 then invalid_arg "Scheduler.replay: need at least one device";
+        if config.devices < 1 then invalid_arg "Scheduler.create: need at least one device";
         Array.make config.devices Backend.pcm
   in
   let ndev = Array.length fleet in
-  if config.max_batch < 1 then invalid_arg "Scheduler.replay: max_batch must be >= 1";
+  if config.max_batch < 1 then invalid_arg "Scheduler.create: max_batch must be >= 1";
   if config.recovery.max_attempts < 1 then
-    invalid_arg "Scheduler.replay: recovery.max_attempts must be >= 1";
+    invalid_arg "Scheduler.create: recovery.max_attempts must be >= 1";
   let t0 = Unix.gettimeofday () in
   let xbar = config.platform_config.Platform.engine.Tdo_cimacc.Micro_engine.xbar in
   let geometry = (xbar.Tdo_pcm.Crossbar.rows, xbar.Tdo_pcm.Crossbar.cols) in
@@ -382,10 +392,9 @@ let replay ?(config = default_config) (trace : Trace.t) =
   let corruptions = Array.make ndev 0 in
   let telemetry = Telemetry.create ?observer:config.on_record () in
   let admission = Option.map Admission.create config.admission in
-  let arrivals = ref trace.Trace.requests in
-  let trace_has_deadlines =
-    List.exists (fun (r : Trace.request) -> r.Trace.deadline_ps <> None) trace.Trace.requests
-  in
+  (* submitted, not yet admitted: consumed in submission order *)
+  let arrivals : Trace.request Queue.t = Queue.create () in
+  let trace_has_deadlines = ref false in
   let queue : queued Dll.t = Dll.create () in
   let now = ref 0 in
   let batch_counter = ref 0 in
@@ -443,9 +452,9 @@ let replay ?(config = default_config) (trace : Trace.t) =
   in
   let admit_due () =
     let rec go () =
-      match !arrivals with
-      | (r : Trace.request) :: rest when r.Trace.arrival_ps <= !now ->
-          arrivals := rest;
+      match Queue.peek_opt arrivals with
+      | Some (r : Trace.request) when r.Trace.arrival_ps <= !now ->
+          ignore (Queue.pop arrivals : Trace.request);
           (match admission_verdict r with
           | Admission.Shed_rate ->
               record_dropped r (Telemetry.Shed Telemetry.Rate_limited)
@@ -502,7 +511,7 @@ let replay ?(config = default_config) (trace : Trace.t) =
   in
 
   let cull_expired () =
-    if (not config.ignore_deadlines) && trace_has_deadlines then
+    if (not config.ignore_deadlines) && !trace_has_deadlines then
       let rec go node =
         match node with
         | None -> ()
@@ -1001,82 +1010,121 @@ let replay ?(config = default_config) (trace : Trace.t) =
         true
   in
 
-  while !arrivals <> [] || not (Dll.is_empty queue) do
-    (* release before admitting: a revert is decided by the idle
-       interval leading up to [now], not by whatever arrives at that
-       same instant *)
-    release_idle_duals ();
-    admit_due ();
-    cull_expired ();
-    if not (dispatch ()) then begin
-      let next_arrival =
-        match !arrivals with [] -> max_int | r :: _ -> r.Trace.arrival_ps
-      in
-      let next_free =
-        Array.fold_left
-          (fun acc d ->
-            let a = Device.available_ps d in
-            if a > !now then min acc a else acc)
-          max_int devices
-      in
-      let next =
-        if Dll.is_empty queue then next_arrival else min next_arrival next_free
-      in
-      if next = max_int && not (Dll.is_empty queue) then begin
-        (* dead end: every queued item has exhausted the usable pool
-           (e.g. all devices quarantined) — drain it to the host so the
-           loop terminates *)
-        let stuck = Dll.to_list queue in
-        Dll.clear queue;
-        List.iter
-          (fun it ->
-            run_fallback ~outcome:Telemetry.Recovered_host ~retries:it.attempts
-              (it.req, it.depth))
-          stuck
+  (* [settled]: the loop body has run at [!now] until dispatch found
+     nothing more to do, so the next step is a clock move. Kept across
+     [advance] calls so a resumed core never re-runs a finished
+     instant. *)
+  let settled = ref false in
+  let rec advance until_ps =
+    if not (Queue.is_empty arrivals && Dll.is_empty queue) then
+      if not !settled then begin
+        (* release before admitting: a revert is decided by the idle
+           interval leading up to [now], not by whatever arrives at that
+           same instant *)
+        release_idle_duals ();
+        admit_due ();
+        cull_expired ();
+        if not (dispatch ()) then settled := true;
+        advance until_ps
       end
-      else
-        (* [next = max_int] can only follow a dispatch step that consumed
-           the queue through failure records; nudge the clock so the loop
-           re-checks termination. *)
-        now := if next = max_int then !now + 1 else max next (!now + 1)
-    end
-  done;
-
-  let makespan_ps =
-    List.fold_left (fun acc r -> max acc r.Telemetry.finish_ps) 0 (Telemetry.records telemetry)
+      else begin
+        let next_arrival =
+          match Queue.peek_opt arrivals with None -> max_int | Some r -> r.Trace.arrival_ps
+        in
+        let next_free =
+          Array.fold_left
+            (fun acc d ->
+              let a = Device.available_ps d in
+              if a > !now then min acc a else acc)
+            max_int devices
+        in
+        let next =
+          if Dll.is_empty queue then next_arrival else min next_arrival next_free
+        in
+        if next = max_int then begin
+          (* dead end: every queued item has exhausted the usable pool
+             (e.g. all devices quarantined) and nothing else is coming —
+             drain it to the host. Only a draining call knows nothing
+             else is coming; a bounded one leaves the items queued. *)
+          if until_ps = max_int then begin
+            let stuck = Dll.to_list queue in
+            Dll.clear queue;
+            List.iter
+              (fun it ->
+                run_fallback ~outcome:Telemetry.Recovered_host ~retries:it.attempts
+                  (it.req, it.depth))
+              stuck
+          end
+        end
+        else
+          let next = max next (!now + 1) in
+          if next <= until_ps then begin
+            now := next;
+            settled := false;
+            advance until_ps
+          end
+      end
   in
-  (* a tile still drafted at the end of the run has displaced memory
-     traffic right up to the makespan — close the interval so the
-     report's displaced-bytes figure covers the whole run *)
-  Array.iter
-    (fun d -> ignore (Device.finalize_displacement d ~at_ps:makespan_ps : float))
-    devices;
+
+  let finish (trace : Trace.t) =
+    advance max_int;
+    let makespan_ps =
+      List.fold_left (fun acc r -> max acc r.Telemetry.finish_ps) 0 (Telemetry.records telemetry)
+    in
+    (* a tile still drafted at the end of the run has displaced memory
+       traffic right up to the makespan — close the interval so the
+       report's displaced-bytes figure covers the whole run *)
+    Array.iter
+      (fun d -> ignore (Device.finalize_displacement d ~at_ps:makespan_ps : float))
+      devices;
+    {
+      trace;
+      config;
+      telemetry;
+      cache = Kernel_cache.stats cache;
+      devices =
+        Array.to_list devices
+        |> List.map (fun d ->
+               {
+                 dev_id = Device.id d;
+                 dev_profile = (Device.profile d).Backend.name;
+                 dev_class = Backend.class_name (Device.device_class d);
+                 dev_wear = Device.wear d;
+                 dev_served = Device.requests_served d;
+                 dev_energy_j = Device.energy_j d;
+                 dev_conversions = Device.conversions d;
+                 dev_displaced_bytes = Device.displaced_mem_bytes d;
+               });
+      quarantined =
+        Array.to_list devices
+        |> List.filter (fun d -> Device.is_quarantined d)
+        |> List.map Device.id;
+      makespan_ps;
+      wall_s = Unix.gettimeofday () -. t0;
+      calibrations = List.rev !calib_log;
+    }
+  in
   {
-    trace;
-    config;
-    telemetry;
-    cache = Kernel_cache.stats cache;
-    devices =
-      Array.to_list devices
-      |> List.map (fun d ->
-             {
-               dev_id = Device.id d;
-               dev_profile = (Device.profile d).Backend.name;
-               dev_class = Backend.class_name (Device.device_class d);
-               dev_wear = Device.wear d;
-               dev_served = Device.requests_served d;
-               dev_energy_j = Device.energy_j d;
-               dev_conversions = Device.conversions d;
-               dev_displaced_bytes = Device.displaced_mem_bytes d;
-             });
-    quarantined =
-      Array.to_list devices
-      |> List.filter (fun d -> Device.is_quarantined d)
-      |> List.map Device.id;
-    makespan_ps;
-    wall_s = Unix.gettimeofday () -. t0;
-    calibrations = List.rev !calib_log;
+    push =
+      (fun r ->
+        if r.Trace.deadline_ps <> None then trace_has_deadlines := true;
+        Queue.push r arrivals);
+    step = advance;
+    close = finish;
+    core_telemetry = telemetry;
+    backlog = (fun () -> Queue.length arrivals + Dll.length queue);
   }
+
+let submit t r = t.push r
+let advance t ~until_ps = t.step until_ps
+let finish t trace = t.close trace
+let telemetry t = t.core_telemetry
+let pending t = t.backlog ()
+
+let replay ?config (trace : Trace.t) =
+  let t = create ?config () in
+  List.iter (submit t) trace.Trace.requests;
+  finish t trace
 
 (* ---------- report accessors ---------- *)
 

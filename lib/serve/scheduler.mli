@@ -2,7 +2,8 @@
     coalescing, cost-based placement across a heterogeneous device
     fleet, deadlines with CPU-interpreter degradation.
 
-    [replay] drives a {!Trace.t} through a virtual-time event loop.
+    [replay] drives a {!Trace.t} through a virtual-time event loop (the
+    steppable core below, fed the whole trace at once).
     Requests are admitted into a bounded submission queue (overflow is
     {e backpressure}: the request is rejected with
     {!Telemetry.Rejected_overloaded}, never silently dropped). When
@@ -188,7 +189,49 @@ type report = {
           is [None] or no fit beat its prior. *)
 }
 
+(** {1 The steppable core}
+
+    One event loop serves both clocks. [replay] feeds a whole trace and
+    drains it in virtual time; the wall-clock {!Frontend} submits each
+    request as it is read, stamped with wall picoseconds, and advances
+    the core to the wall clock after every read. Both run the same
+    admission, batching, placement, residency, recovery, deadline and
+    calibration policy, so a session's records equal the replay of its
+    requests. *)
+
+type t
+
+val create : ?config:config -> unit -> t
+(** A fresh core at time 0: the fleet, kernel cache, telemetry and an
+    empty arrival FIFO. Raises [Invalid_argument] on an empty fleet,
+    [devices < 1], [max_batch < 1] or [recovery.max_attempts < 1]. *)
+
+val submit : t -> Trace.request -> unit
+(** Append one request to the arrival FIFO. Arrivals are consumed in
+    submission order, so submit them in non-decreasing [arrival_ps] and
+    strictly after the last [until_ps] the core was advanced to: then
+    the run equals a {!replay} of the same requests. *)
+
+val advance : t -> until_ps:int -> unit
+(** Run the event loop (release idle dual tiles, admit due arrivals,
+    cull expired deadlines, dispatch, move to the next event) for every
+    event at or before [until_ps]. Returns without moving the clock when
+    no event is due by then. Records land in {!telemetry} (and the
+    config's [on_record]) as batches are dispatched. *)
+
+val pending : t -> int
+(** Requests submitted but not yet answered: not yet admitted plus
+    queued for a device. *)
+
+val telemetry : t -> Telemetry.t
+
+val finish : t -> Trace.t -> report
+(** Drain the core ([advance ~until_ps:max_int]: a queue no device can
+    serve is degraded to the host), close dual-tile displacement at the
+    makespan and build the report, naming [trace] as its input. *)
+
 val replay : ?config:config -> Trace.t -> report
+(** [create], [submit] every request of the trace in order, [finish]. *)
 
 val output_checksum : Tdo_linalg.Mat.t list -> string
 (** The digest [replay] stores in {!Telemetry.record.checksum} —

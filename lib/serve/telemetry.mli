@@ -10,10 +10,11 @@
     Chrome trace-event JSON file ([chrome://tracing], Perfetto) with
     one track per device.
 
-    For live runs ({!Frontend}, [--load]), an observer can be attached:
-    it sees every record as it lands, and {!live_view} builds a
-    windowed observer that emits one formatted roll-up line per elapsed
-    time window while the run is still going. *)
+    For live runs (the scheduler's [on_record] hook, which [--load] and
+    the {!Frontend} use), an observer can be attached: it sees every
+    record as it lands, and {!live_view} builds a windowed observer
+    that emits one formatted roll-up line per elapsed time window while
+    the run is still going. *)
 
 type shed_reason =
   | Rate_limited  (** tenant token bucket empty ({!Admission.Shed_rate}) *)

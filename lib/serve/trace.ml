@@ -128,6 +128,10 @@ let request_to_line r =
   | None -> ());
   Buffer.contents b
 
+let max_n = 128
+
+let line_keys = [ "id"; "tenant"; "class"; "kernel"; "n"; "seed"; "arrival_ps"; "deadline_ps" ]
+
 let request_of_line line =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
@@ -137,9 +141,10 @@ let request_of_line line =
         | Error _, _ -> acc
         | Ok _, None -> fail "malformed field %S (expected key=value)" field
         | Ok kvs, Some i ->
-            Ok
-              ((String.sub field 0 i, String.sub field (i + 1) (String.length field - i - 1))
-              :: kvs)
+            let key = String.sub field 0 i in
+            if List.mem key line_keys then
+              Ok ((key, String.sub field (i + 1) (String.length field - i - 1)) :: kvs)
+            else fail "unknown field %s" key
       in
       Result.bind (List.fold_left parse_field (Ok []) fields) (fun kvs ->
           let int_field ?default key =
@@ -155,6 +160,9 @@ let request_of_line line =
           let* id = int_field ~default:0 "id" in
           let* tenant = int_field ~default:0 "tenant" in
           let* n = int_field "n" in
+          let* () =
+            if n < 1 || n > max_n then fail "field n: %d outside 1..%d" n max_n else Ok ()
+          in
           let* seed = int_field ~default:0 "seed" in
           let* arrival_ps = int_field ~default:0 "arrival_ps" in
           let* deadline_ps =

@@ -69,7 +69,16 @@ val distinct_kernels : t -> (string * int) list
 
 val request_to_line : request -> string
 
+val max_n : int
+(** Largest problem size a decoded request may ask for: 128, four
+    times the largest size any built-in trace or workload serves. Input
+    arrays grow with [n^2], so a bound keeps one outside request from
+    stalling the shared core. *)
+
 val request_of_line : string -> (request, string) result
 (** Inverse of {!request_to_line}. [id], [tenant], [seed] and
     [arrival_ps] default to 0 and [class] to [interactive] when absent,
-    so hand-typed protocol lines only need [kernel] and [n]. *)
+    so hand-typed protocol lines only need [kernel] and [n]. [Error] on
+    any key outside the codec's fixed set (a misspelt key must not
+    silently drop a deadline), a non-integer value, or [n] outside
+    [1..max_n]. *)

@@ -758,67 +758,299 @@ let test_telemetry_windows () =
   List.iter (Telemetry.record t2) (Telemetry.records t);
   Alcotest.(check int) "live view flushed the first window" 1 (List.length !emitted)
 
-(* ---------- Frontend: wire protocol over a pipe ---------- *)
+(* ---------- Trace line codec ---------- *)
 
-let test_frontend_pipe_roundtrip () =
-  let in_r, in_w = Unix.pipe ~cloexec:false () in
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let input_lines =
-    String.concat "\n"
-      [
-        "req id=1 tenant=1 class=interactive kernel=gemm n=8 seed=3 arrival_ps=0";
-        {|{"id": 2, "kernel": "mvt", "n": 8, "class": "batch", "tenant": 2}|};
-        "bogus line";
-        "stats";
-        "quit";
-      ]
-    ^ "\n"
-  in
-  let wrote = Unix.write_substring in_w input_lines 0 (String.length input_lines) in
-  Alcotest.(check int) "request script written" (String.length input_lines) wrote;
-  Unix.close in_w;
-  let config =
+let contains needle s =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+let test_line_codec_roundtrip () =
+  let r =
     {
-      Frontend.default_config with
-      Frontend.fleet = [ Backend.pcm ];
-      window_us = None;
-      device_seed = 11;
+      Trace.id = 7;
+      kernel = "gesummv";
+      n = 24;
+      seed = 123;
+      arrival_ps = 4_500_000;
+      deadline_ps = Some 1_000;
+      tenant = 3;
+      slo = Trace.Best_effort;
     }
   in
-  let telemetry, stop =
-    Frontend.serve ~emit:ignore ~config ~input:in_r ~output:out_w ()
+  List.iter
+    (fun r ->
+      match Trace.request_of_line (Trace.request_to_line r) with
+      | Ok r' -> Alcotest.(check bool) "decode (encode r) = r" true (r = r')
+      | Error e -> Alcotest.fail e)
+    [ r; { r with deadline_ps = None; slo = Trace.Interactive } ]
+
+let test_line_codec_rejects () =
+  let rejects line expected =
+    match Trace.request_of_line line with
+    | Ok _ -> Alcotest.failf "%S accepted" line
+    | Error msg ->
+        if not (contains expected msg) then
+          Alcotest.failf "%S: error %S lacks %S" line msg expected
   in
+  (* a misspelt key must not silently drop what it meant to set *)
+  rejects "req kernel=gemm n=8 deadline_us=5" "unknown field deadline_us";
+  rejects "req kernel=gemm n=8 tennant=2" "unknown field tennant";
+  rejects "req kernel=gemm n=0" "outside 1..128";
+  rejects "req kernel=gemm n=100000" "outside 1..128";
+  rejects "req kernel=gemm n=99999999999999999999999" "not an integer";
+  Alcotest.(check bool) "n = max_n accepted" true
+    (Result.is_ok (Trace.request_of_line (Printf.sprintf "req kernel=gemm n=%d" Trace.max_n)))
+
+(* ---------- Frontend: wire protocol over a pipe ---------- *)
+
+(* Run one front-end session over a pipe, with a client on a second
+   domain: it writes [chunks] in order and closes its end. Every chunk
+   but the last is followed by a [stats] line, and the client waits for
+   its answer, then [gap_s], before writing the next chunk, so each
+   chunk reaches the front-end as its own burst. Returns the session
+   report, why it stopped, and every response line. *)
+let frontend_session ?(gap_s = 0.0) ~config chunks =
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let client =
+    Stdlib.Domain.spawn (fun () ->
+        let buf = Buffer.create 4096 in
+        let chunk = Bytes.create 4096 in
+        let read_more () =
+          match Unix.read out_r chunk 0 (Bytes.length chunk) with
+          | 0 -> false
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              true
+        in
+        let rec await_stats from =
+          let text = Buffer.contents buf in
+          let rec scan i =
+            match String.index_from_opt text i '\n' with
+            | None -> false
+            | Some j -> String.sub text i (min 6 (j - i)) = "stats " || scan (j + 1)
+          in
+          if not (scan from) then if read_more () then await_stats from
+        in
+        let last = List.length chunks - 1 in
+        List.iteri
+          (fun i lines ->
+            let lines = if i < last then lines @ [ "stats" ] else lines in
+            let s = String.concat "\n" lines ^ "\n" in
+            let from = Buffer.length buf in
+            assert (Unix.write_substring in_w s 0 (String.length s) = String.length s);
+            if i < last then begin
+              await_stats from;
+              Unix.sleepf gap_s
+            end)
+          chunks;
+        Unix.close in_w;
+        while read_more () do
+          ()
+        done;
+        Unix.close out_r;
+        String.split_on_char '\n' (Buffer.contents buf))
+  in
+  let report, stop = Frontend.serve ~config ~input:in_r ~output:out_w () in
   Unix.close out_w;
+  let lines = Stdlib.Domain.join client in
   Unix.close in_r;
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read out_r chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
+  (report, stop, lines)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+let test_frontend_pipe_roundtrip () =
+  let script =
+    [
+      "req id=1 tenant=1 class=interactive kernel=gemm n=8 seed=3 arrival_ps=0";
+      (* back-to-back with id 1: same (kernel, n), so one batch *)
+      "req id=2 tenant=1 kernel=gemm n=8 seed=4";
+      {|{"id": 3, "kernel": "mvt", "n": 8, "class": "batch", "tenant": 2}|};
+      (* queued behind the gemm batch on the only device: its deadline
+         expires before a device frees, so the host serves it *)
+      "req id=4 kernel=gesummv n=8 deadline_ps=1";
+      "bogus line";
+      (* unbounded or malformed sizes and integers never reach the core *)
+      "req id=5 kernel=gemm n=100000";
+      {|{"id": 6, "kernel": "gemm", "n": 1e300}|};
+      {|{"id": 7, "kernel": "gemm", "n": 2.5}|};
+      {|{"id": 8, "kernel": "gemm", "n": 8, "seed": 1e300}|};
+      {|{"id": 9.5, "kernel": "gemm", "n": 8}|};
+      {|{"id": 10, "kernel": "gemm", "n": 8, "tenant": -1e300}|};
+      "req id=11 kernel=gemm n=8 deadline_us=5";
+      "stats";
+      "quit";
+    ]
   in
-  drain ();
-  Unix.close out_r;
-  let output = Buffer.contents buf in
-  let has needle =
-    let n = String.length needle and h = String.length output in
-    let rec go i = i + n <= h && (String.sub output i n = needle || go (i + 1)) in
-    go 0
+  let config =
+    { Scheduler.default_config with Scheduler.fleet = Some [ Backend.pcm ]; device_seed = 11 }
+  in
+  let report, stop, lines = frontend_session ~config [ script ] in
+  let line_for id =
+    match List.find_opt (starts_with (Printf.sprintf "ok id=%d " id)) lines with
+    | Some l -> l
+    | None -> Alcotest.failf "no ok line for id %d" id
   in
   Alcotest.(check bool) "stopped on quit" true (stop = Frontend.Quit);
-  Alcotest.(check bool) "line request answered" true (has "ok id=1 ");
-  Alcotest.(check bool) "json request answered" true (has "ok id=2 ");
-  Alcotest.(check bool) "bogus line errored" true (has "err id=0 ");
-  Alcotest.(check bool) "stats line answered" true (has "stats requests=");
-  let s = Telemetry.summary telemetry in
-  Alcotest.(check int) "both requests recorded" 2 s.Telemetry.requests;
-  Alcotest.(check int) "both completed" 2 s.Telemetry.completed;
+  Alcotest.(check bool) "line request answered on the device" true
+    (contains " class=pcm " (line_for 1));
+  Alcotest.(check bool) "json request answered" true (contains "checksum=" (line_for 3));
+  Alcotest.(check bool) "expired deadline answered by the host" true
+    (contains " class=host " (line_for 4));
+  Alcotest.(check bool) "host answer carries no device" false (contains "device=" (line_for 4));
+  Alcotest.(check int) "bogus line, bad sizes, bad integers and unknown key errored" 8
+    (List.length (List.filter (starts_with "err id=0 ") lines));
+  Alcotest.(check bool) "stats line answered" true
+    (List.exists (starts_with "stats requests=") lines);
+  let t = report.Scheduler.telemetry in
+  let s = Telemetry.summary t in
+  Alcotest.(check int) "four requests recorded" 4 s.Telemetry.requests;
+  Alcotest.(check int) "three completed on the device" 3 s.Telemetry.completed;
+  Alcotest.(check int) "one host fallback" 1 s.Telemetry.cpu_fallbacks;
+  let batch_of id =
+    match List.find_opt (fun r -> r.Telemetry.request.Trace.id = id) (Telemetry.records t) with
+    | Some r -> r.Telemetry.batch
+    | None -> Alcotest.failf "no record for id %d" id
+  in
+  Alcotest.(check bool) "same-(kernel, n) requests share a batch" true
+    (batch_of 1 <> None && batch_of 1 = batch_of 2);
   List.iter
     (fun (r : Telemetry.record) ->
-      Alcotest.(check bool) "wall latency is positive" true (Telemetry.latency_ps r > 0))
-    (Telemetry.records telemetry)
+      Alcotest.(check bool) "record-clock latency is positive" true (Telemetry.latency_ps r > 0))
+    (Telemetry.records t)
+
+(* The acceptance property of the one-core design: a wall-clock session
+   produces exactly the records [Scheduler.replay] produces for the same
+   requests at the same arrival stamps. Three bursts a few milliseconds
+   apart, so the core is advanced, parked and resumed between them. *)
+let test_frontend_session_replays () =
+  let req ~id ~tenant ~slo ~kernel ~n ?(extra = "") () =
+    Printf.sprintf "req id=%d tenant=%d class=%s kernel=%s n=%d seed=%d%s" id tenant slo kernel
+      n (1000 + id) extra
+  in
+  let burst ids =
+    List.map
+      (fun (id, tenant, slo, kernel, n, extra) -> req ~id ~tenant ~slo ~kernel ~n ~extra ())
+      ids
+  in
+  let chunks =
+    [
+      (* two batches start, and [mvt] waits: a queue this short does
+         not draft the dual tile *)
+      burst
+        [
+          (1, 1, "interactive", "gemm", 16, "");
+          (2, 2, "batch", "gesummv", 24, "");
+          (3, 1, "interactive", "gemm", 16, "");
+          (4, 3, "best_effort", "mvt", 24, "");
+        ];
+      (* lands while both batches are still running: the deeper queue
+         drafts the dual tile at this burst's arrival instant, and the
+         last request's deadline expires before a device frees *)
+      burst
+        [
+          (5, 2, "batch", "2mm", 16, "");
+          (6, 2, "batch", "gesummv", 24, "");
+          (7, 3, "best_effort", "mvt", 24, "");
+          (8, 1, "interactive", "gemm", 16, "");
+          (9, 3, "best_effort", "conv", 12, "");
+          (10, 2, "batch", "gemm", 24, "");
+          (11, 1, "interactive", "gemm", 16, "");
+          (12, 3, "best_effort", "3mm", 12, "");
+          (13, 2, "batch", "gemm", 24, "");
+          (14, 1, "interactive", "bicg", 24, " deadline_ps=1");
+        ];
+      burst
+        [
+          (15, 1, "interactive", "gesummv", 24, "");
+          (16, 3, "best_effort", "bicg", 24, "");
+          (17, 2, "batch", "2mm", 16, "");
+          (18, 1, "interactive", "mvt", 24, "");
+          (19, 3, "best_effort", "gemm", 16, "");
+          (20, 2, "batch", "conv", 12, "");
+          (21, 1, "interactive", "gemm", 16, "");
+          (22, 1, "interactive", "gemm", 16, "");
+          (23, 2, "batch", "gesummv", 24, "");
+          (24, 3, "best_effort", "mvt", 24, "");
+          (25, 2, "batch", "gemm", 24, "");
+          (26, 1, "interactive", "bicg", 24, "");
+          (27, 3, "best_effort", "gemm", 16, "");
+          (28, 2, "batch", "3mm", 12, "");
+          (29, 1, "interactive", "gesummv", 24, "");
+          (30, 3, "best_effort", "mvt", 24, "");
+        ];
+    ]
+  in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.fleet = Some [ Backend.pcm; Backend.digital; Backend.dual ];
+      batching = true;
+      queue_capacity = 16;
+      admission = Some Admission.default_policy;
+      calibrate_after = Some 4;
+      (* a 10 ms launch keeps every batch running across the 3 ms gaps
+         between bursts, so each burst reaches a core that is parked
+         with work in flight *)
+      dispatch_overhead_ps = 10_000 * Tdo_sim.Time_base.ps_per_us;
+    }
+  in
+  let session, stop, lines = frontend_session ~gap_s:0.003 ~config chunks in
+  Alcotest.(check bool) "stopped on eof" true (stop = Frontend.Eof);
+  let records = Telemetry.records session.Scheduler.telemetry in
+  Alcotest.(check int) "every request recorded" 30 (List.length records);
+  Alcotest.(check int) "every request answered" 30
+    (List.length
+       (List.filter
+          (fun l -> List.exists (fun p -> starts_with p l) [ "ok "; "shed "; "rejected "; "err " ])
+          lines));
+  let requests =
+    List.stable_sort
+      (fun (a : Trace.request) b -> compare a.Trace.arrival_ps b.Trace.arrival_ps)
+      (List.map (fun (r : Telemetry.record) -> r.Telemetry.request) records)
+  in
+  Alcotest.(check bool) "the report's trace is the session's requests in arrival order" true
+    (requests = session.Scheduler.trace.Trace.requests);
+  let replayed =
+    Telemetry.records
+      (Scheduler.replay ~config { Trace.name = "session"; seed = 0; requests }).Scheduler
+      .telemetry
+  in
+  let show (r : Telemetry.record) =
+    let opt f = function Some v -> f v | None -> "-" in
+    Printf.sprintf "id=%d %s dev=%s batch=%s start=%d finish=%d service=%d write=%d sum=%s"
+      r.Telemetry.request.Trace.id
+      (Telemetry.profile_bucket r
+      ^ match r.Telemetry.outcome with
+        | Telemetry.Completed -> ""
+        | Telemetry.Cpu_fallback -> "/fallback"
+        | Telemetry.Recovered_host -> "/recovered"
+        | Telemetry.Rejected_overloaded -> "/rejected"
+        | Telemetry.Shed reason -> "/shed:" ^ Telemetry.shed_reason_name reason
+        | Telemetry.Failed msg -> "/failed:" ^ msg)
+      (opt string_of_int r.Telemetry.device)
+      (opt string_of_int r.Telemetry.batch)
+      r.Telemetry.start_ps r.Telemetry.finish_ps r.Telemetry.service_ps
+      r.Telemetry.write_bytes
+      (opt Fun.id r.Telemetry.checksum)
+  in
+  Alcotest.(check (list string)) "replay reproduces the session's records"
+    (List.map show replayed) (List.map show records);
+  Alcotest.(check bool) "records equal field for field" true (records = replayed);
+  (* the script reaches the paths the old front-end lacked *)
+  Alcotest.(check bool) "a deadline degraded to the host" true
+    (List.exists (fun r -> r.Telemetry.outcome = Telemetry.Cpu_fallback) records);
+  Alcotest.(check bool) "some batch coalesced two requests" true
+    (List.exists
+       (fun (r : Telemetry.record) ->
+         r.Telemetry.batch <> None
+         && List.exists
+              (fun (q : Telemetry.record) ->
+                q != r && q.Telemetry.batch = r.Telemetry.batch)
+              records)
+       records)
 
 let suites =
   [
@@ -873,6 +1105,16 @@ let suites =
       ] );
     ( "serve.telemetry",
       [ Alcotest.test_case "windowed roll-ups and live view" `Quick test_telemetry_windows ] );
+    ( "serve.codec",
+      [
+        Alcotest.test_case "line codec round trip" `Quick test_line_codec_roundtrip;
+        Alcotest.test_case "line codec rejects unknown keys and sizes" `Quick
+          test_line_codec_rejects;
+      ] );
     ( "serve.frontend",
-      [ Alcotest.test_case "wire protocol over a pipe" `Quick test_frontend_pipe_roundtrip ] );
+      [
+        Alcotest.test_case "wire protocol over a pipe" `Quick test_frontend_pipe_roundtrip;
+        Alcotest.test_case "a session replays to the same records" `Quick
+          test_frontend_session_replays;
+      ] );
   ]
