@@ -118,7 +118,11 @@ let bench_json dataset out baseline report_baseline =
        with the domain pool forced sequential. Built with the release profile \
        (dune-workspace) so cross-module inlining is on; before the scratch-arena rework \
        this machine measured fig6-medium at 76.3e6 minor words / 0.64 s, fig5 at 4.7e6 \
-       and ablations at 214.2e6 / 1.72 s. The container exposes a single CPU, so \
+       and ablations at 214.2e6 / 1.72 s. Before the flush walked only the cache sets \
+       filled since the previous flush (instead of all 33,280 L1D and L2 lines per \
+       launch) and the launch path stopped boxing per element, it measured fig6-medium \
+       at 6.77e6 minor words, fig5 at 1.45e6 and ablations at 27.6e6. The container \
+       exposes a single CPU, so \
        parallel speedup is bounded at 1.0 regardless of TDO_DOMAINS; the allocation \
        columns are the load-bearing figures here."
     ~extra ~sections ();

@@ -9,7 +9,9 @@ let reset_counters t =
   t.sums <- 0;
   t.ops <- 0
 
-let postprocess_into t ~alpha ~beta ~scale ~raw ~c_old ~out =
+(* Inlined into the engine's streamed loop, where [scale] is computed
+   per vector: an out-of-line call would box it. *)
+let[@inline] postprocess_into t ~alpha ~beta ~scale ~raw ~c_old ~out =
   let n = Array.length raw in
   if Array.length out <> n then invalid_arg "Digital_logic.postprocess: out length mismatch";
   (match c_old with

@@ -89,6 +89,11 @@ type t = {
   mutable raw : int array;
   mutable result : float array;
   mutable c_old : float array;
+  mutable wbuf : float array;
+  mutable wcodes : int array;
+      (** the pinned operand and its codes while it is programmed,
+          row-major; grown to the largest operand seen and only their
+          first [rows * cols] elements are used *)
   mutable last_abft_fault : (int * (int * int * int * int)) option;
       (** (tile, active region) of the most recent checksum mismatch *)
 }
@@ -125,6 +130,8 @@ let create ?(config = default_config) ?(seed = 0) ?scratch ~dma () =
     raw = [||];
     result = [||];
     c_old = [||];
+    wbuf = [||];
+    wcodes = [||];
     last_abft_fault = None;
   }
 
@@ -200,6 +207,9 @@ let get_ints t n cur =
   if Array.length cur = n then cur
   else match t.scratch with Some a -> Arena.int_array a n | None -> Array.make n 0
 
+let reserve_floats t n cur = if Array.length cur >= n then cur else get_floats t n cur
+let reserve_ints t n cur = if Array.length cur >= n then cur else get_ints t n cur
+
 (* DMA transfers whose functional side is performed element-wise through
    the memory's f32 fast path instead of materialising packed [Bytes.t]
    payloads; the timing and traffic side is identical to
@@ -220,27 +230,34 @@ let store_vector_into t ~addr ~stride_elems ~len values =
   done;
   Sim.Dma.charge_write t.dma ~bytes:(4 * len)
 
-(* Fetch a [rows x cols] float matrix stored row-major with leading
-   dimension [ld] (in elements). Runs once per crossbar (re)programming,
-   so the result matrix is allocated normally. *)
-let fetch_matrix t ~addr ~rows ~cols ~ld =
+(* Fetch the operand the crossbar will hold, W ([w_rows x w_cols]),
+   into [w] row-major. Memory holds W, or W^T when [transposed],
+   row-major with leading dimension [ld]; it is read in that physical
+   row-major order and charged as one [w_rows * w_cols] descriptor. *)
+let fetch_operand_into t ~addr ~w_rows ~w_cols ~ld ~transposed w =
   let mem = Sim.Dma.memory t.dma in
-  let out =
-    Array.init rows (fun r ->
-        Array.init cols (fun c -> Sim.Memory.read_f32 mem (addr + (4 * ((r * ld) + c)))))
-  in
-  (out, Sim.Dma.charge t.dma ~bytes:(4 * rows * cols))
+  let prows = if transposed then w_cols else w_rows in
+  let pcols = if transposed then w_rows else w_cols in
+  for r = 0 to prows - 1 do
+    for c = 0 to pcols - 1 do
+      let v = Sim.Memory.read_f32 mem (addr + (4 * ((r * ld) + c))) in
+      Array.unsafe_set w (if transposed then (c * w_cols) + r else (r * w_cols) + c) v
+    done
+  done;
+  Sim.Dma.charge t.dma ~bytes:(4 * w_rows * w_cols)
 
-let max_abs_2d m =
-  Array.fold_left
-    (fun acc row -> Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) acc row)
-    0.0 m
+(* Largest absolute value of [v.(0 .. len-1)], NaN if any element is
+   NaN (a [Float.max] fold from 0). *)
+let[@inline] max_abs_prefix v len =
+  let m = ref 0.0 in
+  for i = 0 to len - 1 do
+    let a = Float.abs (Array.unsafe_get v i) in
+    if a > !m || Float.is_nan a then m := a
+  done;
+  !m
 
-let transpose_2d m =
-  let rows = Array.length m and cols = Array.length m.(0) in
-  Array.init cols (fun i -> Array.init rows (fun j -> m.(j).(i)))
-
-let max_abs v =
+(* inlined, so the per-vector result is not boxed *)
+let[@inline] max_abs v =
   let m = ref 0.0 in
   for i = 0 to Array.length v - 1 do
     let a = Float.abs (Array.unsafe_get v i) in
@@ -258,24 +275,11 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
     job
   in
   let cfg = t.config in
-  let record at phase detail = Timeline.record t.timeline ~at ~phase ~detail in
+  let tl = t.timeline in
   let cursor = ref start in
   (* -- decode ------------------------------------------------------ *)
   cursor := !cursor + cfg.decode_latency_ps;
   (* -- pinned operand: fetch, quantise, program -------------------- *)
-  (* Physical layout of A is (m x k) unless transposed, of B (k x n). *)
-  let fetch_op_a () =
-    if trans_a then
-      let raw, lat = fetch_matrix t ~addr:a_addr ~rows:k ~cols:m ~ld:lda in
-      (transpose_2d raw, lat)
-    else fetch_matrix t ~addr:a_addr ~rows:m ~cols:k ~ld:lda
-  in
-  let fetch_op_b () =
-    if trans_b then
-      let raw, lat = fetch_matrix t ~addr:b_addr ~rows:n ~cols:k ~ld:ldb in
-      (transpose_2d raw, lat)
-    else fetch_matrix t ~addr:b_addr ~rows:k ~cols:n ~ld:ldb
-  in
   let pin_addr = match pin with Context_regs.Pin_a -> a_addr | Context_regs.Pin_b -> b_addr in
   (* W is what goes into the crossbar: op(A)^T (k x m) or op(B) (k x n). *)
   let w_rows = k in
@@ -301,25 +305,43 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
         (p.pin_scale, p.pin_check)
       end
       else begin
-        let w, fill_lat =
+        (* Physical layout of A is (m x k) unless transposed, of B
+           (k x n); W = op(A)^T or op(B) is stored transposed for an
+           untransposed A and for a transposed B. *)
+        let transposed, ld =
           match pin with
-          | Context_regs.Pin_a ->
-              let op_a, lat = fetch_op_a () in
-              (transpose_2d op_a, lat)
-          | Context_regs.Pin_b -> fetch_op_b ()
+          | Context_regs.Pin_a -> (not trans_a, lda)
+          | Context_regs.Pin_b -> (trans_b, ldb)
         in
-        record !cursor Timeline.Dma_fill (Printf.sprintf "pinned operand %dx%d" w_rows w_cols);
+        let size = w_rows * w_cols in
+        let w = reserve_floats t size t.wbuf in
+        t.wbuf <- w;
+        let codes = reserve_ints t size t.wcodes in
+        t.wcodes <- codes;
+        let fill_lat =
+          fetch_operand_into t ~addr:pin_addr ~w_rows ~w_cols ~ld ~transposed w
+        in
+        if Timeline.active tl then
+          Timeline.record tl ~at:!cursor ~phase:Timeline.Dma_fill
+            (Timeline.Pinned_operand { rows = w_rows; cols = w_cols })
+        else Timeline.count_dropped tl;
         cursor := !cursor + fill_lat;
-        let scheme = Quant.scheme_for ~bits:8 ~max_abs:(max_abs_2d w) in
-        let codes = Array.map (Array.map (Quant.quantize scheme)) w in
-        record !cursor Timeline.Program_crossbar
-          (Printf.sprintf "tile %d, %d rows" tile w_rows);
-        Crossbar.program_codes xbar codes;
+        let scale = Quant.scale_for ~bits:8 ~max_abs:(max_abs_prefix w size) in
+        for i = 0 to size - 1 do
+          Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
+        done;
+        if Timeline.active tl then
+          Timeline.record tl ~at:!cursor ~phase:Timeline.Program_crossbar
+            (Timeline.Program_tile { tile; rows = w_rows })
+        else Timeline.count_dropped tl;
+        Crossbar.program_flat xbar ~rows:w_rows ~cols:w_cols codes;
         cursor := !cursor + (w_rows * cfg.write_latency_per_row_ps);
         (* The checksums describe what the host {e asked} the crossbar to
            store; a stuck cell diverges from them, which is exactly what
            the per-GEMV verify catches. *)
-        let pin_check = if cfg.abft then Abft.row_sums codes else [||] in
+        let pin_check =
+          if cfg.abft then Abft.row_sums_flat ~rows:w_rows ~cols:w_cols codes else [||]
+        in
         t.pinned.(tile) <-
           Some
             {
@@ -328,10 +350,10 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
               pin_cols = w_cols;
               pin_trans;
               pin_generation = generation;
-              pin_scale = scheme.Quant.scale;
+              pin_scale = scale;
               pin_check;
             };
-        (scheme.Quant.scale, pin_check)
+        (scale, pin_check)
       end
     in
     (* -- streamed phase -------------------------------------------- *)
@@ -371,11 +393,13 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
           (* row idx of op(A) = column idx of physical A (k x m) *)
           fetch_vector_into t ~addr:(a_addr + (4 * idx)) ~len:k ~stride_elems:lda x
     in
+    (* slice idx of C: column idx under Pin_a, row idx under Pin_b *)
     let c_slice_addr idx =
       match pin with
-      | Context_regs.Pin_a -> (c_addr + (4 * idx), ldc) (* column idx of C *)
-      | Context_regs.Pin_b -> (c_addr + (4 * idx * ldc), 1) (* row idx of C *)
+      | Context_regs.Pin_a -> c_addr + (4 * idx)
+      | Context_regs.Pin_b -> c_addr + (4 * idx * ldc)
     in
+    let c_stride = match pin with Context_regs.Pin_a -> ldc | Context_regs.Pin_b -> 1 in
     (* integration time scales with the number of active wordlines *)
     let gemv_latency =
       max cfg.min_compute_latency_ps (cfg.compute_latency_ps * k / cfg.xbar.Crossbar.rows)
@@ -395,14 +419,13 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
     in
     let fill_channel = ref !cursor in
     let compute_channel = ref !cursor in
-    let tl = t.timeline in
     for idx = 0 to stream_count - 1 do
-      if not cfg.double_buffering then fill_channel := max !fill_channel !compute_channel;
+      if not cfg.double_buffering then fill_channel := Int.max !fill_channel !compute_channel;
       (* Timeline entries past the ring capacity would be dropped anyway,
-         so skip formatting their detail strings — the counts stay
-         exact via [count_dropped]. *)
+         so skip building their details — the counts stay exact via
+         [count_dropped]. *)
       if Timeline.active tl then
-        record !fill_channel Timeline.Dma_fill (Printf.sprintf "vector %d" idx)
+        Timeline.record tl ~at:!fill_channel ~phase:Timeline.Dma_fill (Timeline.Vector idx)
       else Timeline.count_dropped tl;
       let fill_lat = fetch_stream idx in
       (* burst accounting: the descriptor fetched at the head of a burst
@@ -420,17 +443,17 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
         match c_old with
         | None -> 0
         | Some c ->
-            let addr, stride = c_slice_addr idx in
-            fetch_vector_into t ~addr ~len:out_len ~stride_elems:stride c
+            fetch_vector_into t ~addr:(c_slice_addr idx) ~len:out_len ~stride_elems:c_stride c
       in
       fill_channel := !fill_channel + fill_lat + c_fill_lat;
-      compute_channel := max !compute_channel !fill_channel;
+      compute_channel := Int.max !compute_channel !fill_channel;
       if Timeline.active tl then
-        record !compute_channel Timeline.Compute (Printf.sprintf "gemv %d" idx)
+        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Compute (Timeline.Gemv idx)
       else Timeline.count_dropped tl;
-      let scheme_x = Quant.scheme_for ~bits:8 ~max_abs:(max_abs x) in
+      let scale_x = Quant.scale_for ~bits:8 ~max_abs:(max_abs x) in
       for i = 0 to k - 1 do
-        Array.unsafe_set x_codes i (Quant.quantize scheme_x (Array.unsafe_get x i))
+        Array.unsafe_set x_codes i
+          (Quant.quantize_scaled ~bits:8 ~scale:scale_x (Array.unsafe_get x i))
       done;
       Crossbar.gemv_codes_into xbar x_codes ~out:raw;
       compute_channel := !compute_channel + gemv_latency;
@@ -438,7 +461,8 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
         (* one extra dot product (k MACs) plus the output sum (out_len
            adds), on the digital ALU *)
         if Timeline.active tl then
-          record !compute_channel Timeline.Accumulate (Printf.sprintf "abft verify %d" idx)
+          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
+            (Timeline.Abft_verify idx)
         else Timeline.count_dropped tl;
         compute_channel := !compute_channel + ((k + out_len) * cfg.alu_latency_ps);
         t.c.abft_checks_m <- t.c.abft_checks_m + 1;
@@ -454,17 +478,17 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
             t.last_abft_fault <- Some (tile, region)
       end;
       if Timeline.active tl then
-        record !compute_channel Timeline.Accumulate (Printf.sprintf "epilogue %d" idx)
+        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate (Timeline.Epilogue idx)
       else Timeline.count_dropped tl;
-      Digital_logic.postprocess_into t.digital ~alpha ~beta
-        ~scale:(scale_w *. scheme_x.Quant.scale)
-        ~raw ~c_old ~out:result;
+      Digital_logic.postprocess_into t.digital ~alpha ~beta ~scale:(scale_w *. scale_x) ~raw
+        ~c_old ~out:result;
       compute_channel := !compute_channel + (out_len * cfg.alu_latency_ps);
       if Timeline.active tl then
-        record !compute_channel Timeline.Store_result (Printf.sprintf "slice %d" idx)
+        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Store_result (Timeline.Slice idx)
       else Timeline.count_dropped tl;
-      let addr, stride = c_slice_addr idx in
-      let store_lat = store_vector_into t ~addr ~stride_elems:stride ~len:out_len result in
+      let store_lat =
+        store_vector_into t ~addr:(c_slice_addr idx) ~stride_elems:c_stride ~len:out_len result
+      in
       (* results collect in the output buffer and drain one DMA
          descriptor per buffer-full, mirroring the input bursting *)
       let store_burst = max 1 (row_buffer_bytes / (4 * out_len)) in
@@ -477,7 +501,7 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
       compute_channel := !compute_channel + store_lat;
       t.c.streamed_vectors_m <- t.c.streamed_vectors_m + 1
     done;
-    Ok (max !cursor !compute_channel)
+    Ok (Int.max !cursor !compute_channel)
   end
 
 let read_batch_descriptors t ~addr ~count =
@@ -527,13 +551,21 @@ let least_busy_tile busy =
   !best
 
 let run_job t (job : Context_regs.job) ~start =
-  let record at phase detail = Timeline.record t.timeline ~at ~phase ~detail in
-  record start Timeline.Trigger (Printf.sprintf "job op=%d m=%d n=%d k=%d"
-      (match job.Context_regs.op with
-      | Context_regs.Gemv -> 0
-      | Context_regs.Gemm -> 1
-      | Context_regs.Gemm_batched -> 2)
-      job.Context_regs.m job.Context_regs.n job.Context_regs.k);
+  let tl = t.timeline in
+  if Timeline.active tl then
+    Timeline.record tl ~at:start ~phase:Timeline.Trigger
+      (Timeline.Job
+         {
+           op =
+             (match job.Context_regs.op with
+             | Context_regs.Gemv -> 0
+             | Context_regs.Gemm -> 1
+             | Context_regs.Gemm_batched -> 2);
+           m = job.Context_regs.m;
+           n = job.Context_regs.n;
+           k = job.Context_regs.k;
+         })
+  else Timeline.count_dropped tl;
   let result =
     match job.Context_regs.op with
     | Context_regs.Gemv | Context_regs.Gemm ->
@@ -595,7 +627,9 @@ let run_job t (job : Context_regs.job) ~start =
   in
   (match result with
   | Ok finish ->
-      record finish Timeline.Result_ready "status <- done";
+      if Timeline.active tl then
+        Timeline.record tl ~at:finish ~phase:Timeline.Result_ready Timeline.Status_done
+      else Timeline.count_dropped tl;
       t.c.jobs_m <- t.c.jobs_m + 1;
       (match job.Context_regs.op with
       | Context_regs.Gemv -> t.c.gemv_jobs_m <- t.c.gemv_jobs_m + 1

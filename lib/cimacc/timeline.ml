@@ -9,6 +9,28 @@ type phase =
 
 type event = { at : Tdo_sim.Time_base.ps; phase : phase; detail : string }
 
+type detail =
+  | Job of { op : int; m : int; n : int; k : int }
+  | Pinned_operand of { rows : int; cols : int }
+  | Program_tile of { tile : int; rows : int }
+  | Vector of int
+  | Gemv of int
+  | Abft_verify of int
+  | Epilogue of int
+  | Slice of int
+  | Status_done
+
+let detail_to_string = function
+  | Job { op; m; n; k } -> Printf.sprintf "job op=%d m=%d n=%d k=%d" op m n k
+  | Pinned_operand { rows; cols } -> Printf.sprintf "pinned operand %dx%d" rows cols
+  | Program_tile { tile; rows } -> Printf.sprintf "tile %d, %d rows" tile rows
+  | Vector i -> Printf.sprintf "vector %d" i
+  | Gemv i -> Printf.sprintf "gemv %d" i
+  | Abft_verify i -> Printf.sprintf "abft verify %d" i
+  | Epilogue i -> Printf.sprintf "epilogue %d" i
+  | Slice i -> Printf.sprintf "slice %d" i
+  | Status_done -> "status <- done"
+
 let phase_to_string = function
   | Trigger -> "trigger"
   | Dma_fill -> "dma-fill"
@@ -21,24 +43,32 @@ let phase_to_string = function
 let pp_event ppf e =
   Format.fprintf ppf "%10d ps  %-16s %s" e.at (phase_to_string e.phase) e.detail
 
-type t = { capacity : int; mutable events : event list; mutable count : int }
+(* Entries keep the detail as a tag plus integers; the text is built
+   only when the events are read. *)
+type entry = { e_at : Tdo_sim.Time_base.ps; e_phase : phase; e_detail : detail }
+type t = { capacity : int; mutable entries : entry list; mutable count : int }
 
 let create ?(capacity = 10_000) () =
   if capacity <= 0 then invalid_arg "Timeline.create: capacity must be positive";
-  { capacity; events = []; count = 0 }
+  { capacity; entries = []; count = 0 }
 
-let record t ~at ~phase ~detail =
+let record t ~at ~phase detail =
   t.count <- t.count + 1;
-  if t.count <= t.capacity then t.events <- { at; phase; detail } :: t.events
+  if t.count <= t.capacity then
+    t.entries <- { e_at = at; e_phase = phase; e_detail = detail } :: t.entries
 
 let active t = t.count < t.capacity
 let count_dropped t = t.count <- t.count + 1
 
-let events t = List.rev t.events
+let events t =
+  List.rev_map
+    (fun e -> { at = e.e_at; phase = e.e_phase; detail = detail_to_string e.e_detail })
+    t.entries
+
 let dropped t = max 0 (t.count - t.capacity)
 
 let clear t =
-  t.events <- [];
+  t.entries <- [];
   t.count <- 0
 
 let all_phases =

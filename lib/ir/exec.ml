@@ -439,26 +439,32 @@ let dev_buffer st slot name =
   | Some buf -> buf
   | None -> fail "array '%s' is not on the device (missing polly_cimMalloc)" name
 
+(* The host copy loops run over the flat row-major data: a
+   [float]-returning [Mat.init] closure boxes every element. *)
 let host_matrix st info =
   (* charged element loads: the copy loop runs on the host *)
   let rows, cols = array_shape_2d info in
-  Tdo_linalg.Mat.init ~rows ~cols ~f:(fun i j ->
-      let addr = info.base + (4 * ((i * cols) + j)) in
-      issue st Sim.Cpu.Int_alu;
-      issue_at st addr Sim.Cpu.Load;
-      Sim.Memory.read_f32 st.memory addr)
+  let m = Tdo_linalg.Mat.create ~rows ~cols in
+  let data = Tdo_linalg.Mat.data m in
+  for k = 0 to (rows * cols) - 1 do
+    let addr = info.base + (4 * k) in
+    issue st Sim.Cpu.Int_alu;
+    issue_at st addr Sim.Cpu.Load;
+    Array.unsafe_set data k (Sim.Memory.read_f32 st.memory addr)
+  done;
+  m
 
 let store_host_matrix st info name m =
   let rows, cols = array_shape_2d info in
   if Tdo_linalg.Mat.rows m <> rows || Tdo_linalg.Mat.cols m <> cols then
     fail "polly_cimDevToHost: shape mismatch for '%s'" name;
-  Tdo_linalg.Mat.iteri
-    ~f:(fun i j v ->
-      let addr = info.base + (4 * ((i * cols) + j)) in
-      issue st Sim.Cpu.Int_alu;
-      issue_at st addr Sim.Cpu.Store;
-      Sim.Memory.write_f32 st.memory addr v)
-    m
+  let data = Tdo_linalg.Mat.data m in
+  for k = 0 to (rows * cols) - 1 do
+    let addr = info.base + (4 * k) in
+    issue st Sim.Cpu.Int_alu;
+    issue_at st addr Sim.Cpu.Store;
+    Sim.Memory.write_f32 st.memory addr (Array.unsafe_get data k)
+  done
 
 let view_of_ref st (r : rmat) =
   let info = array_info st r.mslot r.mname in
@@ -636,9 +642,10 @@ and exec_body st (body : rstmt array) =
 (* ---------- staging arguments in and out of simulated memory ---------- *)
 
 let stage_in st (arr : Interp.arr) info =
-  Array.iteri
-    (fun i v -> Sim.Memory.write_f32 st.memory (info.base + (4 * i)) v)
-    arr.Interp.data
+  let data = arr.Interp.data in
+  for i = 0 to Array.length data - 1 do
+    Sim.Memory.write_f32 st.memory (info.base + (4 * i)) (Array.unsafe_get data i)
+  done
 
 let stage_out st info (arr : Interp.arr) =
   let data = arr.Interp.data in

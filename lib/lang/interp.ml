@@ -34,7 +34,7 @@ let arr_of_mat m =
 let mat_of_arr arr =
   let module Mat = Tdo_linalg.Mat in
   match arr.dims with
-  | [ rows; cols ] -> Mat.init ~rows ~cols ~f:(fun i j -> arr_get arr [ i; j ])
+  | [ rows; cols ] -> Mat.of_data ~rows ~cols (Array.copy arr.data)
   | _ -> fail "mat_of_arr: not a 2-D array"
 
 (* ---------- resolved (slot-table) program ----------

@@ -1,12 +1,21 @@
+let row_sums_flat ~rows ~cols codes =
+  if rows <= 0 || cols < 0 then invalid_arg "Abft.row_sums: empty matrix";
+  if Array.length codes < rows * cols then invalid_arg "Abft.row_sums: codes too short";
+  Array.init rows (fun i ->
+      let acc = ref 0 in
+      for j = 0 to cols - 1 do
+        acc := !acc + Array.unsafe_get codes ((i * cols) + j)
+      done;
+      !acc)
+
 let row_sums codes =
   let m = Array.length codes in
   if m = 0 then invalid_arg "Abft.row_sums: empty matrix";
   let n = Array.length codes.(0) in
-  Array.map
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Abft.row_sums: ragged matrix";
-      Array.fold_left ( + ) 0 row)
-    codes
+  Array.iter
+    (fun row -> if Array.length row <> n then invalid_arg "Abft.row_sums: ragged matrix")
+    codes;
+  row_sums_flat ~rows:m ~cols:n (Array.concat (Array.to_list codes))
 
 let predict ~row_sums ~input =
   let m = Array.length row_sums in

@@ -21,6 +21,10 @@ val row_sums : int array array -> int array
     [sum_j codes.(i).(j)]. Raises [Invalid_argument] on an empty or
     ragged matrix. *)
 
+val row_sums_flat : rows:int -> cols:int -> int array -> int array
+(** {!row_sums} of a flat row-major [rows x cols] matrix: code [(i, j)]
+    is [codes.(i * cols + j)]; [codes] may be longer. *)
+
 val predict : row_sums:int array -> input:int array -> int
 (** The checksum-side of the invariant: [sum_i input.(i) * row_sums.(i)].
     Lengths must agree. *)

@@ -14,6 +14,13 @@ let init ~rows ~cols ~f =
   let data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) in
   { rows; cols; data }
 
+let of_data ~rows ~cols data =
+  check_dims rows cols;
+  if Array.length data <> rows * cols then invalid_arg "Mat.of_data: length mismatch";
+  { rows; cols; data }
+
+let data m = m.data
+
 let of_arrays a =
   let rows = Array.length a in
   if rows = 0 then invalid_arg "Mat.of_arrays: empty";

@@ -15,6 +15,16 @@ val init : rows:int -> cols:int -> f:(int -> int -> float) -> t
 (** [init ~rows ~cols ~f] where [f i j] gives the element at row [i],
     column [j]. *)
 
+val of_data : rows:int -> cols:int -> float array -> t
+(** [of_data ~rows ~cols data] wraps the row-major [data] (element
+    [(i, j)] at index [i * cols + j]) without copying it. Raises
+    [Invalid_argument] when the length is not [rows * cols]. *)
+
+val data : t -> float array
+(** The row-major backing array, shared with the matrix. Element loops
+    index it directly: a [float]-returning closure such as {!init}'s
+    [f] boxes every element. *)
+
 val of_arrays : float array array -> t
 (** Copies a rectangular array-of-rows. Raises [Invalid_argument] on a
     ragged input or an empty one. *)

@@ -3,17 +3,24 @@ type scheme = { bits : int; scale : float }
 let max_code s = (1 lsl (s.bits - 1)) - 1
 let min_code s = -(1 lsl (s.bits - 1))
 
-let scheme_for ~bits ~max_abs =
+(* [scale_for] and [quantize_scaled] are the scheme-free forms the
+   engine's per-element and per-vector loops call: inlined, the scale
+   and the element stay unboxed, where building a [scheme] record (or
+   passing a float to an out-of-line call) would allocate. *)
+let[@inline always] scale_for ~bits ~max_abs =
   if bits < 2 || bits > 16 then invalid_arg "Quant.scheme_for: bits out of range";
   if max_abs < 0.0 then invalid_arg "Quant.scheme_for: negative max_abs";
   let top = float_of_int ((1 lsl (bits - 1)) - 1) in
-  let scale = if max_abs = 0.0 then 1.0 else max_abs /. top in
-  { bits; scale }
+  if max_abs = 0.0 then 1.0 else max_abs /. top
 
-let quantize s v =
-  let code = int_of_float (Float.round (v /. s.scale)) in
-  let hi = max_code s and lo = min_code s in
+let scheme_for ~bits ~max_abs = { bits; scale = scale_for ~bits ~max_abs }
+
+let[@inline always] quantize_scaled ~bits ~scale v =
+  let code = int_of_float (Float.round (v /. scale)) in
+  let hi = (1 lsl (bits - 1)) - 1 and lo = -(1 lsl (bits - 1)) in
   if code > hi then hi else if code < lo then lo else code
+
+let quantize s v = quantize_scaled ~bits:s.bits ~scale:s.scale v
 
 let dequantize s code = float_of_int code *. s.scale
 
@@ -26,13 +33,15 @@ let dequantize_mat s codes =
 
 let quantization_error_bound s = s.scale /. 2.0
 
+(* Euclidean split keeps the low nibble non-negative so it maps onto
+   an unsigned 4-bit conductance level: on two's-complement ints that
+   is the low four bits, and the high nibble is the arithmetic shift. *)
+let[@inline always] low_nibble code = code land 15
+let[@inline always] high_nibble code = code asr 4
+
 let split_nibbles code =
   if code < -128 || code > 127 then invalid_arg "Quant.split_nibbles: not an 8-bit code";
-  (* Euclidean split keeps the low nibble non-negative so it maps onto
-     an unsigned 4-bit conductance level. *)
-  let lsb = ((code mod 16) + 16) mod 16 in
-  let msb = (code - lsb) / 16 in
-  (msb, lsb)
+  (high_nibble code, low_nibble code)
 
 let combine_nibbles ~msb ~lsb =
   if lsb < 0 || lsb > 15 then invalid_arg "Quant.combine_nibbles: bad low nibble";

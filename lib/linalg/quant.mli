@@ -18,6 +18,14 @@ val scheme_for : bits:int -> max_abs:float -> scheme
 val quantize : scheme -> float -> int
 (** Round-to-nearest, saturating at the code range. *)
 
+val scale_for : bits:int -> max_abs:float -> float
+(** [(scheme_for ~bits ~max_abs).scale], without building the record. *)
+
+val quantize_scaled : bits:int -> scale:float -> float -> int
+(** [quantize { bits; scale }], without the record. [scale_for] and
+    [quantize_scaled] are inlined at their call sites, so per-element
+    loops allocate nothing. *)
+
 val dequantize : scheme -> int -> float
 
 val quantize_mat : scheme -> Mat.t -> int array array
@@ -33,6 +41,11 @@ val split_nibbles : int -> int * int
 (** [split_nibbles code] for an 8-bit signed code returns
     [(msb, lsb)] with [code = msb*16 + lsb], [lsb] in [\[0,15\]]. Used
     to program a pair of 4-bit PCM columns. *)
+
+val high_nibble : int -> int
+val low_nibble : int -> int
+(** The two halves of {!split_nibbles}, without the tuple and without
+    the range check. *)
 
 val combine_nibbles : msb:int -> lsb:int -> int
 (** Inverse of [split_nibbles]. *)

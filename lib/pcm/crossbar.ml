@@ -63,6 +63,8 @@ type plane_state = {
   stuck : Bytes.t;  (** 1 = injected manufacture-time defect *)
 }
 
+(* The counters are mutable fields, bumped in place once per GEMV and
+   per programming; the immutable [counters] view is built on demand. *)
 type t = {
   config : config;
   cells : int;  (** rows * cols, the plane stride *)
@@ -71,7 +73,13 @@ type t = {
   adc : Adc.t;
   prng : Prng.t;
   mutable active : (int * int * int * int) option;
-  mutable counters : counters;
+  mutable cell_writes : int;
+  mutable logical_writes : int;
+  mutable write_bytes : int;
+  mutable gemv_ops : int;
+  mutable macs : int;
+  mutable input_buffer_bytes : int;
+  mutable output_buffer_bytes : int;
   mutable flips : flip list;  (** armed transient column disturbances *)
   mutable drift : int;  (** additive conductance-drift offset per column output *)
 }
@@ -108,7 +116,13 @@ let create ?(config = default_config) ?(seed = 0) ?scratch () =
     adc = Adc.create ~config:config.adc ();
     prng = Prng.create ~seed;
     active = None;
-    counters = zero_counters;
+    cell_writes = 0;
+    logical_writes = 0;
+    write_bytes = 0;
+    gemv_ops = 0;
+    macs = 0;
+    input_buffer_bytes = 0;
+    output_buffer_bytes = 0;
     flips = [];
     drift = 0;
   }
@@ -138,10 +152,57 @@ let program_cell t p i ~level =
   if not stuck then Bytes.unsafe_set p.levels i (Char.unsafe_chr level)
 
 let config t = t.config
-let counters t = t.counters
-let reset_counters t = t.counters <- zero_counters
+
+let counters t =
+  {
+    cell_writes = t.cell_writes;
+    logical_writes = t.logical_writes;
+    write_bytes = t.write_bytes;
+    gemv_ops = t.gemv_ops;
+    macs = t.macs;
+    input_buffer_bytes = t.input_buffer_bytes;
+    output_buffer_bytes = t.output_buffer_bytes;
+  }
+
+let reset_counters t =
+  t.cell_writes <- zero_counters.cell_writes;
+  t.logical_writes <- zero_counters.logical_writes;
+  t.write_bytes <- zero_counters.write_bytes;
+  t.gemv_ops <- zero_counters.gemv_ops;
+  t.macs <- zero_counters.macs;
+  t.input_buffer_bytes <- zero_counters.input_buffer_bytes;
+  t.output_buffer_bytes <- zero_counters.output_buffer_bytes
+
 let adc t = t.adc
 let active_region t = t.active
+
+let check_region t ~row_off ~col_off ~m ~n name =
+  if row_off < 0 || col_off < 0 || row_off + m > t.config.rows || col_off + n > t.config.cols
+  then invalid_arg (name ^ ": region exceeds the array")
+
+(* One logical operand: the signed high nibble [-8,7] is stored with a
+   +8 offset so it maps onto the unsigned conductance levels (the
+   digital logic removes the offset after sensing), the low nibble as
+   is. *)
+let[@inline always] program_code t idx code =
+  if code < -128 || code > 127 then invalid_arg "Quant.split_nibbles: not an 8-bit code";
+  program_cell t t.msb idx ~level:(Quant.high_nibble code + 8);
+  program_cell t t.lsb idx ~level:(Quant.low_nibble code)
+
+let program_flat t ?(row_off = 0) ?(col_off = 0) ~rows:m ~cols:n codes =
+  if m <= 0 || n <= 0 then invalid_arg "Crossbar.program_flat: empty matrix";
+  if Array.length codes < m * n then invalid_arg "Crossbar.program_flat: codes too short";
+  check_region t ~row_off ~col_off ~m ~n "Crossbar.program_flat";
+  let stride = t.config.cols in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      program_code t (((row_off + i) * stride) + col_off + j) (Array.unsafe_get codes ((i * n) + j))
+    done
+  done;
+  t.active <- Some (row_off, col_off, m, n);
+  t.cell_writes <- t.cell_writes + (2 * m * n);
+  t.logical_writes <- t.logical_writes + (m * n);
+  t.write_bytes <- t.write_bytes + (m * n)
 
 let program_codes t ?(row_off = 0) ?(col_off = 0) codes =
   let m = Array.length codes in
@@ -152,29 +213,8 @@ let program_codes t ?(row_off = 0) ?(col_off = 0) codes =
     (fun row ->
       if Array.length row <> n then invalid_arg "Crossbar.program_codes: ragged matrix")
     codes;
-  if row_off < 0 || col_off < 0 || row_off + m > t.config.rows || col_off + n > t.config.cols
-  then invalid_arg "Crossbar.program_codes: region exceeds the array";
-  let stride = t.config.cols in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      let code = codes.(i).(j) in
-      let hi, lo = Quant.split_nibbles code in
-      let idx = ((row_off + i) * stride) + col_off + j in
-      (* The signed high nibble [-8,7] is stored with a +8 offset so it
-         maps onto the unsigned conductance levels; the digital logic
-         removes the offset after sensing. *)
-      program_cell t t.msb idx ~level:(hi + 8);
-      program_cell t t.lsb idx ~level:lo
-    done
-  done;
-  t.active <- Some (row_off, col_off, m, n);
-  t.counters <-
-    {
-      t.counters with
-      cell_writes = t.counters.cell_writes + (2 * m * n);
-      logical_writes = t.counters.logical_writes + (m * n);
-      write_bytes = t.counters.write_bytes + (m * n);
-    }
+  check_region t ~row_off ~col_off ~m ~n "Crossbar.program_codes";
+  program_flat t ~row_off ~col_off ~rows:m ~cols:n (Array.concat (Array.to_list codes))
 
 let require_active t =
   match t.active with
@@ -250,14 +290,10 @@ let gemv_codes_into t input ~out =
     let v = (16 * hi) + lo + t.drift in
     out.(j) <- apply_flips t.flips ~col:(col_off + j) v
   done;
-  t.counters <-
-    {
-      t.counters with
-      gemv_ops = t.counters.gemv_ops + 1;
-      macs = t.counters.macs + (m * n);
-      input_buffer_bytes = t.counters.input_buffer_bytes + m;
-      output_buffer_bytes = t.counters.output_buffer_bytes + (4 * n);
-    }
+  t.gemv_ops <- t.gemv_ops + 1;
+  t.macs <- t.macs + (m * n);
+  t.input_buffer_bytes <- t.input_buffer_bytes + m;
+  t.output_buffer_bytes <- t.output_buffer_bytes + (4 * n)
 
 let gemv_codes t input =
   let _, _, _, n = require_active t in

@@ -48,6 +48,14 @@ val program_codes : t -> ?row_off:int -> ?col_off:int -> int array array -> unit
     masks of the digital interface. Raises [Invalid_argument] if the
     region exceeds the array or a code is outside [-128, 127]. *)
 
+val program_flat :
+  t -> ?row_off:int -> ?col_off:int -> rows:int -> cols:int -> int array -> unit
+(** {!program_codes} from a flat row-major matrix: code [(i, j)] is
+    [codes.(i * cols + j)]; [codes] may be longer than [rows * cols]
+    (the engine reuses one buffer across shapes). Raises
+    [Invalid_argument] like {!program_codes}, or when [codes] is too
+    short. *)
+
 val active_region : t -> (int * int * int * int) option
 (** [(row_off, col_off, rows, cols)] of the last programmed region. *)
 

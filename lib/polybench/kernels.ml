@@ -17,18 +17,18 @@ type benchmark = {
    range, rounded to binary32 like any real float array *)
 let random_arr g ~dims =
   let arr = Interp.make_array ~dims in
-  Array.iteri
-    (fun i _ ->
-      let v = Prng.float_range g ~lo:(-1.0) ~hi:1.0 in
-      arr.Interp.data.(i) <- Int32.float_of_bits (Int32.bits_of_float v))
-    arr.Interp.data;
+  let data = arr.Interp.data in
+  for i = 0 to Array.length data - 1 do
+    let v = Prng.float_range g ~lo:(-1.0) ~hi:1.0 in
+    Array.unsafe_set data i (Int32.float_of_bits (Int32.bits_of_float v))
+  done;
   arr
 
 let zero_arr ~dims = Interp.make_array ~dims
 
 let mat_of_vec (arr : Interp.arr) =
   match arr.Interp.dims with
-  | [ n ] -> Mat.init ~rows:n ~cols:1 ~f:(fun i _ -> arr.Interp.data.(i))
+  | [ n ] -> Mat.of_data ~rows:n ~cols:1 (Array.copy arr.Interp.data)
   | _ -> Interp.mat_of_arr arr
 
 (* ---------- gemm ---------- *)

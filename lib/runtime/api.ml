@@ -88,40 +88,52 @@ let bump_generation t buffer =
 
 (* Host-side copy loop: one cached store (plus address arithmetic) per
    element, with the data written straight to physical memory (the
-   cache model is timing-only). *)
-let store_elem t buffer ~offset_elems value =
+   cache model is timing-only). Inlined, so the element stays unboxed
+   in the copy loops below. *)
+let[@inline always] store_elem t buffer ~offset_elems value =
   let addr = buffer.phys + (4 * offset_elems) in
   if addr + 4 > buffer.phys + buffer.buf_bytes then
     invalid_arg "Api: store beyond the end of the buffer";
   let cpu = Platform.cpu t.platform in
   Sim.Cpu.issue cpu Sim.Cpu.Int_alu;
-  Sim.Cpu.issue cpu ~addr Sim.Cpu.Store;
+  Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Store;
   Sim.Memory.write_f32 t.platform.Platform.memory addr value
 
-let load_elem t buffer ~offset_elems =
+let[@inline always] load_elem t buffer ~offset_elems =
   let addr = buffer.phys + (4 * offset_elems) in
   if addr + 4 > buffer.phys + buffer.buf_bytes then
     invalid_arg "Api: load beyond the end of the buffer";
   let cpu = Platform.cpu t.platform in
   Sim.Cpu.issue cpu Sim.Cpu.Int_alu;
-  Sim.Cpu.issue cpu ~addr Sim.Cpu.Load;
+  Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Load;
   Sim.Memory.read_f32 t.platform.Platform.memory addr
 
+(* Both copies walk the matrix in row-major order over its flat data. *)
 let host_to_dev t ~src ~dst =
   check_live "Api.host_to_dev" dst.buf;
-  Mat.iteri
-    ~f:(fun i j v -> store_elem t dst.buf ~offset_elems:(dst.offset_elems + (i * dst.ld) + j) v)
-    src;
-  let bytes = 4 * Mat.rows src * Mat.cols src in
+  let rows = Mat.rows src and cols = Mat.cols src in
+  let data = Mat.data src in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      store_elem t dst.buf
+        ~offset_elems:(dst.offset_elems + (i * dst.ld) + j)
+        (Array.unsafe_get data ((i * cols) + j))
+    done
+  done;
+  let bytes = 4 * rows * cols in
   t.counters <- { t.counters with host_to_dev_bytes = t.counters.host_to_dev_bytes + bytes };
   bump_generation t dst.buf
 
 let dev_to_host t ~src ~rows ~cols =
   check_live "Api.dev_to_host" src.buf;
-  let out =
-    Mat.init ~rows ~cols ~f:(fun i j ->
-        load_elem t src.buf ~offset_elems:(src.offset_elems + (i * src.ld) + j))
-  in
+  let out = Mat.create ~rows ~cols in
+  let data = Mat.data out in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      Array.unsafe_set data ((i * cols) + j)
+        (load_elem t src.buf ~offset_elems:(src.offset_elems + (i * src.ld) + j))
+    done
+  done;
   let bytes = 4 * rows * cols in
   t.counters <- { t.counters with dev_to_host_bytes = t.counters.dev_to_host_bytes + bytes };
   out
@@ -193,7 +205,7 @@ let launch_batched t ~trans_a ~trans_b ~pin ~m ~n ~k ~alpha ~beta ~batch =
           let word j v =
             let cpu = Platform.cpu t.platform in
             Sim.Cpu.issue cpu Sim.Cpu.Int_alu;
-            Sim.Cpu.issue cpu ~addr:(scratch.phys + (12 * i) + (4 * j)) Sim.Cpu.Store;
+            Sim.Cpu.issue_at cpu ~addr:(scratch.phys + (12 * i) + (4 * j)) Sim.Cpu.Store;
             Sim.Memory.write_i32 t.platform.Platform.memory
               (scratch.phys + (12 * i) + (4 * j))
               (Int32.of_int v)

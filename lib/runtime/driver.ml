@@ -72,9 +72,15 @@ let flush_caches t =
   (* set/way walk over both caches: real instructions on the host *)
   let lines = cache_lines t.platform.Platform.l1d + cache_lines t.platform.Platform.l2 in
   Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (lines * t.config.flush_instructions_per_line);
-  let lat =
-    Sim.Cache.flush t.platform.Platform.l1d + Sim.Cache.flush t.platform.Platform.l2
-  in
+  (* L2 is flushed first, then L1D, so L1D's dirty lines are written
+     back into an L2 that was just cleaned and stay dirty there. Each
+     write-back is an L2 access, so this order sets the flush latency
+     and every simulated number downstream; whether it should be the
+     other way round is an open modelling question (DESIGN.md,
+     modelling decision 7). *)
+  let l2_lat = Sim.Cache.flush t.platform.Platform.l2 in
+  let l1_lat = Sim.Cache.flush t.platform.Platform.l1d in
+  let lat = l1_lat + l2_lat in
   Sim.Cpu.stall_ps cpu lat;
   t.cache_flushes <- t.cache_flushes + 1;
   t.flush_stall_ps <- t.flush_stall_ps + lat

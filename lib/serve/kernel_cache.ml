@@ -20,7 +20,9 @@ type stats = {
   compile_s_total : float;
 }
 
-type slot = { entry : entry; mutable last_use : int }
+(* [source] is the (class, source text) that compiled the slot, the
+   slot's one entry in [memo]. *)
+type slot = { entry : entry; source : Backend.device_class * string; mutable last_use : int }
 
 type t = {
   capacity : int;
@@ -29,6 +31,11 @@ type t = {
   geometries : (Backend.device_class * (int * int)) list;
   on_evict : (string -> unit) option;
   table : (string, slot) Hashtbl.t;
+  memo : (Backend.device_class * string, slot) Hashtbl.t;
+      (** (class, source) -> the resident slot it compiled. The key is
+          a pure function of the source, the class and the cache's
+          fixed options, tuning database and geometries, so a repeated
+          source skips the parse, the tuning lookup and the digest. *)
   mutable tick : int;  (** LRU clock: bumped on every lookup *)
   mutable hits : int;
   mutable misses : int;
@@ -45,6 +52,7 @@ let create ?(capacity = 64) ?(options = Flow.o3_loop_tactics) ?tuning ?(geometri
     geometries;
     on_evict;
     table = Hashtbl.create 32;
+    memo = Hashtbl.create 32;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -94,6 +102,7 @@ let evict_lru t =
     t.table;
   match !victim with
   | Some (key, _) ->
+      Hashtbl.remove t.memo (Hashtbl.find t.table key).source;
       Hashtbl.remove t.table key;
       t.evictions <- t.evictions + 1;
       (* residency layered on this entry is now unbacked: the scheduler
@@ -101,27 +110,36 @@ let evict_lru t =
       (match t.on_evict with Some f -> f key | None -> ())
   | None -> ()
 
+let hit t slot =
+  t.hits <- t.hits + 1;
+  slot.last_use <- t.tick;
+  slot.entry
+
 let find_or_compile t ?(cls = Backend.Pcm_crossbar) source =
-  let ast = Tdo_lang.Parser.parse_func source in
-  let options, tuned = resolve t ~cls ast in
-  let key = structural_key ~cls ~options ast in
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.table key with
-  | Some slot ->
-      t.hits <- t.hits + 1;
-      slot.last_use <- t.tick;
-      slot.entry
-  | None ->
-      t.misses <- t.misses + 1;
-      Tdo_lang.Typecheck.check_func ast;
-      let t0 = Unix.gettimeofday () in
-      let compiled = Flow.compile_checked ~options source in
-      let dt = Unix.gettimeofday () -. t0 in
-      t.compile_s_total <- t.compile_s_total +. dt;
-      let entry = { key; cls; ast; compiled; options; compile_s = dt; tuned } in
-      if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      Hashtbl.replace t.table key { entry; last_use = t.tick };
-      entry
+  match Hashtbl.find t.memo (cls, source) with
+  | slot ->
+      t.tick <- t.tick + 1;
+      hit t slot
+  | exception Not_found -> (
+      let ast = Tdo_lang.Parser.parse_func source in
+      let options, tuned = resolve t ~cls ast in
+      let key = structural_key ~cls ~options ast in
+      t.tick <- t.tick + 1;
+      match Hashtbl.find_opt t.table key with
+      | Some slot -> hit t slot
+      | None ->
+          t.misses <- t.misses + 1;
+          Tdo_lang.Typecheck.check_func ast;
+          let t0 = Unix.gettimeofday () in
+          let compiled = Flow.compile_checked ~options source in
+          let dt = Unix.gettimeofday () -. t0 in
+          t.compile_s_total <- t.compile_s_total +. dt;
+          let entry = { key; cls; ast; compiled; options; compile_s = dt; tuned } in
+          if Hashtbl.length t.table >= t.capacity then evict_lru t;
+          let slot = { entry; source = (cls, source); last_use = t.tick } in
+          Hashtbl.replace t.table key slot;
+          Hashtbl.replace t.memo slot.source slot;
+          entry)
 
 let stats t =
   {
@@ -131,3 +149,5 @@ let stats t =
     entries = Hashtbl.length t.table;
     compile_s_total = t.compile_s_total;
   }
+
+let memoised t = Hashtbl.length t.memo

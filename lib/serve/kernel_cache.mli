@@ -76,6 +76,16 @@ val find_or_compile : t -> ?cls:Backend.device_class -> string -> entry
     [Pcm_crossbar]), and compile on a miss. Front-end errors (parse,
     type-check) propagate to the caller; failed compiles are not
     cached. An entry compiled for one class is never returned for
-    another — the class is part of the key. *)
+    another — the class is part of the key.
+
+    The exact (class, source) pair that compiled a resident entry is
+    remembered until the entry is evicted, so looking it up again
+    skips the parse and the digest. Other texts with the same
+    structure still hit, through the parse. Hits, misses, evictions and
+    the LRU order are the same either way. *)
 
 val stats : t -> stats
+
+val memoised : t -> int
+(** Source texts whose key is remembered: the one that compiled each
+    resident entry, so never more than [entries]. *)

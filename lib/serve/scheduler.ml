@@ -122,14 +122,32 @@ type report = {
 
 (* ---------- output checksums ---------- *)
 
+(* The digest covers, per matrix, "<rows>x<cols>;" and then each
+   element's IEEE bits as 8 little-endian bytes in row-major order. The
+   input is laid out in one exactly-sized buffer, written from the flat
+   data: passing each element through a closure or a non-inlined
+   [Buffer] call would box it. *)
 let checksum_of_mats mats =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      Buffer.add_string b (Printf.sprintf "%dx%d;" (Mat.rows m) (Mat.cols m));
-      Mat.iteri ~f:(fun _ _ v -> Buffer.add_int64_le b (Int64.bits_of_float v)) m)
-    mats;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let headers = List.map (fun m -> Printf.sprintf "%dx%d;" (Mat.rows m) (Mat.cols m)) mats in
+  let len =
+    List.fold_left2
+      (fun acc h m -> acc + String.length h + (8 * Array.length (Mat.data m)))
+      0 headers mats
+  in
+  let b = Bytes.create len in
+  let _ : int =
+    List.fold_left2
+      (fun pos h m ->
+        Bytes.blit_string h 0 b pos (String.length h);
+        let pos = pos + String.length h in
+        let data = Mat.data m in
+        for k = 0 to Array.length data - 1 do
+          Bytes.set_int64_le b (pos + (8 * k)) (Int64.bits_of_float (Array.unsafe_get data k))
+        done;
+        pos + (8 * Array.length data))
+      0 headers mats
+  in
+  Digest.to_hex (Digest.bytes b)
 
 let output_checksum = checksum_of_mats
 

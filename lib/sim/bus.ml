@@ -18,7 +18,8 @@ let config t = t.config
 
 let transfer t ~master ~bytes =
   if bytes < 0 then invalid_arg "Bus.transfer: negative size";
-  let previous = Option.value ~default:0 (Hashtbl.find_opt t.traffic master) in
+  (* no [option] per transfer: this runs on every L2 fill and write-back *)
+  let previous = match Hashtbl.find t.traffic master with v -> v | exception Not_found -> 0 in
   Hashtbl.replace t.traffic master (previous + bytes);
   t.total_bytes <- t.total_bytes + bytes;
   t.transfers <- t.transfers + 1;

@@ -43,10 +43,17 @@ type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mut
 (* Counters are plain mutable ints: [access] sits under every simulated
    load and store, and rebuilding a 6-field stats record per access was
    the dominant allocation of the whole simulator. The immutable [stats]
-   snapshot is built only when asked for. *)
+   snapshot is built only when asked for.
+
+   [filled] is a bitmap with one bit per set, [filled_bits] sets per
+   word, marking the sets the miss path has filled since the last
+   flush. Only a fill makes a line valid and a flush invalidates every
+   line, so every other set holds no valid line and [flush] can skip
+   it. *)
 type t = {
   config : config;
   sets : line array array;
+  filled : int array;
   next : op -> addr:int -> bytes:int -> Time_base.ps;
   mutable clock : int;  (** logical timestamp for LRU ordering *)
   mutable hits : int;
@@ -58,6 +65,8 @@ type t = {
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
+let filled_shift = 5
+let filled_bits = 1 lsl filled_shift
 
 let create ?(config = l1d_arm_a7) ~next () =
   if not (is_power_of_two config.line_bytes) then
@@ -74,6 +83,7 @@ let create ?(config = l1d_arm_a7) ~next () =
   {
     config;
     sets;
+    filled = Array.make ((nsets + filled_bits - 1) / filled_bits) 0;
     next;
     clock = 0;
     hits = 0;
@@ -143,28 +153,45 @@ let access t op ~addr =
     in
     victim.tag <- tag;
     victim.valid <- true;
+    let w = set_idx lsr filled_shift in
+    t.filled.(w) <- t.filled.(w) lor (1 lsl (set_idx land (filled_bits - 1)));
     victim.dirty <- op = Write;
     victim.lru <- tick t;
     t.config.hit_latency_ps + writeback_latency + fill_latency
   end
 
+(* Walks the filled sets in ascending set order and each set's ways in
+   ascending order: the order of a sweep over the whole cache. The
+   order is observable, since each write-back is an access to the next
+   level, which updates that level's LRU state and so its latency. *)
 let flush t =
   let total = ref 0 in
   let flushed = ref 0 in
-  Array.iteri
-    (fun set_idx set ->
-      Array.iter
-        (fun l ->
+  let line_bytes = t.config.line_bytes in
+  let filled = t.filled in
+  for w = 0 to Array.length filled - 1 do
+    let bits = ref (Array.unsafe_get filled w) in
+    let set_idx = ref (w lsl filled_shift) in
+    Array.unsafe_set filled w 0;
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then begin
+        let set = Array.unsafe_get t.sets !set_idx in
+        for way = 0 to Array.length set - 1 do
+          let l = Array.unsafe_get set way in
           if l.valid && l.dirty then begin
-            total := !total + t.next Write ~addr:(line_base t set_idx l.tag) ~bytes:t.config.line_bytes;
-            flushed := !flushed + t.config.line_bytes
+            total := !total + t.next Write ~addr:(line_base t !set_idx l.tag) ~bytes:line_bytes;
+            flushed := !flushed + line_bytes
           end;
           l.valid <- false;
-          l.dirty <- false)
-        set)
-    t.sets;
+          l.dirty <- false
+        done
+      end;
+      bits := !bits lsr 1;
+      incr set_idx
+    done
+  done;
   t.flushes <- t.flushes + 1;
-  t.writebacks <- t.writebacks + (!flushed / t.config.line_bytes);
+  t.writebacks <- t.writebacks + (!flushed / line_bytes);
   t.flushed_bytes <- t.flushed_bytes + !flushed;
   !total
 

@@ -52,7 +52,10 @@ val access : t -> op -> addr:int -> Time_base.ps
 val flush : t -> Time_base.ps
 (** Write back every dirty line and invalidate the whole cache; the
     result is the total write-back latency. The CIM driver performs
-    this before triggering the accelerator (paper Section II-E). *)
+    this before triggering the accelerator (paper Section II-E).
+    Write-backs reach the next level in ascending (set, way) order, as
+    in a sweep over the whole cache, but the host cost is proportional
+    to the number of sets filled since the previous flush. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -80,7 +80,10 @@ let issue_at t ~addr cls =
     match cls with
     | Load | Store ->
         let op = if cls = Load then Cache.Read else Cache.Write in
-        Time_base.ps_to_cycles ~freq_hz:t.config.freq_hz (Cache.access t.l1d op ~addr)
+        (* [Time_base.ps_to_cycles] with the period computed once at
+           [create] rather than from the frequency on every access *)
+        let p = t.period_ps in
+        (Cache.access t.l1d op ~addr + p - 1) / p
     | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
         invalid_arg "Cpu.issue_at: not a memory instruction"
   in

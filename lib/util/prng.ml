@@ -1,14 +1,21 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer: storing an [int64] into
+   a mutable record field boxes it, once per draw, while the bytes
+   primitives read and write it unboxed. *)
+type t = Bytes.t
 
-let create ~seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
+
+let copy = Bytes.copy
 
 (* splitmix64: fast, good statistical quality, trivially seedable.
-   Inlined into callers so the Int64 mixing chain and the float/int
-   results stay unboxed there; only the state store itself boxes. *)
+   Inlined into callers so the Int64 mixing chain, the state update and
+   the float/int results all stay unboxed there. *)
 let[@inline always] next_int64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -360,7 +360,16 @@ let test_engine_timeline_phases () =
   let last = List.nth events (List.length events - 1) in
   List.iter
     (fun e -> Alcotest.(check bool) "monotone finish" true (e.Timeline.at <= last.Timeline.at))
-    events
+    events;
+  (* details are stored as integers and formatted when read: the text
+     Fig. 2(d) prints *)
+  let details = List.map (fun e -> e.Timeline.detail) events in
+  Alcotest.(check (list string)) "launch details"
+    [ "job op=1 m=4 n=3 k=4"; "pinned operand 4x4"; "tile 0, 4 rows"; "vector 0"; "gemv 0" ]
+    (List.filteri (fun i _ -> i < 5) details);
+  Alcotest.(check bool) "per-vector epilogue and slice" true
+    (List.mem "epilogue 2" details && List.mem "slice 2" details);
+  Alcotest.(check string) "completion" "status <- done" last.Timeline.detail
 
 let qcheck_engine_matches_reference =
   QCheck.Test.make ~name:"engine gemm tracks float reference within quantisation bound"

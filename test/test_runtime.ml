@@ -648,3 +648,40 @@ let strided_suite =
     [ Alcotest.test_case "transposed strided views" `Quick test_api_strided_transposed ] )
 
 let suites = suites @ [ strided_suite ]
+
+(* The driver flushes L2 first and then L1D (see Driver.flush_caches):
+   L1D's dirty lines are written back into an L2 that was just cleaned
+   and stay dirty there. Every simulated latency depends on this order,
+   so it is pinned here; the textbook L1-then-L2 order would leave L2
+   clean. *)
+let test_driver_flush_order_l2_then_l1 () =
+  let p = make_platform () in
+  let api = Api.init p in
+  let g = Prng.create ~seed:5 in
+  let a = Mat.random g ~rows:16 ~cols:16 ~lo:(-1.0) ~hi:1.0 in
+  let x = Mat.random g ~rows:16 ~cols:1 ~lo:(-1.0) ~hi:1.0 in
+  let alloc bytes = Result.get_ok (Api.malloc api ~bytes) in
+  let buf_a = alloc (4 * 16 * 16) and buf_x = alloc (4 * 16) and buf_y = alloc (4 * 16) in
+  Api.host_to_dev api ~src:a ~dst:(Api.view ~ld:16 buf_a);
+  Api.host_to_dev api ~src:x ~dst:(Api.view ~ld:1 buf_x);
+  let l1_dirty = Sim.Cache.dirty_lines p.Platform.l1d in
+  Alcotest.(check bool) "host copies left L1D dirty" true (l1_dirty > 0);
+  (match
+     Api.sgemv api ~m:16 ~k:16 ~alpha:1.0 ~a:(Api.view ~ld:16 buf_a) ~x:(Api.view ~ld:1 buf_x)
+       ~beta:0.0 ~y:(Api.view ~ld:1 buf_y) ()
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "sgemv: %s" e);
+  Alcotest.(check int) "one launch, one flush" 1 (Driver.cache_flushes (Api.driver api));
+  Alcotest.(check int) "L1D clean after the flush" 0 (Sim.Cache.dirty_lines p.Platform.l1d);
+  Alcotest.(check int) "L1D's dirty lines now dirty in L2" l1_dirty
+    (Sim.Cache.dirty_lines p.Platform.l2)
+
+let suites =
+  suites
+  @ [
+      ( "runtime.flush_order",
+        [
+          Alcotest.test_case "L2 flushed before L1D" `Quick test_driver_flush_order_l2_then_l1;
+        ] );
+    ]

@@ -194,7 +194,39 @@ let test_cache_mixed_class_eviction_order () =
   ignore (Kernel_cache.find_or_compile cache ~cls:Backend.Pcm_crossbar src);
   let s = Kernel_cache.stats cache in
   Alcotest.(check int) "pcm survived as MRU" 4 s.Kernel_cache.misses;
-  Alcotest.(check int) "three hits total" 3 s.Kernel_cache.hits
+  Alcotest.(check int) "three hits total" 3 s.Kernel_cache.hits;
+  (* the remembered sources follow the resident entries: the evicted
+     host entry's text is forgotten, so looking it up again misses and
+     recompiles rather than returning a stale key *)
+  Alcotest.(check int) "one remembered source per entry" 2 (Kernel_cache.memoised cache);
+  ignore (Kernel_cache.find_or_compile cache ~cls:Backend.Host_blas src);
+  let s = Kernel_cache.stats cache in
+  Alcotest.(check int) "evicted host entry recompiles" 5 s.Kernel_cache.misses;
+  Alcotest.(check int) "digital (now LRU) evicted" 3 s.Kernel_cache.evictions;
+  Alcotest.(check int) "memo bounded by capacity" 2 (Kernel_cache.memoised cache)
+
+(* Remembering the source that compiled an entry changes what a hit
+   costs, not what it returns: the same lookups against a one-entry
+   cache give the same entries, counters and evictions whether the text
+   is the remembered one or a reformatted twin that has to be parsed. *)
+let test_cache_memo_hits_and_evictions () =
+  let cache = Kernel_cache.create ~capacity:1 () in
+  let a = gemm_source ~n:8 and b = gemm_source ~n:12 in
+  let e1 = Kernel_cache.find_or_compile cache a in
+  let e2 = Kernel_cache.find_or_compile cache a in
+  Alcotest.(check bool) "remembered source returns the same entry" true (e1 == e2);
+  let e3 = Kernel_cache.find_or_compile cache (mangle_whitespace a) in
+  Alcotest.(check bool) "reformatted twin hits the same entry" true (e1 == e3);
+  Alcotest.(check int) "only the compiling text is remembered" 1 (Kernel_cache.memoised cache);
+  ignore (Kernel_cache.find_or_compile cache b);
+  let s = Kernel_cache.stats cache in
+  Alcotest.(check (list int)) "hits, misses, evictions" [ 2; 2; 1 ]
+    [ s.Kernel_cache.hits; s.Kernel_cache.misses; s.Kernel_cache.evictions ];
+  Alcotest.(check int) "evicted text forgotten" 1 (Kernel_cache.memoised cache);
+  let e4 = Kernel_cache.find_or_compile cache a in
+  Alcotest.(check bool) "re-lookup after eviction recompiles" true (e4 != e1);
+  Alcotest.(check string) "to the same key" e1.Kernel_cache.key e4.Kernel_cache.key;
+  Alcotest.(check int) "third compile" 3 (Kernel_cache.stats cache).Kernel_cache.misses
 
 (* qcheck: whatever interleaving of classes and sizes hits the cache —
    including through evictions forced by a tiny capacity — an entry
@@ -204,27 +236,141 @@ let test_cache_mixed_class_eviction_order () =
 let qcheck_cache_never_crosses_class =
   let classes = [ Backend.Pcm_crossbar; Backend.Digital_tile; Backend.Host_blas ] in
   let lookup_gen =
-    QCheck.Gen.(list_size (2 -- 12) (pair (oneofl classes) (oneofl [ 8; 12 ])))
+    QCheck.Gen.(list_size (2 -- 12) (triple (oneofl classes) (oneofl [ 8; 12 ]) bool))
   in
   let print lookups =
     String.concat ";"
       (List.map
-         (fun (cls, n) -> Printf.sprintf "%s@%d" (Backend.class_name cls) n)
+         (fun (cls, n, reformatted) ->
+           Printf.sprintf "%s@%d%s" (Backend.class_name cls) n (if reformatted then "'" else ""))
          lookups)
   in
   QCheck.Test.make ~name:"cache entry compiled for class A never serves class B" ~count:15
     (QCheck.make ~print lookup_gen)
     (fun lookups ->
       let options = Flow.o3_loop_tactics in
-      let cache = Kernel_cache.create ~capacity:2 ~options () in
+      let capacity = 2 in
+      let cache = Kernel_cache.create ~capacity ~options () in
+      (* reference LRU over (class, n), most recent first: the counters
+         must follow it whether a lookup hits through the remembered
+         text or through a parse of a reformatted twin *)
+      let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
       List.for_all
-        (fun (cls, n) ->
-          let e = Kernel_cache.find_or_compile cache ~cls (gemm_source ~n) in
+        (fun (cls, n, reformatted) ->
+          let src = gemm_source ~n in
+          let e =
+            Kernel_cache.find_or_compile cache ~cls
+              (if reformatted then mangle_whitespace src else src)
+          in
+          let k = (cls, n) in
+          if List.mem k !lru then begin
+            incr hits;
+            lru := k :: List.filter (fun k' -> k' <> k) !lru
+          end
+          else begin
+            incr misses;
+            if List.length !lru >= capacity then begin
+              incr evictions;
+              lru := List.filteri (fun i _ -> i < capacity - 1) !lru
+            end;
+            lru := k :: !lru
+          end;
+          let s = Kernel_cache.stats cache in
           e.Kernel_cache.cls = cls
           && e.Kernel_cache.key
-             = Kernel_cache.structural_key ~cls ~options
-                 (Parser.parse_func (gemm_source ~n)))
+             = Kernel_cache.structural_key ~cls ~options (Parser.parse_func src)
+          && (s.Kernel_cache.hits, s.Kernel_cache.misses, s.Kernel_cache.evictions)
+             = (!hits, !misses, !evictions)
+          && Kernel_cache.memoised cache <= capacity)
         lookups)
+
+(* ---------- Byte-identity pins ----------
+
+   Digests produced by the implementation before the request path's
+   element loops were rewritten as plain loops over flat arrays. The
+   checksum covers "<rows>x<cols>;" and each element's 8 little-endian
+   IEEE bytes in row-major order, so any change in the generated data,
+   the readback copies, the device result or the digest input shows. *)
+
+let test_output_checksum_pinned () =
+  let m1 = Mat.of_arrays [| [| -1.25; 0.5; 3.0 |]; [| 1e-3; -0.0; 3.14159 |] |] in
+  let m2 = Mat.of_arrays [| [| 42.0 |]; [| -7.5e10 |] |] in
+  Alcotest.(check string) "two-matrix digest" "20f310359cd818588f537837daadcd58"
+    (Scheduler.output_checksum [ m1; m2 ])
+
+let pinned_benches =
+  [
+    ("2mm", "da58fff952461c1879688848f070b61a", "412eab76a778409fb5884496abe88913");
+    ("3mm", "ab4cbb6585123af69f6227501af7f4de", "8cbd67bcebf3bdb8865ab548a71fed1b");
+    ("gemm", "f387c342dc390f4e6a783f6a86145ffd", "4c3ebefe13e356f8952b4a2f41bfdac4");
+    ("conv", "332e025a627c95a0b07d6fa242c83c26", "65a1129f50d1929a4447eb476816489d");
+    ("gesummv", "4ec4146668ce833aa62ee1eb5059a4d6", "9aef93b413628523fb3acd22affdbcfa");
+    ("bicg", "349fc2c89e03a07f88525ab323e94f68", "84a0f6a6438e7d1090adc8e8feeb0d7c");
+    ("mvt", "c4a956f1ae0e32f9af1a91d69fa5fbc8", "adf04b9a1607d0215027d54db07906b1");
+    ("graph:mlp4", "7e913d3f86ad1da452e9869f3b70fef0", "818bcc54d526214ff80f4b5557187bd0");
+    ("graph:attn", "93a6c192dc1a58a46fa54d3be62c22dc", "275e4d3ec1a60f3093f2ce3abd758997");
+  ]
+
+let find_any_bench name =
+  match Tdo_graph.Graph.find_bench name with Ok b -> b | Error e -> Alcotest.fail e
+
+(* make_args at (n = 8, seed = 5): every array argument, then the
+   readback, before anything runs *)
+let test_make_args_readback_pinned () =
+  Alcotest.(check int) "every PolyBench kernel pinned" (List.length Kernels.all)
+    (List.length pinned_benches - 2);
+  List.iter
+    (fun (name, expected, _) ->
+      let b = find_any_bench name in
+      let args, readback = b.Kernels.make_args ~n:8 ~seed:5 in
+      let arrays =
+        List.filter_map
+          (fun (_, v) ->
+            match v with
+            | Tdo_lang.Interp.Varray a -> Some (Kernels.mat_of_vec a)
+            | Tdo_lang.Interp.Vint _ | Tdo_lang.Interp.Vfloat _ -> None)
+          args
+      in
+      Alcotest.(check string) name expected (Scheduler.output_checksum (arrays @ readback ())))
+    pinned_benches
+
+(* the same inputs served once on a fresh device of each CIM class:
+   output digest, simulated service time and crossbar write bytes *)
+let test_device_run_pinned () =
+  let service =
+    [
+      ("2mm", (167338386, 127708386, 128));
+      ("3mm", (190736940, 131291940, 192));
+      ("gemm", (85662513, 65847513, 64));
+      ("conv", (94306691, 74586691, 9));
+      ("gesummv", (102709601, 63079601, 128));
+      ("bicg", (157318212, 117688212, 128));
+      ("mvt", (158344028, 118714028, 128));
+      ("graph:mlp4", (316791140, 237531140, 256));
+      ("graph:attn", (206225561, 126965561, 256));
+    ]
+  in
+  List.iter
+    (fun (name, _, expected) ->
+      let b = find_any_bench name in
+      let pcm_ps, digital_ps, write_bytes = List.assoc name service in
+      List.iter
+        (fun (backend, ps) ->
+          let dev = Device.create ~backend ~id:0 () in
+          let cache = Kernel_cache.create () in
+          let entry =
+            Kernel_cache.find_or_compile cache ~cls:(Device.device_class dev)
+              (b.Kernels.source ~n:8)
+          in
+          let args, readback = b.Kernels.make_args ~n:8 ~seed:5 in
+          let s = Device.run dev entry.Kernel_cache.compiled ~args in
+          let what = name ^ " on " ^ backend.Backend.name in
+          Alcotest.(check string) (what ^ ": output") expected
+            (Scheduler.output_checksum (readback ()));
+          Alcotest.(check int) (what ^ ": service_ps") ps s.Device.service_ps;
+          Alcotest.(check int) (what ^ ": write_bytes") write_bytes s.Device.write_bytes)
+        [ (Backend.pcm, pcm_ps); (Backend.digital, digital_ps) ])
+    pinned_benches
 
 (* ---------- Device reuse ---------- *)
 
@@ -1073,6 +1219,14 @@ let suites =
         Alcotest.test_case "LRU order with mixed-class entries" `Quick
           test_cache_mixed_class_eviction_order;
         QCheck_alcotest.to_alcotest ~long:false qcheck_cache_never_crosses_class;
+        Alcotest.test_case "remembered sources follow evictions" `Quick
+          test_cache_memo_hits_and_evictions;
+      ] );
+    ( "serve.byte_identity",
+      [
+        Alcotest.test_case "output checksum digest" `Quick test_output_checksum_pinned;
+        Alcotest.test_case "make_args and readback" `Quick test_make_args_readback_pinned;
+        Alcotest.test_case "device runs" `Quick test_device_run_pinned;
       ] );
     ( "serve.device",
       [ Alcotest.test_case "platform reuse leaks no state" `Quick test_device_reuse_no_state_leak ] );

@@ -192,6 +192,181 @@ let qcheck_cache_latency_positive =
       let op = if write then Cache.Write else Cache.Read in
       Cache.access c op ~addr > 0)
 
+(* A brute-force model of the same cache: the lines of each set in a
+   plain array, and a flush that sweeps every (set, way) in order. The
+   simulator's flush visits only the sets filled since the previous
+   flush; the property below checks that nothing observable differs. *)
+module Sweep_cache = struct
+  type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
+
+  type t = {
+    cfg : Cache.config;
+    sets : line array array;
+    next : Cache.op -> addr:int -> bytes:int -> int;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable writebacks : int;
+    mutable flushes : int;
+    mutable flushed_bytes : int;
+  }
+
+  let create cfg ~next =
+    let nsets = cfg.Cache.size_bytes / cfg.Cache.line_bytes / cfg.Cache.ways in
+    {
+      cfg;
+      sets =
+        Array.init nsets (fun _ ->
+            Array.init cfg.Cache.ways (fun _ ->
+                { tag = 0; valid = false; dirty = false; lru = 0 }));
+      next;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      writebacks = 0;
+      flushes = 0;
+      flushed_bytes = 0;
+    }
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let line_base t set tag = ((tag * Array.length t.sets) + set) * t.cfg.Cache.line_bytes
+
+  let access t op ~addr =
+    let lb = t.cfg.Cache.line_bytes in
+    let line_addr = addr / lb in
+    let set_idx = line_addr mod Array.length t.sets and tag = line_addr / Array.length t.sets in
+    let set = t.sets.(set_idx) in
+    match List.find_opt (fun l -> l.valid && l.tag = tag) (Array.to_list set) with
+    | Some l ->
+        l.lru <- tick t;
+        if op = Cache.Write then l.dirty <- true;
+        t.hits <- t.hits + 1;
+        t.cfg.Cache.hit_latency_ps
+    | None ->
+        t.misses <- t.misses + 1;
+        let victim =
+          match List.find_opt (fun l -> not l.valid) (Array.to_list set) with
+          | Some l -> l
+          | None ->
+              Array.fold_left (fun best l -> if l.lru < best.lru then l else best) set.(0) set
+        in
+        let wb =
+          if victim.valid then t.evictions <- t.evictions + 1;
+          if victim.valid && victim.dirty then begin
+            t.writebacks <- t.writebacks + 1;
+            t.next Cache.Write ~addr:(line_base t set_idx victim.tag) ~bytes:lb
+          end
+          else 0
+        in
+        let fill = t.next Cache.Read ~addr:(line_addr * lb) ~bytes:lb in
+        victim.tag <- tag;
+        victim.valid <- true;
+        victim.dirty <- op = Cache.Write;
+        victim.lru <- tick t;
+        t.cfg.Cache.hit_latency_ps + wb + fill
+
+  let flush t =
+    let lb = t.cfg.Cache.line_bytes in
+    let total = ref 0 and lines = ref 0 in
+    Array.iteri
+      (fun set_idx set ->
+        Array.iter
+          (fun l ->
+            if l.valid && l.dirty then begin
+              total := !total + t.next Cache.Write ~addr:(line_base t set_idx l.tag) ~bytes:lb;
+              incr lines
+            end;
+            l.valid <- false;
+            l.dirty <- false)
+          set)
+      t.sets;
+    t.flushes <- t.flushes + 1;
+    t.writebacks <- t.writebacks + !lines;
+    t.flushed_bytes <- t.flushed_bytes + (!lines * lb);
+    !total
+
+  let stats t =
+    {
+      Cache.hits = t.hits;
+      misses = t.misses;
+      evictions = t.evictions;
+      writebacks = t.writebacks;
+      flushes = t.flushes;
+      flushed_bytes = t.flushed_bytes;
+    }
+end
+
+type cache_cmd = Access of Cache.op * int | Flush
+
+(* The next level records each (op, addr) it is asked for, and answers
+   with a latency that depends on both, so a reordered or dropped
+   write-back shows in the log and in the returned latencies. *)
+let recording_next log op ~addr ~bytes:_ =
+  log := (op, addr) :: !log;
+  1 + (addr land 255) + if op = Cache.Write then 1000 else 0
+
+(* 8 sets x 2 ways, and 64 sets so that the filled-set bitmap spans
+   more than one word *)
+let qcheck_flush_matches_full_sweep =
+  let cmd =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun w a -> Access ((if w then Cache.Write else Cache.Read), a)) bool
+                (int_bound 4095));
+          (1, return Flush);
+        ])
+  in
+  let print (sets, cmds) =
+    Printf.sprintf "%d sets: %s" sets
+      (String.concat " "
+         (List.map
+            (function
+              | Access (Cache.Read, a) -> Printf.sprintf "r%d" a
+              | Access (Cache.Write, a) -> Printf.sprintf "w%d" a
+              | Flush -> "F")
+            cmds))
+  in
+  QCheck.Test.make ~name:"flush over filled sets equals a full sweep" ~count:300
+    (QCheck.make ~print QCheck.Gen.(pair (oneofl [ 8; 64 ]) (list_size (0 -- 150) cmd)))
+    (fun (sets, cmds) ->
+      let cfg =
+        { Cache.name = "small"; size_bytes = sets * 2 * 16; line_bytes = 16; ways = 2;
+          hit_latency_ps = 3 }
+      in
+      let log = ref [] and ref_log = ref [] in
+      let c = Cache.create ~config:cfg ~next:(recording_next log) () in
+      let r = Sweep_cache.create cfg ~next:(recording_next ref_log) in
+      let step = function
+        | Access (op, addr) -> (Cache.access c op ~addr, Sweep_cache.access r op ~addr)
+        | Flush -> (Cache.flush c, Sweep_cache.flush r)
+      in
+      (* a trailing flush, so every run ends by sweeping what is left *)
+      let lat = List.map step (cmds @ [ Flush ]) in
+      List.for_all (fun (a, b) -> a = b) lat
+      && Cache.stats c = Sweep_cache.stats r
+      && !log = !ref_log)
+
+(* The flush before every offload costs host work in proportion to the
+   lines the launch touched, not to the 32,768 lines of the L2. *)
+let test_flush_allocation_is_per_touched_set () =
+  let c = Cache.create ~config:Cache.l2_arm_a7 ~next:(flat_next 7) () in
+  for i = 0 to 99 do
+    ignore (Cache.access c Cache.Write ~addr:(i * 64 * 3))
+  done;
+  let w0 = Gc.minor_words () in
+  let lat = Cache.flush c in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every dirty line written back" (100 * 7) lat;
+  Alcotest.(check bool) (Printf.sprintf "flush allocates little (%.0f words)" words) true
+    (words < 1000.0);
+  Alcotest.(check int) "nothing left dirty" 0 (Cache.dirty_lines c)
+
 (* ---------- Bus / DMA / MMIO ---------- *)
 
 let test_bus_latency_and_traffic () =
@@ -402,6 +577,9 @@ let suites =
         Alcotest.test_case "writeback on eviction" `Quick test_cache_writeback_on_eviction;
         Alcotest.test_case "flush (coherence)" `Quick test_cache_flush;
         QCheck_alcotest.to_alcotest qcheck_cache_latency_positive;
+        QCheck_alcotest.to_alcotest qcheck_flush_matches_full_sweep;
+        Alcotest.test_case "flush cost follows the touched sets" `Quick
+          test_flush_allocation_is_per_touched_set;
       ] );
     ( "sim.interconnect",
       [
