@@ -439,18 +439,19 @@ let dev_buffer st slot name =
   | Some buf -> buf
   | None -> fail "array '%s' is not on the device (missing polly_cimMalloc)" name
 
-(* The host copy loops run over the flat row-major data: a
-   [float]-returning [Mat.init] closure boxes every element. *)
+(* The host copy loops run over the flat row-major data (a
+   [float]-returning [Mat.init] closure boxes every element) and charge
+   the element loop's address arithmetic and loads or stores in bulk:
+   [Cpu.issue_run] is equivalent to one [issue_at] per element. *)
 let host_matrix st info =
-  (* charged element loads: the copy loop runs on the host *)
   let rows, cols = array_shape_2d info in
   let m = Tdo_linalg.Mat.create ~rows ~cols in
   let data = Tdo_linalg.Mat.data m in
-  for k = 0 to (rows * cols) - 1 do
-    let addr = info.base + (4 * k) in
-    issue st Sim.Cpu.Int_alu;
-    issue_at st addr Sim.Cpu.Load;
-    Array.unsafe_set data k (Sim.Memory.read_f32 st.memory addr)
+  let n = rows * cols in
+  Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu n;
+  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n Sim.Cpu.Load;
+  for k = 0 to n - 1 do
+    Array.unsafe_set data k (Sim.Memory.read_f32 st.memory (info.base + (4 * k)))
   done;
   m
 
@@ -459,11 +460,11 @@ let store_host_matrix st info name m =
   if Tdo_linalg.Mat.rows m <> rows || Tdo_linalg.Mat.cols m <> cols then
     fail "polly_cimDevToHost: shape mismatch for '%s'" name;
   let data = Tdo_linalg.Mat.data m in
-  for k = 0 to (rows * cols) - 1 do
-    let addr = info.base + (4 * k) in
-    issue st Sim.Cpu.Int_alu;
-    issue_at st addr Sim.Cpu.Store;
-    Sim.Memory.write_f32 st.memory addr (Array.unsafe_get data k)
+  let n = rows * cols in
+  Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu n;
+  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n Sim.Cpu.Store;
+  for k = 0 to n - 1 do
+    Sim.Memory.write_f32 st.memory (info.base + (4 * k)) (Array.unsafe_get data k)
   done
 
 let view_of_ref st (r : rmat) =

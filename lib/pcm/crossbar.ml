@@ -82,6 +82,9 @@ type t = {
   mutable output_buffer_bytes : int;
   mutable flips : flip list;  (** armed transient column disturbances *)
   mutable drift : int;  (** additive conductance-drift offset per column output *)
+  mutable wear_sum : int;  (** write pulses summed over every cell *)
+  mutable wear_peak : int;  (** most write pulses on any one cell *)
+  mutable worn : int;  (** cells at or past the endurance budget *)
 }
 
 let make_plane ?scratch cells =
@@ -125,6 +128,9 @@ let create ?(config = default_config) ?(seed = 0) ?scratch () =
     output_buffer_bytes = 0;
     flips = [];
     drift = 0;
+    wear_sum = 0;
+    wear_peak = 0;
+    worn = (if config.cell.Cell.endurance <= 0 then 2 * cells else 0);
   }
 
 (* ---------- per-cell operations (the [Cell] semantics, on SoA) ---------- *)
@@ -142,13 +148,25 @@ let check_level t level =
     invalid_arg
       (Printf.sprintf "Cell.program: level %d out of [0,%d)" level t.config.cell.Cell.levels)
 
+(* Every change to a cell's write count goes through here, keeping the
+   crossbar-wide wear totals current, so the wear report reads three
+   fields instead of folding over every cell. *)
+let add_writes t p i n =
+  let before = Array.unsafe_get p.writes i in
+  let after = before + n in
+  Array.unsafe_set p.writes i after;
+  t.wear_sum <- t.wear_sum + n;
+  if after > t.wear_peak then t.wear_peak <- after;
+  let endurance = t.config.cell.Cell.endurance in
+  if before < endurance && after >= endurance then t.worn <- t.worn + 1
+
 (* Mirrors [Cell.program]: the write pulse is charged (and wear
    accrues) even when the cell no longer switches, and stuckness is
    judged before this pulse's wear is added. *)
 let program_cell t p i ~level =
   check_level t level;
   let stuck = cell_is_stuck t p i in
-  Array.unsafe_set p.writes i (Array.unsafe_get p.writes i + 1);
+  add_writes t p i 1;
   if not stuck then Bytes.unsafe_set p.levels i (Char.unsafe_chr level)
 
 let config t = t.config
@@ -320,7 +338,7 @@ let inject_stuck_at t ~plane ~row ~col ~level =
 let inject_wear_out t ~plane ~row ~col ~level =
   let p, idx = cell_of t ~plane ~row ~col in
   program_cell t p idx ~level;
-  p.writes.(idx) <- max p.writes.(idx) t.config.cell.Cell.endurance
+  add_writes t p idx (max 0 (t.config.cell.Cell.endurance - p.writes.(idx)))
 
 let arm_column_flip t ~col ~bit ~ops =
   if col < 0 || col >= t.config.cols then
@@ -344,13 +362,9 @@ let fold_cells t f init =
   visit t.lsb;
   !acc
 
-let wear_total t = fold_cells t (fun acc p i -> acc + p.writes.(i)) 0
-let wear_max t = fold_cells t (fun acc p i -> max acc p.writes.(i)) 0
-
-let worn_out_fraction t =
-  let worn = fold_cells t (fun acc p i -> if cell_is_worn t p i then acc + 1 else acc) 0 in
-  let total = 2 * t.cells in
-  float_of_int worn /. float_of_int total
+let wear_total t = t.wear_sum
+let wear_max t = t.wear_peak
+let worn_out_fraction t = float_of_int t.worn /. float_of_int (2 * t.cells)
 
 let stuck_fraction t =
   let stuck = fold_cells t (fun acc p i -> if cell_is_stuck t p i then acc + 1 else acc) 0 in

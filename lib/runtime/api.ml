@@ -50,10 +50,7 @@ let init platform =
   let driver = Driver.create platform in
   let t = { platform; driver; counters = zero_counters; generation_source = 0 } in
   (* device-open cost of polly_cimInit *)
-  let cpu = Platform.cpu platform in
-  for _ = 1 to 400 do
-    Sim.Cpu.issue cpu Sim.Cpu.Int_alu
-  done;
+  Sim.Cpu.issue_many (Platform.cpu platform) Sim.Cpu.Int_alu 400;
   t
 
 let platform t = t.platform
@@ -86,10 +83,10 @@ let bump_generation t buffer =
   t.generation_source <- t.generation_source + 1;
   buffer.generation <- t.generation_source
 
-(* Host-side copy loop: one cached store (plus address arithmetic) per
-   element, with the data written straight to physical memory (the
-   cache model is timing-only). Inlined, so the element stays unboxed
-   in the copy loops below. *)
+(* Host-side element access: one cached store or load (plus address
+   arithmetic), with the data going straight to physical memory (the
+   cache model is timing-only). Inlined, so the element stays
+   unboxed. *)
 let[@inline always] store_elem t buffer ~offset_elems value =
   let addr = buffer.phys + (4 * offset_elems) in
   if addr + 4 > buffer.phys + buffer.buf_bytes then
@@ -108,16 +105,33 @@ let[@inline always] load_elem t buffer ~offset_elems =
   Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Load;
   Sim.Memory.read_f32 t.platform.Platform.memory addr
 
-(* Both copies walk the matrix in row-major order over its flat data. *)
+(* The copy loops below charge what an element-by-element loop would —
+   one address computation and one store or load per element — a
+   cache line at a time: [Cpu.issue_run] per row of the view. They walk
+   the matrix in row-major order and check the whole view against the
+   buffer before touching anything. *)
+let charge_copy t view ~rows ~cols ~what cls =
+  let last = view.offset_elems + ((rows - 1) * view.ld) + cols in
+  if rows > 0 && cols > 0 && 4 * last > view.buf.buf_bytes then
+    invalid_arg ("Api: " ^ what ^ " beyond the end of the buffer");
+  let cpu = Platform.cpu t.platform in
+  Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (rows * cols);
+  for i = 0 to rows - 1 do
+    Sim.Cpu.issue_run cpu
+      ~addr:(view.buf.phys + (4 * (view.offset_elems + (i * view.ld))))
+      ~count:cols cls
+  done
+
 let host_to_dev t ~src ~dst =
   check_live "Api.host_to_dev" dst.buf;
   let rows = Mat.rows src and cols = Mat.cols src in
+  charge_copy t dst ~rows ~cols ~what:"store" Sim.Cpu.Store;
+  let memory = t.platform.Platform.memory in
   let data = Mat.data src in
   for i = 0 to rows - 1 do
+    let row = dst.buf.phys + (4 * (dst.offset_elems + (i * dst.ld))) in
     for j = 0 to cols - 1 do
-      store_elem t dst.buf
-        ~offset_elems:(dst.offset_elems + (i * dst.ld) + j)
-        (Array.unsafe_get data ((i * cols) + j))
+      Sim.Memory.write_f32 memory (row + (4 * j)) (Array.unsafe_get data ((i * cols) + j))
     done
   done;
   let bytes = 4 * rows * cols in
@@ -127,11 +141,13 @@ let host_to_dev t ~src ~dst =
 let dev_to_host t ~src ~rows ~cols =
   check_live "Api.dev_to_host" src.buf;
   let out = Mat.create ~rows ~cols in
+  charge_copy t src ~rows ~cols ~what:"load" Sim.Cpu.Load;
+  let memory = t.platform.Platform.memory in
   let data = Mat.data out in
   for i = 0 to rows - 1 do
+    let row = src.buf.phys + (4 * (src.offset_elems + (i * src.ld))) in
     for j = 0 to cols - 1 do
-      Array.unsafe_set data ((i * cols) + j)
-        (load_elem t src.buf ~offset_elems:(src.offset_elems + (i * src.ld) + j))
+      Array.unsafe_set data ((i * cols) + j) (Sim.Memory.read_f32 memory (row + (4 * j)))
     done
   done;
   let bytes = 4 * rows * cols in

@@ -49,11 +49,7 @@ let create ?(config = default_config) platform =
 
 let config t = t.config
 
-let charge_instructions t n =
-  let cpu = Platform.cpu t.platform in
-  for _ = 1 to n do
-    Sim.Cpu.issue cpu Sim.Cpu.Int_alu
-  done
+let charge_instructions t n = Sim.Cpu.issue_many (Platform.cpu t.platform) Sim.Cpu.Int_alu n
 
 let translate t addr =
   charge_instructions t t.config.translate_instructions;

@@ -38,12 +38,16 @@ type stats = {
 let zero_stats =
   { hits = 0; misses = 0; evictions = 0; writebacks = 0; flushes = 0; flushed_bytes = 0 }
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
+(* Line state lives in flat per-cache arrays indexed [set * ways +
+   way], not in a record per line: [access] sits under every simulated
+   load and store, so a probe must not chase pointers, and a platform
+   builds a 32,768-line L2 per run. A line's state byte is [invalid],
+   [clean] or [dirty] (the last two valid). The set count and line size
+   are powers of two, so the set and tag of an address are a mask and a
+   shift.
 
-(* Counters are plain mutable ints: [access] sits under every simulated
-   load and store, and rebuilding a 6-field stats record per access was
-   the dominant allocation of the whole simulator. The immutable [stats]
-   snapshot is built only when asked for.
+   Counters are plain mutable ints, and the immutable [stats] snapshot
+   is built only when asked for.
 
    [filled] is a bitmap with one bit per set, [filled_bits] sets per
    word, marking the sets the miss path has filled since the last
@@ -52,7 +56,13 @@ type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mut
    it. *)
 type t = {
   config : config;
-  sets : line array array;
+  ways : int;
+  line_shift : int;  (** log2 line_bytes *)
+  set_shift : int;  (** log2 of the set count *)
+  set_mask : int;
+  tags : int array;
+  stamps : int array;  (** LRU clock value of each line's last access *)
+  state : Bytes.t;
   filled : int array;
   next : op -> addr:int -> bytes:int -> Time_base.ps;
   mutable clock : int;  (** logical timestamp for LRU ordering *)
@@ -64,9 +74,16 @@ type t = {
   mutable flushed_bytes : int;
 }
 
+let invalid = '\000'
+let clean = '\001'
+let dirty = '\002'
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 let filled_shift = 5
 let filled_bits = 1 lsl filled_shift
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
 
 let create ?(config = l1d_arm_a7) ~next () =
   if not (is_power_of_two config.line_bytes) then
@@ -76,13 +93,18 @@ let create ?(config = l1d_arm_a7) ~next () =
   if lines mod config.ways <> 0 || lines / config.ways = 0 then
     invalid_arg "Cache.create: size / line / ways mismatch";
   let nsets = lines / config.ways in
-  let sets =
-    Array.init nsets (fun _ ->
-        Array.init config.ways (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 }))
-  in
+  if not (is_power_of_two nsets) then
+    invalid_arg "Cache.create: set count must be a power of two";
+  let nlines = nsets * config.ways in
   {
     config;
-    sets;
+    ways = config.ways;
+    line_shift = log2 config.line_bytes;
+    set_shift = log2 nsets;
+    set_mask = nsets - 1;
+    tags = Array.make nlines 0;
+    stamps = Array.make nlines 0;
+    state = Bytes.make nlines invalid;
     filled = Array.make ((nsets + filled_bits - 1) / filled_bits) 0;
     next;
     clock = 0;
@@ -100,65 +122,117 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let line_base t set tag =
-  let nsets = Array.length t.sets in
-  ((tag * nsets) + set) * t.config.line_bytes
+let line_base t set tag = ((tag lsl t.set_shift) lor set) lsl t.line_shift
+
+(* Index of the valid line of the set starting at [base] that holds
+   [tag], or -1. Top-level and closed over nothing, so a probe does not
+   allocate. *)
+let rec find t base tag way =
+  if way = t.ways then -1
+  else
+    let i = base + way in
+    if Array.unsafe_get t.tags i = tag && Bytes.unsafe_get t.state i <> invalid then i
+    else find t base tag (way + 1)
+
+(* The replacement victim of the set starting at [base]: its first
+   invalid way if any, otherwise its least recently used (valid)
+   way. *)
+let victim t base =
+  let v = ref (-1) in
+  let lru = ref base in
+  let way = ref 0 in
+  while !v < 0 && !way < t.ways do
+    let i = base + !way in
+    if Bytes.unsafe_get t.state i = invalid then v := i
+    else if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !lru then lru := i;
+    incr way
+  done;
+  if !v >= 0 then !v else !lru
+
+let[@inline always] hit t op i =
+  Array.unsafe_set t.stamps i (tick t);
+  if op = Write then Bytes.unsafe_set t.state i dirty;
+  t.hits <- t.hits + 1
+
+(* The miss path: write back line [i] if it is dirty, then fill it with
+   [line_addr]. Returns the access latency. *)
+let fill t op ~set ~line_addr i =
+  t.misses <- t.misses + 1;
+  let line_bytes = t.config.line_bytes in
+  let state = Bytes.unsafe_get t.state i in
+  let writeback_latency =
+    if state = dirty then begin
+      t.evictions <- t.evictions + 1;
+      t.writebacks <- t.writebacks + 1;
+      t.next Write ~addr:(line_base t set (Array.unsafe_get t.tags i)) ~bytes:line_bytes
+    end
+    else begin
+      if state = clean then t.evictions <- t.evictions + 1;
+      0
+    end
+  in
+  let fill_latency = t.next Read ~addr:(line_addr lsl t.line_shift) ~bytes:line_bytes in
+  Array.unsafe_set t.tags i (line_addr lsr t.set_shift);
+  Bytes.unsafe_set t.state i (if op = Write then dirty else clean);
+  let w = set lsr filled_shift in
+  t.filled.(w) <- t.filled.(w) lor (1 lsl (set land (filled_bits - 1)));
+  Array.unsafe_set t.stamps i (tick t);
+  t.config.hit_latency_ps + writeback_latency + fill_latency
 
 let access t op ~addr =
   if addr < 0 then invalid_arg "Cache.access: negative address";
-  let line_addr = addr / t.config.line_bytes in
-  let nsets = Array.length t.sets in
-  let set_idx = line_addr mod nsets in
-  let tag = line_addr / nsets in
-  let set = t.sets.(set_idx) in
-  (* One scan finds the hit and, failing that, the victim: the first
-     invalid way if any, otherwise the least recently used valid way. *)
-  let ways = Array.length set in
-  let hit = ref (-1) in
-  let invalid = ref (-1) in
-  let lru = ref 0 in
-  let i = ref 0 in
-  while !hit < 0 && !i < ways do
-    let l = Array.unsafe_get set !i in
-    if l.valid then begin
-      if l.tag = tag then hit := !i
-      else if !invalid < 0 && l.lru < set.(!lru).lru then lru := !i
-    end
-    else if !invalid < 0 then invalid := !i;
-    incr i
-  done;
-  if !hit >= 0 then begin
-    let l = set.(!hit) in
-    l.lru <- tick t;
-    if op = Write then l.dirty <- true;
-    t.hits <- t.hits + 1;
+  let line_addr = addr lsr t.line_shift in
+  let set = line_addr land t.set_mask in
+  let base = set * t.ways in
+  let i = find t base (line_addr lsr t.set_shift) 0 in
+  if i >= 0 then begin
+    hit t op i;
     t.config.hit_latency_ps
   end
-  else begin
-    t.misses <- t.misses + 1;
-    let victim = if !invalid >= 0 then set.(!invalid) else set.(!lru) in
-    let writeback_latency =
-      if victim.valid && victim.dirty then begin
-        t.evictions <- t.evictions + 1;
-        t.writebacks <- t.writebacks + 1;
-        t.next Write ~addr:(line_base t set_idx victim.tag) ~bytes:t.config.line_bytes
+  else fill t op ~set ~line_addr (victim t base)
+
+(* A line's first access goes through the [access] path; the others
+   hit the line it left resident, so they are charged together: one
+   clock step and one hit each, and the line's stamp is the last
+   step. *)
+let access_run t op ~addr ~count ~cycle_ps =
+  if count < 0 then invalid_arg "Cache.access_run: negative count";
+  if count > 0 && addr < 0 then invalid_arg "Cache.access_run: negative address";
+  let hit_latency = t.config.hit_latency_ps in
+  let hit_cycles = (hit_latency + cycle_ps - 1) / cycle_ps in
+  let cycles = ref 0 in
+  let addr = ref addr in
+  let left = ref count in
+  while !left > 0 do
+    let line_addr = !addr lsr t.line_shift in
+    let set = line_addr land t.set_mask in
+    let base = set * t.ways in
+    let in_line = min !left ((((line_addr + 1) lsl t.line_shift) - !addr + 3) lsr 2) in
+    let i = find t base (line_addr lsr t.set_shift) 0 in
+    let i =
+      if i >= 0 then begin
+        hit t op i;
+        cycles := !cycles + hit_cycles;
+        i
       end
       else begin
-        if victim.valid then t.evictions <- t.evictions + 1;
-        0
+        let v = victim t base in
+        let latency = fill t op ~set ~line_addr v in
+        cycles := !cycles + ((latency + cycle_ps - 1) / cycle_ps);
+        v
       end
     in
-    let fill_latency =
-      t.next Read ~addr:(line_addr * t.config.line_bytes) ~bytes:t.config.line_bytes
-    in
-    victim.tag <- tag;
-    victim.valid <- true;
-    let w = set_idx lsr filled_shift in
-    t.filled.(w) <- t.filled.(w) lor (1 lsl (set_idx land (filled_bits - 1)));
-    victim.dirty <- op = Write;
-    victim.lru <- tick t;
-    t.config.hit_latency_ps + writeback_latency + fill_latency
-  end
+    let rest = in_line - 1 in
+    if rest > 0 then begin
+      t.clock <- t.clock + rest;
+      Array.unsafe_set t.stamps i t.clock;
+      t.hits <- t.hits + rest;
+      cycles := !cycles + (rest * hit_cycles)
+    end;
+    addr := !addr + (4 * in_line);
+    left := !left - in_line
+  done;
+  !cycles
 
 (* Walks the filled sets in ascending set order and each set's ways in
    ascending order: the order of a sweep over the whole cache. The
@@ -166,33 +240,33 @@ let access t op ~addr =
    level, which updates that level's LRU state and so its latency. *)
 let flush t =
   let total = ref 0 in
-  let flushed = ref 0 in
+  let lines = ref 0 in
   let line_bytes = t.config.line_bytes in
   let filled = t.filled in
   for w = 0 to Array.length filled - 1 do
     let bits = ref (Array.unsafe_get filled w) in
-    let set_idx = ref (w lsl filled_shift) in
+    let set = ref (w lsl filled_shift) in
     Array.unsafe_set filled w 0;
     while !bits <> 0 do
       if !bits land 1 <> 0 then begin
-        let set = Array.unsafe_get t.sets !set_idx in
-        for way = 0 to Array.length set - 1 do
-          let l = Array.unsafe_get set way in
-          if l.valid && l.dirty then begin
-            total := !total + t.next Write ~addr:(line_base t !set_idx l.tag) ~bytes:line_bytes;
-            flushed := !flushed + line_bytes
+        let base = !set * t.ways in
+        for i = base to base + t.ways - 1 do
+          if Bytes.unsafe_get t.state i = dirty then begin
+            total :=
+              !total
+              + t.next Write ~addr:(line_base t !set (Array.unsafe_get t.tags i)) ~bytes:line_bytes;
+            incr lines
           end;
-          l.valid <- false;
-          l.dirty <- false
+          Bytes.unsafe_set t.state i invalid
         done
       end;
       bits := !bits lsr 1;
-      incr set_idx
+      incr set
     done
   done;
   t.flushes <- t.flushes + 1;
-  t.writebacks <- t.writebacks + (!flushed / line_bytes);
-  t.flushed_bytes <- t.flushed_bytes + !flushed;
+  t.writebacks <- t.writebacks + !lines;
+  t.flushed_bytes <- t.flushed_bytes + (!lines * line_bytes);
   !total
 
 let stats t =
@@ -214,7 +288,6 @@ let reset_stats t =
   t.flushed_bytes <- zero_stats.flushed_bytes
 
 let dirty_lines t =
-  Array.fold_left
-    (fun acc set ->
-      Array.fold_left (fun acc l -> if l.valid && l.dirty then acc + 1 else acc) acc set)
-    0 t.sets
+  let n = ref 0 in
+  Bytes.iter (fun s -> if s = dirty then incr n) t.state;
+  !n

@@ -41,13 +41,25 @@ val create :
   unit ->
   t
 (** [next] is the access function of the next level (another cache or
-    main memory) and returns that level's latency. *)
+    main memory) and returns that level's latency. Raises
+    [Invalid_argument] unless the line size and the set count
+    ([size_bytes / line_bytes / ways]) are both powers of two. *)
 
 val config : t -> config
 
 val access : t -> op -> addr:int -> Time_base.ps
 (** Latency of one access at [addr]. A miss fetches the line from the
     next level (and writes back the victim first if dirty). *)
+
+val access_run : t -> op -> addr:int -> count:int -> cycle_ps:int -> int
+(** [count] consecutive 4-byte accesses at [addr], [addr + 4], ...:
+    the lines, counters and next-level calls end exactly as after
+    [count] calls of {!access}. The result is the sum of the [count]
+    latencies, each rounded up to whole [cycle_ps] periods, in periods.
+    The first access to each line goes through {!access}; the others
+    hit that line and are recorded in bulk, so the host cost is per
+    line, not per access. Raises [Invalid_argument] on a negative
+    [count], or a negative [addr] when [count > 0]. *)
 
 val flush : t -> Time_base.ps
 (** Write back every dirty line and invalidate the whole cache; the

@@ -45,10 +45,17 @@ let arm_a7 = { name = "arm-a7"; freq_hz = 1.2e9; class_base_cycles = arm_a7_base
 
 type roi = { roi_instructions : int; roi_cycles : int; roi_time_ps : Time_base.ps }
 
+(* [base_cycles] (by [class_index]) and the L1D hit cost in cycles are
+   taken from the configuration once, so charging an instruction costs
+   no closure call, and a memory access divides by the period only on a
+   miss. *)
 type t = {
   config : config;
   l1d : Cache.t;
   period_ps : int;
+  base_cycles : int array;
+  hit_ps : Time_base.ps;
+  hit_cycles : int;
   mutable cycles : int;
   mutable instructions : int;
   mutable extra_ps : Time_base.ps;  (** stall time not expressed in cycles *)
@@ -57,11 +64,20 @@ type t = {
   mutable roi_acc : roi;
 }
 
+(* in [class_index] order *)
+let all_classes =
+  [| Int_alu; Int_mul; Fp_add; Fp_mul; Fp_mac; Fp_div; Load; Store; Branch; Call; Ret |]
+
 let create ?(config = arm_a7) ~l1d () =
+  let period_ps = Time_base.period_ps ~freq_hz:config.freq_hz in
+  let hit_ps = (Cache.config l1d).Cache.hit_latency_ps in
   {
     config;
     l1d;
-    period_ps = Time_base.period_ps ~freq_hz:config.freq_hz;
+    period_ps;
+    base_cycles = Array.map config.class_base_cycles all_classes;
+    hit_ps;
+    hit_cycles = (hit_ps + period_ps - 1) / period_ps;
     cycles = 0;
     instructions = 0;
     extra_ps = 0;
@@ -73,44 +89,51 @@ let create ?(config = arm_a7) ~l1d () =
 let config t = t.config
 let time_ps t = (t.cycles * t.period_ps) + t.extra_ps
 
+let[@inline always] retire t i ~count ~cycles =
+  t.cycles <- t.cycles + cycles;
+  t.instructions <- t.instructions + count;
+  Array.unsafe_set t.class_counts i (Array.unsafe_get t.class_counts i + count)
+
+let[@inline always] memory_op name = function
+  | Load -> Cache.Read
+  | Store -> Cache.Write
+  | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
+      invalid_arg (name ^ ": not a memory instruction")
+
 (* [issue_at] is the executor's hot entry: a labelled (non-optional)
    address means no [Some] box per charged load/store. *)
 let issue_at t ~addr cls =
+  let latency = Cache.access t.l1d (memory_op "Cpu.issue_at" cls) ~addr in
+  (* [Time_base.ps_to_cycles], with the period taken once at [create] *)
   let mem_cycles =
-    match cls with
-    | Load | Store ->
-        let op = if cls = Load then Cache.Read else Cache.Write in
-        (* [Time_base.ps_to_cycles] with the period computed once at
-           [create] rather than from the frequency on every access *)
-        let p = t.period_ps in
-        (Cache.access t.l1d op ~addr + p - 1) / p
-    | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
-        invalid_arg "Cpu.issue_at: not a memory instruction"
+    if latency = t.hit_ps then t.hit_cycles
+    else (latency + t.period_ps - 1) / t.period_ps
   in
-  t.cycles <- t.cycles + t.config.class_base_cycles cls + mem_cycles;
-  t.instructions <- t.instructions + 1;
   let i = class_index cls in
-  t.class_counts.(i) <- t.class_counts.(i) + 1
+  retire t i ~count:1 ~cycles:(Array.unsafe_get t.base_cycles i + mem_cycles)
+
+let issue_run t ~addr ~count cls =
+  if count < 0 then invalid_arg "Cpu.issue_run: negative count";
+  let op = memory_op "Cpu.issue_run" cls in
+  let mem_cycles = Cache.access_run t.l1d op ~addr ~count ~cycle_ps:t.period_ps in
+  let i = class_index cls in
+  retire t i ~count ~cycles:((count * Array.unsafe_get t.base_cycles i) + mem_cycles)
 
 let issue t ?addr cls =
   match (cls, addr) with
   | (Load | Store), Some a -> issue_at t ~addr:a cls
   | (Load | Store), None -> invalid_arg "Cpu.issue: memory instruction without an address"
   | (Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret), _ ->
-      t.cycles <- t.cycles + t.config.class_base_cycles cls;
-      t.instructions <- t.instructions + 1;
       let i = class_index cls in
-      t.class_counts.(i) <- t.class_counts.(i) + 1
+      retire t i ~count:1 ~cycles:(Array.unsafe_get t.base_cycles i)
 
 let issue_many t cls count =
   if count < 0 then invalid_arg "Cpu.issue_many: negative count";
   (match cls with
   | Load | Store -> invalid_arg "Cpu.issue_many: memory instructions need addresses"
   | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret -> ());
-  t.cycles <- t.cycles + (count * t.config.class_base_cycles cls);
-  t.instructions <- t.instructions + count;
   let i = class_index cls in
-  t.class_counts.(i) <- t.class_counts.(i) + count
+  retire t i ~count ~cycles:(count * Array.unsafe_get t.base_cycles i)
 
 let stall_ps t ps =
   if ps < 0 then invalid_arg "Cpu.stall_ps: negative stall";

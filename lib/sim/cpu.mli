@@ -47,6 +47,15 @@ val issue_at : t -> addr:int -> iclass -> unit
     executor's hot path, avoiding the [Some addr] box per charged
     memory access. Raises [Invalid_argument] for non-memory classes. *)
 
+val issue_run : t -> addr:int -> count:int -> iclass -> unit
+(** [count] consecutive 4-byte [Load]s or [Store]s at [addr],
+    [addr + 4], ...: equivalent to [count] calls of {!issue_at} with
+    those addresses — the same cycles, instruction and class counts,
+    and L1D and L2 state, counters and traffic — at a host cost per
+    cache line rather than per access ({!Cache.access_run}). Used by
+    the element copy loops around each offload. Raises
+    [Invalid_argument] for non-memory classes or a negative [count]. *)
+
 val issue_many : t -> iclass -> int -> unit
 (** Account [count] identical non-memory instructions in one step (used
     for modelled fixed-cost loops like the driver's set/way cache

@@ -218,6 +218,75 @@ let qcheck_gemv_additive =
       and oxy = Crossbar.gemv_codes xb xy in
       Array.for_all2 (fun a b -> a = b) oxy (Array.init n (fun j -> ox.(j) + oy.(j))))
 
+type wear_cmd =
+  | Program of int * int * int * int  (** row_off, col_off, rows, cols *)
+  | Wear_out of Crossbar.plane * int * int
+  | Stuck of Crossbar.plane * int * int
+
+(* The wear report reads running totals; a per-cell write count kept
+   here, with endurance 3 so cells wear out within a short run, says
+   what they must be. *)
+let qcheck_wear_totals_match_cells =
+  let rows = 4 and cols = 5 and endurance = 3 in
+  let config =
+    { small_config with
+      Crossbar.rows; cols; cell = { Cell.default_config with Cell.endurance }; size_bytes = 20 }
+  in
+  let plane = QCheck.Gen.map (fun m -> if m then Crossbar.Msb else Crossbar.Lsb) QCheck.Gen.bool in
+  let row = QCheck.Gen.int_bound (rows - 1) and col = QCheck.Gen.int_bound (cols - 1) in
+  let cmd =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            row >>= fun r ->
+            col >>= fun c ->
+            map2 (fun m n -> Program (r, c, m, n)) (1 -- (rows - r)) (1 -- (cols - c)) );
+          (1, map3 (fun p r c -> Wear_out (p, r, c)) plane row col);
+          (1, map3 (fun p r c -> Stuck (p, r, c)) plane row col);
+        ])
+  in
+  let plane_char p = if p = Crossbar.Msb then 'm' else 'l' in
+  let print cmds =
+    String.concat " "
+      (List.map
+         (function
+           | Program (r, c, m, n) -> Printf.sprintf "P%d,%d:%dx%d" r c m n
+           | Wear_out (p, r, c) -> Printf.sprintf "W%c%d,%d" (plane_char p) r c
+           | Stuck (p, r, c) -> Printf.sprintf "S%c%d,%d" (plane_char p) r c)
+         cmds)
+  in
+  QCheck.Test.make ~name:"wear totals match a per-cell model" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (0 -- 30) cmd))
+    (fun cmds ->
+      let xb = Crossbar.create ~config () in
+      (* writes.(0) is the MSB plane, writes.(1) the LSB plane *)
+      let writes = Array.init 2 (fun _ -> Array.make_matrix rows cols 0) in
+      let plane_index = function Crossbar.Msb -> 0 | Crossbar.Lsb -> 1 in
+      List.iter
+        (function
+          | Program (row_off, col_off, m, n) ->
+              Crossbar.program_flat xb ~row_off ~col_off ~rows:m ~cols:n
+                (Array.init (m * n) (fun k -> (k * 37 mod 256) - 128));
+              for i = row_off to row_off + m - 1 do
+                for j = col_off to col_off + n - 1 do
+                  Array.iter (fun w -> w.(i).(j) <- w.(i).(j) + 1) writes
+                done
+              done
+          | Wear_out (plane, row, col) ->
+              Crossbar.inject_wear_out xb ~plane ~row ~col ~level:5;
+              let w = writes.(plane_index plane) in
+              w.(row).(col) <- max (w.(row).(col) + 1) endurance
+          | Stuck (plane, row, col) -> Crossbar.inject_stuck_at xb ~plane ~row ~col ~level:7)
+        cmds;
+      let cells =
+        List.concat_map Array.to_list (List.concat_map Array.to_list (Array.to_list writes))
+      in
+      let worn = List.length (List.filter (fun w -> w >= endurance) cells) in
+      Crossbar.wear_total xb = List.fold_left ( + ) 0 cells
+      && Crossbar.wear_max xb = List.fold_left max 0 cells
+      && Crossbar.worn_out_fraction xb = float_of_int worn /. float_of_int (2 * rows * cols))
+
 let qcheck_program_read_roundtrip =
   QCheck.Test.make ~name:"crossbar program/read roundtrip" ~count:50 QCheck.small_int
     (fun seed ->
@@ -344,6 +413,7 @@ let suites =
         Alcotest.test_case "fault hooks: stuck-at" `Quick test_crossbar_inject_stuck;
         QCheck_alcotest.to_alcotest qcheck_gemv_additive;
         QCheck_alcotest.to_alcotest qcheck_program_read_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_wear_totals_match_cells;
       ] );
     ( "pcm.endurance",
       [

@@ -126,6 +126,46 @@ let test_cache_eviction_order_is_lru () =
   Alcotest.(check int) "four evictions" 4 (Cache.stats c).Cache.evictions;
   Alcotest.(check int) "four writebacks" 4 (Cache.stats c).Cache.writebacks
 
+(* ---------- allocation pins on the access path ---------- *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_words name ~below words =
+  Alcotest.(check bool) (Printf.sprintf "%s (%.0f minor words)" name words) true (words < below)
+
+(* A platform builds its 32,768-line L2 per run: the line state must
+   be a few flat arrays, not a record per line. *)
+let test_l2_create_allocation () =
+  check_words "L2 create" ~below:1000.0
+    (minor_words_of (fun () ->
+         ignore (Cache.create ~config:Cache.l2_arm_a7 ~next:(flat_next 1) ())))
+
+(* The copy loops charge through [issue_run]: nothing per element or per
+   line, misses through L2 and the bus included. *)
+let test_issue_run_allocates_nothing () =
+  let platform = Tdo_runtime.Platform.create () in
+  let cpu = Tdo_runtime.Platform.cpu platform in
+  (* the bus's first transfer for a master registers it *)
+  Cpu.issue_at cpu ~addr:0 Cpu.Load;
+  let addr = 0x10_0000 in
+  check_words "cold 1,000-element issue_run" ~below:1.0
+    (minor_words_of (fun () -> Cpu.issue_run cpu ~addr ~count:1000 Cpu.Store));
+  check_words "warm 1,000-element issue_run" ~below:1.0
+    (minor_words_of (fun () -> Cpu.issue_run cpu ~addr ~count:1000 Cpu.Load))
+
+let test_bus_transfer_allocates_nothing () =
+  let b = Bus.create () in
+  ignore (Bus.transfer b ~master:"cpu" ~bytes:64);
+  ignore (Bus.transfer b ~master:"cim-dma" ~bytes:64);
+  check_words "10,000 transfers" ~below:1.0
+    (minor_words_of (fun () ->
+         for i = 1 to 10_000 do
+           ignore (Bus.transfer b ~master:(if i land 1 = 0 then "cpu" else "cim-dma") ~bytes:64)
+         done))
+
 (* ---------- scratch arenas ---------- *)
 
 module Arena = Tdo_util.Arena
@@ -367,6 +407,12 @@ let suites =
       [
         Alcotest.test_case "invalid ways first" `Quick test_cache_fills_invalid_ways_first;
         Alcotest.test_case "LRU eviction order" `Quick test_cache_eviction_order_is_lru;
+      ] );
+    ( "perf.alloc_pins",
+      [
+        Alcotest.test_case "L2 create" `Quick test_l2_create_allocation;
+        Alcotest.test_case "issue_run" `Quick test_issue_run_allocates_nothing;
+        Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
       ] );
     ( "perf.arena",
       [

@@ -290,6 +290,16 @@ module Sweep_cache = struct
     t.flushed_bytes <- t.flushed_bytes + (!lines * lb);
     !total
 
+  (* [Cache.access_run] by definition: [count] single accesses, each
+     latency rounded up to whole periods *)
+  let access_run t op ~addr ~count ~cycle_ps =
+    let cycles = ref 0 in
+    for k = 0 to count - 1 do
+      let lat = access t op ~addr:(addr + (4 * k)) in
+      cycles := !cycles + ((lat + cycle_ps - 1) / cycle_ps)
+    done;
+    !cycles
+
   let stats t =
     {
       Cache.hits = t.hits;
@@ -301,7 +311,7 @@ module Sweep_cache = struct
     }
 end
 
-type cache_cmd = Access of Cache.op * int | Flush
+type cache_cmd = Access of Cache.op * int | Run of Cache.op * int * int | Flush
 
 (* The next level records each (op, addr) it is asked for, and answers
    with a latency that depends on both, so a reordered or dropped
@@ -310,33 +320,39 @@ let recording_next log op ~addr ~bytes:_ =
   log := (op, addr) :: !log;
   1 + (addr land 255) + if op = Cache.Write then 1000 else 0
 
-(* 8 sets x 2 ways, and 64 sets so that the filled-set bitmap spans
-   more than one word *)
+(* 8 or 64 sets (so that the filled-set bitmap spans more than one
+   word) of 2 or 4 ways. Runs start anywhere 4-aligned, mid-line
+   included, and are charged in periods of 7 ps so the per-access
+   rounding shows. *)
 let qcheck_flush_matches_full_sweep =
+  let op = QCheck.Gen.map (fun w -> if w then Cache.Write else Cache.Read) QCheck.Gen.bool in
   let cmd =
     QCheck.Gen.(
       frequency
         [
-          (8, map2 (fun w a -> Access ((if w then Cache.Write else Cache.Read), a)) bool
-                (int_bound 4095));
+          (8, map2 (fun op a -> Access (op, a)) op (int_bound 4095));
+          (2, map3 (fun op a n -> Run (op, 4 * a, n)) op (int_bound 1023) (int_bound 40));
           (1, return Flush);
         ])
   in
-  let print (sets, cmds) =
-    Printf.sprintf "%d sets: %s" sets
+  let op_char = function Cache.Read -> 'r' | Cache.Write -> 'w' in
+  let print ((sets, ways), cmds) =
+    Printf.sprintf "%d sets x %d ways: %s" sets ways
       (String.concat " "
          (List.map
             (function
-              | Access (Cache.Read, a) -> Printf.sprintf "r%d" a
-              | Access (Cache.Write, a) -> Printf.sprintf "w%d" a
+              | Access (op, a) -> Printf.sprintf "%c%d" (op_char op) a
+              | Run (op, a, n) -> Printf.sprintf "%c%d*%d" (op_char op) a n
               | Flush -> "F")
             cmds))
   in
   QCheck.Test.make ~name:"flush over filled sets equals a full sweep" ~count:300
-    (QCheck.make ~print QCheck.Gen.(pair (oneofl [ 8; 64 ]) (list_size (0 -- 150) cmd)))
-    (fun (sets, cmds) ->
+    (QCheck.make ~print
+       QCheck.Gen.(
+         pair (pair (oneofl [ 8; 64 ]) (oneofl [ 2; 4 ])) (list_size (0 -- 150) cmd)))
+    (fun ((sets, ways), cmds) ->
       let cfg =
-        { Cache.name = "small"; size_bytes = sets * 2 * 16; line_bytes = 16; ways = 2;
+        { Cache.name = "small"; size_bytes = sets * ways * 16; line_bytes = 16; ways;
           hit_latency_ps = 3 }
       in
       let log = ref [] and ref_log = ref [] in
@@ -344,6 +360,9 @@ let qcheck_flush_matches_full_sweep =
       let r = Sweep_cache.create cfg ~next:(recording_next ref_log) in
       let step = function
         | Access (op, addr) -> (Cache.access c op ~addr, Sweep_cache.access r op ~addr)
+        | Run (op, addr, count) ->
+            ( Cache.access_run c op ~addr ~count ~cycle_ps:7,
+              Sweep_cache.access_run r op ~addr ~count ~cycle_ps:7 )
         | Flush -> (Cache.flush c, Sweep_cache.flush r)
       in
       (* a trailing flush, so every run ends by sweeping what is left *)
@@ -351,6 +370,23 @@ let qcheck_flush_matches_full_sweep =
       List.for_all (fun (a, b) -> a = b) lat
       && Cache.stats c = Sweep_cache.stats r
       && !log = !ref_log)
+
+let test_cache_rejects_non_power_of_two_sets () =
+  let raises config =
+    match Cache.create ~config ~next:(flat_next 1) () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let cfg sets =
+    { Cache.name = "odd"; size_bytes = sets * 2 * 16; line_bytes = 16; ways = 2;
+      hit_latency_ps = 1 }
+  in
+  Alcotest.(check bool) "3 sets rejected" true (raises (cfg 3));
+  Alcotest.(check bool) "12 sets rejected" true (raises (cfg 12));
+  Alcotest.(check bool) "4 sets accepted" false (raises (cfg 4));
+  (* 3 ways over 4 sets is fine: only the set count must be a power of two *)
+  Alcotest.(check bool) "3 ways accepted" false
+    (raises { (cfg 4) with Cache.ways = 3; size_bytes = 4 * 3 * 16 })
 
 (* The flush before every offload costs host work in proportion to the
    lines the launch touched, not to the 32,768 lines of the L2. *)
@@ -378,7 +414,19 @@ let test_bus_latency_and_traffic () =
     "per-master traffic"
     [ ("cim-dma", 4096); ("cpu", 64) ]
     (Bus.traffic b);
-  Alcotest.(check int) "total" 4160 (Bus.total_bytes b)
+  Alcotest.(check int) "total" 4160 (Bus.total_bytes b);
+  (* interleaved masters, a name first seen late, and a master name
+     built at run time (equal by contents, not the same string) *)
+  List.iter
+    (fun (master, bytes) -> ignore (Bus.transfer b ~master ~bytes))
+    [ ("cpu", 64); ("cim-dma", 12); ("zz-probe", 0); (String.concat "" [ "c"; "pu" ], 64);
+      ("cim-dma", 4); ("abc", 8); ("cpu", 0) ];
+  Alcotest.(check (list (pair string int)))
+    "per-master traffic, sorted by name"
+    [ ("abc", 8); ("cim-dma", 4112); ("cpu", 192); ("zz-probe", 0) ]
+    (Bus.traffic b);
+  Alcotest.(check int) "total over every master" 4312 (Bus.total_bytes b);
+  Alcotest.(check int) "every transfer counted" 9 (Bus.transfers b)
 
 let test_dma_roundtrip () =
   let bus = Bus.create () in
@@ -549,6 +597,95 @@ let test_cpu_stall () =
   Alcotest.(check int) "stall advances time" (t0 + 5000) (Cpu.time_ps cpu);
   Alcotest.(check int) "stall retires nothing" 0 (Cpu.instructions cpu)
 
+type cpu_cmd = Issue_run of Cpu.iclass * int * int | Issue_at of Cpu.iclass * int | Flush_both
+
+(* A core over an L1D and L2 whose next level records every (op, addr)
+   it is asked for. *)
+let recorded_core (l1_cfg, l2_cfg) =
+  let log = ref [] in
+  let l2 = Cache.create ~config:l2_cfg ~next:(recording_next log) () in
+  let l1d =
+    Cache.create ~config:l1_cfg ~next:(fun op ~addr ~bytes:_ -> Cache.access l2 op ~addr) ()
+  in
+  (Cpu.create ~l1d (), l1d, l2, log)
+
+(* [issue_run] is [count] calls of [issue_at], on the Table I hierarchy
+   and on a small one where runs of up to 300 elements evict. *)
+let qcheck_issue_run_matches_issue_at =
+  let small =
+    ( { Cache.name = "l1-small"; size_bytes = 512; line_bytes = 32; ways = 2;
+        hit_latency_ps = 2000 },
+      { Cache.name = "l2-small"; size_bytes = 2048; line_bytes = 64; ways = 4;
+        hit_latency_ps = 10_000 } )
+  in
+  let cls = QCheck.Gen.map (fun l -> if l then Cpu.Load else Cpu.Store) QCheck.Gen.bool in
+  let addr = QCheck.Gen.map (fun a -> 4 * a) (QCheck.Gen.int_bound 16383) in
+  let cmd =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map3 (fun c a n -> Issue_run (c, a, n)) cls addr (int_bound 300));
+          (4, map2 (fun c a -> Issue_at (c, a)) cls addr);
+          (1, return Flush_both);
+        ])
+  in
+  let print (table1, cmds) =
+    Printf.sprintf "%s: %s"
+      (if table1 then "table1" else "small")
+      (String.concat " "
+         (List.map
+            (function
+              | Issue_run (c, a, n) ->
+                  Printf.sprintf "%s%d*%d" (if c = Cpu.Load then "r" else "w") a n
+              | Issue_at (c, a) -> Printf.sprintf "%s%d" (if c = Cpu.Load then "r" else "w") a
+              | Flush_both -> "F")
+            cmds))
+  in
+  QCheck.Test.make ~name:"issue_run equals issue_at per element" ~count:200
+    (QCheck.make ~print QCheck.Gen.(pair bool (list_size (0 -- 40) cmd)))
+    (fun (table1, cmds) ->
+      let cfgs = if table1 then (Cache.l1d_arm_a7, Cache.l2_arm_a7) else small in
+      let cpu, l1, l2, log = recorded_core cfgs in
+      let ref_cpu, ref_l1, ref_l2, ref_log = recorded_core cfgs in
+      List.iter
+        (function
+          | Issue_run (cls, addr, count) ->
+              Cpu.issue_run cpu ~addr ~count cls;
+              for k = 0 to count - 1 do
+                Cpu.issue_at ref_cpu ~addr:(addr + (4 * k)) cls
+              done
+          | Issue_at (cls, addr) ->
+              Cpu.issue_at cpu ~addr cls;
+              Cpu.issue_at ref_cpu ~addr cls
+          | Flush_both ->
+              (* the driver's order: L2, then L1D *)
+              List.iter (fun c -> ignore (Cache.flush c)) [ l2; l1; ref_l2; ref_l1 ])
+        cmds;
+      Cpu.cycles cpu = Cpu.cycles ref_cpu
+      && Cpu.instructions cpu = Cpu.instructions ref_cpu
+      && Cpu.time_ps cpu = Cpu.time_ps ref_cpu
+      && List.for_all
+           (fun c -> Cpu.class_count cpu c = Cpu.class_count ref_cpu c)
+           [ Cpu.Int_alu; Cpu.Load; Cpu.Store ]
+      && Cache.stats l1 = Cache.stats ref_l1
+      && Cache.stats l2 = Cache.stats ref_l2
+      && Cache.dirty_lines l1 = Cache.dirty_lines ref_l1
+      && !log = !ref_log)
+
+let test_cpu_issue_run_rejects () =
+  let _, l1d, _ = make_hierarchy () in
+  let cpu = Cpu.create ~l1d () in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "non-memory class" true
+    (raises (fun () -> Cpu.issue_run cpu ~addr:0 ~count:4 Cpu.Int_alu));
+  Alcotest.(check bool) "negative count" true
+    (raises (fun () -> Cpu.issue_run cpu ~addr:0 ~count:(-1) Cpu.Load));
+  Alcotest.(check bool) "negative address" true
+    (raises (fun () -> Cpu.issue_run cpu ~addr:(-4) ~count:1 Cpu.Load));
+  Cpu.issue_run cpu ~addr:0 ~count:0 Cpu.Store;
+  Alcotest.(check int) "rejected and empty runs retire nothing" 0 (Cpu.instructions cpu);
+  Alcotest.(check int) "and touch no line" 0 (Cache.stats l1d).Cache.misses
+
 let suites =
   [
     ( "sim.time",
@@ -578,6 +715,8 @@ let suites =
         Alcotest.test_case "flush (coherence)" `Quick test_cache_flush;
         QCheck_alcotest.to_alcotest qcheck_cache_latency_positive;
         QCheck_alcotest.to_alcotest qcheck_flush_matches_full_sweep;
+        Alcotest.test_case "set count must be a power of two" `Quick
+          test_cache_rejects_non_power_of_two_sets;
         Alcotest.test_case "flush cost follows the touched sets" `Quick
           test_flush_allocation_is_per_touched_set;
       ] );
@@ -600,6 +739,8 @@ let suites =
         Alcotest.test_case "roi windows" `Quick test_cpu_roi;
         Alcotest.test_case "roi misuse" `Quick test_cpu_roi_misuse;
         Alcotest.test_case "stall" `Quick test_cpu_stall;
+        QCheck_alcotest.to_alcotest qcheck_issue_run_matches_issue_at;
+        Alcotest.test_case "issue_run rejects" `Quick test_cpu_issue_run_rejects;
       ] );
   ]
 
