@@ -16,12 +16,14 @@ exception Verification_failure of Diag.t list
 
 type compiled = {
   func : Ir.func;
+  program : Tdo_ir.Exec.program;
   outcome : Pipeline.outcome option;
   diagnostics : Diag.t list;
 }
 
-let compile_checked ?(options = o3_loop_tactics) ?resolve_config ?(verify = false)
-    source =
+(* Lower and offload: the compiled function, the pipeline outcome and
+   the diagnostics. *)
+let lower_and_offload ?(options = o3_loop_tactics) ?resolve_config ~verify source =
   let ast = Tdo_lang.Parser.parse_func source in
   let options =
     match Option.bind resolve_config (fun resolve -> resolve ast) with
@@ -31,23 +33,24 @@ let compile_checked ?(options = o3_loop_tactics) ?resolve_config ?(verify = fals
   let f = Tdo_ir.Lower.func ast in
   if options.enable_loop_tactics then
     let checked = Pipeline.run_checked ~config:options.tactics ~verify f in
-    {
-      func = checked.Pipeline.func;
-      outcome = Some checked.Pipeline.outcome;
-      diagnostics = checked.Pipeline.diagnostics;
-    }
+    (checked.Pipeline.func, Some checked.Pipeline.outcome, checked.Pipeline.diagnostics)
   else
     let diagnostics = if verify then Tdo_analysis.Verify.func f @ Tdo_analysis.Bounds.func f else [] in
-    { func = f; outcome = None; diagnostics }
+    (f, None, diagnostics)
 
+let compile_checked ?options ?resolve_config ?(verify = false) source =
+  let func, outcome, diagnostics = lower_and_offload ?options ?resolve_config ~verify source in
+  { func; program = Tdo_ir.Exec.prepare func; outcome; diagnostics }
+
+(* [run] prepares its function itself, so this skips [prepare]. *)
 let compile ?options ?resolve_config ?(verify = false) source =
-  let c = compile_checked ?options ?resolve_config ~verify source in
-  if verify && Diag.has_errors c.diagnostics then
-    raise (Verification_failure (Diag.errors c.diagnostics));
+  let func, outcome, diagnostics = lower_and_offload ?options ?resolve_config ~verify source in
+  if verify && Diag.has_errors diagnostics then
+    raise (Verification_failure (Diag.errors diagnostics));
   let report =
-    match c.outcome with Some (Pipeline.Offloaded r) -> Some r | Some _ | None -> None
+    match outcome with Some (Pipeline.Offloaded r) -> Some r | Some _ | None -> None
   in
-  (c.func, report)
+  (func, report)
 
 type measurement = {
   roi_instructions : int;

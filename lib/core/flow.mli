@@ -27,6 +27,12 @@ exception Verification_failure of Diag.t list
 
 type compiled = {
   func : Ir.func;
+  program : Tdo_ir.Exec.program;
+      (** [func] prepared for execution ({!Tdo_ir.Exec.prepare}), built
+          once here so every run of this compile — each request served
+          from one kernel-cache entry — skips the closure compilation.
+          A [func] the executor rejects still compiles; each run of it
+          raises the executor's error. *)
   outcome : Pipeline.outcome option;  (** [None] when loop tactics were disabled *)
   diagnostics : Diag.t list;
 }

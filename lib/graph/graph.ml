@@ -262,6 +262,29 @@ let name_seed s =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3fffffff) s;
   !h
 
+(* Model weights, drawn once per (graph, weight) for the whole process
+   and kept for the last size asked for: at most one n x n matrix per
+   weight of each graph served, so the table stays small and outside
+   anything a scheduler retains. [make_args] runs on worker domains,
+   hence the lock. Each request gets its own copy, because a run writes
+   every argument array back. *)
+let weight_data : (string, int * float array) Hashtbl.t = Hashtbl.create 16
+let weight_lock = Mutex.create ()
+
+let model_weight t name ~n =
+  let scoped = t.gname ^ "/" ^ name in
+  let data =
+    Mutex.protect weight_lock (fun () ->
+        match Hashtbl.find_opt weight_data scoped with
+        | Some (drawn_n, data) when drawn_n = n -> data
+        | Some _ | None ->
+            let g = Prng.create ~seed:(name_seed scoped) in
+            let data = (Kernels.random_arr g ~dims:[ n; n ]).Interp.data in
+            Hashtbl.replace weight_data scoped (n, data);
+            data)
+  in
+  { Interp.dims = [ n; n ]; data = Array.copy data }
+
 let make_args t ~n ~seed =
   let ws = weights t in
   let bindings =
@@ -270,8 +293,7 @@ let make_args t ~n ~seed =
         if List.mem name ws then
           (* model-scoped: every request of this graph carries the same
              weights — the invariant weight residency rests on *)
-          let g = Prng.create ~seed:(name_seed (t.gname ^ "/" ^ name)) in
-          (name, Interp.Varray (Kernels.random_arr g ~dims:[ n; n ]))
+          (name, Interp.Varray (model_weight t name ~n))
         else if List.mem name t.inputs then
           let g = Prng.create ~seed:(seed lxor name_seed name) in
           (name, Interp.Varray (Kernels.random_arr g ~dims:[ n ]))

@@ -19,292 +19,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 
 type array_info = { base : int; dims : int list }
 
-(* ---------- resolved (slot-table) program ----------
-
-   [run] first resolves every identifier to a typed slot index in one
-   binding pass over the IR, then executes the resolved program against
-   flat unboxed arrays. The interpreter previously paid a [List.assoc]
-   string search plus a boxed [Vi]/[Vf] allocation for every operand of
-   every dynamic instruction; on the PolyBench nests that was the
-   hottest path of the whole evaluation. Instruction charging is
-   unchanged: the same classes are issued for the same source
-   constructs, with the same addresses. *)
-
-type rexpr =
-  | Ci of int  (** int literal *)
-  | Cf of float  (** float literal *)
-  | Vi of int  (** int scalar slot *)
-  | Vf of int  (** float scalar slot *)
-  | Load of { arr : int; dims : int array; idxs : rexpr array }
-  | Ibin of Ast.binop * rexpr * rexpr  (** both operands int-typed *)
-  | Fbin of Ast.binop * rexpr * rexpr  (** float result, operands coerced *)
-  | Ineg of rexpr
-  | Fneg of rexpr
-
-let is_int = function
-  | Ci _ | Vi _ | Ibin _ | Ineg _ -> true
-  | Cf _ | Vf _ | Load _ | Fbin _ | Fneg _ -> false
-
-(* right-hand side of [lhs op= rhs]: a top-level multiply under [+=]
-   retires as one fused multiply-accumulate on the A7's VFP *)
-type rrhs =
-  | Rmac of rexpr * rexpr * bool  (** factors; [true] = integer multiply *)
-  | Rplain of rexpr
-
-type rmat = {
-  mslot : int;
-  mname : string;
-  mrow_off : rexpr;
-  mcol_off : rexpr;
-  mtrans : bool;
-}
-
-type rcall =
-  | Rinit
-  | Ralloc of int * string
-  | Rh2d of int * string
-  | Rd2h of int * string
-  | Rfree of int * string
-  | Rgemm of {
-      gm : int;
-      gn : int;
-      gk : int;
-      galpha : rexpr;
-      gbeta : rexpr;
-      ga : rmat;
-      gb : rmat;
-      gc : rmat;
-      gpin : Ir.pin;
-    }
-  | Rgemm_batched of {
-      bm : int;
-      bn : int;
-      bk : int;
-      balpha : rexpr;
-      bbeta : rexpr;
-      bbatch : (rmat * rmat * rmat) list;
-      bpin : Ir.pin;
-    }
-  | Rim2col of {
-      isrc : int;
-      isrc_name : string;
-      idst : int;
-      idst_name : string;
-      ikh : int;
-      ikw : int;
-      ioh : int;
-      iow : int;
-    }
-
-type rstmt =
-  | Rfor of { slot : int; lo : rexpr; hi : rexpr; step : int; body : rstmt array }
-  | Rstore of { arr : int; dims : int array; idxs : rexpr array; op : Ast.assign_op; rhs : rrhs }
-  | Rset_f of { slot : int; op : Ast.assign_op; rhs : rexpr }
-  | Rset_i of { slot : int; op : Ast.assign_op; rhs : rexpr }
-  | Rdecl_i of { slot : int; init : rexpr option }
-  | Rdecl_f of { slot : int; init : rexpr option }
-  | Rdecl_arr of { slot : int; adims : int list }
-  | Rcall of rcall
-  | Rroi_begin
-  | Rroi_end
-
-(* ---------- binding pass ---------- *)
-
-type bind = Bint of int | Bfloat of int | Barr of int * int list
-
-type counters = { mutable n_int : int; mutable n_float : int; mutable n_arr : int }
-
-let new_int c =
-  let s = c.n_int in
-  c.n_int <- s + 1;
-  s
-
-let new_float c =
-  let s = c.n_float in
-  c.n_float <- s + 1;
-  s
-
-let new_arr c =
-  let s = c.n_arr in
-  c.n_arr <- s + 1;
-  s
-
-let lookup env name =
-  match List.assoc_opt name env with
-  | Some b -> b
-  | None -> fail "unbound identifier '%s'" name
-
-let rec compile_expr env c (e : Ast.expr) : rexpr =
-  match e with
-  | Ast.Int_lit n -> Ci n
-  | Ast.Float_lit f -> Cf f
-  | Ast.Var name -> (
-      match lookup env name with
-      | Bint s -> Vi s
-      | Bfloat s -> Vf s
-      | Barr _ -> fail "array '%s' used as a scalar" name)
-  | Ast.Index (name, indices) -> (
-      match lookup env name with
-      | Barr (slot, dims) ->
-          if List.length indices <> List.length dims then
-            fail "array '%s': rank mismatch" name;
-          let idxs =
-            List.map
-              (fun e ->
-                let r = compile_expr env c e in
-                if not (is_int r) then fail "non-integer subscript";
-                r)
-              indices
-          in
-          Load { arr = slot; dims = Array.of_list dims; idxs = Array.of_list idxs }
-      | Bint _ | Bfloat _ -> fail "scalar '%s' indexed" name)
-  | Ast.Binop (op, a, b) ->
-      let ra = compile_expr env c a in
-      let rb = compile_expr env c b in
-      if is_int ra && is_int rb then Ibin (op, ra, rb) else Fbin (op, ra, rb)
-  | Ast.Neg e ->
-      let r = compile_expr env c e in
-      if is_int r then Ineg r else Fneg r
-
-let compile_int_expr env c what e =
-  let r = compile_expr env c e in
-  if not (is_int r) then fail "%s: expected an integer value" what;
-  r
-
-let compile_mat_ref env c (r : Ir.mat_ref) =
-  match lookup env r.Ir.array with
-  | Barr (slot, _) ->
-      {
-        mslot = slot;
-        mname = r.Ir.array;
-        mrow_off = compile_int_expr env c "mat_ref row offset" r.Ir.row_off;
-        mcol_off = compile_int_expr env c "mat_ref col offset" r.Ir.col_off;
-        mtrans = r.Ir.trans;
-      }
-  | Bint _ | Bfloat _ -> fail "'%s' is not an array" r.Ir.array
-
-let array_slot env name =
-  match lookup env name with
-  | Barr (slot, _) -> (slot, name)
-  | Bint _ | Bfloat _ -> fail "'%s' is not an array" name
-
-let compile_call env c (call : Ir.call) : rcall =
-  match call with
-  | Ir.Cim_init -> Rinit
-  | Ir.Cim_alloc { array } ->
-      let s, n = array_slot env array in
-      Ralloc (s, n)
-  | Ir.Cim_h2d { array } ->
-      let s, n = array_slot env array in
-      Rh2d (s, n)
-  | Ir.Cim_d2h { array } ->
-      let s, n = array_slot env array in
-      Rd2h (s, n)
-  | Ir.Cim_free { array } ->
-      let s, n = array_slot env array in
-      Rfree (s, n)
-  | Ir.Cim_gemm { m; n; k; alpha; beta; a; b; c = cm; pin } ->
-      if cm.Ir.trans then fail "polly_cimBlasSGemm: transposed C is not supported";
-      Rgemm
-        {
-          gm = m;
-          gn = n;
-          gk = k;
-          galpha = compile_expr env c alpha;
-          gbeta = compile_expr env c beta;
-          ga = compile_mat_ref env c a;
-          gb = compile_mat_ref env c b;
-          gc = compile_mat_ref env c cm;
-          gpin = pin;
-        }
-  | Ir.Cim_gemm_batched { m; n; k; alpha; beta; batch; pin } ->
-      Rgemm_batched
-        {
-          bm = m;
-          bn = n;
-          bk = k;
-          balpha = compile_expr env c alpha;
-          bbeta = compile_expr env c beta;
-          bbatch =
-            List.map
-              (fun (a, b, cm) ->
-                ( compile_mat_ref env c a,
-                  compile_mat_ref env c b,
-                  compile_mat_ref env c cm ))
-              batch;
-          bpin = pin;
-        }
-  | Ir.Cim_im2col { src; dst; kh; kw; oh; ow } ->
-      let isrc, isrc_name = array_slot env src in
-      let idst, idst_name = array_slot env dst in
-      Rim2col { isrc; isrc_name; idst; idst_name; ikh = kh; ikw = kw; ioh = oh; iow = ow }
-
-let rec compile_body env c (body : Ir.stmt list) : rstmt list =
-  match body with
-  | [] -> []
-  | Ir.Decl_scalar { name; typ; init } :: rest -> (
-      match typ with
-      | Ast.Tint ->
-          let init =
-            Option.map (fun e -> compile_int_expr env c "initialiser" e) init
-          in
-          let slot = new_int c in
-          Rdecl_i { slot; init } :: compile_body ((name, Bint slot) :: env) c rest
-      | Ast.Tfloat ->
-          let init = Option.map (compile_expr env c) init in
-          let slot = new_float c in
-          Rdecl_f { slot; init } :: compile_body ((name, Bfloat slot) :: env) c rest
-      | Ast.Tvoid -> fail "void declaration")
-  | Ir.Decl_array { name; dims } :: rest ->
-      let slot = new_arr c in
-      Rdecl_arr { slot; adims = dims }
-      :: compile_body ((name, Barr (slot, dims)) :: env) c rest
-  | stmt :: rest -> compile_stmt env c stmt :: compile_body env c rest
-
-and compile_stmt env c (stmt : Ir.stmt) : rstmt =
-  match stmt with
-  | Ir.For { var; lo; hi; step; body } ->
-      let lo = compile_int_expr env c "loop bound" lo in
-      let hi = compile_int_expr env c "loop bound" hi in
-      let slot = new_int c in
-      let body = compile_body ((var, Bint slot) :: env) c body in
-      Rfor { slot; lo; hi; step; body = Array.of_list body }
-  | Ir.Assign { lhs; op; rhs } -> (
-      match (lookup env lhs.Ast.base, lhs.Ast.indices) with
-      | Barr (slot, dims), indices ->
-          if List.length indices <> List.length dims then
-            fail "array '%s': rank mismatch" lhs.Ast.base;
-          let idxs =
-            List.map
-              (fun e ->
-                let r = compile_expr env c e in
-                if not (is_int r) then fail "non-integer subscript";
-                r)
-              indices
-          in
-          let rhs =
-            match (op, rhs) with
-            | Ast.Add_assign, Ast.Binop (Ast.Mul, a, b) ->
-                let ra = compile_expr env c a in
-                let rb = compile_expr env c b in
-                Rmac (ra, rb, is_int ra && is_int rb)
-            | _ -> Rplain (compile_expr env c rhs)
-          in
-          Rstore
-            { arr = slot; dims = Array.of_list dims; idxs = Array.of_list idxs; op; rhs }
-      | Bfloat slot, [] -> Rset_f { slot; op; rhs = compile_expr env c rhs }
-      | Bint slot, [] ->
-          let r = compile_expr env c rhs in
-          if not (is_int r) then fail "integer assignment: expected an integer value";
-          Rset_i { slot; op; rhs = r }
-      | (Bint _ | Bfloat _), _ :: _ -> fail "scalar '%s' indexed" lhs.Ast.base)
-  | Ir.Decl_scalar _ | Ir.Decl_array _ ->
-      (* handled by compile_body so the binding covers the rest of the body *)
-      assert false
-  | Ir.Call call -> Rcall (compile_call env c call)
-  | Ir.Roi_begin -> Rroi_begin
-  | Ir.Roi_end -> Rroi_end
-
 (* ---------- runtime state ---------- *)
 
 type state = {
@@ -315,13 +29,16 @@ type state = {
   floats : float array;
   arrays : array_info array;
   facc : floatarray;
-      (** single-slot accumulator [eval_f] leaves its result in: a
-          [float]-returning recursive evaluator boxes its result at
-          every call, and the evaluator runs once per operand of every
-          dynamic instruction *)
+      (** single-slot accumulator a compiled float expression leaves
+          its result in: a [float]-returning closure boxes its result
+          at every call *)
   mutable heap : int;
   mutable api : Api.t option;
   dev : (int, Api.buffer) Hashtbl.t;  (** keyed by array slot *)
+  pending : int array;
+      (** instructions counted but not yet retired to the core, by
+          {!counted_classes} index *)
+  mutable roi_open : bool;  (** this run opened the ROI window and has not closed it *)
 }
 
 let heap_base = 0x0100_0000
@@ -334,89 +51,209 @@ let alloc_array st dims =
   st.heap <- (st.heap + bytes + 63) / 64 * 64;
   { base; dims }
 
-let issue st cls = Sim.Cpu.issue st.cpu cls
-let[@inline always] issue_at st addr cls = Sim.Cpu.issue_at st.cpu ~addr cls
-
-(* ---------- expression evaluation with instruction charging ----------
-
-   [eval_f] communicates through [st.facc] instead of returning the
-   float: the accumulator store and load compile to raw [floatarray]
-   accesses, so evaluating an expression tree allocates nothing —
-   intermediate values live in registers (or are spilled unboxed). *)
-
 let[@inline always] getf st = Float.Array.unsafe_get st.facc 0
 let[@inline always] setf st v = Float.Array.unsafe_set st.facc 0 v
 
-let rec element_address st base (dims : int array) (idxs : rexpr array) =
-  let flat = ref 0 in
-  for i = 0 to Array.length dims - 1 do
-    let idx = eval_i st (Array.unsafe_get idxs i) in
-    let dim = Array.unsafe_get dims i in
-    if idx < 0 || idx >= dim then fail "index %d out of bound %d" idx dim;
-    (* mul + add of the row-major address computation *)
-    issue st Sim.Cpu.Int_alu;
-    flat := (!flat * dim) + idx
-  done;
-  base + (4 * !flat)
+let[@inline always] load st addr =
+  Sim.Cpu.issue_at st.cpu ~addr Sim.Cpu.Load;
+  Sim.Memory.read_f32 st.memory addr
 
-and eval_i st (e : rexpr) : int =
-  match e with
-  | Ci n -> n
-  | Vi s -> Array.unsafe_get st.ints s
-  | Ibin (op, a, b) ->
-      let x = eval_i st a in
-      let y = eval_i st b in
-      issue st Sim.Cpu.Int_alu;
-      (match op with
-      | Ast.Add -> x + y
-      | Ast.Sub -> x - y
-      | Ast.Mul -> x * y
-      | Ast.Div ->
-          if y = 0 then fail "integer division by zero";
-          x / y)
-  | Ineg e ->
-      let v = eval_i st e in
-      issue st Sim.Cpu.Int_alu;
-      -v
-  | Cf _ | Vf _ | Load _ | Fbin _ | Fneg _ -> assert false
+let[@inline always] store st addr v =
+  Sim.Cpu.issue_at st.cpu ~addr Sim.Cpu.Store;
+  Sim.Memory.write_f32 st.memory addr v
 
-and eval_f st (e : rexpr) : unit =
+(* ---------- instruction counting ----------
+
+   The non-memory instructions a statement issues do not depend on the
+   data, so they are counted once, at compile time, into a [count]
+   array; the compiled code adds them to the run's pending counters in
+   bulk and [retire] hands those to the core with [Cpu.issue_many].
+   This is exact: the core's cycle count is a sum of per-instruction
+   costs, no cache, bus or memory latency reads the core's clock, and
+   only runtime calls, ROI markers and the end of the run read the
+   core's counters — each of which retires everything pending first.
+   Loads and stores still go through [Cpu.issue_at] one at a time, in
+   program order and at their addresses, so the L1D and L2 see the same
+   access stream. *)
+
+let counted_classes = Sim.Cpu.[| Int_alu; Fp_add; Fp_mul; Fp_mac; Fp_div; Branch |]
+let alu = 0
+let fadd = 1
+let fmul = 2
+let fmac = 3
+let fdiv = 4
+let branch = 5
+
+type count = int array
+(** instructions by {!counted_classes} index; filled while a statement
+    compiles, read-only once its closure exists *)
+
+let new_count () : count = Array.make (Array.length counted_classes) 0
+let bump (k : count) cls = k.(cls) <- k.(cls) + 1
+
+let[@inline always] add_pending st (k : count) times =
+  let p = st.pending in
+  for i = 0 to Array.length k - 1 do
+    Array.unsafe_set p i (Array.unsafe_get p i + (times * Array.unsafe_get k i))
+  done
+
+let retire st =
+  let p = st.pending in
+  for i = 0 to Array.length p - 1 do
+    let n = Array.unsafe_get p i in
+    if n > 0 then begin
+      Sim.Cpu.issue_many st.cpu (Array.unsafe_get counted_classes i) n;
+      Array.unsafe_set p i 0
+    end
+  done
+
+(* ---------- binding ----------
+
+   [prepare] compiles the IR in one pass: each identifier resolves to a
+   typed slot of the run's flat scalar or array tables as its
+   expression compiles, so the closures never look a name up. *)
+
+type bind = Bint of int | Bfloat of int | Barr of int * int list
+
+type slots = { mutable n_int : int; mutable n_float : int; mutable n_arr : int }
+
+let new_int s =
+  let slot = s.n_int in
+  s.n_int <- slot + 1;
+  slot
+
+let new_float s =
+  let slot = s.n_float in
+  s.n_float <- slot + 1;
+  slot
+
+let new_arr s =
+  let slot = s.n_arr in
+  s.n_arr <- slot + 1;
+  slot
+
+let lookup env name =
+  match List.assoc_opt name env with
+  | Some b -> b
+  | None -> fail "unbound identifier '%s'" name
+
+let array_slot env name =
+  match lookup env name with
+  | Barr (slot, _) -> slot
+  | Bint _ | Bfloat _ -> fail "'%s' is not an array" name
+
+(* ---------- expressions ----------
+
+   An expression compiles to a closure and adds its non-memory
+   instructions to the count [k]: [Int_alu] per integer operator,
+   subscript dimension or negation; [Fp_add], [Fp_mul] or [Fp_div] per
+   float operator and [Fp_add] per float negation. Float results go
+   through [st.facc], so evaluating an expression allocates nothing. *)
+
+type code = state -> unit
+
+type value =
+  | Int of (state -> int)
+  | Float of code  (** leaves its result in [st.facc] *)
+
+let[@inline always] int_op op x y =
+  match op with
+  | Ast.Add -> x + y
+  | Ast.Sub -> x - y
+  | Ast.Mul -> x * y
+  | Ast.Div ->
+      if y = 0 then fail "integer division by zero";
+      x / y
+
+let[@inline always] float_op op x y =
+  match op with
+  | Ast.Add -> x +. y
+  | Ast.Sub -> x -. y
+  | Ast.Mul -> x *. y
+  | Ast.Div -> x /. y
+
+let[@inline always] check_index idx dim =
+  if idx < 0 || idx >= dim then fail "index %d out of bound %d" idx dim
+
+let as_float = function
+  | Float f -> f
+  | Int f -> fun st -> setf st (float_of_int (f st))
+
+let rec compile_expr env s k (e : Ast.expr) : value =
   match e with
-  | Cf f -> setf st f
-  | Vf s -> setf st (Array.unsafe_get st.floats s)
-  | Load { arr; dims; idxs } ->
-      let info = Array.unsafe_get st.arrays arr in
-      let addr = element_address st info.base dims idxs in
-      issue_at st addr Sim.Cpu.Load;
-      setf st (Sim.Memory.read_f32 st.memory addr)
-  | Fbin (op, a, b) ->
-      eval_f st a;
-      let x = getf st in
-      eval_f st b;
-      let y = getf st in
-      let cls =
-        match op with
-        | Ast.Add | Ast.Sub -> Sim.Cpu.Fp_add
-        | Ast.Mul -> Sim.Cpu.Fp_mul
-        | Ast.Div -> Sim.Cpu.Fp_div
+  | Ast.Int_lit n -> Int (fun _ -> n)
+  | Ast.Float_lit f -> Float (fun st -> setf st f)
+  | Ast.Var name -> (
+      match lookup env name with
+      | Bint slot -> Int (fun st -> Array.unsafe_get st.ints slot)
+      | Bfloat slot -> Float (fun st -> setf st (Array.unsafe_get st.floats slot))
+      | Barr _ -> fail "array '%s' used as a scalar" name)
+  | Ast.Index (name, indices) ->
+      let address = compile_address env s k name indices in
+      Float (fun st -> setf st (load st (address st)))
+  | Ast.Binop (op, a, b) -> (
+      match (compile_expr env s k a, compile_expr env s k b) with
+      | Int ca, Int cb ->
+          bump k alu;
+          Int
+            (fun st ->
+              let x = ca st in
+              int_op op x (cb st))
+      | a, b ->
+          let ca = as_float a in
+          let cb = as_float b in
+          bump k (match op with Ast.Add | Ast.Sub -> fadd | Ast.Mul -> fmul | Ast.Div -> fdiv);
+          Float
+            (fun st ->
+              ca st;
+              let x = getf st in
+              cb st;
+              setf st (float_op op x (getf st))))
+  | Ast.Neg e -> (
+      match compile_expr env s k e with
+      | Int ca ->
+          bump k alu;
+          Int (fun st -> -ca st)
+      | Float ca ->
+          bump k fadd;
+          Float
+            (fun st ->
+              ca st;
+              setf st (-.getf st)))
+
+(* Byte address of a row-major element; one [Int_alu] per dimension. *)
+and compile_address env s k name indices : state -> int =
+  match lookup env name with
+  | Barr (slot, dims) ->
+      if List.length indices <> List.length dims then fail "array '%s': rank mismatch" name;
+      let idxs =
+        Array.of_list
+          (List.map
+             (fun e ->
+               match compile_expr env s k e with
+               | Int f -> f
+               | Float _ -> fail "non-integer subscript")
+             indices)
       in
-      issue st cls;
-      setf st
-        (match op with
-        | Ast.Add -> x +. y
-        | Ast.Sub -> x -. y
-        | Ast.Mul -> x *. y
-        | Ast.Div -> x /. y)
-  | Fneg e ->
-      eval_f st e;
-      let v = getf st in
-      issue st Sim.Cpu.Fp_add;
-      setf st (-.v)
-  | Ci n -> setf st (float_of_int n)
-  | Vi s -> setf st (float_of_int (Array.unsafe_get st.ints s))
-  | (Ibin _ | Ineg _) as e -> setf st (float_of_int (eval_i st e))
+      let dims = Array.of_list dims in
+      k.(alu) <- k.(alu) + Array.length dims;
+      fun st ->
+        let flat = ref 0 in
+        for i = 0 to Array.length dims - 1 do
+          let idx = (Array.unsafe_get idxs i) st in
+          let dim = Array.unsafe_get dims i in
+          check_index idx dim;
+          flat := (!flat * dim) + idx
+        done;
+        (Array.unsafe_get st.arrays slot).base + (4 * !flat)
+  | Bint _ | Bfloat _ -> fail "scalar '%s' indexed" name
 
-(* ---------- runtime-call support ---------- *)
+let int_expr env s k what e =
+  match compile_expr env s k e with
+  | Int f -> f
+  | Float _ -> fail "%s: expected an integer value" what
+
+(* ---------- runtime calls ---------- *)
 
 let require_api st =
   match st.api with
@@ -467,178 +304,346 @@ let store_host_matrix st info name m =
     Sim.Memory.write_f32 st.memory (info.base + (4 * k)) (Array.unsafe_get data k)
   done
 
-let view_of_ref st (r : rmat) =
-  let info = array_info st r.mslot r.mname in
-  let _, ld = array_shape_2d info in
-  let buf = dev_buffer st r.mslot r.mname in
-  let row_off = eval_i st r.mrow_off in
-  let col_off = eval_i st r.mcol_off in
-  issue st Sim.Cpu.Int_alu;
-  Api.view ~offset_elems:((row_off * ld) + col_off) ~ld buf
+(* Device view of an operand; one [Int_alu] for the offset. *)
+let compile_view env s k (r : Ir.mat_ref) : state -> Api.view =
+  let name = r.Ir.array in
+  let slot = array_slot env name in
+  let row_off = int_expr env s k "mat_ref row offset" r.Ir.row_off in
+  let col_off = int_expr env s k "mat_ref col offset" r.Ir.col_off in
+  bump k alu;
+  fun st ->
+    let info = array_info st slot name in
+    let _, ld = array_shape_2d info in
+    let buf = dev_buffer st slot name in
+    let row_off = row_off st in
+    let col_off = col_off st in
+    Api.view ~offset_elems:((row_off * ld) + col_off) ~ld buf
 
 let pin_of = function Ir.Pin_a -> Regs.Pin_a | Ir.Pin_b -> Regs.Pin_b
 
-let exec_call st (call : rcall) =
+(* A runtime call reads the core's clock, so it retires everything
+   pending — its own operand arithmetic included — before it runs. *)
+let compile_call env s (call : Ir.call) : code =
   match call with
-  | Rinit -> if st.api = None then st.api <- Some (Api.init st.platform)
-  | Ralloc (slot, name) ->
-      let api = require_api st in
-      let info = array_info st slot name in
-      let rows, cols = array_shape_2d info in
-      if Hashtbl.mem st.dev slot then fail "polly_cimMalloc: '%s' already allocated" name;
-      (match Api.malloc api ~bytes:(4 * rows * cols) with
-      | Error reason -> fail "polly_cimMalloc(%s): %s" name reason
-      | Ok buf -> Hashtbl.add st.dev slot buf)
-  | Rh2d (slot, name) ->
-      let api = require_api st in
-      let info = array_info st slot name in
-      let _, ld = array_shape_2d info in
-      let buf = dev_buffer st slot name in
-      Api.host_to_dev api ~src:(host_matrix st info) ~dst:(Api.view ~ld buf)
-  | Rd2h (slot, name) ->
-      let api = require_api st in
-      let info = array_info st slot name in
-      let rows, cols = array_shape_2d info in
-      let buf = dev_buffer st slot name in
-      let m = Api.dev_to_host api ~src:(Api.view ~ld:cols buf) ~rows ~cols in
-      store_host_matrix st info name m
-  | Rfree (slot, name) ->
-      let api = require_api st in
-      Api.free api (dev_buffer st slot name);
-      Hashtbl.remove st.dev slot
-  | Rgemm { gm; gn; gk; galpha; gbeta; ga; gb; gc; gpin } ->
-      let api = require_api st in
-      eval_f st galpha;
-      let alpha = getf st in
-      eval_f st gbeta;
-      let beta = getf st in
-      let va = view_of_ref st ga in
-      let vb = view_of_ref st gb in
-      let vc = view_of_ref st gc in
-      (match
-         Api.sgemm api ~trans_a:ga.mtrans ~trans_b:gb.mtrans ~pin:(pin_of gpin) ~m:gm ~n:gn
-           ~k:gk ~alpha ~a:va ~b:vb ~beta ~c:vc ()
-       with
-      | Ok () -> ()
-      | Error reason -> fail "polly_cimBlasSGemm: %s" reason)
-  | Rgemm_batched { bm; bn; bk; balpha; bbeta; bbatch; bpin } ->
-      let api = require_api st in
-      eval_f st balpha;
-      let alpha = getf st in
-      eval_f st bbeta;
-      let beta = getf st in
-      let trans_a, trans_b =
-        match bbatch with
-        | (a, b, _) :: _ -> (a.mtrans, b.mtrans)
-        | [] -> fail "polly_cimBlasGemmBatched: empty batch"
-      in
-      let batch =
+  | Ir.Cim_init ->
+      fun st ->
+        retire st;
+        if st.api = None then st.api <- Some (Api.init st.platform)
+  | Ir.Cim_alloc { array = name } ->
+      let slot = array_slot env name in
+      fun st ->
+        retire st;
+        let api = require_api st in
+        let info = array_info st slot name in
+        let rows, cols = array_shape_2d info in
+        if Hashtbl.mem st.dev slot then fail "polly_cimMalloc: '%s' already allocated" name;
+        (match Api.malloc api ~bytes:(4 * rows * cols) with
+        | Error reason -> fail "polly_cimMalloc(%s): %s" name reason
+        | Ok buf -> Hashtbl.add st.dev slot buf)
+  | Ir.Cim_h2d { array = name } ->
+      let slot = array_slot env name in
+      fun st ->
+        retire st;
+        let api = require_api st in
+        let info = array_info st slot name in
+        let _, ld = array_shape_2d info in
+        let buf = dev_buffer st slot name in
+        Api.host_to_dev api ~src:(host_matrix st info) ~dst:(Api.view ~ld buf)
+  | Ir.Cim_d2h { array = name } ->
+      let slot = array_slot env name in
+      fun st ->
+        retire st;
+        let api = require_api st in
+        let info = array_info st slot name in
+        let rows, cols = array_shape_2d info in
+        let buf = dev_buffer st slot name in
+        let m = Api.dev_to_host api ~src:(Api.view ~ld:cols buf) ~rows ~cols in
+        store_host_matrix st info name m
+  | Ir.Cim_free { array = name } ->
+      let slot = array_slot env name in
+      fun st ->
+        retire st;
+        let api = require_api st in
+        Api.free api (dev_buffer st slot name);
+        Hashtbl.remove st.dev slot
+  | Ir.Cim_im2col { src; dst; kh; kw; oh; ow } ->
+      let src_slot = array_slot env src in
+      let dst_slot = array_slot env dst in
+      fun st ->
+        retire st;
+        let api = require_api st in
+        let src_info = array_info st src_slot src in
+        let src_rows, src_cols = array_shape_2d src_info in
+        let dst_info = array_info st dst_slot dst in
+        let _, dst_ld = array_shape_2d dst_info in
+        let src_buf = dev_buffer st src_slot src in
+        let dst_buf = dev_buffer st dst_slot dst in
+        Api.dev_im2col api
+          ~src:(Api.view ~ld:src_cols src_buf)
+          ~src_rows ~src_cols
+          ~dst:(Api.view ~ld:dst_ld dst_buf)
+          ~kh ~kw ~oh ~ow
+  | Ir.Cim_gemm { m; n; k = kdim; alpha; beta; a; b; c; pin } ->
+      if c.Ir.trans then fail "polly_cimBlasSGemm: transposed C is not supported";
+      let k = new_count () in
+      let alpha = as_float (compile_expr env s k alpha) in
+      let beta = as_float (compile_expr env s k beta) in
+      let va = compile_view env s k a in
+      let vb = compile_view env s k b in
+      let vc = compile_view env s k c in
+      let pin = pin_of pin in
+      fun st ->
+        let api = require_api st in
+        alpha st;
+        let alpha = getf st in
+        beta st;
+        let beta = getf st in
+        let va = va st in
+        let vb = vb st in
+        let vc = vc st in
+        add_pending st k 1;
+        retire st;
+        (match
+           Api.sgemm api ~trans_a:a.Ir.trans ~trans_b:b.Ir.trans ~pin ~m ~n ~k:kdim ~alpha ~a:va
+             ~b:vb ~beta ~c:vc ()
+         with
+        | Ok () -> ()
+        | Error reason -> fail "polly_cimBlasSGemm: %s" reason)
+  | Ir.Cim_gemm_batched { m; n; k = kdim; alpha; beta; batch; pin } ->
+      let k = new_count () in
+      let alpha = as_float (compile_expr env s k alpha) in
+      let beta = as_float (compile_expr env s k beta) in
+      let views =
         List.map
-          (fun (a, b, c) -> (view_of_ref st a, view_of_ref st b, view_of_ref st c))
-          bbatch
+          (fun (a, b, c) ->
+            let va = compile_view env s k a in
+            let vb = compile_view env s k b in
+            let vc = compile_view env s k c in
+            fun st -> (va st, vb st, vc st))
+          batch
       in
-      (match
-         Api.gemm_batched api ~trans_a ~trans_b ~pin:(pin_of bpin) ~m:bm ~n:bn ~k:bk ~alpha
-           ~beta ~batch ()
-       with
-      | Ok () -> ()
-      | Error reason -> fail "polly_cimBlasGemmBatched: %s" reason)
-  | Rim2col { isrc; isrc_name; idst; idst_name; ikh; ikw; ioh; iow } ->
-      let api = require_api st in
-      let src_info = array_info st isrc isrc_name in
-      let src_rows, src_cols = array_shape_2d src_info in
-      let dst_info = array_info st idst idst_name in
-      let _, dst_ld = array_shape_2d dst_info in
-      let src_buf = dev_buffer st isrc isrc_name in
-      let dst_buf = dev_buffer st idst idst_name in
-      Api.dev_im2col api
-        ~src:(Api.view ~ld:src_cols src_buf)
-        ~src_rows ~src_cols
-        ~dst:(Api.view ~ld:dst_ld dst_buf)
-        ~kh:ikh ~kw:ikw ~oh:ioh ~ow:iow
+      let pin = pin_of pin in
+      fun st ->
+        let api = require_api st in
+        alpha st;
+        let alpha = getf st in
+        beta st;
+        let beta = getf st in
+        let trans_a, trans_b =
+          match batch with
+          | (a, b, _) :: _ -> (a.Ir.trans, b.Ir.trans)
+          | [] -> fail "polly_cimBlasGemmBatched: empty batch"
+        in
+        let batch = List.map (fun view -> view st) views in
+        add_pending st k 1;
+        retire st;
+        (match
+           Api.gemm_batched api ~trans_a ~trans_b ~pin ~m ~n ~k:kdim ~alpha ~beta ~batch ()
+         with
+        | Ok () -> ()
+        | Error reason -> fail "polly_cimBlasGemmBatched: %s" reason)
 
-(* ---------- statements ---------- *)
+(* ---------- statements ----------
 
-let[@inline always] apply_op op old rhs =
+   [compile_stmt env s k stmt] returns the environment of the
+   statements after [stmt] and its closure, and adds to [k] the
+   instructions one execution of [stmt] issues that the closure does
+   not count itself; [compile_block] accounts for them — a loop
+   without runtime calls or ROI markers folds them into its
+   per-iteration count, any other block adds them to the pending
+   counters right after the statement runs. A loop counts its own
+   iterations: [Int_alu] plus [Branch] each (increment and back-edge
+   test). A loop whose body cannot read the core's counters adds
+   [trips] times its per-iteration count once, when it exits; any
+   other loop adds the iteration's count after each iteration, so it
+   is pending before the next runtime call. *)
+
+(* The value [lhs op= v] leaves in [lhs], whose value was [old]. *)
+let[@inline always] assign_f op old v =
   match op with
-  | Ast.Set -> rhs
-  | Ast.Add_assign -> old +. rhs
-  | Ast.Sub_assign -> old -. rhs
-  | Ast.Mul_assign -> old *. rhs
+  | Ast.Set -> v
+  | Ast.Add_assign -> old +. v
+  | Ast.Sub_assign -> old -. v
+  | Ast.Mul_assign -> old *. v
 
-let rec exec_stmt st (stmt : rstmt) =
+let[@inline always] assign_i op old v =
+  match op with
+  | Ast.Set -> v
+  | Ast.Add_assign -> old + v
+  | Ast.Sub_assign -> old - v
+  | Ast.Mul_assign -> old * v
+
+let rec reads_counters (stmt : Ir.stmt) =
   match stmt with
-  | Rfor { slot; lo; hi; step; body } ->
-      let lo = eval_i st lo in
-      let hi = eval_i st hi in
-      let ints = st.ints in
-      ints.(slot) <- lo;
-      while ints.(slot) < hi do
-        exec_body st body;
-        (* increment + back-edge test *)
-        issue st Sim.Cpu.Int_alu;
-        issue st Sim.Cpu.Branch;
-        ints.(slot) <- ints.(slot) + step
-      done
-  | Rstore { arr; dims; idxs; op; rhs } ->
-      let info = Array.unsafe_get st.arrays arr in
-      let addr = element_address st info.base dims idxs in
-      let rhs_value =
-        match rhs with
-        | Rmac (a, b, int_mul) ->
-            eval_f st a;
-            let x = getf st in
-            eval_f st b;
-            let y = getf st in
-            issue st (if int_mul then Sim.Cpu.Int_alu else Sim.Cpu.Fp_mac);
-            x *. y
-        | Rplain e ->
-            eval_f st e;
-            getf st
-      in
-      let old =
-        match op with
-        | Ast.Set -> 0.0
-        | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
-            issue_at st addr Sim.Cpu.Load;
-            Sim.Memory.read_f32 st.memory addr
-      in
-      (match op with
-      | Ast.Set | Ast.Add_assign -> () (* Add_assign folded into the MAC *)
-      | Ast.Sub_assign | Ast.Mul_assign -> issue st Sim.Cpu.Fp_add);
-      issue_at st addr Sim.Cpu.Store;
-      Sim.Memory.write_f32 st.memory addr (apply_op op old rhs_value)
-  | Rset_f { slot; op; rhs } ->
-      eval_f st rhs;
-      let rhs = getf st in
-      if op <> Ast.Set then issue st Sim.Cpu.Fp_add;
-      st.floats.(slot) <- apply_op op st.floats.(slot) rhs
-  | Rset_i { slot; op; rhs } ->
-      let rhs = eval_i st rhs in
-      issue st Sim.Cpu.Int_alu;
-      (match op with
-      | Ast.Set -> st.ints.(slot) <- rhs
-      | Ast.Add_assign -> st.ints.(slot) <- st.ints.(slot) + rhs
-      | Ast.Sub_assign -> st.ints.(slot) <- st.ints.(slot) - rhs
-      | Ast.Mul_assign -> st.ints.(slot) <- st.ints.(slot) * rhs)
-  | Rdecl_i { slot; init } ->
-      st.ints.(slot) <- (match init with Some e -> eval_i st e | None -> 0)
-  | Rdecl_f { slot; init } ->
-      st.floats.(slot) <-
-        (match init with
-        | Some e ->
-            eval_f st e;
-            getf st
-        | None -> 0.0)
-  | Rdecl_arr { slot; adims } -> st.arrays.(slot) <- alloc_array st adims
-  | Rcall call -> exec_call st call
-  | Rroi_begin -> Sim.Cpu.roi_begin st.cpu
-  | Rroi_end -> Sim.Cpu.roi_end st.cpu
+  | Ir.Call _ | Ir.Roi_begin | Ir.Roi_end -> true
+  | Ir.For { body; _ } -> List.exists reads_counters body
+  | Ir.Assign _ | Ir.Decl_scalar _ | Ir.Decl_array _ -> false
 
-and exec_body st (body : rstmt array) =
-  for i = 0 to Array.length body - 1 do
-    exec_stmt st (Array.unsafe_get body i)
+let[@inline always] run_block (block : code array) st =
+  for i = 0 to Array.length block - 1 do
+    (Array.unsafe_get block i) st
   done
+
+let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
+  match (lookup env lhs.Ast.base, lhs.Ast.indices) with
+  | Barr _, indices -> (
+      let address = compile_address env s k lhs.Ast.base indices in
+      let rhs =
+        match (op, rhs) with
+        | Ast.Add_assign, Ast.Binop (Ast.Mul, a, b) ->
+            (* a top-level multiply under [+=] retires as one fused
+               multiply-accumulate on the A7's VFP *)
+            let a = compile_expr env s k a in
+            let b = compile_expr env s k b in
+            bump k (match (a, b) with Int _, Int _ -> alu | _ -> fmac);
+            let ca = as_float a in
+            let cb = as_float b in
+            fun st ->
+              ca st;
+              let x = getf st in
+              cb st;
+              setf st (x *. getf st)
+        | _ -> as_float (compile_expr env s k rhs)
+      in
+      (* [+=] is folded into the multiply-accumulate (or is a plain
+         store of the sum); [-=] and [*=] issue one more FP op *)
+      (match op with
+      | Ast.Sub_assign | Ast.Mul_assign -> bump k fadd
+      | Ast.Set | Ast.Add_assign -> ());
+      match op with
+      | Ast.Set ->
+          fun st ->
+            let addr = address st in
+            rhs st;
+            store st addr (getf st)
+      | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
+          fun st ->
+            let addr = address st in
+            rhs st;
+            let v = getf st in
+            store st addr (assign_f op (load st addr) v))
+  | Bfloat slot, [] ->
+      let rhs = as_float (compile_expr env s k rhs) in
+      if op <> Ast.Set then bump k fadd;
+      fun st ->
+        rhs st;
+        Array.unsafe_set st.floats slot (assign_f op (Array.unsafe_get st.floats slot) (getf st))
+  | Bint slot, [] ->
+      let rhs =
+        match compile_expr env s k rhs with
+        | Int f -> f
+        | Float _ -> fail "integer assignment: expected an integer value"
+      in
+      bump k alu;
+      fun st ->
+        let v = rhs st in
+        Array.unsafe_set st.ints slot (assign_i op (Array.unsafe_get st.ints slot) v)
+  | (Bint _ | Bfloat _), _ :: _ -> fail "scalar '%s' indexed" lhs.Ast.base
+
+let rec compile_stmt env s k (stmt : Ir.stmt) =
+  match stmt with
+  | Ir.For { var; lo; hi; step; body } when not (List.exists reads_counters body) ->
+      let lo = int_expr env s k "loop bound" lo in
+      let hi = int_expr env s k "loop bound" hi in
+      let slot = new_int s in
+      let iteration = new_count () in
+      let body = compile_block ((var, Bint slot) :: env) s (Some iteration) body in
+      bump iteration alu;
+      bump iteration branch;
+      ( env,
+        fun st ->
+          let lo = lo st in
+          let hi = hi st in
+          let ints = st.ints in
+          Array.unsafe_set ints slot lo;
+          let trips = ref 0 in
+          while Array.unsafe_get ints slot < hi do
+            run_block body st;
+            incr trips;
+            Array.unsafe_set ints slot (Array.unsafe_get ints slot + step)
+          done;
+          if !trips > 0 then add_pending st iteration !trips )
+  | Ir.For { var; lo; hi; step; body } ->
+      let bounds = new_count () in
+      let lo = int_expr env s bounds "loop bound" lo in
+      let hi = int_expr env s bounds "loop bound" hi in
+      let slot = new_int s in
+      let body = compile_block ((var, Bint slot) :: env) s None body in
+      let iteration = new_count () in
+      bump iteration alu;
+      bump iteration branch;
+      ( env,
+        fun st ->
+          let lo = lo st in
+          let hi = hi st in
+          add_pending st bounds 1;
+          let ints = st.ints in
+          Array.unsafe_set ints slot lo;
+          while Array.unsafe_get ints slot < hi do
+            run_block body st;
+            add_pending st iteration 1;
+            Array.unsafe_set ints slot (Array.unsafe_get ints slot + step)
+          done )
+  | Ir.Assign { lhs; op; rhs } -> (env, compile_assign env s k lhs op rhs)
+  | Ir.Decl_scalar { name; typ = Ast.Tint; init } ->
+      let init = Option.map (int_expr env s k "initialiser") init in
+      let slot = new_int s in
+      ( (name, Bint slot) :: env,
+        match init with
+        | Some init -> fun st -> Array.unsafe_set st.ints slot (init st)
+        | None -> fun st -> Array.unsafe_set st.ints slot 0 )
+  | Ir.Decl_scalar { name; typ = Ast.Tfloat; init } ->
+      let init = Option.map (fun e -> as_float (compile_expr env s k e)) init in
+      let slot = new_float s in
+      ( (name, Bfloat slot) :: env,
+        match init with
+        | Some init ->
+            fun st ->
+              init st;
+              Array.unsafe_set st.floats slot (getf st)
+        | None -> fun st -> Array.unsafe_set st.floats slot 0.0 )
+  | Ir.Decl_scalar { typ = Ast.Tvoid; _ } -> fail "void declaration"
+  | Ir.Decl_array { name; dims } ->
+      let slot = new_arr s in
+      ((name, Barr (slot, dims)) :: env, fun st -> st.arrays.(slot) <- alloc_array st dims)
+  | Ir.Call call -> (env, compile_call env s call)
+  | Ir.Roi_begin ->
+      ( env,
+        fun st ->
+          retire st;
+          Sim.Cpu.roi_begin st.cpu;
+          st.roi_open <- true )
+  | Ir.Roi_end ->
+      ( env,
+        fun st ->
+          retire st;
+          Sim.Cpu.roi_end st.cpu;
+          st.roi_open <- false )
+
+(* A statement list, each declaration in scope for the statements after
+   it. [Some k]: every statement adds its count to [k], the body of a
+   loop that retires when it exits. [None]: each statement's own count
+   is pending right after it runs. *)
+and compile_block env s (into : count option) (body : Ir.stmt list) : code array =
+  let rec go env = function
+    | [] -> []
+    | stmt :: rest -> (
+        match into with
+        | Some k ->
+            let env, code = compile_stmt env s k stmt in
+            code :: go env rest
+        | None ->
+            let k = new_count () in
+            let env, code = compile_stmt env s k stmt in
+            let code =
+              if Array.for_all (( = ) 0) k then code
+              else fun st ->
+                code st;
+                add_pending st k 1
+            in
+            code :: go env rest)
+  in
+  Array.of_list (go env body)
 
 (* ---------- staging arguments in and out of simulated memory ---------- *)
 
@@ -654,44 +659,74 @@ let stage_out st info (arr : Interp.arr) =
     data.(i) <- Sim.Memory.read_f32 st.memory (info.base + (4 * i))
   done
 
-let run ?scratch (f : Ir.func) ~platform ~args =
-  (* Slot types follow the argument values (as before): scalar params
-     take the kind of the value passed for them. *)
-  let c = { n_int = 0; n_float = 0; n_arr = 0 } in
-  let bind_param (p : Ast.param) =
-    match List.assoc_opt p.Ast.pname args with
-    | None -> fail "missing argument '%s'" p.Ast.pname
-    | Some (Interp.Vint n) ->
-        if p.Ast.dims <> [] then fail "argument '%s' should be an array" p.Ast.pname;
-        ((p.Ast.pname, Bint (new_int c)), `Int n)
-    | Some (Interp.Vfloat v) ->
-        if p.Ast.dims <> [] then fail "argument '%s' should be an array" p.Ast.pname;
-        ((p.Ast.pname, Bfloat (new_float c)), `Float v)
-    | Some (Interp.Varray arr) ->
-        if arr.Interp.dims <> p.Ast.dims then
-          fail "argument '%s' has mismatched dimensions" p.Ast.pname;
-        ((p.Ast.pname, Barr (new_arr c, p.Ast.dims)), `Array arr)
-  in
-  let bound = List.map bind_param f.Ir.params in
-  let env = List.map fst bound in
-  let program = compile_body env c f.Ir.body in
+(* ---------- prepared programs ---------- *)
+
+type prepared = {
+  params : (string * bind) list;  (** declaration order *)
+  n_ints : int;
+  n_floats : int;
+  n_arrays : int;
+  body : code array;
+}
+
+type program = (prepared, string) result
+
+(* Scalar parameters take the slot kind of their declared type. *)
+let bind_param s (p : Ast.param) =
+  if p.Ast.dims <> [] then Barr (new_arr s, p.Ast.dims)
+  else
+    match p.Ast.ptyp with
+    | Ast.Tint -> Bint (new_int s)
+    | Ast.Tfloat -> Bfloat (new_float s)
+    | Ast.Tvoid -> fail "parameter '%s' has type void" p.Ast.pname
+
+let prepare (f : Ir.func) : program =
+  match
+    let s = { n_int = 0; n_float = 0; n_arr = 0 } in
+    let params = List.map (fun (p : Ast.param) -> (p.Ast.pname, bind_param s p)) f.Ir.params in
+    let body = compile_block params s None f.Ir.body in
+    { params; n_ints = s.n_int; n_floats = s.n_float; n_arrays = s.n_arr; body }
+  with
+  | prepared -> Ok prepared
+  | exception Exec_error msg -> Error msg
+
+type arg = Aint of int * int | Afloat of int * float | Aarray of int * int list * Interp.arr
+
+let check_arg args (name, bind) =
+  match (bind, List.assoc_opt name args) with
+  | _, None -> fail "missing argument '%s'" name
+  | Bint slot, Some (Interp.Vint n) -> Aint (slot, n)
+  | Bfloat slot, Some (Interp.Vfloat v) -> Afloat (slot, v)
+  | Bint _, Some (Interp.Vfloat _) -> fail "argument '%s' should be an int" name
+  | Bfloat _, Some (Interp.Vint _) -> fail "argument '%s' should be a float" name
+  | Barr _, Some (Interp.Vint _ | Interp.Vfloat _) ->
+      fail "argument '%s' should be an array" name
+  | (Bint _ | Bfloat _), Some (Interp.Varray _) ->
+      fail "argument '%s' has mismatched dimensions" name
+  | Barr (slot, dims), Some (Interp.Varray arr) ->
+      if arr.Interp.dims <> dims then fail "argument '%s' has mismatched dimensions" name;
+      Aarray (slot, dims, arr)
+
+let exec ?scratch (program : program) ~platform ~args =
+  let p = match program with Ok p -> p | Error msg -> raise (Exec_error msg) in
+  let bound = List.map (check_arg args) p.params in
   (* Slot tables come from the per-domain arena when the caller passes
-     one — every slot is written (by binding or its [Rdecl_*]) before it
-     is read, but zero-fill anyway so a miscompiled program reads
+     one — every slot is written (by binding or its declaration) before
+     it is read, but zero-fill anyway so a miscompiled program reads
      deterministic garbage rather than a previous run's values. *)
   let ints =
     match scratch with
-    | None -> Array.make (max 1 c.n_int) 0
+    | None -> Array.make (max 1 p.n_ints) 0
     | Some a ->
-        let t = Tdo_util.Arena.int_array a (max 1 c.n_int) in
+        let t = Tdo_util.Arena.int_array a (max 1 p.n_ints) in
         Array.fill t 0 (Array.length t) 0;
         t
   in
   let floats =
     match scratch with
-    | None -> Array.make (max 1 c.n_float) 0.0
+    | None -> Array.make (max 1 p.n_floats) 0.0
     | Some a ->
-        let t = Tdo_util.Arena.float_array a (max 1 c.n_float) in
+        let t = Tdo_util.Arena.float_array a (max 1 p.n_floats) in
         Array.fill t 0 (Array.length t) 0.0;
         t
   in
@@ -702,28 +737,46 @@ let run ?scratch (f : Ir.func) ~platform ~args =
       memory = platform.Platform.memory;
       ints;
       floats;
-      arrays = Array.make (max 1 c.n_arr) no_array;
+      arrays = Array.make (max 1 p.n_arrays) no_array;
       facc = Float.Array.create 1;
       heap = heap_base;
       api = None;
       dev = Hashtbl.create 8;
+      pending = new_count ();
+      roi_open = false;
     }
   in
-  let staged = ref [] in
-  List.iter
-    (fun ((_, bind), value) ->
-      match (bind, value) with
-      | Bint slot, `Int n -> st.ints.(slot) <- n
-      | Bfloat slot, `Float v -> st.floats.(slot) <- v
-      | Barr (slot, dims), `Array arr ->
-          let info = alloc_array st dims in
-          st.arrays.(slot) <- info;
-          stage_in st arr info;
-          staged := (info, arr) :: !staged
-      | _ -> assert false)
-    bound;
-  exec_body st (Array.of_list program);
-  List.iter (fun (info, arr) -> stage_out st info arr) !staged;
+  let staged =
+    List.fold_left
+      (fun staged arg ->
+        match arg with
+        | Aint (slot, n) ->
+            ints.(slot) <- n;
+            staged
+        | Afloat (slot, v) ->
+            floats.(slot) <- v;
+            staged
+        | Aarray (slot, dims, arr) ->
+            let info = alloc_array st dims in
+            st.arrays.(slot) <- info;
+            stage_in st arr info;
+            (info, arr) :: staged)
+      [] bound
+  in
+  (* A failed run leaves its platform as usable as a completed one: what
+     it counted is retired, a ROI window it opened is closed and the
+     device buffers it still holds go back to the CMA region, which
+     outlives the run. *)
+  (try
+     run_block p.body st;
+     retire st
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     retire st;
+     if st.roi_open then Sim.Cpu.roi_end st.cpu;
+     Option.iter (fun api -> Hashtbl.iter (fun _ buf -> Api.free api buf) st.dev) st.api;
+     Printexc.raise_with_backtrace e bt);
+  List.iter (fun (info, arr) -> stage_out st info arr) staged;
   let roi = Sim.Cpu.roi st.cpu in
   let launches =
     match st.api with None -> 0 | Some api -> (Api.counters api).Api.launches
@@ -735,3 +788,5 @@ let run ?scratch (f : Ir.func) ~platform ~args =
     used_cim = st.api <> None;
     cim_launches = launches;
   }
+
+let run ?scratch f ~platform ~args = exec ?scratch (prepare f) ~platform ~args

@@ -211,7 +211,7 @@ let device_energy_j (table : Table1.t) ~macs ~write_bytes ~launches ~roi_instruc
   +. (float_of_int roi_instructions *. table.Table1.host_j_per_instruction)
 
 let run ?residency t (compiled : Flow.compiled) ~args =
-  (* A fresh user-space runtime is created inside [Exec.run], so its
+  (* A fresh user-space runtime is created inside [Exec.exec], so its
      generation counter restarts; a stale pinned operand could alias a
      new tenant's buffer at a recycled CMA address and must not survive
      into this run — UNLESS the run replays the exact program the
@@ -230,7 +230,7 @@ let run ?residency t (compiled : Flow.compiled) ~args =
   let roi0 = Sim.Cpu.roi cpu in
   let xc0 = Cimacc.Micro_engine.total_crossbar_counters (engine t) in
   let ec0 = Cimacc.Micro_engine.counters (engine t) in
-  let metrics = Tdo_ir.Exec.run compiled.Flow.func ~platform ~args in
+  let metrics = Tdo_ir.Exec.exec compiled.Flow.program ~platform ~args in
   let roi1 = Sim.Cpu.roi cpu in
   let xc1 = Cimacc.Micro_engine.total_crossbar_counters (engine t) in
   let ec1 = Cimacc.Micro_engine.counters (engine t) in

@@ -386,6 +386,19 @@ let create ?(config = default_config) () =
     | None -> Kernels.find name
   in
   let is_graph_kernel name = List.mem_assoc name config.graphs in
+  (* Source text per (kernel, n), built once rather than on every
+     estimate, dispatch and fallback; [kernel] is the request's name,
+     which [find_bench] maps to [bench]. *)
+  let sources = Hashtbl.create 16 in
+  let source ~kernel (bench : Kernels.benchmark) ~n =
+    let key = (kernel, n) in
+    match Hashtbl.find_opt sources key with
+    | Some text -> text
+    | None ->
+        let text = bench.Kernels.source ~n in
+        Hashtbl.add sources key text;
+        text
+  in
   (* Residency key a run of [entry_key] for [tenant] latches: the
      compiled entry (digest + options + class) scopes it to the model's
      exact program, the tenant scopes it as isolation policy. *)
@@ -500,7 +513,9 @@ let create ?(config = default_config) () =
     | Error msg -> record_failed r depth msg
     | Ok bench -> (
         match
-          let ast = Tdo_lang.Parser.parse_func (bench.Kernels.source ~n:r.Trace.n) in
+          let ast =
+            Tdo_lang.Parser.parse_func (source ~kernel:r.Trace.kernel bench ~n:r.Trace.n)
+          in
           Tdo_lang.Typecheck.check_func ast;
           let args, readback = bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed in
           Interp.run ast ~args;
@@ -698,14 +713,14 @@ let create ?(config = default_config) () =
      scratch, predicted service with the weight tiles already pinned
      (zero programming traffic in the plan), and the cache key the
      class's entry compiles to — what residency keys derive from. *)
-  let estimate ~cls (bench : Kernels.benchmark) ~n =
-    let key = (bench.Kernels.name, n, Backend.class_name cls) in
+  let estimate ~cls ~kernel (bench : Kernels.benchmark) ~n =
+    let key = (kernel, n, Backend.class_name cls) in
     match Hashtbl.find_opt est_memo key with
     | Some v -> v
     | None ->
         let v =
           match
-            let entry = Kernel_cache.find_or_compile cache ~cls (bench.Kernels.source ~n) in
+            let entry = Kernel_cache.find_or_compile cache ~cls (source ~kernel bench ~n) in
             let plan =
               Offload.plan entry.Kernel_cache.options.Flow.tactics
                 entry.Kernel_cache.compiled.Flow.func
@@ -754,9 +769,9 @@ let create ?(config = default_config) () =
     float_of_int (!h land 0xFFFFF) /. 1048576.0
   in
 
-  let score dev (bench : Kernels.benchmark) ~n ~tenant =
+  let score dev ~kernel (bench : Kernels.benchmark) ~n ~tenant =
     let profile = Device.profile dev in
-    let cold, resident_est, entry_key = estimate ~cls:profile.Backend.cls bench ~n in
+    let cold, resident_est, entry_key = estimate ~cls:profile.Backend.cls ~kernel bench ~n in
     let est =
       if config.graph_residency && is_graph_kernel bench.Kernels.name && entry_key <> ""
       then begin
@@ -867,7 +882,8 @@ let create ?(config = default_config) () =
           | Error _ -> false
           | Ok bench ->
               let _, _, entry_key =
-                estimate ~cls:(Device.profile d).Backend.cls bench ~n:item.req.Trace.n
+                estimate ~cls:(Device.profile d).Backend.cls ~kernel:item.req.Trace.kernel bench
+                  ~n:item.req.Trace.n
               in
               entry_key <> ""
               && Device.resident d
@@ -892,8 +908,8 @@ let create ?(config = default_config) () =
                  | Error _ -> false
                  | Ok bench ->
                      let cold, resident_est, _ =
-                       estimate ~cls:(Device.profile d).Backend.cls bench
-                         ~n:item.req.Trace.n
+                       estimate ~cls:(Device.profile d).Backend.cls
+                         ~kernel:item.req.Trace.kernel bench ~n:item.req.Trace.n
                      in
                      (* wait up to twice the programming it saves: the
                         request breaks even at 1x, and staying put also
@@ -926,7 +942,10 @@ let create ?(config = default_config) () =
               let best =
                 List.fold_left
                   (fun acc d ->
-                    let s = score d bench ~n:r0.Trace.n ~tenant:r0.Trace.tenant in
+                    let s =
+                      score d ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n
+                        ~tenant:r0.Trace.tenant
+                    in
                     match acc with
                     | Some (_, s') when s' <= s -> acc
                     | _ -> Some (d, s))
@@ -943,7 +962,7 @@ let create ?(config = default_config) () =
               | Some items -> (
                   match
                     Kernel_cache.find_or_compile cache ~cls:(Device.device_class dev)
-                      (bench.Kernels.source ~n:r0.Trace.n)
+                      (source ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n)
                   with
                   | entry ->
                       let cache_hit =

@@ -136,7 +136,19 @@ let test_weights_model_scoped () =
     | _ -> Alcotest.fail "not an array"
   in
   Alcotest.(check bool) "weights shared across requests" true (data "W1" a1 = data "W1" a2);
-  Alcotest.(check bool) "inputs are request-seeded" false (data "x" a1 = data "x" a2)
+  Alcotest.(check bool) "inputs are request-seeded" false (data "x" a1 = data "x" a2);
+  (* a run writes its arguments back: a request that scribbles on its
+     weights must not change the next request's *)
+  let w1 = data "W1" a1 in
+  (match List.assoc "W1" a1 with
+  | Interp.Varray arr -> Array.fill arr.Interp.data 0 (Array.length arr.Interp.data) 0.0
+  | _ -> ());
+  Alcotest.(check bool) "each request owns its weights" true (data "W1" (args_of 3) = w1);
+  (* the weights are kept for one size at a time: another size gets
+     its own, and the first size's come back the same *)
+  let other = data "W1" (fst (Graph.make_args mlp4 ~n:(n + 1) ~seed:1)) in
+  Alcotest.(check int) "another size, its own shape" ((n + 1) * (n + 1)) (Array.length other);
+  Alcotest.(check bool) "the first size unchanged" true (data "W1" (args_of 4) = w1)
 
 let test_topological_order_invariance () =
   (* every valid order of the attention block computes bit-identically

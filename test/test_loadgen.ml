@@ -35,30 +35,56 @@ let process_gen =
 let process_arb = QCheck.make ~print:Arrival.describe process_gen
 
 (* The long-run empirical rate of every process shape converges on
-   mean_rate_rps. The averaging horizon has to cover the process's own
-   time scale — many dwell cycles for the MMPP, whole periods for the
-   diurnal sweep — or the dwell/phase randomness dominates the
-   estimate. *)
+   mean_rate_rps. Each process runs for the horizon that brings the
+   rate estimate's relative standard error down to [rse]:
+
+   - Poisson at rate r: the count over T is Poisson(rT), so
+     RSE = 1 / sqrt (rT).
+   - Bursty (a two-state MMPP): the quiet and burst dwells form i.i.d.
+     renewal cycles of mean length L = q + b (the two mean dwells). The
+     renewal-reward CLT gives Var(rate) = V / (T L) with
+     V = base q + burst b + (base - m)^2 q^2 + (burst - m)^2 b^2, where
+     m is the mean rate: the Poisson noise within the phases plus the
+     exponential dwell lengths. The dwell term dominates, so the
+     horizon is set in cycles, whatever the rates.
+   - Diurnal: thinning yields a Poisson process whose rate integrates
+     to m per unit time over whole periods, so RSE = 1 / sqrt (mT) with
+     T a whole number of periods.
+
+   With RSE 4%, the 20% bound is five standard errors. *)
+let rse = 0.04
+
+let horizon_s p =
+  let m = Arrival.mean_rate_rps p in
+  match p with
+  | Arrival.Poisson _ -> 1.0 /. (m *. rse *. rse)
+  | Arrival.Bursty { base_rps; burst_rps; mean_burst_s = b; mean_quiet_s = q } ->
+      let v =
+        (base_rps *. q) +. (burst_rps *. b)
+        +. (((base_rps -. m) *. q) ** 2.0)
+        +. (((burst_rps -. m) *. b) ** 2.0)
+      in
+      v /. ((q +. b) *. m *. m *. rse *. rse)
+  | Arrival.Diurnal { period_s; _ } ->
+      period_s *. Float.ceil (1.0 /. (m *. rse *. rse *. period_s))
+
+let observed_rate_rps p ~seed =
+  let g = Prng.create ~seed in
+  let gap = Arrival.gaps_ps p g in
+  let horizon_ps = int_of_float (horizon_s p *. ps_per_s) in
+  let elapsed = ref 0 and n = ref 0 in
+  while !elapsed < horizon_ps do
+    elapsed := !elapsed + gap ();
+    incr n
+  done;
+  float_of_int !n /. (float_of_int !elapsed /. ps_per_s)
+
 let qcheck_inter_arrival_mean =
   QCheck.Test.make ~name:"empirical arrival rate matches mean_rate_rps" ~count:12
-    process_arb (fun p ->
-      let horizon_s =
-        match p with
-        | Arrival.Poisson _ -> 0.5
-        | Arrival.Bursty b -> 60.0 *. (b.mean_burst_s +. b.mean_quiet_s)
-        | Arrival.Diurnal d -> 10.0 *. d.period_s
-      in
-      let g = Prng.create ~seed:7 in
-      let gap = Arrival.gaps_ps p g in
-      let horizon_ps = int_of_float (horizon_s *. ps_per_s) in
-      let elapsed = ref 0 and n = ref 0 in
-      while !elapsed < horizon_ps do
-        elapsed := !elapsed + gap ();
-        incr n
-      done;
-      let observed_rps = float_of_int !n /. (float_of_int !elapsed /. ps_per_s) in
+    QCheck.(pair process_arb small_nat)
+    (fun (p, seed) ->
       let expected_rps = Arrival.mean_rate_rps p in
-      abs_float (observed_rps -. expected_rps) <= 0.20 *. expected_rps)
+      abs_float (observed_rate_rps p ~seed -. expected_rps) <= 0.20 *. expected_rps)
 
 let qcheck_gaps_deterministic =
   QCheck.Test.make ~name:"same seed, same gap sequence" ~count:20 process_arb (fun p ->

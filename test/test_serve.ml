@@ -512,6 +512,170 @@ let test_deadline_degrades_to_cpu () =
   let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
   Alcotest.(check int) "golden never degrades" 0 (Scheduler.fallbacks golden)
 
+(* A run that fails inside its ROI window leaves the device serving.
+   [bad_kernel] divides by a zero parameter before touching memory;
+   [late_failing_kernel] offloads a GEMM and then writes past [s], with
+   its three device buffers still allocated. *)
+let bad_kernel =
+  {
+    Kernels.name = "bad";
+    description = "divides by a zero parameter inside the ROI";
+    kind = Kernels.Gemv_like;
+    source =
+      (fun ~n:_ ->
+        "void kernel_bad(float A[8], int z) { for (int i = 0; i < 8; i++) A[i / z] = 1.0; }");
+    macs = (fun ~n:_ -> 8);
+    make_args =
+      (fun ~n:_ ~seed:_ ->
+        let a = Kernels.zero_arr ~dims:[ 8 ] in
+        ( [ ("A", Tdo_lang.Interp.Varray a); ("z", Tdo_lang.Interp.Vint 0) ],
+          fun () -> [ Kernels.mat_of_vec a ] ));
+  }
+
+let late_failing_kernel =
+  {
+    Kernels.name = "late";
+    description = "writes past an array after an offloaded GEMM";
+    kind = Kernels.Gemm_like;
+    source =
+      (fun ~n:_ ->
+        "void kernel_late(float C[8][8], float A[8][8], float B[8][8], float s[8], int z) {\n\
+        \  for (int i = 0; i < 8; i++)\n\
+        \    for (int j = 0; j < 8; j++)\n\
+        \      for (int k = 0; k < 8; k++)\n\
+        \        C[i][j] += A[i][k] * B[k][j];\n\
+        \  for (int i = 0; i < 8; i++)\n\
+        \    s[i + z] = 1.0;\n\
+         }");
+    macs = (fun ~n:_ -> 512);
+    make_args =
+      (fun ~n:_ ~seed ->
+        let g = Tdo_util.Prng.create ~seed in
+        let mat () = Kernels.random_arr g ~dims:[ 8; 8 ] in
+        let c = mat () and a = mat () and b = mat () and sv = Kernels.zero_arr ~dims:[ 8 ] in
+        ( [
+            ("C", Tdo_lang.Interp.Varray c); ("A", Tdo_lang.Interp.Varray a);
+            ("B", Tdo_lang.Interp.Varray b); ("s", Tdo_lang.Interp.Varray sv);
+            ("z", Tdo_lang.Interp.Vint 8);
+          ],
+          fun () -> [ Tdo_lang.Interp.mat_of_arr c ] ));
+  }
+
+(* Request [id] for [kernel] at n = 8, a millisecond after the last. *)
+let spaced_request id kernel =
+  {
+    Trace.id;
+    kernel;
+    n = 8;
+    seed = 1000 + id;
+    arrival_ps = (id + 1) * Tdo_sim.Time_base.ps_per_us * 1000;
+    deadline_ps = None;
+    tenant = 0;
+    slo = Trace.Interactive;
+  }
+
+let test_failed_run_keeps_device_serving () =
+  (* the records, and the device's CMA region after the replay *)
+  let replay requests =
+    let device = ref None in
+    let config =
+      {
+        Scheduler.default_config with
+        Scheduler.devices = 1;
+        parallel = false;
+        graphs = [ ("bad", bad_kernel); ("late", late_failing_kernel) ];
+        on_device_create = Some (fun d -> device := Some d);
+      }
+    in
+    let trace = { Trace.name = "roi-failure"; seed = 0; requests } in
+    let records = Telemetry.records (Scheduler.replay ~config trace).Scheduler.telemetry in
+    (records, (Device.platform (Option.get !device)).Tdo_runtime.Platform.cma)
+  in
+  let ids outcome records =
+    List.filter_map
+      (fun (r : Telemetry.record) ->
+        if outcome r.Telemetry.outcome then Some r.Telemetry.request.Trace.id else None)
+      records
+  in
+  let failed = function Telemetry.Failed _ -> true | _ -> false in
+  let served records =
+    List.filter_map
+      (fun (r : Telemetry.record) ->
+        if r.Telemetry.outcome = Telemetry.Completed then
+          Some (r.Telemetry.request.Trace.id, r.Telemetry.service_ps, r.Telemetry.checksum)
+        else None)
+      records
+  in
+  let checksums = List.map (fun (id, _, sum) -> (id, sum)) in
+  let gemms = [ spaced_request 3 "gemm"; spaced_request 4 "gemm" ] in
+  let alone, _ = replay gemms in
+  (* failing before any memory access: the later runs are as if the
+     failure never ran *)
+  let with_bad, _ = replay (spaced_request 0 "bad" :: gemms) in
+  Alcotest.(check (list int)) "the bad request failed" [ 0 ] (ids failed with_bad);
+  Alcotest.(check (list int)) "the others completed" [ 3; 4 ]
+    (ids (( = ) Telemetry.Completed) with_bad);
+  Alcotest.(check bool) "as if the failure never ran" true (served with_bad = served alone);
+  (* failing after a launch: the device buffers go back every time, so
+     the region never holds more than one run's buffers. Later runs see
+     the caches and crossbar the failed run left, like after any run,
+     so only their results are compared. *)
+  let with_late, cma = replay (List.init 3 (fun id -> spaced_request id "late") @ gemms) in
+  Alcotest.(check (list int)) "the late failures" [ 0; 1; 2 ] (ids failed with_late);
+  Alcotest.(check (list int)) "the GEMMs completed" [ 3; 4 ]
+    (ids (( = ) Telemetry.Completed) with_late);
+  Alcotest.(check bool) "with the same results" true
+    (checksums (served with_late) = checksums (served alone));
+  Alcotest.(check int) "no device memory held" 0 (Tdo_runtime.Cma.allocated_bytes cma);
+  Alcotest.(check int) "at most one run's buffers at a time" (3 * 256)
+    (Tdo_runtime.Cma.peak_allocated_bytes cma)
+
+(* Two kernels registered under different names whose benchmark
+   records share one name: each request runs the source registered
+   under its own kernel name. *)
+let test_registered_kernels_keep_their_source () =
+  let good =
+    {
+      bad_kernel with
+      Kernels.source =
+        (fun ~n:_ ->
+          "void kernel_good(float A[8], int z) { for (int i = 0; i < 8; i++) A[i + z] = 1.0; }");
+    }
+  in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.devices = 1;
+      parallel = false;
+      graphs =
+        [
+          ("good", { good with Kernels.name = "twin" });
+          ("bad", { bad_kernel with Kernels.name = "twin" });
+        ];
+    }
+  in
+  let trace =
+    {
+      Trace.name = "twins";
+      seed = 0;
+      requests = [ spaced_request 0 "good"; spaced_request 1 "bad"; spaced_request 2 "good" ];
+    }
+  in
+  let outcomes =
+    List.map
+      (fun (r : Telemetry.record) ->
+        ( r.Telemetry.request.Trace.id,
+          match r.Telemetry.outcome with
+          | Telemetry.Completed -> "completed"
+          | Telemetry.Failed _ -> "failed"
+          | _ -> "other" ))
+      (Telemetry.records (Scheduler.replay ~config trace).Scheduler.telemetry)
+  in
+  Alcotest.(check (list (pair int string)))
+    "each name runs its own source"
+    [ (0, "completed"); (1, "failed"); (2, "completed") ]
+    (List.sort compare outcomes)
+
 let test_chrome_trace_shape () =
   let trace = smoke_trace () in
   let report = Scheduler.replay ~config:{ Scheduler.default_config with Scheduler.devices = 2 } trace in
@@ -1236,6 +1400,10 @@ let suites =
         Alcotest.test_case "bounded queue backpressure" `Quick test_backpressure_rejects_overload;
         Alcotest.test_case "deadline miss degrades to CPU" `Quick test_deadline_degrades_to_cpu;
         Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
+        Alcotest.test_case "a failed run keeps its device serving" `Quick
+          test_failed_run_keeps_device_serving;
+        Alcotest.test_case "registered kernels keep their own source" `Quick
+          test_registered_kernels_keep_their_source;
       ] );
     ( "serve.fleet",
       [
