@@ -411,8 +411,6 @@ type common = {
   devices : int;
   queue_capacity : int;
   max_batch : int;
-  no_batching : bool;
-  sequential : bool;
   cache_capacity : int;
   seed : int;
 }
@@ -425,8 +423,6 @@ let scheduler_config c =
     platform_config = c.platform_config;
     queue_capacity = c.queue_capacity;
     max_batch = c.max_batch;
-    batching = not c.no_batching;
-    parallel = not c.sequential;
     cache_capacity = c.cache_capacity;
     tuning = c.tuning;
   }
@@ -672,10 +668,9 @@ let run_frontend c ~window_us ~calibrate ~socket ~strict =
 
 (* ---------- main ---------- *)
 
-let run trace_name devices fleet_spec seed queue_capacity max_batch no_batching sequential
-    deadline_us tiles cache_capacity tune_db chrome_trace out baseline no_golden strict load
-    graph requests rate window_us smoke wall_budget_s calibrate dump_traces load_trace
-    listen socket =
+let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us tiles
+    cache_capacity tune_db chrome_trace out baseline no_golden strict load graph requests rate
+    window_us smoke wall_budget_s calibrate dump_traces load_trace listen socket =
   let t0 = Unix.gettimeofday () in
   let fleet =
     match fleet_spec with
@@ -711,8 +706,6 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch no_batching 
       devices;
       queue_capacity;
       max_batch;
-      no_batching;
-      sequential;
       cache_capacity;
       seed;
     }
@@ -792,7 +785,7 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch no_batching 
             Printf.sprintf
               "tdo-serve replay of %s: fleet %s, %d tiles/device, batching %b, queue \
                capacity %d"
-              trace_name (fleet_desc c) tiles (not no_batching) queue_capacity
+              trace_name (fleet_desc c) tiles (max_batch > 1) queue_capacity
         in
         Report.write ~path:out ~extra ~notes ~sections ();
         Printf.printf "report written to %s\n" out;
@@ -860,15 +853,8 @@ let cmd =
   let max_batch_arg =
     Arg.(
       value & opt int 8
-      & info [ "max-batch" ] ~docv:"N" ~doc:"Requests coalesced per dispatch.")
-  in
-  let no_batching_arg =
-    Arg.(value & flag & info [ "no-batching" ] ~doc:"Dispatch one request at a time.")
-  in
-  let sequential_arg =
-    Arg.(
-      value & flag
-      & info [ "sequential" ] ~doc:"Execute dispatch waves on the calling domain only.")
+      & info [ "max-batch" ] ~docv:"N"
+          ~doc:"Requests coalesced per dispatch; 1 dispatches one request at a time.")
   in
   let deadline_arg =
     Arg.(
@@ -1034,7 +1020,7 @@ let cmd =
              front-end driver.")
     Term.(
       const run $ trace_arg $ devices_arg $ fleet_arg $ seed_arg $ queue_arg
-      $ max_batch_arg $ no_batching_arg $ sequential_arg $ deadline_arg $ tiles_arg
+      $ max_batch_arg $ deadline_arg $ tiles_arg
       $ cache_arg $ tune_db_arg $ chrome_arg $ out_arg $ baseline_arg $ no_golden_arg
       $ strict_arg $ load_arg $ graph_arg $ requests_arg $ rate_arg $ window_arg
       $ smoke_arg $ wall_budget_arg $ calibrate_arg $ dump_traces_arg $ load_trace_arg

@@ -20,14 +20,8 @@ type config = {
   options : Flow.options;
   cache_capacity : int;
   queue_capacity : int;
-  batching : bool;
   max_batch : int;
-  parallel : bool;
   dispatch_overhead_ps : int;
-  cpu_ps_per_mac : int;
-  convert_queue_threshold : int;
-  revert_idle_ps : int;
-  wear_bias_ps_per_byte : float;
   ignore_deadlines : bool;
   recovery : recovery;
   device_seed : int;
@@ -48,15 +42,8 @@ let default_config =
     options = Flow.o3_loop_tactics;
     cache_capacity = 64;
     queue_capacity = 256;
-    batching = true;
     max_batch = 8;
-    parallel = true;
     dispatch_overhead_ps = 5 * Time_base.ps_per_us;
-    (* ~3 VFP cycles per MAC at the A7's 1.2 GHz *)
-    cpu_ps_per_mac = 2500;
-    convert_queue_threshold = 2;
-    revert_idle_ps = 200 * Time_base.ps_per_us;
-    wear_bias_ps_per_byte = 0.05;
     ignore_deadlines = false;
     recovery = default_recovery;
     device_seed = 0;
@@ -69,6 +56,17 @@ let default_config =
     graph_residency = true;
   }
 
+(* Dual-mode policy: a memory-mode dual tile becomes eligible for
+   placement once more than [draft_queue_depth] items are queued, and a
+   drafted tile that has idled [revert_idle_ps] with nothing queued
+   hands its capacity back to the memory role. *)
+let draft_queue_depth = 2
+let revert_idle_ps = 200 * Time_base.ps_per_us
+
+(* placement penalty per byte already written, charged only to classes
+   that wear *)
+let wear_bias_ps_per_byte = 0.05
+
 let golden_config ?(profile = Backend.pcm) c =
   {
     c with
@@ -77,8 +75,7 @@ let golden_config ?(profile = Backend.pcm) c =
        class under test: a dual profile is pinned to its compute role so
        conversion policy cannot perturb the reference *)
     fleet = Some [ { profile with Backend.dual_mode = false } ];
-    batching = false;
-    parallel = false;
+    max_batch = 1;
     queue_capacity = 0;
     ignore_deadlines = true;
     (* the oracle device is pristine: no injected faults *)
@@ -522,7 +519,7 @@ let create ?(config = default_config) () =
           (readback (), bench.Kernels.macs ~n:r.Trace.n)
         with
         | mats, macs ->
-            let service_ps = config.cpu_ps_per_mac * macs in
+            let service_ps = Backend.host.Backend.cpu_ps_per_mac * macs in
             record
               {
                 Telemetry.request = r;
@@ -579,7 +576,7 @@ let create ?(config = default_config) () =
     | Some n ->
         let item = n.Dll.value in
         Dll.remove queue n;
-        if item.attempts > 0 || (not config.batching) || config.max_batch <= 1 then
+        if item.attempts > 0 || config.max_batch <= 1 then
           (* retried work is dispatched alone: its timing must not be
              entangled with fresh requests *)
           Some [ item ]
@@ -630,7 +627,7 @@ let create ?(config = default_config) () =
       devices
   in
   let dual_draft_allowed () =
-    Dll.length queue > config.convert_queue_threshold || not (compute_role_exists ())
+    Dll.length queue > draft_queue_depth || not (compute_role_exists ())
   in
 
   (* Cost-based placement: predicted service time of one request of
@@ -741,16 +738,26 @@ let create ?(config = default_config) () =
         Hashtbl.add est_memo key v;
         v
   in
-  (* Lower is better: predicted service, plus the conversion charge if
-     the device must first be drafted out of its memory role, plus a
-     small write-pressure bias on classes that wear (endurance has a
-     price; classes that do not wear never pay it). Ties break to the
-     least-written, lowest-id device — the pre-fleet behaviour. A
-     device whose pinned weights are resident for this (model, tenant)
-     quotes the resident estimate instead: repeat graph traffic sticks
-     to the device already holding its weights — which the wear bias
-     would otherwise actively steer away from, re-programming a fresh
-     tile every few requests. *)
+  (* Graph-residency rules: a graph kernel served with [graph_residency]
+     on latches its (entry, tenant) key on the device that runs it. *)
+  let graph_scoped (bench : Kernels.benchmark) =
+    config.graph_residency && is_graph_kernel bench.Kernels.name
+  in
+  (* Placement's view of request [r] on device [d]:
+     [(cold_ps, resident_ps, entry_key, holds)], the estimates and cache
+     key of [d]'s class, and the one residency question placement asks
+     — does [d] hold the (entry, tenant) key [r] latches there, under
+     the graph-residency rules? *)
+  let quote (r : Trace.request) bench d =
+    let cold, warm, entry_key =
+      estimate ~cls:(Device.profile d).Backend.cls ~kernel:r.Trace.kernel bench ~n:r.Trace.n
+    in
+    let holds =
+      graph_scoped bench && entry_key <> ""
+      && Device.resident d = Some (residency_key ~entry_key ~tenant:r.Trace.tenant)
+    in
+    (cold, warm, entry_key, holds)
+  in
   (* Rendezvous weight of a device for a residency key, in [0, 1):
      FNV-1a over the key and device id. Each key gets its own
      deterministic preference order over the fleet, so when a model's
@@ -768,22 +775,21 @@ let create ?(config = default_config) () =
     feed (string_of_int (Device.id dev));
     float_of_int (!h land 0xFFFFF) /. 1048576.0
   in
-
-  let score dev ~kernel (bench : Kernels.benchmark) ~n ~tenant =
+  (* Lower is better: predicted service — the resident estimate on a
+     device that holds the request's key — plus the conversion charge
+     if the device must first be drafted out of its memory role, plus a
+     small write-pressure bias on classes that wear. Ties break to the
+     least-written, lowest-id device — the pre-fleet behaviour. *)
+  let score r bench dev =
     let profile = Device.profile dev in
-    let cold, resident_est, entry_key = estimate ~cls:profile.Backend.cls ~kernel bench ~n in
+    let cold, warm, entry_key, holds = quote r bench dev in
     let est =
-      if config.graph_residency && is_graph_kernel bench.Kernels.name && entry_key <> ""
-      then begin
-        let key = residency_key ~entry_key ~tenant in
-        if Device.resident dev = Some key then resident_est
-        else
-          (* a cold graph placement pays up to one extra programming
-             cost, scaled by the rendezvous weight: the key's
-             first-choice device is penalty-free, its last choice pays
-             the most — a sticky but still cost-aware partition *)
-          cold +. (affinity key dev *. Float.max 0.0 (cold -. resident_est))
-      end
+      if holds then warm
+      else if graph_scoped bench && entry_key <> "" then
+        (* a cold graph placement pays up to one extra programming
+           cost, scaled by the rendezvous weight *)
+        let key = residency_key ~entry_key ~tenant:r.Trace.tenant in
+        cold +. (affinity key dev *. Float.max 0.0 (cold -. warm))
       else cold
     in
     let conversion =
@@ -793,7 +799,7 @@ let create ?(config = default_config) () =
     in
     let wear_bias =
       if profile.Backend.wears then
-        float_of_int (Device.write_pressure dev) *. config.wear_bias_ps_per_byte
+        float_of_int (Device.write_pressure dev) *. wear_bias_ps_per_byte
       else 0.0
     in
     (est +. conversion +. wear_bias, Device.write_pressure dev, Device.id dev)
@@ -837,7 +843,7 @@ let create ?(config = default_config) () =
             (Device.profile d).Backend.dual_mode
             && Device.mode d = Backend.Compute_mode
             && (not (Device.is_quarantined d))
-            && Device.available_ps d + config.revert_idle_ps <= !now
+            && Device.available_ps d + revert_idle_ps <= !now
           then begin
             let displaced = Device.convert ~at_ps:!now d ~to_compute:false in
             Telemetry.record_conversion ~displaced_bytes:displaced telemetry ~at_ps:!now
@@ -868,63 +874,47 @@ let create ?(config = default_config) () =
          scan entirely instead of walking the whole backlog to learn
          nothing (the oracle's unbounded queue makes that walk hurt) *)
       if !free <> [] then begin
+        let draft = dual_draft_allowed () in
         let eligible item =
           List.filter
             (fun d ->
               (not (List.mem (Device.id d) item.tried))
-              && (Device.mode d = Backend.Compute_mode || dual_draft_allowed ()))
+              && (draft || Device.mode d = Backend.Compute_mode))
             !free
         in
-        (* Does [d] already hold this item's model+tenant (under [d]'s
-           own class-specific cache key)? *)
-        let resident_for item d =
-          match find_bench item.req.Trace.kernel with
-          | Error _ -> false
-          | Ok bench ->
-              let _, _, entry_key =
-                estimate ~cls:(Device.profile d).Backend.cls ~kernel:item.req.Trace.kernel bench
-                  ~n:item.req.Trace.n
+        (* [allowed item d]: may [d] take [item] now? A graph item whose
+           model is resident on a busy device prefers waiting for that
+           device over paying a cold programming pass on a free one —
+           but only while the wait it has already absorbed is under
+           twice the programming it would save (the request breaks even
+           at 1x; staying put also spares whichever model the free
+           device would have evicted its own cold pass later). Bounded,
+           so a backlogged resident device cannot starve the item.
+           Waiting only ever shrinks the choice to the devices that hold
+           the item's key; decided once per item. *)
+        let allowed item =
+          let r = item.req in
+          match find_bench r.Trace.kernel with
+          | Ok bench when graph_scoped bench ->
+              let waits =
+                Array.exists
+                  (fun d ->
+                    (not (Device.is_quarantined d))
+                    && Device.available_ps d > !now
+                    && (not (List.mem (Device.id d) item.tried))
+                    &&
+                    let cold, warm, _, holds = quote r bench d in
+                    holds && float_of_int (!now - r.Trace.arrival_ps) < 2.0 *. (cold -. warm))
+                  devices
               in
-              entry_key <> ""
-              && Device.resident d
-                 = Some (residency_key ~entry_key ~tenant:item.req.Trace.tenant)
+              if waits then fun d ->
+                let _, _, _, holds = quote r bench d in
+                holds
+              else fun _ -> true
+          | Ok _ | Error _ -> fun _ -> true
         in
-        (* A graph item whose model is resident on a busy device prefers
-           waiting for that device over paying a cold programming pass on
-           a free one — but only while the wait it has already absorbed
-           is smaller than the programming it would save. Bounded, so a
-           backlogged resident device cannot starve the item forever. *)
-        let worth_waiting item =
-          config.graph_residency
-          && is_graph_kernel item.req.Trace.kernel
-          && Array.exists
-               (fun d ->
-                 (not (Device.is_quarantined d))
-                 && Device.available_ps d > !now
-                 && (not (List.mem (Device.id d) item.tried))
-                 && resident_for item d
-                 &&
-                 match find_bench item.req.Trace.kernel with
-                 | Error _ -> false
-                 | Ok bench ->
-                     let cold, resident_est, _ =
-                       estimate ~cls:(Device.profile d).Backend.cls
-                         ~kernel:item.req.Trace.kernel bench ~n:item.req.Trace.n
-                     in
-                     (* wait up to twice the programming it saves: the
-                        request breaks even at 1x, and staying put also
-                        spares whichever model this device would have
-                        evicted its own cold pass later *)
-                     float_of_int (!now - item.req.Trace.arrival_ps)
-                     < 2.0 *. (cold -. resident_est))
-               devices
-        in
-        (* May this device take this item right now? Deferring items
-           only ever shrinks the choice to the devices that hold their
-           model; everything else is unrestricted. *)
-        let allowed item d = (not (worth_waiting item)) || resident_for item d in
         let placeable item =
-          List.exists (allowed item) (eligible item)
+          match eligible item with [] -> false | devs -> List.exists (allowed item) devs
         in
         match Dll.find_node queue placeable with
         | None -> ()
@@ -942,10 +932,7 @@ let create ?(config = default_config) () =
               let best =
                 List.fold_left
                   (fun acc d ->
-                    let s =
-                      score d ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n
-                        ~tenant:r0.Trace.tenant
-                    in
+                    let s = score r0 bench d in
                     match acc with
                     | Some (_, s') when s' <= s -> acc
                     | _ -> Some (d, s))
@@ -979,10 +966,7 @@ let create ?(config = default_config) () =
                         else 0
                       in
                       let residency =
-                        if
-                          config.graph_residency
-                          && is_graph_kernel bench.Kernels.name
-                          && Device.device_class dev <> Backend.Host_blas
+                        if graph_scoped bench && Device.device_class dev <> Backend.Host_blas
                         then
                           Some
                             (residency_key ~entry_key:entry.Kernel_cache.key
@@ -1013,11 +997,7 @@ let create ?(config = default_config) () =
     match List.rev !prepared with
     | [] -> false
     | waves ->
-        let results =
-          if config.parallel && List.length waves > 1 then
-            Pool.parallel_map execute_batch waves
-          else List.map execute_batch waves
-        in
+        let results = Pool.parallel_map execute_batch waves in
         let requeue =
           List.fold_left2
             (fun acc (b : batch) rs ->

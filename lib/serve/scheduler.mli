@@ -80,18 +80,8 @@ type config = {
   options : Flow.options;  (** compile options for the kernel cache *)
   cache_capacity : int;
   queue_capacity : int;  (** submission-queue bound; [<= 0] = unbounded *)
-  batching : bool;
-  max_batch : int;  (** requests coalesced per dispatch; >= 1 *)
-  parallel : bool;  (** execute dispatch waves on the domain pool *)
+  max_batch : int;  (** requests coalesced per dispatch; >= 1, and 1 = no coalescing *)
   dispatch_overhead_ps : int;  (** per-batch launch cost (driver + syscall path) *)
-  cpu_ps_per_mac : int;  (** latency model of the interpreter fallback *)
-  convert_queue_threshold : int;
-      (** queue depth beyond which memory-mode dual tiles are drafted *)
-  revert_idle_ps : int;
-      (** idle hysteresis before a drafted dual tile reverts to memory *)
-  wear_bias_ps_per_byte : float;
-      (** placement penalty per byte already written, charged only to
-          classes that wear *)
   ignore_deadlines : bool;  (** golden mode: never degrade *)
   recovery : recovery;
   device_seed : int;  (** device [i] gets PRNG seed [device_seed + i] *)
@@ -144,17 +134,16 @@ type config = {
 
 val default_config : config
 (** 4 analog-crossbar devices, default platform, 64-entry cache,
-    256-deep queue, batching up to 8, parallel waves, 5 us launch
-    overhead, 2.5 ns per MAC fallback rate, draft duals beyond queue
-    depth 2, 200 us revert hysteresis, {!default_recovery}, no fault
-    hook, no tuning database, no admission policy, no online
-    calibration, no live observer. *)
+    256-deep queue, batching up to 8, 5 us launch overhead,
+    {!default_recovery}, no fault hook, no tuning database, no
+    admission policy, no online calibration, no live observer. *)
 
 val golden_config : ?profile:Backend.profile -> config -> config
 (** The sequential oracle for a given serving configuration: one
     device of [profile]'s class (default {!Backend.pcm}; dual-mode is
-    pinned off so the oracle always computes), no batching, no
-    parallelism, unbounded queue, deadlines ignored, {e no
+    pinned off so the oracle always computes), [max_batch = 1] (so one
+    batch per wave, run on the calling domain), unbounded queue,
+    deadlines ignored, {e no
     fault-injection hook}, no admission policy, no online calibration,
     no live observer — same compile options and platform. Run one
     golden per compute class in a mixed fleet: {!divergence} only

@@ -291,7 +291,6 @@ let scheduler_config ~residency =
     graphs = graph_benches;
     graph_residency = residency;
     devices = 2;
-    parallel = false;
   }
 
 let completed_write_bytes report =

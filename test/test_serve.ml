@@ -465,9 +465,7 @@ let test_backpressure_rejects_overload () =
       Scheduler.default_config with
       Scheduler.devices = 1;
       queue_capacity = 2;
-      batching = false;
       max_batch = 1;
-      parallel = false;
     }
   in
   let report = Scheduler.replay ~config trace in
@@ -491,9 +489,7 @@ let test_deadline_degrades_to_cpu () =
     {
       Scheduler.default_config with
       Scheduler.devices = 1;
-      batching = false;
       max_batch = 1;
-      parallel = false;
     }
   in
   let report = Scheduler.replay ~config trace in
@@ -582,7 +578,6 @@ let test_failed_run_keeps_device_serving () =
       {
         Scheduler.default_config with
         Scheduler.devices = 1;
-        parallel = false;
         graphs = [ ("bad", bad_kernel); ("late", late_failing_kernel) ];
         on_device_create = Some (fun d -> device := Some d);
       }
@@ -646,7 +641,6 @@ let test_registered_kernels_keep_their_source () =
     {
       Scheduler.default_config with
       Scheduler.devices = 1;
-      parallel = false;
       graphs =
         [
           ("good", { good with Kernels.name = "twin" });
@@ -788,9 +782,7 @@ let test_dual_mode_draft_and_revert () =
     {
       Scheduler.default_config with
       Scheduler.fleet = Some (fleet_of "pcm:1,dual:1");
-      batching = false;
       max_batch = 1;
-      parallel = false;
     }
   in
   let report = Scheduler.replay ~config trace in
@@ -905,7 +897,12 @@ let qcheck_fleet_parallel_matches_sequential =
         }
       in
       let par = Scheduler.replay ~config trace in
-      let seq = Scheduler.replay ~config:{ config with Scheduler.parallel = false } trace in
+      let seq =
+        Pool.set_sequential (Some true);
+        Fun.protect
+          ~finally:(fun () -> Pool.set_sequential None)
+          (fun () -> Scheduler.replay ~config trace)
+      in
       Telemetry.records par.Scheduler.telemetry = Telemetry.records seq.Scheduler.telemetry
       && Telemetry.conversions par.Scheduler.telemetry
          = Telemetry.conversions seq.Scheduler.telemetry)
@@ -988,9 +985,7 @@ let test_replay_sheds_by_slo_class () =
       Scheduler.default_config with
       Scheduler.devices = 1;
       queue_capacity = 10;
-      batching = false;
       max_batch = 1;
-      parallel = false;
       admission = Some Admission.default_policy;
     }
   in
@@ -1297,7 +1292,6 @@ let test_frontend_session_replays () =
     {
       Scheduler.default_config with
       Scheduler.fleet = Some [ Backend.pcm; Backend.digital; Backend.dual ];
-      batching = true;
       queue_capacity = 16;
       admission = Some Admission.default_policy;
       calibrate_after = Some 4;
