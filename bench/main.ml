@@ -4,10 +4,8 @@
      dune exec bench/main.exe              (benchmarks + all tables)
      dune exec bench/main.exe -- tables    (tables only)
      dune exec bench/main.exe -- bench     (benchmarks only)
-     dune exec bench/main.exe -- json [P]  (micro-benchmarks + timed Fig. 6
-                                            section as JSON, default
-                                            BENCH_sim.json)
-     dune exec bench/main.exe -- smoke     (fast JSON smoke for `dune runtest`) *)
+
+   BENCH_sim.json has one writer, `experiments bench-json`. *)
 
 open Bechamel
 open Toolkit
@@ -184,54 +182,14 @@ let print_tables () =
   print_newline ();
   Experiments.print_fig6 ~dataset:Tdo_polybench.Dataset.Medium ()
 
-(* ---------- JSON report (BENCH_sim.json) ---------- *)
-
-module Pool = Tdo_util.Pool
-module Report = Tdo_util.Bench_report
-
-(* one timed section: the Pool fan-out, then the same work forced
-   sequential for the speedup figure *)
-let timed_section name f =
-  Pool.set_sequential (Some false);
-  let _, m = Report.timed f in
-  Pool.set_sequential (Some true);
-  let _, (ms : Report.measure) = Report.timed f in
-  Pool.set_sequential None;
-  Report.of_measure ~name ~seq_wall_s:ms.Report.elapsed_s m
-
-let fig6_section dataset =
-  timed_section
-    (Printf.sprintf "fig6-%s" (Tdo_polybench.Dataset.to_string dataset))
-    (fun () -> ignore (Experiments.fig6 ~dataset ()))
-
-let write_json ?micro ~dataset path =
-  Report.write ~path ?micro ~sections:[ fig6_section dataset ] ();
-  Printf.printf "wrote %s\n" path
-
-let smoke () =
-  (* exercised by `dune runtest`: the smallest dataset, no Bechamel
-     warm-up, and a sanity check that the report landed on disk *)
-  let path = "BENCH_smoke.json" in
-  write_json ~dataset:Tdo_polybench.Dataset.Mini path;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let head = really_input_string ic (min len 1) in
-  close_in ic;
-  if len = 0 || head <> "{" then failwith "bench smoke: malformed JSON report";
-  Printf.printf "bench smoke ok (%d bytes)\n" len
-
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match mode with
   | "bench" -> run_benchmarks ()
   | "tables" -> print_tables ()
-  | "json" ->
-      let path = if Array.length Sys.argv > 2 then Sys.argv.(2) else "BENCH_sim.json" in
-      write_json ~micro:(bench_rows ()) ~dataset:Tdo_polybench.Dataset.Small path
-  | "smoke" -> smoke ()
   | "all" ->
       run_benchmarks ();
       print_tables ()
   | other ->
-      Printf.eprintf "unknown mode %S (bench|tables|all|json|smoke)\n" other;
+      Printf.eprintf "unknown mode %S (bench|tables|all)\n" other;
       exit 1

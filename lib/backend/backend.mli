@@ -57,8 +57,8 @@ type profile = {
   conversion_latency_ps : int;  (** dual-mode role switch cost *)
   energy : Tdo_energy.Table1.t;  (** per-class pricing of served work *)
   wears : bool;
-      (** endurance/write-pressure terms apply to placement on this
-          profile ({!Pcm_crossbar} only) *)
+      (** cells wear: the device reports an Eq. 1 budget and a
+          lifetime ({!Pcm_crossbar} only) *)
   cell_endurance : float;  (** Eq. 1 parameter; infinite-ish when [not wears] *)
   memory_bw_bytes_per_us : float;
       (** memory-role bandwidth a dual-mode tile gives up per

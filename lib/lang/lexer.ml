@@ -118,7 +118,14 @@ let tokenize src =
           (text, true)
       | Some _ | None -> (text, is_float)
     in
-    if is_float then emit (FLOAT (float_of_string text)) else emit (INT (int_of_string text))
+    if is_float then
+      match float_of_string_opt text with
+      | Some f -> emit (FLOAT f)
+      | None -> fail (Printf.sprintf "malformed float literal %S" text)
+    else
+      match int_of_string_opt text with
+      | Some v -> emit (INT v)
+      | None -> fail "integer literal out of range"
   in
   let lex_ident () =
     let start = !pos in

@@ -33,6 +33,8 @@ exception Lex_error of { line : int; message : string }
 val tokenize : string -> (token * int) list
 (** Token stream with 1-based line numbers; the last element is
     [(EOF, line)]. Supports [//] and [/* */] comments. Raises
-    {!Lex_error} on an unexpected character or unterminated comment. *)
+    {!Lex_error} on an unexpected character, an unterminated comment,
+    a malformed float literal or an integer literal outside OCaml's
+    [int] range. *)
 
 val token_to_string : token -> string

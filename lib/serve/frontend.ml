@@ -31,6 +31,9 @@ let json_request j =
   let* id = json_int ~default:0 j "id" in
   let* seed = json_int ~default:0 j "seed" in
   let* tenant = json_int ~default:0 j "tenant" in
+  let* () =
+    if tenant < 0 then Error (Printf.sprintf "field tenant: %d is negative" tenant) else Ok ()
+  in
   let* deadline_ps =
     match Json.member "deadline_us" j with
     | None -> Ok None

@@ -63,10 +63,6 @@ let default_config =
 let draft_queue_depth = 2
 let revert_idle_ps = 200 * Time_base.ps_per_us
 
-(* placement penalty per byte already written, charged only to classes
-   that wear *)
-let wear_bias_ps_per_byte = 0.05
-
 let golden_config ?(profile = Backend.pcm) c =
   {
     c with
@@ -744,10 +740,10 @@ let create ?(config = default_config) () =
     config.graph_residency && is_graph_kernel bench.Kernels.name
   in
   (* Placement's view of request [r] on device [d]:
-     [(cold_ps, resident_ps, entry_key, holds)], the estimates and cache
-     key of [d]'s class, and the one residency question placement asks
-     — does [d] hold the (entry, tenant) key [r] latches there, under
-     the graph-residency rules? *)
+     [(cold_ps, resident_ps, holds)], the estimates of [d]'s class and
+     the one residency question placement asks — does [d] hold the
+     (entry, tenant) key [r] latches there, under the graph-residency
+     rules? *)
   let quote (r : Trace.request) bench d =
     let cold, warm, entry_key =
       estimate ~cls:(Device.profile d).Backend.cls ~kernel:r.Trace.kernel bench ~n:r.Trace.n
@@ -756,53 +752,20 @@ let create ?(config = default_config) () =
       graph_scoped bench && entry_key <> ""
       && Device.resident d = Some (residency_key ~entry_key ~tenant:r.Trace.tenant)
     in
-    (cold, warm, entry_key, holds)
+    (cold, warm, holds)
   in
-  (* Rendezvous weight of a device for a residency key, in [0, 1):
-     FNV-1a over the key and device id. Each key gets its own
-     deterministic preference order over the fleet, so when a model's
-     resident devices are busy its overflow lands on the same
-     secondary devices run after run instead of evicting whichever
-     device another model just programmed. *)
-  let affinity key dev =
-    let h = ref 0x811c9dc5 in
-    let feed s =
-      String.iter
-        (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0x3FFFFFFF)
-        s
-    in
-    feed key;
-    feed (string_of_int (Device.id dev));
-    float_of_int (!h land 0xFFFFF) /. 1048576.0
-  in
-  (* Lower is better: predicted service — the resident estimate on a
-     device that holds the request's key — plus the conversion charge
-     if the device must first be drafted out of its memory role, plus a
-     small write-pressure bias on classes that wear. Ties break to the
-     least-written, lowest-id device — the pre-fleet behaviour. *)
+  (* Lower is better: the class estimate — the resident one on a device
+     that holds the request's key — plus the conversion charge if the
+     device must first be drafted out of its memory role. Ties break to
+     the least-written device, then the lowest id. *)
   let score r bench dev =
-    let profile = Device.profile dev in
-    let cold, warm, entry_key, holds = quote r bench dev in
-    let est =
-      if holds then warm
-      else if graph_scoped bench && entry_key <> "" then
-        (* a cold graph placement pays up to one extra programming
-           cost, scaled by the rendezvous weight *)
-        let key = residency_key ~entry_key ~tenant:r.Trace.tenant in
-        cold +. (affinity key dev *. Float.max 0.0 (cold -. warm))
-      else cold
-    in
+    let cold, warm, holds = quote r bench dev in
     let conversion =
       if Device.mode dev = Backend.Memory_mode then
-        float_of_int profile.Backend.conversion_latency_ps
+        float_of_int (Device.profile dev).Backend.conversion_latency_ps
       else 0.0
     in
-    let wear_bias =
-      if profile.Backend.wears then
-        float_of_int (Device.write_pressure dev) *. wear_bias_ps_per_byte
-      else 0.0
-    in
-    (est +. conversion +. wear_bias, Device.write_pressure dev, Device.id dev)
+    ((if holds then warm else cold) +. conversion, Device.write_pressure dev, Device.id dev)
   in
 
   (* Recovery policy for one corrupt attempt (runs on the scheduler,
@@ -903,17 +866,19 @@ let create ?(config = default_config) () =
                     && Device.available_ps d > !now
                     && (not (List.mem (Device.id d) item.tried))
                     &&
-                    let cold, warm, _, holds = quote r bench d in
+                    let cold, warm, holds = quote r bench d in
                     holds && float_of_int (!now - r.Trace.arrival_ps) < 2.0 *. (cold -. warm))
                   devices
               in
               if waits then fun d ->
-                let _, _, _, holds = quote r bench d in
+                let _, _, holds = quote r bench d in
                 holds
               else fun _ -> true
           | Ok _ | Error _ -> fun _ -> true
         in
         let placeable item =
+          (* [allowed] may compile estimates: ask it only when some
+             device is eligible at all *)
           match eligible item with [] -> false | devs -> List.exists (allowed item) devs
         in
         match Dll.find_node queue placeable with

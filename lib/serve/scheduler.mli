@@ -15,26 +15,26 @@
     coefficient sets ({!Tdo_tune.Cost_model.uncalibrated_for}) applied
     to the offload plan of the entry that class would actually run, so
     an analog crossbar, a digital SRAM tile and the host BLAS path each
-    quote their own price; devices of classes that wear additionally
-    pay a write-pressure bias ([wear_bias_ps_per_byte]), which is what
-    spreads write traffic across the analog pool while leaving
-    wear-free classes unpenalised. Ties break to the least-written,
-    lowest-id device.
+    quote their own price. A device that already holds a graph
+    request's pinned weights quotes the resident estimate instead (see
+    [graph_residency]). Ties break to the least-written device, then
+    the lowest id, which is what spreads writes across identical
+    analog devices.
 
     {b Dual-mode tiles.} A fleet profile with
     {!Tdo_backend.Backend.profile.dual_mode} set serves as plain memory
-    until the scheduler drafts it: when the queue is deeper than
-    [convert_queue_threshold] (or the fleet has no always-compute
-    device left), a memory-mode tile becomes eligible for placement,
-    its conversion latency is added to its placement score and charged
-    to the batch's start time, and the flip is counted in telemetry.
-    Once the queue drains and the tile has idled for [revert_idle_ps],
-    it reverts to the memory role (also counted).
+    until the scheduler drafts it: when more than two items are queued
+    (or the fleet has no always-compute device left), a memory-mode
+    tile becomes eligible for placement, its conversion latency is
+    added to its placement score and charged to the batch's start
+    time, and the flip is counted in telemetry. Once the queue drains
+    and the tile has idled for 200 us, it reverts to the memory role
+    (also counted).
 
     A request whose deadline has already passed when it reaches the
     head of the queue is not sent to a device at all: it degrades to
-    the host reference interpreter (functionally exact, charged with a
-    calibrated MAC-rate latency model).
+    the host reference interpreter (functionally exact, charged at the
+    host profile's MAC rate, {!Tdo_backend.Backend.host}).
 
     {b Recovery.} When a device's ABFT guard detects a corrupted
     offload (see {!Tdo_cimacc.Micro_engine} and {!Tdo_linalg.Abft}),
@@ -143,11 +143,10 @@ val golden_config : ?profile:Backend.profile -> config -> config
     device of [profile]'s class (default {!Backend.pcm}; dual-mode is
     pinned off so the oracle always computes), [max_batch = 1] (so one
     batch per wave, run on the calling domain), unbounded queue,
-    deadlines ignored, {e no
-    fault-injection hook}, no admission policy, no online calibration,
-    no live observer — same compile options and platform. Run one
-    golden per compute class in a mixed fleet: {!divergence} only
-    compares records of the same class. *)
+    deadlines ignored, {e no fault-injection hook}, no admission
+    policy, no online calibration, no live observer — same compile
+    options and platform. Run one golden per compute class in a mixed
+    fleet: {!divergence} only compares records of the same class. *)
 
 type device_report = {
   dev_id : int;

@@ -159,6 +159,7 @@ let request_of_line line =
           let ( let* ) = Result.bind in
           let* id = int_field ~default:0 "id" in
           let* tenant = int_field ~default:0 "tenant" in
+          let* () = if tenant < 0 then fail "field tenant: %d is negative" tenant else Ok () in
           let* n = int_field "n" in
           let* () =
             if n < 1 || n > max_n then fail "field n: %d outside 1..%d" n max_n else Ok ()

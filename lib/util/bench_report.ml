@@ -58,7 +58,7 @@ let field b ~last name value =
   Buffer.add_string b (Printf.sprintf "    \"%s\": %s%s\n" (escape name) value
                          (if last then "" else ","))
 
-let write ~path ?(micro = []) ?(extra = []) ?notes ~sections () =
+let write ~path ?(extra = []) ?notes ~sections () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"tdo-cim-bench/1\",\n";
@@ -91,19 +91,7 @@ let write ~path ?(micro = []) ?(extra = []) ?notes ~sections () =
       field b ~last:true "domains" (string_of_int s.domains);
       Buffer.add_string b "  }")
     sections;
-  Buffer.add_string b "\n  ]";
-  if micro <> [] then begin
-    Buffer.add_string b ",\n  \"microbenchmarks\": [";
-    List.iteri
-      (fun i (name, ns) ->
-        Buffer.add_string b (if i = 0 then "\n" else ",\n");
-        Buffer.add_string b
-          (Printf.sprintf "  { \"name\": \"%s\", \"ns_per_run\": %s }" (escape name)
-             (number ns)))
-      micro;
-    Buffer.add_string b "\n  ]"
-  end;
-  Buffer.add_string b "\n}\n";
+  Buffer.add_string b "\n  ]\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc

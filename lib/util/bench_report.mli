@@ -38,14 +38,12 @@ val speedup_vs_sequential : section -> float option
 
 val write :
   path:string ->
-  ?micro:(string * float) list ->
   ?extra:(string * float) list ->
   ?notes:string ->
   sections:section list ->
   unit ->
   unit
-(** Write the report. [micro] holds micro-benchmark estimates as
-    [(name, ns per run)]; [extra] holds free-form numeric facts (e.g. a
+(** Write the report. [extra] holds free-form numeric facts (e.g. a
     recorded baseline). Always records the domain count ({!Pool.size})
     and whether the pool was forced sequential. *)
 

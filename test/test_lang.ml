@@ -43,7 +43,18 @@ let test_lexer_error () =
     (try
        ignore (Lexer.tokenize "a ? b");
        false
-     with Lexer.Lex_error { line = 1; _ } -> true)
+     with Lexer.Lex_error { line = 1; _ } -> true);
+  let message src =
+    match Lexer.tokenize src with
+    | _ -> Alcotest.failf "%S lexed" src
+    | exception Lexer.Lex_error { message; _ } -> message
+  in
+  Alcotest.(check string) "oversized integer" "integer literal out of range"
+    (message "void f(float A[999999999999999999999]) {}");
+  Alcotest.(check string) "exponent without digits" "malformed float literal \"1e\""
+    (message "x = 1e;");
+  Alcotest.(check bool) "max_int still lexes" true
+    (List.mem (Lexer.INT max_int) (List.map fst (Lexer.tokenize (string_of_int max_int))))
 
 (* ---------- parser ---------- *)
 

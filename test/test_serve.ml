@@ -829,6 +829,47 @@ let test_dual_mode_draft_and_revert () =
   Alcotest.(check int) "no divergence with conversions in play" 0
     (Scheduler.divergence report golden)
 
+(* Identical analog crossbars quote identical estimates, so the
+   least-written tie-break is what spreads their writes: with requests
+   spaced so both devices are free at every dispatch, placement must
+   alternate and neither device may pull ahead of the other by more
+   than one request's crossbar writes. *)
+let test_tie_break_spreads_writes () =
+  let count = 8 in
+  let trace = burst_trace ~count ~gap_ps:(1_000 * Tdo_sim.Time_base.ps_per_us) () in
+  let devices = ref [] in
+  let spread = ref 0 in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.fleet = Some (fleet_of "pcm:2");
+      on_device_create = Some (fun d -> devices := !devices @ [ d ]);
+      on_record =
+        Some
+          (fun _ ->
+            match !devices with
+            | [ a; b ] ->
+                spread :=
+                  max !spread (abs (Device.write_pressure a - Device.write_pressure b))
+            | _ -> Alcotest.fail "expected two devices");
+    }
+  in
+  let report = Scheduler.replay ~config trace in
+  Alcotest.(check int) "every request completed" count (Scheduler.completed report);
+  let records =
+    List.sort
+      (fun a b -> compare a.Telemetry.request.Trace.id b.Telemetry.request.Trace.id)
+      (Telemetry.records report.Scheduler.telemetry)
+  in
+  Alcotest.(check (list (option int))) "placement alternates, lowest id first"
+    (List.init count (fun i -> Some (i mod 2)))
+    (List.map (fun r -> r.Telemetry.device) records);
+  let bytes = (List.hd records).Telemetry.write_bytes in
+  Alcotest.(check bool) "each request programs the crossbar" true
+    (bytes > 0 && List.for_all (fun r -> r.Telemetry.write_bytes = bytes) records);
+  Alcotest.(check bool) "write pressure stays within one request's bytes" true
+    (!spread <= bytes)
+
 (* ---------- qcheck: batched multi-device == sequential single-device ---------- *)
 
 let trace_gen =
@@ -1104,6 +1145,7 @@ let test_line_codec_rejects () =
   rejects "req kernel=gemm n=0" "outside 1..128";
   rejects "req kernel=gemm n=100000" "outside 1..128";
   rejects "req kernel=gemm n=99999999999999999999999" "not an integer";
+  rejects "req id=1 tenant=-5 kernel=gemm n=8" "field tenant: -5 is negative";
   Alcotest.(check bool) "n = max_n accepted" true
     (Result.is_ok (Trace.request_of_line (Printf.sprintf "req kernel=gemm n=%d" Trace.max_n)))
 
@@ -1185,6 +1227,8 @@ let test_frontend_pipe_roundtrip () =
       {|{"id": 9.5, "kernel": "gemm", "n": 8}|};
       {|{"id": 10, "kernel": "gemm", "n": 8, "tenant": -1e300}|};
       "req id=11 kernel=gemm n=8 deadline_us=5";
+      "req id=12 tenant=-5 kernel=gemm n=8";
+      {|{"id": 13, "kernel": "gemm", "n": 8, "tenant": -5}|};
       "stats";
       "quit";
     ]
@@ -1205,7 +1249,7 @@ let test_frontend_pipe_roundtrip () =
   Alcotest.(check bool) "expired deadline answered by the host" true
     (contains " class=host " (line_for 4));
   Alcotest.(check bool) "host answer carries no device" false (contains "device=" (line_for 4));
-  Alcotest.(check int) "bogus line, bad sizes, bad integers and unknown key errored" 8
+  Alcotest.(check int) "bogus line, bad sizes, bad integers, unknown key and negative tenants errored" 10
     (List.length (List.filter (starts_with "err id=0 ") lines));
   Alcotest.(check bool) "stats line answered" true
     (List.exists (starts_with "stats requests=") lines);
@@ -1405,6 +1449,8 @@ let suites =
           test_mixed_fleet_places_on_every_class;
         Alcotest.test_case "dual-mode draft and revert lifecycle" `Quick
           test_dual_mode_draft_and_revert;
+        Alcotest.test_case "least-written tie-break alternates crossbars" `Quick
+          test_tie_break_spreads_writes;
       ] );
     ( "serve.determinism",
       [
