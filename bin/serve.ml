@@ -672,6 +672,17 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us 
     cache_capacity tune_db chrome_trace out baseline no_golden strict load graph requests rate
     window_us smoke wall_budget_s calibrate dump_traces load_trace listen socket =
   let t0 = Unix.gettimeofday () in
+  (* an output path in a missing directory fails now, not after the
+     replay it was meant to record *)
+  List.iter
+    (fun (flag, path) ->
+      let dir = Filename.dirname path in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "tdo-serve: %s %s: no such directory %s\n" flag path dir;
+        exit 1
+      end)
+    (("--out", out)
+    :: List.map (fun path -> ("--chrome-trace", path)) (Option.to_list chrome_trace));
   let fleet =
     match fleet_spec with
     | None -> None
@@ -816,6 +827,17 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us 
         else 0
   end
 
+(* [conv] restricted to values above [zero]; anything else is a usage
+   error. *)
+let positive conv ~zero =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser conv s with
+        | Ok v when compare v zero > 0 -> Ok v
+        | Ok _ -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+        | Error _ as e -> e),
+      Arg.conv_printer conv )
+
 let cmd =
   let trace_arg =
     Arg.(
@@ -827,7 +849,8 @@ let cmd =
   in
   let devices_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt (positive int ~zero:0) 4
       & info [ "devices" ] ~docv:"N"
           ~doc:"Devices in the pool (all analog crossbars); superseded by --fleet.")
   in
@@ -852,7 +875,8 @@ let cmd =
   in
   let max_batch_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt (positive int ~zero:0) 8
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Requests coalesced per dispatch; 1 dispatches one request at a time.")
   in
@@ -953,7 +977,8 @@ let cmd =
   in
   let window_arg =
     Arg.(
-      value & opt float 100_000.0
+      value
+      & opt (positive float ~zero:0.0) 100_000.0
       & info [ "window-us" ] ~docv:"US"
           ~doc:
             "Telemetry roll-up window in (simulated or wall) microseconds: live roll-up \

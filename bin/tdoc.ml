@@ -213,7 +213,10 @@ let run file o3 tactics emit_ir report naive_pin min_intensity do_run seed lint 
     else
       Option.map
         (fun d (ast : Tdo_lang.Ast.func) ->
-          match Tune_db.config_for ~device:(device_rows, device_cols) d ast with
+          match
+            Tune_db.config_for ~device:(device_rows, device_cols) d
+              (Tdo_lang.Ast.structural_digest ast)
+          with
           | Some cfg ->
               resolved := Some cfg;
               Printf.printf "tune-db: compiling with %s\n" (Tdo_tune.Space.describe cfg);
@@ -221,7 +224,10 @@ let run file o3 tactics emit_ir report naive_pin min_intensity do_run seed lint 
           | None -> None)
         db
   in
-  match Flow.compile_checked ~options ?resolve_config ~verify source with
+  match
+    let ast = Tdo_lang.Parser.parse_func source in
+    (ast, Flow.compile_checked ~options ?resolve_config ~verify ast)
+  with
   | exception Tdo_lang.Lexer.Lex_error { line; message } ->
       Printf.eprintf "%s:%d: lexical error: %s\n" file line message;
       exit 1
@@ -231,10 +237,10 @@ let run file o3 tactics emit_ir report naive_pin min_intensity do_run seed lint 
   | exception Tdo_lang.Typecheck.Type_error message ->
       Printf.eprintf "%s: type error: %s\n" file message;
       exit 1
-  | compiled ->
+  | ast, compiled ->
       let f = compiled.Flow.func in
       if depgraph then begin
-        let f0 = Tdo_ir.Lower.func (Tdo_lang.Parser.parse_func source) in
+        let f0 = Tdo_ir.Lower.func ast in
         match Tdo_poly.Scop_detect.detect_func f0 with
         | Ok t ->
             print_string (Tdo_analysis.Depgraph.to_dot (Tdo_analysis.Depgraph.of_tree t));
@@ -259,7 +265,7 @@ let run file o3 tactics emit_ir report naive_pin min_intensity do_run seed lint 
       in
       let saw_warning = ref false in
       if lint || wall || (explain && not offloaded) then begin
-        let f0 = Tdo_ir.Lower.func (Tdo_lang.Parser.parse_func source) in
+        let f0 = Tdo_ir.Lower.func ast in
         let etcfg = match !resolved with Some c -> c | None -> tcfg in
         let lcfg =
           {

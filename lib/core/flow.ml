@@ -21,10 +21,9 @@ type compiled = {
   diagnostics : Diag.t list;
 }
 
-(* Lower and offload: the compiled function, the pipeline outcome and
-   the diagnostics. *)
-let lower_and_offload ?(options = o3_loop_tactics) ?resolve_config ~verify source =
-  let ast = Tdo_lang.Parser.parse_func source in
+(* Lower and offload a parsed function: the compiled function, the
+   pipeline outcome and the diagnostics. *)
+let lower_and_offload ?(options = o3_loop_tactics) ?resolve_config ~verify ast =
   let options =
     match Option.bind resolve_config (fun resolve -> resolve ast) with
     | Some tactics -> { options with tactics }
@@ -38,13 +37,15 @@ let lower_and_offload ?(options = o3_loop_tactics) ?resolve_config ~verify sourc
     let diagnostics = if verify then Tdo_analysis.Verify.func f @ Tdo_analysis.Bounds.func f else [] in
     (f, None, diagnostics)
 
-let compile_checked ?options ?resolve_config ?(verify = false) source =
-  let func, outcome, diagnostics = lower_and_offload ?options ?resolve_config ~verify source in
+let compile_checked ?options ?resolve_config ?(verify = false) ast =
+  let func, outcome, diagnostics = lower_and_offload ?options ?resolve_config ~verify ast in
   { func; program = Tdo_ir.Exec.prepare func; outcome; diagnostics }
 
 (* [run] prepares its function itself, so this skips [prepare]. *)
 let compile ?options ?resolve_config ?(verify = false) source =
-  let func, outcome, diagnostics = lower_and_offload ?options ?resolve_config ~verify source in
+  let func, outcome, diagnostics =
+    lower_and_offload ?options ?resolve_config ~verify (Tdo_lang.Parser.parse_func source)
+  in
   if verify && Diag.has_errors diagnostics then
     raise (Verification_failure (Diag.errors diagnostics));
   let report =

@@ -41,14 +41,15 @@ val compile_checked :
   ?options:options ->
   ?resolve_config:(Tdo_lang.Ast.func -> Offload.config option) ->
   ?verify:bool ->
-  string ->
+  Tdo_lang.Ast.func ->
   compiled
-(** Like {!compile} but surfacing the pipeline outcome and every
-    diagnostic instead of raising. With tactics disabled and
+(** Like {!compile}, but from a parsed function, and surfacing the
+    pipeline outcome and every diagnostic instead of raising. Lowering
+    type-checks the function first. With tactics disabled and
     [~verify:true] the input IR is still verified.
 
-    [resolve_config] is consulted once the source is parsed and may
-    replace [options.tactics] for this kernel — the hook the autotuning
+    [resolve_config] is consulted before lowering and may replace
+    [options.tactics] for this kernel — the hook the autotuning
     database ({!Tdo_tune.Db}) hangs per-kernel configurations off
     without this layer depending on the tuner. *)
 

@@ -245,6 +245,18 @@ type batch = {
   items : queued list;
 }
 
+(* Placement's estimate of one (kernel, n) on one device class: the
+   offload plan of the entry the class runs ([None] when the class
+   cannot compile the kernel), that entry's key, and the plan priced by
+   the class's current cost model. The plan and key are fixed for the
+   replay; calibration re-prices them. *)
+type estimate = {
+  plan : Offload.plan option;
+  entry_key : string;
+  mutable cold_ps : float;
+  mutable resident_ps : float;
+}
+
 (* What one batch item produced. A corrupt attempt consumed device time
    but its outputs are discarded; the scheduler (not the worker) decides
    retry / quarantine / host degradation, because those touch shared
@@ -379,22 +391,27 @@ let create ?(config = default_config) () =
     | None -> Kernels.find name
   in
   let is_graph_kernel name = List.mem_assoc name config.graphs in
-  (* Source text per (kernel, n), built once rather than on every
-     estimate, dispatch and fallback; [kernel] is the request's name,
-     which [find_bench] maps to [bench]. *)
-  let sources = Hashtbl.create 16 in
-  let source ~kernel (bench : Kernels.benchmark) ~n =
+  (* The parsed and type-checked program per (kernel, n), or its
+     front-end error, built once rather than on every estimate,
+     dispatch and fallback; [kernel] is the request's name, which
+     [find_bench] maps to [bench]. *)
+  let programs = Hashtbl.create 16 in
+  let program ~kernel (bench : Kernels.benchmark) ~n =
     let key = (kernel, n) in
-    match Hashtbl.find_opt sources key with
-    | Some text -> text
+    match Hashtbl.find_opt programs key with
+    | Some p -> p
     | None ->
-        let text = bench.Kernels.source ~n in
-        Hashtbl.add sources key text;
-        text
+        let p =
+          match Kernel_cache.parse (bench.Kernels.source ~n) with
+          | p -> Ok p
+          | exception e -> Error (Printexc.to_string e)
+        in
+        Hashtbl.add programs key p;
+        p
   in
   (* Residency key a run of [entry_key] for [tenant] latches: the
-     compiled entry (digest + options + class) scopes it to the model's
-     exact program, the tenant scopes it as isolation policy. *)
+     compiled entry (digest + effective options) scopes it to the
+     model's exact program, the tenant scopes it as isolation policy. *)
   let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant in
   (* A pinned claim must not outlive the compiled entry backing it:
      eviction drops any device residency derived from the evicted key. *)
@@ -502,16 +519,15 @@ let create ?(config = default_config) () =
      path — exact results, modelled latency. *)
   let run_fallback ?(outcome = Telemetry.Cpu_fallback) ?(retries = 0) ((r : Trace.request), depth)
       =
-    match find_bench r.Trace.kernel with
+    match
+      Result.bind (find_bench r.Trace.kernel) (fun bench ->
+          Result.map (fun p -> (bench, p)) (program ~kernel:r.Trace.kernel bench ~n:r.Trace.n))
+    with
     | Error msg -> record_failed r depth msg
-    | Ok bench -> (
+    | Ok (bench, p) -> (
         match
-          let ast =
-            Tdo_lang.Parser.parse_func (source ~kernel:r.Trace.kernel bench ~n:r.Trace.n)
-          in
-          Tdo_lang.Typecheck.check_func ast;
           let args, readback = bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed in
-          Interp.run ast ~args;
+          Interp.run p.Kernel_cache.ast ~args;
           (readback (), bench.Kernels.macs ~n:r.Trace.n)
         with
         | mats, macs ->
@@ -631,18 +647,19 @@ let create ?(config = default_config) () =
      cost-model coefficient set over the offload plan of the entry the
      class would actually run (tuned configurations included). Memoised
      — the compile behind a first estimate is shared with dispatch
-     through the kernel cache. *)
-  let est_memo : (string * int * string, float * float * string) Hashtbl.t =
+     through the kernel cache, and the plan is kept for the replay. *)
+  let estimates : (string * int * Backend.device_class, estimate) Hashtbl.t =
     Hashtbl.create 64
   in
   (* Online calibration: measured (plan, cycles) samples per device
      class, fitted once a class has seen [calibrate_after] completed
      requests. The fit is adopted only when it beats the hand-priced
-     prior on its own samples (never worse), and the placement memo for
-     the class is dropped so later estimates use the calibrated
-     coefficients. Samples accumulate in wave-fold order, which is
-     fixed before execution — calibration preserves the
-     parallel==sequential determinism property. *)
+     prior on its own samples (never worse), and the class's kept
+     plans are re-priced with the calibrated coefficients — a plan
+     cannot change, so no kernel-cache lookup is needed. Samples
+     accumulate in wave-fold order, which is fixed before execution —
+     calibration preserves the parallel==sequential determinism
+     property. *)
   let calib_samples : (Backend.device_class, Cost_model.sample list ref) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -653,6 +670,19 @@ let create ?(config = default_config) () =
     match Hashtbl.find_opt calibrated cls with
     | Some m -> m
     | None -> Cost_model.uncalibrated_for cls
+  in
+  let price cls e =
+    match e.plan with
+    | None ->
+        (* the class cannot compile this kernel: never preferred, but
+           still placeable as a last resort so the compile error
+           surfaces through the normal failure record *)
+        e.cold_ps <- Float.max_float;
+        e.resident_ps <- Float.max_float
+    | Some plan ->
+        let model = model_for cls in
+        e.cold_ps <- Cost_model.predict_cycles model plan *. Backend.ps_per_cycle;
+        e.resident_ps <- Cost_model.predict_resident_cycles model plan *. Backend.ps_per_cycle
   in
   let note_sample (b : batch) plan (r : Telemetry.record) =
     if
@@ -693,46 +723,38 @@ let create ?(config = default_config) () =
               in
               if err <= prior_err then begin
                 Hashtbl.replace calibrated cls fitted;
-                let name = Backend.class_name cls in
-                calib_log := (name, List.length !samples, err) :: !calib_log;
-                Hashtbl.filter_map_inplace
-                  (fun (_, _, cls_name) v -> if cls_name = name then None else Some v)
-                  est_memo
+                calib_log := (Backend.class_name cls, List.length !samples, err) :: !calib_log;
+                Hashtbl.iter (fun (_, _, c) e -> if c = cls then price cls e) estimates
               end
             end)
           calib_samples
   in
-  (* [(cold_ps, resident_ps, entry_key)]: predicted service from
-     scratch, predicted service with the weight tiles already pinned
-     (zero programming traffic in the plan), and the cache key the
-     class's entry compiles to — what residency keys derive from. *)
+  (* [cold_ps] is the predicted service of a cold run, [resident_ps]
+     the predicted service with the weight tiles already pinned (zero
+     programming traffic in the plan), and [entry_key] the cache key
+     the class's entry compiles to — what residency keys derive from. *)
   let estimate ~cls ~kernel (bench : Kernels.benchmark) ~n =
-    let key = (kernel, n, Backend.class_name cls) in
-    match Hashtbl.find_opt est_memo key with
-    | Some v -> v
+    let key = (kernel, n, cls) in
+    match Hashtbl.find_opt estimates key with
+    | Some e -> e
     | None ->
-        let v =
-          match
-            let entry = Kernel_cache.find_or_compile cache ~cls (source ~kernel bench ~n) in
-            let plan =
-              Offload.plan entry.Kernel_cache.options.Flow.tactics
-                entry.Kernel_cache.compiled.Flow.func
-            in
-            let model = model_for cls in
-            ( Cost_model.predict_cycles model plan,
-              Cost_model.predict_resident_cycles model plan,
-              entry.Kernel_cache.key )
-          with
-          | cold, resident, entry_key ->
-              (cold *. Backend.ps_per_cycle, resident *. Backend.ps_per_cycle, entry_key)
-          | exception _ ->
-              (* the class cannot compile this kernel: never preferred,
-                 but still placeable as a last resort so the compile
-                 error surfaces through the normal failure record *)
-              (Float.max_float, Float.max_float, "")
+        let plan, entry_key =
+          match program ~kernel bench ~n with
+          | Error _ -> (None, "")
+          | Ok p -> (
+              match
+                let entry = Kernel_cache.find cache ~cls p in
+                ( Offload.plan entry.Kernel_cache.options.Flow.tactics
+                    entry.Kernel_cache.compiled.Flow.func,
+                  entry.Kernel_cache.key )
+              with
+              | plan, entry_key -> (Some plan, entry_key)
+              | exception _ -> (None, ""))
         in
-        Hashtbl.add est_memo key v;
-        v
+        let e = { plan; entry_key; cold_ps = 0.0; resident_ps = 0.0 } in
+        price cls e;
+        Hashtbl.add estimates key e;
+        e
   in
   (* Graph-residency rules: a graph kernel served with [graph_residency]
      on latches its (entry, tenant) key on the device that runs it. *)
@@ -745,14 +767,13 @@ let create ?(config = default_config) () =
      (entry, tenant) key [r] latches there, under the graph-residency
      rules? *)
   let quote (r : Trace.request) bench d =
-    let cold, warm, entry_key =
-      estimate ~cls:(Device.profile d).Backend.cls ~kernel:r.Trace.kernel bench ~n:r.Trace.n
-    in
+    let e = estimate ~cls:(Device.device_class d) ~kernel:r.Trace.kernel bench ~n:r.Trace.n in
     let holds =
-      graph_scoped bench && entry_key <> ""
-      && Device.resident d = Some (residency_key ~entry_key ~tenant:r.Trace.tenant)
+      graph_scoped bench && e.entry_key <> ""
+      && Device.resident d
+         = Some (residency_key ~entry_key:e.entry_key ~tenant:r.Trace.tenant)
     in
-    (cold, warm, holds)
+    (e.cold_ps, e.resident_ps, holds)
   in
   (* Lower is better: the class estimate — the resident one on a device
      that holds the request's key — plus the conversion charge if the
@@ -913,10 +934,13 @@ let create ?(config = default_config) () =
               | None -> assert false (* [item] is poppable by [dev] *)
               | Some items -> (
                   match
-                    Kernel_cache.find_or_compile cache ~cls:(Device.device_class dev)
-                      (source ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n)
+                    Result.bind (program ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n)
+                      (fun p ->
+                        match Kernel_cache.find cache ~cls:(Device.device_class dev) p with
+                        | entry -> Ok entry
+                        | exception e -> Error (Printexc.to_string e))
                   with
-                  | entry ->
+                  | Ok entry ->
                       let cache_hit =
                         (Kernel_cache.stats cache).Kernel_cache.misses = misses0
                       in
@@ -953,10 +977,8 @@ let create ?(config = default_config) () =
                           items;
                         }
                         :: !prepared
-                  | exception e ->
-                      List.iter
-                        (fun it -> record_failed it.req it.depth (Printexc.to_string e))
-                        items)))
+                  | Error msg ->
+                      List.iter (fun it -> record_failed it.req it.depth msg) items)))
       end
     done;
     match List.rev !prepared with

@@ -69,13 +69,13 @@ let entry_of_result ~n (r : Search.result) =
     calibration_error = r.Search.calibration_error;
   }
 
-let config_for ?device ?(cls = Backend.Pcm_crossbar) db f =
+let config_for ?device ?(cls = Backend.Pcm_crossbar) db digest =
   (* Class-qualified lookup, then a belt-and-braces check: a tuned
      configuration measured on one device class is refused — not
      clamped — for any other class, so the caller falls back to the
      class-appropriate default instead of replaying, say, a PCM
      geometry on a digital tile. *)
-  match lookup ~cls db f with
+  match find ~cls db digest with
   | Some e when e.device_class = cls ->
       Some
         (match device with

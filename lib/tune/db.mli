@@ -54,12 +54,13 @@ val config_for :
   ?device:int * int ->
   ?cls:Tdo_backend.Backend.device_class ->
   t ->
-  Ast.func ->
+  string ->
   Space.point option
 (** The configuration tuned {e for this device class} (default
-    [Pcm_crossbar]), if any. A configuration measured on a different
-    class is refused — [None], never a clamped cross-class transfer —
-    so the caller compiles with the class-appropriate default instead.
+    [Pcm_crossbar]) under this structural digest, if any. A
+    configuration measured on a different class is refused — [None],
+    never a clamped cross-class transfer — so the caller compiles with
+    the class-appropriate default instead.
     With [device:(rows, cols)] — the geometry of the crossbars that
     will actually run the kernel — a tuned geometry larger than the
     device is clamped to it; the remaining knobs (fusion, tiling,

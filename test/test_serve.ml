@@ -7,6 +7,7 @@ module Kernels = Tdo_polybench.Kernels
 module Flow = Tdo_cim.Flow
 module Parser = Tdo_lang.Parser
 module Mat = Tdo_linalg.Mat
+module Offload = Tdo_tactics.Offload
 
 (* ---------- Pool sizing: TDO_DOMAINS override ---------- *)
 
@@ -142,37 +143,62 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "evicted entry recompiles" 3
     (Kernel_cache.stats cache).Kernel_cache.misses
 
-(* The device class is part of the cache key: the same source compiled
-   for the analog crossbar, the digital tile and the host BLAS path
-   must occupy three separate entries, because class-keyed tuned
-   geometries can tile the quantisation differently. *)
-let test_cache_class_in_key () =
-  let cache = Kernel_cache.create ~capacity:8 () in
+let all_classes = [ Backend.Pcm_crossbar; Backend.Digital_tile; Backend.Host_blas ]
+
+(* every class on a default-sized crossbar, as the scheduler passes
+   its fleet to the cache *)
+let all_geometries = List.map (fun cls -> (cls, (256, 256))) all_classes
+
+(* Two tuned configurations that differ from the default and from each
+   other. *)
+let pcm_config = { Offload.default_config with Offload.xbar_rows = 64 }
+let digital_config = { Offload.default_config with Offload.enable_fusion = false }
+
+(* A tuning database holding [config] for GEMM at size [n] on class
+   [cls], for each [(cls, n, config)]. *)
+let tuned_db points =
+  List.fold_left
+    (fun db (cls, n, config) ->
+      Tdo_tune.Db.add db
+        {
+          Tdo_tune.Db.digest = Tdo_lang.Ast.structural_digest (Parser.parse_func (gemm_source ~n));
+          kernel = "gemm";
+          n;
+          device_class = cls;
+          objective = "cycles";
+          config;
+          tuned_cycles = 0;
+          default_cycles = 0;
+          tuned_write_bytes = 0;
+          default_write_bytes = 0;
+          calibration_error = 0.0;
+        })
+    Tdo_tune.Db.empty points
+
+(* Without a tuning database every class compiles a program the same
+   way, so the analog crossbar, the digital tile and the host share one
+   entry; the compile remembers its text for all three classes. *)
+let test_cache_key_is_options_not_class () =
+  let cache = Kernel_cache.create ~capacity:8 ~geometries:all_geometries () in
   let src = gemm_source ~n:8 in
   let p = Kernel_cache.find_or_compile cache ~cls:Backend.Pcm_crossbar src in
   let d = Kernel_cache.find_or_compile cache ~cls:Backend.Digital_tile src in
   let h = Kernel_cache.find_or_compile cache ~cls:Backend.Host_blas src in
-  Alcotest.(check bool) "pcm and digital keys differ" true
-    (p.Kernel_cache.key <> d.Kernel_cache.key);
-  Alcotest.(check bool) "digital and host keys differ" true
-    (d.Kernel_cache.key <> h.Kernel_cache.key);
-  Alcotest.(check bool) "entry remembers its class" true
-    (p.Kernel_cache.cls = Backend.Pcm_crossbar
-    && d.Kernel_cache.cls = Backend.Digital_tile
-    && h.Kernel_cache.cls = Backend.Host_blas);
+  Alcotest.(check bool) "one entry serves every class" true (p == d && d == h);
   let s = Kernel_cache.stats cache in
-  Alcotest.(check int) "one compile per class" 3 s.Kernel_cache.misses;
-  Alcotest.(check int) "three resident entries" 3 s.Kernel_cache.entries;
-  (* same (source, class) again is a hit, not a cross-class leak *)
-  let p' = Kernel_cache.find_or_compile cache ~cls:Backend.Pcm_crossbar src in
-  Alcotest.(check string) "same class hits its own entry" p.Kernel_cache.key p'.Kernel_cache.key;
-  Alcotest.(check int) "no extra compile" 3 (Kernel_cache.stats cache).Kernel_cache.misses
+  Alcotest.(check (list int)) "hits, misses, entries" [ 2; 1; 1 ]
+    [ s.Kernel_cache.hits; s.Kernel_cache.misses; s.Kernel_cache.entries ];
+  Alcotest.(check int) "the text is remembered once per class" 3 (Kernel_cache.memoised cache)
 
-(* Eviction order with mixed-class entries: LRU is over (source, class)
-   entries uniformly — touching the pcm entry protects it while the
-   digital and host entries of the very same source get cycled out. *)
+(* Eviction order with mixed-class entries: tuned configurations give
+   pcm, digital and host three distinct entries for one source, and
+   LRU is over entries uniformly — touching the pcm entry protects it
+   while the digital and host entries get cycled out. *)
 let test_cache_mixed_class_eviction_order () =
-  let cache = Kernel_cache.create ~capacity:2 () in
+  let tuning =
+    tuned_db [ (Backend.Pcm_crossbar, 8, pcm_config); (Backend.Digital_tile, 8, digital_config) ]
+  in
+  let cache = Kernel_cache.create ~capacity:2 ~tuning ~geometries:all_geometries () in
   let src = gemm_source ~n:8 in
   ignore (Kernel_cache.find_or_compile cache ~cls:Backend.Pcm_crossbar src);
   ignore (Kernel_cache.find_or_compile cache ~cls:Backend.Digital_tile src);
@@ -206,37 +232,42 @@ let test_cache_mixed_class_eviction_order () =
   Alcotest.(check int) "memo bounded by capacity" 2 (Kernel_cache.memoised cache)
 
 (* Remembering the source that compiled an entry changes what a hit
-   costs, not what it returns: the same lookups against a one-entry
-   cache give the same entries, counters and evictions whether the text
-   is the remembered one or a reformatted twin that has to be parsed. *)
+   costs, not what it returns: against a one-entry cache where pcm is
+   tuned and digital and host are not, the same lookups give the same
+   entries, counters and evictions whether the text is a remembered one
+   or a reformatted twin that has to be parsed. *)
 let test_cache_memo_hits_and_evictions () =
-  let cache = Kernel_cache.create ~capacity:1 () in
-  let a = gemm_source ~n:8 and b = gemm_source ~n:12 in
-  let e1 = Kernel_cache.find_or_compile cache a in
-  let e2 = Kernel_cache.find_or_compile cache a in
-  Alcotest.(check bool) "remembered source returns the same entry" true (e1 == e2);
-  let e3 = Kernel_cache.find_or_compile cache (mangle_whitespace a) in
+  let tuning = tuned_db [ (Backend.Pcm_crossbar, 8, pcm_config) ] in
+  let cache = Kernel_cache.create ~capacity:1 ~tuning ~geometries:all_geometries () in
+  let a = gemm_source ~n:8 in
+  let e1 = Kernel_cache.find_or_compile cache ~cls:Backend.Digital_tile a in
+  Alcotest.(check int) "remembered for both untuned classes" 2 (Kernel_cache.memoised cache);
+  let e2 = Kernel_cache.find cache ~cls:Backend.Host_blas (Kernel_cache.parse a) in
+  Alcotest.(check bool) "the other untuned class gets the same entry" true (e1 == e2);
+  let e3 = Kernel_cache.find_or_compile cache ~cls:Backend.Host_blas (mangle_whitespace a) in
   Alcotest.(check bool) "reformatted twin hits the same entry" true (e1 == e3);
-  Alcotest.(check int) "only the compiling text is remembered" 1 (Kernel_cache.memoised cache);
-  ignore (Kernel_cache.find_or_compile cache b);
+  Alcotest.(check int) "only the compiling text is remembered" 2 (Kernel_cache.memoised cache);
+  let tuned = Kernel_cache.find_or_compile cache ~cls:Backend.Pcm_crossbar a in
+  Alcotest.(check bool) "the tuned class compiles its own entry" true
+    (tuned.Kernel_cache.tuned && tuned.Kernel_cache.key <> e1.Kernel_cache.key);
   let s = Kernel_cache.stats cache in
   Alcotest.(check (list int)) "hits, misses, evictions" [ 2; 2; 1 ]
     [ s.Kernel_cache.hits; s.Kernel_cache.misses; s.Kernel_cache.evictions ];
-  Alcotest.(check int) "evicted text forgotten" 1 (Kernel_cache.memoised cache);
-  let e4 = Kernel_cache.find_or_compile cache a in
+  Alcotest.(check int) "evicted texts forgotten" 1 (Kernel_cache.memoised cache);
+  let e4 = Kernel_cache.find_or_compile cache ~cls:Backend.Host_blas a in
   Alcotest.(check bool) "re-lookup after eviction recompiles" true (e4 != e1);
   Alcotest.(check string) "to the same key" e1.Kernel_cache.key e4.Kernel_cache.key;
   Alcotest.(check int) "third compile" 3 (Kernel_cache.stats cache).Kernel_cache.misses
 
-(* qcheck: whatever interleaving of classes and sizes hits the cache —
-   including through evictions forced by a tiny capacity — an entry
-   compiled for class A is never returned for a class-B lookup, and
-   every returned key is exactly the structural key of (AST, options,
-   class). *)
+(* qcheck: against a tuning database with a pcm-only configuration at
+   one size and a different digital configuration at the other,
+   whatever interleaving of classes and sizes hits the cache — through
+   evictions forced by a tiny capacity — every returned entry is
+   compiled under the looked-up class's own effective options, so a
+   configuration tuned for class A never serves class B. *)
 let qcheck_cache_never_crosses_class =
-  let classes = [ Backend.Pcm_crossbar; Backend.Digital_tile; Backend.Host_blas ] in
   let lookup_gen =
-    QCheck.Gen.(list_size (2 -- 12) (triple (oneofl classes) (oneofl [ 8; 12 ]) bool))
+    QCheck.Gen.(list_size (2 -- 12) (triple (oneofl all_classes) (oneofl [ 8; 12 ]) bool))
   in
   let print lookups =
     String.concat ";"
@@ -245,15 +276,26 @@ let qcheck_cache_never_crosses_class =
            Printf.sprintf "%s@%d%s" (Backend.class_name cls) n (if reformatted then "'" else ""))
          lookups)
   in
+  let default = Flow.o3_loop_tactics in
+  let tuning =
+    tuned_db [ (Backend.Pcm_crossbar, 8, pcm_config); (Backend.Digital_tile, 12, digital_config) ]
+  in
+  let effective cls n =
+    match (cls, n) with
+    | Backend.Pcm_crossbar, 8 -> { default with Flow.tactics = pcm_config }
+    | Backend.Digital_tile, 12 -> { default with Flow.tactics = digital_config }
+    | _ -> default
+  in
   QCheck.Test.make ~name:"cache entry compiled for class A never serves class B" ~count:15
     (QCheck.make ~print lookup_gen)
     (fun lookups ->
-      let options = Flow.o3_loop_tactics in
       let capacity = 2 in
-      let cache = Kernel_cache.create ~capacity ~options () in
-      (* reference LRU over (class, n), most recent first: the counters
-         must follow it whether a lookup hits through the remembered
-         text or through a parse of a reformatted twin *)
+      let cache =
+        Kernel_cache.create ~capacity ~options:default ~tuning ~geometries:all_geometries ()
+      in
+      (* reference LRU over (n, effective options), most recent first:
+         the counters must follow it whether a lookup hits through a
+         remembered text or through a parse of a reformatted twin *)
       let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
       List.for_all
         (fun (cls, n, reformatted) ->
@@ -262,7 +304,8 @@ let qcheck_cache_never_crosses_class =
             Kernel_cache.find_or_compile cache ~cls
               (if reformatted then mangle_whitespace src else src)
           in
-          let k = (cls, n) in
+          let options = effective cls n in
+          let k = (n, options) in
           if List.mem k !lru then begin
             incr hits;
             lru := k :: List.filter (fun k' -> k' <> k) !lru
@@ -276,12 +319,12 @@ let qcheck_cache_never_crosses_class =
             lru := k :: !lru
           end;
           let s = Kernel_cache.stats cache in
-          e.Kernel_cache.cls = cls
-          && e.Kernel_cache.key
-             = Kernel_cache.structural_key ~cls ~options (Parser.parse_func src)
+          e.Kernel_cache.options = options
+          && e.Kernel_cache.tuned = (options <> default)
+          && e.Kernel_cache.key = Kernel_cache.structural_key ~options (Parser.parse_func src)
           && (s.Kernel_cache.hits, s.Kernel_cache.misses, s.Kernel_cache.evictions)
              = (!hits, !misses, !evictions)
-          && Kernel_cache.memoised cache <= capacity)
+          && Kernel_cache.memoised cache <= capacity * List.length all_classes)
         lookups)
 
 (* ---------- Byte-identity pins ----------
@@ -627,7 +670,10 @@ let test_failed_run_keeps_device_serving () =
 
 (* Two kernels registered under different names whose benchmark
    records share one name: each request runs the source registered
-   under its own kernel name. *)
+   under its own kernel name. A third whose source does not parse fails
+   with the parser's message whether it is estimated and dispatched or
+   degraded to the host fallback after its deadline passed in the
+   queue. *)
 let test_registered_kernels_keep_their_source () =
   let good =
     {
@@ -637,6 +683,12 @@ let test_registered_kernels_keep_their_source () =
           "void kernel_good(float A[8], int z) { for (int i = 0; i < 8; i++) A[i + z] = 1.0; }");
     }
   in
+  let broken_source = "void kernel_broken(float A[8] { A[0] = 1.0; }" in
+  let parse_error =
+    match Kernel_cache.parse broken_source with
+    | _ -> Alcotest.fail "the broken source parsed"
+    | exception e -> Printexc.to_string e
+  in
   let config =
     {
       Scheduler.default_config with
@@ -645,14 +697,29 @@ let test_registered_kernels_keep_their_source () =
         [
           ("good", { good with Kernels.name = "twin" });
           ("bad", { bad_kernel with Kernels.name = "twin" });
+          ( "broken",
+            { bad_kernel with Kernels.name = "twin"; source = (fun ~n:_ -> broken_source) } );
         ];
+    }
+  in
+  (* request 5 arrives behind request 4 on the one device and expires
+     while it runs *)
+  let expiring =
+    {
+      (spaced_request 5 "broken") with
+      Trace.arrival_ps = (spaced_request 4 "good").Trace.arrival_ps;
+      deadline_ps = Some 1;
     }
   in
   let trace =
     {
       Trace.name = "twins";
       seed = 0;
-      requests = [ spaced_request 0 "good"; spaced_request 1 "bad"; spaced_request 2 "good" ];
+      requests =
+        [
+          spaced_request 0 "good"; spaced_request 1 "bad"; spaced_request 2 "good";
+          spaced_request 3 "broken"; spaced_request 4 "good"; expiring;
+        ];
     }
   in
   let outcomes =
@@ -661,14 +728,57 @@ let test_registered_kernels_keep_their_source () =
         ( r.Telemetry.request.Trace.id,
           match r.Telemetry.outcome with
           | Telemetry.Completed -> "completed"
+          | Telemetry.Failed msg when r.Telemetry.request.Trace.kernel = "broken" ->
+              (* a request failed at dispatch fails when it arrives *)
+              (if r.Telemetry.start_ps = r.Telemetry.request.Trace.arrival_ps then "dispatch: "
+               else "fallback: ")
+              ^ msg
           | Telemetry.Failed _ -> "failed"
           | _ -> "other" ))
       (Telemetry.records (Scheduler.replay ~config trace).Scheduler.telemetry)
   in
   Alcotest.(check (list (pair int string)))
     "each name runs its own source"
-    [ (0, "completed"); (1, "failed"); (2, "completed") ]
+    [
+      (0, "completed"); (1, "failed"); (2, "completed"); (3, "dispatch: " ^ parse_error);
+      (4, "completed"); (5, "fallback: " ^ parse_error);
+    ]
     (List.sort compare outcomes)
+
+(* Calibration re-prices the plans placement already holds: once a
+   class's fit is adopted, no estimate looks the kernel cache up again.
+   Requests a millisecond apart find both devices free, so every
+   dispatch prices both classes; the cache then sees one lookup per
+   batch plus one per (kernel, n, class) estimated. *)
+let test_calibration_reprices_without_lookups () =
+  let kernels = [ "gemm"; "gesummv"; "bicg"; "mvt" ] in
+  let trace =
+    {
+      Trace.name = "calibration";
+      seed = 0;
+      requests = List.init 16 (fun id -> spaced_request id (List.nth kernels (id mod 4)));
+    }
+  in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.fleet = Some [ Backend.pcm; Backend.digital ];
+      calibrate_after = Some 3;
+    }
+  in
+  let report = Scheduler.replay ~config trace in
+  Alcotest.(check int) "every request served" 16 (Scheduler.completed report);
+  Alcotest.(check bool) "a calibration was adopted" true (report.Scheduler.calibrations <> []);
+  let batches =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (r : Telemetry.record) -> r.Telemetry.batch)
+         (Telemetry.records report.Scheduler.telemetry))
+  in
+  let c = report.Scheduler.cache in
+  Alcotest.(check int) "lookups = batches + estimated (kernel, n, class)"
+    (List.length batches + (2 * List.length kernels))
+    (c.Kernel_cache.hits + c.Kernel_cache.misses)
 
 let test_chrome_trace_shape () =
   let trace = smoke_trace () in
@@ -1417,7 +1527,7 @@ let suites =
         Alcotest.test_case "structural key ignores formatting" `Quick test_cache_structural_hits;
         Alcotest.test_case "key covers compile options" `Quick test_cache_key_depends_on_options;
         Alcotest.test_case "LRU eviction at capacity" `Quick test_cache_lru_eviction;
-        Alcotest.test_case "device class is part of the key" `Quick test_cache_class_in_key;
+        Alcotest.test_case "key is options, not class" `Quick test_cache_key_is_options_not_class;
         Alcotest.test_case "LRU order with mixed-class entries" `Quick
           test_cache_mixed_class_eviction_order;
         QCheck_alcotest.to_alcotest ~long:false qcheck_cache_never_crosses_class;
@@ -1442,6 +1552,8 @@ let suites =
           test_failed_run_keeps_device_serving;
         Alcotest.test_case "registered kernels keep their own source" `Quick
           test_registered_kernels_keep_their_source;
+        Alcotest.test_case "calibration re-prices without lookups" `Quick
+          test_calibration_reprices_without_lookups;
       ] );
     ( "serve.fleet",
       [

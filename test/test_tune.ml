@@ -186,13 +186,14 @@ let test_db_lookup_and_clamp () =
   (match Db.lookup db ast with
   | None -> Alcotest.fail "structural lookup missed"
   | Some e -> Alcotest.(check string) "lookup hits the entry" entry.Db.digest e.Db.digest);
-  (match Db.config_for ~device:(64, 64) db ast with
+  (match Db.config_for ~device:(64, 64) db (Tdo_lang.Ast.structural_digest ast) with
   | None -> Alcotest.fail "config_for missed"
   | Some c ->
       Alcotest.(check int) "rows clamped to device" 64 c.Offload.xbar_rows;
       Alcotest.(check int) "cols clamped to device" 64 c.Offload.xbar_cols);
   let other = Tdo_lang.Parser.parse_func ((bench "gemm").Kernels.source ~n:24) in
-  Alcotest.(check bool) "different size misses" true (Db.config_for db other = None)
+  Alcotest.(check bool) "different size misses" true
+    (Db.config_for db (Tdo_lang.Ast.structural_digest other) = None)
 
 (* Entries are keyed by (digest, device class): a configuration tuned
    on the analog crossbar must be refused — not clamped — when the
@@ -202,28 +203,31 @@ let test_db_class_refusal () =
   let r = tune_bench ~n:16 "gemm" in
   let pcm_entry = Db.entry_of_result ~n:16 r in
   let db = Db.add Db.empty pcm_entry in
-  let ast = Tdo_lang.Parser.parse_func ((bench "gemm").Kernels.source ~n:16) in
+  let digest =
+    Tdo_lang.Ast.structural_digest
+      (Tdo_lang.Parser.parse_func ((bench "gemm").Kernels.source ~n:16))
+  in
   Alcotest.(check bool) "default class resolves its entry" true
-    (Db.config_for db ast <> None);
+    (Db.config_for db digest <> None);
   Alcotest.(check bool) "cross-class transfer refused for digital" true
-    (Db.config_for ~cls:Backend.Digital_tile db ast = None);
+    (Db.config_for ~cls:Backend.Digital_tile db digest = None);
   Alcotest.(check bool) "refusal even when a device geometry could clamp" true
-    (Db.config_for ~device:(64, 64) ~cls:Backend.Digital_tile db ast = None);
+    (Db.config_for ~device:(64, 64) ~cls:Backend.Digital_tile db digest = None);
   Alcotest.(check bool) "cross-class transfer refused for host" true
-    (Db.config_for ~cls:Backend.Host_blas db ast = None);
+    (Db.config_for ~cls:Backend.Host_blas db digest = None);
   (* a digital entry under the same digest coexists and resolves per class *)
   let digital_entry = { pcm_entry with Db.device_class = Backend.Digital_tile } in
   let db = Db.add db digital_entry in
   Alcotest.(check int) "one entry per (digest, class)" 2 (Db.size db);
   Alcotest.(check bool) "digital now resolves its own entry" true
-    (Db.config_for ~cls:Backend.Digital_tile db ast <> None);
+    (Db.config_for ~cls:Backend.Digital_tile db digest <> None);
   (match Db.find ~cls:Backend.Digital_tile db pcm_entry.Db.digest with
   | None -> Alcotest.fail "digital entry not found by digest"
   | Some e ->
       Alcotest.(check bool) "found entry carries its class" true
         (e.Db.device_class = Backend.Digital_tile));
   Alcotest.(check bool) "pcm still resolves independently" true
-    (Db.config_for db ast <> None)
+    (Db.config_for db digest <> None)
 
 (* ---------- Serving with a tuning database ---------- *)
 
