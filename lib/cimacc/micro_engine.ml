@@ -108,7 +108,7 @@ let create ?(config = default_config) ?(seed = 0) ?scratch ~dma () =
       (* distinct, reproducible noise stream per tile, derived from the
          engine seed *)
       Array.init config.tiles (fun tile ->
-          Crossbar.create ~config:config.xbar ~seed:((seed * 1_000_003) + tile) ?scratch ());
+          Crossbar.create ~config:config.xbar ~seed:((seed * 1_000_003) + tile) ());
     digital = Digital_logic.create ();
     timeline = Timeline.create ();
     pinned = Array.make config.tiles None;

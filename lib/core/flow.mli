@@ -89,7 +89,7 @@ val run :
 
     Each call resets the calling domain's scratch arena
     ({!Tdo_util.Pool.scratch}) and backs the platform's memory chunks,
-    crossbar planes, engine buffers and executor slot tables with it,
+    engine buffers and executor slot tables with it,
     so repeated runs on one domain reuse the same blocks. Consequently
     the returned platform's {e counters} remain valid indefinitely, but
     its memory {e contents} are only safe to read until the next [run]

@@ -276,33 +276,15 @@ let dev_buffer st slot name =
   | Some buf -> buf
   | None -> fail "array '%s' is not on the device (missing polly_cimMalloc)" name
 
-(* The host copy loops run over the flat row-major data (a
-   [float]-returning [Mat.init] closure boxes every element) and charge
-   the element loop's address arithmetic and loads or stores in bulk:
-   [Cpu.issue_run] is equivalent to one [issue_at] per element. *)
-let host_matrix st info =
+(* The host side of a copy between an array and its device buffer: one
+   address computation and one load or store per element of the packed
+   array, charged in bulk ([Cpu.issue_run] is equivalent to one
+   [issue_at] per element). The data moves memory to memory in [Api]. *)
+let charge_host_copy st info cls =
   let rows, cols = array_shape_2d info in
-  let m = Tdo_linalg.Mat.create ~rows ~cols in
-  let data = Tdo_linalg.Mat.data m in
   let n = rows * cols in
   Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu n;
-  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n Sim.Cpu.Load;
-  for k = 0 to n - 1 do
-    Array.unsafe_set data k (Sim.Memory.read_f32 st.memory (info.base + (4 * k)))
-  done;
-  m
-
-let store_host_matrix st info name m =
-  let rows, cols = array_shape_2d info in
-  if Tdo_linalg.Mat.rows m <> rows || Tdo_linalg.Mat.cols m <> cols then
-    fail "polly_cimDevToHost: shape mismatch for '%s'" name;
-  let data = Tdo_linalg.Mat.data m in
-  let n = rows * cols in
-  Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu n;
-  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n Sim.Cpu.Store;
-  for k = 0 to n - 1 do
-    Sim.Memory.write_f32 st.memory (info.base + (4 * k)) (Array.unsafe_get data k)
-  done
+  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n cls
 
 (* Device view of an operand; one [Int_alu] for the offset. *)
 let compile_view env s k (r : Ir.mat_ref) : state -> Api.view =
@@ -346,9 +328,10 @@ let compile_call env s (call : Ir.call) : code =
         retire st;
         let api = require_api st in
         let info = array_info st slot name in
-        let _, ld = array_shape_2d info in
-        let buf = dev_buffer st slot name in
-        Api.host_to_dev api ~src:(host_matrix st info) ~dst:(Api.view ~ld buf)
+        let rows, cols = array_shape_2d info in
+        let dst = Api.view ~ld:cols (dev_buffer st slot name) in
+        charge_host_copy st info Sim.Cpu.Load;
+        Api.host_to_dev_mem api ~src:info.base ~dst ~rows ~cols
   | Ir.Cim_d2h { array = name } ->
       let slot = array_slot env name in
       fun st ->
@@ -356,9 +339,9 @@ let compile_call env s (call : Ir.call) : code =
         let api = require_api st in
         let info = array_info st slot name in
         let rows, cols = array_shape_2d info in
-        let buf = dev_buffer st slot name in
-        let m = Api.dev_to_host api ~src:(Api.view ~ld:cols buf) ~rows ~cols in
-        store_host_matrix st info name m
+        let src = Api.view ~ld:cols (dev_buffer st slot name) in
+        Api.dev_to_host_mem api ~src ~dst:info.base ~rows ~cols;
+        charge_host_copy st info Sim.Cpu.Store
   | Ir.Cim_free { array = name } ->
       let slot = array_slot env name in
       fun st ->
@@ -649,15 +632,11 @@ and compile_block env s (into : count option) (body : Ir.stmt list) : code array
 
 let stage_in st (arr : Interp.arr) info =
   let data = arr.Interp.data in
-  for i = 0 to Array.length data - 1 do
-    Sim.Memory.write_f32 st.memory (info.base + (4 * i)) (Array.unsafe_get data i)
-  done
+  Sim.Memory.write_f32s st.memory info.base data ~pos:0 ~len:(Array.length data)
 
 let stage_out st info (arr : Interp.arr) =
   let data = arr.Interp.data in
-  for i = 0 to Array.length data - 1 do
-    data.(i) <- Sim.Memory.read_f32 st.memory (info.base + (4 * i))
-  done
+  Sim.Memory.read_f32s st.memory info.base data ~pos:0 ~len:(Array.length data)
 
 (* ---------- prepared programs ---------- *)
 

@@ -1,5 +1,4 @@
 module Prng = Tdo_util.Prng
-module Arena = Tdo_util.Arena
 module Quant = Tdo_linalg.Quant
 
 type config = {
@@ -54,13 +53,18 @@ type flip = {
    one byte of defect flag and one write counter per physical cell —
    instead of a [Cell.t] record per cell. A 2x(256x256) array held as
    records costs ~1M minor words per crossbar, paid on every fresh
-   platform; the SoA planes are three flat blocks that a scratch arena
-   can recycle across runs. The per-cell semantics mirror [Cell]
-   exactly (see [program_cell]). *)
+   platform. The per-cell semantics mirror [Cell] exactly (see
+   [program_cell]).
+
+   The planes start empty and grow to cover the highest cell a write
+   touches, so a fresh crossbar costs nothing until it is programmed
+   and then only the prefix its programs reach. A cell past the grown
+   prefix has never been written: it reads as level 0, with no writes
+   and no defect. *)
 type plane_state = {
-  levels : Bytes.t;  (** current conductance level per cell *)
-  writes : int array;  (** lifetime write pulses per cell *)
-  stuck : Bytes.t;  (** 1 = injected manufacture-time defect *)
+  mutable levels : Bytes.t;  (** current conductance level per cell *)
+  mutable writes : int array;  (** lifetime write pulses per cell *)
+  mutable stuck : Bytes.t;  (** 1 = injected manufacture-time defect *)
 }
 
 (* The counters are mutable fields, bumped in place once per GEMV and
@@ -87,25 +91,9 @@ type t = {
   mutable worn : int;  (** cells at or past the endurance budget *)
 }
 
-let make_plane ?scratch cells =
-  match scratch with
-  | None ->
-      {
-        levels = Bytes.make cells '\000';
-        writes = Array.make cells 0;
-        stuck = Bytes.make cells '\000';
-      }
-  | Some arena ->
-      (* pooled blocks come back dirty: every plane starts erased *)
-      let levels = Arena.bytes arena cells in
-      Bytes.fill levels 0 cells '\000';
-      let writes = Arena.int_array arena cells in
-      Array.fill writes 0 cells 0;
-      let stuck = Arena.bytes arena cells in
-      Bytes.fill stuck 0 cells '\000';
-      { levels; writes; stuck }
+let empty_plane () = { levels = Bytes.empty; writes = [||]; stuck = Bytes.empty }
 
-let create ?(config = default_config) ?(seed = 0) ?scratch () =
+let create ?(config = default_config) ?(seed = 0) () =
   if config.rows <= 0 || config.cols <= 0 then
     invalid_arg "Crossbar.create: dimensions must be positive";
   if config.cell.Cell.levels <> 16 then
@@ -114,8 +102,8 @@ let create ?(config = default_config) ?(seed = 0) ?scratch () =
   {
     config;
     cells;
-    msb = make_plane ?scratch cells;
-    lsb = make_plane ?scratch cells;
+    msb = empty_plane ();
+    lsb = empty_plane ();
     adc = Adc.create ~config:config.adc ();
     prng = Prng.create ~seed;
     active = None;
@@ -130,18 +118,42 @@ let create ?(config = default_config) ?(seed = 0) ?scratch () =
     drift = 0;
     wear_sum = 0;
     wear_peak = 0;
+    (* every cell counts as worn from the start when the budget is empty *)
     worn = (if config.cell.Cell.endurance <= 0 then 2 * cells else 0);
   }
 
+(* Grows both planes to cover cell [i], doubling and capped at the
+   array's size; the new cells are erased. *)
+let grow t i =
+  let have = Bytes.length t.msb.levels in
+  if i >= have then begin
+    let size = min t.cells (max (i + 1) (2 * have)) in
+    let extend p =
+      let levels = Bytes.make size '\000' and stuck = Bytes.make size '\000' in
+      let writes = Array.make size 0 in
+      Bytes.blit p.levels 0 levels 0 have;
+      Bytes.blit p.stuck 0 stuck 0 have;
+      Array.blit p.writes 0 writes 0 have;
+      p.levels <- levels;
+      p.writes <- writes;
+      p.stuck <- stuck
+    in
+    extend t.msb;
+    extend t.lsb
+  end
+
 (* ---------- per-cell operations (the [Cell] semantics, on SoA) ---------- *)
 
-let[@inline always] cell_level p i = Char.code (Bytes.unsafe_get p.levels i)
+let[@inline always] cell_level p i =
+  if i < Bytes.length p.levels then Char.code (Bytes.unsafe_get p.levels i) else 0
 
-let[@inline always] cell_is_worn t p i =
-  Array.unsafe_get p.writes i >= t.config.cell.Cell.endurance
+let[@inline always] cell_wear p i =
+  if i < Array.length p.writes then Array.unsafe_get p.writes i else 0
+
+let[@inline always] cell_is_worn t p i = cell_wear p i >= t.config.cell.Cell.endurance
 
 let[@inline always] cell_is_stuck t p i =
-  Bytes.unsafe_get p.stuck i <> '\000' || cell_is_worn t p i
+  (i < Bytes.length p.stuck && Bytes.unsafe_get p.stuck i <> '\000') || cell_is_worn t p i
 
 let check_level t level =
   if level < 0 || level >= t.config.cell.Cell.levels then
@@ -152,9 +164,9 @@ let check_level t level =
    crossbar-wide wear totals current, so the wear report reads three
    fields instead of folding over every cell. *)
 let add_writes t p i n =
-  let before = Array.unsafe_get p.writes i in
+  let before = p.writes.(i) in
   let after = before + n in
-  Array.unsafe_set p.writes i after;
+  p.writes.(i) <- after;
   t.wear_sum <- t.wear_sum + n;
   if after > t.wear_peak then t.wear_peak <- after;
   let endurance = t.config.cell.Cell.endurance in
@@ -162,12 +174,13 @@ let add_writes t p i n =
 
 (* Mirrors [Cell.program]: the write pulse is charged (and wear
    accrues) even when the cell no longer switches, and stuckness is
-   judged before this pulse's wear is added. *)
+   judged before this pulse's wear is added. The caller has grown the
+   planes over [i]. *)
 let program_cell t p i ~level =
   check_level t level;
   let stuck = cell_is_stuck t p i in
   add_writes t p i 1;
-  if not stuck then Bytes.unsafe_set p.levels i (Char.unsafe_chr level)
+  if not stuck then Bytes.set p.levels i (Char.unsafe_chr level)
 
 let config t = t.config
 
@@ -212,6 +225,7 @@ let program_flat t ?(row_off = 0) ?(col_off = 0) ~rows:m ~cols:n codes =
   if Array.length codes < m * n then invalid_arg "Crossbar.program_flat: codes too short";
   check_region t ~row_off ~col_off ~m ~n "Crossbar.program_flat";
   let stride = t.config.cols in
+  grow t (((row_off + m - 1) * stride) + col_off + n - 1);
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       program_code t (((row_off + i) * stride) + col_off + j) (Array.unsafe_get codes ((i * n) + j))
@@ -288,13 +302,17 @@ let gemv_codes_into t input ~out =
      allocating. *)
   let full_scale = float_of_int (m * 127 * 15) +. 1.0 in
   let stride = t.config.cols in
+  (* Unchecked reads: they stay inside the active region, and
+     [program_flat] grows the planes over every cell of a region before
+     it latches [active]. *)
+  let hi_levels = t.msb.levels and lo_levels = t.lsb.levels in
   for j = 0 to n - 1 do
     let sum_hi = ref 0 and sum_lo = ref 0 in
     for i = 0 to m - 1 do
       let x = input.(i) in
       let idx = ((row_off + i) * stride) + col_off + j in
-      sum_hi := !sum_hi + (x * (cell_level t.msb idx - 8));
-      sum_lo := !sum_lo + (x * cell_level t.lsb idx)
+      sum_hi := !sum_hi + (x * (Char.code (Bytes.unsafe_get hi_levels idx) - 8));
+      sum_lo := !sum_lo + (x * Char.code (Bytes.unsafe_get lo_levels idx))
     done;
     (* Two conversions per column: one per physical plane. The ADC
        model is charged for the events; the code path keeps the
@@ -332,11 +350,13 @@ let cell_of t ~plane ~row ~col =
 let inject_stuck_at t ~plane ~row ~col ~level =
   let p, idx = cell_of t ~plane ~row ~col in
   check_level t level;
+  grow t idx;
   Bytes.set p.levels idx (Char.chr level);
   Bytes.set p.stuck idx '\001'
 
 let inject_wear_out t ~plane ~row ~col ~level =
   let p, idx = cell_of t ~plane ~row ~col in
+  grow t idx;
   program_cell t p idx ~level;
   add_writes t p idx (max 0 (t.config.cell.Cell.endurance - p.writes.(idx)))
 
@@ -351,22 +371,14 @@ let set_drift t ~offset = t.drift <- offset
 let drift t = t.drift
 let flips_remaining t = List.fold_left (fun acc f -> acc + f.remaining) 0 t.flips
 
-let fold_cells t f init =
-  let acc = ref init in
-  let visit p =
-    for i = 0 to t.cells - 1 do
-      acc := f !acc p i
-    done
-  in
-  visit t.msb;
-  visit t.lsb;
-  !acc
-
 let wear_total t = t.wear_sum
 let wear_max t = t.wear_peak
 let worn_out_fraction t = float_of_int t.worn /. float_of_int (2 * t.cells)
 
 let stuck_fraction t =
-  let stuck = fold_cells t (fun acc p i -> if cell_is_stuck t p i then acc + 1 else acc) 0 in
-  let total = 2 * t.cells in
-  float_of_int stuck /. float_of_int total
+  let stuck = ref 0 in
+  for i = 0 to t.cells - 1 do
+    if cell_is_stuck t t.msb i then incr stuck;
+    if cell_is_stuck t t.lsb i then incr stuck
+  done;
+  float_of_int !stuck /. float_of_int (2 * t.cells)

@@ -31,12 +31,16 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?seed:int -> ?scratch:Tdo_util.Arena.t -> unit -> t
-(** [scratch] backs the per-cell state (levels, wear counters, defect
-    flags) with arena blocks, so short-lived crossbars inside per-run
-    platforms recycle their planes instead of reallocating ~1M words
-    each. A crossbar created with [scratch] is only valid until that
-    arena's next reset — never pass one for a long-lived device. *)
+val create : ?config:config -> ?seed:int -> unit -> t
+(** A fresh, never-written array. The per-cell state (levels, wear
+    counters, defect flags) is allocated as writes reach it: every
+    write path grows it to cover the highest cell written, so a fresh
+    crossbar costs a few words and a programmed one the cells up to the
+    last one its programs touched.
+
+    A cell that was never written reads as level 0, has no writes and
+    carries no defect. It counts as worn out, and so as stuck, only
+    when the endurance budget is 0 or less. *)
 
 val config : t -> config
 

@@ -105,54 +105,75 @@ let[@inline always] load_elem t buffer ~offset_elems =
   Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Load;
   Sim.Memory.read_f32 t.platform.Platform.memory addr
 
-(* The copy loops below charge what an element-by-element loop would —
-   one address computation and one store or load per element — a
-   cache line at a time: [Cpu.issue_run] per row of the view. They walk
-   the matrix in row-major order and check the whole view against the
-   buffer before touching anything. *)
+(* Runs of consecutive elements in a view's [rows x cols] window, in
+   row-major order, as [f addr first count]: the run's physical address,
+   the row-major index of its first element and its length. A packed
+   window (leading dimension = cols) is one run, otherwise each row is
+   one. *)
+let iter_runs view ~rows ~cols f =
+  let base = view.buf.phys + (4 * view.offset_elems) in
+  if view.ld = cols then f base 0 (rows * cols)
+  else
+    for i = 0 to rows - 1 do
+      f (base + (4 * i * view.ld)) (i * cols) cols
+    done
+
+(* The copies below charge what an element-by-element loop would — one
+   address computation and one store or load per element — a cache line
+   at a time: [Cpu.issue_run] per run of the view. They check the whole
+   view against the buffer before touching anything, and move the data
+   a run at a time through the bulk [Sim.Memory] transfers. *)
 let charge_copy t view ~rows ~cols ~what cls =
   let last = view.offset_elems + ((rows - 1) * view.ld) + cols in
   if rows > 0 && cols > 0 && 4 * last > view.buf.buf_bytes then
     invalid_arg ("Api: " ^ what ^ " beyond the end of the buffer");
   let cpu = Platform.cpu t.platform in
   Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (rows * cols);
-  for i = 0 to rows - 1 do
-    Sim.Cpu.issue_run cpu
-      ~addr:(view.buf.phys + (4 * (view.offset_elems + (i * view.ld))))
-      ~count:cols cls
-  done
+  iter_runs view ~rows ~cols (fun addr _ count -> Sim.Cpu.issue_run cpu ~addr ~count cls)
+
+let copied_to_dev t dst ~rows ~cols =
+  let bytes = 4 * rows * cols in
+  t.counters <- { t.counters with host_to_dev_bytes = t.counters.host_to_dev_bytes + bytes };
+  bump_generation t dst.buf
+
+let copied_to_host t ~rows ~cols =
+  let bytes = 4 * rows * cols in
+  t.counters <- { t.counters with dev_to_host_bytes = t.counters.dev_to_host_bytes + bytes }
 
 let host_to_dev t ~src ~dst =
   check_live "Api.host_to_dev" dst.buf;
   let rows = Mat.rows src and cols = Mat.cols src in
   charge_copy t dst ~rows ~cols ~what:"store" Sim.Cpu.Store;
-  let memory = t.platform.Platform.memory in
-  let data = Mat.data src in
-  for i = 0 to rows - 1 do
-    let row = dst.buf.phys + (4 * (dst.offset_elems + (i * dst.ld))) in
-    for j = 0 to cols - 1 do
-      Sim.Memory.write_f32 memory (row + (4 * j)) (Array.unsafe_get data ((i * cols) + j))
-    done
-  done;
-  let bytes = 4 * rows * cols in
-  t.counters <- { t.counters with host_to_dev_bytes = t.counters.host_to_dev_bytes + bytes };
-  bump_generation t dst.buf
+  let memory = t.platform.Platform.memory and data = Mat.data src in
+  iter_runs dst ~rows ~cols (fun addr first count ->
+      Sim.Memory.write_f32s memory addr data ~pos:first ~len:count);
+  copied_to_dev t dst ~rows ~cols
 
 let dev_to_host t ~src ~rows ~cols =
   check_live "Api.dev_to_host" src.buf;
   let out = Mat.create ~rows ~cols in
   charge_copy t src ~rows ~cols ~what:"load" Sim.Cpu.Load;
-  let memory = t.platform.Platform.memory in
-  let data = Mat.data out in
-  for i = 0 to rows - 1 do
-    let row = src.buf.phys + (4 * (src.offset_elems + (i * src.ld))) in
-    for j = 0 to cols - 1 do
-      Array.unsafe_set data ((i * cols) + j) (Sim.Memory.read_f32 memory (row + (4 * j)))
-    done
-  done;
-  let bytes = 4 * rows * cols in
-  t.counters <- { t.counters with dev_to_host_bytes = t.counters.dev_to_host_bytes + bytes };
+  let memory = t.platform.Platform.memory and data = Mat.data out in
+  iter_runs src ~rows ~cols (fun addr first count ->
+      Sim.Memory.read_f32s memory addr data ~pos:first ~len:count);
+  copied_to_host t ~rows ~cols;
   out
+
+let host_to_dev_mem t ~src ~dst ~rows ~cols =
+  check_live "Api.host_to_dev_mem" dst.buf;
+  charge_copy t dst ~rows ~cols ~what:"store" Sim.Cpu.Store;
+  let memory = t.platform.Platform.memory in
+  iter_runs dst ~rows ~cols (fun addr first count ->
+      Sim.Memory.copy memory ~src:(src + (4 * first)) ~dst:addr ~len:(4 * count));
+  copied_to_dev t dst ~rows ~cols
+
+let dev_to_host_mem t ~src ~dst ~rows ~cols =
+  check_live "Api.dev_to_host_mem" src.buf;
+  charge_copy t src ~rows ~cols ~what:"load" Sim.Cpu.Load;
+  let memory = t.platform.Platform.memory in
+  iter_runs src ~rows ~cols (fun addr first count ->
+      Sim.Memory.copy memory ~src:addr ~dst:(dst + (4 * first)) ~len:(4 * count));
+  copied_to_host t ~rows ~cols
 
 let store_f32 t buffer ~offset_elems value =
   check_live "Api.store_f32" buffer;

@@ -51,6 +51,18 @@ val host_to_dev : t -> src:Tdo_linalg.Mat.t -> dst:view -> unit
 val dev_to_host : t -> src:view -> rows:int -> cols:int -> Tdo_linalg.Mat.t
 (** [polly_cimDevToHost]: copy a matrix out of a device buffer. *)
 
+val host_to_dev_mem : t -> src:int -> dst:view -> rows:int -> cols:int -> unit
+(** {!host_to_dev} from simulated memory: copies the packed row-major
+    [rows x cols] f32 array at physical address [src] into [dst] with
+    {!Tdo_sim.Memory.copy}, and charges and counts exactly what
+    {!host_to_dev} does. The caller charges the host-side loads of
+    [src]. *)
+
+val dev_to_host_mem : t -> src:view -> dst:int -> rows:int -> cols:int -> unit
+(** {!dev_to_host} into simulated memory: copies the [rows x cols]
+    window of [src] to the packed row-major array at physical address
+    [dst]. The caller charges the host-side stores of [dst]. *)
+
 val store_f32 : t -> buffer -> offset_elems:int -> float -> unit
 (** Single-element store into a buffer, charged as one host store;
     bumps the generation. Used by the IR executor for in-place

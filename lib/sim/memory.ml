@@ -93,30 +93,115 @@ let write_u8 t addr v =
   t.writes <- t.writes + 1;
   Bytes.set (chunk t (addr lsr chunk_bits)) (addr land (chunk_size - 1)) (Char.chr v)
 
+let offset_mask = chunk_size - 1
+
+(* Bulk transfers check their whole range once, bump the counters by
+   the bytes they move, and then work one chunk segment at a time: the
+   part of the range that lies inside one 64 KB chunk. *)
+
+let[@inline always] segment_bytes a left = min left (chunk_size - (a land offset_mask))
+
+(* Unchecked and uncounted: bytes [addr, addr + len) to [buf] at [pos],
+   and back. *)
+let blit_out t addr buf pos len =
+  let moved = ref 0 in
+  while !moved < len do
+    let a = addr + !moved in
+    let n = segment_bytes a (len - !moved) in
+    Bytes.blit (chunk t (a lsr chunk_bits)) (a land offset_mask) buf (pos + !moved) n;
+    moved := !moved + n
+  done
+
+let blit_in t buf pos addr len =
+  let moved = ref 0 in
+  while !moved < len do
+    let a = addr + !moved in
+    let n = segment_bytes a (len - !moved) in
+    Bytes.blit buf (pos + !moved) (chunk t (a lsr chunk_bits)) (a land offset_mask) n;
+    moved := !moved + n
+  done
+
 let read_bytes t addr len =
   check_range t addr len;
   t.reads <- t.reads + len;
   let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    let a = addr + i in
-    Bytes.set out i (Bytes.get (chunk t (a lsr chunk_bits)) (a land (chunk_size - 1)))
-  done;
+  blit_out t addr out 0 len;
   out
 
 let write_bytes t addr data =
   let len = Bytes.length data in
   check_range t addr len;
   t.writes <- t.writes + len;
-  for i = 0 to len - 1 do
-    let a = addr + i in
-    Bytes.set (chunk t (a lsr chunk_bits)) (a land (chunk_size - 1)) (Bytes.get data i)
+  blit_in t data 0 addr len
+
+let copy t ~src ~dst ~len =
+  check_range t src len;
+  check_range t dst len;
+  if len > 0 && src < dst + len && dst < src + len then invalid_arg "Memory.copy: ranges overlap";
+  t.reads <- t.reads + len;
+  t.writes <- t.writes + len;
+  let pos = ref 0 in
+  while !pos < len do
+    let s = src + !pos and d = dst + !pos in
+    let n = segment_bytes d (segment_bytes s (len - !pos)) in
+    let from = chunk t (s lsr chunk_bits) in
+    Bytes.blit from (s land offset_mask) (chunk t (d lsr chunk_bits)) (d land offset_mask) n;
+    pos := !pos + n
+  done
+
+let check_slice name (a : float array) pos len =
+  if pos < 0 || len < 0 || pos + len > Array.length a then invalid_arg (name ^ ": slice out of range")
+
+let write_f32s t addr src ~pos ~len =
+  check_slice "Memory.write_f32s" src pos len;
+  check_range t addr (4 * len);
+  t.writes <- t.writes + (4 * len);
+  let i = ref 0 in
+  while !i < len do
+    let a = addr + (4 * !i) in
+    let n = segment_bytes a (4 * (len - !i)) / 4 in
+    if n = 0 then begin
+      (* an f32 at an unaligned address that straddles two chunks *)
+      let b = Bytes.create 4 in
+      Bytes.set_int32_le b 0 (Int32.bits_of_float (Array.unsafe_get src (pos + !i)));
+      blit_in t b 0 a 4;
+      incr i
+    end
+    else begin
+      let c = chunk t (a lsr chunk_bits) and off = a land offset_mask and from = pos + !i in
+      for k = 0 to n - 1 do
+        Bytes.set_int32_le c (off + (4 * k)) (Int32.bits_of_float (Array.unsafe_get src (from + k)))
+      done;
+      i := !i + n
+    end
+  done
+
+let read_f32s t addr dst ~pos ~len =
+  check_slice "Memory.read_f32s" dst pos len;
+  check_range t addr (4 * len);
+  t.reads <- t.reads + (4 * len);
+  let i = ref 0 in
+  while !i < len do
+    let a = addr + (4 * !i) in
+    let n = segment_bytes a (4 * (len - !i)) / 4 in
+    if n = 0 then begin
+      let b = Bytes.create 4 in
+      blit_out t a b 0 4;
+      Array.unsafe_set dst (pos + !i) (Int32.float_of_bits (Bytes.get_int32_le b 0));
+      incr i
+    end
+    else begin
+      let c = chunk t (a lsr chunk_bits) and off = a land offset_mask and into = pos + !i in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst (into + k) (Int32.float_of_bits (Bytes.get_int32_le c (off + (4 * k))))
+      done;
+      i := !i + n
+    end
   done
 
 (* 32-bit accesses that stay inside one chunk (every 4-aligned address,
    i.e. all array elements) go straight to the chunk without building an
    intermediate [Bytes.t]. *)
-
-let offset_mask = chunk_size - 1
 
 let read_i32 t addr =
   let off = addr land offset_mask in

@@ -46,6 +46,28 @@ val write_f32 : t -> int -> float -> unit
 val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
 
+(** {2 Bulk transfers}
+
+    Each checks its whole range once, before it moves anything, and
+    then works one 64 KB chunk segment at a time. The data and the
+    {!reads}/{!writes} counters end exactly as after the same transfer
+    made one element at a time. *)
+
+val write_f32s : t -> int -> float array -> pos:int -> len:int -> unit
+(** [write_f32s t addr src ~pos ~len] stores [src.(pos) .. src.(pos + len - 1)]
+    at [addr], [addr + 4], ..., each rounded to binary32 as {!write_f32}
+    does. Raises [Invalid_argument] when the slice is not within [src]
+    or the [4 * len] bytes are not within memory. *)
+
+val read_f32s : t -> int -> float array -> pos:int -> len:int -> unit
+(** [read_f32s t addr dst ~pos ~len] loads [len] binary32 values from
+    [addr], [addr + 4], ... into [dst.(pos) ..], as {!read_f32} would. *)
+
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** Copies [len] bytes from [src] to [dst]; counts them as read and
+    written. Raises [Invalid_argument] when either range is outside
+    memory or the two overlap. *)
+
 val burst_latency : t -> bytes:int -> Time_base.ps
 (** Time for one burst of [bytes]: access latency + size / bandwidth. *)
 

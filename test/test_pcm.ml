@@ -223,69 +223,141 @@ type wear_cmd =
   | Wear_out of Crossbar.plane * int * int
   | Stuck of Crossbar.plane * int * int
 
-(* The wear report reads running totals; a per-cell write count kept
-   here, with endurance 3 so cells wear out within a short run, says
-   what they must be. *)
+(* Per-cell state with [Cell] semantics: the crossbar keeps running wear
+   totals and grows its planes as writes reach them, and a write count,
+   level and defect flag kept here for every cell say what it must
+   report. The geometries are a 4x5 array with endurance 3, so cells
+   wear out within a short run, and a 64x48 array whose planes grow in
+   the middle of a sequence, once with endurance 3 and once with 0 (every
+   cell worn, and so stuck, from the start, written or not). *)
 let qcheck_wear_totals_match_cells =
-  let rows = 4 and cols = 5 and endurance = 3 in
-  let config =
-    { small_config with
-      Crossbar.rows; cols; cell = { Cell.default_config with Cell.endurance }; size_bytes = 20 }
-  in
+  let geometry = QCheck.Gen.oneofl [ (4, 5, 3); (64, 48, 3); (64, 48, 0) ] in
   let plane = QCheck.Gen.map (fun m -> if m then Crossbar.Msb else Crossbar.Lsb) QCheck.Gen.bool in
-  let row = QCheck.Gen.int_bound (rows - 1) and col = QCheck.Gen.int_bound (cols - 1) in
-  let cmd =
+  (* biased towards the last row and column, the far end of the planes *)
+  let coord size = QCheck.Gen.(frequency [ (3, int_bound (size - 1)); (1, return (size - 1)) ]) in
+  let cmd (rows, cols, _) =
     QCheck.Gen.(
       frequency
         [
           ( 4,
-            row >>= fun r ->
-            col >>= fun c ->
-            map2 (fun m n -> Program (r, c, m, n)) (1 -- (rows - r)) (1 -- (cols - c)) );
-          (1, map3 (fun p r c -> Wear_out (p, r, c)) plane row col);
-          (1, map3 (fun p r c -> Stuck (p, r, c)) plane row col);
+            map2 (fun m n -> (m, n)) (1 -- min rows 6) (1 -- min cols 6) >>= fun (m, n) ->
+            map2 (fun r c -> Program (r, c, m, n)) (coord (rows - m + 1)) (coord (cols - n + 1)) );
+          (1, map3 (fun p r c -> Wear_out (p, r, c)) plane (coord rows) (coord cols));
+          (1, map3 (fun p r c -> Stuck (p, r, c)) plane (coord rows) (coord cols));
         ])
   in
   let plane_char p = if p = Crossbar.Msb then 'm' else 'l' in
-  let print cmds =
-    String.concat " "
-      (List.map
-         (function
-           | Program (r, c, m, n) -> Printf.sprintf "P%d,%d:%dx%d" r c m n
-           | Wear_out (p, r, c) -> Printf.sprintf "W%c%d,%d" (plane_char p) r c
-           | Stuck (p, r, c) -> Printf.sprintf "S%c%d,%d" (plane_char p) r c)
-         cmds)
+  let print ((rows, cols, endurance), cmds) =
+    Printf.sprintf "%dx%d e=%d: %s" rows cols endurance
+      (String.concat " "
+         (List.map
+            (function
+              | Program (r, c, m, n) -> Printf.sprintf "P%d,%d:%dx%d" r c m n
+              | Wear_out (p, r, c) -> Printf.sprintf "W%c%d,%d" (plane_char p) r c
+              | Stuck (p, r, c) -> Printf.sprintf "S%c%d,%d" (plane_char p) r c)
+            cmds))
   in
   QCheck.Test.make ~name:"wear totals match a per-cell model" ~count:300
-    (QCheck.make ~print QCheck.Gen.(list_size (0 -- 30) cmd))
-    (fun cmds ->
+    (QCheck.make ~print
+       QCheck.Gen.(geometry >>= fun g -> map (fun cmds -> (g, cmds)) (list_size (0 -- 30) (cmd g))))
+    (fun ((rows, cols, endurance), cmds) ->
+      let config =
+        { small_config with
+          Crossbar.rows; cols; cell = { Cell.default_config with Cell.endurance };
+          size_bytes = rows * cols }
+      in
       let xb = Crossbar.create ~config () in
-      (* writes.(0) is the MSB plane, writes.(1) the LSB plane *)
+      (* index 0 is the MSB plane, 1 the LSB plane *)
       let writes = Array.init 2 (fun _ -> Array.make_matrix rows cols 0) in
+      let levels = Array.init 2 (fun _ -> Array.make_matrix rows cols 0) in
+      let stuck = Array.init 2 (fun _ -> Array.make_matrix rows cols false) in
       let plane_index = function Crossbar.Msb -> 0 | Crossbar.Lsb -> 1 in
+      let is_stuck p i j = stuck.(p).(i).(j) || writes.(p).(i).(j) >= endurance in
+      (* [Cell.program]: stuckness is judged before the pulse's wear *)
+      let program p i j level =
+        let was_stuck = is_stuck p i j in
+        writes.(p).(i).(j) <- writes.(p).(i).(j) + 1;
+        if not was_stuck then levels.(p).(i).(j) <- level
+      in
+      let code k = (k * 37 mod 256) - 128 in
       List.iter
         (function
           | Program (row_off, col_off, m, n) ->
-              Crossbar.program_flat xb ~row_off ~col_off ~rows:m ~cols:n
-                (Array.init (m * n) (fun k -> (k * 37 mod 256) - 128));
-              for i = row_off to row_off + m - 1 do
-                for j = col_off to col_off + n - 1 do
-                  Array.iter (fun w -> w.(i).(j) <- w.(i).(j) + 1) writes
+              Crossbar.program_flat xb ~row_off ~col_off ~rows:m ~cols:n (Array.init (m * n) code);
+              for i = 0 to m - 1 do
+                for j = 0 to n - 1 do
+                  let c = code ((i * n) + j) in
+                  program 0 (row_off + i) (col_off + j) (Tdo_linalg.Quant.high_nibble c + 8);
+                  program 1 (row_off + i) (col_off + j) (Tdo_linalg.Quant.low_nibble c)
                 done
               done
           | Wear_out (plane, row, col) ->
               Crossbar.inject_wear_out xb ~plane ~row ~col ~level:5;
-              let w = writes.(plane_index plane) in
-              w.(row).(col) <- max (w.(row).(col) + 1) endurance
-          | Stuck (plane, row, col) -> Crossbar.inject_stuck_at xb ~plane ~row ~col ~level:7)
+              let p = plane_index plane in
+              program p row col 5;
+              writes.(p).(row).(col) <- max writes.(p).(row).(col) endurance
+          | Stuck (plane, row, col) ->
+              Crossbar.inject_stuck_at xb ~plane ~row ~col ~level:7;
+              let p = plane_index plane in
+              levels.(p).(row).(col) <- 7;
+              stuck.(p).(row).(col) <- true)
         cmds;
       let cells =
         List.concat_map Array.to_list (List.concat_map Array.to_list (Array.to_list writes))
       in
       let worn = List.length (List.filter (fun w -> w >= endurance) cells) in
+      let stuck_cells = ref 0 in
+      for p = 0 to 1 do
+        for i = 0 to rows - 1 do
+          for j = 0 to cols - 1 do
+            if is_stuck p i j then incr stuck_cells
+          done
+        done
+      done;
+      let total = float_of_int (2 * rows * cols) in
+      let region_ok =
+        match Crossbar.active_region xb with
+        | None -> true
+        | Some (row_off, col_off, m, n) ->
+            let code_at i j =
+              Tdo_linalg.Quant.combine_nibbles
+                ~msb:(levels.(0).(row_off + i).(col_off + j) - 8)
+                ~lsb:levels.(1).(row_off + i).(col_off + j)
+            in
+            let x = Array.init m (fun i -> (i * 7 mod 11) - 5) in
+            let expected_out =
+              Array.init n (fun j ->
+                  let acc = ref 0 in
+                  for i = 0 to m - 1 do
+                    acc := !acc + (x.(i) * code_at i j)
+                  done;
+                  !acc)
+            in
+            Crossbar.read_codes xb = Array.init m (fun i -> Array.init n (code_at i))
+            && Crossbar.gemv_codes xb x = expected_out
+      in
       Crossbar.wear_total xb = List.fold_left ( + ) 0 cells
       && Crossbar.wear_max xb = List.fold_left max 0 cells
-      && Crossbar.worn_out_fraction xb = float_of_int worn /. float_of_int (2 * rows * cols))
+      && Crossbar.worn_out_fraction xb = float_of_int worn /. total
+      && Crossbar.stuck_fraction xb = float_of_int !stuck_cells /. total
+      && region_ok)
+
+(* Cell state grows as writes reach it: a fresh 4-tile device (4 tiles
+   x 2 planes x 65,536 cells) allocates its caches, not its crossbars. *)
+let test_fresh_device_allocates_what_it_touches () =
+  let d = Tdo_runtime.Platform.default_config in
+  let platform_config =
+    { d with
+      Tdo_runtime.Platform.engine =
+        { d.Tdo_runtime.Platform.engine with Tdo_cimacc.Micro_engine.tiles = 4 } }
+  in
+  let _, _, before = Gc.counters () in
+  let dev = Tdo_serve.Device.create ~platform_config ~id:0 () in
+  let _, _, after = Gc.counters () in
+  ignore (Sys.opaque_identity dev);
+  let words = after -. before in
+  if words >= 100_000.0 then
+    Alcotest.failf "fresh 4-tile device allocated %.0f major words (limit 100,000)" words
 
 let qcheck_program_read_roundtrip =
   QCheck.Test.make ~name:"crossbar program/read roundtrip" ~count:50 QCheck.small_int
@@ -414,6 +486,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_gemv_additive;
         QCheck_alcotest.to_alcotest qcheck_program_read_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_wear_totals_match_cells;
+        Alcotest.test_case "fresh device allocates what it touches" `Quick
+          test_fresh_device_allocates_what_it_touches;
       ] );
     ( "pcm.endurance",
       [

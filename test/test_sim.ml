@@ -107,6 +107,131 @@ let test_memory_burst_latency () =
   let l64 = Memory.burst_latency m ~bytes:64 in
   Alcotest.(check bool) "bandwidth term" true (l64 > l0)
 
+(* The bulk transfers against the same transfer made one element (or
+   one byte) at a time on a second memory: the bytes around the range,
+   both counters and, for the f32 forms, the floats bit for bit. Ranges
+   straddle 64 KB chunk boundaries, sit in a chunk nothing touched, or
+   run past the end of an 8-chunk memory, where the transfer must raise
+   and move nothing. *)
+type bulk_op = Bulk_write | Bulk_read | Bulk_copy
+
+let qcheck_bulk_transfers =
+  let chunk = 65536 in
+  let size = 8 * chunk in
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (3, map2 (fun k d -> (k * chunk) - d) (1 -- 7) (0 -- 2400));
+        (1, map (fun o -> (6 * chunk) + o) (0 -- (chunk - 2500)));
+        (2, int_bound (size - 1));
+        (1, map (fun d -> size - d) (0 -- 2400));
+        (1, int_range (-8) (-1));
+      ]
+  in
+  let addr = frequency [ (3, map (fun a -> a land lnot 3) addr); (1, addr) ] in
+  (* doubles that round when narrowed, NaN payloads, signed zeros,
+     subnormals of either width, values past the binary32 range, and
+     arbitrary bit patterns *)
+  let value =
+    frequency
+      [
+        (4, float_range (-1e6) 1e6);
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; infinity; neg_infinity; 1e-40; -1.4e-45; 5e-324; -2.2e-308; 3.5e38; -1e39; 0.1 ] );
+        (1, map (fun b -> Int64.float_of_bits (Int64.logor b 0x7FF0_0000_0000_0001L)) ui64);
+        (1, map Int64.float_of_bits ui64);
+      ]
+  in
+  let case =
+    oneofl [ Bulk_write; Bulk_read; Bulk_copy ] >>= fun op ->
+    addr >>= fun a ->
+    addr >>= fun b ->
+    (0 -- 600) >>= fun len ->
+    (0 -- 3) >>= fun pos ->
+    array_size (return (pos + len + 2)) value >>= fun values ->
+    map2 (fun fill seed -> (op, a, b, len, pos, values, fill, seed)) bool int
+  in
+  let print (op, a, b, len, pos, _, fill, seed) =
+    Printf.sprintf "%s a=%d b=%d len=%d pos=%d fill=%b seed=%d"
+      (match op with Bulk_write -> "write_f32s" | Bulk_read -> "read_f32s" | Bulk_copy -> "copy")
+      a b len pos fill seed
+  in
+  QCheck.Test.make ~name:"bulk transfers equal the per-element path" ~count:500
+    (QCheck.make ~print case) (fun (op, a, b, len, pos, values, fill, seed) ->
+      let config = { Memory.default_config with Memory.size_bytes = size } in
+      let m1 = Memory.create ~config () and m2 = Memory.create ~config () in
+      let in_range addr n = addr >= 0 && addr + n <= size in
+      let rng = Random.State.make [| seed |] in
+      (* the same random bytes in both memories, clipped to memory *)
+      let fill_both addr n =
+        if fill then
+          for x = max 0 addr to min size (addr + n) - 1 do
+            let v = Random.State.int rng 256 in
+            Memory.write_u8 m1 x v;
+            Memory.write_u8 m2 x v
+          done
+      in
+      let same_bytes addr n =
+        let ok = ref true in
+        for x = max 0 (addr - 8) to min size (addr + n + 8) - 1 do
+          if Memory.read_u8 m1 x <> Memory.read_u8 m2 x then ok := false
+        done;
+        !ok
+      in
+      let bits = Array.map Int64.bits_of_float in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      (* a copy moves any byte count, 0 to 2,403, from [b] to [a] *)
+      let n = match op with Bulk_copy -> (4 * len) + pos | Bulk_write | Bulk_read -> 4 * len in
+      (match op with
+      | Bulk_read -> fill_both a n
+      | Bulk_copy -> fill_both b n
+      | Bulk_write -> ());
+      let r1 = Memory.reads m1 and w1 = Memory.writes m1 in
+      let r2 = Memory.reads m2 and w2 = Memory.writes m2 in
+      let moved () = (Memory.reads m1 - r1, Memory.writes m1 - w1) in
+      let same_counts () = moved () = (Memory.reads m2 - r2, Memory.writes m2 - w2) in
+      match op with
+      | Bulk_write ->
+          if not (in_range a n) then
+            raises (fun () -> Memory.write_f32s m1 a values ~pos ~len)
+            && moved () = (0, 0) && same_bytes a n
+          else begin
+            Memory.write_f32s m1 a values ~pos ~len;
+            for i = 0 to len - 1 do
+              Memory.write_f32 m2 (a + (4 * i)) values.(pos + i)
+            done;
+            let counts_ok = same_counts () in
+            let back1 = Array.make len 0.0 in
+            Memory.read_f32s m1 a back1 ~pos:0 ~len;
+            let back2 = Array.init len (fun i -> Memory.read_f32 m2 (a + (4 * i))) in
+            counts_ok && bits back1 = bits back2 && same_bytes a n
+          end
+      | Bulk_read ->
+          let d1 = Array.copy values and d2 = Array.copy values in
+          if not (in_range a n) then
+            raises (fun () -> Memory.read_f32s m1 a d1 ~pos ~len)
+            && moved () = (0, 0) && bits d1 = bits values
+          else begin
+            Memory.read_f32s m1 a d1 ~pos ~len;
+            for i = 0 to len - 1 do
+              d2.(pos + i) <- Memory.read_f32 m2 (a + (4 * i))
+            done;
+            same_counts () && bits d1 = bits d2
+          end
+      | Bulk_copy ->
+          if (n > 0 && a < b + n && b < a + n) || not (in_range a n && in_range b n) then
+            raises (fun () -> Memory.copy m1 ~src:b ~dst:a ~len:n)
+            && moved () = (0, 0) && same_bytes a n
+          else begin
+            Memory.copy m1 ~src:b ~dst:a ~len:n;
+            for i = 0 to n - 1 do
+              Memory.write_u8 m2 (a + i) (Memory.read_u8 m2 (b + i))
+            done;
+            same_counts () && same_bytes a n && same_bytes b n
+          end)
+
 (* ---------- Cache ---------- *)
 
 let flat_next latency = fun _ ~addr:_ ~bytes:_ -> latency
@@ -705,6 +830,7 @@ let suites =
         Alcotest.test_case "chunk boundary" `Quick test_memory_chunk_boundary;
         Alcotest.test_case "bounds" `Quick test_memory_bounds;
         Alcotest.test_case "burst latency" `Quick test_memory_burst_latency;
+        QCheck_alcotest.to_alcotest qcheck_bulk_transfers;
       ] );
     ( "sim.cache",
       [
