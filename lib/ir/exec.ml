@@ -38,6 +38,10 @@ type state = {
   pending : int array;
       (** instructions counted but not yet retired to the core, by
           {!counted_classes} index *)
+  mutable loads : int;  (** probed and not yet retired *)
+  mutable stores : int;
+  mutable miss_cycles : int;  (** what those probes cost beyond L1D hits *)
+  memory_bytes : int;  (** the size of simulated memory *)
   mutable roi_open : bool;  (** this run opened the ROI window and has not closed it *)
 }
 
@@ -54,27 +58,20 @@ let alloc_array st dims =
 let[@inline always] getf st = Float.Array.unsafe_get st.facc 0
 let[@inline always] setf st v = Float.Array.unsafe_set st.facc 0 v
 
-let[@inline always] load st addr =
-  Sim.Cpu.issue_at st.cpu ~addr Sim.Cpu.Load;
-  Sim.Memory.read_f32 st.memory addr
-
-let[@inline always] store st addr v =
-  Sim.Cpu.issue_at st.cpu ~addr Sim.Cpu.Store;
-  Sim.Memory.write_f32 st.memory addr v
-
 (* ---------- instruction counting ----------
 
    The non-memory instructions a statement issues do not depend on the
    data, so they are counted once, at compile time, into a [count]
    array; the compiled code adds them to the run's pending counters in
-   bulk and [retire] hands those to the core with [Cpu.issue_many].
-   This is exact: the core's cycle count is a sum of per-instruction
-   costs, no cache, bus or memory latency reads the core's clock, and
-   only runtime calls, ROI markers and the end of the run read the
-   core's counters — each of which retires everything pending first.
-   Loads and stores still go through [Cpu.issue_at] one at a time, in
-   program order and at their addresses, so the L1D and L2 see the same
-   access stream. *)
+   bulk. A load or store probes the L1D as it runs, in program order
+   and at its address, so the L1D and L2 see the same access stream,
+   and adds itself and the cycles it cost beyond a hit to the pending
+   counters too. [retire] hands everything pending to the core, with
+   [Cpu.issue_many] and [Cpu.retire_probed]. This is exact: the core's
+   cycle count is a sum of per-instruction costs, no cache, bus or
+   memory latency reads the core's clock, and only runtime calls, ROI
+   markers and the end of the run read the core's counters — each of
+   which retires everything pending first. *)
 
 let counted_classes = Sim.Cpu.[| Int_alu; Fp_add; Fp_mul; Fp_mac; Fp_div; Branch |]
 let alu = 0
@@ -105,7 +102,25 @@ let retire st =
       Sim.Cpu.issue_many st.cpu (Array.unsafe_get counted_classes i) n;
       Array.unsafe_set p i 0
     end
-  done
+  done;
+  if st.loads + st.stores > 0 then begin
+    Sim.Cpu.retire_probed st.cpu ~loads:st.loads ~stores:st.stores ~cycles:st.miss_cycles;
+    st.loads <- 0;
+    st.stores <- 0;
+    st.miss_cycles <- 0
+  end
+
+(* Each load and store site of the program has its own number, under
+   which the core remembers the line the site last touched. *)
+let[@inline always] load st site addr =
+  st.loads <- st.loads + 1;
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_load st.cpu ~site ~addr;
+  Sim.Memory.read_f32 st.memory addr
+
+let[@inline always] store st site addr v =
+  st.stores <- st.stores + 1;
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
+  Sim.Memory.write_f32 st.memory addr v
 
 (* ---------- binding ----------
 
@@ -115,7 +130,12 @@ let retire st =
 
 type bind = Bint of int | Bfloat of int | Barr of int * int list
 
-type slots = { mutable n_int : int; mutable n_float : int; mutable n_arr : int }
+type slots = {
+  mutable n_int : int;
+  mutable n_float : int;
+  mutable n_arr : int;
+  mutable n_site : int;  (** load and store sites *)
+}
 
 let new_int s =
   let slot = s.n_int in
@@ -131,6 +151,11 @@ let new_arr s =
   let slot = s.n_arr in
   s.n_arr <- slot + 1;
   slot
+
+let new_site s =
+  let site = s.n_site in
+  s.n_site <- site + 1;
+  site
 
 let lookup env name =
   match List.assoc_opt name env with
@@ -156,6 +181,14 @@ type value =
   | Int of (state -> int)
   | Float of code  (** leaves its result in [st.facc] *)
 
+(* How an array access finds its byte address. A rank-1 or rank-2
+   access subscripted by integer variables reads their slots in place;
+   any other access runs a closure per subscript. *)
+type address =
+  | Var1 of { arr : int; i : int; d0 : int }
+  | Var2 of { arr : int; i : int; j : int; d0 : int; d1 : int }
+  | Computed of (state -> int)
+
 let[@inline always] int_op op x y =
   match op with
   | Ast.Add -> x + y
@@ -175,6 +208,20 @@ let[@inline always] float_op op x y =
 let[@inline always] check_index idx dim =
   if idx < 0 || idx >= dim then fail "index %d out of bound %d" idx dim
 
+(* Row-major, checking the subscripts in order. *)
+let[@inline always] address st = function
+  | Var1 { arr; i; d0 } ->
+      let i = Array.unsafe_get st.ints i in
+      check_index i d0;
+      (Array.unsafe_get st.arrays arr).base + (4 * i)
+  | Var2 { arr; i; j; d0; d1 } ->
+      let i = Array.unsafe_get st.ints i in
+      check_index i d0;
+      let j = Array.unsafe_get st.ints j in
+      check_index j d1;
+      (Array.unsafe_get st.arrays arr).base + (4 * ((i * d1) + j))
+  | Computed f -> f st
+
 let as_float = function
   | Float f -> f
   | Int f -> fun st -> setf st (float_of_int (f st))
@@ -189,8 +236,9 @@ let rec compile_expr env s k (e : Ast.expr) : value =
       | Bfloat slot -> Float (fun st -> setf st (Array.unsafe_get st.floats slot))
       | Barr _ -> fail "array '%s' used as a scalar" name)
   | Ast.Index (name, indices) ->
-      let address = compile_address env s k name indices in
-      Float (fun st -> setf st (load st (address st)))
+      let place = compile_address env s k name indices in
+      let site = new_site s in
+      Float (fun st -> setf st (load st site (address st place)))
   | Ast.Binop (op, a, b) -> (
       match (compile_expr env s k a, compile_expr env s k b) with
       | Int ca, Int cb ->
@@ -222,30 +270,39 @@ let rec compile_expr env s k (e : Ast.expr) : value =
               setf st (-.getf st)))
 
 (* Byte address of a row-major element; one [Int_alu] per dimension. *)
-and compile_address env s k name indices : state -> int =
+and compile_address env s k name indices : address =
   match lookup env name with
-  | Barr (slot, dims) ->
+  | Barr (slot, dims) -> (
       if List.length indices <> List.length dims then fail "array '%s': rank mismatch" name;
-      let idxs =
-        Array.of_list
-          (List.map
-             (fun e ->
-               match compile_expr env s k e with
-               | Int f -> f
-               | Float _ -> fail "non-integer subscript")
-             indices)
+      k.(alu) <- k.(alu) + List.length dims;
+      let int_var = function
+        | Ast.Var v -> ( match List.assoc_opt v env with Some (Bint i) -> i | _ -> -1)
+        | _ -> -1
       in
-      let dims = Array.of_list dims in
-      k.(alu) <- k.(alu) + Array.length dims;
-      fun st ->
-        let flat = ref 0 in
-        for i = 0 to Array.length dims - 1 do
-          let idx = (Array.unsafe_get idxs i) st in
-          let dim = Array.unsafe_get dims i in
-          check_index idx dim;
-          flat := (!flat * dim) + idx
-        done;
-        (Array.unsafe_get st.arrays slot).base + (4 * !flat)
+      match (List.map int_var indices, dims) with
+      | [ i ], [ d0 ] when i >= 0 -> Var1 { arr = slot; i; d0 }
+      | [ i; j ], [ d0; d1 ] when i >= 0 && j >= 0 -> Var2 { arr = slot; i; j; d0; d1 }
+      | _ ->
+          let idxs =
+            Array.of_list
+              (List.map
+                 (fun e ->
+                   match compile_expr env s k e with
+                   | Int f -> f
+                   | Float _ -> fail "non-integer subscript")
+                 indices)
+          in
+          let dims = Array.of_list dims in
+          Computed
+            (fun st ->
+              let flat = ref 0 in
+              for i = 0 to Array.length dims - 1 do
+                let idx = (Array.unsafe_get idxs i) st in
+                let dim = Array.unsafe_get dims i in
+                check_index idx dim;
+                flat := (!flat * dim) + idx
+              done;
+              (Array.unsafe_get st.arrays slot).base + (4 * !flat)))
   | Bint _ | Bfloat _ -> fail "scalar '%s' indexed" name
 
 let int_expr env s k what e =
@@ -449,6 +506,18 @@ let[@inline always] assign_f op old v =
   | Ast.Sub_assign -> old -. v
   | Ast.Mul_assign -> old *. v
 
+(* [a[..] op= v] at [addr]: the load and the store are back to back, so
+   one probe serves both. Where [Memory] rejects the address, the load
+   raises before any store, so it is probed alone. *)
+let[@inline always] update st site addr op v =
+  if addr + 4 > st.memory_bytes then ignore (load st site addr)
+  else begin
+    st.loads <- st.loads + 1;
+    st.stores <- st.stores + 1;
+    st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_update st.cpu ~site ~addr;
+    Sim.Memory.write_f32 st.memory addr (assign_f op (Sim.Memory.read_f32 st.memory addr) v)
+  end
+
 let[@inline always] assign_i op old v =
   match op with
   | Ast.Set -> v
@@ -470,7 +539,8 @@ let[@inline always] run_block (block : code array) st =
 let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
   match (lookup env lhs.Ast.base, lhs.Ast.indices) with
   | Barr _, indices -> (
-      let address = compile_address env s k lhs.Ast.base indices in
+      let place = compile_address env s k lhs.Ast.base indices in
+      let site = new_site s in
       let rhs =
         match (op, rhs) with
         | Ast.Add_assign, Ast.Binop (Ast.Mul, a, b) ->
@@ -496,15 +566,14 @@ let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
       match op with
       | Ast.Set ->
           fun st ->
-            let addr = address st in
+            let addr = address st place in
             rhs st;
-            store st addr (getf st)
+            store st site addr (getf st)
       | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
           fun st ->
-            let addr = address st in
+            let addr = address st place in
             rhs st;
-            let v = getf st in
-            store st addr (assign_f op (load st addr) v))
+            update st site addr op (getf st))
   | Bfloat slot, [] ->
       let rhs = as_float (compile_expr env s k rhs) in
       if op <> Ast.Set then bump k fadd;
@@ -661,7 +730,7 @@ let bind_param s (p : Ast.param) =
 
 let prepare (f : Ir.func) : program =
   match
-    let s = { n_int = 0; n_float = 0; n_arr = 0 } in
+    let s = { n_int = 0; n_float = 0; n_arr = 0; n_site = 0 } in
     let params = List.map (fun (p : Ast.param) -> (p.Ast.pname, bind_param s p)) f.Ir.params in
     let body = compile_block params s None f.Ir.body in
     { params; n_ints = s.n_int; n_floats = s.n_float; n_arrays = s.n_arr; body }
@@ -722,6 +791,10 @@ let exec ?scratch (program : program) ~platform ~args =
       api = None;
       dev = Hashtbl.create 8;
       pending = new_count ();
+      loads = 0;
+      stores = 0;
+      miss_cycles = 0;
+      memory_bytes = (Sim.Memory.config platform.Platform.memory).Sim.Memory.size_bytes;
       roi_open = false;
     }
   in

@@ -55,6 +55,18 @@ let alloc t ~bytes =
         Ok addr
   end
 
+(* [addr, addr + size) into the address-ordered free list, merged with
+   the block that ends at [addr] and the one that starts where it ends.
+   No two free blocks touch, so those are the only merges. *)
+let rec insert_free addr size = function
+  | (a, s) :: rest when a + s = addr -> (
+      match rest with
+      | (b, s') :: rest when addr + size = b -> (a, s + size + s') :: rest
+      | _ -> (a, s + size) :: rest)
+  | ((a, _) as block) :: rest when a < addr -> block :: insert_free addr size rest
+  | (b, s') :: rest when addr + size = b -> (addr, size + s') :: rest
+  | blocks -> (addr, size) :: blocks
+
 let free t addr =
   match Hashtbl.find_opt t.live addr with
   | None -> invalid_arg (Printf.sprintf "Cma.free: 0x%x was not allocated" addr)
@@ -62,18 +74,7 @@ let free t addr =
       Hashtbl.remove t.live addr;
       t.frees <- t.frees + 1;
       t.allocated <- t.allocated - size;
-      (* insert sorted, then coalesce neighbours *)
-      let merged =
-        List.sort compare ((addr, size) :: t.free_list)
-        |> List.fold_left
-             (fun acc (a, s) ->
-               match acc with
-               | (pa, ps) :: rest when pa + ps = a -> (pa, ps + s) :: rest
-               | _ -> (a, s) :: acc)
-             []
-        |> List.rev
-      in
-      t.free_list <- merged
+      t.free_list <- insert_free addr size t.free_list
 
 let is_allocated t addr = Hashtbl.mem t.live addr
 let allocation_size t addr = Hashtbl.find_opt t.live addr

@@ -53,7 +53,11 @@ let zero_stats =
    word, marking the sets the miss path has filled since the last
    flush. Only a fill makes a line valid and a flush invalidates every
    line, so every other set holds no valid line and [flush] can skip
-   it. *)
+   it.
+
+   [generation] counts fills and flushes, the only events that change
+   which line an index holds; a {!memo} entry is current while it is
+   unchanged. *)
 type t = {
   config : config;
   ways : int;
@@ -66,6 +70,7 @@ type t = {
   filled : int array;
   next : op -> addr:int -> bytes:int -> Time_base.ps;
   mutable clock : int;  (** logical timestamp for LRU ordering *)
+  mutable generation : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -108,6 +113,7 @@ let create ?(config = l1d_arm_a7) ~next () =
     filled = Array.make ((nsets + filled_bits - 1) / filled_bits) 0;
     next;
     clock = 0;
+    generation = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -158,6 +164,7 @@ let[@inline always] hit t op i =
    [line_addr]. Returns the access latency. *)
 let fill t op ~set ~line_addr i =
   t.misses <- t.misses + 1;
+  t.generation <- t.generation + 1;
   let line_bytes = t.config.line_bytes in
   let state = Bytes.unsafe_get t.state i in
   let writeback_latency =
@@ -190,6 +197,69 @@ let access t op ~addr =
     t.config.hit_latency_ps
   end
   else fill t op ~set ~line_addr (victim t base)
+
+(* A memo keeps, for each access site, the line address its last
+   probe touched, the index that line resolved to and the generation
+   then: three ints per site, stale (line -1) until first written. *)
+type memo = { mutable entries : int array }
+
+let memo () = { entries = [||] }
+
+let remember memo ~site ~line_addr i generation =
+  let j = 3 * site in
+  if j >= Array.length memo.entries then begin
+    let grown = Array.make (3 * max (site + 1) (2 * Array.length memo.entries / 3)) (-1) in
+    Array.blit memo.entries 0 grown 0 (Array.length memo.entries);
+    memo.entries <- grown
+  end;
+  let e = memo.entries in
+  Array.unsafe_set e j line_addr;
+  Array.unsafe_set e (j + 1) i;
+  Array.unsafe_set e (j + 2) generation
+
+(* [access t op ~addr], and with [update] then [access t Write ~addr],
+   which hits the line the first access left resident. A site whose
+   memo entry holds this line in the current generation hits its index
+   without the set search: no fill or flush since means the index still
+   holds that line. *)
+let[@inline always] probe_gen t memo ~site op ~update ~addr =
+  let line_addr = addr lsr t.line_shift in
+  let e = memo.entries in
+  let j = 3 * site in
+  if
+    j >= 0
+    && j < Array.length e
+    && Array.unsafe_get e j = line_addr
+    && Array.unsafe_get e (j + 2) = t.generation
+  then begin
+    let i = Array.unsafe_get e (j + 1) in
+    hit t op i;
+    if update then hit t Write i;
+    t.config.hit_latency_ps
+  end
+  else begin
+    if addr < 0 then invalid_arg "Cache.probe: negative address";
+    if site < 0 then invalid_arg "Cache.probe: negative site";
+    let set = line_addr land t.set_mask in
+    let base = set * t.ways in
+    let i = find t base (line_addr lsr t.set_shift) 0 in
+    if i >= 0 then begin
+      hit t op i;
+      if update then hit t Write i;
+      remember memo ~site ~line_addr i t.generation;
+      t.config.hit_latency_ps
+    end
+    else begin
+      let v = victim t base in
+      let latency = fill t op ~set ~line_addr v in
+      if update then hit t Write v;
+      remember memo ~site ~line_addr v t.generation;
+      latency
+    end
+  end
+
+let probe t memo ~site op ~addr = probe_gen t memo ~site op ~update:false ~addr
+let probe_update t memo ~site ~addr = probe_gen t memo ~site Read ~update:true ~addr
 
 (* A line's first access goes through the [access] path; the others
    hit the line it left resident, so they are charged together: one
@@ -265,6 +335,7 @@ let flush t =
     done
   done;
   t.flushes <- t.flushes + 1;
+  t.generation <- t.generation + 1;
   t.writebacks <- t.writebacks + !lines;
   t.flushed_bytes <- t.flushed_bytes + (!lines * line_bytes);
   !total

@@ -51,6 +51,26 @@ val access : t -> op -> addr:int -> Time_base.ps
 (** Latency of one access at [addr]. A miss fetches the line from the
     next level (and writes back the victim first if dirty). *)
 
+type memo
+(** Per-access-site memory of the line each site's last {!probe}
+    resolved to. Growing on demand, it serves one cache. *)
+
+val memo : unit -> memo
+
+val probe : t -> memo -> site:int -> op -> addr:int -> Time_base.ps
+(** [access t op ~addr], exactly: the same latency, LRU stamps, dirty
+    bits, counters and next-level calls. [site] names the access in
+    [memo]: when that site's last probe was on the same line and no fill
+    or flush has happened since, the probe hits the line it found then
+    without searching the set. Raises [Invalid_argument] on a negative
+    [addr] or [site]. *)
+
+val probe_update : t -> memo -> site:int -> addr:int -> Time_base.ps
+(** [probe t memo ~site Read ~addr] followed by [access t Write ~addr]
+    in one probe, as a read-modify-write issues them. The write always
+    hits the line the read left resident; the result is the read's
+    latency. *)
+
 val access_run : t -> op -> addr:int -> count:int -> cycle_ps:int -> int
 (** [count] consecutive 4-byte accesses at [addr], [addr + 4], ...:
     the lines, counters and next-level calls end exactly as after

@@ -62,6 +62,7 @@ type t = {
   class_counts : int array;
   mutable roi_open : (int * int * Time_base.ps) option;
   mutable roi_acc : roi;
+  memo : Cache.memo;  (** the probes' per-site line memo, over [l1d] *)
 }
 
 (* in [class_index] order *)
@@ -84,6 +85,7 @@ let create ?(config = arm_a7) ~l1d () =
     class_counts = Array.make class_count_total 0;
     roi_open = None;
     roi_acc = { roi_instructions = 0; roi_cycles = 0; roi_time_ps = 0 };
+    memo = Cache.memo ();
   }
 
 let config t = t.config
@@ -100,8 +102,8 @@ let[@inline always] memory_op name = function
   | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
       invalid_arg (name ^ ": not a memory instruction")
 
-(* [issue_at] is the executor's hot entry: a labelled (non-optional)
-   address means no [Some] box per charged load/store. *)
+(* A labelled (non-optional) address means no [Some] box per charged
+   load/store. *)
 let issue_at t ~addr cls =
   let latency = Cache.access t.l1d (memory_op "Cpu.issue_at" cls) ~addr in
   (* [Time_base.ps_to_cycles], with the period taken once at [create] *)
@@ -118,6 +120,31 @@ let issue_run t ~addr ~count cls =
   let mem_cycles = Cache.access_run t.l1d op ~addr ~count ~cycle_ps:t.period_ps in
   let i = class_index cls in
   retire t i ~count ~cycles:((count * Array.unsafe_get t.base_cycles i) + mem_cycles)
+
+(* The probes access the L1D now and leave the retiring to the caller:
+   what [issue_at] would charge is [base + hit_cycles] per access plus
+   the rounded latency beyond a hit, which they return. *)
+let[@inline always] beyond_hit t latency =
+  if latency = t.hit_ps then 0 else ((latency + t.period_ps - 1) / t.period_ps) - t.hit_cycles
+
+let[@inline always] probe_load t ~site ~addr =
+  beyond_hit t (Cache.probe t.l1d t.memo ~site Cache.Read ~addr)
+
+let[@inline always] probe_store t ~site ~addr =
+  beyond_hit t (Cache.probe t.l1d t.memo ~site Cache.Write ~addr)
+
+(* the store hits the line the load left: nothing beyond a hit *)
+let[@inline always] probe_update t ~site ~addr =
+  beyond_hit t (Cache.probe_update t.l1d t.memo ~site ~addr)
+
+let retire_probed t ~loads ~stores ~cycles =
+  if loads < 0 || stores < 0 || cycles < 0 then invalid_arg "Cpu.retire_probed: negative count";
+  let load = class_index Load and store = class_index Store in
+  retire t load ~count:loads
+    ~cycles:(loads * (Array.unsafe_get t.base_cycles load + t.hit_cycles));
+  retire t store ~count:stores
+    ~cycles:(stores * (Array.unsafe_get t.base_cycles store + t.hit_cycles));
+  t.cycles <- t.cycles + cycles
 
 let issue t ?addr cls =
   match (cls, addr) with

@@ -1,10 +1,13 @@
 (** In-order timing model of the host core (Arm-A7-class, Table I).
 
-    The IR executor drives the model by issuing one instruction at a
-    time ({!issue}); the model charges a per-class base cost, sends
-    loads and stores through the data-cache hierarchy, and accumulates
-    cycles, instruction counts, and region-of-interest (ROI) windows —
-    the same quantities the paper profiles with gem5 ROI markers.
+    Each dynamic instruction is charged a per-class base cost, loads and
+    stores also their latency through the data-cache hierarchy, and the
+    model accumulates cycles, instruction counts, and region-of-interest
+    (ROI) windows — the same quantities the paper profiles with gem5 ROI
+    markers. Instructions are issued one at a time ({!issue}) or in bulk
+    ({!issue_many}, {!issue_run}); the IR executor probes its loads and
+    stores as they run and retires them in bulk ({!probe_load},
+    {!retire_probed}).
 
     Instruction fetch is folded into the per-class base cost (the L1I
     hit rate of these dense loop kernels is ~100%), which keeps the
@@ -43,9 +46,9 @@ val issue : t -> ?addr:int -> iclass -> unit
     otherwise. *)
 
 val issue_at : t -> addr:int -> iclass -> unit
-(** {!issue} for [Load]/[Store] with a mandatory address — the
-    executor's hot path, avoiding the [Some addr] box per charged
-    memory access. Raises [Invalid_argument] for non-memory classes. *)
+(** {!issue} for [Load]/[Store] with a mandatory address, avoiding the
+    [Some addr] box per charged memory access. Raises
+    [Invalid_argument] for non-memory classes. *)
 
 val issue_run : t -> addr:int -> count:int -> iclass -> unit
 (** [count] consecutive 4-byte [Load]s or [Store]s at [addr],
@@ -55,6 +58,38 @@ val issue_run : t -> addr:int -> count:int -> iclass -> unit
     cache line rather than per access ({!Cache.access_run}). Used by
     the element copy loops around each offload. Raises
     [Invalid_argument] for non-memory classes or a negative [count]. *)
+
+(** {2 Probed accesses}
+
+    A caller that batches its charges accesses the L1D at once, in
+    program order, and retires later: {!probe_load}, {!probe_store} and
+    {!probe_update} access the cache exactly as {!issue_at} does but
+    retire nothing. Each returns the cycles its access costs beyond an
+    L1D hit, rounded per access as {!issue_at} rounds it, so that
+    {!retire_probed} with the summed counts and cycles leaves the core
+    as the same {!issue_at} calls would. Cycles are a sum and no latency
+    reads the core's clock, so only the core's readers need the probes
+    retired first.
+
+    [site] names the access's place in the caller's program. The core
+    remembers the line each site last touched (see {!Cache.probe}), so
+    a site still on that line skips the set search; sites are small
+    non-negative integers and the memory grows to the largest seen.
+    Site numbers need not be unique to one program: a remembered line
+    is a fact about the cache, whoever recorded it. *)
+
+val probe_load : t -> site:int -> addr:int -> int
+val probe_store : t -> site:int -> addr:int -> int
+
+val probe_update : t -> site:int -> addr:int -> int
+(** A load and then a store at [addr], back to back: the store hits the
+    line the load left, so only the load can cost beyond a hit. Retire
+    it as one load and one store. *)
+
+val retire_probed : t -> loads:int -> stores:int -> cycles:int -> unit
+(** Retire [loads] loads and [stores] stores that were probed, plus
+    [cycles], the sum of their probes' results. Raises
+    [Invalid_argument] on a negative argument. *)
 
 val issue_many : t -> iclass -> int -> unit
 (** Account [count] identical non-memory instructions in one step (used

@@ -16,10 +16,13 @@ let map t ~base ~size handler =
     invalid_arg (Printf.sprintf "Mmio.map: range [0x%x, 0x%x) overlaps" base (base + size));
   t.mappings <- candidate :: t.mappings
 
-let find t addr =
-  match List.find_opt (fun m -> addr >= m.base && addr < m.base + m.size) t.mappings with
-  | Some m -> m
-  | None -> failwith (Printf.sprintf "Mmio: unmapped address 0x%x" addr)
+(* Top-level, so a register access allocates neither a closure nor an
+   option. *)
+let rec find_in addr = function
+  | [] -> failwith (Printf.sprintf "Mmio: unmapped address 0x%x" addr)
+  | m :: rest -> if addr >= m.base && addr < m.base + m.size then m else find_in addr rest
+
+let find t addr = find_in addr t.mappings
 
 let read t ~addr =
   let m = find t addr in

@@ -569,6 +569,14 @@ let pinned_polybench_rows =
     "mvt/tactics/13 roi=155298/160422/187316850 cls=154804,0,0,0,0,0,247,247,0,0,0 l1d=460/34/0/15/2/960 l2=1/48/0/13/2/832 launch=61581669,153137858 out=f754757c0c17652e60d60b30de488e6d";
   ]
 
+(* Host runs whose operands overflow the 32 KB L1D, so that lines are
+   evicted and written back and misses cost more than a cold fill. *)
+let pinned_evicting_rows =
+  [
+    "gemm/o3/64 roi=3698816/9588864/7987523712 cls=1847360,0,4096,262144,262144,0,790528,266240,266304,0,0 l1d=1056000/768/256/128/0/0 l2=128/768/0/0/0/0 launch= out=f390f42ec9bc75b728026ba7b2779285";
+    "mvt/o3/128 roi=360960/1297952/1081194016 cls=164096,0,0,0,32768,0,98304,32768,33024,0,0 l1d=113504/17568/17056/8/0/0 l2=16520/1056/0/0/0/0 launch= out=ce150a075cf5d2b44782ee9fd43bed78";
+  ]
+
 let pinned_tiled_calls_row =
   "tiled_calls roi=142138/147594/143167639 cls=141552,0,20,16,0,0,274,258,18,0,0 l1d=497/35/0/14/2/896 l2=1/48/0/13/2/832 launch=61598329,140593007 out=c41aba3727bf7812d210d1e2dce2d3d0"
 
@@ -606,33 +614,71 @@ let test_exec_pinned_rank3 () =
   Alcotest.(check string) "pinned executor numbers" pinned_rank3_row
     (numbers_row "rank3" platform m (readback ()))
 
+(* A read-modify-write past the end of simulated memory: [Memory]
+   rejects the load, which is charged alone, as when the load and the
+   store were separate accesses, and the store never happens. *)
+let test_exec_update_outside_memory () =
+  let f, _ =
+    Flow.compile ~options:Flow.o3
+      {|
+void big(float x[4]) {
+  float T[30000][30000];
+  for (int i = 0; i < 4; i++)
+    x[i] += 1.0;
+  T[29999][29999] += x[0];
+}
+|}
+  in
+  let platform = Platform.create () in
+  let x = Interp.make_array ~dims:[ 4 ] in
+  (match Exec.run f ~platform ~args:[ ("x", Interp.Varray x) ] with
+  | _ -> Alcotest.fail "the access past memory completed"
+  | exception Invalid_argument _ -> ());
+  let cpu = Platform.cpu platform in
+  Alcotest.(check string) "the core and L1D after the failure"
+    "core=22/272/226576 l1d=8/2/0/0/0/0 cls=6,4"
+    (Printf.sprintf "core=%d/%d/%d l1d=%s cls=%d,%d" (Sim.Cpu.instructions cpu)
+       (Sim.Cpu.cycles cpu) (Sim.Cpu.time_ps cpu) (cache_row platform.Platform.l1d)
+       (Sim.Cpu.class_count cpu Sim.Cpu.Load) (Sim.Cpu.class_count cpu Sim.Cpu.Store))
+
 (* A run that fails while it holds device buffers gives them back to
-   the platform's CMA region, which outlives every run. The failing
+   the platform's CMA region, which outlives every run. One failing
    variant of [tiled_calls] runs a third row tile, whose host reduction
-   reads past [A] after two launches, with all three buffers still
-   allocated; the region holds one run's buffers, not two. *)
+   reads past [A] after two launches; the other reads one column past
+   [A] in the first tile's reduction, with that row's eight loads not
+   yet retired. Both fail with all three buffers still allocated; the
+   region holds one run's buffers, not two. *)
 let test_exec_failed_run_frees_buffers () =
   let cma = { Tdo_runtime.Cma.default_config with Tdo_runtime.Cma.size = 1024 } in
   let platform = Platform.create ~config:{ Platform.default_config with Platform.cma } () in
   let f = tiled_calls_func () in
-  let overrun =
-    {
-      f with
-      Ir.body =
-        List.map
-          (function
-            | Ir.For l when l.var = "t" -> Ir.For { l with hi = Ast.Int_lit 3 } | s -> s)
-          f.Ir.body;
-    }
+  let overrun ~tiles ~cols =
+    let rec patch = function
+      | Ir.For l when l.var = "t" ->
+          Ir.For { l with hi = Ast.Int_lit tiles; body = List.map patch l.body }
+      | Ir.For l when l.var = "j" -> Ir.For { l with hi = Ast.Int_lit cols }
+      | s -> s
+    in
+    Exec.prepare { f with Ir.body = List.map patch f.Ir.body }
   in
-  let program = Exec.prepare overrun in
+  let rows_past = overrun ~tiles:3 ~cols:8 and cols_past = overrun ~tiles:2 ~cols:9 in
   for _ = 1 to 3 do
-    let args, _ = tiled_calls_args ~seed:5 in
-    match Exec.exec program ~platform ~args with
-    | _ -> Alcotest.fail "the overrun completed"
-    | exception Exec.Exec_error msg ->
-        Alcotest.(check string) "fails at the overrun" "index 8 out of bound 8" msg
+    List.iter
+      (fun program ->
+        let args, _ = tiled_calls_args ~seed:5 in
+        match Exec.exec program ~platform ~args with
+        | _ -> Alcotest.fail "the overrun completed"
+        | exception Exec.Exec_error msg ->
+            Alcotest.(check string) "fails at the overrun" "index 8 out of bound 8" msg)
+      [ rows_past; cols_past ]
   done;
+  (* what the failed runs charged, the accesses before each failure
+     included *)
+  let cpu = Platform.cpu platform in
+  Alcotest.(check string) "the core and caches after the failures"
+    "core=417036/435584/393291461 l1d=2283/105/0/42/6/2688 l2=5/142/0/41/6/2624"
+    (Printf.sprintf "core=%d/%d/%d l1d=%s l2=%s" (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu)
+       (Sim.Cpu.time_ps cpu) (cache_row platform.Platform.l1d) (cache_row platform.Platform.l2));
   Alcotest.(check int) "no device memory held" 0
     (Tdo_runtime.Cma.allocated_bytes platform.Platform.cma);
   let args, readback = tiled_calls_args ~seed:5 in
@@ -644,6 +690,14 @@ let test_exec_pinned_polybench () =
   List.iter2
     (fun expected got -> Alcotest.(check string) "pinned executor numbers" expected got)
     pinned_polybench_rows (polybench_rows ())
+
+let test_exec_pinned_evicting () =
+  List.iter2
+    (fun expected (name, n) ->
+      let b = Result.get_ok (Kernels.find name) in
+      Alcotest.(check string) "pinned executor numbers" expected (polybench_row b ~tactics:false ~n))
+    pinned_evicting_rows
+    [ ("gemm", 64); ("mvt", 128) ]
 
 let test_exec_pinned_calls_in_loop () =
   Alcotest.(check string) "pinned executor numbers" pinned_tiled_calls_row (tiled_calls_row ())
@@ -683,10 +737,13 @@ let suites =
       ( "ir.exec_pinned",
         [
           Alcotest.test_case "polybench o3 and tactics" `Quick test_exec_pinned_polybench;
+          Alcotest.test_case "o3 operands beyond the L1D" `Quick test_exec_pinned_evicting;
           Alcotest.test_case "calls inside a loop" `Quick test_exec_pinned_calls_in_loop;
           Alcotest.test_case "rank-3 arrays" `Quick test_exec_pinned_rank3;
           Alcotest.test_case "a failed run releases its device buffers" `Quick
             test_exec_failed_run_frees_buffers;
+          Alcotest.test_case "an update past simulated memory" `Quick
+            test_exec_update_outside_memory;
           QCheck_alcotest.to_alcotest qcheck_prepared_program_reuse;
         ] );
     ]

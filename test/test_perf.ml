@@ -166,6 +166,25 @@ let test_bus_transfer_allocates_nothing () =
            ignore (Bus.transfer b ~master:(if i land 1 = 0 then "cpu" else "cim-dma") ~bytes:64)
          done))
 
+(* A host-only run charges its loads and stores without allocating:
+   on a warmed platform, a [Flow.o3] build runs for the same minor
+   words at n = 8 and at n = 24, 27 times the accesses for gemm. *)
+let test_host_run_allocation_is_per_run () =
+  let platform = Tdo_runtime.Platform.create () in
+  List.iter
+    (fun name ->
+      let b = Result.get_ok (Tdo_polybench.Kernels.find name) in
+      let words n =
+        let f, _ = Tdo_cim.Flow.compile ~options:Tdo_cim.Flow.o3 (b.Tdo_polybench.Kernels.source ~n) in
+        let program = Tdo_ir.Exec.prepare f in
+        let args, _ = b.Tdo_polybench.Kernels.make_args ~n ~seed:5 in
+        ignore (Tdo_ir.Exec.exec program ~platform ~args);
+        minor_words_of (fun () -> ignore (Tdo_ir.Exec.exec program ~platform ~args))
+      in
+      Alcotest.(check (float 0.0)) (name ^ ": the same minor words at n = 8 and 24") (words 8)
+        (words 24))
+    [ "gemm"; "mvt"; "3mm" ]
+
 (* ---------- scratch arenas ---------- *)
 
 module Arena = Tdo_util.Arena
@@ -413,6 +432,7 @@ let suites =
         Alcotest.test_case "L2 create" `Quick test_l2_create_allocation;
         Alcotest.test_case "issue_run" `Quick test_issue_run_allocates_nothing;
         Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
+        Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
       ] );
     ( "perf.arena",
       [

@@ -92,26 +92,52 @@ let qcheck_cma_no_overlap =
       done;
       !ok)
 
+(* Against a first-fit model over the region's 64-byte units: an
+   allocation lands at the lowest run of free units long enough for it,
+   which is where a fully coalesced first-fit free list puts it. The
+   accounting adds up after every step, and once every block is freed
+   the region is one free block again. *)
 let qcheck_cma_conservation =
   QCheck.Test.make ~name:"cma allocated + free = region size" ~count:100 QCheck.small_int
     (fun seed ->
       let g = Prng.create ~seed in
       let cma = Cma.create ~config:{ Cma.base = 0; size = 65536; alignment = 64 } () in
+      let used = Array.make 1024 false in
+      let first_fit units =
+        let rec from u =
+          if u + units > 1024 then None
+          else
+            match List.find_opt (fun v -> used.(v)) (List.init units (fun k -> u + k)) with
+            | None -> Some u
+            | Some v -> from (v + 1)
+        in
+        from 0
+      in
+      let mark addr bytes v = Array.fill used (addr / 64) ((bytes + 63) / 64) v in
       let live = ref [] in
+      let ok = ref true in
       for _ = 1 to 40 do
         if Prng.bool g || !live = [] then begin
-          match Cma.alloc cma ~bytes:(1 + Prng.int g ~bound:4096) with
-          | Error _ -> ()
-          | Ok addr -> live := addr :: !live
+          let bytes = 1 + Prng.int g ~bound:4096 in
+          let expected = first_fit ((bytes + 63) / 64) in
+          match Cma.alloc cma ~bytes with
+          | Error _ -> if expected <> None then ok := false
+          | Ok addr ->
+              if expected <> Some (addr / 64) then ok := false;
+              mark addr bytes true;
+              live := (addr, bytes) :: !live
         end
         else begin
           let idx = Prng.int g ~bound:(List.length !live) in
-          let addr = List.nth !live idx in
+          let addr, bytes = List.nth !live idx in
           Cma.free cma addr;
-          live := List.filter (fun a -> a <> addr) !live
-        end
+          mark addr bytes false;
+          live := List.filter (fun (a, _) -> a <> addr) !live
+        end;
+        if Cma.allocated_bytes cma + Cma.free_bytes cma <> 65536 then ok := false
       done;
-      Cma.allocated_bytes cma + Cma.free_bytes cma = 65536)
+      List.iter (fun (addr, _) -> Cma.free cma addr) !live;
+      !ok && Cma.allocated_bytes cma = 0 && Cma.largest_free_block cma = 65536)
 
 (* ---------- Platform / Driver ---------- *)
 

@@ -722,7 +722,14 @@ let test_cpu_stall () =
   Alcotest.(check int) "stall advances time" (t0 + 5000) (Cpu.time_ps cpu);
   Alcotest.(check int) "stall retires nothing" 0 (Cpu.instructions cpu)
 
-type cpu_cmd = Issue_run of Cpu.iclass * int * int | Issue_at of Cpu.iclass * int | Flush_both
+type cpu_cmd =
+  | Issue_run of Cpu.iclass * int * int
+  | Issue_at of Cpu.iclass * int
+  | Flush_both
+  | Probe of probe * int * int  (** kind, site, address *)
+  | Retire
+
+and probe = P_load | P_store | P_update
 
 (* A core over an L1D and L2 whose next level records every (op, addr)
    it is asked for. *)
@@ -735,7 +742,14 @@ let recorded_core (l1_cfg, l2_cfg) =
   (Cpu.create ~l1d (), l1d, l2, log)
 
 (* [issue_run] is [count] calls of [issue_at], on the Table I hierarchy
-   and on a small one where runs of up to 300 elements evict. *)
+   and on a small one where runs of up to 300 elements evict. So are
+   probes retired later: a probed load or store is one [issue_at], an
+   update a load and then a store, and at every [Retire] the core
+   retires what is pending and must match the reference there. Probe
+   sites are 0-7 and their addresses mostly fall in 128 bytes or 2 KB,
+   so a site often returns to its last line, and after fills and
+   flushes; in half of the cases only probes, flushes and retires run,
+   so nothing but the probes' own misses fills a line. *)
 let qcheck_issue_run_matches_issue_at =
   let small =
     ( { Cache.name = "l1-small"; size_bytes = 512; line_bytes = 32; ways = 2;
@@ -745,13 +759,29 @@ let qcheck_issue_run_matches_issue_at =
   in
   let cls = QCheck.Gen.map (fun l -> if l then Cpu.Load else Cpu.Store) QCheck.Gen.bool in
   let addr = QCheck.Gen.map (fun a -> 4 * a) (QCheck.Gen.int_bound 16383) in
+  let probe = QCheck.Gen.oneofl [ P_load; P_store; P_update ] in
+  let near span = QCheck.Gen.(map (fun a -> 4 * a) (int_bound ((span / 4) - 1))) in
+  let probe_cmd addr =
+    QCheck.Gen.(map3 (fun p site a -> Probe (p, site, a)) probe (int_bound 7) addr)
+  in
   let cmd =
     QCheck.Gen.(
       frequency
         [
           (4, map3 (fun c a n -> Issue_run (c, a, n)) cls addr (int_bound 300));
           (4, map2 (fun c a -> Issue_at (c, a)) cls addr);
+          (2, return Flush_both);
+          (12, probe_cmd (frequency [ (2, near 128); (2, near 2048); (1, addr) ]));
+          (2, return Retire);
+        ])
+  in
+  let probes_only =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, probe_cmd (frequency [ (3, near 128); (1, near 2048) ]));
           (1, return Flush_both);
+          (1, return Retire);
         ])
   in
   let print (table1, cmds) =
@@ -763,35 +793,72 @@ let qcheck_issue_run_matches_issue_at =
               | Issue_run (c, a, n) ->
                   Printf.sprintf "%s%d*%d" (if c = Cpu.Load then "r" else "w") a n
               | Issue_at (c, a) -> Printf.sprintf "%s%d" (if c = Cpu.Load then "r" else "w") a
-              | Flush_both -> "F")
+              | Flush_both -> "F"
+              | Probe (p, site, a) ->
+                  Printf.sprintf "%s%d@%d"
+                    (match p with P_load -> "pr" | P_store -> "pw" | P_update -> "pu")
+                    a site
+              | Retire -> "R")
             cmds))
   in
-  QCheck.Test.make ~name:"issue_run equals issue_at per element" ~count:200
-    (QCheck.make ~print QCheck.Gen.(pair bool (list_size (0 -- 40) cmd)))
+  QCheck.Test.make ~name:"issue_run equals issue_at per element" ~count:400
+    (QCheck.make ~print
+       QCheck.Gen.(
+         pair bool
+           (frequency [ (1, list_size (0 -- 40) cmd); (1, list_size (0 -- 40) probes_only) ])))
     (fun (table1, cmds) ->
       let cfgs = if table1 then (Cache.l1d_arm_a7, Cache.l2_arm_a7) else small in
       let cpu, l1, l2, log = recorded_core cfgs in
       let ref_cpu, ref_l1, ref_l2, ref_log = recorded_core cfgs in
-      List.iter
+      let loads = ref 0 and stores = ref 0 and cycles = ref 0 in
+      let counters_match () =
+        Cpu.retire_probed cpu ~loads:!loads ~stores:!stores ~cycles:!cycles;
+        loads := 0;
+        stores := 0;
+        cycles := 0;
+        Cpu.cycles cpu = Cpu.cycles ref_cpu
+        && Cpu.instructions cpu = Cpu.instructions ref_cpu
+        && Cpu.time_ps cpu = Cpu.time_ps ref_cpu
+        && List.for_all
+             (fun c -> Cpu.class_count cpu c = Cpu.class_count ref_cpu c)
+             [ Cpu.Int_alu; Cpu.Load; Cpu.Store ]
+      in
+      List.for_all
         (function
           | Issue_run (cls, addr, count) ->
               Cpu.issue_run cpu ~addr ~count cls;
               for k = 0 to count - 1 do
                 Cpu.issue_at ref_cpu ~addr:(addr + (4 * k)) cls
-              done
+              done;
+              true
           | Issue_at (cls, addr) ->
               Cpu.issue_at cpu ~addr cls;
-              Cpu.issue_at ref_cpu ~addr cls
+              Cpu.issue_at ref_cpu ~addr cls;
+              true
           | Flush_both ->
               (* the driver's order: L2, then L1D *)
-              List.iter (fun c -> ignore (Cache.flush c)) [ l2; l1; ref_l2; ref_l1 ])
-        cmds;
-      Cpu.cycles cpu = Cpu.cycles ref_cpu
-      && Cpu.instructions cpu = Cpu.instructions ref_cpu
-      && Cpu.time_ps cpu = Cpu.time_ps ref_cpu
-      && List.for_all
-           (fun c -> Cpu.class_count cpu c = Cpu.class_count ref_cpu c)
-           [ Cpu.Int_alu; Cpu.Load; Cpu.Store ]
+              List.iter (fun c -> ignore (Cache.flush c)) [ l2; l1; ref_l2; ref_l1 ];
+              true
+          | Probe (P_load, site, addr) ->
+              incr loads;
+              cycles := !cycles + Cpu.probe_load cpu ~site ~addr;
+              Cpu.issue_at ref_cpu ~addr Cpu.Load;
+              true
+          | Probe (P_store, site, addr) ->
+              incr stores;
+              cycles := !cycles + Cpu.probe_store cpu ~site ~addr;
+              Cpu.issue_at ref_cpu ~addr Cpu.Store;
+              true
+          | Probe (P_update, site, addr) ->
+              incr loads;
+              incr stores;
+              cycles := !cycles + Cpu.probe_update cpu ~site ~addr;
+              Cpu.issue_at ref_cpu ~addr Cpu.Load;
+              Cpu.issue_at ref_cpu ~addr Cpu.Store;
+              true
+          | Retire -> counters_match ())
+        cmds
+      && counters_match ()
       && Cache.stats l1 = Cache.stats ref_l1
       && Cache.stats l2 = Cache.stats ref_l2
       && Cache.dirty_lines l1 = Cache.dirty_lines ref_l1
