@@ -707,7 +707,7 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us 
   in
   let platform_config =
     let d = Platform.default_config in
-    { d with Platform.engine = { d.Platform.engine with Micro_engine.tiles = max 1 tiles } }
+    { d with Platform.engine = { d.Platform.engine with Micro_engine.tiles = tiles } }
   in
   let c =
     {
@@ -827,16 +827,19 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us 
         else 0
   end
 
-(* [conv] restricted to values above [zero]; anything else is a usage
-   error. *)
-let positive conv ~zero =
+(* [conv] restricted to the values [accept] takes; anything else is a
+   usage error saying what is wrong with it ([flaw]). *)
+let restricted conv ~flaw ~accept =
   Arg.conv
     ( (fun s ->
         match Arg.conv_parser conv s with
-        | Ok v when compare v zero > 0 -> Ok v
-        | Ok _ -> Error (`Msg (Printf.sprintf "%s is not positive" s))
+        | Ok v when accept v -> Ok v
+        | Ok _ -> Error (`Msg (Printf.sprintf "%s is %s" s flaw))
         | Error _ as e -> e),
       Arg.conv_printer conv )
+
+let positive conv ~zero =
+  restricted conv ~flaw:"not positive" ~accept:(fun v -> compare v zero > 0)
 
 let cmd =
   let trace_arg =
@@ -869,7 +872,8 @@ let cmd =
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Trace generator seed.") in
   let queue_arg =
     Arg.(
-      value & opt int 256
+      value
+      & opt (restricted int ~flaw:"negative" ~accept:(fun n -> n >= 0)) 256
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"Submission-queue bound; overflow is rejected. 0 means unbounded.")
   in
@@ -883,16 +887,20 @@ let cmd =
   let deadline_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (positive int ~zero:0)) None
       & info [ "deadline-us" ] ~docv:"US"
           ~doc:"Per-request deadline; late requests degrade to the CPU interpreter.")
   in
   let tiles_arg =
-    Arg.(value & opt int 1 & info [ "tiles" ] ~docv:"N" ~doc:"CIM tiles per device.")
+    Arg.(
+      value
+      & opt (positive int ~zero:0) 1
+      & info [ "tiles" ] ~docv:"N" ~doc:"CIM tiles per device.")
   in
   let cache_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt (positive int ~zero:0) 64
       & info [ "cache-capacity" ] ~docv:"N" ~doc:"Compiled-kernel cache entries.")
   in
   let tune_db_arg =
@@ -964,12 +972,14 @@ let cmd =
   in
   let requests_arg =
     Arg.(
-      value & opt int 100_000
+      value
+      & opt (positive int ~zero:0) 100_000
       & info [ "requests" ] ~docv:"N" ~doc:"Open-loop requests per arrival pattern.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 20_000.0
+      value
+      & opt (positive float ~zero:0.0) 20_000.0
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
             "Sustained total arrival rate (requests per second of simulated time) across \

@@ -9,7 +9,7 @@
 
    The datasets fan out over Tdo_util.Pool (every kernel run takes its
    PRNG seed explicitly, so the parallel results are bit-identical to a
-   sequential sweep; set TDO_SEQUENTIAL=1 to check).
+   sequential sweep; set TDO_DOMAINS=1 to check).
 
    Run with: dune exec examples/polybench_sweep.exe *)
 

@@ -28,13 +28,9 @@ let on_trigger t job =
           Sim.Event_queue.schedule_at t.queue ~time:finish ~name:"cim-done" (fun () ->
               Context_regs.set_status t.regs Context_regs.Done))
 
-let create ?engine_config ?(seed = 0) ?scratch ~queue ~bus ~memory () =
+let create ?engine_config ?(seed = 0) ~queue ~bus ~memory () =
   let dma = Sim.Dma.create ~bus ~memory () in
-  let engine =
-    match engine_config with
-    | None -> Micro_engine.create ~seed ?scratch ~dma ()
-    | Some config -> Micro_engine.create ~config ~seed ?scratch ~dma ()
-  in
+  let engine = Micro_engine.create ?config:engine_config ~seed ~dma () in
   let t =
     { queue; regs = Context_regs.create (); engine; dma; last_error = None; completion_time = None }
   in

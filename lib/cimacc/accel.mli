@@ -17,15 +17,13 @@ type t
 val create :
   ?engine_config:Micro_engine.config ->
   ?seed:int ->
-  ?scratch:Tdo_util.Arena.t ->
   queue:Sim.Event_queue.t ->
   bus:Sim.Bus.t ->
   memory:Sim.Memory.t ->
   unit ->
   t
 (** [seed] (default 0) feeds {!Micro_engine.create} for per-tile PRNG
-    streams; [scratch] likewise backs the engine's reusable launch
-    buffers (see {!Micro_engine.create}). *)
+    streams. *)
 
 val map_registers : t -> Sim.Mmio.t -> base:int -> unit
 (** Expose the context registers on the IO space. *)

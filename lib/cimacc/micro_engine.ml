@@ -1,5 +1,4 @@
 module Sim = Tdo_sim
-module Arena = Tdo_util.Arena
 module Quant = Tdo_linalg.Quant
 module Abft = Tdo_linalg.Abft
 module Crossbar = Tdo_pcm.Crossbar
@@ -71,7 +70,6 @@ type pinned = {
 type t = {
   config : config;
   dma : Sim.Dma.t;
-  scratch : Arena.t option;
   xbars : Crossbar.t array;
   digital : Digital_logic.t;
   timeline : Timeline.t;
@@ -79,11 +77,9 @@ type t = {
   busy_until : Sim.Time_base.ps array;  (** per tile *)
   c : counters_mut;
   (* Local buffers of the streamed phase, sized on first use and reused
-     across vectors, jobs and (via the arena) whole runs. [xbuf] holds
-     the streamed input vector (k elements) and [codes] its quantised
-     form; [raw]/[result]/[c_old] are output-sized. All are fully
-     overwritten before every read, so handing out dirty arena blocks is
-     fine. *)
+     across vectors and jobs. [xbuf] holds the streamed input vector
+     (k elements) and [codes] its quantised form; [raw]/[result]/[c_old]
+     are output-sized. All are fully overwritten before every read. *)
   mutable xbuf : float array;
   mutable codes : int array;
   mutable raw : int array;
@@ -98,12 +94,11 @@ type t = {
       (** (tile, active region) of the most recent checksum mismatch *)
 }
 
-let create ?(config = default_config) ?(seed = 0) ?scratch ~dma () =
+let create ?(config = default_config) ?(seed = 0) ~dma () =
   if config.tiles <= 0 then invalid_arg "Micro_engine.create: need at least one tile";
   {
     config;
     dma;
-    scratch;
     xbars =
       (* distinct, reproducible noise stream per tile, derived from the
          engine seed *)
@@ -194,21 +189,10 @@ let pinned t =
 
 let invalidate_pinned t = Array.fill t.pinned 0 (Array.length t.pinned) None
 
-(* Buffer management: keep the current buffer when the size matches,
-   otherwise draw a replacement from the scratch arena (pooled per exact
-   size, so alternating job shapes still reuse) or allocate fresh when
-   the engine runs without one (a long-lived serving device). *)
-
-let get_floats t n cur =
-  if Array.length cur = n then cur
-  else match t.scratch with Some a -> Arena.float_array a n | None -> Array.make n 0.0
-
-let get_ints t n cur =
-  if Array.length cur = n then cur
-  else match t.scratch with Some a -> Arena.int_array a n | None -> Array.make n 0
-
-let reserve_floats t n cur = if Array.length cur >= n then cur else get_floats t n cur
-let reserve_ints t n cur = if Array.length cur >= n then cur else get_ints t n cur
+let get_floats n cur = if Array.length cur = n then cur else Array.make n 0.0
+let get_ints n cur = if Array.length cur = n then cur else Array.make n 0
+let reserve_floats n cur = if Array.length cur >= n then cur else get_floats n cur
+let reserve_ints n cur = if Array.length cur >= n then cur else get_ints n cur
 
 (* DMA transfers whose functional side is performed element-wise through
    the memory's f32 fast path instead of materialising packed [Bytes.t]
@@ -314,9 +298,9 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
           | Context_regs.Pin_b -> (trans_b, ldb)
         in
         let size = w_rows * w_cols in
-        let w = reserve_floats t size t.wbuf in
+        let w = reserve_floats size t.wbuf in
         t.wbuf <- w;
-        let codes = reserve_ints t size t.wcodes in
+        let codes = reserve_ints size t.wcodes in
         t.wcodes <- codes;
         let fill_lat =
           fetch_operand_into t ~addr:pin_addr ~w_rows ~w_cols ~ld ~transposed w
@@ -361,19 +345,19 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
        Pin_b: stream the m rows of op(A), produce rows of C. *)
     let stream_count = match pin with Context_regs.Pin_a -> n | Context_regs.Pin_b -> m in
     let out_len = match pin with Context_regs.Pin_a -> m | Context_regs.Pin_b -> n in
-    let x = get_floats t k t.xbuf in
+    let x = get_floats k t.xbuf in
     t.xbuf <- x;
-    let x_codes = get_ints t k t.codes in
+    let x_codes = get_ints k t.codes in
     t.codes <- x_codes;
-    let raw = get_ints t out_len t.raw in
+    let raw = get_ints out_len t.raw in
     t.raw <- raw;
-    let result = get_floats t out_len t.result in
+    let result = get_floats out_len t.result in
     t.result <- result;
     (* one [Some] for the whole launch, not one per vector *)
     let c_old =
       if beta = 0.0 then None
       else begin
-        let c = get_floats t out_len t.c_old in
+        let c = get_floats out_len t.c_old in
         t.c_old <- c;
         Some c
       end

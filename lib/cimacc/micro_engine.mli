@@ -41,14 +41,9 @@ val default_config : config
 
 type t
 
-val create :
-  ?config:config -> ?seed:int -> ?scratch:Tdo_util.Arena.t -> dma:Sim.Dma.t -> unit -> t
+val create : ?config:config -> ?seed:int -> dma:Sim.Dma.t -> unit -> t
 (** [seed] derives a distinct, reproducible PRNG stream per crossbar
-    tile (defaults to 0, matching the previous behaviour). [scratch]
-    backs the engine's streamed-phase buffers (input vector, quantised
-    codes, raw column sums, epilogue result) with pooled blocks; only
-    pass it for an engine whose lifetime ends before the arena's next
-    reset. *)
+    tile (defaults to 0, matching the previous behaviour). *)
 
 val run_job : t -> Context_regs.job -> start:Sim.Time_base.ps -> (Sim.Time_base.ps, string) result
 (** Execute the job. Functional effects (result stores) happen

@@ -67,28 +67,9 @@ type measurement = {
   macs_per_cim_write : float;
 }
 
-(* Scratch-arena lifecycle: each [run] resets the calling domain's
-   arena and hands it to the per-run platform and executor, so repeated
-   runs on one domain (sweeps, [Pool.parallel_map] workers) recycle the
-   same memory chunks, engine buffers and slot tables instead of
-   re-allocating them. The reset happens at the START of the run — the
-   returned platform's counters stay readable afterwards, but blocks
-   handed out during a run (memory contents included) are recycled by
-   the next [run] on the same domain. [TDO_ARENA=0] disables the arena
-   (re-read per run, so tests can flip it). *)
-let arena_enabled () = Sys.getenv_opt "TDO_ARENA" <> Some "0"
-
 let run ?(platform_config = Platform.default_config) f ~args =
-  let scratch =
-    if arena_enabled () then begin
-      let a = Tdo_util.Pool.scratch () in
-      Tdo_util.Arena.reset a;
-      Some a
-    end
-    else None
-  in
-  let platform = Platform.create ~config:platform_config ?scratch () in
-  let metrics = Tdo_ir.Exec.run ?scratch f ~platform ~args in
+  let platform = Platform.create ~config:platform_config () in
+  let metrics = Tdo_ir.Exec.run f ~platform ~args in
   let energy =
     Ledger.collect platform ~host_instructions:metrics.Tdo_ir.Exec.roi_instructions
   in

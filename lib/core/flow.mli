@@ -84,20 +84,9 @@ val run :
   Ir.func ->
   args:(string * Interp.value) list ->
   measurement * Platform.t
-(** Execute on a fresh platform; [Varray] arguments are mutated with
-    the results.
-
-    Each call resets the calling domain's scratch arena
-    ({!Tdo_util.Pool.scratch}) and backs the platform's memory chunks,
-    engine buffers and executor slot tables with it,
-    so repeated runs on one domain reuse the same blocks. Consequently
-    the returned platform's {e counters} remain valid indefinitely, but
-    its memory {e contents} are only safe to read until the next [run]
-    on the same domain — or, for a run inside a
-    {!Tdo_util.Pool.parallel_map} worker, until the map's next fan-out
-    (worker arenas circulate through a shared registry). Set
-    [TDO_ARENA=0] to disable the reuse (fresh allocations, the
-    pre-arena behaviour); the variable is re-read on every call. *)
+(** Execute on a fresh platform, which is returned with its counters
+    and memory contents; [Varray] arguments are mutated with the
+    results. *)
 
 val run_source :
   ?options:options ->

@@ -755,29 +755,11 @@ let check_arg args (name, bind) =
       if arr.Interp.dims <> dims then fail "argument '%s' has mismatched dimensions" name;
       Aarray (slot, dims, arr)
 
-let exec ?scratch (program : program) ~platform ~args =
+let exec (program : program) ~platform ~args =
   let p = match program with Ok p -> p | Error msg -> raise (Exec_error msg) in
   let bound = List.map (check_arg args) p.params in
-  (* Slot tables come from the per-domain arena when the caller passes
-     one — every slot is written (by binding or its declaration) before
-     it is read, but zero-fill anyway so a miscompiled program reads
-     deterministic garbage rather than a previous run's values. *)
-  let ints =
-    match scratch with
-    | None -> Array.make (max 1 p.n_ints) 0
-    | Some a ->
-        let t = Tdo_util.Arena.int_array a (max 1 p.n_ints) in
-        Array.fill t 0 (Array.length t) 0;
-        t
-  in
-  let floats =
-    match scratch with
-    | None -> Array.make (max 1 p.n_floats) 0.0
-    | Some a ->
-        let t = Tdo_util.Arena.float_array a (max 1 p.n_floats) in
-        Array.fill t 0 (Array.length t) 0.0;
-        t
-  in
+  let ints = Array.make (max 1 p.n_ints) 0 in
+  let floats = Array.make (max 1 p.n_floats) 0.0 in
   let st =
     {
       platform;
@@ -841,4 +823,4 @@ let exec ?scratch (program : program) ~platform ~args =
     cim_launches = launches;
   }
 
-let run ?scratch f ~platform ~args = exec ?scratch (prepare f) ~platform ~args
+let run f ~platform ~args = exec (prepare f) ~platform ~args

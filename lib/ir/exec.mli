@@ -49,12 +49,7 @@ val prepare : Ir.func -> program
     (unbound name, rank mismatch, ...) yields a program whose every
     {!exec} raises that error. *)
 
-val exec :
-  ?scratch:Tdo_util.Arena.t ->
-  program ->
-  platform:Platform.t ->
-  args:(string * Interp.value) list ->
-  metrics
+val exec : program -> platform:Platform.t -> args:(string * Interp.value) list -> metrics
 (** Run a prepared program. Mutates [Varray] arguments in place with
     the final memory contents. Raises {!Exec_error} on argument
     mismatch (a missing argument, an array of other dimensions, or a
@@ -62,14 +57,7 @@ val exec :
     accesses, runtime-call misuse, or a device error. A run that raises
     first retires what it counted and probed, closes a ROI window it opened and
     frees the device buffers it still holds, so the platform serves the
-    next run as after a completed one. [scratch] backs the
-    executor's scalar slot tables with pooled blocks valid for the
-    duration of the run. *)
+    next run as after a completed one. *)
 
-val run :
-  ?scratch:Tdo_util.Arena.t ->
-  Ir.func ->
-  platform:Platform.t ->
-  args:(string * Interp.value) list ->
-  metrics
+val run : Ir.func -> platform:Platform.t -> args:(string * Interp.value) list -> metrics
 (** [exec (prepare f)], for one-shot runs. *)

@@ -298,7 +298,7 @@ and exec_body st (body : rstmt array) =
     exec_stmt st (Array.unsafe_get body i)
   done
 
-let run ?scratch f ~args =
+let run f ~args =
   let c = { n_int = 0; n_float = 0; n_arr = 0 } in
   let bind_param p =
     match List.assoc_opt p.pname args with
@@ -320,28 +320,10 @@ let run ?scratch f ~args =
   let bound = List.map bind_param f.params in
   let env = List.map fst bound in
   let program = compile_body env c f.body in
-  (* Slot tables come from the per-domain arena when one is passed;
-     zero-filled to match the fresh-allocation behaviour. *)
-  let ints =
-    match scratch with
-    | None -> Array.make (max 1 c.n_int) 0
-    | Some a ->
-        let t = Tdo_util.Arena.int_array a (max 1 c.n_int) in
-        Array.fill t 0 (Array.length t) 0;
-        t
-  in
-  let floats =
-    match scratch with
-    | None -> Array.make (max 1 c.n_float) 0.0
-    | Some a ->
-        let t = Tdo_util.Arena.float_array a (max 1 c.n_float) in
-        Array.fill t 0 (Array.length t) 0.0;
-        t
-  in
   let st =
     {
-      ints;
-      floats;
+      ints = Array.make (max 1 c.n_int) 0;
+      floats = Array.make (max 1 c.n_float) 0.0;
       arrays = Array.make (max 1 c.n_arr) dummy_arr;
       facc = Float.Array.create 1;
     }

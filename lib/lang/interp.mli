@@ -21,9 +21,7 @@ val arr_of_mat : Tdo_linalg.Mat.t -> arr
 val mat_of_arr : arr -> Tdo_linalg.Mat.t
 (** 2-D conversions; raise {!Runtime_error} for other ranks. *)
 
-val run : ?scratch:Tdo_util.Arena.t -> Ast.func -> args:(string * value) list -> unit
+val run : Ast.func -> args:(string * value) list -> unit
 (** Execute a (type-checked) function. [Varray] arguments are mutated
     in place; scalars are read-only inputs. Raises {!Runtime_error} on
-    argument mismatch or out-of-bounds access. [scratch] backs the
-    scalar slot tables with pooled blocks valid for the duration of the
-    run. *)
+    argument mismatch or out-of-bounds access. *)

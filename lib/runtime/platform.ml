@@ -39,9 +39,9 @@ type t = {
   cma : Cma.t;
 }
 
-let create ?(config = default_config) ?(seed = 0) ?scratch () =
+let create ?(config = default_config) ?(seed = 0) () =
   let queue = Sim.Event_queue.create () in
-  let memory = Sim.Memory.create ~config:config.memory ?scratch () in
+  let memory = Sim.Memory.create ~config:config.memory () in
   let bus = Sim.Bus.create ~config:config.bus () in
   let mmio = Sim.Mmio.create () in
   let l2_next op ~addr:_ ~bytes =
@@ -55,7 +55,7 @@ let create ?(config = default_config) ?(seed = 0) ?scratch () =
       ()
   in
   let cores = Array.init 2 (fun _ -> Sim.Cpu.create ~config:config.cpu ~l1d ()) in
-  let accel = Cimacc.Accel.create ~engine_config:config.engine ~seed ?scratch ~queue ~bus ~memory () in
+  let accel = Cimacc.Accel.create ~engine_config:config.engine ~seed ~queue ~bus ~memory () in
   Cimacc.Accel.map_registers accel mmio ~base:config.register_base;
   let cma = Cma.create ~config:config.cma () in
   { config; queue; memory; bus; mmio; cores; l1d; l2; accel; cma }

@@ -40,16 +40,10 @@ type t = {
   cma : Cma.t;
 }
 
-val create : ?config:config -> ?seed:int -> ?scratch:Tdo_util.Arena.t -> unit -> t
+val create : ?config:config -> ?seed:int -> unit -> t
 (** [seed] (default 0) gives the accelerator's crossbar tiles distinct,
     reproducible PRNG streams — multi-device pools pass a per-device
-    seed so campaigns are replayable.
-
-    [scratch] backs the platform's memory chunks and the engine's
-    launch buffers with pooled blocks from a per-domain arena. Pass it
-    only for a platform that is discarded before the arena's next reset
-    — the per-run platforms of {!Tdo_cim.Flow.run} — never for a
-    long-lived device (a serving pool). *)
+    seed so campaigns are replayable. *)
 
 val cpu : t -> Sim.Cpu.t
 (** Core 0, the one running the application. *)

@@ -1132,11 +1132,11 @@ let replay ?config (trace : Trace.t) =
 
 (* ---------- report accessors ---------- *)
 
-let completed r = Telemetry.count r.telemetry Telemetry.Completed
-let fallbacks r = Telemetry.count r.telemetry Telemetry.Cpu_fallback
-let recovered r = Telemetry.count r.telemetry Telemetry.Recovered_host
-let rejections r = Telemetry.count r.telemetry Telemetry.Rejected_overloaded
-let failures r = Telemetry.count r.telemetry (Telemetry.Failed "")
+let completed r = (Telemetry.summary r.telemetry).Telemetry.completed
+let fallbacks r = (Telemetry.summary r.telemetry).Telemetry.cpu_fallbacks
+let recovered r = (Telemetry.summary r.telemetry).Telemetry.recovered_host
+let rejections r = (Telemetry.summary r.telemetry).Telemetry.rejected
+let failures r = (Telemetry.summary r.telemetry).Telemetry.failed
 let detected_corruptions r = (Telemetry.summary r.telemetry).Telemetry.detected_corruptions
 
 let cache_hit_rate r =

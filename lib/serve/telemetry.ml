@@ -87,19 +87,6 @@ let conversions t = List.rev t.conversions
 let records t =
   List.sort (fun a b -> compare a.request.Trace.id b.request.Trace.id) t.records
 
-let count t outcome =
-  List.length
-    (List.filter
-       (fun r ->
-         match (r.outcome, outcome) with
-         | Completed, Completed | Cpu_fallback, Cpu_fallback -> true
-         | Recovered_host, Recovered_host -> true
-         | Rejected_overloaded, Rejected_overloaded -> true
-         | Shed _, Shed _ -> true
-         | Failed _, Failed _ -> true
-         | _ -> false)
-       t.records)
-
 type summary = {
   requests : int;
   completed : int;

@@ -113,8 +113,6 @@ val conversions : t -> conversion list
 val records : t -> record list
 (** In request-id order. *)
 
-val count : t -> outcome -> int
-
 type summary = {
   requests : int;
   completed : int;

@@ -1,5 +1,3 @@
-module Arena = Tdo_util.Arena
-
 type config = {
   size_bytes : int;
   access_latency_ps : Time_base.ps;
@@ -28,7 +26,6 @@ let slot_mask = slots - 1
 type t = {
   config : config;
   limit : int;  (** [config.size_bytes], one field load on the fast path *)
-  scratch : Arena.t option;  (** chunk backing comes from here when present *)
   chunks : (int, Bytes.t) Hashtbl.t;
   mutable reads : int;
   mutable writes : int;
@@ -38,12 +35,11 @@ type t = {
 
 let no_chunk = Bytes.create 0
 
-let create ?(config = default_config) ?scratch () =
+let create ?(config = default_config) () =
   if config.size_bytes <= 0 then invalid_arg "Memory.create: size must be positive";
   {
     config;
     limit = config.size_bytes;
-    scratch;
     chunks = Hashtbl.create 64;
     reads = 0;
     writes = 0;
@@ -65,16 +61,7 @@ let chunk t idx =
       match Hashtbl.find t.chunks idx with
       | c -> c
       | exception Not_found ->
-          let c =
-            match t.scratch with
-            | None -> Bytes.make chunk_size '\000'
-            | Some arena ->
-                (* pooled blocks come back dirty; memory reads as zero
-                   until written, so clear before first use *)
-                let c = Arena.bytes arena chunk_size in
-                Bytes.fill c 0 chunk_size '\000';
-                c
-          in
+          let c = Bytes.make chunk_size '\000' in
           Hashtbl.add t.chunks idx c;
           c
     in

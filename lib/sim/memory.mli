@@ -19,12 +19,7 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?scratch:Tdo_util.Arena.t -> unit -> t
-(** [scratch] backs the 64 KB chunks with pooled (zero-filled on first
-    touch) buffers instead of fresh allocations. Only pass it for a
-    memory whose lifetime ends before the arena's next reset — the
-    per-run platforms of {!Tdo_cim.Flow.run} — never for a long-lived
-    one (a serving device). *)
+val create : ?config:config -> unit -> t
 
 val config : t -> config
 

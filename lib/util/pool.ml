@@ -26,46 +26,11 @@ let sequential_override = ref None
 
 let set_sequential o = sequential_override := o
 
-let env_sequential = lazy (Sys.getenv_opt "TDO_SEQUENTIAL" = Some "1")
-
-let sequential () =
-  match !sequential_override with
-  | Some b -> b
-  | None -> Lazy.force env_sequential
+let sequential () = !sequential_override = Some true
 
 (* set on worker domains so nested maps degrade to List.map instead of
    spawning domains recursively *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
-
-(* One scratch arena per domain, created on first use. The calling
-   domain's arena persists across maps; worker domains are per-call, so
-   they would lose their warmed buffer pools on every join — instead a
-   spawned worker checks an arena out of the shared registry below for
-   the duration of the map and returns it at the end, so the same
-   arenas (and their pooled blocks) circulate across fan-outs. *)
-let scratch_key = Domain.DLS.new_key (fun () -> Arena.create ())
-
-let scratch () = Domain.DLS.get scratch_key
-
-(* Checkout is mutually exclusive per arena: a busy flag flips under
-   the registry lock, so even if two independent domains fan out
-   concurrently, no arena is ever shared — a second fan-out simply
-   grows the registry. *)
-let worker_arenas : (Arena.t * bool ref) list ref = ref []
-let worker_arenas_lock = Mutex.create ()
-
-let checkout_arena () =
-  Mutex.protect worker_arenas_lock (fun () ->
-      match List.find_opt (fun (_, busy) -> not !busy) !worker_arenas with
-      | Some (a, busy) ->
-          busy := true;
-          (a, busy)
-      | None ->
-          let entry = (Arena.create (), ref true) in
-          worker_arenas := entry :: !worker_arenas;
-          entry)
-
-let return_arena (_, busy) = Mutex.protect worker_arenas_lock (fun () -> busy := false)
 
 let parallel_map ?workers f xs =
   let n = List.length xs in
@@ -104,9 +69,7 @@ let parallel_map ?workers f xs =
       List.init (w - 1) (fun _ ->
           Domain.spawn (fun () ->
               Domain.DLS.set in_worker true;
-              let entry = checkout_arena () in
-              Domain.DLS.set scratch_key (fst entry);
-              Fun.protect ~finally:(fun () -> return_arena entry) work))
+              work ()))
     in
     (* the caller is a worker too *)
     work ();

@@ -6,12 +6,12 @@
     mutable state) gets bit-identical output regardless of how many
     domains run or how the scheduler interleaves them.
 
-    Escape hatches: setting [TDO_SEQUENTIAL=1] in the environment (or
-    calling {!set_sequential}[ (Some true)]) forces every map to run on
-    the calling domain — useful for debugging, timing baselines and
-    the determinism tests that compare both modes — and
-    [TDO_DOMAINS=<n>] pins the domain count regardless of what the
-    runtime recommends. *)
+    Escape hatches: [TDO_DOMAINS=<n>] in the environment pins the
+    domain count regardless of what the runtime recommends —
+    [TDO_DOMAINS=1] runs every map on the calling domain, which is
+    useful for debugging and timing baselines — and
+    {!set_sequential}[ (Some true)] does the same from code, for the
+    determinism tests that compare both modes. *)
 
 val size : unit -> int
 (** Number of domains a map may use: [TDO_DOMAINS] when set to an
@@ -21,24 +21,12 @@ val size : unit -> int
     the recommendation (an OS probe) is computed once and cached. *)
 
 val sequential : unit -> bool
-(** [true] when maps are forced sequential — by {!set_sequential} or,
-    absent an override, by [TDO_SEQUENTIAL=1] in the environment. *)
+(** [true] when {!set_sequential}[ (Some true)] forces maps
+    sequential. *)
 
 val set_sequential : bool option -> unit
-(** [Some true] forces sequential execution, [Some false] forces
-    parallel, [None] restores the [TDO_SEQUENTIAL] environment
-    default. *)
-
-val scratch : unit -> Arena.t
-(** The calling domain's scratch {!Arena}, created on first use
-    (DLS-keyed, one per domain — inside a [parallel_map] worker this is
-    an arena the worker checked out of a shared registry for the
-    duration of the map, so worker arenas and their warmed buffer pools
-    survive across fan-outs even though the domains themselves are
-    per-call). The simulation drivers reset it at the start of each run
-    so repeated simulations on one domain reuse the same buffers; see
-    DESIGN.md "Memory discipline" for what may not outlive that
-    reset. *)
+(** [Some true] forces sequential execution; [Some false] and [None]
+    (the default) let maps use up to {!size}[ ()] domains. *)
 
 val parallel_map : ?workers:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] is [List.map f xs] computed by up to

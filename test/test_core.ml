@@ -43,6 +43,29 @@ let test_flow_measurement_fields () =
   Alcotest.(check bool) "macs recorded" true (m.Flow.cim_macs = n * n * n);
   Alcotest.(check bool) "writes recorded" true (m.Flow.cim_write_bytes = n * n)
 
+let fill4 =
+  {|
+void fill(float v, float A[4][4]) {
+  for (int i = 0; i < 4; i++)
+    for (int j = 0; j < 4; j++)
+      A[i][j] = v;
+}
+|}
+
+let test_flow_platform_outlives_next_run () =
+  let run v =
+    let a = Interp.make_array ~dims:[ 4; 4 ] in
+    let args = [ ("v", Interp.Vfloat v); ("A", Interp.Varray a) ] in
+    snd (Flow.run_source ~options:Flow.o3 fill4 ~args)
+  in
+  let first = run 1.0 in
+  ignore (run 2.0);
+  (* the executor places the first array at its heap base *)
+  let contents = Array.make 16 0.0 in
+  Tdo_sim.Memory.read_f32s first.Tdo_runtime.Platform.memory 0x0100_0000 contents ~pos:0 ~len:16;
+  Alcotest.(check (array (float 0.0)))
+    "the first platform still holds the first run's data" (Array.make 16 1.0) contents
+
 (* ---------- PolyBench validation: interp = host exec ~ cim exec ---------- *)
 
 let relative_error ~reference ~candidate =
@@ -234,6 +257,8 @@ let suites =
       [
         Alcotest.test_case "compile modes" `Quick test_flow_compile_modes;
         Alcotest.test_case "measurement fields" `Quick test_flow_measurement_fields;
+        Alcotest.test_case "platform outlives the next run" `Quick
+          test_flow_platform_outlives_next_run;
       ] );
     ( "core.polybench",
       polybench_validation_cases

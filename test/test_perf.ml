@@ -185,81 +185,6 @@ let test_host_run_allocation_is_per_run () =
         (words 24))
     [ "gemm"; "mvt"; "3mm" ]
 
-(* ---------- scratch arenas ---------- *)
-
-module Arena = Tdo_util.Arena
-
-(* A mixed acquisition sequence: every block has the exact requested
-   length, no two blocks handed out between resets alias each other
-   (the per-block fill pattern survives), and after a reset the same
-   shapes come back from the pool instead of fresh allocations. *)
-let qcheck_arena_roundtrip =
-  QCheck.Test.make ~name:"arena round-trip: exact sizes, no aliasing, reuse after reset"
-    ~count:100
-    QCheck.(list_of_size Gen.(1 -- 30) (pair (int_bound 2) (int_bound 48)))
-    (fun specs ->
-      let a = Arena.create () in
-      let acquire i (kind, n) =
-        match kind with
-        | 0 ->
-            let b = Arena.int_array a n in
-            if Array.length b <> n then QCheck.Test.fail_report "int size";
-            Array.fill b 0 n i;
-            `I (b, i)
-        | 1 ->
-            let b = Arena.float_array a n in
-            if Array.length b <> n then QCheck.Test.fail_report "float size";
-            Array.fill b 0 n (float_of_int i);
-            `F (b, i)
-        | _ ->
-            let b = Arena.bytes a n in
-            if Bytes.length b <> n then QCheck.Test.fail_report "bytes size";
-            Bytes.fill b 0 n (Char.chr (i land 0xff));
-            `B (b, i)
-      in
-      let blocks = List.mapi acquire specs in
-      let survives =
-        List.for_all
-          (function
-            | `I (b, i) -> Array.for_all (Int.equal i) b
-            | `F (b, i) -> Array.for_all (Float.equal (float_of_int i)) b
-            | `B (b, i) ->
-                Bytes.for_all (fun c -> Char.code c = i land 0xff) b)
-          blocks
-      in
-      let s1 = Arena.stats a in
-      Arena.reset a;
-      ignore (List.mapi acquire specs);
-      let s2 = Arena.stats a in
-      survives
-      && s1.Arena.fresh = List.length specs
-      && s2.Arena.fresh = s1.Arena.fresh
-      && s2.Arena.reused - s1.Arena.reused = List.length specs)
-
-let test_arena_reuse_is_physical () =
-  let a = Arena.create () in
-  let b1 = Arena.int_array a 16 in
-  Alcotest.(check int) "first acquisition is fresh" 1 (Arena.stats a).Arena.fresh;
-  Arena.reset a;
-  let b2 = Arena.int_array a 16 in
-  Alcotest.(check bool) "same block comes back" true (b1 == b2);
-  Alcotest.(check int) "served from the pool" 1 (Arena.stats a).Arena.reused
-
-let test_pool_scratch_is_per_domain_and_stable () =
-  let a = Pool.scratch () and b = Pool.scratch () in
-  Alcotest.(check bool) "same domain gets the same arena" true (a == b);
-  (* workers acquire from their own arenas without interfering *)
-  let r =
-    Pool.parallel_map ~workers:2
-      (fun i ->
-        let s = Pool.scratch () in
-        let buf = Tdo_util.Arena.int_array s 8 in
-        Array.fill buf 0 8 i;
-        Array.fold_left ( + ) 0 buf)
-      [ 1; 2; 3; 4 ]
-  in
-  Alcotest.(check (list int)) "per-worker scratch stays coherent" [ 8; 16; 24; 32 ] r
-
 (* ---------- domain pool ---------- *)
 
 let qcheck_pool_order_preserved =
@@ -309,20 +234,37 @@ let test_pool_sequential_override () =
   Pool.set_sequential None;
   Alcotest.(check (list int)) "sequential map still correct" [ 2; 3; 4 ] r
 
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var (Option.value old ~default:"")) f
+(* The pool re-reads the environment on every [size] call, so these
+   tests can flip the variable in-process. There is no unsetenv in the
+   stdlib; the final state ("") parses as no override, which is the
+   same behaviour as an absent variable. *)
+let test_pool_domains_override () =
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "TDO_DOMAINS" "")
+    (fun () ->
+      Unix.putenv "TDO_DOMAINS" "3";
+      Alcotest.(check int) "explicit override honoured" 3 (Pool.size ());
+      Unix.putenv "TDO_DOMAINS" "1";
+      Alcotest.(check int) "minimum accepted" 1 (Pool.size ());
+      Unix.putenv "TDO_DOMAINS" "0";
+      Alcotest.(check int) "zero clamps to 1" 1 (Pool.size ());
+      Unix.putenv "TDO_DOMAINS" "-7";
+      Alcotest.(check int) "negative clamps to 1" 1 (Pool.size ());
+      Unix.putenv "TDO_DOMAINS" "not-a-number";
+      Alcotest.(check bool) "garbage falls back to >= 1" true (Pool.size () >= 1);
+      Unix.putenv "TDO_DOMAINS" "";
+      Alcotest.(check bool) "empty falls back to >= 1" true (Pool.size () >= 1))
 
-let test_pool_size_env_override () =
-  with_env "TDO_DOMAINS" "3" (fun () ->
-      Alcotest.(check int) "TDO_DOMAINS=3 pins the size" 3 (Pool.size ()));
-  with_env "TDO_DOMAINS" "7" (fun () ->
-      Alcotest.(check int) "the variable is re-read on every call" 7 (Pool.size ()));
-  with_env "TDO_DOMAINS" "nope" (fun () ->
-      Alcotest.(check bool) "unparsable falls back to >= 1" true (Pool.size () >= 1));
-  with_env "TDO_DOMAINS" "0" (fun () ->
-      Alcotest.(check bool) "degenerate is clamped to >= 1" true (Pool.size () >= 1))
+let test_pool_domains_map () =
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "TDO_DOMAINS" "")
+    (fun () ->
+      Unix.putenv "TDO_DOMAINS" "2";
+      let xs = List.init 17 Fun.id in
+      Alcotest.(check (list int))
+        "map under pinned domain count preserves order"
+        (List.map (fun x -> x * x) xs)
+        (Pool.parallel_map (fun x -> x * x) xs))
 
 let test_pool_large_map_chunked () =
   (* large enough that the chunked cursor hands out many chunks per
@@ -377,23 +319,10 @@ let test_fig6_parallel_matches_sequential () =
   Alcotest.(check (float 0.0)) "max edp" seq_summary.max_edp_improvement
     par_summary.max_edp_improvement
 
-let test_arena_reuse_identical_runs () =
-  (* the second run lands on a warm arena (every buffer served from the
-     pool) and must be bit-identical to the first *)
+let test_fig5_rerun_identical () =
   let r1 = E.fig5 ~n:24 () in
   let r2 = E.fig5 ~n:24 () in
-  Alcotest.(check bool) "warm-arena rerun is bit-identical" true (r1 = r2)
-
-let test_fig5_arena_off_matches_on () =
-  let off = with_env "TDO_ARENA" "0" (fun () -> E.fig5 ~n:24 ()) in
-  let on_ = with_env "TDO_ARENA" "1" (fun () -> E.fig5 ~n:24 ()) in
-  Alcotest.(check bool) "TDO_ARENA=0 output is bit-identical" true (off = on_)
-
-let test_fig5_parallel_matches_sequential_arena_off () =
-  with_env "TDO_ARENA" "0" (fun () ->
-      let s = with_pool_mode true (fun () -> E.fig5 ~n:24 ()) in
-      let p = with_pool_mode false (fun () -> E.fig5 ~n:24 ()) in
-      Alcotest.(check bool) "parallel == sequential with arenas off" true (s = p))
+  Alcotest.(check bool) "a rerun is bit-identical" true (r1 = r2)
 
 let test_fig5_parallel_matches_sequential () =
   let n = 32 in
@@ -434,13 +363,6 @@ let suites =
         Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
         Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
       ] );
-    ( "perf.arena",
-      [
-        QCheck_alcotest.to_alcotest qcheck_arena_roundtrip;
-        Alcotest.test_case "reset recycles the same block" `Quick test_arena_reuse_is_physical;
-        Alcotest.test_case "scratch is per-domain and stable" `Quick
-          test_pool_scratch_is_per_domain_and_stable;
-      ] );
     ( "perf.pool",
       [
         QCheck_alcotest.to_alcotest qcheck_pool_order_preserved;
@@ -448,7 +370,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_pool_first_exception_wins;
         Alcotest.test_case "nested maps" `Quick test_pool_nested_runs_sequentially;
         Alcotest.test_case "sequential override" `Quick test_pool_sequential_override;
-        Alcotest.test_case "TDO_DOMAINS override" `Quick test_pool_size_env_override;
+        Alcotest.test_case "TDO_DOMAINS override and clamping" `Quick test_pool_domains_override;
+        Alcotest.test_case "parallel_map under TDO_DOMAINS" `Quick test_pool_domains_map;
         Alcotest.test_case "10k-element chunked map" `Quick test_pool_large_map_chunked;
       ] );
     ( "perf.golden_determinism",
@@ -457,9 +380,6 @@ let suites =
           test_fig6_parallel_matches_sequential;
         Alcotest.test_case "fig5 parallel == sequential" `Quick
           test_fig5_parallel_matches_sequential;
-        Alcotest.test_case "warm-arena rerun identical" `Quick test_arena_reuse_identical_runs;
-        Alcotest.test_case "arenas off == arenas on" `Quick test_fig5_arena_off_matches_on;
-        Alcotest.test_case "parallel == sequential, arenas off" `Quick
-          test_fig5_parallel_matches_sequential_arena_off;
+        Alcotest.test_case "fig5 rerun identical" `Quick test_fig5_rerun_identical;
       ] );
   ]

@@ -9,40 +9,6 @@ module Parser = Tdo_lang.Parser
 module Mat = Tdo_linalg.Mat
 module Offload = Tdo_tactics.Offload
 
-(* ---------- Pool sizing: TDO_DOMAINS override ---------- *)
-
-(* The pool re-reads the environment on every [size] call, so these
-   tests can flip the variable in-process. There is no unsetenv in the
-   stdlib; the final state ("") parses as no override, which is the
-   same behaviour as an absent variable. *)
-let test_pool_domains_override () =
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TDO_DOMAINS" "")
-    (fun () ->
-      Unix.putenv "TDO_DOMAINS" "3";
-      Alcotest.(check int) "explicit override honoured" 3 (Pool.size ());
-      Unix.putenv "TDO_DOMAINS" "1";
-      Alcotest.(check int) "minimum accepted" 1 (Pool.size ());
-      Unix.putenv "TDO_DOMAINS" "0";
-      Alcotest.(check int) "zero clamps to 1" 1 (Pool.size ());
-      Unix.putenv "TDO_DOMAINS" "-7";
-      Alcotest.(check int) "negative clamps to 1" 1 (Pool.size ());
-      Unix.putenv "TDO_DOMAINS" "not-a-number";
-      Alcotest.(check bool) "garbage falls back to >= 1" true (Pool.size () >= 1);
-      Unix.putenv "TDO_DOMAINS" "";
-      Alcotest.(check bool) "empty falls back to >= 1" true (Pool.size () >= 1))
-
-let test_pool_domains_map () =
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TDO_DOMAINS" "")
-    (fun () ->
-      Unix.putenv "TDO_DOMAINS" "2";
-      let xs = List.init 17 Fun.id in
-      Alcotest.(check (list int))
-        "map under pinned domain count preserves order"
-        (List.map (fun x -> x * x) xs)
-        (Pool.parallel_map (fun x -> x * x) xs))
-
 (* ---------- Wear-leveling / endurance read-only stats ---------- *)
 
 let test_wear_leveling_stats () =
@@ -1512,11 +1478,6 @@ let test_frontend_session_replays () =
 
 let suites =
   [
-    ( "serve.pool",
-      [
-        Alcotest.test_case "TDO_DOMAINS override and clamping" `Quick test_pool_domains_override;
-        Alcotest.test_case "parallel_map under TDO_DOMAINS" `Quick test_pool_domains_map;
-      ] );
     ( "serve.wear_stats",
       [
         Alcotest.test_case "wear-leveling stats snapshot" `Quick test_wear_leveling_stats;
