@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-json sim-bench serve-bench graph-bench reliab-bench tune-bench serve-tune-db clean
+.PHONY: all build test lint bench-json sim-bench serve-bench graph-bench reliab-bench tune-bench serve-tune-db clean
 
 all: build
 
@@ -14,9 +14,6 @@ test:
 # firing under --Wall --Werror. Also part of `dune runtest`.
 lint:
 	dune build @lint
-
-bench:
-	dune exec bench/main.exe -- bench
 
 # Regenerate BENCH_sim.json at the repo root: Fig. 5 / Fig. 6 / ablation
 # sections timed with the domain pool and forced-sequential, plus the

@@ -194,40 +194,51 @@ let get_ints n cur = if Array.length cur = n then cur else Array.make n 0
 let reserve_floats n cur = if Array.length cur >= n then cur else get_floats n cur
 let reserve_ints n cur = if Array.length cur >= n then cur else get_ints n cur
 
-(* DMA transfers whose functional side is performed element-wise through
-   the memory's f32 fast path instead of materialising packed [Bytes.t]
-   payloads; the timing and traffic side is identical to
-   [Dma.read_strided]/[write_strided] — one descriptor, same byte
-   counts, same burst latency. *)
+(* DMA transfers whose functional side moves f32 values between memory
+   and the engine's float buffers instead of materialising packed
+   [Bytes.t] payloads: a unit-stride run is one bulk
+   [Memory.read_f32s]/[write_f32s], any other stride an element loop
+   over the f32 fast path. Both leave the data and the memory's byte
+   counters as the element loop does. The timing and traffic side is
+   identical to [Dma.read_strided]/[write_strided]: one descriptor,
+   same byte counts, same burst latency. *)
 
 let fetch_vector_into t ~addr ~len ~stride_elems out =
   let mem = Sim.Dma.memory t.dma in
-  for i = 0 to len - 1 do
-    Array.unsafe_set out i (Sim.Memory.read_f32 mem (addr + (4 * i * stride_elems)))
-  done;
+  if stride_elems = 1 then Sim.Memory.read_f32s mem addr out ~pos:0 ~len
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set out i (Sim.Memory.read_f32 mem (addr + (4 * i * stride_elems)))
+    done;
   Sim.Dma.charge t.dma ~bytes:(4 * len)
 
 let store_vector_into t ~addr ~stride_elems ~len values =
   let mem = Sim.Dma.memory t.dma in
-  for i = 0 to len - 1 do
-    Sim.Memory.write_f32 mem (addr + (4 * i * stride_elems)) (Array.unsafe_get values i)
-  done;
+  if stride_elems = 1 then Sim.Memory.write_f32s mem addr values ~pos:0 ~len
+  else
+    for i = 0 to len - 1 do
+      Sim.Memory.write_f32 mem (addr + (4 * i * stride_elems)) (Array.unsafe_get values i)
+    done;
   Sim.Dma.charge_write t.dma ~bytes:(4 * len)
 
 (* Fetch the operand the crossbar will hold, W ([w_rows x w_cols]),
    into [w] row-major. Memory holds W, or W^T when [transposed],
    row-major with leading dimension [ld]; it is read in that physical
-   row-major order and charged as one [w_rows * w_cols] descriptor. *)
+   row-major order, W's rows in bulk, and charged as one
+   [w_rows * w_cols] descriptor. *)
 let fetch_operand_into t ~addr ~w_rows ~w_cols ~ld ~transposed w =
   let mem = Sim.Dma.memory t.dma in
-  let prows = if transposed then w_cols else w_rows in
-  let pcols = if transposed then w_rows else w_cols in
-  for r = 0 to prows - 1 do
-    for c = 0 to pcols - 1 do
-      let v = Sim.Memory.read_f32 mem (addr + (4 * ((r * ld) + c))) in
-      Array.unsafe_set w (if transposed then (c * w_cols) + r else (r * w_cols) + c) v
+  if transposed then
+    for r = 0 to w_cols - 1 do
+      for c = 0 to w_rows - 1 do
+        Array.unsafe_set w ((c * w_cols) + r)
+          (Sim.Memory.read_f32 mem (addr + (4 * ((r * ld) + c))))
+      done
     done
-  done;
+  else
+    for r = 0 to w_rows - 1 do
+      Sim.Memory.read_f32s mem (addr + (4 * r * ld)) w ~pos:(r * w_cols) ~len:w_cols
+    done;
   Sim.Dma.charge t.dma ~bytes:(4 * w_rows * w_cols)
 
 (* Largest absolute value of [v.(0 .. len-1)], NaN if any element is

@@ -11,9 +11,7 @@ let create ?(config = default_config) () =
 
 let config t = t.config
 
-(* inlined so the float arguments stay unboxed in the crossbar's
-   per-column conversion loop *)
-let[@inline always] convert t ~full_scale value =
+let convert t ~full_scale value =
   if full_scale <= 0.0 then invalid_arg "Adc.convert: full_scale must be positive";
   t.samples <- t.samples + 1;
   t.conversions <- t.conversions + 1;
@@ -21,6 +19,11 @@ let[@inline always] convert t ~full_scale value =
   let code = Float.round (value /. full_scale *. top) in
   let hi = top and lo = -.top -. 1.0 in
   int_of_float (Float.max lo (Float.min hi code))
+
+let count t n =
+  if n < 0 then invalid_arg "Adc.count: negative event count";
+  t.samples <- t.samples + n;
+  t.conversions <- t.conversions + n
 
 let conversions t = t.conversions
 let samples t = t.samples

@@ -26,6 +26,13 @@ val convert : t -> full_scale:float -> float -> int
     quantising to [bits] resolution with [full_scale] mapped to the
     largest code. [full_scale] must be positive. *)
 
+val count : t -> int -> unit
+(** [count t n] records [n] sample-and-convert events whose codes nobody
+    reads: {!samples} and {!conversions} grow by [n] each, exactly as
+    after [n] calls of {!convert}. The crossbar charges a GEMV's
+    conversions this way, two per active column. Raises
+    [Invalid_argument] when [n] is negative. *)
+
 val conversions : t -> int
 (** Total ADC conversion events. *)
 

@@ -1,5 +1,4 @@
 module Prng = Tdo_util.Prng
-module Quant = Tdo_linalg.Quant
 
 type config = {
   rows : int;
@@ -49,20 +48,24 @@ type flip = {
   mutable remaining : int;  (** gemv passes still affected *)
 }
 
-(* Cell state lives in structure-of-arrays form — one byte of level,
-   one byte of defect flag and one write counter per physical cell —
-   instead of a [Cell.t] record per cell. A 2x(256x256) array held as
-   records costs ~1M minor words per crossbar, paid on every fresh
-   platform. The per-cell semantics mirror [Cell] exactly (see
-   [program_cell]).
+(* Cell state lives in structure-of-arrays form instead of a [Cell.t]
+   record per cell: a 2x(256x256) array held as records costs ~1M minor
+   words per crossbar, paid on every fresh platform. The per-cell
+   semantics mirror [Cell] exactly (see [pulse]).
 
-   The planes start empty and grow to cover the highest cell a write
+   Every array is indexed column-major, cell (r, c) at [c * rows + r],
+   so a column of the array is one contiguous run and a GEMV reads it
+   in order. One byte per operand holds the levels of both its cells,
+   the MSB plane's in the high nibble and the LSB plane's in the low
+   one: [16 * msb + lsb], which is the operand's 8-bit code plus 128.
+   Each plane keeps its own write counters and defect flags.
+
+   The arrays start empty and grow to cover the highest cell a write
    touches, so a fresh crossbar costs nothing until it is programmed
    and then only the prefix its programs reach. A cell past the grown
    prefix has never been written: it reads as level 0, with no writes
    and no defect. *)
 type plane_state = {
-  mutable levels : Bytes.t;  (** current conductance level per cell *)
   mutable writes : int array;  (** lifetime write pulses per cell *)
   mutable stuck : Bytes.t;  (** 1 = injected manufacture-time defect *)
 }
@@ -71,7 +74,8 @@ type plane_state = {
    per programming; the immutable [counters] view is built on demand. *)
 type t = {
   config : config;
-  cells : int;  (** rows * cols, the plane stride *)
+  cells : int;  (** rows * cols *)
+  mutable levels : Bytes.t;  (** both cells' levels per operand, [16 * msb + lsb] *)
   msb : plane_state;  (** plane holding the signed high nibble, offset by +8 *)
   lsb : plane_state;  (** plane holding the unsigned low nibble *)
   adc : Adc.t;
@@ -91,7 +95,7 @@ type t = {
   mutable worn : int;  (** cells at or past the endurance budget *)
 }
 
-let empty_plane () = { levels = Bytes.empty; writes = [||]; stuck = Bytes.empty }
+let empty_plane () = { writes = [||]; stuck = Bytes.empty }
 
 let create ?(config = default_config) ?(seed = 0) () =
   if config.rows <= 0 || config.cols <= 0 then
@@ -102,6 +106,7 @@ let create ?(config = default_config) ?(seed = 0) () =
   {
     config;
     cells;
+    levels = Bytes.empty;
     msb = empty_plane ();
     lsb = empty_plane ();
     adc = Adc.create ~config:config.adc ();
@@ -122,30 +127,29 @@ let create ?(config = default_config) ?(seed = 0) () =
     worn = (if config.cell.Cell.endurance <= 0 then 2 * cells else 0);
   }
 
-(* Grows both planes to cover cell [i], doubling and capped at the
+(* Grows the cell arrays to cover cell [i], doubling and capped at the
    array's size; the new cells are erased. *)
 let grow t i =
-  let have = Bytes.length t.msb.levels in
+  let have = Bytes.length t.levels in
   if i >= have then begin
     let size = min t.cells (max (i + 1) (2 * have)) in
-    let extend p =
-      let levels = Bytes.make size '\000' and stuck = Bytes.make size '\000' in
-      let writes = Array.make size 0 in
-      Bytes.blit p.levels 0 levels 0 have;
-      Bytes.blit p.stuck 0 stuck 0 have;
-      Array.blit p.writes 0 writes 0 have;
-      p.levels <- levels;
-      p.writes <- writes;
-      p.stuck <- stuck
+    let extend_bytes b =
+      let b' = Bytes.make size '\000' in
+      Bytes.blit b 0 b' 0 have;
+      b'
     in
+    let extend p =
+      let writes = Array.make size 0 in
+      Array.blit p.writes 0 writes 0 have;
+      p.writes <- writes;
+      p.stuck <- extend_bytes p.stuck
+    in
+    t.levels <- extend_bytes t.levels;
     extend t.msb;
     extend t.lsb
   end
 
 (* ---------- per-cell operations (the [Cell] semantics, on SoA) ---------- *)
-
-let[@inline always] cell_level p i =
-  if i < Bytes.length p.levels then Char.code (Bytes.unsafe_get p.levels i) else 0
 
 let[@inline always] cell_wear p i =
   if i < Array.length p.writes then Array.unsafe_get p.writes i else 0
@@ -160,8 +164,22 @@ let check_level t level =
     invalid_arg
       (Printf.sprintf "Cell.program: level %d out of [0,%d)" level t.config.cell.Cell.levels)
 
-(* Every change to a cell's write count goes through here, keeping the
-   crossbar-wide wear totals current, so the wear report reads three
+let plane_state t = function Msb -> t.msb | Lsb -> t.lsb
+
+(* Sets [plane]'s level of cell [i], leaving the other plane's nibble
+   as it is. Unchecked: the caller has checked [level] and grown the
+   arrays over [i]. *)
+let set_level t plane i level =
+  let u = Char.code (Bytes.unsafe_get t.levels i) in
+  let u =
+    match plane with
+    | Msb -> (level lsl 4) lor (u land 15)
+    | Lsb -> (u land 0xf0) lor level
+  in
+  Bytes.unsafe_set t.levels i (Char.unsafe_chr u)
+
+(* The crossbar keeps its wear totals current wherever a write count
+   changes (here and in [pulse]), so the wear report reads three
    fields instead of folding over every cell. *)
 let add_writes t p i n =
   let before = p.writes.(i) in
@@ -173,14 +191,21 @@ let add_writes t p i n =
   if before < endurance && after >= endurance then t.worn <- t.worn + 1
 
 (* Mirrors [Cell.program]: the write pulse is charged (and wear
-   accrues) even when the cell no longer switches, and stuckness is
-   judged before this pulse's wear is added. The caller has grown the
-   planes over [i]. *)
-let program_cell t p i ~level =
-  check_level t level;
-  let stuck = cell_is_stuck t p i in
-  add_writes t p i 1;
-  if not stuck then Bytes.set p.levels i (Char.unsafe_chr level)
+   accrues) even when the cell no longer switches, and stuckness (the
+   defect flag, or a write count at the budget) is judged before this
+   pulse's wear is added. Returns whether the cell takes the new level;
+   the caller stores it. Unchecked: the caller has grown the arrays
+   over [i]. The peak and worn counts are kept here; the caller adds
+   the pulse to [wear_sum], which [program_flat] does once for its
+   whole region. *)
+let[@inline always] pulse t p i =
+  let endurance = t.config.cell.Cell.endurance in
+  let before = Array.unsafe_get p.writes i in
+  let after = before + 1 in
+  Array.unsafe_set p.writes i after;
+  if after > t.wear_peak then t.wear_peak <- after;
+  if after = endurance then t.worn <- t.worn + 1;
+  before < endurance && Bytes.unsafe_get p.stuck i = '\000'
 
 let config t = t.config
 
@@ -211,26 +236,36 @@ let check_region t ~row_off ~col_off ~m ~n name =
   if row_off < 0 || col_off < 0 || row_off + m > t.config.rows || col_off + n > t.config.cols
   then invalid_arg (name ^ ": region exceeds the array")
 
-(* One logical operand: the signed high nibble [-8,7] is stored with a
-   +8 offset so it maps onto the unsigned conductance levels (the
-   digital logic removes the offset after sensing), the low nibble as
-   is. *)
-let[@inline always] program_code t idx code =
-  if code < -128 || code > 127 then invalid_arg "Quant.split_nibbles: not an 8-bit code";
-  program_cell t t.msb idx ~level:(Quant.high_nibble code + 8);
-  program_cell t t.lsb idx ~level:(Quant.low_nibble code)
-
+(* One pass over the region after every code has been checked, so a
+   bad code raises before any cell is written. Each operand pulses its
+   two cells: the signed high nibble [-8,7] goes to the MSB plane with
+   a +8 offset, so it maps onto the unsigned conductance levels (the
+   digital logic removes the offset after sensing), and the low nibble
+   to the LSB plane as is. Both land in one byte as the code plus 128;
+   a stuck cell keeps its nibble of the old byte. *)
 let program_flat t ?(row_off = 0) ?(col_off = 0) ~rows:m ~cols:n codes =
   if m <= 0 || n <= 0 then invalid_arg "Crossbar.program_flat: empty matrix";
   if Array.length codes < m * n then invalid_arg "Crossbar.program_flat: codes too short";
   check_region t ~row_off ~col_off ~m ~n "Crossbar.program_flat";
-  let stride = t.config.cols in
-  grow t (((row_off + m - 1) * stride) + col_off + n - 1);
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      program_code t (((row_off + i) * stride) + col_off + j) (Array.unsafe_get codes ((i * n) + j))
+  for k = 0 to (m * n) - 1 do
+    let code = Array.unsafe_get codes k in
+    if code < -128 || code > 127 then invalid_arg "Quant.split_nibbles: not an 8-bit code"
+  done;
+  let rows = t.config.rows in
+  grow t (((col_off + n - 1) * rows) + row_off + m - 1);
+  let levels = t.levels in
+  for j = 0 to n - 1 do
+    let col = ((col_off + j) * rows) + row_off in
+    for i = 0 to m - 1 do
+      let idx = col + i in
+      let u = Array.unsafe_get codes ((i * n) + j) + 128
+      and old = Char.code (Bytes.unsafe_get levels idx) in
+      let hi = if pulse t t.msb idx then u else old in
+      let lo = if pulse t t.lsb idx then u else old in
+      Bytes.unsafe_set levels idx (Char.unsafe_chr ((hi land 0xf0) lor (lo land 15)))
     done
   done;
+  t.wear_sum <- t.wear_sum + (2 * m * n);
   t.active <- Some (row_off, col_off, m, n);
   t.cell_writes <- t.cell_writes + (2 * m * n);
   t.logical_writes <- t.logical_writes + (m * n);
@@ -255,13 +290,10 @@ let require_active t =
 
 let read_codes t =
   let row_off, col_off, m, n = require_active t in
-  let stride = t.config.cols in
+  let rows = t.config.rows in
   Array.init m (fun i ->
       Array.init n (fun j ->
-          let idx = ((row_off + i) * stride) + col_off + j in
-          let hi = cell_level t.msb idx - 8 in
-          let lo = cell_level t.lsb idx in
-          Quant.combine_nibbles ~msb:hi ~lsb:lo))
+          Char.code (Bytes.get t.levels (((col_off + j) * rows) + row_off + i)) - 128))
 
 let perturb t v =
   match t.config.noise_sigma with
@@ -294,38 +326,37 @@ let gemv_codes_into t input ~out =
     invalid_arg
       (Printf.sprintf "Crossbar.gemv_codes_into: output length %d, active columns %d"
          (Array.length out) n);
-  (* Analog currents: one Kirchhoff sum per plane per column. The model
-     is functional — the integer column sums are what an ideal
-     sense/convert chain recovers — with optional additive noise. The
-     loop writes into the caller's buffer and keeps its accumulators in
-     locals, so a streamed launch performs the whole GEMV without
-     allocating. *)
-  let full_scale = float_of_int (m * 127 * 15) +. 1.0 in
-  let stride = t.config.cols in
+  (* Analog currents: one Kirchhoff sum per plane per column, over the
+     column's contiguous run of levels. The model is functional — the
+     integer column sums are what an ideal sense/convert chain recovers
+     — with optional additive noise on each plane sum, the MSB plane's
+     first, and the column result is [16 * hi + lo]. Conductance drift
+     shifts every column; see [apply_flips] for the transient
+     disturbances. The loop writes into the caller's buffer and keeps
+     its accumulators in locals, so a streamed launch performs the
+     whole GEMV without allocating. *)
+  let rows = t.config.rows in
   (* Unchecked reads: they stay inside the active region, and
-     [program_flat] grows the planes over every cell of a region before
+     [program_flat] grows the arrays over every cell of a region before
      it latches [active]. *)
-  let hi_levels = t.msb.levels and lo_levels = t.lsb.levels in
+  let levels = t.levels in
   for j = 0 to n - 1 do
+    let base = ((col_off + j) * rows) + row_off in
     let sum_hi = ref 0 and sum_lo = ref 0 in
     for i = 0 to m - 1 do
-      let x = input.(i) in
-      let idx = ((row_off + i) * stride) + col_off + j in
-      sum_hi := !sum_hi + (x * (Char.code (Bytes.unsafe_get hi_levels idx) - 8));
-      sum_lo := !sum_lo + (x * Char.code (Bytes.unsafe_get lo_levels idx))
+      let x = Array.unsafe_get input i
+      and u = Char.code (Bytes.unsafe_get levels (base + i)) in
+      sum_hi := !sum_hi + (x * ((u lsr 4) - 8));
+      sum_lo := !sum_lo + (x * (u land 15))
     done;
-    (* Two conversions per column: one per physical plane. The ADC
-       model is charged for the events; the code path keeps the
-       integer value (ideal transfer function). *)
     let hi = perturb t !sum_hi in
     let lo = perturb t !sum_lo in
-    ignore (Adc.convert t.adc ~full_scale (float_of_int hi));
-    ignore (Adc.convert t.adc ~full_scale (float_of_int lo));
-    (* Conductance drift shifts every column; see [apply_flips] for the
-       transient disturbances. *)
-    let v = (16 * hi) + lo + t.drift in
-    out.(j) <- apply_flips t.flips ~col:(col_off + j) v
+    out.(j) <- apply_flips t.flips ~col:(col_off + j) ((16 * hi) + lo + t.drift)
   done;
+  (* Two conversions per column, one per physical plane. The code path
+     keeps the integer value (ideal transfer function), so only the
+     events are counted. *)
+  Adc.count t.adc (2 * n);
   t.gemv_ops <- t.gemv_ops + 1;
   t.macs <- t.macs + (m * n);
   t.input_buffer_bytes <- t.input_buffer_bytes + m;
@@ -339,25 +370,27 @@ let gemv_codes t input =
 
 (* ---------- fault-injection hooks ---------- *)
 
-let cell_of t ~plane ~row ~col =
+let cell_of t ~row ~col =
   if row < 0 || col < 0 || row >= t.config.rows || col >= t.config.cols then
     invalid_arg
       (Printf.sprintf "Crossbar: cell (%d,%d) outside the %dx%d array" row col t.config.rows
          t.config.cols);
-  let idx = (row * t.config.cols) + col in
-  match plane with Msb -> (t.msb, idx) | Lsb -> (t.lsb, idx)
+  (col * t.config.rows) + row
 
 let inject_stuck_at t ~plane ~row ~col ~level =
-  let p, idx = cell_of t ~plane ~row ~col in
+  let idx = cell_of t ~row ~col in
   check_level t level;
   grow t idx;
-  Bytes.set p.levels idx (Char.chr level);
-  Bytes.set p.stuck idx '\001'
+  set_level t plane idx level;
+  Bytes.set (plane_state t plane).stuck idx '\001'
 
 let inject_wear_out t ~plane ~row ~col ~level =
-  let p, idx = cell_of t ~plane ~row ~col in
+  let idx = cell_of t ~row ~col in
+  check_level t level;
   grow t idx;
-  program_cell t p idx ~level;
+  let p = plane_state t plane in
+  if pulse t p idx then set_level t plane idx level;
+  t.wear_sum <- t.wear_sum + 1;
   add_writes t p idx (max 0 (t.config.cell.Cell.endurance - p.writes.(idx)))
 
 let arm_column_flip t ~col ~bit ~ops =

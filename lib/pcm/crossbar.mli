@@ -50,7 +50,9 @@ val program_codes : t -> ?row_off:int -> ?col_off:int -> int array array -> unit
     pulse each, counted even on worn-out cells). Also latches the
     written region as the active compute region — the row/column enable
     masks of the digital interface. Raises [Invalid_argument] if the
-    region exceeds the array or a code is outside [-128, 127]. *)
+    region exceeds the array or a code is outside [-128, 127]. Every
+    code is checked before any cell is written, so a raise leaves the
+    levels, wear, counters and active region as they were. *)
 
 val program_flat :
   t -> ?row_off:int -> ?col_off:int -> rows:int -> cols:int -> int array -> unit
@@ -66,7 +68,14 @@ val active_region : t -> (int * int * int * int) option
 val gemv_codes : t -> int array -> int array
 (** Analog GEMV over the active region: input length must equal the
     active row count; the result has one (exact, full-precision) integer
-    per active column. Raises [Failure] if nothing was programmed. *)
+    per active column. Raises [Failure] if nothing was programmed.
+
+    The array stores each operand's two cell levels in one byte,
+    column-major, so each column's two plane sums run over contiguous
+    memory, and stuck or worn cells contribute the levels they hold.
+    With noise, each plane sum is perturbed before the two are
+    combined. Each GEMV counts two ADC events per active column (see
+    {!Adc.count}). *)
 
 val gemv_codes_into : t -> int array -> out:int array -> unit
 (** Allocation-free {!gemv_codes}: writes the column results into [out],

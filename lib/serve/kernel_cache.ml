@@ -51,8 +51,10 @@ type t = {
 
 let create ?(capacity = 64) ?(options = Flow.o3_loop_tactics) ?tuning ?(geometries = [])
     ?on_evict () =
+  if capacity < 1 then
+    invalid_arg (Printf.sprintf "Kernel_cache.create: capacity %d is below 1" capacity);
   {
-    capacity = max 1 capacity;
+    capacity;
     opts = options;
     tuning;
     geometries;

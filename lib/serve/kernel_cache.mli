@@ -59,8 +59,8 @@ val create :
   ?on_evict:(string -> unit) ->
   unit ->
   t
-(** LRU cache holding at most [capacity] (default 64, clamped to >= 1)
-    compiled programs, compiled under [options] (default
+(** LRU cache holding at most [capacity] (default 64) compiled
+    programs, compiled under [options] (default
     {!Flow.o3_loop_tactics}). A [tuning] database overrides the
     tactics configuration per (kernel, class) — looked up by the same
     structural digest the database was built with; cross-class entries
@@ -70,7 +70,8 @@ val create :
     database carry [tuned = true]. [on_evict] is called with the key of
     every LRU-evicted entry — the invalidation hook graph-scope weight
     residency hangs off (a pinned claim must not outlive the compiled
-    entry that backs it). *)
+    entry that backs it). Raises [Invalid_argument] when [capacity] is
+    below 1. *)
 
 val options : t -> Flow.options
 

@@ -680,3 +680,116 @@ let double_buffering_suite =
     ] )
 
 let suites = suites @ [ multi_tile_suite; double_buffering_suite ]
+
+(* ---------- pinned launch numbers ---------- *)
+
+(* Launches over every (pin, trans_a, trans_b) orientation, with
+   leading dimensions wider than the operands, so that the engine's
+   fetches and stores take both the unit-stride and the strided path.
+   Each orientation runs a fresh launch with beta <> 0 (C is read in),
+   then the same operands again with beta = 0 (the pin is reused), on
+   an ideal and on a noisy crossbar. The rows hold the values recorded
+   before the engine moved unit-stride vectors in bulk and the
+   crossbar packed both planes' levels into one column-major array. *)
+let pinned_launch_rows =
+  [
+    "pinA/ta=false/tb=false/ideal finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=c31858f430aec989a34540fd859bfa47";
+    "pinA/ta=false/tb=true/ideal finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=f2f18c716658fc4b8264af5cdfa6973a";
+    "pinA/ta=true/tb=false/ideal finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=dd62fed2d022b8cf3479843c371a81a3";
+    "pinA/ta=true/tb=true/ideal finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=579442583fbcd1adbecbd5f0386c2c66";
+    "pinB/ta=false/tb=false/ideal finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=557554054f00db7df1b6b4f2a6d2ba50";
+    "pinB/ta=false/tb=true/ideal finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=af0097647c7ff10790451b4458086406";
+    "pinB/ta=true/tb=false/ideal finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=dd932af8962af49af57e570b207c722b";
+    "pinB/ta=true/tb=true/ideal finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=20324bebbceb3c5f2c20783abacec4d1";
+    "pinA/ta=false/tb=false/noisy finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=6c206a812910446abc17d445646a4fe4";
+    "pinA/ta=false/tb=true/noisy finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=71b22900980c4d67a71cbcea09000f62";
+    "pinA/ta=true/tb=false/noisy finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=2d0de84f309859e827121e9f748525c6";
+    "pinA/ta=true/tb=true/noisy finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=b7a8a3c04ecaaecc0d05b4f485d8534f";
+    "pinB/ta=false/tb=false/noisy finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ac35cbd1d405149546134cad060fb24d";
+    "pinB/ta=false/tb=true/noisy finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ffda09cf9edcb1fdaa1814bf2b663909";
+    "pinB/ta=true/tb=false/noisy finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=6b45f0d75c0fac519986c57318ecedb9";
+    "pinB/ta=true/tb=true/noisy finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=bd11136d12156fabcbe0da4195dd5e0a";
+  ]
+
+(* One orientation's row: finish times, the bytes memory read and wrote
+   during the launches, DMA bytes read/written and descriptors, engine
+   jobs/streamed vectors/skipped programmings/busy time, crossbar cell
+   writes/GEMVs/MACs/buffer bytes, ADC samples/conversions, wear total
+   and peak, and a digest of C's bits, padding columns included. *)
+let launch_row ~pin ~trans_a ~trans_b ~noise =
+  let xbar = { small_xbar with Tdo_pcm.Crossbar.noise_sigma = noise } in
+  let sys = make_system ~engine_config:{ Micro_engine.default_config with Micro_engine.xbar } () in
+  let m = 5 and n = 7 and k = 6 in
+  let lda = (if trans_a then m else k) + 3 and ldb = (if trans_b then k else n) + 2 in
+  let ldc = n + 1 in
+  let g = Prng.create ~seed:(41 + Bool.to_int trans_a + (2 * Bool.to_int trans_b)) in
+  let phys ~trans rows cols =
+    if trans then Mat.random g ~rows:cols ~cols:rows ~lo:(-1.0) ~hi:1.0
+    else Mat.random g ~rows ~cols ~lo:(-1.0) ~hi:1.0
+  in
+  let a = phys ~trans:trans_a m k in
+  let b = phys ~trans:trans_b k n in
+  let c0 = Mat.random g ~rows:m ~cols:n ~lo:(-1.0) ~hi:1.0 in
+  write_matrix sys.memory ~addr:a_addr ~ld:lda a;
+  write_matrix sys.memory ~addr:b_addr ~ld:ldb b;
+  write_matrix sys.memory ~addr:c_addr ~ld:ldc c0;
+  let engine = Accel.engine sys.accel in
+  let reads0 = Sim.Memory.reads sys.memory and writes0 = Sim.Memory.writes sys.memory in
+  let job =
+    { (base_job ~m ~n ~k) with
+      Context_regs.trans_a; trans_b; lda; ldb; ldc; alpha = 1.25; beta = 0.5;
+      pin = (if pin then Context_regs.Pin_a else Context_regs.Pin_b) }
+  in
+  let run job start =
+    match Micro_engine.run_job engine job ~start with
+    | Ok finish -> finish
+    | Error e -> Alcotest.failf "job rejected: %s" e
+  in
+  let first = run job 0 in
+  let second = run { job with Context_regs.beta = 0.0 } (first + 1_000) in
+  let dma = Accel.dma sys.accel and xb = Micro_engine.crossbar engine in
+  let e = Micro_engine.counters engine and x = Tdo_pcm.Crossbar.counters xb in
+  let adc = Tdo_pcm.Crossbar.adc xb in
+  let out = read_matrix sys.memory ~addr:c_addr ~ld:ldc ~rows:m ~cols:ldc in
+  Printf.sprintf
+    "pin%s/ta=%b/tb=%b/%s finish=%d,%d mem=%d/%d dma=%d/%d/%d eng=%d,%d,%d,%d \
+     xbar=%d,%d,%d,%d,%d adc=%d/%d wear=%d/%d out=%s"
+    (if pin then "A" else "B")
+    trans_a trans_b
+    (if noise = None then "ideal" else "noisy")
+    first second
+    (Sim.Memory.reads sys.memory - reads0)
+    (Sim.Memory.writes sys.memory - writes0)
+    (Sim.Dma.bytes_read dma) (Sim.Dma.bytes_written dma) (Sim.Dma.transfers dma)
+    e.Micro_engine.jobs e.Micro_engine.streamed_vectors e.Micro_engine.programming_skipped
+    e.Micro_engine.busy_ps x.Tdo_pcm.Crossbar.cell_writes x.Tdo_pcm.Crossbar.gemv_ops
+    x.Tdo_pcm.Crossbar.macs x.Tdo_pcm.Crossbar.input_buffer_bytes
+    x.Tdo_pcm.Crossbar.output_buffer_bytes (Tdo_pcm.Adc.samples adc)
+    (Tdo_pcm.Adc.conversions adc) (Tdo_pcm.Crossbar.wear_total xb)
+    (Tdo_pcm.Crossbar.wear_max xb)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") (Mat.data out))))))
+
+let launch_rows () =
+  List.concat_map
+    (fun noise ->
+      List.concat_map
+        (fun pin ->
+          List.concat_map
+            (fun trans_a ->
+              List.map (fun trans_b -> launch_row ~pin ~trans_a ~trans_b ~noise) [ false; true ])
+            [ false; true ])
+        [ true; false ])
+    [ None; Some 2.0 ]
+
+let test_pinned_launches () =
+  List.iter2
+    (fun expected got -> Alcotest.(check string) "pinned launch numbers" expected got)
+    pinned_launch_rows (launch_rows ())
+
+let pinned_launch_suite =
+  ( "cimacc.pinned_launches",
+    [ Alcotest.test_case "every orientation, ideal and noisy" `Quick test_pinned_launches ] )
+
+let suites = suites @ [ pinned_launch_suite ]

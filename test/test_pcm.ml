@@ -226,91 +226,114 @@ type wear_cmd =
 (* Per-cell state with [Cell] semantics: the crossbar keeps running wear
    totals and grows its planes as writes reach them, and a write count,
    level and defect flag kept here for every cell say what it must
-   report. The geometries are a 4x5 array with endurance 3, so cells
-   wear out within a short run, and a 64x48 array whose planes grow in
-   the middle of a sequence, once with endurance 3 and once with 0 (every
+   report. Index 0 is the MSB plane, 1 the LSB plane. *)
+type cell_model = {
+  endurance : int;
+  writes : int array array array;
+  levels : int array array array;
+  stuck : bool array array array;
+}
+
+let cell_model ~rows ~cols ~endurance =
+  {
+    endurance;
+    writes = Array.init 2 (fun _ -> Array.make_matrix rows cols 0);
+    levels = Array.init 2 (fun _ -> Array.make_matrix rows cols 0);
+    stuck = Array.init 2 (fun _ -> Array.make_matrix rows cols false);
+  }
+
+let plane_index = function Crossbar.Msb -> 0 | Crossbar.Lsb -> 1
+let model_is_stuck md p i j = md.stuck.(p).(i).(j) || md.writes.(p).(i).(j) >= md.endurance
+
+(* [Cell.program]: stuckness is judged before the pulse's wear *)
+let model_program md p i j level =
+  let was_stuck = model_is_stuck md p i j in
+  md.writes.(p).(i).(j) <- md.writes.(p).(i).(j) + 1;
+  if not was_stuck then md.levels.(p).(i).(j) <- level
+
+let model_code md i j =
+  Tdo_linalg.Quant.combine_nibbles ~msb:(md.levels.(0).(i).(j) - 8) ~lsb:md.levels.(1).(i).(j)
+
+let wear_code k = (k * 37 mod 256) - 128
+
+(* Applies one write to the crossbar and to the model alike. *)
+let apply_wear_cmd xb md = function
+  | Program (row_off, col_off, m, n) ->
+      Crossbar.program_flat xb ~row_off ~col_off ~rows:m ~cols:n (Array.init (m * n) wear_code);
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          let c = wear_code ((i * n) + j) in
+          model_program md 0 (row_off + i) (col_off + j) (Tdo_linalg.Quant.high_nibble c + 8);
+          model_program md 1 (row_off + i) (col_off + j) (Tdo_linalg.Quant.low_nibble c)
+        done
+      done
+  | Wear_out (plane, row, col) ->
+      Crossbar.inject_wear_out xb ~plane ~row ~col ~level:5;
+      let p = plane_index plane in
+      model_program md p row col 5;
+      md.writes.(p).(row).(col) <- max md.writes.(p).(row).(col) md.endurance
+  | Stuck (plane, row, col) ->
+      Crossbar.inject_stuck_at xb ~plane ~row ~col ~level:7;
+      let p = plane_index plane in
+      md.levels.(p).(row).(col) <- 7;
+      md.stuck.(p).(row).(col) <- true
+
+(* The geometries are a 4x5 array with endurance 3, so cells wear out
+   within a short run, and a 64x48 array whose planes grow in the
+   middle of a sequence, once with endurance 3 and once with 0 (every
    cell worn, and so stuck, from the start, written or not). *)
-let qcheck_wear_totals_match_cells =
-  let geometry = QCheck.Gen.oneofl [ (4, 5, 3); (64, 48, 3); (64, 48, 0) ] in
+let wear_geometry = QCheck.Gen.oneofl [ (4, 5, 3); (64, 48, 3); (64, 48, 0) ]
+
+let wear_config (rows, cols, endurance) =
+  { small_config with
+    Crossbar.rows; cols; cell = { Cell.default_config with Cell.endurance };
+    size_bytes = rows * cols }
+
+let wear_cmd_gen (rows, cols, _) =
   let plane = QCheck.Gen.map (fun m -> if m then Crossbar.Msb else Crossbar.Lsb) QCheck.Gen.bool in
   (* biased towards the last row and column, the far end of the planes *)
   let coord size = QCheck.Gen.(frequency [ (3, int_bound (size - 1)); (1, return (size - 1)) ]) in
-  let cmd (rows, cols, _) =
-    QCheck.Gen.(
-      frequency
-        [
-          ( 4,
-            map2 (fun m n -> (m, n)) (1 -- min rows 6) (1 -- min cols 6) >>= fun (m, n) ->
-            map2 (fun r c -> Program (r, c, m, n)) (coord (rows - m + 1)) (coord (cols - n + 1)) );
-          (1, map3 (fun p r c -> Wear_out (p, r, c)) plane (coord rows) (coord cols));
-          (1, map3 (fun p r c -> Stuck (p, r, c)) plane (coord rows) (coord cols));
-        ])
-  in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2 (fun m n -> (m, n)) (1 -- min rows 6) (1 -- min cols 6) >>= fun (m, n) ->
+          map2 (fun r c -> Program (r, c, m, n)) (coord (rows - m + 1)) (coord (cols - n + 1)) );
+        (1, map3 (fun p r c -> Wear_out (p, r, c)) plane (coord rows) (coord cols));
+        (1, map3 (fun p r c -> Stuck (p, r, c)) plane (coord rows) (coord cols));
+      ])
+
+let print_wear_cmd =
   let plane_char p = if p = Crossbar.Msb then 'm' else 'l' in
-  let print ((rows, cols, endurance), cmds) =
-    Printf.sprintf "%dx%d e=%d: %s" rows cols endurance
-      (String.concat " "
-         (List.map
-            (function
-              | Program (r, c, m, n) -> Printf.sprintf "P%d,%d:%dx%d" r c m n
-              | Wear_out (p, r, c) -> Printf.sprintf "W%c%d,%d" (plane_char p) r c
-              | Stuck (p, r, c) -> Printf.sprintf "S%c%d,%d" (plane_char p) r c)
-            cmds))
+  function
+  | Program (r, c, m, n) -> Printf.sprintf "P%d,%d:%dx%d" r c m n
+  | Wear_out (p, r, c) -> Printf.sprintf "W%c%d,%d" (plane_char p) r c
+  | Stuck (p, r, c) -> Printf.sprintf "S%c%d,%d" (plane_char p) r c
+
+let print_geometry (rows, cols, endurance) = Printf.sprintf "%dx%d e=%d" rows cols endurance
+
+let qcheck_wear_totals_match_cells =
+  let print (g, cmds) =
+    Printf.sprintf "%s: %s" (print_geometry g) (String.concat " " (List.map print_wear_cmd cmds))
   in
   QCheck.Test.make ~name:"wear totals match a per-cell model" ~count:300
     (QCheck.make ~print
-       QCheck.Gen.(geometry >>= fun g -> map (fun cmds -> (g, cmds)) (list_size (0 -- 30) (cmd g))))
-    (fun ((rows, cols, endurance), cmds) ->
-      let config =
-        { small_config with
-          Crossbar.rows; cols; cell = { Cell.default_config with Cell.endurance };
-          size_bytes = rows * cols }
-      in
-      let xb = Crossbar.create ~config () in
-      (* index 0 is the MSB plane, 1 the LSB plane *)
-      let writes = Array.init 2 (fun _ -> Array.make_matrix rows cols 0) in
-      let levels = Array.init 2 (fun _ -> Array.make_matrix rows cols 0) in
-      let stuck = Array.init 2 (fun _ -> Array.make_matrix rows cols false) in
-      let plane_index = function Crossbar.Msb -> 0 | Crossbar.Lsb -> 1 in
-      let is_stuck p i j = stuck.(p).(i).(j) || writes.(p).(i).(j) >= endurance in
-      (* [Cell.program]: stuckness is judged before the pulse's wear *)
-      let program p i j level =
-        let was_stuck = is_stuck p i j in
-        writes.(p).(i).(j) <- writes.(p).(i).(j) + 1;
-        if not was_stuck then levels.(p).(i).(j) <- level
-      in
-      let code k = (k * 37 mod 256) - 128 in
-      List.iter
-        (function
-          | Program (row_off, col_off, m, n) ->
-              Crossbar.program_flat xb ~row_off ~col_off ~rows:m ~cols:n (Array.init (m * n) code);
-              for i = 0 to m - 1 do
-                for j = 0 to n - 1 do
-                  let c = code ((i * n) + j) in
-                  program 0 (row_off + i) (col_off + j) (Tdo_linalg.Quant.high_nibble c + 8);
-                  program 1 (row_off + i) (col_off + j) (Tdo_linalg.Quant.low_nibble c)
-                done
-              done
-          | Wear_out (plane, row, col) ->
-              Crossbar.inject_wear_out xb ~plane ~row ~col ~level:5;
-              let p = plane_index plane in
-              program p row col 5;
-              writes.(p).(row).(col) <- max writes.(p).(row).(col) endurance
-          | Stuck (plane, row, col) ->
-              Crossbar.inject_stuck_at xb ~plane ~row ~col ~level:7;
-              let p = plane_index plane in
-              levels.(p).(row).(col) <- 7;
-              stuck.(p).(row).(col) <- true)
-        cmds;
+       QCheck.Gen.(
+         wear_geometry >>= fun g ->
+         map (fun cmds -> (g, cmds)) (list_size (0 -- 30) (wear_cmd_gen g))))
+    (fun (((rows, cols, endurance) as g), cmds) ->
+      let xb = Crossbar.create ~config:(wear_config g) () in
+      let md = cell_model ~rows ~cols ~endurance in
+      List.iter (apply_wear_cmd xb md) cmds;
       let cells =
-        List.concat_map Array.to_list (List.concat_map Array.to_list (Array.to_list writes))
+        List.concat_map Array.to_list (List.concat_map Array.to_list (Array.to_list md.writes))
       in
       let worn = List.length (List.filter (fun w -> w >= endurance) cells) in
       let stuck_cells = ref 0 in
       for p = 0 to 1 do
         for i = 0 to rows - 1 do
           for j = 0 to cols - 1 do
-            if is_stuck p i j then incr stuck_cells
+            if model_is_stuck md p i j then incr stuck_cells
           done
         done
       done;
@@ -319,11 +342,7 @@ let qcheck_wear_totals_match_cells =
         match Crossbar.active_region xb with
         | None -> true
         | Some (row_off, col_off, m, n) ->
-            let code_at i j =
-              Tdo_linalg.Quant.combine_nibbles
-                ~msb:(levels.(0).(row_off + i).(col_off + j) - 8)
-                ~lsb:levels.(1).(row_off + i).(col_off + j)
-            in
+            let code_at i j = model_code md (row_off + i) (col_off + j) in
             let x = Array.init m (fun i -> (i * 7 mod 11) - 5) in
             let expected_out =
               Array.init n (fun j ->
@@ -341,6 +360,142 @@ let qcheck_wear_totals_match_cells =
       && Crossbar.worn_out_fraction xb = float_of_int worn /. total
       && Crossbar.stuck_fraction xb = float_of_int !stuck_cells /. total
       && region_ok)
+
+type gemv_cmd = Write of wear_cmd | Drift of int | Flip of int * int * int | Gemv
+
+(* The GEMV reads both planes' levels from one packed byte per
+   operand; the model keeps per-cell levels for each plane on its own.
+   After every command, a GEMV over the active region must equal a
+   reference built from those levels: two plane sums per column, each
+   perturbed from the reference's own [Prng] stream with the crossbar's
+   seed when noise is on (the MSB plane's first), then the drift added
+   and the armed flips applied as [apply_flips] does, newest first.
+   [Gemv] writes nothing, so two GEMVs run back to back. A quarter of
+   the cases draw inputs from [-2^55, 2^55), where the sums wrap, so
+   the crossbar's sums must match the model's in wrapping arithmetic;
+   the rest draw 8-bit codes. The ADC counts two events per active
+   column per GEMV. *)
+let qcheck_gemv_matches_planes =
+  let cmd_gen ((_, cols, _) as g) =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun c -> Write c) (wear_cmd_gen g));
+          (1, map (fun d -> Drift d) (-1000 -- 1000));
+          (1, map3 (fun c b o -> Flip (c, b, o)) (0 -- (cols - 1)) (0 -- 40) (1 -- 3));
+          (2, return Gemv);
+        ])
+  in
+  let print_cmd = function
+    | Write c -> print_wear_cmd c
+    | Drift d -> Printf.sprintf "D%d" d
+    | Flip (c, b, o) -> Printf.sprintf "F%d.%d*%d" c b o
+    | Gemv -> "G"
+  in
+  let print ((g, cmds), (noisy, wide, seed)) =
+    Printf.sprintf "%s noisy=%b wide=%b seed=%d: %s" (print_geometry g) noisy wide seed
+      (String.concat " " (List.map print_cmd cmds))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (wear_geometry >>= fun g -> map (fun cmds -> (g, cmds)) (list_size (0 -- 30) (cmd_gen g)))
+        (triple bool (map (fun k -> k = 0) (int_bound 3)) small_nat))
+  in
+  QCheck.Test.make ~name:"GEMV equals the per-plane model after every write" ~count:300
+    (QCheck.make ~print gen)
+    (fun ((((rows, cols, endurance) as g), cmds), (noisy, wide, seed)) ->
+      let sigma = 3.0 in
+      let config =
+        { (wear_config g) with Crossbar.noise_sigma = (if noisy then Some sigma else None) }
+      in
+      let xb = Crossbar.create ~config ~seed () in
+      let md = cell_model ~rows ~cols ~endurance in
+      let noise = Prng.create ~seed and inputs = Prng.create ~seed:(seed + 1) in
+      let drift = ref 0 and flips = ref [] and events = ref 0 in
+      let perturb v =
+        if noisy then v + int_of_float (Float.round (Prng.gaussian noise ~mu:0.0 ~sigma)) else v
+      in
+      let flip ~col v =
+        List.fold_left
+          (fun v (fcol, bit, left) ->
+            if fcol = col && !left > 0 then begin
+              decr left;
+              v lxor (1 lsl bit)
+            end
+            else v)
+          v !flips
+      in
+      let gemv_ok () =
+        match Crossbar.active_region xb with
+        | None -> true
+        | Some (row_off, col_off, m, n) ->
+            let x =
+              Array.init m (fun _ ->
+                  if wide then Prng.int inputs ~bound:(1 lsl 56) - (1 lsl 55)
+                  else Prng.int inputs ~bound:256 - 128)
+            in
+            let expected =
+              Array.init n (fun j ->
+                  let hi = ref 0 and lo = ref 0 in
+                  for i = 0 to m - 1 do
+                    hi := !hi + (x.(i) * (md.levels.(0).(row_off + i).(col_off + j) - 8));
+                    lo := !lo + (x.(i) * md.levels.(1).(row_off + i).(col_off + j))
+                  done;
+                  let hi = perturb !hi in
+                  let lo = perturb !lo in
+                  flip ~col:(col_off + j) ((16 * hi) + lo + !drift))
+            in
+            events := !events + (2 * n);
+            let adc = Crossbar.adc xb in
+            Crossbar.gemv_codes xb x = expected
+            && Adc.samples adc = !events
+            && Adc.conversions adc = !events
+      in
+      gemv_ok ()
+      && List.for_all
+           (fun cmd ->
+             (match cmd with
+             | Write c -> apply_wear_cmd xb md c
+             | Drift d ->
+                 Crossbar.set_drift xb ~offset:d;
+                 drift := d
+             | Flip (col, bit, ops) ->
+                 Crossbar.arm_column_flip xb ~col ~bit ~ops;
+                 flips := (col, bit, ref ops) :: !flips
+             | Gemv -> ());
+             gemv_ok ())
+           cmds)
+
+(* [program_flat] checks every code before it writes a cell: a code of
+   128 in the last position raises and leaves the levels, the wear
+   totals, the counters and the active region as they were. With an
+   endurance of 2, a partial write would change levels in the active
+   region and move all three wear figures. *)
+let test_program_flat_validates_first () =
+  let cell = { Cell.default_config with Cell.endurance = 2 } in
+  let xb = Crossbar.create ~config:{ small_config with Crossbar.cell } () in
+  Crossbar.program_codes xb ~row_off:1 ~col_off:2
+    (random_codes (Prng.create ~seed:27) ~rows:3 ~cols:4);
+  let input = [| 3; -7; 11 |] in
+  let out = Crossbar.gemv_codes xb input in
+  let state () =
+    ( Crossbar.read_codes xb,
+      Crossbar.active_region xb,
+      (Crossbar.wear_total xb, Crossbar.wear_max xb, Crossbar.worn_out_fraction xb),
+      Crossbar.counters xb )
+  in
+  let before = state () in
+  let codes = Array.init 20 (fun k -> if k = 19 then 128 else (k * 13) - 100) in
+  Alcotest.check_raises "a code of 128" (Invalid_argument "Quant.split_nibbles: not an 8-bit code")
+    (fun () -> Crossbar.program_flat xb ~rows:4 ~cols:5 codes);
+  let codes, region, wear, counters = state () in
+  let codes0, region0, wear0, counters0 = before in
+  Alcotest.(check bool) "levels untouched" true (codes = codes0);
+  Alcotest.(check bool) "active region untouched" true (region = region0);
+  Alcotest.(check bool) "wear total, peak and worn fraction untouched" true (wear = wear0);
+  Alcotest.(check bool) "counters untouched" true (counters = counters0);
+  Alcotest.(check (array int)) "the same GEMV" out (Crossbar.gemv_codes xb input)
 
 (* Cell state grows as writes reach it: a fresh 4-tile device (4 tiles
    x 2 planes x 65,536 cells) allocates its caches, not its crossbars. *)
@@ -486,6 +641,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_gemv_additive;
         QCheck_alcotest.to_alcotest qcheck_program_read_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_wear_totals_match_cells;
+        QCheck_alcotest.to_alcotest qcheck_gemv_matches_planes;
+        Alcotest.test_case "program_flat validates before writing" `Quick
+          test_program_flat_validates_first;
         Alcotest.test_case "fresh device allocates what it touches" `Quick
           test_fresh_device_allocates_what_it_touches;
       ] );

@@ -185,6 +185,34 @@ let test_host_run_allocation_is_per_run () =
         (words 24))
     [ "gemm"; "mvt"; "3mm" ]
 
+(* An offloaded launch allocates per launch, not per streamed vector:
+   on a warmed platform, a [Flow.o3_loop_tactics] gemm runs for the
+   same minor words, within a few, at n = 8 and at n = 32, four times
+   the vectors. The engine's event ring is filled first, as on any
+   device that has served a few dozen launches; until it is full, each
+   recorded event allocates. *)
+let test_offloaded_run_allocation_is_per_launch () =
+  let platform = Tdo_runtime.Platform.create () in
+  let timeline =
+    Tdo_cimacc.(Micro_engine.timeline (Accel.engine platform.Tdo_runtime.Platform.accel))
+  in
+  while Tdo_cimacc.Timeline.active timeline do
+    Tdo_cimacc.Timeline.count_dropped timeline
+  done;
+  let b = Result.get_ok (Tdo_polybench.Kernels.find "gemm") in
+  let words n =
+    let f, _ =
+      Tdo_cim.Flow.compile ~options:Tdo_cim.Flow.o3_loop_tactics (b.Tdo_polybench.Kernels.source ~n)
+    in
+    let program = Tdo_ir.Exec.prepare f in
+    let args, _ = b.Tdo_polybench.Kernels.make_args ~n ~seed:5 in
+    ignore (Tdo_ir.Exec.exec program ~platform ~args);
+    minor_words_of (fun () -> ignore (Tdo_ir.Exec.exec program ~platform ~args))
+  in
+  let w8 = words 8 and w32 = words 32 in
+  if Float.abs (w32 -. w8) > 8.0 then
+    Alcotest.failf "gemm launch: %.0f minor words at n = 8, %.0f at n = 32" w8 w32
+
 (* ---------- domain pool ---------- *)
 
 let qcheck_pool_order_preserved =
@@ -362,6 +390,7 @@ let suites =
         Alcotest.test_case "issue_run" `Quick test_issue_run_allocates_nothing;
         Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
         Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
+        Alcotest.test_case "offloaded runs" `Quick test_offloaded_run_allocation_is_per_launch;
       ] );
     ( "perf.pool",
       [

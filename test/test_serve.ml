@@ -109,6 +109,14 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "evicted entry recompiles" 3
     (Kernel_cache.stats cache).Kernel_cache.misses
 
+let test_cache_capacity_below_one () =
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises (Printf.sprintf "capacity %d" capacity)
+        (Invalid_argument (Printf.sprintf "Kernel_cache.create: capacity %d is below 1" capacity))
+        (fun () -> ignore (Kernel_cache.create ~capacity ())))
+    [ 0; -1 ]
+
 let all_classes = [ Backend.Pcm_crossbar; Backend.Digital_tile; Backend.Host_blas ]
 
 (* every class on a default-sized crossbar, as the scheduler passes
@@ -1488,6 +1496,7 @@ let suites =
         Alcotest.test_case "structural key ignores formatting" `Quick test_cache_structural_hits;
         Alcotest.test_case "key covers compile options" `Quick test_cache_key_depends_on_options;
         Alcotest.test_case "LRU eviction at capacity" `Quick test_cache_lru_eviction;
+        Alcotest.test_case "capacity below 1 refused" `Quick test_cache_capacity_below_one;
         Alcotest.test_case "key is options, not class" `Quick test_cache_key_is_options_not_class;
         Alcotest.test_case "LRU order with mixed-class entries" `Quick
           test_cache_mixed_class_eviction_order;
