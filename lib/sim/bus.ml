@@ -10,16 +10,23 @@ let default_config =
    transfer adds one 4-word cell. *)
 type masters = Nil | Master of { name : string; mutable moved : int; next : masters }
 
+(* [last_bytes] and [last_ps] are the size and latency of the last
+   transfer whose latency was computed: every L2 fill and write-back
+   moves one 64-byte line, so that size is priced once, not with a
+   float division and a rounding per line. The latency is a function of
+   the size alone, so the memo is exact. *)
 type t = {
   config : config;
   mutable masters : masters;
   mutable total_bytes : int;
   mutable transfers : int;
+  mutable last_bytes : int;  (** -1 until the first transfer *)
+  mutable last_ps : Time_base.ps;
 }
 
 let create ?(config = default_config) () =
   if config.bytes_per_ps <= 0.0 then invalid_arg "Bus.create: bandwidth must be positive";
-  { config; masters = Nil; total_bytes = 0; transfers = 0 }
+  { config; masters = Nil; total_bytes = 0; transfers = 0; last_bytes = -1; last_ps = 0 }
 
 let config t = t.config
 
@@ -41,8 +48,13 @@ let transfer t ~master ~bytes =
     t.masters <- Master { name = master; moved = bytes; next = t.masters };
   t.total_bytes <- t.total_bytes + bytes;
   t.transfers <- t.transfers + 1;
-  t.config.arbitration_ps
-  + int_of_float (Float.round (float_of_int bytes /. t.config.bytes_per_ps))
+  if bytes <> t.last_bytes then begin
+    t.last_bytes <- bytes;
+    t.last_ps <-
+      t.config.arbitration_ps
+      + int_of_float (Float.round (float_of_int bytes /. t.config.bytes_per_ps))
+  end;
+  t.last_ps
 
 let traffic t =
   let rec collect acc = function

@@ -19,7 +19,12 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 
 val transfer : t -> master:string -> bytes:int -> Time_base.ps
-(** Latency of moving [bytes] across the bus on behalf of [master].
+(** Latency of moving [bytes] across the bus on behalf of [master]:
+    the arbitration cost plus [bytes / bytes_per_ps], rounded to the
+    nearest picosecond. The bus keeps the last size it priced and its
+    latency, and reuses them while the size repeats, as every cache
+    line transfer does; the latency depends on the size alone, so the
+    memo is exact, and the counters move on every call as without it.
     Raises [Invalid_argument] on a negative size. *)
 
 val traffic : t -> (string * int) list

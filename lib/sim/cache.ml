@@ -49,11 +49,18 @@ let zero_stats =
    Counters are plain mutable ints, and the immutable [stats] snapshot
    is built only when asked for.
 
+   A set's valid ways are a prefix: only a fill makes a line valid, a
+   fill takes the set's first invalid way, and only a flush invalidates
+   lines, all of them. [valid] keeps, per set, the count [n] of that
+   prefix, so ways [0, n) are valid and every way at or beyond [n] is
+   invalid. A probe compares the tags of the first [n] ways only, a
+   miss in a set that is not full takes way [n] without a scan, and a
+   set with [n = 0] misses without a search.
+
    [filled] is a bitmap with one bit per set, [filled_bits] sets per
-   word, marking the sets the miss path has filled since the last
-   flush. Only a fill makes a line valid and a flush invalidates every
-   line, so every other set holds no valid line and [flush] can skip
-   it.
+   word, marking the sets with [n > 0]: the miss path sets a bit when
+   it fills a set's first way, and [flush] clears every bit, so [flush]
+   visits only those sets, and only their [n] valid ways.
 
    [generation] counts fills and flushes, the only events that change
    which line an index holds; a {!memo} entry is current while it is
@@ -67,6 +74,7 @@ type t = {
   tags : int array;
   stamps : int array;  (** LRU clock value of each line's last access *)
   state : Bytes.t;
+  valid : int array;  (** per set, the count of its valid ways *)
   filled : int array;
   next : op -> addr:int -> bytes:int -> Time_base.ps;
   mutable clock : int;  (** logical timestamp for LRU ordering *)
@@ -110,6 +118,7 @@ let create ?(config = l1d_arm_a7) ~next () =
     tags = Array.make nlines 0;
     stamps = Array.make nlines 0;
     state = Bytes.make nlines invalid;
+    valid = Array.make nsets 0;
     filled = Array.make ((nsets + filled_bits - 1) / filled_bits) 0;
     next;
     clock = 0;
@@ -130,38 +139,35 @@ let tick t =
 
 let line_base t set tag = ((tag lsl t.set_shift) lor set) lsl t.line_shift
 
-(* Index of the valid line of the set starting at [base] that holds
-   [tag], or -1. Top-level and closed over nothing, so a probe does not
-   allocate. *)
-let rec find t base tag way =
-  if way = t.ways then -1
-  else
-    let i = base + way in
-    if Array.unsafe_get t.tags i = tag && Bytes.unsafe_get t.state i <> invalid then i
-    else find t base tag (way + 1)
+(* Index of the line among [tags.(i) .. tags.(stop - 1)], a set's
+   valid ways, that holds [tag], or -1. Top-level and closed over
+   nothing, so a probe does not allocate; the types are spelled out so
+   that [=] is an integer comparison, not a polymorphic one. *)
+let rec find (tags : int array) (tag : int) i stop =
+  if i = stop then -1 else if Array.unsafe_get tags i = tag then i else find tags tag (i + 1) stop
 
-(* The replacement victim of the set starting at [base]: its first
-   invalid way if any, otherwise its least recently used (valid)
-   way. *)
-let victim t base =
-  let v = ref (-1) in
-  let lru = ref base in
-  let way = ref 0 in
-  while !v < 0 && !way < t.ways do
-    let i = base + !way in
-    if Bytes.unsafe_get t.state i = invalid then v := i
-    else if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !lru then lru := i;
-    incr way
-  done;
-  if !v >= 0 then !v else !lru
+(* The replacement victim of the set starting at [base] with [n] valid
+   ways: its first invalid way, way [n], if it has one, otherwise its
+   least recently used way. *)
+let victim t base n =
+  if n < t.ways then base + n
+  else begin
+    let lru = ref base in
+    for i = base + 1 to base + n - 1 do
+      if Array.unsafe_get t.stamps i < Array.unsafe_get t.stamps !lru then lru := i
+    done;
+    !lru
+  end
 
 let[@inline always] hit t op i =
   Array.unsafe_set t.stamps i (tick t);
   if op = Write then Bytes.unsafe_set t.state i dirty;
   t.hits <- t.hits + 1
 
-(* The miss path: write back line [i] if it is dirty, then fill it with
-   [line_addr]. Returns the access latency. *)
+(* The miss path: write back line [i], the victim, if it is dirty,
+   then fill it with [line_addr]. An invalid victim is the way just
+   beyond the set's valid prefix, which grows by one. Returns the access
+   latency. *)
 let fill t op ~set ~line_addr i =
   t.misses <- t.misses + 1;
   t.generation <- t.generation + 1;
@@ -173,16 +179,23 @@ let fill t op ~set ~line_addr i =
       t.writebacks <- t.writebacks + 1;
       t.next Write ~addr:(line_base t set (Array.unsafe_get t.tags i)) ~bytes:line_bytes
     end
+    else if state = clean then begin
+      t.evictions <- t.evictions + 1;
+      0
+    end
     else begin
-      if state = clean then t.evictions <- t.evictions + 1;
+      let n = Array.unsafe_get t.valid set in
+      Array.unsafe_set t.valid set (n + 1);
+      if n = 0 then begin
+        let w = set lsr filled_shift in
+        t.filled.(w) <- t.filled.(w) lor (1 lsl (set land (filled_bits - 1)))
+      end;
       0
     end
   in
   let fill_latency = t.next Read ~addr:(line_addr lsl t.line_shift) ~bytes:line_bytes in
   Array.unsafe_set t.tags i (line_addr lsr t.set_shift);
   Bytes.unsafe_set t.state i (if op = Write then dirty else clean);
-  let w = set lsr filled_shift in
-  t.filled.(w) <- t.filled.(w) lor (1 lsl (set land (filled_bits - 1)));
   Array.unsafe_set t.stamps i (tick t);
   t.config.hit_latency_ps + writeback_latency + fill_latency
 
@@ -191,12 +204,13 @@ let access t op ~addr =
   let line_addr = addr lsr t.line_shift in
   let set = line_addr land t.set_mask in
   let base = set * t.ways in
-  let i = find t base (line_addr lsr t.set_shift) 0 in
+  let n = Array.unsafe_get t.valid set in
+  let i = find t.tags (line_addr lsr t.set_shift) base (base + n) in
   if i >= 0 then begin
     hit t op i;
     t.config.hit_latency_ps
   end
-  else fill t op ~set ~line_addr (victim t base)
+  else fill t op ~set ~line_addr (victim t base n)
 
 (* A memo keeps, for each access site, the line address its last
    probe touched, the index that line resolved to and the generation
@@ -242,7 +256,8 @@ let[@inline always] probe_gen t memo ~site op ~update ~addr =
     if site < 0 then invalid_arg "Cache.probe: negative site";
     let set = line_addr land t.set_mask in
     let base = set * t.ways in
-    let i = find t base (line_addr lsr t.set_shift) 0 in
+    let n = Array.unsafe_get t.valid set in
+    let i = find t.tags (line_addr lsr t.set_shift) base (base + n) in
     if i >= 0 then begin
       hit t op i;
       if update then hit t Write i;
@@ -250,7 +265,7 @@ let[@inline always] probe_gen t memo ~site op ~update ~addr =
       t.config.hit_latency_ps
     end
     else begin
-      let v = victim t base in
+      let v = victim t base n in
       let latency = fill t op ~set ~line_addr v in
       if update then hit t Write v;
       remember memo ~site ~line_addr v t.generation;
@@ -277,8 +292,9 @@ let access_run t op ~addr ~count ~cycle_ps =
     let line_addr = !addr lsr t.line_shift in
     let set = line_addr land t.set_mask in
     let base = set * t.ways in
-    let in_line = min !left ((((line_addr + 1) lsl t.line_shift) - !addr + 3) lsr 2) in
-    let i = find t base (line_addr lsr t.set_shift) 0 in
+    let in_line = Int.min !left ((((line_addr + 1) lsl t.line_shift) - !addr + 3) lsr 2) in
+    let n = Array.unsafe_get t.valid set in
+    let i = find t.tags (line_addr lsr t.set_shift) base (base + n) in
     let i =
       if i >= 0 then begin
         hit t op i;
@@ -286,7 +302,7 @@ let access_run t op ~addr ~count ~cycle_ps =
         i
       end
       else begin
-        let v = victim t base in
+        let v = victim t base n in
         let latency = fill t op ~set ~line_addr v in
         cycles := !cycles + ((latency + cycle_ps - 1) / cycle_ps);
         v
@@ -304,10 +320,11 @@ let access_run t op ~addr ~count ~cycle_ps =
   done;
   !cycles
 
-(* Walks the filled sets in ascending set order and each set's ways in
-   ascending order: the order of a sweep over the whole cache. The
-   order is observable, since each write-back is an access to the next
-   level, which updates that level's LRU state and so its latency. *)
+(* Walks the filled sets in ascending set order and each set's valid
+   ways in ascending order: the order of a sweep over the whole cache,
+   which finds no valid line anywhere else. The order is observable,
+   since each write-back is an access to the next level, which updates
+   that level's LRU state and so its latency. *)
 let flush t =
   let total = ref 0 in
   let lines = ref 0 in
@@ -320,7 +337,7 @@ let flush t =
     while !bits <> 0 do
       if !bits land 1 <> 0 then begin
         let base = !set * t.ways in
-        for i = base to base + t.ways - 1 do
+        for i = base to base + Array.unsafe_get t.valid !set - 1 do
           if Bytes.unsafe_get t.state i = dirty then begin
             total :=
               !total
@@ -328,7 +345,8 @@ let flush t =
             incr lines
           end;
           Bytes.unsafe_set t.state i invalid
-        done
+        done;
+        Array.unsafe_set t.valid !set 0
       end;
       bits := !bits lsr 1;
       incr set

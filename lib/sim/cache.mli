@@ -34,6 +34,13 @@ type stats = {
 }
 
 type t
+(** The valid lines of each set are always its first ways: a miss
+    fills the first invalid way, and only {!flush} invalidates lines,
+    all of them. The cache keeps that count per set, so a lookup
+    compares only the valid ways' tags, a miss in a set with a free way
+    takes it without a scan, and a flush visits only the valid lines.
+    Nothing observable depends on this: latencies, LRU order, counters
+    and next-level calls are those of a search over every way. *)
 
 val create :
   ?config:config ->
@@ -87,7 +94,7 @@ val flush : t -> Time_base.ps
     this before triggering the accelerator (paper Section II-E).
     Write-backs reach the next level in ascending (set, way) order, as
     in a sweep over the whole cache, but the host cost is proportional
-    to the number of sets filled since the previous flush. *)
+    to the number of lines filled since the previous flush. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

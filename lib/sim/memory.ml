@@ -31,6 +31,8 @@ type t = {
   mutable writes : int;
   slot_idx : int array;  (** chunk index cached in each slot, -1 when empty *)
   slot_chunk : Bytes.t array;
+  mutable last_bytes : int;  (** size of the last burst priced, -1 before the first *)
+  mutable last_ps : Time_base.ps;  (** its latency *)
 }
 
 let no_chunk = Bytes.create 0
@@ -45,6 +47,8 @@ let create ?(config = default_config) () =
     writes = 0;
     slot_idx = Array.make slots (-1);
     slot_chunk = Array.make slots no_chunk;
+    last_bytes = -1;
+    last_ps = 0;
   }
 
 let config t = t.config
@@ -86,7 +90,7 @@ let offset_mask = chunk_size - 1
    the bytes they move, and then work one chunk segment at a time: the
    part of the range that lies inside one 64 KB chunk. *)
 
-let[@inline always] segment_bytes a left = min left (chunk_size - (a land offset_mask))
+let[@inline always] segment_bytes a left = Int.min left (chunk_size - (a land offset_mask))
 
 (* Unchecked and uncounted: bytes [addr, addr + len) to [buf] at [pos],
    and back. *)
@@ -255,10 +259,18 @@ let[@inline always] write_f32 t addr v =
   end
   else write_f32_slow t addr v
 
+(* The latency is a function of the size alone, so the last (size,
+   latency) pair is reused exactly while the size repeats: every L2
+   fill and write-back is one 64-byte line. *)
 let burst_latency t ~bytes =
   if bytes < 0 then invalid_arg "Memory.burst_latency: negative size";
-  t.config.access_latency_ps
-  + int_of_float (Float.round (float_of_int bytes /. t.config.bytes_per_ps))
+  if bytes <> t.last_bytes then begin
+    t.last_bytes <- bytes;
+    t.last_ps <-
+      t.config.access_latency_ps
+      + int_of_float (Float.round (float_of_int bytes /. t.config.bytes_per_ps))
+  end;
+  t.last_ps
 
 let reads t = t.reads
 let writes t = t.writes

@@ -64,7 +64,12 @@ val copy : t -> src:int -> dst:int -> len:int -> unit
     memory or the two overlap. *)
 
 val burst_latency : t -> bytes:int -> Time_base.ps
-(** Time for one burst of [bytes]: access latency + size / bandwidth. *)
+(** Time for one burst of [bytes]: access latency + size / bandwidth,
+    rounded to the nearest picosecond. The last size priced and its
+    latency are reused while the size repeats, as every cache line
+    burst does; the latency depends on the size alone, so the memo is
+    exact. Counts no bytes. Raises [Invalid_argument] on a negative
+    size. *)
 
 val reads : t -> int
 (** Total bytes read (functional accesses). *)

@@ -105,6 +105,20 @@ let beta_of_init (s : St.stmt_info) (target : Access.t) =
 (* Signature helper: indices of an access against iterator positions. *)
 let signature (a : Access.t) ~iters = Access.index_signature a ~iters
 
+(* The output must not also be an operand. The device reads every
+   operand before it writes any output element, while the source reads
+   the output's elements as it updates them, so [C[i][j] += A[i][k] *
+   C[k][j]] and [y[i] += A[i][j] * y[j]] would compute something else.
+   The accumulation itself, the [+=] into the output, is the only read
+   of it allowed. *)
+let output_not_operand (upd : St.stmt_info) factors =
+  let output = upd.St.write.Access.array in
+  let reads_output = function
+    | `Access (array, _) -> String.equal array output
+    | `Scalar _ -> false
+  in
+  if List.exists reads_output factors then None else Some ()
+
 (* ---------- GEMM ---------- *)
 
 let gemm_bodies tree =
@@ -125,6 +139,7 @@ let match_gemm tree =
   let* c_sig = signature upd.St.write ~iters in
   let* () = if c_sig = [ `Iter 0; `Iter 1 ] then Some () else None in
   let* factors = mul_factors upd.St.rhs in
+  let* () = output_not_operand upd factors in
   let accesses = accesses_of factors in
   let* a, b =
     match accesses with
@@ -185,6 +200,7 @@ let match_gemv tree =
   let* y_sig = signature upd.St.write ~iters in
   let* () = if y_sig = [ `Iter 0 ] then Some () else None in
   let* factors = mul_factors upd.St.rhs in
+  let* () = output_not_operand upd factors in
   let accesses = accesses_of factors in
   let* a, x_array =
     match accesses with
@@ -232,6 +248,7 @@ let match_conv tree =
   let* out_sig = signature upd.St.write ~iters in
   let* () = if out_sig = [ `Iter 0; `Iter 1 ] then Some () else None in
   let* factors = mul_factors upd.St.rhs in
+  let* () = output_not_operand upd factors in
   let accesses = accesses_of factors in
   let is_shifted idx it_a it_b =
     Affine.coeff idx it_a = 1 && Affine.coeff idx it_b = 1 && Affine.constant idx = 0

@@ -156,6 +156,44 @@ let test_issue_run_allocates_nothing () =
   check_words "warm 1,000-element issue_run" ~below:1.0
     (minor_words_of (fun () -> Cpu.issue_run cpu ~addr ~count:1000 Cpu.Load))
 
+(* The miss chain and the flush: on a warmed platform, cold line
+   misses through L1D, L2, the bus and DRAM, and the flushes that write
+   dirty lines back through the same chain, allocate nothing. A boxed
+   latency or a closure per miss would show. *)
+let test_miss_chain_allocates_nothing () =
+  let platform = Tdo_runtime.Platform.create () in
+  let cpu = Tdo_runtime.Platform.cpu platform in
+  let l1d = platform.Tdo_runtime.Platform.l1d and l2 = platform.Tdo_runtime.Platform.l2 in
+  let flush () =
+    ignore (Cache.flush l2);
+    ignore (Cache.flush l1d)
+  in
+  (* the bus's first transfer for a master registers it *)
+  Cpu.issue_at cpu ~addr:0 Cpu.Store;
+  flush ();
+  (* 10,000 lines, 640 KB: every line misses in both caches *)
+  let base = 0x100_0000 and lines = 10_000 in
+  let misses = (Cache.stats l2).Cache.misses in
+  check_words "10,000 cold line misses" ~below:1.0
+    (minor_words_of (fun () ->
+         flush ();
+         for r = 0 to 99 do
+           Cpu.issue_run cpu ~addr:(base + (r * 100 * 64)) ~count:(100 * 16)
+             (if r land 1 = 0 then Cpu.Load else Cpu.Store)
+         done));
+  Alcotest.(check int) "every line missed in L2" lines ((Cache.stats l2).Cache.misses - misses);
+  let flushes = (Cache.stats l1d).Cache.flushes in
+  let writebacks = (Cache.stats l1d).Cache.writebacks in
+  check_words "100 flushes" ~below:1.0
+    (minor_words_of (fun () ->
+         for r = 0 to 99 do
+           Cpu.issue_run cpu ~addr:(base + (r * 64 * 64)) ~count:(64 * 16) Cpu.Store;
+           flush ()
+         done));
+  Alcotest.(check int) "100 flushes" 100 ((Cache.stats l1d).Cache.flushes - flushes);
+  Alcotest.(check bool) "the flushes wrote lines back" true
+    ((Cache.stats l1d).Cache.writebacks - writebacks >= 100 * 64)
+
 let test_bus_transfer_allocates_nothing () =
   let b = Bus.create () in
   ignore (Bus.transfer b ~master:"cpu" ~bytes:64);
@@ -388,6 +426,7 @@ let suites =
       [
         Alcotest.test_case "L2 create" `Quick test_l2_create_allocation;
         Alcotest.test_case "issue_run" `Quick test_issue_run_allocates_nothing;
+        Alcotest.test_case "miss chain and flush" `Quick test_miss_chain_allocates_nothing;
         Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
         Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
         Alcotest.test_case "offloaded runs" `Quick test_offloaded_run_allocation_is_per_launch;

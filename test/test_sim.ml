@@ -100,12 +100,37 @@ let test_memory_bounds () =
        false
      with Invalid_argument _ -> true)
 
+(* Sizes that repeat, change, and come back, for the (size, latency)
+   memos of [Memory.burst_latency] and [Bus.transfer]: each call must
+   return the formula's latency for its own size. *)
+let memo_sizes = [ 64; 12; 64; 0; 4096; 64 ]
+
+let rounded_latency ~fixed_ps ~bytes_per_ps bytes =
+  fixed_ps + int_of_float (Float.round (float_of_int bytes /. bytes_per_ps))
+
 let test_memory_burst_latency () =
   let m = Memory.create () in
   let l0 = Memory.burst_latency m ~bytes:0 in
   Alcotest.(check int) "fixed cost" (50 * Time_base.ps_per_ns) l0;
   let l64 = Memory.burst_latency m ~bytes:64 in
-  Alcotest.(check bool) "bandwidth term" true (l64 > l0)
+  Alcotest.(check bool) "bandwidth term" true (l64 > l0);
+  let cfg = Memory.config m in
+  let fresh = Memory.create () in
+  List.iter
+    (fun bytes ->
+      let expected =
+        rounded_latency ~fixed_ps:cfg.Memory.access_latency_ps ~bytes_per_ps:cfg.Memory.bytes_per_ps
+          bytes
+      in
+      Alcotest.(check int) (Printf.sprintf "%d-byte burst" bytes) expected
+        (Memory.burst_latency m ~bytes);
+      Alcotest.(check int) (Printf.sprintf "%d-byte burst, fresh memory" bytes) expected
+        (Memory.burst_latency fresh ~bytes))
+    memo_sizes;
+  Alcotest.(check (pair int int))
+    "bursts count no bytes, as on a fresh memory"
+    (Memory.reads fresh, Memory.writes fresh)
+    (Memory.reads m, Memory.writes m)
 
 (* The bulk transfers against the same transfer made one element (or
    one byte) at a time on a second memory: the bytes around the range,
@@ -415,6 +440,12 @@ module Sweep_cache = struct
     t.flushed_bytes <- t.flushed_bytes + (!lines * lb);
     !total
 
+  let dirty_lines t =
+    Array.fold_left
+      (fun n set ->
+        Array.fold_left (fun n l -> if l.valid && l.dirty then n + 1 else n) n set)
+      0 t.sets
+
   (* [Cache.access_run] by definition: [count] single accesses, each
      latency rounded up to whole periods *)
   let access_run t op ~addr ~count ~cycle_ps =
@@ -436,7 +467,12 @@ module Sweep_cache = struct
     }
 end
 
-type cache_cmd = Access of Cache.op * int | Run of Cache.op * int * int | Flush
+type cache_cmd =
+  | Access of Cache.op * int
+  | Run of Cache.op * int * int
+  | Probe of int * Cache.op * int
+  | Probe_update of int * int
+  | Flush
 
 (* The next level records each (op, addr) it is asked for, and answers
    with a latency that depends on both, so a reordered or dropped
@@ -446,17 +482,25 @@ let recording_next log op ~addr ~bytes:_ =
   1 + (addr land 255) + if op = Cache.Write then 1000 else 0
 
 (* 8 or 64 sets (so that the filled-set bitmap spans more than one
-   word) of 2 or 4 ways. Runs start anywhere 4-aligned, mid-line
-   included, and are charged in periods of 7 ps so the per-access
-   rounding shows. *)
+   word) of 2, 3, 4 or 8 ways: three ways, which [Cache.create]
+   accepts, makes a set's first line index no power of two. Runs start
+   anywhere 4-aligned, mid-line included, and are charged in periods of
+   7 ps so the per-access rounding shows. Probes go through four memo
+   sites, half of them over a few lines so that a site often finds its
+   line again; the reference does [access], and a [Write] access after
+   it for an update. The dirty lines are compared after every command,
+   each flush included. *)
 let qcheck_flush_matches_full_sweep =
   let op = QCheck.Gen.map (fun w -> if w then Cache.Write else Cache.Read) QCheck.Gen.bool in
+  let probe_addr = QCheck.Gen.(oneof [ int_bound 8191; int_bound 127 ]) in
   let cmd =
     QCheck.Gen.(
       frequency
         [
-          (8, map2 (fun op a -> Access (op, a)) op (int_bound 4095));
-          (2, map3 (fun op a n -> Run (op, 4 * a, n)) op (int_bound 1023) (int_bound 40));
+          (6, map2 (fun op a -> Access (op, a)) op (int_bound 8191));
+          (2, map3 (fun op a n -> Run (op, 4 * a, n)) op (int_bound 2047) (int_bound 40));
+          (3, map3 (fun site op a -> Probe (site, op, a)) (int_bound 3) op probe_addr);
+          (2, map2 (fun site a -> Probe_update (site, a)) (int_bound 3) probe_addr);
           (1, return Flush);
         ])
   in
@@ -468,13 +512,15 @@ let qcheck_flush_matches_full_sweep =
             (function
               | Access (op, a) -> Printf.sprintf "%c%d" (op_char op) a
               | Run (op, a, n) -> Printf.sprintf "%c%d*%d" (op_char op) a n
+              | Probe (site, op, a) -> Printf.sprintf "p%d%c%d" site (op_char op) a
+              | Probe_update (site, a) -> Printf.sprintf "u%d:%d" site a
               | Flush -> "F")
             cmds))
   in
   QCheck.Test.make ~name:"flush over filled sets equals a full sweep" ~count:300
     (QCheck.make ~print
        QCheck.Gen.(
-         pair (pair (oneofl [ 8; 64 ]) (oneofl [ 2; 4 ])) (list_size (0 -- 150) cmd)))
+         pair (pair (oneofl [ 8; 64 ]) (oneofl [ 2; 3; 4; 8 ])) (list_size (0 -- 150) cmd)))
     (fun ((sets, ways), cmds) ->
       let cfg =
         { Cache.name = "small"; size_bytes = sets * ways * 16; line_bytes = 16; ways;
@@ -482,13 +528,24 @@ let qcheck_flush_matches_full_sweep =
       in
       let log = ref [] and ref_log = ref [] in
       let c = Cache.create ~config:cfg ~next:(recording_next log) () in
+      let memo = Cache.memo () in
       let r = Sweep_cache.create cfg ~next:(recording_next ref_log) in
-      let step = function
-        | Access (op, addr) -> (Cache.access c op ~addr, Sweep_cache.access r op ~addr)
-        | Run (op, addr, count) ->
-            ( Cache.access_run c op ~addr ~count ~cycle_ps:7,
-              Sweep_cache.access_run r op ~addr ~count ~cycle_ps:7 )
-        | Flush -> (Cache.flush c, Sweep_cache.flush r)
+      let step cmd =
+        let lat, ref_lat =
+          match cmd with
+          | Access (op, addr) -> (Cache.access c op ~addr, Sweep_cache.access r op ~addr)
+          | Run (op, addr, count) ->
+              ( Cache.access_run c op ~addr ~count ~cycle_ps:7,
+                Sweep_cache.access_run r op ~addr ~count ~cycle_ps:7 )
+          | Probe (site, op, addr) ->
+              (Cache.probe c memo ~site op ~addr, Sweep_cache.access r op ~addr)
+          | Probe_update (site, addr) ->
+              let ref_lat = Sweep_cache.access r Cache.Read ~addr in
+              ignore (Sweep_cache.access r Cache.Write ~addr);
+              (Cache.probe_update c memo ~site ~addr, ref_lat)
+          | Flush -> (Cache.flush c, Sweep_cache.flush r)
+        in
+        ((lat, Cache.dirty_lines c), (ref_lat, Sweep_cache.dirty_lines r))
       in
       (* a trailing flush, so every run ends by sweeping what is left *)
       let lat = List.map step (cmds @ [ Flush ]) in
@@ -551,7 +608,36 @@ let test_bus_latency_and_traffic () =
     [ ("abc", 8); ("cim-dma", 4112); ("cpu", 192); ("zz-probe", 0) ]
     (Bus.traffic b);
   Alcotest.(check int) "total over every master" 4312 (Bus.total_bytes b);
-  Alcotest.(check int) "every transfer counted" 9 (Bus.transfers b)
+  Alcotest.(check int) "every transfer counted" 9 (Bus.transfers b);
+  (* [memo_sizes] on [b], whose memo holds the last size above, and on
+     a fresh bus: every latency is the formula's, and [b]'s counters
+     move by exactly what the fresh bus counts *)
+  let cfg = Bus.config b in
+  let fresh = Bus.create () in
+  let total = Bus.total_bytes b and transfers = Bus.transfers b and traffic = Bus.traffic b in
+  List.iteri
+    (fun i bytes ->
+      let master = if i land 1 = 0 then "cpu" else "cim-dma" in
+      let expected =
+        rounded_latency ~fixed_ps:cfg.Bus.arbitration_ps ~bytes_per_ps:cfg.Bus.bytes_per_ps bytes
+      in
+      Alcotest.(check int) (Printf.sprintf "%d-byte transfer" bytes) expected
+        (Bus.transfer b ~master ~bytes);
+      Alcotest.(check int) (Printf.sprintf "%d-byte transfer, fresh bus" bytes) expected
+        (Bus.transfer fresh ~master ~bytes))
+    memo_sizes;
+  Alcotest.(check (list (pair string int)))
+    "fresh bus per master" [ ("cim-dma", 76); ("cpu", 4224) ] (Bus.traffic fresh);
+  Alcotest.(check int) "bytes moved as on a fresh bus" (Bus.total_bytes fresh)
+    (Bus.total_bytes b - total);
+  Alcotest.(check int) "transfers as on a fresh bus" (Bus.transfers fresh)
+    (Bus.transfers b - transfers);
+  List.iter
+    (fun master ->
+      Alcotest.(check int) (master ^ " bytes as on a fresh bus")
+        (List.assoc master (Bus.traffic fresh))
+        (List.assoc master (Bus.traffic b) - List.assoc master traffic))
+    [ "cim-dma"; "cpu" ]
 
 let test_dma_roundtrip () =
   let bus = Bus.create () in

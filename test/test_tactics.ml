@@ -736,3 +736,88 @@ let scalar_suite =
     ] )
 
 let suites = suites @ [ scalar_suite ]
+
+(* ---------- the output is never an operand ---------- *)
+
+(* Near-miss programs whose output array is also read as an operand.
+   The device reads every operand before it writes the output, while
+   the source reads the output as it updates it, so each must stay on
+   the host: nothing offloaded, and the tactics build computes what the
+   host build computes, bit for bit. *)
+let aliased_output_programs =
+  [
+    ( "gemm, B is the output",
+      {|
+void f(float C[12][12], float A[12][12]) {
+  for (int i = 0; i < 12; i++)
+    for (int j = 0; j < 12; j++)
+      for (int k = 0; k < 12; k++)
+        C[i][j] += A[i][k] * C[k][j];
+}
+|},
+      [ ("C", [ 12; 12 ]); ("A", [ 12; 12 ]) ] );
+    ( "gemm, A is the output",
+      {|
+void f(float C[12][12], float B[12][12]) {
+  for (int i = 0; i < 12; i++)
+    for (int j = 0; j < 12; j++)
+      for (int k = 0; k < 12; k++)
+        C[i][j] += C[i][k] * B[k][j];
+}
+|},
+      [ ("C", [ 12; 12 ]); ("B", [ 12; 12 ]) ] );
+    ( "gemv, x is the output",
+      {|
+void f(float y[12], float A[12][12]) {
+  for (int i = 0; i < 12; i++)
+    for (int j = 0; j < 12; j++)
+      y[i] += A[i][j] * y[j];
+}
+|},
+      [ ("y", [ 12 ]); ("A", [ 12; 12 ]) ] );
+    ( "conv, the weights are the output",
+      {|
+void f(float out[10][10], float img[12][12]) {
+  for (int i = 0; i < 10; i++)
+    for (int j = 0; j < 10; j++)
+      for (int p = 0; p < 3; p++)
+        for (int q = 0; q < 3; q++)
+          out[i][j] += out[p][q] * img[i + p][j + q];
+}
+|},
+      [ ("out", [ 10; 10 ]); ("img", [ 12; 12 ]) ] );
+  ]
+
+let test_aliased_output_stays_on_host (source, arrays) () =
+  let module Flow = Tdo_cim.Flow in
+  (match Flow.compile ~options:Flow.o3_loop_tactics source with
+  | _, None -> Alcotest.fail "scop not detected"
+  | _, Some r -> Alcotest.(check int) "nothing offloaded" 0 r.Offload.kernels_offloaded);
+  (* random data in [-1, 1], the same for both builds *)
+  let run options =
+    let g = Prng.create ~seed:12 in
+    let arrs =
+      List.map
+        (fun (name, dims) ->
+          let a = Interp.make_array ~dims in
+          Array.iteri
+            (fun i _ -> a.Interp.data.(i) <- Prng.float_range g ~lo:(-1.0) ~hi:1.0)
+            a.Interp.data;
+          (name, a))
+        arrays
+    in
+    let args = List.map (fun (name, a) -> (name, Interp.Varray a)) arrs in
+    ignore (Flow.run_source ~options source ~args);
+    List.map (fun (_, a) -> Array.map Int64.bits_of_float a.Interp.data) arrs
+  in
+  Alcotest.(check (list (array int64)))
+    "tactics build equals the host build bit for bit" (run Flow.o3) (run Flow.o3_loop_tactics)
+
+let transparency_suite =
+  ( "tactics.transparency",
+    List.map
+      (fun (name, source, arrays) ->
+        Alcotest.test_case name `Quick (test_aliased_output_stays_on_host (source, arrays)))
+      aliased_output_programs )
+
+let suites = suites @ [ transparency_suite ]
