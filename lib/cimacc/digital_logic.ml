@@ -5,20 +5,16 @@ type t = { mutable sums : int; mutable ops : int }
 let create () = { sums = 0; ops = 0 }
 let counters t = { weighted_sums = t.sums; alu_ops = t.ops }
 
-let reset_counters t =
-  t.sums <- 0;
-  t.ops <- 0
-
 (* Inlined into the engine's streamed loop, where [scale] is computed
    per vector: an out-of-line call would box it. *)
 let[@inline] postprocess_into t ~alpha ~beta ~scale ~raw ~c_old ~out =
   let n = Array.length raw in
-  if Array.length out <> n then invalid_arg "Digital_logic.postprocess: out length mismatch";
+  if Array.length out <> n then invalid_arg "Digital_logic.postprocess_into: out length mismatch";
   (match c_old with
   | Some c when Array.length c <> n ->
-      invalid_arg "Digital_logic.postprocess: c_old length mismatch"
+      invalid_arg "Digital_logic.postprocess_into: c_old length mismatch"
   | Some _ -> ()
-  | None -> if beta <> 0.0 then invalid_arg "Digital_logic.postprocess: beta without c_old");
+  | None -> if beta <> 0.0 then invalid_arg "Digital_logic.postprocess_into: beta without c_old");
   t.sums <- t.sums + 1;
   let ab = alpha *. scale in
   (match c_old with
@@ -28,8 +24,3 @@ let[@inline] postprocess_into t ~alpha ~beta ~scale ~raw ~c_old ~out =
      beta multiply-accumulate when the epilogue reads C. *)
   let per_element = if c_old = None then 2 else 4 in
   t.ops <- t.ops + (per_element * n)
-
-let postprocess t ~alpha ~beta ~scale ~raw ~c_old =
-  let out = Array.make (Array.length raw) 0.0 in
-  postprocess_into t ~alpha ~beta ~scale ~raw ~c_old ~out;
-  out

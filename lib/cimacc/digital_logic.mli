@@ -14,22 +14,6 @@ val create : unit -> t
 type counters = { weighted_sums : int; alu_ops : int }
 
 val counters : t -> counters
-val reset_counters : t -> unit
-
-val postprocess :
-  t ->
-  alpha:float ->
-  beta:float ->
-  scale:float ->
-  raw:int array ->
-  c_old:float array option ->
-  float array
-(** [postprocess ~alpha ~beta ~scale ~raw ~c_old] computes
-    [alpha *. scale *. raw.(i) +. beta *. c_old.(i)] per element (with
-    [c_old = None] meaning a zero epilogue, requiring [beta = 0]).
-    Counts one weighted sum (for the GEMV that produced [raw]) and the
-    per-element ALU work. Raises [Invalid_argument] when [beta <> 0]
-    but no [c_old] is supplied, or on length mismatch. *)
 
 val postprocess_into :
   t ->
@@ -40,5 +24,11 @@ val postprocess_into :
   c_old:float array option ->
   out:float array ->
   unit
-(** {!postprocess} into a caller-owned buffer of matching length — the
-    engine's streamed launch loop reuses one buffer per launch. *)
+(** [postprocess_into ~alpha ~beta ~scale ~raw ~c_old ~out] writes
+    [alpha *. scale *. raw.(i) +. beta *. c_old.(i)] to [out.(i)] per
+    element (with [c_old = None] meaning a zero epilogue, requiring
+    [beta = 0]). [out] is caller-owned, so the engine's streamed launch
+    loop reuses one buffer per launch. Counts one weighted sum (for the
+    GEMV that produced [raw]) and the per-element ALU work. Raises
+    [Invalid_argument] when [beta <> 0] but no [c_old] is supplied, or
+    on length mismatch. *)

@@ -72,7 +72,11 @@ type t = {
   dma : Sim.Dma.t;
   xbars : Crossbar.t array;
   digital : Digital_logic.t;
-  timeline : Timeline.t;
+  mutable timeline : Timeline.t option;
+      (** the attached log, if any. Each recording site matches on it
+          and builds its detail inside the [Some] branch: this compiler
+          does not sink allocations, so a helper taking a built detail
+          would allocate a block per streamed vector on every device. *)
   pinned : pinned option array;  (** per tile *)
   busy_until : Sim.Time_base.ps array;  (** per tile *)
   c : counters_mut;
@@ -105,7 +109,7 @@ let create ?(config = default_config) ?(seed = 0) ~dma () =
       Array.init config.tiles (fun tile ->
           Crossbar.create ~config:config.xbar ~seed:((seed * 1_000_003) + tile) ());
     digital = Digital_logic.create ();
-    timeline = Timeline.create ();
+    timeline = None;
     pinned = Array.make config.tiles None;
     busy_until = Array.make config.tiles 0;
     c =
@@ -153,7 +157,10 @@ let total_adc_conversions t =
   Array.fold_left (fun acc xb -> acc + Tdo_pcm.Adc.conversions (Crossbar.adc xb)) 0 t.xbars
 
 let digital t = t.digital
-let timeline t = t.timeline
+let record_timeline t =
+  let tl = Timeline.create () in
+  t.timeline <- Some tl;
+  tl
 
 let counters t =
   {
@@ -168,24 +175,8 @@ let counters t =
     abft_mismatches = t.c.abft_mismatches_m;
   }
 
-let reset_counters t =
-  t.c.jobs_m <- 0;
-  t.c.gemv_jobs_m <- 0;
-  t.c.gemm_jobs_m <- 0;
-  t.c.batched_jobs_m <- 0;
-  t.c.streamed_vectors_m <- 0;
-  t.c.programming_skipped_m <- 0;
-  t.c.busy_ps_m <- 0;
-  t.c.abft_checks_m <- 0;
-  t.c.abft_mismatches_m <- 0
-
 let last_abft_fault t = t.last_abft_fault
 let clear_abft_fault t = t.last_abft_fault <- None
-
-let pinned t =
-  Option.map
-    (fun p -> (p.pin_addr, p.pin_rows, p.pin_cols, p.pin_generation))
-    t.pinned.(0)
 
 let invalidate_pinned t = Array.fill t.pinned 0 (Array.length t.pinned) None
 
@@ -270,7 +261,6 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
     job
   in
   let cfg = t.config in
-  let tl = t.timeline in
   let cursor = ref start in
   (* -- decode ------------------------------------------------------ *)
   cursor := !cursor + cfg.decode_latency_ps;
@@ -316,19 +306,21 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
         let fill_lat =
           fetch_operand_into t ~addr:pin_addr ~w_rows ~w_cols ~ld ~transposed w
         in
-        if Timeline.active tl then
-          Timeline.record tl ~at:!cursor ~phase:Timeline.Dma_fill
-            (Timeline.Pinned_operand { rows = w_rows; cols = w_cols })
-        else Timeline.count_dropped tl;
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!cursor ~phase:Timeline.Dma_fill
+              (Timeline.Pinned_operand { rows = w_rows; cols = w_cols }));
         cursor := !cursor + fill_lat;
         let scale = Quant.scale_for ~bits:8 ~max_abs:(max_abs_prefix w size) in
         for i = 0 to size - 1 do
           Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
         done;
-        if Timeline.active tl then
-          Timeline.record tl ~at:!cursor ~phase:Timeline.Program_crossbar
-            (Timeline.Program_tile { tile; rows = w_rows })
-        else Timeline.count_dropped tl;
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!cursor ~phase:Timeline.Program_crossbar
+              (Timeline.Program_tile { tile; rows = w_rows }));
         Crossbar.program_flat xbar ~rows:w_rows ~cols:w_cols codes;
         cursor := !cursor + (w_rows * cfg.write_latency_per_row_ps);
         (* The checksums describe what the host {e asked} the crossbar to
@@ -416,12 +408,10 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
     let compute_channel = ref !cursor in
     for idx = 0 to stream_count - 1 do
       if not cfg.double_buffering then fill_channel := Int.max !fill_channel !compute_channel;
-      (* Timeline entries past the ring capacity would be dropped anyway,
-         so skip building their details — the counts stay exact via
-         [count_dropped]. *)
-      if Timeline.active tl then
-        Timeline.record tl ~at:!fill_channel ~phase:Timeline.Dma_fill (Timeline.Vector idx)
-      else Timeline.count_dropped tl;
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!fill_channel ~phase:Timeline.Dma_fill (Timeline.Vector idx));
       let fill_lat = fetch_stream idx in
       (* burst accounting: the descriptor fetched at the head of a burst
          covers the next [burst-1] vectors; their payload time is part
@@ -442,9 +432,10 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
       in
       fill_channel := !fill_channel + fill_lat + c_fill_lat;
       compute_channel := Int.max !compute_channel !fill_channel;
-      if Timeline.active tl then
-        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Compute (Timeline.Gemv idx)
-      else Timeline.count_dropped tl;
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Compute (Timeline.Gemv idx));
       let scale_x = Quant.scale_for ~bits:8 ~max_abs:(max_abs x) in
       for i = 0 to k - 1 do
         Array.unsafe_set x_codes i
@@ -455,10 +446,11 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
       if cfg.abft then begin
         (* one extra dot product (k MACs) plus the output sum (out_len
            adds), on the digital ALU *)
-        if Timeline.active tl then
-          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
-            (Timeline.Abft_verify idx)
-        else Timeline.count_dropped tl;
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
+              (Timeline.Abft_verify idx));
         compute_channel := !compute_channel + ((k + out_len) * cfg.alu_latency_ps);
         t.c.abft_checks_m <- t.c.abft_checks_m + 1;
         match Abft.verify ~row_sums:pin_check ~input:x_codes ~output:raw with
@@ -472,15 +464,19 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
             in
             t.last_abft_fault <- Some (tile, region)
       end;
-      if Timeline.active tl then
-        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate (Timeline.Epilogue idx)
-      else Timeline.count_dropped tl;
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
+            (Timeline.Epilogue idx));
       Digital_logic.postprocess_into t.digital ~alpha ~beta ~scale:(scale_w *. scale_x) ~raw
         ~c_old ~out:result;
       compute_channel := !compute_channel + (out_len * cfg.alu_latency_ps);
-      if Timeline.active tl then
-        Timeline.record tl ~at:!compute_channel ~phase:Timeline.Store_result (Timeline.Slice idx)
-      else Timeline.count_dropped tl;
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Store_result
+            (Timeline.Slice idx));
       let store_lat =
         store_vector_into t ~addr:(c_slice_addr idx) ~stride_elems:c_stride ~len:out_len result
       in
@@ -546,21 +542,21 @@ let least_busy_tile busy =
   !best
 
 let run_job t (job : Context_regs.job) ~start =
-  let tl = t.timeline in
-  if Timeline.active tl then
-    Timeline.record tl ~at:start ~phase:Timeline.Trigger
-      (Timeline.Job
-         {
-           op =
-             (match job.Context_regs.op with
-             | Context_regs.Gemv -> 0
-             | Context_regs.Gemm -> 1
-             | Context_regs.Gemm_batched -> 2);
-           m = job.Context_regs.m;
-           n = job.Context_regs.n;
-           k = job.Context_regs.k;
-         })
-  else Timeline.count_dropped tl;
+  (match t.timeline with
+  | None -> ()
+  | Some tl ->
+      Timeline.record tl ~at:start ~phase:Timeline.Trigger
+        (Timeline.Job
+           {
+             op =
+               (match job.Context_regs.op with
+               | Context_regs.Gemv -> 0
+               | Context_regs.Gemm -> 1
+               | Context_regs.Gemm_batched -> 2);
+             m = job.Context_regs.m;
+             n = job.Context_regs.n;
+             k = job.Context_regs.k;
+           }));
   let result =
     match job.Context_regs.op with
     | Context_regs.Gemv | Context_regs.Gemm ->
@@ -622,9 +618,9 @@ let run_job t (job : Context_regs.job) ~start =
   in
   (match result with
   | Ok finish ->
-      if Timeline.active tl then
-        Timeline.record tl ~at:finish ~phase:Timeline.Result_ready Timeline.Status_done
-      else Timeline.count_dropped tl;
+      (match t.timeline with
+      | None -> ()
+      | Some tl -> Timeline.record tl ~at:finish ~phase:Timeline.Result_ready Timeline.Status_done);
       t.c.jobs_m <- t.c.jobs_m + 1;
       (match job.Context_regs.op with
       | Context_regs.Gemv -> t.c.gemv_jobs_m <- t.c.gemv_jobs_m + 1

@@ -64,12 +64,11 @@ type counters = {
 }
 
 val counters : t -> counters
-val reset_counters : t -> unit
 
 val last_abft_fault : t -> (int * (int * int * int * int)) option
 (** [(tile, (row_off, col_off, rows, cols))] of the most recent
     checksum mismatch — the localisation handed to recovery policies.
-    Not cleared by {!reset_counters}; use {!clear_abft_fault}. *)
+    Stays until {!clear_abft_fault}. *)
 
 val clear_abft_fault : t -> unit
 
@@ -85,11 +84,12 @@ val total_crossbar_counters : t -> Tdo_pcm.Crossbar.counters
 val total_adc_conversions : t -> int
 
 val digital : t -> Digital_logic.t
-val timeline : t -> Timeline.t
 
-val pinned : t -> (int * int * int * int) option
-(** [(addr, rows, cols, generation)] of the operand held in tile 0, if
-    any. *)
+val record_timeline : t -> Timeline.t
+(** Attach a fresh event log and return it: every phase of every later
+    job is recorded into it (paper Fig. 2(d)). A second call replaces
+    the log. An engine with no log attached, as {!create} leaves it,
+    records nothing and builds no event. *)
 
 val invalidate_pinned : t -> unit
 (** Forget the pinned operand (e.g. after the host rewrites its

@@ -7,8 +7,6 @@ type phase =
   | Store_result
   | Result_ready
 
-type event = { at : Tdo_sim.Time_base.ps; phase : phase; detail : string }
-
 type detail =
   | Job of { op : int; m : int; n : int; k : int }
   | Pinned_operand of { rows : int; cols : int }
@@ -19,6 +17,8 @@ type detail =
   | Epilogue of int
   | Slice of int
   | Status_done
+
+type event = { at : Tdo_sim.Time_base.ps; phase : phase; detail : detail }
 
 let detail_to_string = function
   | Job { op; m; n; k } -> Printf.sprintf "job op=%d m=%d n=%d k=%d" op m n k
@@ -41,35 +41,15 @@ let phase_to_string = function
   | Result_ready -> "result-ready"
 
 let pp_event ppf e =
-  Format.fprintf ppf "%10d ps  %-16s %s" e.at (phase_to_string e.phase) e.detail
+  Format.fprintf ppf "%10d ps  %-16s %s" e.at (phase_to_string e.phase)
+    (detail_to_string e.detail)
 
-(* Entries keep the detail as a tag plus integers; the text is built
-   only when the events are read. *)
-type entry = { e_at : Tdo_sim.Time_base.ps; e_phase : phase; e_detail : detail }
-type t = { capacity : int; mutable entries : entry list; mutable count : int }
+(* newest first *)
+type t = { mutable recorded : event list }
 
-let create ?(capacity = 10_000) () =
-  if capacity <= 0 then invalid_arg "Timeline.create: capacity must be positive";
-  { capacity; entries = []; count = 0 }
-
-let record t ~at ~phase detail =
-  t.count <- t.count + 1;
-  if t.count <= t.capacity then
-    t.entries <- { e_at = at; e_phase = phase; e_detail = detail } :: t.entries
-
-let active t = t.count < t.capacity
-let count_dropped t = t.count <- t.count + 1
-
-let events t =
-  List.rev_map
-    (fun e -> { at = e.e_at; phase = e.e_phase; detail = detail_to_string e.e_detail })
-    t.entries
-
-let dropped t = max 0 (t.count - t.capacity)
-
-let clear t =
-  t.entries <- [];
-  t.count <- 0
+let create () = { recorded = [] }
+let record t ~at ~phase detail = t.recorded <- { at; phase; detail } :: t.recorded
+let events t = List.rev t.recorded
 
 let all_phases =
   [ Trigger; Dma_fill; Program_crossbar; Compute; Accumulate; Store_result; Result_ready ]

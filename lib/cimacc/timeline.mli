@@ -1,7 +1,10 @@
 (** Execution timeline of the accelerator (paper Fig. 2(d)).
 
-    The micro-engine appends one entry per pipeline phase; the
-    experiment driver renders the trace to reproduce the figure. *)
+    A log the caller attaches to a micro-engine with
+    {!Micro_engine.record_timeline}; from then on the engine appends one
+    event per pipeline phase, and the experiment driver renders the
+    trace to reproduce the figure. An engine with no log attached
+    records nothing. *)
 
 type phase =
   | Trigger  (** host wrote the command register *)
@@ -12,12 +15,7 @@ type phase =
   | Store_result  (** result DMA-ed back to shared memory *)
   | Result_ready  (** status register flipped to done *)
 
-type event = { at : Tdo_sim.Time_base.ps; phase : phase; detail : string }
-
-val phase_to_string : phase -> string
-val pp_event : Format.formatter -> event -> unit
-
-(** What an event says, kept as integers until it is read. *)
+(** What an event says. *)
 type detail =
   | Job of { op : int; m : int; n : int; k : int }
       (** "job op=%d m=%d n=%d k=%d" (0 GEMV, 1 GEMM, 2 batched) *)
@@ -30,28 +28,25 @@ type detail =
   | Slice of int  (** "slice %d" *)
   | Status_done  (** "status <- done" *)
 
+type event = { at : Tdo_sim.Time_base.ps; phase : phase; detail : detail }
+
+val detail_to_string : detail -> string
+(** The text in each constructor's comment above. *)
+
+val phase_to_string : phase -> string
+
+val pp_event : Format.formatter -> event -> unit
+(** Time, phase and {!detail_to_string} on one line. *)
+
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring-limited recorder: at most [capacity] events are kept (default
-    10000); later events are dropped but counted. *)
+val create : unit -> t
+(** An empty log. It keeps every event recorded into it. *)
 
 val record : t -> at:Tdo_sim.Time_base.ps -> phase:phase -> detail -> unit
 
-val active : t -> bool
-(** [true] while the next {!record} would still be kept. Hot paths use
-    this to skip building the [detail] once the ring is full, calling
-    {!count_dropped} instead so the drop statistics stay exact. *)
-
-val count_dropped : t -> unit
-(** Count one event without recording it — the fast-path companion of
-    {!active}. *)
-
 val events : t -> event list
-(** In chronological (insertion) order, details formatted. *)
-
-val dropped : t -> int
-val clear : t -> unit
+(** In the order they were recorded. *)
 
 val render_gantt : ?width:int -> event list -> string
 (** ASCII Gantt chart of an event list (paper Fig. 2(d)): one lane per

@@ -44,9 +44,13 @@ let print_fig1 () =
 
 let fig2d ?(n = 16) () =
   let args, _ = Workloads.gemm_args ~n ~seed:7 in
-  let _measurement, platform = Flow.run_source (Workloads.gemm_source ~n) ~args in
-  Timeline.events
-    (Tdo_cimacc.Micro_engine.timeline (Tdo_cimacc.Accel.engine platform.Platform.accel))
+  let f, _report = Flow.compile (Workloads.gemm_source ~n) in
+  let platform = Platform.create () in
+  let timeline =
+    Tdo_cimacc.Micro_engine.record_timeline (Tdo_cimacc.Accel.engine platform.Platform.accel)
+  in
+  ignore (Tdo_ir.Exec.run f ~platform ~args);
+  Timeline.events timeline
 
 let print_fig2d ?(n = 16) () =
   Printf.printf "Fig. 2(d): timeline of one transparent %dx%dx%d GEMM offload\n" n n n;

@@ -1,6 +1,5 @@
 module Platform = Tdo_runtime.Platform
 module Crossbar = Tdo_pcm.Crossbar
-module Adc = Tdo_pcm.Adc
 
 type breakdown = {
   host_j : float;

@@ -4,7 +4,6 @@ type config = {
   rows : int;
   cols : int;
   cell : Cell.config;
-  adc : Adc.config;
   noise_sigma : float option;
   size_bytes : int;
 }
@@ -14,7 +13,6 @@ let default_config =
     rows = 256;
     cols = 256;
     cell = Cell.default_config;
-    adc = Adc.default_config;
     noise_sigma = None;
     size_bytes = 512 * 1024;
   }
@@ -109,7 +107,7 @@ let create ?(config = default_config) ?(seed = 0) () =
     levels = Bytes.empty;
     msb = empty_plane ();
     lsb = empty_plane ();
-    adc = Adc.create ~config:config.adc ();
+    adc = Adc.create ();
     prng = Prng.create ~seed;
     active = None;
     cell_writes = 0;

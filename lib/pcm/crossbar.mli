@@ -13,11 +13,13 @@
     functional like CIM-SIM, with optional additive analog noise); the
     counters feed the Table-I energy model. *)
 
+(** The array's geometry, cells and noise. The shared ADCs have no
+    setting: they count their events and pass each column's exact sum
+    on (see {!Adc}). *)
 type config = {
   rows : int;
   cols : int;
   cell : Cell.config;
-  adc : Adc.config;
   noise_sigma : float option;
       (** standard deviation of additive per-column analog noise, in
           LSB units of the integer result; [None] = ideal *)

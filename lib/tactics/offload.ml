@@ -417,7 +417,7 @@ let conv_code gensym (c : Patterns.conv) =
 
 type residency = { mutable dev_alloc : bool; mutable host_fresh : bool; mutable dev_fresh : bool }
 
-let apply ?on_rewrite config tree =
+let apply ?on_rewrite ~shapes config tree =
   let gensym = make_gensym () in
   let residency_table = Hashtbl.create 16 in
   let state arr =
@@ -526,14 +526,19 @@ let apply ?on_rewrite config tree =
             trees
         end
         else
-          let beta_statically_zero g =
-            match g.beta with Ast.Float_lit 0.0 -> true | _ -> false
+          (* A literal-0 beta needs no copy of C in, unless the
+             kernel's box leaves part of C out: the copy back moves the
+             whole array, so that part must be on the device. *)
+          let skips_copy_in g =
+            let box = if g.is_gemv then [ g.m ] else [ g.m; g.n ] in
+            (match g.beta with Ast.Float_lit 0.0 -> true | _ -> false)
+            && List.assoc_opt g.c_array shapes = Some box
           in
           let inputs =
             List.concat_map
               (fun g ->
                 [ g.a.Patterns.array; g.b.Patterns.array ]
-                @ if beta_statically_zero g then [] else [ g.c_array ])
+                @ if skips_copy_in g then [] else [ g.c_array ])
               kernels
             |> List.sort_uniq compare
           in

@@ -49,9 +49,17 @@ type report = {
 }
 
 val apply :
-  ?on_rewrite:(string -> before:St.t -> after:St.t -> unit) -> config -> St.t -> St.t * report
+  ?on_rewrite:(string -> before:St.t -> after:St.t -> unit) ->
+  shapes:(string * int list) list ->
+  config ->
+  St.t ->
+  St.t * report
 (** Rewrite the tree. When nothing matches (or everything is skipped)
-    the tree is returned unchanged up to structure. [on_rewrite] is
+    the tree is returned unchanged up to structure. [shapes] gives each
+    array's dimensions: a kernel whose beta is the literal 0 skips
+    copying its output to the device only when its m x n box covers
+    the whole output array, since the output is copied back whole; an
+    array missing from [shapes] counts as not covered. [on_rewrite] is
     invoked once per intermediate schedule-tree rewrite the pass
     commits to (currently: the loop interchange that made a kernel
     match), with a pass name and the subtree before/after — the hook

@@ -35,7 +35,8 @@ let run_checked ?(config = Offload.default_config) ?(verify = false) (f : Ir.fun
             collect pass (Legality.check_stmt_level ~before ~after)
           end
         in
-        let tree', report = Offload.apply ~on_rewrite config tree in
+        let shapes = List.map (fun (p : Ast.param) -> (p.Ast.pname, p.Ast.dims)) f.Ir.params in
+        let tree', report = Offload.apply ~on_rewrite ~shapes config tree in
         if verify then begin
           collect "offload" (Verify.tree ~free tree');
           collect "offload" (Legality.check ~before:tree ~after:tree')

@@ -247,9 +247,15 @@ void two(float A[6], float B[6]) {
 
 (* ---------- Legality: dataflow level ---------- *)
 
+(* every array of [src] with its dimensions, as the pipeline passes them *)
+let shapes_of src =
+  List.map (fun (p : Ast.param) -> (p.Ast.pname, p.Ast.dims)) (lower src).Ir.params
+
 let test_legality_offload_rewrite_ok () =
   let before = tree_of (gemm_src 8) in
-  let after, _report = Offload.apply Offload.default_config before in
+  let after, _report =
+    Offload.apply ~shapes:(shapes_of (gemm_src 8)) Offload.default_config before
+  in
   Alcotest.(check bool) "code emitted" true (St.contains_code after);
   Alcotest.(check (list string)) "dataflow preserved" []
     (codes (Diag.errors (Legality.check ~before ~after)))
@@ -305,7 +311,7 @@ void chain(float C[8][8], float D[8][8], float A[8][8], float B[8][8], float E[8
   check_mentions "E102" (message_with "E102" ds) [ "'C'" ];
   (* and the real pipeline never emits that batch: the two kernels are
      dependent, so fusion must keep them as separate launches *)
-  let legal, _ = Offload.apply Offload.default_config before in
+  let legal, _ = Offload.apply ~shapes:(shapes_of src) Offload.default_config before in
   Alcotest.(check (list string)) "pipeline stays legal" []
     (codes (Diag.errors (Legality.check ~before ~after:legal)))
 

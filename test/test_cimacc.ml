@@ -65,8 +65,7 @@ let gemm_tolerance ~k ~a ~b =
   let ea = sa.Tdo_linalg.Quant.scale /. 2.0 and eb = sb.Tdo_linalg.Quant.scale /. 2.0 in
   float_of_int k *. ((ea *. (Mat.max_abs b +. eb)) +. (eb *. Mat.max_abs a)) *. 1.5 +. 1e-4
 
-let run_gemm ?(job_patch = fun j -> j) ~m ~n ~k ~alpha ~beta ~seed () =
-  let sys = make_system () in
+let run_gemm ?(sys = make_system ()) ?(job_patch = fun j -> j) ~m ~n ~k ~alpha ~beta ~seed () =
   let g = Prng.create ~seed in
   let a = Mat.random g ~rows:m ~cols:k ~lo:(-1.0) ~hi:1.0 in
   let b = Mat.random g ~rows:k ~cols:n ~lo:(-1.0) ~hi:1.0 in
@@ -167,10 +166,9 @@ let test_regs_unaligned () =
 
 let test_digital_postprocess () =
   let d = Digital_logic.create () in
-  let out =
-    Digital_logic.postprocess d ~alpha:2.0 ~beta:0.5 ~scale:0.1 ~raw:[| 10; -20 |]
-      ~c_old:(Some [| 1.0; 2.0 |])
-  in
+  let out = Array.make 2 0.0 in
+  Digital_logic.postprocess_into d ~alpha:2.0 ~beta:0.5 ~scale:0.1 ~raw:[| 10; -20 |]
+    ~c_old:(Some [| 1.0; 2.0 |]) ~out;
   Alcotest.(check (array (float 1e-9))) "epilogue" [| 2.5; -3.0 |] out;
   let c = Digital_logic.counters d in
   Alcotest.(check int) "one weighted sum" 1 c.Digital_logic.weighted_sums;
@@ -180,7 +178,8 @@ let test_digital_beta_needs_c () =
   let d = Digital_logic.create () in
   Alcotest.(check bool) "beta without c_old raises" true
     (try
-       ignore (Digital_logic.postprocess d ~alpha:1.0 ~beta:1.0 ~scale:1.0 ~raw:[| 1 |] ~c_old:None);
+       Digital_logic.postprocess_into d ~alpha:1.0 ~beta:1.0 ~scale:1.0 ~raw:[| 1 |] ~c_old:None
+         ~out:[| 0.0 |];
        false
      with Invalid_argument _ -> true)
 
@@ -344,8 +343,10 @@ let test_engine_batched_shares_pinned () =
   Alcotest.(check bool) "batch 1 result" true (Mat.max_abs_diff expected2 actual2 <= tol)
 
 let test_engine_timeline_phases () =
-  let sys, _, _, _, _ = run_gemm ~m:4 ~n:3 ~k:4 ~alpha:1.0 ~beta:0.0 ~seed:40 () in
-  let events = Timeline.events (Micro_engine.timeline (Accel.engine sys.accel)) in
+  let sys = make_system () in
+  let timeline = Micro_engine.record_timeline (Accel.engine sys.accel) in
+  let _ = run_gemm ~sys ~m:4 ~n:3 ~k:4 ~alpha:1.0 ~beta:0.0 ~seed:40 () in
+  let events = Timeline.events timeline in
   let phases = List.map (fun e -> e.Timeline.phase) events in
   Alcotest.(check bool) "starts with trigger" true (List.hd phases = Timeline.Trigger);
   Alcotest.(check bool) "ends result-ready" true
@@ -361,15 +362,59 @@ let test_engine_timeline_phases () =
   List.iter
     (fun e -> Alcotest.(check bool) "monotone finish" true (e.Timeline.at <= last.Timeline.at))
     events;
-  (* details are stored as integers and formatted when read: the text
-     Fig. 2(d) prints *)
+  (* the details, and the text Fig. 2(d) prints for them *)
   let details = List.map (fun e -> e.Timeline.detail) events in
   Alcotest.(check (list string)) "launch details"
     [ "job op=1 m=4 n=3 k=4"; "pinned operand 4x4"; "tile 0, 4 rows"; "vector 0"; "gemv 0" ]
-    (List.filteri (fun i _ -> i < 5) details);
+    (List.filteri (fun i _ -> i < 5) (List.map Timeline.detail_to_string details));
   Alcotest.(check bool) "per-vector epilogue and slice" true
-    (List.mem "epilogue 2" details && List.mem "slice 2" details);
-  Alcotest.(check string) "completion" "status <- done" last.Timeline.detail
+    (List.mem (Timeline.Epilogue 2) details && List.mem (Timeline.Slice 2) details);
+  Alcotest.(check bool) "completion" true (last.Timeline.detail = Timeline.Status_done);
+  Alcotest.(check string) "completion text" "status <- done"
+    (Timeline.detail_to_string last.Timeline.detail)
+
+(* An engine records only into a log the caller attached: a log
+   attached after one job starts empty and holds exactly the next
+   job's events, from its trigger to its completion, and attaching
+   again starts a new log without touching the old one. *)
+let test_engine_timeline_attach () =
+  let sys = make_system () in
+  let engine = Accel.engine sys.accel in
+  let finish1 =
+    match run_gemm ~sys ~m:4 ~n:3 ~k:4 ~alpha:1.0 ~beta:0.0 ~seed:45 () with
+    | _, _, _, _, Ok finish -> finish
+    | _, _, _, _, Error e -> Alcotest.failf "first job rejected: %s" e
+  in
+  let run start =
+    match Micro_engine.run_job engine (base_job ~m:5 ~n:2 ~k:3) ~start with
+    | Ok finish -> finish
+    | Error e -> Alcotest.failf "job rejected: %s" e
+  in
+  let log2 = Micro_engine.record_timeline engine in
+  Alcotest.(check int) "nothing from before the attach" 0 (List.length (Timeline.events log2));
+  let finish2 = run finish1 in
+  let per_vector = Timeline.[ Dma_fill; Compute; Accumulate; Store_result ] in
+  let check_job what log ~from ~until ~programs =
+    let events = Timeline.events log in
+    Alcotest.(check (list string))
+      (what ^ ": its phases, in order")
+      (List.map Timeline.phase_to_string
+         ((Timeline.Trigger :: (if programs then Timeline.[ Dma_fill; Program_crossbar ] else []))
+         @ per_vector @ per_vector @ [ Timeline.Result_ready ]))
+      (List.map (fun e -> Timeline.phase_to_string e.Timeline.phase) events);
+    let first = List.hd events and last = List.nth events (List.length events - 1) in
+    Alcotest.(check bool)
+      (what ^ ": triggered by this job") true
+      (first.Timeline.detail = Timeline.Job { op = 1; m = 5; n = 2; k = 3 });
+    Alcotest.(check int) (what ^ ": trigger time") from first.Timeline.at;
+    Alcotest.(check int) (what ^ ": completion time") until last.Timeline.at
+  in
+  check_job "second job" log2 ~from:finish1 ~until:finish2 ~programs:true;
+  let log3 = Micro_engine.record_timeline engine in
+  let finish3 = run finish2 in
+  (* the same operand is still pinned, so the third job programs nothing *)
+  check_job "third job" log3 ~from:finish2 ~until:finish3 ~programs:false;
+  check_job "second log after the replacement" log2 ~from:finish1 ~until:finish2 ~programs:true
 
 let qcheck_engine_matches_reference =
   QCheck.Test.make ~name:"engine gemm tracks float reference within quantisation bound"
@@ -477,6 +522,8 @@ let suites =
         Alcotest.test_case "double buffering" `Quick test_engine_double_buffering_faster;
         Alcotest.test_case "batched shares pin" `Quick test_engine_batched_shares_pinned;
         Alcotest.test_case "timeline phases (Fig 2d)" `Quick test_engine_timeline_phases;
+        Alcotest.test_case "timeline records only into an attached log" `Quick
+          test_engine_timeline_attach;
         QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
       ] );
     ( "cimacc.accel",
@@ -589,8 +636,10 @@ let test_multi_tile_affinity_across_jobs () =
     (Micro_engine.counters engine).Micro_engine.programming_skipped
 
 let test_timeline_gantt () =
-  let sys, _, _, _, _ = run_gemm ~m:4 ~n:3 ~k:4 ~alpha:1.0 ~beta:0.0 ~seed:44 () in
-  let events = Timeline.events (Micro_engine.timeline (Accel.engine sys.accel)) in
+  let sys = make_system () in
+  let timeline = Micro_engine.record_timeline (Accel.engine sys.accel) in
+  let _ = run_gemm ~sys ~m:4 ~n:3 ~k:4 ~alpha:1.0 ~beta:0.0 ~seed:44 () in
+  let events = Timeline.events timeline in
   let gantt = Timeline.render_gantt events in
   Alcotest.(check bool) "renders something" true (String.length gantt > 0);
   let lines = String.split_on_char '\n' gantt in

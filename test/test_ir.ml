@@ -400,11 +400,16 @@ let outputs_digest mats =
     mats;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* A fresh platform whose engine has an event log attached, so a row
+   can show when each launch started. *)
+let logged_platform () =
+  let platform = Platform.create () in
+  (platform, Tdo_cimacc.(Micro_engine.record_timeline (Accel.engine platform.Platform.accel)))
+
 (* When the host started each accelerator job: the core's clock as the
    runtime read it, so host instructions charged late or early show. *)
-let launch_times platform =
-  Tdo_cimacc.(Micro_engine.timeline (Accel.engine platform.Platform.accel))
-  |> Tdo_cimacc.Timeline.events
+let launch_times timeline =
+  Tdo_cimacc.Timeline.events timeline
   |> List.filter_map (fun (e : Tdo_cimacc.Timeline.event) ->
          if e.Tdo_cimacc.Timeline.phase = Tdo_cimacc.Timeline.Trigger then
            Some (string_of_int e.Tdo_cimacc.Timeline.at)
@@ -412,23 +417,23 @@ let launch_times platform =
   |> String.concat ","
 
 (* One pinned row: [label roi=insts/cycles/ps cls=… l1d=… l2=… launch=… out=…]. *)
-let numbers_row label platform (m : Exec.metrics) mats =
+let numbers_row label (platform, timeline) (m : Exec.metrics) mats =
   let cpu = Platform.cpu platform in
   Printf.sprintf "%s roi=%d/%d/%d cls=%s l1d=%s l2=%s launch=%s out=%s" label
     m.Exec.roi_instructions m.Exec.roi_cycles m.Exec.roi_time_ps
     (String.concat "," (List.map (fun c -> string_of_int (Sim.Cpu.class_count cpu c)) all_classes))
-    (cache_row platform.Platform.l1d) (cache_row platform.Platform.l2) (launch_times platform)
+    (cache_row platform.Platform.l1d) (cache_row platform.Platform.l2) (launch_times timeline)
     (outputs_digest mats)
 
 let polybench_row (b : Kernels.benchmark) ~tactics ~n =
   let options = if tactics then Flow.o3_loop_tactics else Flow.o3 in
   let f, _ = Flow.compile ~options (b.Kernels.source ~n) in
   let args, readback = b.Kernels.make_args ~n ~seed:5 in
-  let platform = Platform.create () in
+  let ((platform, _) as logged) = logged_platform () in
   let m = Exec.run f ~platform ~args in
   numbers_row
     (Printf.sprintf "%s/%s/%d" b.Kernels.name (if tactics then "tactics" else "o3") n)
-    platform m (readback ())
+    logged m (readback ())
 
 let polybench_rows () =
   List.concat_map
@@ -533,9 +538,9 @@ let tiled_calls_args ~seed =
 
 let tiled_calls_row () =
   let args, readback = tiled_calls_args ~seed:5 in
-  let platform = Platform.create () in
+  let ((platform, _) as logged) = logged_platform () in
   let m = Exec.run (tiled_calls_func ()) ~platform ~args in
-  numbers_row "tiled_calls" platform m (readback ())
+  numbers_row "tiled_calls" logged m (readback ())
 
 let pinned_polybench_rows =
   [
@@ -609,10 +614,10 @@ let pinned_rank3_row =
 let test_exec_pinned_rank3 () =
   let f, _ = Flow.compile ~options:Flow.o3 rank3_src in
   let args, readback = rank3_args ~seed:5 in
-  let platform = Platform.create () in
+  let ((platform, _) as logged) = logged_platform () in
   let m = Exec.run f ~platform ~args in
   Alcotest.(check string) "pinned executor numbers" pinned_rank3_row
-    (numbers_row "rank3" platform m (readback ()))
+    (numbers_row "rank3" logged m (readback ()))
 
 (* A read-modify-write past the end of simulated memory: [Memory]
    rejects the load, which is charged alone, as when the load and the
@@ -725,8 +730,8 @@ let qcheck_prepared_program_reuse =
       let program = Exec.prepare f in
       let one exec seed =
         let args, readback = make_args ~seed in
-        let platform = Platform.create () in
-        numbers_row label platform (exec ~platform ~args) (readback ())
+        let ((platform, _) as logged) = logged_platform () in
+        numbers_row label logged (exec ~platform ~args) (readback ())
       in
       Tdo_util.Pool.parallel_map (one (Exec.exec program)) seeds
       = List.map (one (Exec.run f)) seeds)

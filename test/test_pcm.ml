@@ -58,23 +58,16 @@ let test_pulse_shapes () =
 
 let test_adc_counts () =
   let a = Adc.create () in
-  ignore (Adc.convert a ~full_scale:100.0 50.0);
-  ignore (Adc.convert a ~full_scale:100.0 10.0);
+  Adc.count a 2;
+  Adc.count a 0;
   Alcotest.(check int) "conversions" 2 (Adc.conversions a);
-  Alcotest.(check int) "samples" 2 (Adc.samples a)
-
-let test_adc_quantisation () =
-  let a = Adc.create ~config:{ Adc.bits = 8; columns_per_adc = 32 } () in
-  Alcotest.(check int) "full scale maps to top code" 127 (Adc.convert a ~full_scale:1.0 1.0);
-  Alcotest.(check int) "zero maps to zero" 0 (Adc.convert a ~full_scale:1.0 0.0);
-  Alcotest.(check int) "saturates" 127 (Adc.convert a ~full_scale:1.0 50.0);
-  Alcotest.(check int) "negative saturates" (-128) (Adc.convert a ~full_scale:1.0 (-50.0))
-
-let test_adc_sharing () =
-  let a = Adc.create ~config:{ Adc.bits = 8; columns_per_adc = 32 } () in
-  Alcotest.(check int) "256 cols need 8 adcs" 8 (Adc.adc_count_for_columns a 256);
-  Alcotest.(check int) "33 cols need 2 adcs" 2 (Adc.adc_count_for_columns a 33);
-  Alcotest.(check int) "0 cols need 0" 0 (Adc.adc_count_for_columns a 0)
+  Alcotest.(check int) "samples" 2 (Adc.samples a);
+  Alcotest.(check bool) "a negative count raises" true
+    (try
+       Adc.count a (-1);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "and counts nothing" 2 (Adc.conversions a)
 
 (* ---------- Crossbar ---------- *)
 
@@ -623,8 +616,6 @@ let suites =
     ( "pcm.adc",
       [
         Alcotest.test_case "event counts" `Quick test_adc_counts;
-        Alcotest.test_case "quantisation" `Quick test_adc_quantisation;
-        Alcotest.test_case "column sharing" `Quick test_adc_sharing;
       ] );
     ( "pcm.crossbar",
       [

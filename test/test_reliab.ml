@@ -1,4 +1,5 @@
 open Tdo_reliab
+module Abft = Tdo_linalg.Abft
 module Prng = Tdo_util.Prng
 module Crossbar = Tdo_pcm.Crossbar
 module Telemetry = Tdo_serve.Telemetry

@@ -813,11 +813,94 @@ let test_aliased_output_stays_on_host (source, arrays) () =
   Alcotest.(check (list (array int64)))
     "tactics build equals the host build bit for bit" (run Flow.o3) (run Flow.o3_loop_tactics)
 
+(* ---------- an output larger than its kernel ---------- *)
+
+(* Near-miss programs whose zero-initialised output is larger than the
+   kernel's loops. The device's output is copied back whole, so what
+   lies outside the kernel's box must reach the device first: each
+   program offloads one launch, every element outside the box (the
+   operands included) is bit-identical to the host build, and every
+   element inside is within the 8-bit quantisation bound. *)
+let oversized_output_programs =
+  [
+    ( "gemm, C larger than its loops",
+      {|
+void f(float C[14][14], float A[14][13], float B[13][14]) {
+  for (int i = 0; i < 12; i++)
+    for (int j = 0; j < 12; j++) {
+      C[i][j] = 0.0;
+      for (int k = 0; k < 12; k++)
+        C[i][j] += A[i][k] * B[k][j];
+    }
+}
+|},
+      [ ("C", [ 14; 14 ]); ("A", [ 14; 13 ]); ("B", [ 13; 14 ]) ],
+      ("C", fun idx -> idx / 14 < 12 && idx mod 14 < 12) );
+    ( "gemv, y longer than its loop",
+      {|
+void f(float y[13], float A[12][12], float x[12]) {
+  for (int i = 0; i < 12; i++) {
+    y[i] = 0.0;
+    for (int j = 0; j < 12; j++)
+      y[i] += A[i][j] * x[j];
+  }
+}
+|},
+      [ ("y", [ 13 ]); ("A", [ 12; 12 ]); ("x", [ 12 ]) ],
+      ("y", fun idx -> idx < 12) );
+  ]
+
+let test_oversized_output_keeps_border (source, arrays, (output, in_box)) () =
+  let module Flow = Tdo_cim.Flow in
+  (* random data in [-1, 1], the same for both builds *)
+  let run options =
+    let g = Prng.create ~seed:12 in
+    let arrs =
+      List.map
+        (fun (name, dims) ->
+          let a = Interp.make_array ~dims in
+          Array.iteri
+            (fun i _ -> a.Interp.data.(i) <- Prng.float_range g ~lo:(-1.0) ~hi:1.0)
+            a.Interp.data;
+          (name, a))
+        arrays
+    in
+    let args = List.map (fun (name, a) -> (name, Interp.Varray a)) arrs in
+    let measurement, _ = Flow.run_source ~options source ~args in
+    (measurement, List.map (fun (name, a) -> (name, a.Interp.data)) arrs)
+  in
+  let _, host = run Flow.o3 in
+  let measurement, device = run Flow.o3_loop_tactics in
+  Alcotest.(check int) "one launch offloaded" 1 measurement.Flow.launches;
+  (* k = 12 products of operands in [-1, 1], each quantised to 8 bits
+     with an error of at most half a step *)
+  let bound =
+    let e = Tdo_linalg.Quant.scale_for ~bits:8 ~max_abs:1.0 /. 2.0 in
+    (12.0 *. ((e *. (1.0 +. e)) +. e)) +. 1e-6
+  in
+  List.iter2
+    (fun (name, expected) (_, actual) ->
+      Array.iteri
+        (fun idx x ->
+          let y = actual.(idx) in
+          if String.equal name output && in_box idx then begin
+            if Float.abs (x -. y) > bound then
+              Alcotest.failf "%s[%d] inside the box: %g against %g, beyond %g" name idx y x bound
+          end
+          else if Int64.bits_of_float x <> Int64.bits_of_float y then
+            Alcotest.failf "%s[%d] outside the box: %h against %h" name idx y x)
+        expected)
+    host device
+
 let transparency_suite =
   ( "tactics.transparency",
     List.map
       (fun (name, source, arrays) ->
         Alcotest.test_case name `Quick (test_aliased_output_stays_on_host (source, arrays)))
-      aliased_output_programs )
+      aliased_output_programs
+    @ List.map
+        (fun (name, source, arrays, box) ->
+          Alcotest.test_case name `Quick (test_oversized_output_keeps_border (source, arrays, box)))
+        oversized_output_programs )
 
 let suites = suites @ [ transparency_suite ]
