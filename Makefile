@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-json sim-bench serve-bench graph-bench reliab-bench tune-bench serve-tune-db clean
+.PHONY: all build test lint bench-json sim-bench serve-bench graph-bench reliab-bench tune-bench serve-tune-db e2e-compare clean
 
 all: build
 
@@ -85,6 +85,17 @@ reliab-bench:
 tune-bench:
 	dune build bin/tune.exe
 	./_build/default/bin/tune.exe --dataset small --strict --db tune.db.json --out BENCH_tune.json
+
+# Judge the working tree against BASE with the end-to-end serving
+# benchmark: PAIRS alternating base/change pairs of `bench/e2e run
+# --seconds 12` on seeds FIRST_SEED+1 .. FIRST_SEED+PAIRS, then
+# `bench/e2e compare`. Exits 1 if any metric got worse. About 40 s per
+# pair on 2 cores. Example: make e2e-compare BASE=HEAD~1 FIRST_SEED=500
+BASE ?= HEAD
+PAIRS ?= 10
+FIRST_SEED ?= 0
+e2e-compare:
+	tools/e2e_pairs.sh $(BASE) $(PAIRS) $(FIRST_SEED)
 
 clean:
 	dune clean

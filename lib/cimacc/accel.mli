@@ -2,10 +2,11 @@
     micro-engine + DMA + crossbar, attached to the system bus and the
     IO space.
 
-    Writing the command register triggers the engine; completion is
-    signalled by flipping the status register to [Done] through the
-    discrete-event queue at the simulated finish time, which is what
-    the host's poll loop observes. *)
+    Writing the command register triggers the engine, which starts the
+    job at the host clock's current time and works out when it
+    finishes. The job's completion is that time, not an event: the
+    status register reads [Busy] until {!complete} flips it to [Done],
+    which the host's poll loop does once it has waited out the job. *)
 
 module Sim = Tdo_sim
 
@@ -17,16 +18,23 @@ type t
 val create :
   ?engine_config:Micro_engine.config ->
   ?seed:int ->
-  queue:Sim.Event_queue.t ->
+  clock:(unit -> Sim.Time_base.ps) ->
   bus:Sim.Bus.t ->
   memory:Sim.Memory.t ->
   unit ->
   t
-(** [seed] (default 0) feeds {!Micro_engine.create} for per-tile PRNG
-    streams. *)
+(** [clock] is the host core's time; a trigger starts its job at
+    [clock ()]. [seed] (default 0) feeds {!Micro_engine.create} for
+    per-tile PRNG streams. *)
 
 val map_registers : t -> Sim.Mmio.t -> base:int -> unit
 (** Expose the context registers on the IO space. *)
+
+val complete : t -> Sim.Time_base.ps option
+(** Deliver the running job's completion: set the status to [Done] and
+    return the job's finish time. [None] when no job is running — none
+    was triggered, it was rejected, or its completion was already
+    delivered. *)
 
 val regs : t -> Context_regs.t
 val engine : t -> Micro_engine.t
@@ -35,6 +43,3 @@ val status : t -> Context_regs.status
 
 val last_error : t -> string option
 (** Reason for the last rejected job, if any. *)
-
-val completion_time : t -> Sim.Time_base.ps option
-(** Simulated finish time of the most recent successful job. *)

@@ -189,10 +189,10 @@ let reserve_ints n cur = if Array.length cur >= n then cur else get_ints n cur
    and the engine's float buffers instead of materialising packed
    [Bytes.t] payloads: a unit-stride run is one bulk
    [Memory.read_f32s]/[write_f32s], any other stride an element loop
-   over the f32 fast path. Both leave the data and the memory's byte
-   counters as the element loop does. The timing and traffic side is
-   identical to [Dma.read_strided]/[write_strided]: one descriptor,
-   same byte counts, same burst latency. *)
+   over the f32 fast path. Both leave the data as the element loop
+   does. The timing and traffic side is one descriptor over the whole
+   payload, whatever its stride ([Dma.charge]/[charge_write]): the same
+   byte count and burst latency as a contiguous transfer. *)
 
 let fetch_vector_into t ~addr ~len ~stride_elems out =
   let mem = Sim.Dma.memory t.dma in

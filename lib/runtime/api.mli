@@ -4,7 +4,7 @@
     Designed to be called either directly by an application programmer
     (see [examples/runtime_api.ml]) or by the compiler's offload pass
     ({!Tdo_tactics}). Every entry point charges its host-side cost to
-    the platform's core 0, so offload overhead is part of every
+    the platform's host core, so offload overhead is part of every
     measurement.
 
     Buffers are allocated from the CMA region and exposed to user space

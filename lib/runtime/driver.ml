@@ -1,31 +1,15 @@
 module Sim = Tdo_sim
 module Regs = Tdo_cimacc.Context_regs
 
-type wait_policy = Spin | Event
-
-type config = {
-  wait_policy : wait_policy;
-  syscall_instructions : int;
-  translate_instructions : int;
-  reg_write_instructions : int;
-  uncached_access_ps : Sim.Time_base.ps;
-  poll_instructions : int;
-  flush_instructions_per_line : int;
-}
-
-let default_config =
-  {
-    wait_policy = Spin;
-    syscall_instructions = 180;
-    translate_instructions = 12;
-    reg_write_instructions = 4;
-    uncached_access_ps = 20 * Sim.Time_base.ps_per_ns;
-    poll_instructions = 8;
-    flush_instructions_per_line = 2;
-  }
+(* The driver's costs, charged to the host core. *)
+let syscall_instructions = 180 (* user/kernel crossing, per ioctl *)
+let translate_instructions = 12 (* page-table walk, per address *)
+let reg_write_instructions = 4
+let uncached_access_ps = 20 * Sim.Time_base.ps_per_ns (* one PMIO register access *)
+let poll_instructions = 8 (* one spin iteration's loop body *)
+let flush_instructions_per_line = 2 (* set/way walk, per line of L1D and L2 *)
 
 type t = {
-  config : config;
   platform : Platform.t;
   mutable ioctls : int;
   mutable cache_flushes : int;
@@ -35,9 +19,8 @@ type t = {
   mutable wait_stall_ps : Sim.Time_base.ps;
 }
 
-let create ?(config = default_config) platform =
+let create platform =
   {
-    config;
     platform;
     ioctls = 0;
     cache_flushes = 0;
@@ -47,12 +30,10 @@ let create ?(config = default_config) platform =
     wait_stall_ps = 0;
   }
 
-let config t = t.config
-
 let charge_instructions t n = Sim.Cpu.issue_many (Platform.cpu t.platform) Sim.Cpu.Int_alu n
 
 let translate t addr =
-  charge_instructions t t.config.translate_instructions;
+  charge_instructions t translate_instructions;
   t.translations <- t.translations + 1;
   if Platform.is_device_virtual t.platform addr then Platform.resolve t.platform addr
   else if addr >= 0 && addr < (Sim.Memory.config t.platform.Platform.memory).Sim.Memory.size_bytes
@@ -67,7 +48,7 @@ let flush_caches t =
   let cpu = Platform.cpu t.platform in
   (* set/way walk over both caches: real instructions on the host *)
   let lines = cache_lines t.platform.Platform.l1d + cache_lines t.platform.Platform.l2 in
-  Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (lines * t.config.flush_instructions_per_line);
+  Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (lines * flush_instructions_per_line);
   (* L2 is flushed first, then L1D, so L1D's dirty lines are written
      back into an L2 that was just cleaned and stay dirty there. Each
      write-back is an L2 access, so this order sets the flush latency
@@ -82,23 +63,22 @@ let flush_caches t =
   t.flush_stall_ps <- t.flush_stall_ps + lat
 
 let write_reg t ~reg value =
-  charge_instructions t t.config.reg_write_instructions;
-  Sim.Cpu.stall_ps (Platform.cpu t.platform) t.config.uncached_access_ps;
+  charge_instructions t reg_write_instructions;
+  Sim.Cpu.stall_ps (Platform.cpu t.platform) uncached_access_ps;
   t.reg_writes <- t.reg_writes + 1;
-  Platform.sync_queue_to_cpu t.platform;
   Sim.Mmio.write t.platform.Platform.mmio
     ~addr:(t.platform.Platform.config.Platform.register_base + (4 * reg))
     value
 
 let read_reg t ~reg =
-  charge_instructions t t.config.poll_instructions;
-  Sim.Cpu.stall_ps (Platform.cpu t.platform) t.config.uncached_access_ps;
+  charge_instructions t poll_instructions;
+  Sim.Cpu.stall_ps (Platform.cpu t.platform) uncached_access_ps;
   Sim.Mmio.read t.platform.Platform.mmio
     ~addr:(t.platform.Platform.config.Platform.register_base + (4 * reg))
 
 let launch t (job : Regs.job) =
   t.ioctls <- t.ioctls + 1;
-  charge_instructions t t.config.syscall_instructions;
+  charge_instructions t syscall_instructions;
   (* Coherence: make every host-side store visible to the device's
      uncacheable reads before it starts. *)
   flush_caches t;
@@ -123,12 +103,14 @@ let launch t (job : Regs.job) =
     (if job.Regs.batch_desc_addr = 0 then 0 else translate t job.Regs.batch_desc_addr);
   wi Regs.reg_pin (match job.Regs.pin with Regs.Pin_a -> 0 | Regs.Pin_b -> 1);
   wi Regs.reg_generation job.Regs.generation;
-  Platform.sync_queue_to_cpu t.platform;
   wi Regs.reg_command 1
 
+(* The device's completion is a time ([Accel.complete]), so the spin
+   loop is not simulated one poll at a time: at the first busy poll the
+   host is charged, in one step, the polls that fit before the job
+   finishes, and the next poll reads [Done]. *)
 let await t =
   let accel = t.platform.Platform.accel in
-  let queue = t.platform.Platform.queue in
   let cpu = Platform.cpu t.platform in
   let rec spin () =
     let status = read_reg t ~reg:Regs.reg_status in
@@ -136,34 +118,26 @@ let await t =
     | 2 (* done *) -> Ok ()
     | 3 (* error *) ->
         Error (Option.value ~default:"device error" (Tdo_cimacc.Accel.last_error accel))
-    | 0 | 1 ->
-        (* Fast-forward to the device's next event instead of burning
-           host cycles one poll at a time. *)
-        if Sim.Event_queue.pending queue = 0 then
-          failwith "Driver.await: device busy with no pending completion event";
-        ignore (Sim.Event_queue.run_next queue);
-        let ahead = Sim.Event_queue.now queue - Sim.Cpu.time_ps cpu in
-        if ahead > 0 then begin
-          (match t.config.wait_policy with
-          | Event -> Sim.Cpu.stall_ps cpu ahead
-          | Spin ->
+    | 0 | 1 -> (
+        match Tdo_cimacc.Accel.complete accel with
+        | None -> failwith "Driver.await: device busy with no pending completion event"
+        | Some finish ->
+            let ahead = finish - Sim.Cpu.time_ps cpu in
+            if ahead > 0 then begin
               (* one poll iteration = the loop body's instructions plus
                  the uncached status read; issue the instructions (they
                  advance the clock by themselves) and stall only for the
                  register-access share of the wait *)
-              let period = Sim.Cpu.config cpu in
-              let cycle_ps = Tdo_sim.Time_base.period_ps ~freq_hz:period.Sim.Cpu.freq_hz in
-              let iteration_ps =
-                (t.config.poll_instructions * cycle_ps) + t.config.uncached_access_ps
-              in
+              let cycle_ps = Sim.Time_base.period_ps ~freq_hz:(Sim.Cpu.config cpu).Sim.Cpu.freq_hz in
+              let iteration_ps = (poll_instructions * cycle_ps) + uncached_access_ps in
               let iterations = ahead / iteration_ps in
-              let instructions = iterations * t.config.poll_instructions in
+              let instructions = iterations * poll_instructions in
               Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu instructions;
               let remaining = ahead - (instructions * cycle_ps) in
-              if remaining > 0 then Sim.Cpu.stall_ps cpu remaining);
-          t.wait_stall_ps <- t.wait_stall_ps + ahead
-        end;
-        spin ()
+              if remaining > 0 then Sim.Cpu.stall_ps cpu remaining;
+              t.wait_stall_ps <- t.wait_stall_ps + ahead
+            end;
+            spin ())
     | code -> failwith (Printf.sprintf "Driver.await: unknown status code %d" code)
   in
   spin ()

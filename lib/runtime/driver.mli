@@ -12,34 +12,17 @@
     register writes, address translation and the flush stall all show
     up in the host's instruction and cycle counts — this is the
     offload overhead that makes low-intensity (GEMV-like) kernels lose
-    on CIM in Fig. 6. *)
-
-type wait_policy =
-  | Spin  (** busy-wait on the status register, burning host instructions *)
-  | Event  (** idle until the completion event (WFI-style; optimistic) *)
-
-type config = {
-  wait_policy : wait_policy;
-      (** the paper's host "wait[s] on spinlock" — [Spin] charges the
-          poll loop's instructions for the whole device busy time *)
-  syscall_instructions : int;  (** user/kernel crossing cost, per ioctl *)
-  translate_instructions : int;  (** page-table walk per address *)
-  reg_write_instructions : int;
-  uncached_access_ps : Tdo_sim.Time_base.ps;  (** PMIO register access *)
-  poll_instructions : int;  (** one spin iteration *)
-  flush_instructions_per_line : int;
-      (** the set/way clean-and-invalidate walk executes real
-          instructions for every line of L1D and L2; with a 2 MB L2
-          this fixed cost dominates the offload overhead of
-          low-intensity kernels (Fig. 6's GEMV-like losses) *)
-}
-
-val default_config : config
+    on CIM in Fig. 6. The costs are fixed: 180 instructions per ioctl,
+    12 per address translation, 4 per register write plus a 20 ns
+    uncached access, and 2 per L1D and L2 line for the set/way flush
+    walk, which with a 2 MB L2 dominates the offload overhead of
+    low-intensity kernels. The host "wait[s] on spinlock", as in the
+    paper: one poll iteration is 8 instructions plus an uncached status
+    read, charged for the whole time the device is busy. *)
 
 type t
 
-val create : ?config:config -> Platform.t -> t
-val config : t -> config
+val create : Platform.t -> t
 
 val translate : t -> int -> int
 (** Virtual-to-physical translation of a device-buffer address
@@ -54,9 +37,12 @@ val launch : t -> Tdo_cimacc.Context_regs.job -> unit
 
 val await : t -> (unit, string) result
 (** Spin on the status register until the device reports done or
-    error, fast-forwarding the host clock to the device's completion
-    event. [Error] carries the device's reason. Raises [Failure] if
-    the device can never complete (no pending event). *)
+    error. At the first busy poll the host is charged the poll
+    iterations that fit before the job's finish time, its clock lands
+    on that time, and the job's completion is delivered
+    ({!Tdo_cimacc.Accel.complete}); the next poll reads [Done]. [Error]
+    carries the device's reason. Raises [Failure] if the device reads
+    busy with no job running, which it never does after {!launch}. *)
 
 val ioctls : t -> int
 val cache_flushes : t -> int
@@ -64,3 +50,5 @@ val reg_writes : t -> int
 val translations : t -> int
 val flush_stall_ps : t -> Tdo_sim.Time_base.ps
 val wait_stall_ps : t -> Tdo_sim.Time_base.ps
+(** Time the host spent waiting for the device: the sum of each job's
+    finish minus the host's time at its first busy poll. *)

@@ -28,11 +28,10 @@ let default_config =
 
 type t = {
   config : config;
-  queue : Sim.Event_queue.t;
   memory : Sim.Memory.t;
   bus : Sim.Bus.t;
   mmio : Sim.Mmio.t;
-  cores : Sim.Cpu.t array;
+  cpu : Sim.Cpu.t;
   l1d : Sim.Cache.t;
   l2 : Sim.Cache.t;
   accel : Cimacc.Accel.t;
@@ -40,13 +39,12 @@ type t = {
 }
 
 let create ?(config = default_config) ?(seed = 0) () =
-  let queue = Sim.Event_queue.create () in
   let memory = Sim.Memory.create ~config:config.memory () in
   let bus = Sim.Bus.create ~config:config.bus () in
   let mmio = Sim.Mmio.create () in
   let l2_next op ~addr:_ ~bytes =
     ignore op;
-    Sim.Bus.transfer bus ~master:"cpu" ~bytes + Sim.Memory.burst_latency memory ~bytes
+    Sim.Bus.transfer bus ~bytes + Sim.Memory.burst_latency memory ~bytes
   in
   let l2 = Sim.Cache.create ~config:config.l2 ~next:l2_next () in
   let l1d =
@@ -54,19 +52,17 @@ let create ?(config = default_config) ?(seed = 0) () =
       ~next:(fun op ~addr ~bytes:_ -> Sim.Cache.access l2 op ~addr)
       ()
   in
-  let cores = Array.init 2 (fun _ -> Sim.Cpu.create ~config:config.cpu ~l1d ()) in
-  let accel = Cimacc.Accel.create ~engine_config:config.engine ~seed ~queue ~bus ~memory () in
+  let cpu = Sim.Cpu.create ~config:config.cpu ~l1d () in
+  let clock () = Sim.Cpu.time_ps cpu in
+  let accel = Cimacc.Accel.create ~engine_config:config.engine ~seed ~clock ~bus ~memory () in
   Cimacc.Accel.map_registers accel mmio ~base:config.register_base;
   let cma = Cma.create ~config:config.cma () in
-  { config; queue; memory; bus; mmio; cores; l1d; l2; accel; cma }
+  { config; memory; bus; mmio; cpu; l1d; l2; accel; cma }
 
-let cpu t = t.cores.(0)
+let cpu t = t.cpu
 
 let is_device_virtual t addr =
   let base = t.config.cma.Cma.base + t.config.virt_offset in
   addr >= base && addr < base + t.config.cma.Cma.size
 
 let resolve t addr = if is_device_virtual t addr then addr - t.config.virt_offset else addr
-
-let sync_queue_to_cpu t =
-  Sim.Event_queue.advance_to t.queue ~time:(Sim.Cpu.time_ps (cpu t))

@@ -1,10 +1,11 @@
-(** The emulated full system of Fig. 2(a): a dual-core Arm-A7-class
-    host with L1/L2 caches, 2 GB of shared main memory, a system bus,
-    the PMIO space, and the CIM accelerator.
+(** The emulated full system of Fig. 2(a): an Arm-A7-class host core
+    with L1/L2 caches, 2 GB of shared main memory, a system bus, the
+    PMIO space, and the CIM accelerator.
 
-    Only core 0 runs the (single-threaded) PolyBench kernels, as in the
-    paper; core 1 exists to match the configuration of Table I and is
-    available to applications that want it. *)
+    Table I's platform has two A7 cores. The PolyBench kernels and the
+    runtime are single-threaded, as in the paper, so only the core that
+    runs them is modelled. Its clock is the system's one clock: the
+    accelerator starts each job at the core's time. *)
 
 module Sim = Tdo_sim
 module Cimacc = Tdo_cimacc
@@ -24,16 +25,15 @@ type config = {
 }
 
 val default_config : config
-(** Table I: 2x Arm-A7 @ 1.2 GHz, 32 KB L1-D, 2 MB shared L2, 2 GB
-    LPDDR3, 256x256 8-bit PCM crossbar. *)
+(** Table I: Arm-A7 @ 1.2 GHz (one of the platform's two cores), 32 KB
+    L1-D, 2 MB shared L2, 2 GB LPDDR3, 256x256 8-bit PCM crossbar. *)
 
 type t = {
   config : config;
-  queue : Sim.Event_queue.t;
   memory : Sim.Memory.t;
   bus : Sim.Bus.t;
   mmio : Sim.Mmio.t;
-  cores : Sim.Cpu.t array;
+  cpu : Sim.Cpu.t;
   l1d : Sim.Cache.t;
   l2 : Sim.Cache.t;
   accel : Cimacc.Accel.t;
@@ -46,7 +46,7 @@ val create : ?config:config -> ?seed:int -> unit -> t
     seed so campaigns are replayable. *)
 
 val cpu : t -> Sim.Cpu.t
-(** Core 0, the one running the application. *)
+(** The host core, which runs the application and the driver. *)
 
 val resolve : t -> int -> int
 (** MMU view used by host loads/stores: maps a device-buffer virtual
@@ -54,8 +54,3 @@ val resolve : t -> int -> int
     (identity-mapped application memory) unchanged. *)
 
 val is_device_virtual : t -> int -> bool
-
-val sync_queue_to_cpu : t -> unit
-(** Advance the event queue's clock to core 0's current time; call
-    before interacting with the accelerator so device events are
-    ordered after the host actions that caused them. *)

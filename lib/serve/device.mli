@@ -1,7 +1,7 @@
 (** One pooled fleet device behind a {!Tdo_backend.Backend.profile}.
 
     For the CIM classes (analog PCM crossbar, digital SRAM tile) a
-    device is a full emulated platform (its own event queue, memory,
+    device is a full emulated platform (its own host core, memory,
     bus, caches and CIM accelerator) that is {e reused} across requests
     instead of being rebuilt per run. Reuse is what makes a device a
     device: crossbar wear accumulates over its lifetime exactly as it

@@ -100,6 +100,10 @@ let response_line (r : Telemetry.record) =
   | Telemetry.Rejected_overloaded -> Printf.sprintf "rejected id=%d" id
   | Telemetry.Failed msg -> Printf.sprintf "err id=%d msg=%s" id msg
 
+(* 64 KiB: a request is one short line, the longest in the repo's
+   smoke script 84 bytes. *)
+let max_line_bytes = 65_536
+
 let serve ?(config = Scheduler.default_config) ~input ~output () =
   let t0 = Unix.gettimeofday () in
   (* wall-clock picoseconds since the front-end came up: the time base
@@ -143,10 +147,41 @@ let serve ?(config = Scheduler.default_config) ~input ~output () =
           submitted := r :: !submitted;
           Scheduler.submit core r
   in
-  (* One reader buffer across reads: lines can arrive split. *)
+  (* One reader buffer across reads: lines can arrive split. A line
+     longer than [max_line_bytes] is answered with one error as soon as
+     it overflows, and its bytes are dropped up to the next newline, so
+     the buffer never holds more than one line's worth. *)
   let partial = Buffer.create 256 in
+  let skipping = ref false in
+  let too_long () =
+    respond (Printf.sprintf "err id=0 msg=request line longer than %d bytes" max_line_bytes)
+  in
   let chunk = Bytes.create 65536 in
   let eof = ref false in
+  (* Complete lines read in this pump, newest first; [None] stands for
+     an over-long line, answered in its place among the others. *)
+  let lines = ref [] in
+  let take k =
+    let from = ref 0 in
+    while !from < k do
+      let nl = match Bytes.index_from_opt chunk !from '\n' with Some i when i < k -> i | _ -> k in
+      let len = nl - !from in
+      if not !skipping then
+        if Buffer.length partial + len <= max_line_bytes then
+          Buffer.add_subbytes partial chunk !from len
+        else begin
+          Buffer.clear partial;
+          lines := None :: !lines;
+          skipping := true
+        end;
+      if nl < k then begin
+        if !skipping then skipping := false
+        else lines := Some (Buffer.contents partial) :: !lines;
+        Buffer.clear partial
+      end;
+      from := nl + 1
+    done
+  in
   (* Drain everything the client has written so far and stamp it with
      one arrival time: a burst of lines forms a visible backlog, which
      admission judges and the dispatcher batches. [block] waits
@@ -164,22 +199,15 @@ let serve ?(config = Scheduler.default_config) ~input ~output () =
             match Unix.read input chunk 0 (Bytes.length chunk) with
             | 0 -> eof := true
             | k ->
-                Buffer.add_subbytes partial chunk 0 k;
+                take k;
                 drain false
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain first)
     in
     drain true;
     let at = max (now_ps ()) (!clock + 1) in
-    let data = Buffer.contents partial in
-    Buffer.clear partial;
-    let rec split from =
-      match String.index_from_opt data from '\n' with
-      | Some i ->
-          handle_line ~at (String.sub data from (i - from));
-          split (i + 1)
-      | None -> Buffer.add_string partial (String.sub data from (String.length data - from))
-    in
-    split 0;
+    let read = List.rev !lines in
+    lines := [];
+    List.iter (function Some line -> handle_line ~at line | None -> too_long ()) read;
     let until_ps = max (now_ps ()) at in
     Scheduler.advance core ~until_ps;
     clock := until_ps

@@ -19,7 +19,8 @@
     or a JSON object ([{"kernel":"gemm","n":16,"tenant":1,
     "class":"batch","seed":7,"deadline_us":500}]). [n] must lie in
     [1..]{!Trace.max_n}; unknown line keys and non-integral or
-    out-of-range JSON integers are errors. Two control verbs: [stats]
+    out-of-range JSON integers are errors, as is JSON nested deeper
+    than {!Tdo_util.Json.parse} accepts. Two control verbs: [stats]
     answers with a one-line run summary, [quit] ends the session.
     Every request gets one response line, written when the core reaches
     its outcome:
@@ -32,7 +33,10 @@
     - [shed id=.. reason=rate_limited|load_shed] (admission drop)
     - [rejected id=..] (hard queue bound)
     - [err id=.. msg=..] (unknown kernel, compile or device error; a
-      line that does not parse is answered [err id=0])
+      line that does not parse is answered [err id=0], and so is a line
+      longer than 64 KiB, once, with a message naming the cap and
+      without its text; its bytes are dropped up to the next newline
+      and the lines after it are served)
 
     {b Clocks.} Arrivals are wall time; service is the fleet's
     {e simulated} service time, since the fleet is emulated. The core

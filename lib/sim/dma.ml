@@ -1,9 +1,7 @@
-type config = { setup_ps : Time_base.ps }
-
-let default_config = { setup_ps = 100 * Time_base.ps_per_ns }
+(* Descriptor setup, paid once per transfer. *)
+let setup_ps = 100 * Time_base.ps_per_ns
 
 type t = {
-  config : config;
   bus : Bus.t;
   memory : Memory.t;
   mutable bytes_read : int;
@@ -11,52 +9,15 @@ type t = {
   mutable transfers : int;
 }
 
-let create ?(config = default_config) ~bus ~memory () =
-  { config; bus; memory; bytes_read = 0; bytes_written = 0; transfers = 0 }
+let create ~bus ~memory () = { bus; memory; bytes_read = 0; bytes_written = 0; transfers = 0 }
 
-let latency t ~bytes =
-  t.config.setup_ps
-  + Bus.transfer t.bus ~master:"cim-dma" ~bytes
-  + Memory.burst_latency t.memory ~bytes
+let latency t ~bytes = setup_ps + Bus.transfer t.bus ~bytes + Memory.burst_latency t.memory ~bytes
 
 let read t ~addr ~bytes =
   let data = Memory.read_bytes t.memory addr bytes in
   t.bytes_read <- t.bytes_read + bytes;
   t.transfers <- t.transfers + 1;
   (data, latency t ~bytes)
-
-let write t ~addr data =
-  Memory.write_bytes t.memory addr data;
-  let bytes = Bytes.length data in
-  t.bytes_written <- t.bytes_written + bytes;
-  t.transfers <- t.transfers + 1;
-  latency t ~bytes
-
-let read_strided t ~addr ~row_bytes ~rows ~stride_bytes =
-  if row_bytes < 0 || rows < 0 || stride_bytes < 0 then
-    invalid_arg "Dma.read_strided: negative geometry";
-  let out = Bytes.create (rows * row_bytes) in
-  for r = 0 to rows - 1 do
-    let row = Memory.read_bytes t.memory (addr + (r * stride_bytes)) row_bytes in
-    Bytes.blit row 0 out (r * row_bytes) row_bytes
-  done;
-  let bytes = rows * row_bytes in
-  t.bytes_read <- t.bytes_read + bytes;
-  t.transfers <- t.transfers + 1;
-  (out, latency t ~bytes)
-
-let write_strided t ~addr ~row_bytes ~stride_bytes data =
-  if row_bytes <= 0 then invalid_arg "Dma.write_strided: row size must be positive";
-  let len = Bytes.length data in
-  if len mod row_bytes <> 0 then
-    invalid_arg "Dma.write_strided: buffer is not a whole number of rows";
-  let rows = len / row_bytes in
-  for r = 0 to rows - 1 do
-    Memory.write_bytes t.memory (addr + (r * stride_bytes)) (Bytes.sub data (r * row_bytes) row_bytes)
-  done;
-  t.bytes_written <- t.bytes_written + len;
-  t.transfers <- t.transfers + 1;
-  latency t ~bytes:len
 
 let charge t ~bytes =
   if bytes < 0 then invalid_arg "Dma.charge: negative size";

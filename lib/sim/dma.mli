@@ -3,42 +3,26 @@
     Moves data between shared main memory and the accelerator's local
     buffers. All accesses are {e uncacheable} — they bypass the host
     cache hierarchy and go straight over the system bus to memory, which
-    is how the paper's accelerator keeps the shared region coherent. *)
+    is how the paper's accelerator keeps the shared region coherent.
 
-type config = { setup_ps : Time_base.ps }
-
-val default_config : config
-(** 100 ns descriptor setup per transfer. *)
+    One descriptor costs a fixed 100 ns setup plus the bus and DRAM
+    burst latencies of its payload. However a descriptor's bytes are
+    laid out in memory (a strided gather included), it is charged as
+    one burst of its total size. *)
 
 type t
 
-val create : ?config:config -> bus:Bus.t -> memory:Memory.t -> unit -> t
+val create : bus:Bus.t -> memory:Memory.t -> unit -> t
 
 val read : t -> addr:int -> bytes:int -> Bytes.t * Time_base.ps
-(** Fetch [bytes] from shared memory; returns the data and the
-    transfer latency (setup + bus + DRAM burst). *)
-
-val write : t -> addr:int -> Bytes.t -> Time_base.ps
-(** Store a buffer to shared memory; returns the latency. *)
-
-val read_strided :
-  t -> addr:int -> row_bytes:int -> rows:int -> stride_bytes:int -> Bytes.t * Time_base.ps
-(** Gather [rows] segments of [row_bytes] starting every [stride_bytes];
-    the result is the packed concatenation. One descriptor: the latency
-    is that of a single burst of [rows * row_bytes]. Used for matrix
-    tiles and strided vectors (matrix columns). *)
-
-val write_strided :
-  t -> addr:int -> row_bytes:int -> stride_bytes:int -> Bytes.t -> Time_base.ps
-(** Scatter the packed buffer as rows of [row_bytes] every
-    [stride_bytes]. The buffer length must be a multiple of
-    [row_bytes]. *)
+(** Fetch [bytes] from shared memory in one descriptor; returns the
+    data and the transfer latency (setup + bus + DRAM burst). *)
 
 val charge : t -> bytes:int -> Time_base.ps
 (** Account one descriptor moving [bytes] (bus + DRAM timing and
-    traffic counters) without touching data — used by scatter/gather
-    style engine operations whose functional effect is performed
-    element-wise by the caller. *)
+    traffic counters) without touching data: the engine performs the
+    functional side itself, through {!memory}'s bulk or element
+    accessors. Raises [Invalid_argument] on a negative size. *)
 
 val charge_write : t -> bytes:int -> Time_base.ps
 (** Like {!charge} but counts the traffic as written rather than
@@ -46,9 +30,10 @@ val charge_write : t -> bytes:int -> Time_base.ps
 
 val memory : t -> Memory.t
 (** The shared memory this engine moves data to and from — for callers
-    that perform the functional side of a transfer element-wise and use
+    that perform the functional side of a transfer themselves and use
     {!charge}/{!charge_write} for the timing side. *)
 
 val bytes_read : t -> int
 val bytes_written : t -> int
 val transfers : t -> int
+(** Descriptors issued. *)

@@ -13,40 +13,39 @@ let default_config =
 
 let chunk_bits = 16
 let chunk_size = 1 lsl chunk_bits
+let offset_mask = chunk_size - 1
 
-(* Direct-mapped chunk cache: a kernel like GEMM streams three arrays
-   at once, and with a single cached chunk the A/B/C accesses evict
-   each other every instruction, sending almost everything down the
-   allocating slow path. Eight slots keep every active region's chunk
-   resident at a cost of one extra indexed load on the fast path. *)
-let slot_bits = 3
-let slots = 1 lsl slot_bits
-let slot_mask = slots - 1
+(* Chunks are found through a two-level table: a directory of leaves,
+   each leaf [leaf_slots] chunk slots, indexed by the chunk number's
+   high and low bits. The directory is allocated at [create] (128 words
+   for 2 GB); a leaf and a chunk are allocated when a write first
+   touches them. Every untouched slot holds [no_chunk], one shared
+   chunk of zeros that is never written, so reads of untouched memory
+   read zeros and allocate nothing, and every untouched directory entry
+   holds [empty_leaf], one shared leaf that is never written. A flat
+   table would cost a word per chunk below the highest one touched, and
+   the device region starts at chunk 12,288. *)
+let leaf_bits = 8
+let leaf_slots = 1 lsl leaf_bits
+let leaf_mask = leaf_slots - 1
+let no_chunk = Bytes.make chunk_size '\000'
+let empty_leaf = Array.make leaf_slots no_chunk
 
 type t = {
   config : config;
   limit : int;  (** [config.size_bytes], one field load on the fast path *)
-  chunks : (int, Bytes.t) Hashtbl.t;
-  mutable reads : int;
-  mutable writes : int;
-  slot_idx : int array;  (** chunk index cached in each slot, -1 when empty *)
-  slot_chunk : Bytes.t array;
+  directory : Bytes.t array array;
   mutable last_bytes : int;  (** size of the last burst priced, -1 before the first *)
   mutable last_ps : Time_base.ps;  (** its latency *)
 }
 
-let no_chunk = Bytes.create 0
-
 let create ?(config = default_config) () =
   if config.size_bytes <= 0 then invalid_arg "Memory.create: size must be positive";
+  let chunks = ((config.size_bytes - 1) lsr chunk_bits) + 1 in
   {
     config;
     limit = config.size_bytes;
-    chunks = Hashtbl.create 64;
-    reads = 0;
-    writes = 0;
-    slot_idx = Array.make slots (-1);
-    slot_chunk = Array.make slots no_chunk;
+    directory = Array.make (((chunks - 1) lsr leaf_bits) + 1) empty_leaf;
     last_bytes = -1;
     last_ps = 0;
   }
@@ -54,52 +53,51 @@ let create ?(config = default_config) () =
 let config t = t.config
 
 let check_range t addr len =
-  if addr < 0 || len < 0 || addr + len > t.config.size_bytes then
+  if addr < 0 || len < 0 || addr + len > t.limit then
     invalid_arg (Printf.sprintf "Memory: access [%d, %d) out of range" addr (addr + len))
 
+(* Both lookups take the chunk number of an address inside memory.
+   [stored] is the read side: the chunk, or [no_chunk] if nothing was
+   written to it. [chunk] is the write side: it allocates the chunk,
+   and its leaf, on first touch. *)
+
+let[@inline always] stored t idx =
+  Array.unsafe_get (Array.unsafe_get t.directory (idx lsr leaf_bits)) (idx land leaf_mask)
+
 let chunk t idx =
-  let slot = idx land slot_mask in
-  if Array.unsafe_get t.slot_idx slot = idx then Array.unsafe_get t.slot_chunk slot
-  else
-    let c =
-      match Hashtbl.find t.chunks idx with
-      | c -> c
-      | exception Not_found ->
-          let c = Bytes.make chunk_size '\000' in
-          Hashtbl.add t.chunks idx c;
-          c
-    in
-    Array.unsafe_set t.slot_idx slot idx;
-    Array.unsafe_set t.slot_chunk slot c;
+  let c = stored t idx in
+  if c != no_chunk then c
+  else begin
+    let d = idx lsr leaf_bits in
+    if Array.unsafe_get t.directory d == empty_leaf then
+      Array.unsafe_set t.directory d (Array.make leaf_slots no_chunk);
+    let c = Bytes.make chunk_size '\000' in
+    Array.unsafe_set (Array.unsafe_get t.directory d) (idx land leaf_mask) c;
     c
+  end
 
 let read_u8 t addr =
   check_range t addr 1;
-  t.reads <- t.reads + 1;
-  Char.code (Bytes.get (chunk t (addr lsr chunk_bits)) (addr land (chunk_size - 1)))
+  Char.code (Bytes.get (stored t (addr lsr chunk_bits)) (addr land offset_mask))
 
 let write_u8 t addr v =
   check_range t addr 1;
   if v < 0 || v > 255 then invalid_arg "Memory.write_u8: byte out of range";
-  t.writes <- t.writes + 1;
-  Bytes.set (chunk t (addr lsr chunk_bits)) (addr land (chunk_size - 1)) (Char.chr v)
+  Bytes.set (chunk t (addr lsr chunk_bits)) (addr land offset_mask) (Char.chr v)
 
-let offset_mask = chunk_size - 1
-
-(* Bulk transfers check their whole range once, bump the counters by
-   the bytes they move, and then work one chunk segment at a time: the
-   part of the range that lies inside one 64 KB chunk. *)
+(* Bulk transfers check their whole range once and then work one chunk
+   segment at a time: the part of the range that lies inside one 64 KB
+   chunk. *)
 
 let[@inline always] segment_bytes a left = Int.min left (chunk_size - (a land offset_mask))
 
-(* Unchecked and uncounted: bytes [addr, addr + len) to [buf] at [pos],
-   and back. *)
+(* Unchecked: bytes [addr, addr + len) to [buf] at [pos], and back. *)
 let blit_out t addr buf pos len =
   let moved = ref 0 in
   while !moved < len do
     let a = addr + !moved in
     let n = segment_bytes a (len - !moved) in
-    Bytes.blit (chunk t (a lsr chunk_bits)) (a land offset_mask) buf (pos + !moved) n;
+    Bytes.blit (stored t (a lsr chunk_bits)) (a land offset_mask) buf (pos + !moved) n;
     moved := !moved + n
   done
 
@@ -114,7 +112,6 @@ let blit_in t buf pos addr len =
 
 let read_bytes t addr len =
   check_range t addr len;
-  t.reads <- t.reads + len;
   let out = Bytes.create len in
   blit_out t addr out 0 len;
   out
@@ -122,20 +119,17 @@ let read_bytes t addr len =
 let write_bytes t addr data =
   let len = Bytes.length data in
   check_range t addr len;
-  t.writes <- t.writes + len;
   blit_in t data 0 addr len
 
 let copy t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;
   if len > 0 && src < dst + len && dst < src + len then invalid_arg "Memory.copy: ranges overlap";
-  t.reads <- t.reads + len;
-  t.writes <- t.writes + len;
   let pos = ref 0 in
   while !pos < len do
     let s = src + !pos and d = dst + !pos in
     let n = segment_bytes d (segment_bytes s (len - !pos)) in
-    let from = chunk t (s lsr chunk_bits) in
+    let from = stored t (s lsr chunk_bits) in
     Bytes.blit from (s land offset_mask) (chunk t (d lsr chunk_bits)) (d land offset_mask) n;
     pos := !pos + n
   done
@@ -146,7 +140,6 @@ let check_slice name (a : float array) pos len =
 let write_f32s t addr src ~pos ~len =
   check_slice "Memory.write_f32s" src pos len;
   check_range t addr (4 * len);
-  t.writes <- t.writes + (4 * len);
   let i = ref 0 in
   while !i < len do
     let a = addr + (4 * !i) in
@@ -170,7 +163,6 @@ let write_f32s t addr src ~pos ~len =
 let read_f32s t addr dst ~pos ~len =
   check_slice "Memory.read_f32s" dst pos len;
   check_range t addr (4 * len);
-  t.reads <- t.reads + (4 * len);
   let i = ref 0 in
   while !i < len do
     let a = addr + (4 * !i) in
@@ -182,7 +174,7 @@ let read_f32s t addr dst ~pos ~len =
       incr i
     end
     else begin
-      let c = chunk t (a lsr chunk_bits) and off = a land offset_mask and into = pos + !i in
+      let c = stored t (a lsr chunk_bits) and off = a land offset_mask and into = pos + !i in
       for k = 0 to n - 1 do
         Array.unsafe_set dst (into + k) (Int32.float_of_bits (Bytes.get_int32_le c (off + (4 * k))))
       done;
@@ -198,8 +190,7 @@ let read_i32 t addr =
   let off = addr land offset_mask in
   if off <= chunk_size - 4 then begin
     check_range t addr 4;
-    t.reads <- t.reads + 4;
-    Bytes.get_int32_le (chunk t (addr lsr chunk_bits)) off
+    Bytes.get_int32_le (stored t (addr lsr chunk_bits)) off
   end
   else
     let b = read_bytes t addr 4 in
@@ -209,7 +200,6 @@ let write_i32 t addr v =
   let off = addr land offset_mask in
   if off <= chunk_size - 4 then begin
     check_range t addr 4;
-    t.writes <- t.writes + 4;
     Bytes.set_int32_le (chunk t (addr lsr chunk_bits)) off v
   end
   else begin
@@ -219,43 +209,30 @@ let write_i32 t addr v =
   end
 
 (* The f32 accessors are the executor's hottest operations. The slow
-   path funnels through the i32 accessors (chunk lookup, range errors,
-   sub-word split); the fast path below hits when the access lands in
-   the cached chunk, and is written as one composed expression so the
-   intermediate int32 never materialises — inlined at the call site,
-   neither does the float, making streaming f32 access allocation-free. *)
+   path funnels through the i32 accessors (range errors, first touch,
+   sub-word split). The fast path takes every in-range access that
+   stays inside one chunk: a read reads the stored chunk, [no_chunk]'s
+   zeros included, and a write takes it when the chunk exists. Each is
+   written as one composed expression so the intermediate int32 never
+   materialises — inlined at the call site, neither does the float,
+   making streaming f32 access allocation-free. *)
 
 let read_f32_slow t addr = Int32.float_of_bits (read_i32 t addr)
 
 let[@inline always] read_f32 t addr =
   let off = addr land offset_mask in
-  let idx = addr lsr chunk_bits in
-  let slot = idx land slot_mask in
-  if
-    Array.unsafe_get t.slot_idx slot = idx
-    && off <= chunk_size - 4
-    && addr >= 0
-    && addr + 4 <= t.limit
-  then begin
-    t.reads <- t.reads + 4;
-    Int32.float_of_bits (Bytes.get_int32_le (Array.unsafe_get t.slot_chunk slot) off)
-  end
+  if addr >= 0 && addr + 4 <= t.limit && off <= chunk_size - 4 then
+    Int32.float_of_bits (Bytes.get_int32_le (stored t (addr lsr chunk_bits)) off)
   else read_f32_slow t addr
 
 let write_f32_slow t addr v = write_i32 t addr (Int32.bits_of_float v)
 
 let[@inline always] write_f32 t addr v =
   let off = addr land offset_mask in
-  let idx = addr lsr chunk_bits in
-  let slot = idx land slot_mask in
-  if
-    Array.unsafe_get t.slot_idx slot = idx
-    && off <= chunk_size - 4
-    && addr >= 0
-    && addr + 4 <= t.limit
-  then begin
-    t.writes <- t.writes + 4;
-    Bytes.set_int32_le (Array.unsafe_get t.slot_chunk slot) off (Int32.bits_of_float v)
+  if addr >= 0 && addr + 4 <= t.limit && off <= chunk_size - 4 then begin
+    let c = stored t (addr lsr chunk_bits) in
+    if c != no_chunk then Bytes.set_int32_le c off (Int32.bits_of_float v)
+    else write_f32_slow t addr v
   end
   else write_f32_slow t addr v
 
@@ -271,6 +248,3 @@ let burst_latency t ~bytes =
       + int_of_float (Float.round (float_of_int bytes /. t.config.bytes_per_ps))
   end;
   t.last_ps
-
-let reads t = t.reads
-let writes t = t.writes

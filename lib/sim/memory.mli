@@ -1,9 +1,12 @@
 (** Physical main memory (the 2 GB LPDDR3 of Table I).
 
-    Functionally a sparse byte-addressable array (allocated in chunks on
-    first touch); the timing side reports a fixed row-access latency
-    plus a bandwidth term per burst, which the caches and the DMA engine
-    incorporate into their own latencies.
+    Functionally a sparse byte-addressable array: 64 KB chunks, found
+    through a two-level table and allocated when a write first touches
+    them. Untouched memory reads as zeros and costs nothing. The timing
+    side reports a fixed row-access latency plus a bandwidth term per
+    burst, which the caches and the DMA engine incorporate into their
+    own latencies. Memory counts no accesses: the caches and the DMA
+    engine count their own traffic.
 
     Single-precision floats are stored as IEEE-754 binary32, matching
     the 4-byte operands the paper's kernels use. *)
@@ -44,9 +47,8 @@ val write_bytes : t -> int -> Bytes.t -> unit
 (** {2 Bulk transfers}
 
     Each checks its whole range once, before it moves anything, and
-    then works one 64 KB chunk segment at a time. The data and the
-    {!reads}/{!writes} counters end exactly as after the same transfer
-    made one element at a time. *)
+    then works one 64 KB chunk segment at a time. The data end exactly
+    as after the same transfer made one element at a time. *)
 
 val write_f32s : t -> int -> float array -> pos:int -> len:int -> unit
 (** [write_f32s t addr src ~pos ~len] stores [src.(pos) .. src.(pos + len - 1)]
@@ -59,8 +61,7 @@ val read_f32s : t -> int -> float array -> pos:int -> len:int -> unit
     [addr], [addr + 4], ... into [dst.(pos) ..], as {!read_f32} would. *)
 
 val copy : t -> src:int -> dst:int -> len:int -> unit
-(** Copies [len] bytes from [src] to [dst]; counts them as read and
-    written. Raises [Invalid_argument] when either range is outside
+(** Copies [len] bytes from [src] to [dst]. Raises [Invalid_argument] when either range is outside
     memory or the two overlap. *)
 
 val burst_latency : t -> bytes:int -> Time_base.ps
@@ -68,11 +69,4 @@ val burst_latency : t -> bytes:int -> Time_base.ps
     rounded to the nearest picosecond. The last size priced and its
     latency are reused while the size repeats, as every cache line
     burst does; the latency depends on the size alone, so the memo is
-    exact. Counts no bytes. Raises [Invalid_argument] on a negative
-    size. *)
-
-val reads : t -> int
-(** Total bytes read (functional accesses). *)
-
-val writes : t -> int
-(** Total bytes written. *)
+    exact. Raises [Invalid_argument] on a negative size. *)

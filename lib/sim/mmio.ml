@@ -2,9 +2,9 @@ type handler = { read : offset:int -> int32; write : offset:int -> int32 -> unit
 
 type mapping = { base : int; size : int; handler : handler }
 
-type t = { mutable mappings : mapping list; mutable reads : int; mutable writes : int }
+type t = { mutable mappings : mapping list }
 
-let create () = { mappings = []; reads = 0; writes = 0 }
+let create () = { mappings = [] }
 
 let overlaps a b = a.base < b.base + b.size && b.base < a.base + a.size
 
@@ -22,20 +22,10 @@ let rec find_in addr = function
   | [] -> failwith (Printf.sprintf "Mmio: unmapped address 0x%x" addr)
   | m :: rest -> if addr >= m.base && addr < m.base + m.size then m else find_in addr rest
 
-let find t addr = find_in addr t.mappings
-
 let read t ~addr =
-  let m = find t addr in
-  t.reads <- t.reads + 1;
+  let m = find_in addr t.mappings in
   m.handler.read ~offset:(addr - m.base)
 
 let write t ~addr v =
-  let m = find t addr in
-  t.writes <- t.writes + 1;
+  let m = find_in addr t.mappings in
   m.handler.write ~offset:(addr - m.base) v
-
-let reads t = t.reads
-let writes t = t.writes
-
-let mapped_ranges t =
-  List.map (fun m -> (m.base, m.size)) t.mappings |> List.sort compare

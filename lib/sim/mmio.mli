@@ -3,7 +3,8 @@
     Devices (the CIM accelerator's context-register file) register a
     handler for an address range; the CPU-side driver reads and writes
     32-bit words through it. This is the PMIO interface of Section
-    II-D. *)
+    II-D. The space counts no accesses; the host driver counts its own
+    register writes. *)
 
 type handler = {
   read : offset:int -> int32;
@@ -23,9 +24,4 @@ val read : t -> addr:int -> int32
 (** Raises [Failure] on an unmapped address. *)
 
 val write : t -> addr:int -> int32 -> unit
-
-val reads : t -> int
-val writes : t -> int
-
-val mapped_ranges : t -> (int * int) list
-(** [(base, size)] pairs, sorted by base. *)
+(** Raises [Failure] on an unmapped address. *)

@@ -8,6 +8,11 @@ type t =
 
 exception Fail of int * string
 
+(* Arrays and objects nest at most this deep. The parser recurses once
+   per level, so without a bound a line of a few megabytes of '['
+   takes seconds; no file the repo writes nests deeper than 4. *)
+let max_depth = 256
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -87,10 +92,12 @@ let parse s =
     | Some v -> v
     | None -> fail (Printf.sprintf "bad number %S" text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth = max_depth ->
+        fail (Printf.sprintf "nested deeper than %d" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -105,7 +112,7 @@ let parse s =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (key, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -126,7 +133,7 @@ let parse s =
         else begin
           let items = ref [] in
           let rec elements () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -144,7 +151,7 @@ let parse s =
     | Some _ -> Num (parse_number ())
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input";
     v

@@ -16,7 +16,8 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** [Error] carries the byte offset and a short description. *)
+(** [Error] carries the byte offset and a short description. Arrays
+    and objects nested more than 256 deep are an [Error]. *)
 
 val of_file : string -> (t, string) result
 (** {!parse} on a whole file; I/O errors become [Error]. *)

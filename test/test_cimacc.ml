@@ -7,7 +7,7 @@ module Prng = Tdo_util.Prng
 (* ---------- helpers: a minimal system ---------- *)
 
 type system = {
-  queue : Sim.Event_queue.t;
+  now : Sim.Time_base.ps ref;  (** the host clock the accelerator reads *)
   memory : Sim.Memory.t;
   bus : Sim.Bus.t;
   accel : Accel.t;
@@ -18,11 +18,11 @@ let small_xbar =
 
 let make_system ?(engine_config = { Micro_engine.default_config with Micro_engine.xbar = small_xbar })
     () =
-  let queue = Sim.Event_queue.create () in
+  let now = ref 0 in
   let memory = Sim.Memory.create () in
   let bus = Sim.Bus.create () in
-  let accel = Accel.create ~engine_config ~queue ~bus ~memory () in
-  { queue; memory; bus; accel }
+  let accel = Accel.create ~engine_config ~clock:(fun () -> !now) ~bus ~memory () in
+  { now; memory; bus; accel }
 
 let write_matrix memory ~addr ~ld m =
   Mat.iteri ~f:(fun i j v -> Sim.Memory.write_f32 memory (addr + (4 * ((i * ld) + j))) v) m
@@ -465,15 +465,24 @@ let test_accel_register_roundtrip () =
   wr Context_regs.reg_lda k;
   wr Context_regs.reg_ldb n;
   wr Context_regs.reg_ldc n;
+  (* the job starts at the host's time when the command is written *)
+  let start = 5_000_000 in
+  sys.now := start;
   wr Context_regs.reg_command 1;
-  Alcotest.(check bool) "busy after trigger" true (Accel.status sys.accel = Context_regs.Busy);
-  Sim.Event_queue.run_all sys.queue;
-  Alcotest.(check bool) "done after events drain" true
-    (Accel.status sys.accel = Context_regs.Done);
-  (match Accel.completion_time sys.accel with
-  | None -> Alcotest.fail "no completion time"
-  | Some finish -> Alcotest.(check int) "clock advanced to completion" finish
-      (Sim.Event_queue.now sys.queue));
+  let status_reg () =
+    Sim.Mmio.read mmio ~addr:(Accel.default_register_base + (4 * Context_regs.reg_status))
+  in
+  Alcotest.(check int32) "busy after trigger" 1l (status_reg ());
+  let busy_ps = (Micro_engine.counters (Accel.engine sys.accel)).Micro_engine.busy_ps in
+  (* the status does not flip by itself, even once the host is past
+     the finish *)
+  sys.now := start + busy_ps + 1;
+  Alcotest.(check int32) "busy until completed" 1l (status_reg ());
+  Alcotest.(check (option int)) "completes at start + busy time" (Some (start + busy_ps))
+    (Accel.complete sys.accel);
+  Alcotest.(check int32) "done after completion" 2l (status_reg ());
+  Alcotest.(check (option int)) "delivered once" None (Accel.complete sys.accel);
+  Alcotest.(check int32) "still done" 2l (status_reg ());
   let expected = Mat.create ~rows:m ~cols:n in
   Blas_ref.gemm ~alpha:1.0 ~beta:0.0 ~a ~b ~c:expected ();
   check_gemm_close ~what:"register-driven gemm" ~k ~a ~b ~expected sys
@@ -493,7 +502,14 @@ let test_accel_error_reported () =
   wr Context_regs.reg_ldc 8;
   wr Context_regs.reg_command 1;
   Alcotest.(check bool) "error status" true (Accel.status sys.accel = Context_regs.Error);
-  Alcotest.(check bool) "reason recorded" true (Accel.last_error sys.accel <> None)
+  Alcotest.(check bool) "reason recorded" true (Accel.last_error sys.accel <> None);
+  Alcotest.(check (option int)) "a rejected job never completes" None (Accel.complete sys.accel);
+  Alcotest.(check bool) "still the error status" true (Accel.status sys.accel = Context_regs.Error)
+
+let test_accel_complete_without_job () =
+  let sys = make_system () in
+  Alcotest.(check (option int)) "nothing triggered" None (Accel.complete sys.accel);
+  Alcotest.(check bool) "still idle" true (Accel.status sys.accel = Context_regs.Idle)
 
 let suites =
   [
@@ -530,6 +546,7 @@ let suites =
       [
         Alcotest.test_case "register roundtrip" `Quick test_accel_register_roundtrip;
         Alcotest.test_case "error reported" `Quick test_accel_error_reported;
+        Alcotest.test_case "complete without a job" `Quick test_accel_complete_without_job;
       ] );
   ]
 
@@ -742,29 +759,29 @@ let suites = suites @ [ multi_tile_suite; double_buffering_suite ]
    crossbar packed both planes' levels into one column-major array. *)
 let pinned_launch_rows =
   [
-    "pinA/ta=false/tb=false/ideal finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=c31858f430aec989a34540fd859bfa47";
-    "pinA/ta=false/tb=true/ideal finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=f2f18c716658fc4b8264af5cdfa6973a";
-    "pinA/ta=true/tb=false/ideal finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=dd62fed2d022b8cf3479843c371a81a3";
-    "pinA/ta=true/tb=true/ideal finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=579442583fbcd1adbecbd5f0386c2c66";
-    "pinB/ta=false/tb=false/ideal finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=557554054f00db7df1b6b4f2a6d2ba50";
-    "pinB/ta=false/tb=true/ideal finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=af0097647c7ff10790451b4458086406";
-    "pinB/ta=true/tb=false/ideal finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=dd932af8962af49af57e570b207c722b";
-    "pinB/ta=true/tb=true/ideal finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=20324bebbceb3c5f2c20783abacec4d1";
-    "pinA/ta=false/tb=false/noisy finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=6c206a812910446abc17d445646a4fe4";
-    "pinA/ta=false/tb=true/noisy finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=71b22900980c4d67a71cbcea09000f62";
-    "pinA/ta=true/tb=false/noisy finish=18034889,19877454 mem=756/280 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=2d0de84f309859e827121e9f748525c6";
-    "pinA/ta=true/tb=true/noisy finish=17238299,19109664 mem=756/280 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=b7a8a3c04ecaaecc0d05b4f485d8534f";
-    "pinB/ta=false/tb=false/noisy finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ac35cbd1d405149546134cad060fb24d";
-    "pinB/ta=false/tb=true/noisy finish=16874009,18361912 mem=708/280 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ffda09cf9edcb1fdaa1814bf2b663909";
-    "pinB/ta=true/tb=false/noisy finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=6b45f0d75c0fac519986c57318ecedb9";
-    "pinB/ta=true/tb=true/noisy finish=17400021,18868724 mem=708/280 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=bd11136d12156fabcbe0da4195dd5e0a";
+    "pinA/ta=false/tb=false/ideal finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=c31858f430aec989a34540fd859bfa47";
+    "pinA/ta=false/tb=true/ideal finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=f2f18c716658fc4b8264af5cdfa6973a";
+    "pinA/ta=true/tb=false/ideal finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=dd62fed2d022b8cf3479843c371a81a3";
+    "pinA/ta=true/tb=true/ideal finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=579442583fbcd1adbecbd5f0386c2c66";
+    "pinB/ta=false/tb=false/ideal finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=557554054f00db7df1b6b4f2a6d2ba50";
+    "pinB/ta=false/tb=true/ideal finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=af0097647c7ff10790451b4458086406";
+    "pinB/ta=true/tb=false/ideal finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=dd932af8962af49af57e570b207c722b";
+    "pinB/ta=true/tb=true/ideal finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=20324bebbceb3c5f2c20783abacec4d1";
+    "pinA/ta=false/tb=false/noisy finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=6c206a812910446abc17d445646a4fe4";
+    "pinA/ta=false/tb=true/noisy finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=71b22900980c4d67a71cbcea09000f62";
+    "pinA/ta=true/tb=false/noisy finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=2d0de84f309859e827121e9f748525c6";
+    "pinA/ta=true/tb=true/noisy finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=b7a8a3c04ecaaecc0d05b4f485d8534f";
+    "pinB/ta=false/tb=false/noisy finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ac35cbd1d405149546134cad060fb24d";
+    "pinB/ta=false/tb=true/noisy finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ffda09cf9edcb1fdaa1814bf2b663909";
+    "pinB/ta=true/tb=false/noisy finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=6b45f0d75c0fac519986c57318ecedb9";
+    "pinB/ta=true/tb=true/noisy finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=bd11136d12156fabcbe0da4195dd5e0a";
   ]
 
-(* One orientation's row: finish times, the bytes memory read and wrote
-   during the launches, DMA bytes read/written and descriptors, engine
-   jobs/streamed vectors/skipped programmings/busy time, crossbar cell
-   writes/GEMVs/MACs/buffer bytes, ADC samples/conversions, wear total
-   and peak, and a digest of C's bits, padding columns included. *)
+(* One orientation's row: finish times, DMA bytes read/written and
+   descriptors, engine jobs/streamed vectors/skipped programmings/busy
+   time, crossbar cell writes/GEMVs/MACs/buffer bytes, ADC
+   samples/conversions, wear total and peak, and a digest of C's bits,
+   padding columns included. *)
 let launch_row ~pin ~trans_a ~trans_b ~noise =
   let xbar = { small_xbar with Tdo_pcm.Crossbar.noise_sigma = noise } in
   let sys = make_system ~engine_config:{ Micro_engine.default_config with Micro_engine.xbar } () in
@@ -783,7 +800,6 @@ let launch_row ~pin ~trans_a ~trans_b ~noise =
   write_matrix sys.memory ~addr:b_addr ~ld:ldb b;
   write_matrix sys.memory ~addr:c_addr ~ld:ldc c0;
   let engine = Accel.engine sys.accel in
-  let reads0 = Sim.Memory.reads sys.memory and writes0 = Sim.Memory.writes sys.memory in
   let job =
     { (base_job ~m ~n ~k) with
       Context_regs.trans_a; trans_b; lda; ldb; ldc; alpha = 1.25; beta = 0.5;
@@ -801,14 +817,12 @@ let launch_row ~pin ~trans_a ~trans_b ~noise =
   let adc = Tdo_pcm.Crossbar.adc xb in
   let out = read_matrix sys.memory ~addr:c_addr ~ld:ldc ~rows:m ~cols:ldc in
   Printf.sprintf
-    "pin%s/ta=%b/tb=%b/%s finish=%d,%d mem=%d/%d dma=%d/%d/%d eng=%d,%d,%d,%d \
+    "pin%s/ta=%b/tb=%b/%s finish=%d,%d dma=%d/%d/%d eng=%d,%d,%d,%d \
      xbar=%d,%d,%d,%d,%d adc=%d/%d wear=%d/%d out=%s"
     (if pin then "A" else "B")
     trans_a trans_b
     (if noise = None then "ideal" else "noisy")
     first second
-    (Sim.Memory.reads sys.memory - reads0)
-    (Sim.Memory.writes sys.memory - writes0)
     (Sim.Dma.bytes_read dma) (Sim.Dma.bytes_written dma) (Sim.Dma.transfers dma)
     e.Micro_engine.jobs e.Micro_engine.streamed_vectors e.Micro_engine.programming_skipped
     e.Micro_engine.busy_ps x.Tdo_pcm.Crossbar.cell_writes x.Tdo_pcm.Crossbar.gemv_ops

@@ -1,5 +1,6 @@
-(* Performance-engineering suites: the event-queue heap, the
-   single-scan cache victim selection, the domain pool, and the golden
+(* Performance-engineering suites: the single-scan cache victim
+   selection, allocation pins on the access path, the domain pool, and
+   the golden
    determinism guarantee (parallel experiment fan-out bit-identical to
    a sequential run). *)
 
@@ -7,86 +8,6 @@ open Tdo_sim
 module Pool = Tdo_util.Pool
 module E = Tdo_cim.Experiments
 module Dataset = Tdo_polybench.Dataset
-
-(* ---------- event-queue heap ---------- *)
-
-let test_run_until_drained_early () =
-  let q = Event_queue.create () in
-  let ran = ref 0 in
-  Event_queue.schedule q ~delay:10 ~name:"only" (fun () -> incr ran);
-  Event_queue.run_until q ~time:100;
-  Alcotest.(check int) "event ran" 1 !ran;
-  Alcotest.(check int) "clock lands on the target, not the last event" 100 (Event_queue.now q);
-  (* an empty queue still advances *)
-  Event_queue.run_until q ~time:250;
-  Alcotest.(check int) "empty queue advances too" 250 (Event_queue.now q)
-
-let test_run_until_past_rejected () =
-  let q = Event_queue.create () in
-  Event_queue.advance_to q ~time:100;
-  Alcotest.(check bool) "past target raises" true
-    (try
-       Event_queue.run_until q ~time:50;
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check int) "clock untouched on failure" 100 (Event_queue.now q)
-
-let test_schedule_past_names_event () =
-  let q = Event_queue.create () in
-  Event_queue.advance_to q ~time:100;
-  let msg =
-    try
-      Event_queue.schedule_at q ~time:5 ~name:"tardy-dma" (fun () -> ());
-      ""
-    with Invalid_argument m -> m
-  in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-    scan 0
-  in
-  Alcotest.(check bool) "error names the event" true (contains msg "tardy-dma")
-
-(* Heap order: execution order is exactly the (time, seq) sort — a
-   stable sort of the schedule order by time. *)
-let qcheck_heap_pop_order =
-  QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 40) (int_bound 50))
-    (fun times ->
-      let q = Event_queue.create () in
-      let order = ref [] in
-      List.iteri
-        (fun i t ->
-          Event_queue.schedule_at q ~time:t ~name:(string_of_int i) (fun () ->
-              order := (t, i) :: !order))
-        times;
-      Event_queue.run_all q;
-      let got = List.rev !order in
-      let expected =
-        List.stable_sort
-          (fun (t1, _) (t2, _) -> compare t1 t2)
-          (List.mapi (fun i t -> (t, i)) times)
-      in
-      got = expected)
-
-let qcheck_heap_invariants =
-  QCheck.Test.make ~name:"pending + executed invariants" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 40) (int_bound 50))
-    (fun times ->
-      let q = Event_queue.create () in
-      List.iteri
-        (fun i t -> Event_queue.schedule_at q ~time:t ~name:(string_of_int i) ignore)
-        times;
-      let n = List.length times in
-      let ok_before = Event_queue.pending q = n && Event_queue.executed q = 0 in
-      (* drain halfway, then fully *)
-      Event_queue.run_until q ~time:25;
-      let ok_mid = Event_queue.pending q + Event_queue.executed q = n in
-      Event_queue.run_all q;
-      ok_before && ok_mid
-      && Event_queue.pending q = 0
-      && Event_queue.executed q = n
-      && not (Event_queue.run_next q))
 
 (* ---------- cache victim selection ---------- *)
 
@@ -196,13 +117,30 @@ let test_miss_chain_allocates_nothing () =
 
 let test_bus_transfer_allocates_nothing () =
   let b = Bus.create () in
-  ignore (Bus.transfer b ~master:"cpu" ~bytes:64);
-  ignore (Bus.transfer b ~master:"cim-dma" ~bytes:64);
+  ignore (Bus.transfer b ~bytes:64);
   check_words "10,000 transfers" ~below:1.0
     (minor_words_of (fun () ->
          for i = 1 to 10_000 do
-           ignore (Bus.transfer b ~master:(if i land 1 = 0 then "cpu" else "cim-dma") ~bytes:64)
+           ignore (Bus.transfer b ~bytes:(if i land 1 = 0 then 64 else 12))
          done))
+
+(* f32 accesses that alternate between two written chunks, 256 and
+   264, which a cache of 8 chunks indexed by the chunk number's low
+   bits would map to one slot: every access finds its chunk in the
+   table without allocating. *)
+let test_chunk_alternation_allocates_nothing () =
+  let m = Memory.create () in
+  let a = 256 * 65536 and b = 264 * 65536 in
+  Memory.write_f32 m a 1.0;
+  Memory.write_f32 m b 2.0;
+  check_words "20,000 f32 accesses over chunks 256 and 264" ~below:1.0
+    (minor_words_of (fun () ->
+         for i = 0 to 9_999 do
+           let off = 4 * (i land 1023) in
+           Memory.write_f32 m (a + off) (Memory.read_f32 m (b + off) +. 1.0)
+         done));
+  Alcotest.(check (float 0.0)) "written from chunk 264's first word" 3.0 (Memory.read_f32 m a);
+  Alcotest.(check (float 0.0)) "written from an untouched word" 1.0 (Memory.read_f32 m (a + 4))
 
 (* A host-only run charges its loads and stores without allocating:
    on a warmed platform, a [Flow.o3] build runs for the same minor
@@ -402,14 +340,6 @@ let test_fig5_parallel_matches_sequential () =
 
 let suites =
   [
-    ( "perf.event_heap",
-      [
-        Alcotest.test_case "run_until drains early" `Quick test_run_until_drained_early;
-        Alcotest.test_case "run_until rejects past" `Quick test_run_until_past_rejected;
-        Alcotest.test_case "schedule error names event" `Quick test_schedule_past_names_event;
-        QCheck_alcotest.to_alcotest qcheck_heap_pop_order;
-        QCheck_alcotest.to_alcotest qcheck_heap_invariants;
-      ] );
     ( "perf.cache_victim",
       [
         Alcotest.test_case "invalid ways first" `Quick test_cache_fills_invalid_ways_first;
@@ -421,6 +351,7 @@ let suites =
         Alcotest.test_case "issue_run" `Quick test_issue_run_allocates_nothing;
         Alcotest.test_case "miss chain and flush" `Quick test_miss_chain_allocates_nothing;
         Alcotest.test_case "bus transfer" `Quick test_bus_transfer_allocates_nothing;
+        Alcotest.test_case "chunk alternation" `Quick test_chunk_alternation_allocates_nothing;
         Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
         Alcotest.test_case "offloaded runs" `Quick test_offloaded_run_allocation_is_per_launch;
       ] );

@@ -524,57 +524,82 @@ let test_driver_flush_charges_instructions () =
   (* the 2 MB L2 alone is 32768 lines x 2 instructions *)
   Alcotest.(check bool) "set/way walk dominates the launch cost" true (spent > 60_000)
 
-let test_wait_policy_energy () =
-  (* spinning burns instructions; event-waiting doesn't *)
-  let run policy =
-    let p = make_platform () in
-    let driver_config = { Driver.default_config with Driver.wait_policy = policy } in
-    let d = Driver.create ~config:driver_config p in
-    (* stage a tiny gemm via raw memory writes *)
-    let g = Prng.create ~seed:77 in
-    let m = Mat.random g ~rows:8 ~cols:8 ~lo:(-1.0) ~hi:1.0 in
-    Mat.iteri
-      ~f:(fun i j v ->
-        Sim.Memory.write_f32 p.Platform.memory (0x3000_0000 + (4 * ((i * 8) + j))) v;
-        Sim.Memory.write_f32 p.Platform.memory (0x3000_1000 + (4 * ((i * 8) + j))) v)
-      m;
-    Driver.launch d
-      {
-        Regs.op = Regs.Gemm;
-        m = 8;
-        n = 8;
-        k = 8;
-        trans_a = false;
-        trans_b = false;
-        alpha = 1.0;
-        beta = 0.0;
-        a_addr = 0x3000_0000;
-        b_addr = 0x3000_1000;
-        c_addr = 0x3000_2000;
-        lda = 8;
-        ldb = 8;
-        ldc = 8;
-        batch_count = 0;
-        batch_desc_addr = 0;
-        pin = Regs.Pin_a;
-        generation = 0;
-      };
-    let before = Sim.Cpu.instructions (Platform.cpu p) in
-    (match Driver.await d with Ok () -> () | Error e -> Alcotest.failf "await: %s" e);
-    ( Sim.Cpu.instructions (Platform.cpu p) - before,
-      Driver.wait_stall_ps d,
-      Sim.Cpu.time_ps (Platform.cpu p) )
+(* An 8x8x8 gemm on operands staged by raw memory writes, launched
+   through the driver. *)
+let launch_small_gemm p d =
+  let g = Prng.create ~seed:77 in
+  let m = Mat.random g ~rows:8 ~cols:8 ~lo:(-1.0) ~hi:1.0 in
+  Mat.iteri
+    ~f:(fun i j v ->
+      Sim.Memory.write_f32 p.Platform.memory (0x3000_0000 + (4 * ((i * 8) + j))) v;
+      Sim.Memory.write_f32 p.Platform.memory (0x3000_1000 + (4 * ((i * 8) + j))) v)
+    m;
+  Driver.launch d
+    {
+      Regs.op = Regs.Gemm;
+      m = 8;
+      n = 8;
+      k = 8;
+      trans_a = false;
+      trans_b = false;
+      alpha = 1.0;
+      beta = 0.0;
+      a_addr = 0x3000_0000;
+      b_addr = 0x3000_1000;
+      c_addr = 0x3000_2000;
+      lda = 8;
+      ldb = 8;
+      ldc = 8;
+      batch_count = 0;
+      batch_desc_addr = 0;
+      pin = Regs.Pin_a;
+      generation = 0;
+    }
+
+(* The host spins on the status register for the whole job: the job
+   starts at the host's time when the command is written and runs for
+   the engine's busy time, and each poll is 8 instructions plus a 20 ns
+   uncached status read at 1.2 GHz. *)
+let test_spin_wait_charges () =
+  let p = make_platform () in
+  let d = Driver.create p in
+  let cpu = Platform.cpu p in
+  launch_small_gemm p d;
+  let trigger = Sim.Cpu.time_ps cpu and instructions = Sim.Cpu.instructions cpu in
+  let busy_ps =
+    (Tdo_cimacc.Micro_engine.counters (Tdo_cimacc.Accel.engine p.Platform.accel))
+      .Tdo_cimacc.Micro_engine.busy_ps
   in
-  let spin_insts, spin_wait, spin_time = run Driver.Spin in
-  let event_insts, event_wait, event_time = run Driver.Event in
-  Alcotest.(check bool) "spin burns instructions" true (spin_insts > 10 * event_insts);
-  Alcotest.(check bool) "both waited comparable wall time" true
-    (abs (spin_wait - event_wait) < spin_wait / 2);
-  (* wall-clock must agree regardless of policy: spinning may not
-     double-count time *)
-  let drift = abs (spin_time - event_time) in
-  Alcotest.(check bool) "no double-counted time" true
-    (drift < event_time / 50)
+  let finish = trigger + busy_ps in
+  (match Driver.await d with Ok () -> () | Error e -> Alcotest.failf "await: %s" e);
+  let poll_ps = (8 * 833) + (20 * Sim.Time_base.ps_per_ns) in
+  let busy_poll = trigger + poll_ps in
+  Alcotest.(check bool) "the job outlasts a poll" true (finish > busy_poll + poll_ps);
+  Alcotest.(check int) "waited from the busy poll to the finish" (finish - busy_poll)
+    (Driver.wait_stall_ps d);
+  Alcotest.(check int) "one status read after the finish" (finish + poll_ps) (Sim.Cpu.time_ps cpu);
+  let iterations = (finish - busy_poll) / poll_ps in
+  Alcotest.(check int) "8 instructions per poll iteration, plus the two status reads"
+    (8 * (iterations + 2))
+    (Sim.Cpu.instructions cpu - instructions);
+  Alcotest.(check bool) "done" true (Tdo_cimacc.Accel.status p.Platform.accel = Regs.Done)
+
+let busy_without_job = Failure "Driver.await: device busy with no pending completion event"
+
+let test_await_without_job () =
+  let p = make_platform () in
+  let d = Driver.create p in
+  Alcotest.check_raises "from idle" busy_without_job (fun () -> ignore (Driver.await d));
+  launch_small_gemm p d;
+  (match Driver.await d with Ok () -> () | Error e -> Alcotest.failf "await: %s" e);
+  (* the status reads done, so a second wait returns at once *)
+  (match Driver.await d with Ok () -> () | Error e -> Alcotest.failf "second await: %s" e);
+  Alcotest.(check bool) "no completion left after the job" true
+    (Tdo_cimacc.Accel.complete p.Platform.accel = None);
+  (* back to idle with nothing running: the wait cannot end *)
+  Regs.set_status (Tdo_cimacc.Accel.regs p.Platform.accel) Regs.Idle;
+  Alcotest.check_raises "after a completed job" busy_without_job (fun () ->
+      ignore (Driver.await d))
 
 (* ---------- api edge cases ---------- *)
 
@@ -635,7 +660,8 @@ let runtime_details_suite =
         test_driver_launch_register_writes;
       Alcotest.test_case "flush charges instructions" `Quick
         test_driver_flush_charges_instructions;
-      Alcotest.test_case "spin vs event waiting" `Quick test_wait_policy_energy;
+      Alcotest.test_case "spin waiting charges" `Quick test_spin_wait_charges;
+      Alcotest.test_case "await with nothing running" `Quick test_await_without_job;
       Alcotest.test_case "view validation" `Quick test_api_view_validation;
       Alcotest.test_case "malloc exhaustion" `Quick test_api_malloc_exhaustion;
       Alcotest.test_case "strided sub-block views" `Quick test_api_strided_views;

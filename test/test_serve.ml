@@ -1354,6 +1354,39 @@ let test_frontend_pipe_roundtrip () =
       Alcotest.(check bool) "record-clock latency is positive" true (Telemetry.latency_ps r > 0))
     (Telemetry.records t)
 
+(* Hostile lines: one over the 64 KiB cap (a kernel name of 100,000
+   bytes, which an unknown-kernel error would echo) and a JSON request
+   nested 30,000 deep, under the cap. Each is answered with one short
+   [err id=0], and the request after each is served. *)
+let test_frontend_bounds_lines () =
+  let over_long = {|{"id": 1, "kernel": "|} ^ String.make 100_000 'x' ^ {|", "n": 8}|} in
+  let deep = {|{"id": 3, "kernel": |} ^ String.make 30_000 '[' ^ String.make 30_000 ']' ^ {|, "n": 8}|} in
+  let script =
+    [ over_long; "req id=2 kernel=gemm n=8"; deep; "req id=4 kernel=gemm n=8"; "quit" ]
+  in
+  let config =
+    { Scheduler.default_config with Scheduler.fleet = Some [ Backend.pcm ]; device_seed = 11 }
+  in
+  let _, stop, lines = frontend_session ~config [ script ] in
+  Alcotest.(check bool) "stopped on quit" true (stop = Frontend.Quit);
+  Alcotest.(check (list string)) "one error naming the cap"
+    [ "err id=0 msg=request line longer than 65536 bytes" ]
+    (List.filter (contains "longer than") lines);
+  Alcotest.(check int) "one error naming the nesting bound" 1
+    (List.length (List.filter (contains "nested deeper than 256") lines));
+  Alcotest.(check int) "two errors in all" 2
+    (List.length (List.filter (starts_with "err ") lines));
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (Printf.sprintf "a %d-byte response" (String.length l)) true
+        (String.length l < 200))
+    lines;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "request %d served" id) true
+        (List.exists (starts_with (Printf.sprintf "ok id=%d " id)) lines))
+    [ 2; 4 ]
+
 (* The acceptance property of the one-core design: a wall-clock session
    produces exactly the records [Scheduler.replay] produces for the same
    requests at the same arrival stamps. Three bursts a few milliseconds
@@ -1560,5 +1593,6 @@ let suites =
         Alcotest.test_case "wire protocol over a pipe" `Quick test_frontend_pipe_roundtrip;
         Alcotest.test_case "a session replays to the same records" `Quick
           test_frontend_session_replays;
+        Alcotest.test_case "over-long and deeply nested lines" `Quick test_frontend_bounds_lines;
       ] );
   ]

@@ -267,12 +267,37 @@ let test_bench_report_compare_missing_baseline () =
   | Ok _ -> Alcotest.fail "missing baseline accepted"
   | Error _ -> ()
 
+(* Arrays and objects nest at most 256 deep; a document nested 100,000
+   deep, well-formed but for that, is refused without walking it. *)
+let test_json_nesting_bounded () =
+  let nested ~depth ~opening ~closing ~leaf =
+    String.concat "" [ String.concat "" (List.init depth (fun _ -> opening)); leaf;
+                       String.make depth closing ]
+  in
+  let arrays depth = nested ~depth ~opening:"[" ~closing:']' ~leaf:"1" in
+  let objects depth = nested ~depth ~opening:"{\"k\":" ~closing:'}' ~leaf:"1" in
+  let accepted src = Result.is_ok (Json.parse src) in
+  Alcotest.(check bool) "256 arrays" true (accepted (arrays 256));
+  Alcotest.(check bool) "257 arrays" false (accepted (arrays 257));
+  Alcotest.(check bool) "256 objects" true (accepted (objects 256));
+  Alcotest.(check bool) "257 objects" false (accepted (objects 257));
+  let deep = arrays 100_000 in
+  let t0 = Unix.gettimeofday () in
+  let result = Json.parse deep in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match result with
+  | Ok _ -> Alcotest.fail "a 100,000-deep array was accepted"
+  | Error msg ->
+      Alcotest.(check string) "names the bound" "json: at byte 256: nested deeper than 256" msg);
+  Alcotest.(check bool) (Printf.sprintf "refused in %.4f s" elapsed) true (elapsed < 0.05)
+
 let json_suite =
   ( "util.json",
     [
       Alcotest.test_case "parse" `Quick test_json_parse;
       Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
       Alcotest.test_case "print/parse roundtrip" `Quick test_json_roundtrip;
+      Alcotest.test_case "nesting is bounded" `Quick test_json_nesting_bounded;
     ] )
 
 let bench_report_suite =
