@@ -61,12 +61,12 @@ serve-tune-db tune.serve.db.json:
 # golden-checked per compute class. Reports weight-write bytes per
 # 1000 requests for both runs and fails below a 5x pinned-vs-unpinned
 # reduction. --tiles 4 so a whole model's weights fit pinned on one
-# device. Wall-clock is regression-compared against the committed
-# report before it is overwritten; a --smoke variant of the graph run
-# runs under `dune runtest`.
+# device. Serving speed is judged by `make e2e-compare`, not by this
+# report's wall clock; a --smoke variant of the graph run runs under
+# `dune runtest`.
 graph-bench: tune.serve.db.json
 	dune build bin/serve.exe
-	./_build/default/bin/serve.exe --load --graph --fleet pcm:2,digital:2,dual:2 --tiles 4 --tune-db tune.serve.db.json --baseline BENCH_serve.json --out BENCH_serve.json
+	./_build/default/bin/serve.exe --load --graph --fleet pcm:2,digital:2,dual:2 --tiles 4 --tune-db tune.serve.db.json --out BENCH_serve.json
 
 # Regenerate BENCH_reliab.json at the repo root: stuck-cell fault
 # campaigns over the gemm/gesummv/mvt mix with the ABFT guard armed,

@@ -51,67 +51,32 @@ module Time_base = Tdo_sim.Time_base
 
 let us_of_ps ps = float_of_int ps /. float_of_int Time_base.ps_per_us
 
+let summary (r : Scheduler.report) = Telemetry.summary r.Scheduler.telemetry
+
+(* The run's, each device class's and each SLO class's
+   [Telemetry.fields] as [k=v], under the BENCH extras' names, then the
+   fleet. *)
 let summarise label (r : Scheduler.report) =
   let t = r.Scheduler.telemetry in
-  let pct p = match Telemetry.latency_percentile t ~p with Some v -> v | None -> 0.0 in
-  Printf.printf "%s: %d requests over %s\n" label
+  Printf.printf "%s: %d requests over %s, makespan %.2f ms (simulated), replay wall %.2f s\n"
+    label
     (List.length r.Scheduler.trace.Trace.requests)
-    r.Scheduler.trace.Trace.name;
-  let s = Telemetry.summary t in
-  Printf.printf
-    "  completed %d (%d after retry, %d tuned), recovered-host %d, cpu-fallback %d, \
-     rejected %d, failed %d | cache hit rate %.1f%% (%d compiles)\n"
-    (Scheduler.completed r) s.Telemetry.completed_after_retry s.Telemetry.served_tuned
-    s.Telemetry.recovered_host
-    (Scheduler.fallbacks r) (Scheduler.rejections r) (Scheduler.failures r)
-    (100.0 *. Scheduler.cache_hit_rate r)
-    r.Scheduler.cache.Serve.Kernel_cache.misses;
-  if s.Telemetry.shed_rate_limited + s.Telemetry.shed_load > 0 then
-    Printf.printf "  admission: shed %d rate-limited, %d load-shed\n"
-      s.Telemetry.shed_rate_limited s.Telemetry.shed_load;
-  if s.Telemetry.detected_corruptions > 0 then
-    Printf.printf "  abft: %d corrupt offloads detected, %d devices quarantined\n"
-      s.Telemetry.detected_corruptions
-      (List.length r.Scheduler.quarantined);
-  if s.Telemetry.conversions_to_compute + s.Telemetry.conversions_to_memory > 0 then
-    Printf.printf "  dual-mode: %d conversions to compute, %d back to memory\n"
-      s.Telemetry.conversions_to_compute s.Telemetry.conversions_to_memory;
-  Printf.printf "  latency us: p50 %.1f  p99 %.1f  mean %.1f | max queue depth %d\n"
-    (pct 50.0) (pct 99.0)
-    (match Telemetry.mean_latency_us t with Some v -> v | None -> 0.0)
-    (Telemetry.max_queue_depth t);
-  Printf.printf "  makespan %.2f ms (simulated), replay wall %.2f s\n"
+    r.Scheduler.trace.Trace.name
     (us_of_ps r.Scheduler.makespan_ps /. 1000.0)
     r.Scheduler.wall_s;
+  let line name c = Printf.printf "  %-15s %s\n" name (Telemetry.format_fields (Telemetry.fields c)) in
+  line "all" (Telemetry.summary t);
+  List.iter (fun (profile, c) -> line ("class " ^ profile) c) (Telemetry.class_summary t);
+  List.iter (fun (slo, c) -> line ("slo " ^ Trace.slo_name slo) c) (Telemetry.slo_summary t);
+  Printf.printf "  cache hit rate %.1f%% (%d compiles), max queue depth %d, %d devices quarantined\n"
+    (100.0 *. Scheduler.cache_hit_rate r)
+    r.Scheduler.cache.Serve.Kernel_cache.misses (Telemetry.max_queue_depth t)
+    (List.length r.Scheduler.quarantined);
   List.iter
     (fun (cls, samples, mre) ->
       Printf.printf "  calibrated %s cost model from %d samples (mre %.3f)\n" cls samples
         mre)
     r.Scheduler.calibrations;
-  List.iter
-    (fun (slo, (c : Telemetry.slo_counts)) ->
-      if c.Telemetry.slo_requests > 0 then
-        Printf.printf
-          "  slo %-11s %d requests: served %d, shed %d, failed %d | p50 %.1f us p99 %.1f \
-           us\n"
-          (Trace.slo_name slo) c.Telemetry.slo_requests c.Telemetry.slo_served
-          c.Telemetry.slo_shed c.Telemetry.slo_failed c.Telemetry.slo_p50_us
-          c.Telemetry.slo_p99_us)
-    (Telemetry.slo_summary t);
-  List.iter
-    (fun (profile, (c : Telemetry.class_counts)) ->
-      Printf.printf
-        "  class %-8s served %d, recovered %d, cpu-fallback %d, rejected %d, failed %d, \
-         %d write bytes%s%s\n"
-        profile c.Telemetry.served c.Telemetry.recovered c.Telemetry.fallbacks
-        c.Telemetry.rejected c.Telemetry.failed c.Telemetry.class_write_bytes
-        (if c.Telemetry.to_compute + c.Telemetry.to_memory > 0 then
-           Printf.sprintf " | conversions %d/%d" c.Telemetry.to_compute c.Telemetry.to_memory
-         else "")
-        (if c.Telemetry.class_displaced_bytes > 0.0 then
-           Printf.sprintf " | displaced mem %.0f B" c.Telemetry.class_displaced_bytes
-         else ""))
-    (Telemetry.class_summary t);
   List.iter
     (fun (d : Scheduler.device_report) ->
       let w = d.Scheduler.dev_wear in
@@ -124,119 +89,23 @@ let summarise label (r : Scheduler.report) =
         w.Device.leveling.Tdo_pcm.Wear_leveling.remaps w.Device.budget_consumed)
     r.Scheduler.devices
 
-let extras (r : Scheduler.report) ~golden_divergence =
-  let t = r.Scheduler.telemetry in
-  let pct p = match Telemetry.latency_percentile t ~p with Some v -> v | None -> 0.0 in
-  let s = Telemetry.summary t in
-  let base =
-    [
-      ("requests", float_of_int (List.length r.Scheduler.trace.Trace.requests));
-      ("completed", float_of_int (Scheduler.completed r));
-      ("cpu_fallbacks", float_of_int (Scheduler.fallbacks r));
-      ("rejected_overloaded", float_of_int (Scheduler.rejections r));
-      ("shed_rate_limited", float_of_int s.Telemetry.shed_rate_limited);
-      ("shed_load", float_of_int s.Telemetry.shed_load);
-      ("failed", float_of_int (Scheduler.failures r));
-      ( "completed_after_retry",
-        float_of_int (Telemetry.summary t).Telemetry.completed_after_retry );
-      ("served_tuned", float_of_int (Telemetry.summary t).Telemetry.served_tuned);
-      ("recovered_host", float_of_int (Scheduler.recovered r));
-      ("detected_corruptions", float_of_int (Scheduler.detected_corruptions r));
-      ("quarantined_devices", float_of_int (List.length r.Scheduler.quarantined));
-      ("devices", float_of_int (List.length r.Scheduler.devices));
-      ("conversions_to_compute", float_of_int s.Telemetry.conversions_to_compute);
-      ("conversions_to_memory", float_of_int s.Telemetry.conversions_to_memory);
-      ("cache_hits", float_of_int r.Scheduler.cache.Serve.Kernel_cache.hits);
-      ("cache_misses", float_of_int r.Scheduler.cache.Serve.Kernel_cache.misses);
-      ("cache_hit_rate", Scheduler.cache_hit_rate r);
-      ( "distinct_kernels",
-        float_of_int (List.length (Trace.distinct_kernels r.Scheduler.trace)) );
-      ("latency_p50_us", pct 50.0);
-      ("latency_p99_us", pct 99.0);
-      ( "latency_mean_us",
-        match Telemetry.mean_latency_us t with Some v -> v | None -> 0.0 );
-      ("max_queue_depth", float_of_int (Telemetry.max_queue_depth t));
-      ("makespan_ms", us_of_ps r.Scheduler.makespan_ps /. 1000.0);
-    ]
-  in
-  (* per-class breakdown: served/latency/energy per device class, the
-     mixed-fleet sections of BENCH_serve.json *)
-  let per_class =
-    List.concat_map
-      (fun (profile, (c : Telemetry.class_counts)) ->
-        let k fmt = Printf.sprintf ("class_%s_" ^^ fmt) profile in
-        let energy =
-          List.fold_left
-            (fun acc (d : Scheduler.device_report) ->
-              if d.Scheduler.dev_profile = profile then acc +. d.Scheduler.dev_energy_j
-              else acc)
-            0.0 r.Scheduler.devices
-        in
-        [
-          (k "served", float_of_int c.Telemetry.served);
-          (k "recovered", float_of_int c.Telemetry.recovered);
-          (k "cpu_fallbacks", float_of_int c.Telemetry.fallbacks);
-          (k "rejected", float_of_int c.Telemetry.rejected);
-          (k "failed", float_of_int c.Telemetry.failed);
-          (k "retries_against", float_of_int c.Telemetry.retries_against);
-          (k "conversions_to_compute", float_of_int c.Telemetry.to_compute);
-          (k "conversions_to_memory", float_of_int c.Telemetry.to_memory);
-          (k "write_bytes", float_of_int c.Telemetry.class_write_bytes);
-          (k "displaced_mem_bytes", c.Telemetry.class_displaced_bytes);
-          (k "energy_j", energy);
-          ( k "latency_p50_us",
-            match Telemetry.latency_percentile ~profile t ~p:50.0 with
-            | Some v -> v
-            | None -> 0.0 );
-          ( k "latency_mean_us",
-            match Telemetry.mean_latency_us ~profile t with Some v -> v | None -> 0.0 );
-        ])
-      (Telemetry.class_summary t)
-  in
-  let per_device =
-    List.concat_map
-      (fun (d : Scheduler.device_report) ->
-        let id = d.Scheduler.dev_id in
-        let w = d.Scheduler.dev_wear in
-        let to_compute, to_memory = d.Scheduler.dev_conversions in
-        let dev fmt = Printf.sprintf ("dev%d_" ^^ fmt) id in
-        [
-          (dev "requests", float_of_int d.Scheduler.dev_served);
-          (dev "energy_j", d.Scheduler.dev_energy_j);
-          (dev "conversions_to_compute", float_of_int to_compute);
-          (dev "conversions_to_memory", float_of_int to_memory);
-          (dev "displaced_mem_bytes", d.Scheduler.dev_displaced_bytes);
-          (dev "cell_writes", float_of_int w.Device.total_cell_writes);
-          (dev "max_per_cell", float_of_int w.Device.max_per_cell);
-          ( dev "levelled_max_per_line",
-            float_of_int w.Device.leveling.Tdo_pcm.Wear_leveling.max_per_cell );
-          (dev "remaps", float_of_int w.Device.leveling.Tdo_pcm.Wear_leveling.remaps);
-          (dev "budget_consumed", w.Device.budget_consumed);
-        ]
-        @ List.concat
-            (Array.to_list
-               (Array.mapi
-                  (fun tile cw ->
-                    [
-                      (Printf.sprintf "dev%d_tile%d_cell_writes" id tile, float_of_int cw);
-                      ( Printf.sprintf "dev%d_tile%d_write_bytes" id tile,
-                        float_of_int w.Device.per_tile_write_bytes.(tile) );
-                    ])
-                  w.Device.per_tile_cell_writes)))
-      r.Scheduler.devices
-  in
-  let golden =
-    match golden_divergence with
-    | Some d -> [ ("golden_divergence", float_of_int d) ]
-    | None -> []
-  in
-  base @ per_class @ per_device @ golden
+let golden_field name = function Some d -> [ (name, float_of_int d) ] | None -> []
+
+(* What a run adds to the report: its sections, its extras, the summed
+   golden divergence ([None] when no golden ran) and its failed
+   requests. *)
+let merge (s1, e1, d1, f1) (s2, e2, d2, f2) =
+  ( s1 @ s2,
+    e1 @ e2,
+    (match (d1, d2) with Some a, Some b -> Some (a + b) | d, None | None, d -> d),
+    f1 + f2 )
 
 (* One golden oracle per compute class present in the fleet: checksums
    are only comparable within a class, so each class gets its own
    sequential single-device reference. Returns the summed divergence
-   and one report section per class. *)
-let golden_checks ~fleet ~config ~trace ~(report : Scheduler.report) ~section_prefix =
+   and one report section per class; [None] and none under
+   [no_golden]. *)
+let golden_checks ~no_golden ~fleet ~config ~trace ~(report : Scheduler.report) ~section_prefix =
   let golden_profiles =
     match fleet with
     | None -> [ Backend.pcm ]
@@ -252,28 +121,35 @@ let golden_checks ~fleet ~config ~trace ~(report : Scheduler.report) ~section_pr
                else p :: acc)
              [] profiles)
   in
-  List.fold_left
-    (fun (total, secs) (profile : Backend.profile) ->
-      let section_name =
-        if fleet = None && section_prefix = "" then "golden-sequential"
-        else section_prefix ^ "golden-" ^ Backend.class_name profile.Backend.cls
-      in
-      let golden, golden_section =
-        Report.section ~name:section_name (fun () ->
-            Tdo_util.Pool.set_sequential (Some true);
-            Fun.protect
-              ~finally:(fun () -> Tdo_util.Pool.set_sequential None)
-              (fun () ->
-                Scheduler.replay ~config:(Scheduler.golden_config ~profile config) trace))
-      in
-      let d = Scheduler.divergence report golden in
-      Printf.printf "golden check (%s%s): %d divergent of %d comparable requests\n"
-        (if section_prefix = "" then "" else section_prefix)
-        (Backend.class_name profile.Backend.cls)
-        d
-        (min (Scheduler.completed report) (Scheduler.completed golden));
-      (total + d, secs @ [ golden_section ]))
-    (0, []) golden_profiles
+  if no_golden then (None, [])
+  else
+    let total, sections =
+      List.fold_left
+        (fun (total, secs) (profile : Backend.profile) ->
+          let section_name =
+            if fleet = None && section_prefix = "" then "golden-sequential"
+            else section_prefix ^ "golden-" ^ Backend.class_name profile.Backend.cls
+          in
+          let golden, golden_section =
+            Report.section ~name:section_name (fun () ->
+                Tdo_util.Pool.set_sequential (Some true);
+                Fun.protect
+                  ~finally:(fun () -> Tdo_util.Pool.set_sequential None)
+                  (fun () ->
+                    Scheduler.replay
+                      ~config:(Scheduler.golden_config ~profile config)
+                      trace))
+          in
+          let d = Scheduler.divergence report golden in
+          Printf.printf "golden check (%s%s): %d divergent of %d comparable requests\n"
+            section_prefix
+            (Backend.class_name profile.Backend.cls)
+            d
+            (min (summary report).Telemetry.completed (summary golden).Telemetry.completed);
+          (total + d, secs @ [ golden_section ]))
+        (0, []) golden_profiles
+    in
+    (Some total, sections)
 
 (* ---------- load mode ---------- *)
 
@@ -338,71 +214,21 @@ let load_patterns ~rate ~requests ~seed =
            (Workload.standard_tenants ~process ~total_rate_rps:rate ())) );
   ]
 
-(* Pattern-prefixed report fields: the windowed view, per-SLO-class
-   served/shed counts and the admission/calibration story per arrival
-   pattern — the sections ISSUE 9's acceptance reads. *)
-let load_extras prefix (r : Scheduler.report) ~window_us ~golden_divergence =
-  let t = r.Scheduler.telemetry in
-  let s = Telemetry.summary t in
-  let pct p = match Telemetry.latency_percentile t ~p with Some v -> v | None -> 0.0 in
-  let k name = prefix ^ "_" ^ name in
-  let served = s.Telemetry.completed + s.Telemetry.cpu_fallbacks + s.Telemetry.recovered_host in
-  let makespan_s = us_of_ps r.Scheduler.makespan_ps /. 1e6 in
-  let windows = Telemetry.windows ~window_us t in
+(* Pattern-prefixed report fields: the run's figures, the windowed
+   view and the golden check per arrival pattern. *)
+let load_extras pattern (r : Scheduler.report) ~window_us ~golden_divergence =
+  let k name = pattern ^ "_" ^ name in
+  let windows = Telemetry.windows ~window_us r.Scheduler.telemetry in
   let wmax f = List.fold_left (fun acc w -> Float.max acc (f w)) 0.0 windows in
-  let base =
-    [
-      (k "requests", float_of_int s.Telemetry.requests);
-      (k "served", float_of_int served);
-      (k "completed", float_of_int s.Telemetry.completed);
-      (k "served_tuned", float_of_int s.Telemetry.served_tuned);
-      (k "shed_rate_limited", float_of_int s.Telemetry.shed_rate_limited);
-      (k "shed_load", float_of_int s.Telemetry.shed_load);
-      (k "rejected", float_of_int s.Telemetry.rejected);
-      (k "failed", float_of_int s.Telemetry.failed);
-      (k "p50_us", pct 50.0);
-      (k "p99_us", pct 99.0);
-      (k "max_queue_depth", float_of_int (Telemetry.max_queue_depth t));
-      (k "makespan_ms", us_of_ps r.Scheduler.makespan_ps /. 1000.0);
-      ( k "throughput_rps",
-        if makespan_s > 0.0 then float_of_int served /. makespan_s else 0.0 );
+  Scheduler.fields ~prefix:(k "") r
+  @ [
       (k "windows", float_of_int (List.length windows));
       (k "window_us", window_us);
       (k "window_p99_max_us", wmax (fun w -> w.Telemetry.w_p99_us));
       (k "window_throughput_max_rps", wmax (fun w -> w.Telemetry.w_throughput_rps));
-      ( k "window_max_depth",
-        float_of_int
-          (List.fold_left (fun acc w -> max acc w.Telemetry.w_max_depth) 0 windows) );
+      (k "window_max_depth", wmax (fun w -> float_of_int w.Telemetry.w_max_depth));
     ]
-  in
-  let per_slo =
-    List.concat_map
-      (fun (slo, (c : Telemetry.slo_counts)) ->
-        let sk name = k ("slo_" ^ Trace.slo_name slo ^ "_" ^ name) in
-        [
-          (sk "requests", float_of_int c.Telemetry.slo_requests);
-          (sk "served", float_of_int c.Telemetry.slo_served);
-          (sk "shed", float_of_int c.Telemetry.slo_shed);
-          (sk "p50_us", c.Telemetry.slo_p50_us);
-          (sk "p99_us", c.Telemetry.slo_p99_us);
-        ])
-      (Telemetry.slo_summary t)
-  in
-  let calib =
-    List.concat_map
-      (fun (cls, samples, mre) ->
-        [
-          (k ("calib_" ^ cls ^ "_samples"), float_of_int samples);
-          (k ("calib_" ^ cls ^ "_mre"), mre);
-        ])
-      r.Scheduler.calibrations
-  in
-  let golden =
-    match golden_divergence with
-    | Some d -> [ (k "golden_divergence", float_of_int d) ]
-    | None -> []
-  in
-  base @ per_slo @ calib @ golden
+  @ golden_field (k "golden_divergence") golden_divergence
 
 type common = {
   fleet : Backend.profile list option;
@@ -433,7 +259,7 @@ let fleet_desc c =
   | None -> Printf.sprintf "pcm:%d" c.devices
 
 (* The classic virtual-time replay: one trace, its golden checks, the
-   flat extras. Returns sections newest-last plus the divergence. *)
+   flat extras. *)
 let run_replay c ~trace_name ~deadline_us ~chrome_trace ~no_golden =
   match Trace.synthetic ?deadline_us ~seed:c.seed trace_name with
   | Error msg ->
@@ -451,15 +277,14 @@ let run_replay c ~trace_name ~deadline_us ~chrome_trace ~no_golden =
           Telemetry.write_chrome_trace report.Scheduler.telemetry ~path;
           Printf.printf "chrome trace written to %s\n" path
       | None -> ());
-      let golden_divergence, sections =
-        if no_golden then (None, [ main_section ])
-        else
-          let total, golden_sections =
-            golden_checks ~fleet:c.fleet ~config ~trace ~report ~section_prefix:""
-          in
-          (Some total, main_section :: golden_sections)
+      let golden_divergence, golden_sections =
+        golden_checks ~no_golden ~fleet:c.fleet ~config ~trace ~report ~section_prefix:""
       in
-      Ok (report, sections, extras report ~golden_divergence, golden_divergence)
+      Ok
+        ( main_section :: golden_sections,
+          Scheduler.fields report @ golden_field "golden_divergence" golden_divergence,
+          golden_divergence,
+          (summary report).Telemetry.failed )
 
 (* One open-loop load pattern: replay under admission + calibration +
    live windows, then the per-class goldens. *)
@@ -483,64 +308,38 @@ let run_load_pattern c ~pattern ~trace ~rate ~window_us ~calibrate ~no_golden ~d
     Report.section ~name:("load-" ^ pattern) (fun () -> Scheduler.replay ~config trace)
   in
   summarise ("load-" ^ pattern) report;
-  let golden_divergence, sections =
-    if no_golden then (None, [ main_section ])
-    else
-      let total, golden_sections =
-        golden_checks ~fleet:c.fleet ~config ~trace ~report
-          ~section_prefix:("load-" ^ pattern ^ "-")
-      in
-      (Some total, main_section :: golden_sections)
+  let golden_divergence, golden_sections =
+    golden_checks ~no_golden ~fleet:c.fleet ~config ~trace ~report
+      ~section_prefix:("load-" ^ pattern ^ "-")
   in
-  (report, sections, load_extras pattern report ~window_us ~golden_divergence, golden_divergence)
+  ( main_section :: golden_sections,
+    load_extras pattern report ~window_us ~golden_divergence,
+    golden_divergence,
+    (summary report).Telemetry.failed )
 
 let run_load c ~requests ~rate ~window_us ~calibrate ~no_golden ~dump_traces ~load_trace
     ~chrome_trace ~deadline_us =
-  (* the classic fleet replay rides along so the report keeps the
-     sections the committed baseline gates on *)
-  match run_replay c ~trace_name:"synthetic-medium" ~deadline_us ~chrome_trace ~no_golden with
-  | Error code -> Error code
-  | Ok (replay_report, replay_sections, replay_extras, replay_div) ->
-      let replay_failures = Scheduler.failures replay_report in
-      let patterns =
-        match load_trace with
-        | Some path -> (
-            match Codec.read ~path with
-            | Ok trace -> [ ("custom", lazy trace) ]
-            | Error msg ->
-                prerr_endline msg;
-                exit 1)
-        | None -> load_patterns ~rate ~requests ~seed:c.seed
-      in
-      let sections, extra, divergence, failures =
-        List.fold_left
-          (fun (secs, extra, div, failures) (pattern, trace) ->
-            let report, psecs, pextra, pdiv =
-              run_load_pattern c ~pattern ~trace:(Lazy.force trace) ~rate ~window_us
-                ~calibrate ~no_golden ~dump_traces
-            in
-            ( secs @ psecs,
-              extra @ pextra,
-              (match (div, pdiv) with
-              | Some a, Some b -> Some (a + b)
-              | a, None -> a
-              | None, b -> b),
-              failures + Scheduler.failures report ))
-          (replay_sections, replay_extras, replay_div, replay_failures)
-          patterns
-      in
-      Ok (sections, extra, divergence, failures)
+  let patterns =
+    match load_trace with
+    | Some path -> (
+        match Codec.read ~path with
+        | Ok trace -> [ ("custom", lazy trace) ]
+        | Error msg ->
+            prerr_endline msg;
+            exit 1)
+    | None -> load_patterns ~rate ~requests ~seed:c.seed
+  in
+  Result.map
+    (fun replay ->
+      List.fold_left
+        (fun acc (pattern, trace) ->
+          merge acc
+            (run_load_pattern c ~pattern ~trace:(Lazy.force trace) ~rate ~window_us ~calibrate
+               ~no_golden ~dump_traces))
+        replay patterns)
+    (run_replay c ~trace_name:"synthetic-medium" ~deadline_us ~chrome_trace ~no_golden)
 
 (* ---------- graph mode ---------- *)
-
-let completed_write_bytes (r : Scheduler.report) =
-  List.fold_left
-    (fun acc (rc : Telemetry.record) ->
-      match rc.Telemetry.outcome with
-      | Telemetry.Completed -> acc + rc.Telemetry.write_bytes
-      | _ -> acc)
-    0
-    (Telemetry.records r.Scheduler.telemetry)
 
 let graph_benches =
   List.map (fun g -> (Graph.kernel_name g, Graph.benchmark g)) Graph.standard
@@ -567,17 +366,14 @@ let run_graph c ~requests ~rate ~no_golden =
         Scheduler.replay ~config:{ config with Scheduler.graph_residency = false } trace)
   in
   summarise "graph-unpinned" unpinned;
-  let golden_divergence, sections =
-    if no_golden then (None, [ pinned_section; unpinned_section ])
-    else
-      let total, golden_sections =
-        golden_checks ~fleet:c.fleet ~config ~trace ~report:pinned ~section_prefix:"graph-"
-      in
-      (Some total, pinned_section :: unpinned_section :: golden_sections)
+  let golden_divergence, golden_sections =
+    golden_checks ~no_golden ~fleet:c.fleet ~config ~trace ~report:pinned
+      ~section_prefix:"graph-"
   in
-  let wp = completed_write_bytes pinned and wu = completed_write_bytes unpinned in
-  let per_1000 w (r : Scheduler.report) =
-    let n = Scheduler.completed r in
+  let sp = summary pinned and su = summary unpinned in
+  let wp = sp.Telemetry.write_bytes and wu = su.Telemetry.write_bytes in
+  let per_1000 w (s : Telemetry.summary) =
+    let n = s.Telemetry.completed in
     if n = 0 then 0.0 else 1000.0 *. float_of_int w /. float_of_int n
   in
   let reduction =
@@ -588,39 +384,22 @@ let run_graph c ~requests ~rate ~no_golden =
   Printf.printf
     "graph residency: weight-write bytes per 1000 requests %.0f pinned vs %.0f unpinned \
      (x%.1f reduction)\n"
-    (per_1000 wp pinned) (per_1000 wu unpinned) reduction;
-  let pct r p =
-    match Telemetry.latency_percentile r.Scheduler.telemetry ~p with
-    | Some v -> v
-    | None -> 0.0
-  in
+    (per_1000 wp sp) (per_1000 wu su) reduction;
   let extra =
-    [
-      ("graph_requests", float_of_int requests);
-      ("graph_pinned_completed", float_of_int (Scheduler.completed pinned));
-      ("graph_unpinned_completed", float_of_int (Scheduler.completed unpinned));
-      ("graph_pinned_write_bytes", float_of_int wp);
-      ("graph_unpinned_write_bytes", float_of_int wu);
-      ("graph_pinned_write_bytes_per_1000", per_1000 wp pinned);
-      ("graph_unpinned_write_bytes_per_1000", per_1000 wu unpinned);
-      ("graph_write_reduction_factor", reduction);
-      ("graph_pinned_p50_us", pct pinned 50.0);
-      ("graph_pinned_p99_us", pct pinned 99.0);
-      ("graph_unpinned_p50_us", pct unpinned 50.0);
-      ("graph_unpinned_p99_us", pct unpinned 99.0);
-      ("graph_pinned_makespan_ms", us_of_ps pinned.Scheduler.makespan_ps /. 1000.0);
-      ("graph_unpinned_makespan_ms", us_of_ps unpinned.Scheduler.makespan_ps /. 1000.0);
-    ]
-    @
-    match golden_divergence with
-    | Some d -> [ ("graph_golden_divergence", float_of_int d) ]
-    | None -> []
+    (("graph_requests", float_of_int requests)
+    :: Scheduler.fields ~prefix:"graph_pinned_" pinned)
+    @ Scheduler.fields ~prefix:"graph_unpinned_" unpinned
+    @ [
+        ("graph_pinned_write_bytes_per_1000", per_1000 wp sp);
+        ("graph_unpinned_write_bytes_per_1000", per_1000 wu su);
+        ("graph_write_reduction_factor", reduction);
+      ]
+    @ golden_field "graph_golden_divergence" golden_divergence
   in
-  Ok
-    ( sections,
-      extra,
-      golden_divergence,
-      Scheduler.failures pinned + Scheduler.failures unpinned )
+  ( pinned_section :: unpinned_section :: golden_sections,
+    extra,
+    golden_divergence,
+    sp.Telemetry.failed + su.Telemetry.failed )
 
 (* ---------- frontend mode ---------- *)
 
@@ -637,17 +416,8 @@ let run_frontend c ~window_us ~calibrate ~socket ~strict =
       on_record = Some (Telemetry.live_view ~window_us ~emit:prerr_endline ());
     }
   in
-  let summarise_session (r : Scheduler.report) =
-    let t = r.Scheduler.telemetry in
-    let s = Telemetry.summary t in
-    let pct p = match Telemetry.latency_percentile t ~p with Some v -> v | None -> 0.0 in
-    Printf.eprintf
-      "session: %d requests, %d completed (%d tuned), %d host, shed %d rate-limited + %d \
-       load, %d rejected, %d failed | p50 %.1f us p99 %.1f us\n%!"
-      s.Telemetry.requests s.Telemetry.completed s.Telemetry.served_tuned
-      (s.Telemetry.cpu_fallbacks + s.Telemetry.recovered_host)
-      s.Telemetry.shed_rate_limited s.Telemetry.shed_load s.Telemetry.rejected
-      s.Telemetry.failed (pct 50.0) (pct 99.0)
+  let summarise_session r =
+    prerr_endline ("session: " ^ Telemetry.format_fields (Telemetry.fields (summary r)))
   in
   let sessions =
     match socket with
@@ -659,7 +429,7 @@ let run_frontend c ~window_us ~calibrate ~socket ~strict =
         [ fst (Frontend.serve ~config ~input:Unix.stdin ~output:Unix.stdout ()) ]
   in
   List.iter summarise_session sessions;
-  let failures = List.fold_left (fun acc r -> acc + Scheduler.failures r) 0 sessions in
+  let failures = List.fold_left (fun acc r -> acc + (summary r).Telemetry.failed) 0 sessions in
   if strict && failures > 0 then begin
     prerr_endline "FAIL: request failures under --strict";
     1
@@ -669,7 +439,7 @@ let run_frontend c ~window_us ~calibrate ~socket ~strict =
 (* ---------- main ---------- *)
 
 let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us tiles
-    cache_capacity tune_db chrome_trace out baseline no_golden strict load graph requests rate
+    cache_capacity tune_db chrome_trace out no_golden strict load graph requests rate
     window_us smoke wall_budget_s calibrate dump_traces load_trace listen socket =
   let t0 = Unix.gettimeofday () in
   (* an output path in a missing directory fails now, not after the
@@ -721,65 +491,30 @@ let run trace_name devices fleet_spec seed queue_capacity max_batch deadline_us 
       seed;
     }
   in
-  let calibrate = if calibrate >= 0 then calibrate else if load then 200 else 0 in
+  let calibrate =
+    match calibrate with Some n -> n | None -> if load then 200 else 0
+  in
   if listen || socket <> None then run_frontend c ~window_us ~calibrate ~socket ~strict
   else begin
     (* --smoke shrinks the open-loop patterns to a few hundred requests
        and arms the wall-clock budget: the CI shape of --load *)
     let requests = if smoke then min requests 300 else requests in
-    let replay_base () =
-      Result.map
-        (fun (report, sections, extra, div) ->
-          (sections, extra, div, Scheduler.failures report))
-        (run_replay c ~trace_name ~deadline_us ~chrome_trace ~no_golden)
-    in
     let outcome =
-      if graph then
-        (* the classic fleet replay (or the full --load patterns when
-           both flags are given) rides along so the report keeps the
-           sections the committed baseline gates on *)
-        let base =
-          if load then
-            run_load c ~requests ~rate ~window_us ~calibrate ~no_golden ~dump_traces
-              ~load_trace ~chrome_trace ~deadline_us
-          else replay_base ()
-        in
-        Result.bind base (fun (bsecs, bextra, bdiv, bfail) ->
-            Result.map
-              (fun (gsecs, gextra, gdiv, gfail) ->
-                let div =
-                  match (bdiv, gdiv) with
-                  | Some a, Some b -> Some (a + b)
-                  | d, None | None, d -> d
-                in
-                (bsecs @ gsecs, bextra @ gextra, div, bfail + gfail))
-              (run_graph c ~requests ~rate ~no_golden))
-      else if load then
-        run_load c ~requests ~rate ~window_us ~calibrate ~no_golden ~dump_traces
-          ~load_trace ~chrome_trace ~deadline_us
-      else replay_base ()
+      (* with --graph, the classic fleet replay (or the full --load
+         patterns when both flags are given) rides along, so every
+         report keeps its sections and fields *)
+      let base =
+        if load then
+          run_load c ~requests ~rate ~window_us ~calibrate ~no_golden ~dump_traces ~load_trace
+            ~chrome_trace ~deadline_us
+        else run_replay c ~trace_name ~deadline_us ~chrome_trace ~no_golden
+      in
+      if graph then Result.map (fun b -> merge b (run_graph c ~requests ~rate ~no_golden)) base
+      else base
     in
     match outcome with
     | Error code -> code
     | Ok (sections, extra, golden_divergence, failures) ->
-        let extra =
-          match baseline with
-          | None -> extra
-          | Some path -> (
-              match Report.compare ~baseline:path sections with
-              | Ok deltas ->
-                  List.iter
-                    (fun (d : Report.delta) ->
-                      Printf.printf "vs baseline %-24s %.3f s -> %.3f s (x%.2f%s)\n"
-                        d.Report.name d.Report.baseline_wall_s d.Report.wall_s
-                        d.Report.speedup_vs_baseline
-                        (if d.Report.regression then ", REGRESSION" else ""))
-                    deltas;
-                  extra @ Report.delta_fields deltas
-              | Error msg ->
-                  Printf.eprintf "serve: baseline %s: %s\n%!" path msg;
-                  extra)
-        in
         let notes =
           if graph then
             Printf.sprintf
@@ -841,6 +576,12 @@ let restricted conv ~flaw ~accept =
 let positive conv ~zero =
   restricted conv ~flaw:"not positive" ~accept:(fun v -> compare v zero > 0)
 
+let non_negative conv ~zero =
+  restricted conv ~flaw:"negative" ~accept:(fun v -> compare v zero >= 0)
+
+(* A float that is also finite: infinities and NaN are refused. *)
+let finite conv = restricted conv ~flaw:"not finite" ~accept:Float.is_finite
+
 let cmd =
   let trace_arg =
     Arg.(
@@ -873,7 +614,7 @@ let cmd =
   let queue_arg =
     Arg.(
       value
-      & opt (restricted int ~flaw:"negative" ~accept:(fun n -> n >= 0)) 256
+      & opt (non_negative int ~zero:0) 256
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"Submission-queue bound; overflow is rejected. 0 means unbounded.")
   in
@@ -927,15 +668,6 @@ let cmd =
       value & opt string "BENCH_serve.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Benchmark report path.")
   in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Previous BENCH_serve.json to compare against; per-section wall-clock deltas \
-             are added to the report.")
-  in
   let no_golden_arg =
     Arg.(
       value & flag
@@ -979,7 +711,7 @@ let cmd =
   let rate_arg =
     Arg.(
       value
-      & opt (positive float ~zero:0.0) 20_000.0
+      & opt (positive (finite float) ~zero:0.0) 20_000.0
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
             "Sustained total arrival rate (requests per second of simulated time) across \
@@ -988,12 +720,16 @@ let cmd =
   let window_arg =
     Arg.(
       value
-      & opt (positive float ~zero:0.0) 100_000.0
+      & opt
+          (restricted float ~flaw:"not a width of 1 ps to max_int ps" ~accept:(fun w ->
+               Telemetry.window_ps w <> None))
+          100_000.0
       & info [ "window-us" ] ~docv:"US"
           ~doc:
-            "Telemetry roll-up window in (simulated or wall) microseconds: live roll-up \
-             lines go to stderr once per elapsed window, and the report's windowed \
-             p50/p99/throughput fields use the same width.")
+            "Telemetry roll-up window in (simulated or wall) microseconds, finite and \
+             from 1 ps (0.000001) up: live roll-up lines go to stderr once per elapsed \
+             window, and the report's windowed p50/p99/throughput fields use the same \
+             width.")
   in
   let smoke_arg =
     Arg.(
@@ -1003,14 +739,16 @@ let cmd =
   in
   let wall_budget_arg =
     Arg.(
-      value & opt float 0.0
+      value
+      & opt (non_negative (finite float) ~zero:0.0) 0.0
       & info [ "wall-budget-s" ] ~docv:"S"
           ~doc:"Fail if the whole invocation takes longer than this many wall seconds; 0 \
                 disables the budget.")
   in
   let calibrate_arg =
     Arg.(
-      value & opt int (-1)
+      value
+      & opt (some (non_negative int ~zero:0)) None
       & info [ "calibrate" ] ~docv:"N"
           ~doc:
             "Refit each device class's cost-model coefficients online after N completed \
@@ -1056,7 +794,7 @@ let cmd =
     Term.(
       const run $ trace_arg $ devices_arg $ fleet_arg $ seed_arg $ queue_arg
       $ max_batch_arg $ deadline_arg $ tiles_arg
-      $ cache_arg $ tune_db_arg $ chrome_arg $ out_arg $ baseline_arg $ no_golden_arg
+      $ cache_arg $ tune_db_arg $ chrome_arg $ out_arg $ no_golden_arg
       $ strict_arg $ load_arg $ graph_arg $ requests_arg $ rate_arg $ window_arg
       $ smoke_arg $ wall_budget_arg $ calibrate_arg $ dump_traces_arg $ load_trace_arg
       $ listen_arg $ socket_arg)

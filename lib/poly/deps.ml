@@ -179,30 +179,3 @@ let independent x y =
       regions_disjoint (wx_r array) (ry_r array @ wy_r array)
       && regions_disjoint (wy_r array) (rx_r array))
     name_conflicts
-
-let may_interchange b1 b2 tree =
-  let iters = [ b1.Schedule_tree.iter; b2.Schedule_tree.iter ] in
-  let stmt_ok (s : Schedule_tree.stmt_info) =
-    match s.Schedule_tree.op with
-    | Ast.Add_assign | Ast.Sub_assign ->
-        (* pure accumulation: iteration order along the swapped bands
-           does not change the final sums (floating-point reassociation
-           accepted, as in -ffast-math / Polly's semantics here) *)
-        true
-    | Ast.Set | Ast.Mul_assign ->
-        (* the write must not be indexed by both swapped iterators in a
-           way that could alias across the swap: requiring the write's
-           subscripts to use at most plain distinct iterators keeps
-           instances writing distinct cells, so order is irrelevant *)
-        let subscript_vars =
-          List.concat_map Affine.vars s.Schedule_tree.write.Access.indices
-        in
-        List.for_all
-          (fun it ->
-            not (List.mem it subscript_vars)
-            || List.exists
-                 (fun idx -> Affine.coeff idx it = 1 && List.length (Affine.vars idx) = 1)
-                 s.Schedule_tree.write.Access.indices)
-          iters
-  in
-  List.for_all stmt_ok (Schedule_tree.stmts tree)

@@ -31,11 +31,3 @@ val access_regions :
     the old value of [+=]-style targets included). A [None] entry means
     an access whose region could not be bounded. [Code] subtrees
     contribute [None] for every array they mention. *)
-
-val may_interchange : Schedule_tree.band -> Schedule_tree.band -> Schedule_tree.t -> bool
-(** Conservative legality of swapping two perfectly nested bands:
-    holds when every statement under the nest either only accumulates
-    into its target ([+=] with the same access on both sides) or writes
-    an access indexed by neither of the two bands' iterators in a
-    reordering-sensitive way. Sufficient for the GEMM-family nests this
-    flow transforms. *)

@@ -121,18 +121,10 @@ let serve ?(config = Scheduler.default_config) ~input ~output () =
   let clock = ref (-1) in
   let quit = ref false in
   let handle_stats () =
-    let telemetry = Scheduler.telemetry core in
-    let s = Telemetry.summary telemetry in
-    let pct p =
-      match Telemetry.latency_percentile telemetry ~p with Some v -> v | None -> 0.0
-    in
     respond
-      (Printf.sprintf
-         "stats requests=%d completed=%d shed_rate_limited=%d shed_load=%d rejected=%d \
-          failed=%d served_tuned=%d p50_us=%.1f p99_us=%.1f"
-         s.Telemetry.requests s.Telemetry.completed s.Telemetry.shed_rate_limited
-         s.Telemetry.shed_load s.Telemetry.rejected s.Telemetry.failed
-         s.Telemetry.served_tuned (pct 50.0) (pct 99.0))
+      ("stats "
+      ^ Telemetry.format_fields
+          (Telemetry.fields (Telemetry.summary (Scheduler.telemetry core))))
   in
   let handle_line ~at line =
     if String.trim line <> "" then

@@ -21,7 +21,9 @@
     [1..]{!Trace.max_n}; unknown line keys and non-integral or
     out-of-range JSON integers are errors, as is JSON nested deeper
     than {!Tdo_util.Json.parse} accepts. Two control verbs: [stats]
-    answers with a one-line run summary, [quit] ends the session.
+    answers with one line, [stats] followed by the session's
+    {!Telemetry.fields} of {!Telemetry.summary} as [k=v] pairs
+    ({!Telemetry.format_fields}); [quit] ends the session.
     Every request gets one response line, written when the core reaches
     its outcome:
 

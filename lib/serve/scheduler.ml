@@ -1072,9 +1072,7 @@ let create ?(config = default_config) () =
 
   let finish (trace : Trace.t) =
     advance max_int;
-    let makespan_ps =
-      List.fold_left (fun acc r -> max acc r.Telemetry.finish_ps) 0 (Telemetry.records telemetry)
-    in
+    let makespan_ps = Telemetry.last_finish_ps telemetry in
     (* a tile still drafted at the end of the run has displaced memory
        traffic right up to the makespan — close the interval so the
        report's displaced-bytes figure covers the whole run *)
@@ -1132,17 +1130,80 @@ let replay ?config (trace : Trace.t) =
 
 (* ---------- report accessors ---------- *)
 
-let completed r = (Telemetry.summary r.telemetry).Telemetry.completed
-let fallbacks r = (Telemetry.summary r.telemetry).Telemetry.cpu_fallbacks
-let recovered r = (Telemetry.summary r.telemetry).Telemetry.recovered_host
-let rejections r = (Telemetry.summary r.telemetry).Telemetry.rejected
-let failures r = (Telemetry.summary r.telemetry).Telemetry.failed
-let detected_corruptions r = (Telemetry.summary r.telemetry).Telemetry.detected_corruptions
-
 let cache_hit_rate r =
   let c = r.cache in
   let lookups = c.Kernel_cache.hits + c.Kernel_cache.misses in
   if lookups = 0 then 0.0 else float_of_int c.Kernel_cache.hits /. float_of_int lookups
+
+let us_of_ps ps = float_of_int ps /. float_of_int Time_base.ps_per_us
+
+let fields ?(prefix = "") r =
+  let t = r.telemetry in
+  let run = Telemetry.fields (Telemetry.summary t) in
+  let group name fields = List.map (fun (k, v) -> (name ^ "_" ^ k, v)) fields in
+  let class_energy profile =
+    List.fold_left
+      (fun acc d -> if d.dev_profile = profile then acc +. d.dev_energy_j else acc)
+      0.0 r.devices
+  in
+  let makespan_s = us_of_ps r.makespan_ps /. 1e6 in
+  let device d =
+    let w = d.dev_wear in
+    let dev k v = (Printf.sprintf "dev%d_%s" d.dev_id k, v) in
+    [
+      dev "requests" (float_of_int d.dev_served);
+      dev "energy_j" d.dev_energy_j;
+      dev "conversions_to_compute" (float_of_int (fst d.dev_conversions));
+      dev "conversions_to_memory" (float_of_int (snd d.dev_conversions));
+      dev "displaced_mem_bytes" d.dev_displaced_bytes;
+      dev "cell_writes" (float_of_int w.Device.total_cell_writes);
+      dev "max_per_cell" (float_of_int w.Device.max_per_cell);
+      dev "levelled_max_per_line"
+        (float_of_int w.Device.leveling.Tdo_pcm.Wear_leveling.max_per_cell);
+      dev "remaps" (float_of_int w.Device.leveling.Tdo_pcm.Wear_leveling.remaps);
+      dev "budget_consumed" w.Device.budget_consumed;
+    ]
+    @ List.concat
+        (List.mapi
+           (fun tile cw ->
+             [
+               dev (Printf.sprintf "tile%d_cell_writes" tile) (float_of_int cw);
+               dev (Printf.sprintf "tile%d_write_bytes" tile)
+                 (float_of_int w.Device.per_tile_write_bytes.(tile));
+             ])
+           (Array.to_list w.Device.per_tile_cell_writes))
+  in
+  List.map
+    (fun (k, v) -> (prefix ^ k, v))
+    (run
+    @ List.concat_map
+        (fun (profile, c) ->
+          group ("class_" ^ profile)
+            (Telemetry.fields c @ [ ("energy_j", class_energy profile) ]))
+        (Telemetry.class_summary t)
+    @ List.concat_map
+        (fun (slo, c) -> group ("slo_" ^ Trace.slo_name slo) (Telemetry.fields c))
+        (Telemetry.slo_summary t)
+    @ [
+        ("devices", float_of_int (List.length r.devices));
+        ("quarantined_devices", float_of_int (List.length r.quarantined));
+        ("cache_hits", float_of_int r.cache.Kernel_cache.hits);
+        ("cache_misses", float_of_int r.cache.Kernel_cache.misses);
+        ("cache_hit_rate", cache_hit_rate r);
+        ("distinct_kernels", float_of_int (List.length (Trace.distinct_kernels r.trace)));
+        ("max_queue_depth", float_of_int (Telemetry.max_queue_depth t));
+        ("makespan_ms", us_of_ps r.makespan_ps /. 1000.0);
+        ( "throughput_rps",
+          if makespan_s > 0.0 then List.assoc "served" run /. makespan_s else 0.0 );
+      ]
+    @ List.concat_map
+        (fun (cls, samples, mre) ->
+          [
+            ("calib_" ^ cls ^ "_samples", float_of_int samples);
+            ("calib_" ^ cls ^ "_mre", mre);
+          ])
+        r.calibrations
+    @ List.concat_map device r.devices)
 
 (* The compute class behind a completed record: what decides whether
    two checksums are comparable. Analog and digital tiles share the

@@ -226,18 +226,25 @@ val output_checksum : Tdo_linalg.Mat.t list -> string
     exposed so external oracles (the reliability campaign's
     host-interpreter reference) can compare bit-for-bit. *)
 
-val completed : report -> int
-val fallbacks : report -> int
-val recovered : report -> int
-val rejections : report -> int
-val failures : report -> int
-
-val detected_corruptions : report -> int
-(** Device attempts discarded after an ABFT mismatch (sum of
-    per-request [retries]). *)
-
 val cache_hit_rate : report -> float
 (** Hits over (hits + misses); 0 on an empty run. *)
+
+val fields : ?prefix:string -> report -> (string * float) list
+(** Every figure of a run, each key prefixed with [prefix] (default
+    [""]), in this order:
+    - the run's {!Telemetry.fields};
+    - [class_<profile>_] + {!Telemetry.fields} + [energy_j] for each
+      {!Telemetry.class_summary} bucket;
+    - [slo_<class>_] + {!Telemetry.fields} for each
+      {!Telemetry.slo_summary} class;
+    - [devices], [quarantined_devices], [cache_hits], [cache_misses],
+      [cache_hit_rate], [distinct_kernels], [max_queue_depth],
+      [makespan_ms] and [throughput_rps] (served per simulated second);
+    - [calib_<class>_samples] and [calib_<class>_mre] per adopted
+      calibration;
+    - [dev<i>_] wear, energy and conversion figures per device.
+
+    The BENCH extras of [tdo-serve] are these fields. *)
 
 val record_class : Telemetry.record -> Backend.device_class option
 (** The compute class behind a record's checksum — what decides

@@ -1,5 +1,33 @@
 module Time_base = Tdo_sim.Time_base
 module Stats = Tdo_util.Stats
+module Json = Tdo_util.Json
+
+(* Declared before [record] and [conversion], so that an unannotated
+   [r.write_bytes] or [c.displaced_bytes] resolves to those types. *)
+type counts = {
+  requests : int;
+  completed : int;
+  completed_after_retry : int;
+  served_tuned : int;
+  cpu_fallbacks : int;
+  recovered_host : int;
+  rejected : int;
+  shed_rate_limited : int;
+  shed_load : int;
+  failed : int;
+  detected_corruptions : int;
+  write_bytes : int;
+  conversions_to_compute : int;
+  conversions_to_memory : int;
+  displaced_bytes : float;
+  latency_p50_us : float;
+  latency_p99_us : float;
+  latency_mean_us : float;
+}
+
+type summary = counts
+type class_counts = counts
+type slo_counts = counts
 
 type shed_reason = Rate_limited | Load_shed
 
@@ -62,13 +90,10 @@ type t = {
   mutable records : record list;  (** reverse order of recording *)
   mutable depth_samples : (int * int) list;  (** (at_ps, depth), reverse *)
   mutable conversions : conversion list;  (** reverse order *)
-  mutable observer : (record -> unit) option;
+  observer : (record -> unit) option;
 }
 
-let create ?observer () =
-  { records = []; depth_samples = []; conversions = []; observer }
-
-let set_observer t obs = t.observer <- obs
+let create ?observer () = { records = []; depth_samples = []; conversions = []; observer }
 
 let record t r =
   t.records <- r :: t.records;
@@ -87,183 +112,135 @@ let conversions t = List.rev t.conversions
 let records t =
   List.sort (fun a b -> compare a.request.Trace.id b.request.Trace.id) t.records
 
-type summary = {
-  requests : int;
-  completed : int;
-  completed_after_retry : int;
-  cpu_fallbacks : int;
-  recovered_host : int;
-  rejected : int;
-  shed_rate_limited : int;
-  shed_load : int;
-  failed : int;
-  detected_corruptions : int;
-  served_tuned : int;
-  conversions_to_compute : int;
-  conversions_to_memory : int;
-}
-
-let summary t =
-  let to_compute, to_memory =
-    List.fold_left
-      (fun (c, m) conv -> if conv.to_compute then (c + 1, m) else (c, m + 1))
-      (0, 0) t.conversions
-  in
-  List.fold_left
-    (fun s r ->
-      let s = { s with requests = s.requests + 1; detected_corruptions = s.detected_corruptions + r.retries } in
-      match r.outcome with
-      | Completed ->
-          {
-            s with
-            completed = s.completed + 1;
-            completed_after_retry = (s.completed_after_retry + if r.retries > 0 then 1 else 0);
-            served_tuned = (s.served_tuned + if r.tuned then 1 else 0);
-          }
-      | Cpu_fallback -> { s with cpu_fallbacks = s.cpu_fallbacks + 1 }
-      | Recovered_host -> { s with recovered_host = s.recovered_host + 1 }
-      | Rejected_overloaded -> { s with rejected = s.rejected + 1 }
-      | Shed Rate_limited -> { s with shed_rate_limited = s.shed_rate_limited + 1 }
-      | Shed Load_shed -> { s with shed_load = s.shed_load + 1 }
-      | Failed _ -> { s with failed = s.failed + 1 })
-    {
-      requests = 0;
-      completed = 0;
-      completed_after_retry = 0;
-      cpu_fallbacks = 0;
-      recovered_host = 0;
-      rejected = 0;
-      shed_rate_limited = 0;
-      shed_load = 0;
-      failed = 0;
-      detected_corruptions = 0;
-      served_tuned = 0;
-      conversions_to_compute = to_compute;
-      conversions_to_memory = to_memory;
-    }
-    t.records
-
-(* ---------- per-device-class breakdown ---------- *)
-
-type class_counts = {
-  served : int;  (** [Completed] on a device of this profile *)
-  recovered : int;
-  fallbacks : int;
-  rejected : int;
-  shed : int;  (** admission sheds (always in the ["unplaced"] bucket) *)
-  failed : int;
-  retries_against : int;  (** corrupt attempts charged to this profile's devices *)
-  to_compute : int;  (** dual-mode conversions into the compute role *)
-  to_memory : int;
-  class_write_bytes : int;  (** crossbar programming traffic of completed requests *)
-  class_displaced_bytes : float;
-      (** memory-role bandwidth this profile's dual tiles gave up while
-          drafted (charged on reverts) *)
-}
-
-let empty_class_counts =
-  {
-    served = 0;
-    recovered = 0;
-    fallbacks = 0;
-    rejected = 0;
-    shed = 0;
-    failed = 0;
-    retries_against = 0;
-    to_compute = 0;
-    to_memory = 0;
-    class_write_bytes = 0;
-    class_displaced_bytes = 0.0;
-  }
-
-let class_summary t =
-  let table : (string, class_counts) Hashtbl.t = Hashtbl.create 8 in
-  let bump bucket f =
-    let cur = Option.value ~default:empty_class_counts (Hashtbl.find_opt table bucket) in
-    Hashtbl.replace table bucket (f cur)
-  in
-  List.iter
-    (fun r ->
-      let bucket = profile_bucket r in
-      let bump' f = bump bucket f in
-      match r.outcome with
-      | Completed ->
-          bump' (fun c ->
-              {
-                c with
-                served = c.served + 1;
-                retries_against = c.retries_against + r.retries;
-                class_write_bytes = c.class_write_bytes + r.write_bytes;
-              })
-      | Cpu_fallback -> bump' (fun c -> { c with fallbacks = c.fallbacks + 1 })
-      | Recovered_host ->
-          bump' (fun c ->
-              { c with recovered = c.recovered + 1; retries_against = c.retries_against + r.retries })
-      | Rejected_overloaded -> bump' (fun c -> { c with rejected = c.rejected + 1 })
-      | Shed _ -> bump' (fun c -> { c with shed = c.shed + 1 })
-      | Failed _ -> bump' (fun c -> { c with failed = c.failed + 1 }))
-    t.records;
-  List.iter
-    (fun conv ->
-      bump conv.conv_profile (fun c ->
-          let c =
-            { c with class_displaced_bytes = c.class_displaced_bytes +. conv.displaced_bytes }
-          in
-          if conv.to_compute then { c with to_compute = c.to_compute + 1 }
-          else { c with to_memory = c.to_memory + 1 }))
-    t.conversions;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ---------- per-SLO-class / per-tenant breakdown ---------- *)
-
-type slo_counts = {
-  slo_requests : int;
-  slo_served : int;  (** completed + degraded-but-answered *)
-  slo_shed : int;  (** admission sheds + queue-overflow rejections *)
-  slo_failed : int;
-  slo_p50_us : float;  (** latency over this class's served requests; 0 if none *)
-  slo_p99_us : float;
-}
-
+let last_finish_ps t = List.fold_left (fun acc r -> max acc r.finish_ps) 0 t.records
 let us_of_ps ps = float_of_int ps /. float_of_int Time_base.ps_per_us
 
-let group_counts key_of t =
+(* ---------- roll-ups: one fold, one naming ---------- *)
+
+let no_counts =
+  {
+    requests = 0;
+    completed = 0;
+    completed_after_retry = 0;
+    served_tuned = 0;
+    cpu_fallbacks = 0;
+    recovered_host = 0;
+    rejected = 0;
+    shed_rate_limited = 0;
+    shed_load = 0;
+    failed = 0;
+    detected_corruptions = 0;
+    write_bytes = 0;
+    conversions_to_compute = 0;
+    conversions_to_memory = 0;
+    displaced_bytes = 0.0;
+    latency_p50_us = 0.0;
+    latency_p99_us = 0.0;
+    latency_mean_us = 0.0;
+  }
+
+let add_record (c : counts) (r : record) =
+  let c =
+    { c with requests = c.requests + 1; detected_corruptions = c.detected_corruptions + r.retries }
+  in
+  match r.outcome with
+  | Completed ->
+      {
+        c with
+        completed = c.completed + 1;
+        completed_after_retry = (c.completed_after_retry + if r.retries > 0 then 1 else 0);
+        served_tuned = (c.served_tuned + if r.tuned then 1 else 0);
+        write_bytes = c.write_bytes + r.write_bytes;
+      }
+  | Cpu_fallback -> { c with cpu_fallbacks = c.cpu_fallbacks + 1 }
+  | Recovered_host -> { c with recovered_host = c.recovered_host + 1 }
+  | Rejected_overloaded -> { c with rejected = c.rejected + 1 }
+  | Shed Rate_limited -> { c with shed_rate_limited = c.shed_rate_limited + 1 }
+  | Shed Load_shed -> { c with shed_load = c.shed_load + 1 }
+  | Failed _ -> { c with failed = c.failed + 1 }
+
+let add_conversion (c : counts) (conv : conversion) =
+  let c = { c with displaced_bytes = c.displaced_bytes +. conv.displaced_bytes } in
+  if conv.to_compute then { c with conversions_to_compute = c.conversions_to_compute + 1 }
+  else { c with conversions_to_memory = c.conversions_to_memory + 1 }
+
+(* Every record lands in the group [key] names and, when [conv_key] is
+   given, every conversion in the group it names. A group's latencies
+   are its served records' in [served_latencies_us]'s order, so its
+   mean sums them as [mean_latency_us] does. Sorted by key. *)
+let group ~key ?conv_key t =
   let table = Hashtbl.create 8 in
+  let find k =
+    match Hashtbl.find_opt table k with
+    | Some g -> g
+    | None ->
+        let g = (ref no_counts, ref []) in
+        Hashtbl.add table k g;
+        g
+  in
   List.iter
     (fun r ->
-      let key = key_of r in
-      let reqs, srv, shd, fld, lats =
-        Option.value ~default:(0, 0, 0, 0, []) (Hashtbl.find_opt table key)
-      in
-      let srv, lats =
-        if served r then (srv + 1, us_of_ps (latency_ps r) :: lats) else (srv, lats)
-      in
-      let shd = if shed r then shd + 1 else shd in
-      let fld = match r.outcome with Failed _ -> fld + 1 | _ -> fld in
-      Hashtbl.replace table key (reqs + 1, srv, shd, fld, lats))
+      let c, lats = find (key r) in
+      c := add_record !c r;
+      if served r then lats := us_of_ps (latency_ps r) :: !lats)
     t.records;
+  Option.iter
+    (fun conv_key ->
+      List.iter
+        (fun conv ->
+          let c, _ = find (conv_key conv) in
+          c := add_conversion !c conv)
+        t.conversions)
+    conv_key;
   Hashtbl.fold
-    (fun key (reqs, srv, shd, fld, lats) acc ->
-      ( key,
-        {
-          slo_requests = reqs;
-          slo_served = srv;
-          slo_shed = shd;
-          slo_failed = fld;
-          slo_p50_us = (if lats = [] then 0.0 else Stats.percentile lats ~p:50.0);
-          slo_p99_us = (if lats = [] then 0.0 else Stats.percentile lats ~p:99.0);
-        } )
-      :: acc)
+    (fun k (c, lats) acc ->
+      let c =
+        match List.rev !lats with
+        | [] -> !c
+        | lats ->
+            {
+              !c with
+              latency_p50_us = Stats.percentile lats ~p:50.0;
+              latency_p99_us = Stats.percentile lats ~p:99.0;
+              latency_mean_us = Stats.mean lats;
+            }
+      in
+      (k, c) :: acc)
     table []
-
-let slo_summary t =
-  group_counts (fun r -> r.request.Trace.slo) t
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let tenant_summary t =
-  group_counts (fun r -> r.request.Trace.tenant) t
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let summary t =
+  match group ~key:ignore ~conv_key:ignore t with [ (_, c) ] -> c | _ -> no_counts
+
+let class_summary t = group ~key:profile_bucket ~conv_key:(fun conv -> conv.conv_profile) t
+let slo_summary t = group ~key:(fun r -> r.request.Trace.slo) t
+
+let fields (c : counts) =
+  let n = float_of_int in
+  [
+    ("requests", n c.requests);
+    ("served", n (c.completed + c.cpu_fallbacks + c.recovered_host));
+    ("completed", n c.completed);
+    ("completed_after_retry", n c.completed_after_retry);
+    ("served_tuned", n c.served_tuned);
+    ("cpu_fallbacks", n c.cpu_fallbacks);
+    ("recovered_host", n c.recovered_host);
+    ("rejected_overloaded", n c.rejected);
+    ("shed_rate_limited", n c.shed_rate_limited);
+    ("shed_load", n c.shed_load);
+    ("failed", n c.failed);
+    ("detected_corruptions", n c.detected_corruptions);
+    ("write_bytes", n c.write_bytes);
+    ("conversions_to_compute", n c.conversions_to_compute);
+    ("conversions_to_memory", n c.conversions_to_memory);
+    ("displaced_mem_bytes", c.displaced_bytes);
+    ("latency_p50_us", c.latency_p50_us);
+    ("latency_p99_us", c.latency_p99_us);
+    ("latency_mean_us", c.latency_mean_us);
+  ]
+
+let format_fields fs =
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ Json.number v) fs)
 
 (* ---------- time-windowed views ---------- *)
 
@@ -277,9 +254,19 @@ type window = {
   w_p99_us : float;
   w_throughput_rps : float;  (** served per second of window time *)
   w_max_depth : int;  (** deepest queue sample in the window *)
-  w_slo_served : (Trace.slo * int) list;
-  w_slo_shed : (Trace.slo * int) list;
+  w_served_by_slo : (Trace.slo * int) list;
+  w_shed_by_slo : (Trace.slo * int) list;
 }
+
+let window_ps window_us =
+  let ps = window_us *. float_of_int Time_base.ps_per_us in
+  if Float.is_finite ps && ps >= 1.0 && ps < float_of_int max_int then Some (int_of_float ps)
+  else None
+
+let window_ps_exn name window_us =
+  match window_ps window_us with
+  | Some ps -> ps
+  | None -> invalid_arg (name ^ ": window_us must be finite and span 1 ps to max_int ps")
 
 (* Accumulator for one window; records land by finish time, arrivals
    by arrival time, so a long-latency request counts as an arrival in
@@ -290,8 +277,8 @@ type window_acc = {
   mutable a_shed : int;
   mutable a_lats : float list;
   mutable a_max_depth : int;
-  a_slo_served : (Trace.slo, int) Hashtbl.t;
-  a_slo_shed : (Trace.slo, int) Hashtbl.t;
+  a_served_by_slo : (Trace.slo, int) Hashtbl.t;
+  a_shed_by_slo : (Trace.slo, int) Hashtbl.t;
 }
 
 let new_acc () =
@@ -301,8 +288,8 @@ let new_acc () =
     a_shed = 0;
     a_lats = [];
     a_max_depth = 0;
-    a_slo_served = Hashtbl.create 4;
-    a_slo_shed = Hashtbl.create 4;
+    a_served_by_slo = Hashtbl.create 4;
+    a_shed_by_slo = Hashtbl.create 4;
   }
 
 let acc_window accs window_ps at_ps =
@@ -316,6 +303,18 @@ let acc_window accs window_ps at_ps =
 
 let bump_slo table slo =
   Hashtbl.replace table slo (1 + Option.value ~default:0 (Hashtbl.find_opt table slo))
+
+(* What a record adds to the window it finishes in. *)
+let add_finish a r =
+  if served r then begin
+    a.a_served <- a.a_served + 1;
+    a.a_lats <- us_of_ps (latency_ps r) :: a.a_lats;
+    bump_slo a.a_served_by_slo r.request.Trace.slo
+  end
+  else if shed r then begin
+    a.a_shed <- a.a_shed + 1;
+    bump_slo a.a_shed_by_slo r.request.Trace.slo
+  end
 
 let window_of_acc ~window_ps idx (a : window_acc) =
   let slo_list table =
@@ -335,29 +334,19 @@ let window_of_acc ~window_ps idx (a : window_acc) =
     w_throughput_rps =
       float_of_int a.a_served /. (float_of_int window_ps /. 1e12);
     w_max_depth = a.a_max_depth;
-    w_slo_served = slo_list a.a_slo_served;
-    w_slo_shed = slo_list a.a_slo_shed;
+    w_served_by_slo = slo_list a.a_served_by_slo;
+    w_shed_by_slo = slo_list a.a_shed_by_slo;
   }
 
 let windows ?(window_us = 10_000.0) t =
-  if window_us <= 0.0 then invalid_arg "Telemetry.windows: window_us must be positive";
-  let window_ps = max 1 (int_of_float (window_us *. float_of_int Time_base.ps_per_us)) in
+  let window_ps = window_ps_exn "Telemetry.windows" window_us in
   let accs : (int, window_acc) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun r ->
       let arr = acc_window accs window_ps r.request.Trace.arrival_ps in
       arr.a_arrivals <- arr.a_arrivals + 1;
       arr.a_max_depth <- max arr.a_max_depth r.queue_depth;
-      let fin = acc_window accs window_ps r.finish_ps in
-      if served r then begin
-        fin.a_served <- fin.a_served + 1;
-        fin.a_lats <- us_of_ps (latency_ps r) :: fin.a_lats;
-        bump_slo fin.a_slo_served r.request.Trace.slo
-      end
-      else if shed r then begin
-        fin.a_shed <- fin.a_shed + 1;
-        bump_slo fin.a_slo_shed r.request.Trace.slo
-      end)
+      add_finish (acc_window accs window_ps r.finish_ps) r)
     t.records;
   List.iter
     (fun (at_ps, depth) ->
@@ -381,52 +370,39 @@ let format_window w =
      rps depth %3d%s%s"
     w.w_index (w.w_start_us /. 1000.0) w.w_arrivals w.w_served w.w_shed w.w_p50_us
     w.w_p99_us w.w_throughput_rps w.w_max_depth
-    (slo_part "served" w.w_slo_served)
-    (slo_part "shed" w.w_slo_shed)
+    (slo_part "served" w.w_served_by_slo)
+    (slo_part "shed" w.w_shed_by_slo)
 
 (* Live observer: fold records into the current window's accumulator
    and emit the formatted line as soon as a record lands past the
-   window's end. Records arrive in dispatch-wave order, which is only
-   approximately time order, so stragglers for an already-emitted
-   window are folded into the live one instead of reopening the past. *)
+   window's end, then jump straight to that record's window: the
+   windows in between are empty, and empty windows are not emitted.
+   Records arrive in dispatch-wave order, which is only approximately
+   time order, so stragglers for an already-emitted window are folded
+   into the live one instead of reopening the past. *)
 let live_view ?(window_us = 10_000.0) ~emit () =
-  if window_us <= 0.0 then invalid_arg "Telemetry.live_view: window_us must be positive";
-  let window_ps = max 1 (int_of_float (window_us *. float_of_int Time_base.ps_per_us)) in
+  let window_ps = window_ps_exn "Telemetry.live_view" window_us in
   let current = ref 0 in
   let acc = ref (new_acc ()) in
-  let flush upto =
-    while !current < upto do
+  fun (r : record) ->
+    let idx = max 0 r.finish_ps / window_ps in
+    if idx > !current then begin
       if !acc.a_arrivals + !acc.a_served + !acc.a_shed > 0 then
         emit (format_window (window_of_acc ~window_ps !current !acc));
       acc := new_acc ();
-      incr current
-    done
-  in
-  fun (r : record) ->
-    flush (max 0 r.finish_ps / window_ps);
+      current := idx
+    end;
     let a = !acc in
     a.a_arrivals <- a.a_arrivals + 1;
     a.a_max_depth <- max a.a_max_depth r.queue_depth;
-    if served r then begin
-      a.a_served <- a.a_served + 1;
-      a.a_lats <- us_of_ps (latency_ps r) :: a.a_lats;
-      bump_slo a.a_slo_served r.request.Trace.slo
-    end
-    else if shed r then begin
-      a.a_shed <- a.a_shed + 1;
-      bump_slo a.a_slo_shed r.request.Trace.slo
-    end
+    add_finish a r
 
 let served_latencies_us ?profile t =
   List.filter_map
     (fun r ->
-      let keep =
-        match profile with None -> true | Some p -> profile_bucket r = p
-      in
-      match r.outcome with
-      | (Completed | Cpu_fallback | Recovered_host) when keep ->
-          Some (float_of_int (latency_ps r) /. float_of_int Time_base.ps_per_us)
-      | _ -> None)
+      if served r && (match profile with None -> true | Some p -> profile_bucket r = p) then
+        Some (us_of_ps (latency_ps r))
+      else None)
     t.records
 
 let latency_percentile ?profile t ~p =
@@ -438,18 +414,6 @@ let mean_latency_us ?profile t =
 let max_queue_depth t = List.fold_left (fun acc (_, d) -> max acc d) 0 t.depth_samples
 
 (* ---------- Chrome trace events ---------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let chrome_trace t =
   let b = Buffer.create 4096 in
@@ -463,6 +427,7 @@ let chrome_trace t =
         Buffer.add_string b s)
       fmt
   in
+  let escape = Json.escape_string in
   List.iter
     (fun r ->
       let name =
@@ -517,34 +482,17 @@ let chrome_trace t =
       event {|{"name":"queue","ph":"C","ts":%.3f,"pid":1,"tid":0,"args":{"depth":%d}}|}
         (us_of_ps at_ps) depth)
     (List.rev t.depth_samples);
-  (* one closing instant event carrying the per-outcome counters, so a
-     trace viewer shows the run's totals without the JSON report *)
-  let s = summary t in
-  let last_finish = List.fold_left (fun acc r -> max acc r.finish_ps) 0 t.records in
-  event
-    {|{"name":"outcome-summary","ph":"i","ts":%.3f,"pid":1,"tid":0,"s":"g","args":{"requests":%d,"completed":%d,"completed_after_retry":%d,"cpu_fallbacks":%d,"recovered_host":%d,"rejected":%d,"shed_rate_limited":%d,"shed_load":%d,"failed":%d,"detected_corruptions":%d,"served_tuned":%d,"conversions_to_compute":%d,"conversions_to_memory":%d}}|}
-    (us_of_ps last_finish) s.requests s.completed s.completed_after_retry s.cpu_fallbacks
-    s.recovered_host s.rejected s.shed_rate_limited s.shed_load s.failed
-    s.detected_corruptions s.served_tuned s.conversions_to_compute s.conversions_to_memory;
-  (* and one per device class, so mixed-fleet runs are debuggable from
-     the trace alone *)
-  List.iter
-    (fun (profile, (c : class_counts)) ->
-      event
-        {|{"name":"class-summary %s","ph":"i","ts":%.3f,"pid":1,"tid":0,"s":"g","args":{"served":%d,"recovered":%d,"cpu_fallbacks":%d,"rejected":%d,"shed":%d,"failed":%d,"retries_against":%d,"conversions_to_compute":%d,"conversions_to_memory":%d,"write_bytes":%d,"displaced_mem_bytes":%.0f}}|}
-        (escape profile) (us_of_ps last_finish) c.served c.recovered c.fallbacks c.rejected
-        c.shed c.failed c.retries_against c.to_compute c.to_memory c.class_write_bytes
-        c.class_displaced_bytes)
-    (class_summary t);
-  (* and one per SLO class, mirroring the per-class shed/served
-     accounting the admission layer is judged by *)
-  List.iter
-    (fun (slo, (c : slo_counts)) ->
-      event
-        {|{"name":"slo-summary %s","ph":"i","ts":%.3f,"pid":1,"tid":0,"s":"g","args":{"requests":%d,"served":%d,"shed":%d,"failed":%d,"p50_us":%.3f,"p99_us":%.3f}}|}
-        (Trace.slo_name slo) (us_of_ps last_finish) c.slo_requests c.slo_served c.slo_shed
-        c.slo_failed c.slo_p50_us c.slo_p99_us)
-    (slo_summary t);
+  (* closing instant events carrying the run's, each device class's and
+     each SLO class's {!fields}, so a trace viewer shows the totals
+     without the JSON report *)
+  let summary_event name c =
+    event {|{"name":"%s","ph":"i","ts":%.3f,"pid":1,"tid":0,"s":"g","args":%s}|} (escape name)
+      (us_of_ps (last_finish_ps t))
+      (Json.to_string (Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) (fields c))))
+  in
+  summary_event "outcome-summary" (summary t);
+  List.iter (fun (profile, c) -> summary_event ("class-summary " ^ profile) c) (class_summary t);
+  List.iter (fun (slo, c) -> summary_event ("slo-summary " ^ Trace.slo_name slo) c) (slo_summary t);
   Buffer.add_string b "]\n";
   Buffer.contents b
 

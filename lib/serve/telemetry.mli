@@ -4,17 +4,62 @@
     placement (device {e and} fleet profile), cache behaviour and a
     checksum of the produced outputs — plus a queue-depth sample per
     scheduling step and one event per dual-mode role conversion.
-    Aggregations (latency percentiles, hit rates, per-device-class and
-    per-SLO-class outcome counts, rolling time windows) are computed on
-    demand from the raw records, and the whole run can be dumped as a
-    Chrome trace-event JSON file ([chrome://tracing], Perfetto) with
-    one track per device.
+    Everything else is computed on demand from the raw records.
+
+    {b Roll-ups.} One grouping fold turns the records (and the
+    conversions) into {!counts}: for the whole run ({!summary}), per
+    device class ({!class_summary}) and per SLO class
+    ({!slo_summary}). {!fields} names a {!counts} once, and every
+    serving report renders from that naming: [tdo-serve]'s BENCH
+    extras and summaries ({!Scheduler.fields}), the front-end's
+    [stats] reply and the closing events of the Chrome trace
+    ({!chrome_trace}), which dumps the whole run as trace-event JSON
+    ([chrome://tracing], Perfetto) with one track per device. Rolling
+    time windows ({!windows}) are the one view kept apart.
 
     For live runs (the scheduler's [on_record] hook, which [--load] and
     the {!Frontend} use), an observer can be attached: it sees every
     record as it lands, and {!live_view} builds a windowed observer
     that emits one formatted roll-up line per elapsed time window while
     the run is still going. *)
+
+type counts = {
+  requests : int;
+  completed : int;  (** served on a fleet device *)
+  completed_after_retry : int;  (** completed on a device after >=1 retry *)
+  served_tuned : int;  (** completed requests that ran a tuned configuration *)
+  cpu_fallbacks : int;
+  recovered_host : int;
+  rejected : int;  (** bounced by the hard queue bound ([rejected_overloaded]) *)
+  shed_rate_limited : int;  (** dropped by a tenant token bucket *)
+  shed_load : int;  (** dropped by SLO-class queue-fill shedding *)
+  failed : int;
+  detected_corruptions : int;
+      (** device attempts whose ABFT check failed: the sum of [retries]
+          over the group's records, whatever their outcome *)
+  write_bytes : int;  (** crossbar programming traffic of completed requests *)
+  conversions_to_compute : int;  (** dual-mode tiles drafted into the compute pool *)
+  conversions_to_memory : int;  (** dual-mode tiles released back to plain memory *)
+  displaced_bytes : float;
+      (** memory-role bandwidth dual tiles gave up while drafted
+          (charged on reverts) *)
+  latency_p50_us : float;
+      (** over the group's served requests ({!served}); 0 when none *)
+  latency_p99_us : float;
+  latency_mean_us : float;
+}
+(** Outcome counters of one group of records. Every record counts in
+    exactly one of the seven outcome fields [completed],
+    [cpu_fallbacks], [recovered_host], [rejected], [shed_rate_limited],
+    [shed_load] and [failed], which therefore sum to [requests].
+    Conversions and displaced bytes count in the run total and in
+    their device class, never in an SLO class. (Declared before
+    {!record} and {!conversion}, so an unannotated [r.write_bytes] or
+    [c.displaced_bytes] means theirs.) *)
+
+type summary = counts
+type class_counts = counts
+type slo_counts = counts
 
 type shed_reason =
   | Rate_limited  (** tenant token bucket empty ({!Admission.Shed_rate}) *)
@@ -78,8 +123,6 @@ val create : ?observer:(record -> unit) -> unit -> t
 (** [observer] (if any) is called synchronously with every record as it
     is recorded — the hook live views hang off. *)
 
-val set_observer : t -> (record -> unit) option -> unit
-
 val record : t -> record -> unit
 val sample_queue_depth : t -> at_ps:int -> depth:int -> unit
 
@@ -113,63 +156,35 @@ val conversions : t -> conversion list
 val records : t -> record list
 (** In request-id order. *)
 
-type summary = {
-  requests : int;
-  completed : int;
-  completed_after_retry : int;  (** completed on a device after >=1 retry *)
-  cpu_fallbacks : int;
-  recovered_host : int;
-  rejected : int;
-  shed_rate_limited : int;  (** dropped by a tenant token bucket *)
-  shed_load : int;  (** dropped by SLO-class queue-fill shedding *)
-  failed : int;
-  detected_corruptions : int;
-      (** device attempts whose ABFT check failed (sum of [retries]) *)
-  served_tuned : int;  (** completed requests that ran a tuned configuration *)
-  conversions_to_compute : int;  (** dual-mode tiles drafted into the compute pool *)
-  conversions_to_memory : int;  (** dual-mode tiles released back to plain memory *)
-}
+val last_finish_ps : t -> int
+(** The latest [finish_ps] over all records; 0 when there are none. *)
 
 val summary : t -> summary
-(** Per-outcome counters over all records. *)
-
-type class_counts = {
-  served : int;  (** [Completed] on a device of this profile *)
-  recovered : int;
-  fallbacks : int;
-  rejected : int;
-  shed : int;  (** admission sheds (always in the ["unplaced"] bucket) *)
-  failed : int;
-  retries_against : int;  (** corrupt attempts charged to this profile's devices *)
-  to_compute : int;  (** dual-mode conversions into the compute role *)
-  to_memory : int;
-  class_write_bytes : int;  (** crossbar programming traffic of completed requests *)
-  class_displaced_bytes : float;
-      (** memory-role bandwidth this profile's dual tiles gave up while
-          drafted (charged on reverts) *)
-}
+(** The whole run's {!counts}, conversions included. *)
 
 val class_summary : t -> (string * class_counts) list
-(** Outcome counters split by {!profile_bucket}, sorted by bucket name.
-    Mixed-fleet runs read per-class served/recovered/rejected counts
-    and dual-mode conversion totals from here. *)
-
-type slo_counts = {
-  slo_requests : int;
-  slo_served : int;  (** completed + degraded-but-answered *)
-  slo_shed : int;  (** admission sheds + queue-overflow rejections *)
-  slo_failed : int;
-  slo_p50_us : float;  (** latency over this class's served requests; 0 if none *)
-  slo_p99_us : float;
-}
+(** {!counts} split by {!profile_bucket}, sorted by bucket name; each
+    conversion counts in its tile's profile. *)
 
 val slo_summary : t -> (Trace.slo * slo_counts) list
-(** Outcome counters split by SLO class, sorted [Interactive] first.
-    The shed-ordering claim — overload drops best-effort before batch
+(** {!counts} split by SLO class, sorted [Interactive] first. The
+    shed-ordering claim — overload drops best-effort before batch
     before interactive — is checked against these counters. *)
 
-val tenant_summary : t -> (int * slo_counts) list
-(** Same counters split by tenant id, ascending. *)
+val fields : counts -> (string * float) list
+(** The one naming of a {!counts}, in a fixed order: [requests],
+    [served] (= completed + cpu_fallbacks + recovered_host), then
+    [completed], [completed_after_retry], [served_tuned],
+    [cpu_fallbacks], [recovered_host], [rejected_overloaded],
+    [shed_rate_limited], [shed_load], [failed], [detected_corruptions],
+    [write_bytes], [conversions_to_compute], [conversions_to_memory],
+    [displaced_mem_bytes], [latency_p50_us], [latency_p99_us] and
+    [latency_mean_us]. *)
+
+val format_fields : (string * float) list -> string
+(** [k=v] pairs separated by spaces, each value as
+    {!Tdo_util.Json.number} prints it: what the summaries and the
+    [stats] reply print. *)
 
 type window = {
   w_index : int;
@@ -181,8 +196,8 @@ type window = {
   w_p99_us : float;
   w_throughput_rps : float;  (** served per second of window time *)
   w_max_depth : int;  (** deepest queue sample in the window *)
-  w_slo_served : (Trace.slo * int) list;
-  w_slo_shed : (Trace.slo * int) list;
+  w_served_by_slo : (Trace.slo * int) list;
+  w_shed_by_slo : (Trace.slo * int) list;
 }
 
 val windows : ?window_us:float -> t -> window list
@@ -191,16 +206,23 @@ val windows : ?window_us:float -> t -> window list
     omitted. Arrivals are bucketed by arrival time, served/shed counts
     and latency percentiles by finish time — so a burst shows up as an
     arrival spike first and a served/latency bump in later windows.
-    Raises [Invalid_argument] if [window_us <= 0]. *)
+    Raises [Invalid_argument] unless {!window_ps} accepts [window_us]. *)
+
+val window_ps : float -> int option
+(** [window_ps window_us] is the width in picoseconds; [None] unless
+    [window_us] is finite and the width is at least 1 ps and below
+    [max_int] ps. *)
 
 val format_window : window -> string
 (** One fixed-width human-readable roll-up line. *)
 
 val live_view : ?window_us:float -> emit:(string -> unit) -> unit -> record -> unit
-(** Build a stateful observer (pass it to {!create} or {!set_observer})
-    that folds records into the current time window and calls [emit]
-    with one {!format_window} line each time a record lands past the
-    window's end. Empty windows are skipped. Records are seen in
+(** Build a stateful observer (pass it to {!create}) that folds records
+    into the current time window and calls [emit] with one
+    {!format_window} line each time a record lands past the window's
+    end; the cost is per record, however many empty windows that
+    record skips. Empty windows are not emitted. Raises
+    [Invalid_argument] where {!windows} does. Records are seen in
     dispatch order, which is only approximately time order; stragglers
     for an already-emitted window are folded into the live window
     rather than reopening the past. *)
@@ -219,7 +241,9 @@ val chrome_trace : t -> string
     ("ph":"X") event per served request on its device's track (tagged
     with its device class, SLO class and tenant), one instant event per
     rejection, shed and dual-mode conversion, a queue-depth counter
-    track, and closing instant events carrying the run-level, per-class
-    and per-SLO summaries. Timestamps are simulated microseconds. *)
+    track, and closing instant events [outcome-summary],
+    [class-summary <profile>] and [slo-summary <class>] whose [args]
+    are the {!fields} of {!summary}, {!class_summary} and
+    {!slo_summary}. Timestamps are simulated microseconds. *)
 
 val write_chrome_trace : t -> path:string -> unit

@@ -146,11 +146,10 @@ let retire_probed t ~loads ~stores ~cycles =
     ~cycles:(stores * (Array.unsafe_get t.base_cycles store + t.hit_cycles));
   t.cycles <- t.cycles + cycles
 
-let issue t ?addr cls =
-  match (cls, addr) with
-  | (Load | Store), Some a -> issue_at t ~addr:a cls
-  | (Load | Store), None -> invalid_arg "Cpu.issue: memory instruction without an address"
-  | (Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret), _ ->
+let issue t cls =
+  match cls with
+  | Load | Store -> invalid_arg "Cpu.issue: memory instructions need addresses (issue_at)"
+  | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
       let i = class_index cls in
       retire t i ~count:1 ~cycles:(Array.unsafe_get t.base_cycles i)
 

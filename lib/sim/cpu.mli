@@ -4,10 +4,10 @@
     stores also their latency through the data-cache hierarchy, and the
     model accumulates cycles, instruction counts, and region-of-interest
     (ROI) windows — the same quantities the paper profiles with gem5 ROI
-    markers. Instructions are issued one at a time ({!issue}) or in bulk
-    ({!issue_many}, {!issue_run}); the IR executor probes its loads and
-    stores as they run and retires them in bulk ({!probe_load},
-    {!retire_probed}).
+    markers. Instructions are issued one at a time ({!issue},
+    {!issue_at}) or in bulk ({!issue_many}, {!issue_run}); the IR
+    executor probes its loads and stores as they run and retires them
+    in bulk ({!probe_load}, {!retire_probed}).
 
     Instruction fetch is folded into the per-class base cost (the L1I
     hit rate of these dense loop kernels is ~100%), which keeps the
@@ -40,15 +40,15 @@ type t
 val create : ?config:config -> l1d:Cache.t -> unit -> t
 val config : t -> config
 
-val issue : t -> ?addr:int -> iclass -> unit
-(** Account one dynamic instruction. [addr] is required for [Load] and
-    [Store] (raises [Invalid_argument] if missing) and ignored
-    otherwise. *)
+val issue : t -> iclass -> unit
+(** Account one dynamic non-memory instruction. Raises
+    [Invalid_argument] for [Load]/[Store]: those go through
+    {!issue_at}. *)
 
 val issue_at : t -> addr:int -> iclass -> unit
-(** {!issue} for [Load]/[Store] with a mandatory address, avoiding the
-    [Some addr] box per charged memory access. Raises
-    [Invalid_argument] for non-memory classes. *)
+(** Account one [Load] or [Store] at [addr], charging its latency
+    through the data-cache hierarchy. Raises [Invalid_argument] for
+    non-memory classes. *)
 
 val issue_run : t -> addr:int -> count:int -> iclass -> unit
 (** [count] consecutive 4-byte [Load]s or [Store]s at [addr],

@@ -306,8 +306,8 @@ let test_scheduler_residency_amortises_writes () =
   let trace = graph_trace ~requests:24 ~tenants:1 ~n:8 ~seed:100 in
   let pinned = Scheduler.replay ~config:(scheduler_config ~residency:true) trace in
   let unpinned = Scheduler.replay ~config:(scheduler_config ~residency:false) trace in
-  Alcotest.(check int) "all served (pinned)" 24 (Scheduler.completed pinned);
-  Alcotest.(check int) "all served (unpinned)" 24 (Scheduler.completed unpinned);
+  Alcotest.(check int) "all served (pinned)" 24 (Telemetry.summary pinned.Scheduler.telemetry).Telemetry.completed;
+  Alcotest.(check int) "all served (unpinned)" 24 (Telemetry.summary unpinned.Scheduler.telemetry).Telemetry.completed;
   let wp = completed_write_bytes pinned and wu = completed_write_bytes unpinned in
   Alcotest.(check bool)
     (Printf.sprintf "residency amortises weight writes (%d vs %d)" wp wu)

@@ -458,10 +458,10 @@ let test_replay_smoke_and_golden () =
   let report = Scheduler.replay ~config trace in
   let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
   let total = List.length trace.Trace.requests in
-  Alcotest.(check int) "all requests completed on CIM" total (Scheduler.completed report);
-  Alcotest.(check int) "no rejections at this load" 0 (Scheduler.rejections report);
-  Alcotest.(check int) "no failures" 0 (Scheduler.failures report);
-  Alcotest.(check int) "golden serves everything" total (Scheduler.completed golden);
+  Alcotest.(check int) "all requests completed on CIM" total (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
+  Alcotest.(check int) "no rejections at this load" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.rejected;
+  Alcotest.(check int) "no failures" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.failed;
+  Alcotest.(check int) "golden serves everything" total (Telemetry.summary golden.Scheduler.telemetry).Telemetry.completed;
   Alcotest.(check int) "no cross-device divergence" 0 (Scheduler.divergence report golden);
   Alcotest.(check int) "one compile per distinct kernel"
     (List.length (Trace.distinct_kernels trace))
@@ -486,12 +486,12 @@ let test_backpressure_rejects_overload () =
     }
   in
   let report = Scheduler.replay ~config trace in
-  Alcotest.(check bool) "queue bound produces rejections" true
-    (Scheduler.rejections report > 0);
-  Alcotest.(check bool) "some requests still served" true (Scheduler.completed report > 0);
+  let s = Telemetry.summary report.Scheduler.telemetry in
+  Alcotest.(check bool) "queue bound produces rejections" true (s.Telemetry.rejected > 0);
+  Alcotest.(check bool) "some requests still served" true (s.Telemetry.completed > 0);
   Alcotest.(check int) "every request accounted for" 12
-    (Scheduler.completed report + Scheduler.fallbacks report + Scheduler.rejections report
-    + Scheduler.failures report);
+    (s.Telemetry.completed + s.Telemetry.cpu_fallbacks + s.Telemetry.rejected
+    + s.Telemetry.failed);
   List.iter
     (fun r ->
       if r.Telemetry.outcome = Telemetry.Rejected_overloaded then (
@@ -510,10 +510,11 @@ let test_deadline_degrades_to_cpu () =
     }
   in
   let report = Scheduler.replay ~config trace in
-  Alcotest.(check bool) "expired requests degrade" true (Scheduler.fallbacks report > 0);
+  let s = Telemetry.summary report.Scheduler.telemetry in
+  Alcotest.(check bool) "expired requests degrade" true (s.Telemetry.cpu_fallbacks > 0);
   Alcotest.(check int) "nothing is dropped" 6
-    (Scheduler.completed report + Scheduler.fallbacks report + Scheduler.rejections report
-    + Scheduler.failures report);
+    (s.Telemetry.completed + s.Telemetry.cpu_fallbacks + s.Telemetry.rejected
+    + s.Telemetry.failed);
   List.iter
     (fun r ->
       if r.Telemetry.outcome = Telemetry.Cpu_fallback then (
@@ -523,7 +524,7 @@ let test_deadline_degrades_to_cpu () =
     (Telemetry.records report.Scheduler.telemetry);
   (* golden mode ignores deadlines entirely *)
   let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
-  Alcotest.(check int) "golden never degrades" 0 (Scheduler.fallbacks golden)
+  Alcotest.(check int) "golden never degrades" 0 (Telemetry.summary golden.Scheduler.telemetry).Telemetry.cpu_fallbacks
 
 (* A run that fails inside its ROI window leaves the device serving.
    [bad_kernel] divides by a zero parameter before touching memory;
@@ -741,7 +742,7 @@ let test_calibration_reprices_without_lookups () =
     }
   in
   let report = Scheduler.replay ~config trace in
-  Alcotest.(check int) "every request served" 16 (Scheduler.completed report);
+  Alcotest.(check int) "every request served" 16 (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
   Alcotest.(check bool) "a calibration was adopted" true (report.Scheduler.calibrations <> []);
   let batches =
     List.sort_uniq compare
@@ -775,7 +776,7 @@ let fleet_of spec =
 
 let class_served summary profile =
   match List.assoc_opt profile summary with
-  | Some c -> c.Telemetry.served
+  | Some c -> c.Telemetry.completed
   | None -> 0
 
 (* A mixed fleet over a trace heavy enough that cost-based placement
@@ -797,9 +798,9 @@ let test_mixed_fleet_places_on_every_class () =
   in
   let report = Scheduler.replay ~config trace in
   let total = List.length trace.Trace.requests in
-  Alcotest.(check int) "every request completed" total (Scheduler.completed report);
-  Alcotest.(check int) "no rejections" 0 (Scheduler.rejections report);
-  Alcotest.(check int) "no failures" 0 (Scheduler.failures report);
+  Alcotest.(check int) "every request completed" total (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
+  Alcotest.(check int) "no rejections" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.rejected;
+  Alcotest.(check int) "no failures" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.failed;
   let cs = Telemetry.class_summary report.Scheduler.telemetry in
   List.iter
     (fun profile ->
@@ -807,7 +808,7 @@ let test_mixed_fleet_places_on_every_class () =
         (class_served cs profile > 0))
     [ "pcm"; "digital"; "host"; "dual" ];
   Alcotest.(check int) "per-class counts partition the trace" total
-    (List.fold_left (fun acc (_, c) -> acc + c.Telemetry.served) 0 cs);
+    (List.fold_left (fun acc (_, c) -> acc + c.Telemetry.completed) 0 cs);
   let s = Telemetry.summary report.Scheduler.telemetry in
   Alcotest.(check bool) "the dual tile was drafted" true (s.Telemetry.conversions_to_compute > 0);
   (* device reports carry profile, class, energy and conversions *)
@@ -870,7 +871,7 @@ let test_dual_mode_draft_and_revert () =
     }
   in
   let report = Scheduler.replay ~config trace in
-  Alcotest.(check int) "burst and straggler all served" 11 (Scheduler.completed report);
+  Alcotest.(check int) "burst and straggler all served" 11 (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
   let s = Telemetry.summary report.Scheduler.telemetry in
   Alcotest.(check bool) "burst drafts the dual tile" true
     (s.Telemetry.conversions_to_compute >= 1);
@@ -939,7 +940,7 @@ let test_tie_break_spreads_writes () =
     }
   in
   let report = Scheduler.replay ~config trace in
-  Alcotest.(check int) "every request completed" count (Scheduler.completed report);
+  Alcotest.(check int) "every request completed" count (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
   let records =
     List.sort
       (fun a b -> compare a.Telemetry.request.Trace.id b.Telemetry.request.Trace.id)
@@ -998,8 +999,8 @@ let qcheck_batched_matches_sequential =
       let report = Scheduler.replay ~config trace in
       let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
       let total = List.length trace.Trace.requests in
-      Scheduler.completed report = total
-      && Scheduler.completed golden = total
+      (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed = total
+      && (Telemetry.summary golden.Scheduler.telemetry).Telemetry.completed = total
       && Scheduler.divergence report golden = 0)
 
 (* Determinism extends to heterogeneous fleets: every placement and
@@ -1120,14 +1121,15 @@ let test_replay_sheds_by_slo_class () =
     | Some c -> c
     | None -> Alcotest.fail "missing slo bucket"
   in
+  let shed (c : Telemetry.slo_counts) =
+    c.Telemetry.shed_rate_limited + c.Telemetry.shed_load + c.Telemetry.rejected
+  in
   let be = counts Trace.Best_effort and b = counts Trace.Batch and i = counts Trace.Interactive in
-  Alcotest.(check bool) "best-effort shed under overload" true (be.Telemetry.slo_shed > 0);
+  Alcotest.(check bool) "best-effort shed under overload" true (shed be > 0);
   Alcotest.(check bool) "best-effort shed rate >= batch shed rate" true
-    (be.Telemetry.slo_shed * b.Telemetry.slo_requests
-    >= b.Telemetry.slo_shed * be.Telemetry.slo_requests);
+    (shed be * b.Telemetry.requests >= shed b * be.Telemetry.requests);
   Alcotest.(check bool) "batch shed rate >= interactive shed rate" true
-    (b.Telemetry.slo_shed * i.Telemetry.slo_requests
-    >= i.Telemetry.slo_shed * b.Telemetry.slo_requests);
+    (shed b * i.Telemetry.requests >= shed i * b.Telemetry.requests);
   List.iter
     (fun (r : Telemetry.record) ->
       match r.Telemetry.outcome with
@@ -1187,6 +1189,231 @@ let test_telemetry_windows () =
   let t2 = Telemetry.create ~observer:live () in
   List.iter (Telemetry.record t2) (Telemetry.records t);
   Alcotest.(check int) "live view flushed the first window" 1 (List.length !emitted)
+
+(* A record for telemetry tests that need no replay. *)
+let mk_record ?(profile = Some "pcm") ?(slo = Trace.Interactive) ?(retries = 0)
+    ?(tuned = false) ?(write_bytes = 0) ~id ~arrival_ps ~finish_ps outcome =
+  {
+    Telemetry.request = mk_request ~slo ~id ~arrival_ps ();
+    outcome;
+    device = None;
+    profile;
+    batch = None;
+    cache_hit = false;
+    queue_depth = 0;
+    start_ps = arrival_ps;
+    finish_ps;
+    service_ps = finish_ps - arrival_ps;
+    retries;
+    tuned;
+    write_bytes;
+    checksum = None;
+  }
+
+(* A 1-ps live view over records spread across one simulated second:
+   the view jumps to each record's window instead of walking the 10^12
+   windows in between, and emits exactly the non-empty windows each
+   record leaves behind. *)
+let test_live_view_skips_empty_windows () =
+  let emitted = ref 0 in
+  let live = Telemetry.live_view ~window_us:0.000001 ~emit:(fun _ -> incr emitted) () in
+  let t = Telemetry.create ~observer:live () in
+  let count = 200 in
+  let gap_ps = 5 * Tdo_sim.Time_base.ps_per_us * 1000 in
+  let t0 = Unix.gettimeofday () in
+  for id = 0 to count - 1 do
+    Telemetry.record t
+      (mk_record ~id ~arrival_ps:(id * gap_ps) ~finish_ps:((id * gap_ps) + 1000)
+         Telemetry.Completed)
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "one line per window left behind" (count - 1) !emitted;
+  Alcotest.(check bool) (Printf.sprintf "returns promptly (%.4f s)" elapsed) true (elapsed < 0.05);
+  Alcotest.(check (option int)) "0.000001 us is one picosecond" (Some 1)
+    (Telemetry.window_ps 0.000001);
+  List.iter
+    (fun w ->
+      Alcotest.(check (option int)) (Printf.sprintf "%g us refused" w) None
+        (Telemetry.window_ps w);
+      Alcotest.check_raises (Printf.sprintf "windows refuse %g us" w)
+        (Invalid_argument
+           "Telemetry.windows: window_us must be finite and span 1 ps to max_int ps")
+        (fun () -> ignore (Telemetry.windows ~window_us:w t : Telemetry.window list)))
+    [ 0.0; -1.0; 1e-7; 1e300; Float.infinity; Float.nan ]
+
+(* Random records and conversions: every roll-up is one fold, so the
+   groups add up to the run, the outcomes add up to the requests, and a
+   group's latencies are what the per-profile queries report. *)
+let telemetry_gen =
+  QCheck.Gen.(
+    let record id =
+      let* outcome =
+        oneofl
+          Telemetry.
+            [
+              Completed;
+              Cpu_fallback;
+              Recovered_host;
+              Rejected_overloaded;
+              Shed Rate_limited;
+              Shed Load_shed;
+              Failed "boom";
+            ]
+      in
+      let* profile = oneofl [ None; Some "pcm"; Some "digital"; Some "dual" ] in
+      let* slo = oneofl Trace.all_slos in
+      let* arrival_ps = 0 -- 1_000_000_000 in
+      let* latency_ps = 0 -- 50_000_000 in
+      let* retries = 0 -- 3 in
+      let* tuned = bool in
+      let* write_bytes = 0 -- 4096 in
+      return
+        (mk_record ~profile ~slo ~retries ~tuned ~write_bytes ~id ~arrival_ps
+           ~finish_ps:(arrival_ps + latency_ps) outcome)
+    in
+    let conversion =
+      let* at_ps = 0 -- 1_000_000_000 in
+      let* device = 0 -- 3 in
+      (* "spare": a class that converts but serves nothing *)
+      let* profile = oneofl [ "pcm"; "dual"; "spare" ] in
+      let* to_compute = bool in
+      let* displaced = 0 -- 100_000 in
+      return (at_ps, device, profile, to_compute, float_of_int displaced)
+    in
+    let* count = 0 -- 60 in
+    let* records = flatten_l (List.init count record) in
+    let* conversions = list_size (0 -- 8) conversion in
+    return (records, conversions))
+
+let qcheck_rollups_add_up =
+  QCheck.Test.make ~name:"roll-ups add up to the run" ~count:200
+    (QCheck.make
+       ~print:(fun (rs, cs) ->
+         Printf.sprintf "%d records, %d conversions" (List.length rs) (List.length cs))
+       telemetry_gen)
+    (fun (records, conversions) ->
+      let t = Telemetry.create () in
+      List.iter (Telemetry.record t) records;
+      List.iter
+        (fun (at_ps, device, profile, to_compute, displaced_bytes) ->
+          Telemetry.record_conversion ~displaced_bytes t ~at_ps ~device ~profile ~to_compute)
+        conversions;
+      let s = Telemetry.summary t in
+      let classes = Telemetry.class_summary t and slos = Telemetry.slo_summary t in
+      let sum groups k =
+        List.fold_left (fun acc (_, c) -> acc +. List.assoc k (Telemetry.fields c)) 0.0 groups
+      in
+      let from_conversions = [ "conversions_to_compute"; "conversions_to_memory"; "displaced_mem_bytes" ] in
+      let additive =
+        List.filter
+          (fun (k, _) -> not (String.starts_with ~prefix:"latency_" k))
+          (Telemetry.fields s)
+      in
+      let groups_sum =
+        List.for_all
+          (fun (k, total) ->
+            sum classes k = total
+            && sum slos k = if List.mem k from_conversions then 0.0 else total)
+          additive
+      in
+      let outcomes_sum (c : Telemetry.counts) =
+        c.Telemetry.requests
+        = c.Telemetry.completed + c.Telemetry.cpu_fallbacks + c.Telemetry.recovered_host
+          + c.Telemetry.rejected + c.Telemetry.shed_rate_limited + c.Telemetry.shed_load
+          + c.Telemetry.failed
+        && List.assoc "served" (Telemetry.fields c)
+           = float_of_int
+               (c.Telemetry.completed + c.Telemetry.cpu_fallbacks + c.Telemetry.recovered_host)
+      in
+      let latencies ?profile (c : Telemetry.counts) =
+        let v = Option.value ~default:0.0 in
+        c.Telemetry.latency_p50_us = v (Telemetry.latency_percentile ?profile t ~p:50.0)
+        && c.Telemetry.latency_p99_us = v (Telemetry.latency_percentile ?profile t ~p:99.0)
+        && c.Telemetry.latency_mean_us = v (Telemetry.mean_latency_us ?profile t)
+      in
+      groups_sum
+      && List.for_all outcomes_sum ((s :: List.map snd classes) @ List.map snd slos)
+      && s.Telemetry.requests = List.length records
+      && latencies s
+      && List.for_all (fun (profile, c) -> latencies ~profile c) classes)
+
+(* The report's keys for a mixed-fleet replay with calibration: unique,
+   finite, all under the prefix, the run's telemetry fields first. *)
+let test_report_fields_unique_and_finite () =
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.fleet = Some (fleet_of "pcm:1,digital:1,dual:1");
+      calibrate_after = Some 2;
+    }
+  in
+  let report = Scheduler.replay ~config (smoke_trace ()) in
+  let fields = Scheduler.fields ~prefix:"p_" report in
+  let keys = List.map fst fields in
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if a = b then a :: repeated rest else repeated rest
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "no key repeats" [] (repeated (List.sort compare keys));
+  List.iter
+    (fun (k, v) -> Alcotest.(check bool) (k ^ " is finite") true (Float.is_finite v))
+    fields;
+  Alcotest.(check bool) "every key is prefixed" true
+    (List.for_all (String.starts_with ~prefix:"p_") keys);
+  let run = Telemetry.fields (Telemetry.summary report.Scheduler.telemetry) in
+  Alcotest.(check (list (pair string (float 0.0)))) "the run's telemetry fields lead"
+    (List.map (fun (k, v) -> ("p_" ^ k, v)) run)
+    (List.filteri (fun i _ -> i < List.length run) fields);
+  Alcotest.(check bool) "a calibration is reported" true
+    (report.Scheduler.calibrations <> []
+    && List.exists (fun k -> String.starts_with ~prefix:"p_calib_" k) keys)
+
+(* A failure message with a quote, a newline and a control byte still
+   yields a trace Json.parse reads, and every closing summary event
+   carries its group's fields. *)
+let test_chrome_trace_parses_and_summarises () =
+  let module Json = Tdo_util.Json in
+  let t = Telemetry.create () in
+  let msg = "device said \"no\"\nthen\001stopped" in
+  Telemetry.record t (mk_record ~id:0 ~arrival_ps:0 ~finish_ps:5_000_000 Telemetry.Completed);
+  Telemetry.record t
+    (mk_record ~profile:None ~slo:Trace.Batch ~id:1 ~arrival_ps:1_000 ~finish_ps:2_000
+       (Telemetry.Failed msg));
+  Telemetry.record t
+    (mk_record ~profile:None ~slo:Trace.Best_effort ~id:2 ~arrival_ps:3_000 ~finish_ps:3_000
+       (Telemetry.Shed Telemetry.Load_shed));
+  Telemetry.record_conversion ~displaced_bytes:64.0 t ~at_ps:4_000 ~device:1 ~profile:"dual"
+    ~to_compute:false;
+  let events =
+    match Json.parse (Telemetry.chrome_trace t) with
+    | Ok (Json.Arr events) -> events
+    | Ok _ -> Alcotest.fail "not an array"
+    | Error e -> Alcotest.fail e
+  in
+  let name e = Option.bind (Json.member "name" e) Json.to_string_opt in
+  Alcotest.(check bool) "the failure message survives escaping" true
+    (List.exists (fun e -> name e = Some ("gemm/8#1 failed: " ^ msg)) events);
+  let args_of event_name =
+    match List.find_opt (fun e -> name e = Some event_name) events with
+    | Some e -> Json.to_string (Option.get (Json.member "args" e))
+    | None -> Alcotest.failf "no %s event" event_name
+  in
+  let render c =
+    Json.to_string (Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) (Telemetry.fields c)))
+  in
+  Alcotest.(check string) "outcome-summary args" (render (Telemetry.summary t))
+    (args_of "outcome-summary");
+  List.iter
+    (fun (profile, c) ->
+      Alcotest.(check string) (profile ^ " class-summary args") (render c)
+        (args_of ("class-summary " ^ profile)))
+    (Telemetry.class_summary t);
+  List.iter
+    (fun (slo, c) ->
+      let slo = Trace.slo_name slo in
+      Alcotest.(check string) (slo ^ " slo-summary args") (render c)
+        (args_of ("slo-summary " ^ slo)))
+    (Telemetry.slo_summary t)
 
 (* ---------- Trace line codec ---------- *)
 
@@ -1313,14 +1540,16 @@ let test_frontend_pipe_roundtrip () =
       "req id=11 kernel=gemm n=8 deadline_us=5";
       "req id=12 tenant=-5 kernel=gemm n=8";
       {|{"id": 13, "kernel": "gemm", "n": 8, "tenant": -5}|};
-      "stats";
-      "quit";
     ]
   in
   let config =
     { Scheduler.default_config with Scheduler.fleet = Some [ Backend.pcm ]; device_seed = 11 }
   in
-  let report, stop, lines = frontend_session ~config [ script ] in
+  (* the second [stats] comes a pause after the first answer, once
+     every request is answered *)
+  let report, stop, lines =
+    frontend_session ~gap_s:0.2 ~config [ script; [ "stats"; "quit" ] ]
+  in
   let line_for id =
     match List.find_opt (starts_with (Printf.sprintf "ok id=%d " id)) lines with
     | Some l -> l
@@ -1339,6 +1568,17 @@ let test_frontend_pipe_roundtrip () =
     (List.exists (starts_with "stats requests=") lines);
   let t = report.Scheduler.telemetry in
   let s = Telemetry.summary t in
+  let pairs line =
+    List.map
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+        | None -> Alcotest.failf "stats pair %S" kv)
+      (List.tl (String.split_on_char ' ' line))
+  in
+  Alcotest.(check (list (pair string string))) "stats reply = the session's summary fields"
+    (List.map (fun (k, v) -> (k, Tdo_util.Json.number v)) (Telemetry.fields s))
+    (pairs (List.hd (List.rev (List.filter (starts_with "stats ") lines))));
   Alcotest.(check int) "four requests recorded" 4 s.Telemetry.requests;
   Alcotest.(check int) "three completed on the device" 3 s.Telemetry.completed;
   Alcotest.(check int) "one host fallback" 1 s.Telemetry.cpu_fallbacks;
@@ -1581,7 +1821,16 @@ let suites =
           test_replay_sheds_by_slo_class;
       ] );
     ( "serve.telemetry",
-      [ Alcotest.test_case "windowed roll-ups and live view" `Quick test_telemetry_windows ] );
+      [
+        Alcotest.test_case "windowed roll-ups and live view" `Quick test_telemetry_windows;
+        Alcotest.test_case "a 1-ps live view skips empty windows" `Quick
+          test_live_view_skips_empty_windows;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_rollups_add_up;
+        Alcotest.test_case "report fields unique and finite" `Quick
+          test_report_fields_unique_and_finite;
+        Alcotest.test_case "chrome trace parses, summaries from fields" `Quick
+          test_chrome_trace_parses_and_summarises;
+      ] );
     ( "serve.codec",
       [
         Alcotest.test_case "line codec round trip" `Quick test_line_codec_roundtrip;

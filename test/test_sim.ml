@@ -763,7 +763,7 @@ let test_cpu_counts_and_cycles () =
   let cpu = Cpu.create ~l1d () in
   Cpu.issue cpu Cpu.Int_alu;
   Cpu.issue cpu Cpu.Fp_mac;
-  Cpu.issue cpu ~addr:64 Cpu.Load;
+  Cpu.issue_at cpu ~addr:64 Cpu.Load;
   Alcotest.(check int) "instructions" 3 (Cpu.instructions cpu);
   Alcotest.(check int) "class count" 1 (Cpu.class_count cpu Cpu.Fp_mac);
   Alcotest.(check bool) "cycles include memory latency" true (Cpu.cycles cpu > 1 + 8 + 1)
@@ -782,12 +782,12 @@ let test_cpu_locality_speedup () =
   let _, l1d_a, _ = make_hierarchy () in
   let cpu_hit = Cpu.create ~l1d:l1d_a () in
   for _ = 1 to 1000 do
-    Cpu.issue cpu_hit ~addr:0 Cpu.Load
+    Cpu.issue_at cpu_hit ~addr:0 Cpu.Load
   done;
   let _, l1d_b, _ = make_hierarchy () in
   let cpu_miss = Cpu.create ~l1d:l1d_b () in
   for i = 0 to 999 do
-    Cpu.issue cpu_miss ~addr:(i * 4096 * 64) Cpu.Load
+    Cpu.issue_at cpu_miss ~addr:(i * 4096 * 64) Cpu.Load
   done;
   Alcotest.(check bool) "cache locality visible in cycles" true
     (Cpu.cycles cpu_miss > 10 * Cpu.cycles cpu_hit)

@@ -35,30 +35,6 @@ void gemm(float alpha, float beta, float C[%d][%d], float A[%d][%d], float B[%d]
     k
     (if alpha then "alpha * " else "")
 
-(* ---------- matchers ---------- *)
-
-let test_matchers_gemm_shape () =
-  let tree = tree_of (gemm_src 8 6 4) in
-  let pattern =
-    Matchers.band ~capture:"i"
-      (Matchers.band ~capture:"j"
-         (Matchers.sequence
-            [ Matchers.stmt ~capture:"init" (); Matchers.band ~capture:"k" (Matchers.stmt ()) ]))
-  in
-  match Matchers.matches pattern tree with
-  | None -> Alcotest.fail "pattern should match"
-  | Some capture ->
-      Alcotest.(check string) "band i" "i" (Matchers.find capture "i").St.iter;
-      Alcotest.(check string) "band k" "k" (Matchers.find capture "k").St.iter;
-      Alcotest.(check string) "init writes C" "C"
-        (Matchers.find_stmt capture "init").St.write.Tdo_poly.Access.array
-
-let test_matchers_reject_wrong_shape () =
-  let tree = tree_of (gemm_src 8 6 4) in
-  let pattern = Matchers.band (Matchers.stmt ()) in
-  Alcotest.(check bool) "too shallow" true (Matchers.matches pattern tree = None);
-  Alcotest.(check bool) "any matches" true (Matchers.matches Matchers.any tree <> None)
-
 (* ---------- pattern detectors ---------- *)
 
 let test_pattern_gemm () =
@@ -503,11 +479,6 @@ let qcheck_pipeline_preserves_semantics =
 
 let suites =
   [
-    ( "tactics.matchers",
-      [
-        Alcotest.test_case "gemm shape" `Quick test_matchers_gemm_shape;
-        Alcotest.test_case "rejects wrong shape" `Quick test_matchers_reject_wrong_shape;
-      ] );
     ( "tactics.patterns",
       [
         Alcotest.test_case "gemm" `Quick test_pattern_gemm;

@@ -249,8 +249,8 @@ let test_scheduler_tuned_replay_matches_golden () =
   let report = Scheduler.replay ~config trace in
   let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
   let total = List.length trace.Trace.requests in
-  Alcotest.(check int) "all requests completed" total (Scheduler.completed report);
-  Alcotest.(check int) "no failures" 0 (Scheduler.failures report);
+  Alcotest.(check int) "all requests completed" total (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed;
+  Alcotest.(check int) "no failures" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.failed;
   Alcotest.(check int) "tuned replay matches golden" 0 (Scheduler.divergence report golden);
   let tuned = (Telemetry.summary report.Scheduler.telemetry).Telemetry.served_tuned in
   Alcotest.(check bool) "tuned requests were served" true (tuned > 0);
