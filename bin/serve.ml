@@ -141,12 +141,11 @@ let golden_checks ~no_golden ~fleet ~config ~trace ~(report : Scheduler.report) 
                       trace))
           in
           let d = Scheduler.divergence report golden in
-          Printf.printf "golden check (%s%s): %d divergent of %d comparable requests\n"
+          Printf.printf "golden check (%s%s): %d divergent of %d compared requests\n"
             section_prefix
             (Backend.class_name profile.Backend.cls)
-            d
-            (min (summary report).Telemetry.completed (summary golden).Telemetry.completed);
-          (total + d, secs @ [ golden_section ]))
+            d.Scheduler.divergent d.Scheduler.compared;
+          (total + d.Scheduler.divergent, secs @ [ golden_section ]))
         (0, []) golden_profiles
     in
     (Some total, sections)

@@ -26,9 +26,6 @@ type graph = {
 }
 
 let nodes g = g.node_arr
-let succs g i = g.succ_arr.(i)
-let preds g i = g.pred_arr.(i)
-let entry_id g = g.entry
 let exit_id g = g.exit_
 
 let graph_of_func (f : Ir.func) =

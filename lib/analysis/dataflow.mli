@@ -36,9 +36,6 @@ val graph_of_func : Ir.func -> graph
 val nodes : graph -> node array
 (** In program order ([Entry] first, [Exit] last). *)
 
-val succs : graph -> int -> int list
-val preds : graph -> int -> int list
-val entry_id : graph -> int
 val exit_id : graph -> int
 
 module Solve (L : LATTICE) : sig

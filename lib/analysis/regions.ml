@@ -193,13 +193,6 @@ let make_table () =
   in
   (add, finish)
 
-let ir_footprint ~writes stmts =
-  let add, finish = make_table () in
-  let read arr r = if not writes then add arr r in
-  let write arr r = if writes then add arr r in
-  List.iter (ir_stmt_regions ~env:[] ~read ~write) stmts;
-  finish ()
-
 let tree_footprint ~writes t =
   let add, finish = make_table () in
   (* statement leaves: one region per access over the band extents,

@@ -77,5 +77,3 @@ val tree_footprint : writes:bool -> St.t -> footprint
     statement by statement — runtime-call operands get precise
     {!mat_ref_region} windows, whole-array transfers get [Top]. *)
 
-val ir_footprint : writes:bool -> Tdo_ir.Ir.stmt list -> footprint
-(** Footprint of straight IR (the [Code] walk of {!tree_footprint}). *)

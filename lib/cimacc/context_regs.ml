@@ -24,12 +24,6 @@ type job = {
 
 type status = Idle | Busy | Done | Error
 
-let status_to_string = function
-  | Idle -> "idle"
-  | Busy -> "busy"
-  | Done -> "done"
-  | Error -> "error"
-
 let reg_command = 0
 let reg_status = 1
 let reg_op = 2

@@ -40,7 +40,6 @@ type job = {
 
 type status = Idle | Busy | Done | Error
 
-val status_to_string : status -> string
 
 (** Register word offsets (byte offset = 4 x word). *)
 

@@ -13,13 +13,9 @@ let neg e = Neg e
 let make_assign op base indices rhs = Assign { lhs = { base; indices }; op; rhs }
 let assign base indices rhs = make_assign Set base indices rhs
 let add_assign base indices rhs = make_assign Add_assign base indices rhs
-let sub_assign base indices rhs = make_assign Sub_assign base indices rhs
 let mul_assign base indices rhs = make_assign Mul_assign base indices rhs
 
 let for_ name ?(lo = Int_lit 0) ?(step = 1) hi body = For { var = name; lo; hi; step; body }
-
-let local_scalar ?init typ name = Decl_scalar { name; typ; init }
-let local_array name dims = Decl_array { name; dims }
 
 let scalar ptyp pname = { pname; ptyp; dims = [] }
 let array pname dims = { pname; ptyp = Tfloat; dims }

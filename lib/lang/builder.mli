@@ -22,14 +22,10 @@ val assign : string -> expr list -> expr -> stmt
 (** [assign "C" [i; j] e] is [C\[i\]\[j\] = e]. *)
 
 val add_assign : string -> expr list -> expr -> stmt
-val sub_assign : string -> expr list -> expr -> stmt
 val mul_assign : string -> expr list -> expr -> stmt
 
 val for_ : string -> ?lo:expr -> ?step:int -> expr -> stmt list -> stmt
 (** [for_ "i" hi body] is [for (int i = 0; i < hi; i++) body]. *)
-
-val local_scalar : ?init:expr -> typ -> string -> stmt
-val local_array : string -> int list -> stmt
 
 (** {1 Functions} *)
 

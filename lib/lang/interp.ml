@@ -22,7 +22,6 @@ let flat_index arr indices =
       (acc * dim) + idx)
     0 indices arr.dims
 
-let arr_get arr indices = arr.data.(flat_index arr indices)
 let arr_set arr indices v = arr.data.(flat_index arr indices) <- f32 v
 
 let arr_of_mat m =

@@ -13,7 +13,6 @@ type value = Vint of int | Vfloat of float | Varray of arr
 val make_array : dims:int list -> arr
 (** Zero-initialised. *)
 
-val arr_get : arr -> int list -> float
 val arr_set : arr -> int list -> float -> unit
 (** Bounds-checked; stores round to binary32. *)
 

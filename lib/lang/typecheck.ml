@@ -122,12 +122,3 @@ let check_func f =
       [] f.params
   in
   check_body env f.body
-
-let check_program fs =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun f ->
-      if Hashtbl.mem seen f.fname then fail "duplicate function '%s'" f.fname;
-      Hashtbl.add seen f.fname ();
-      check_func f)
-    fs

@@ -6,5 +6,3 @@ exception Type_error of string
 val check_func : Ast.func -> unit
 (** Raises {!Type_error} with a readable message on the first
     violation. *)
-
-val check_program : Ast.program -> unit

@@ -1,8 +1,5 @@
 type scheme = { bits : int; scale : float }
 
-let max_code s = (1 lsl (s.bits - 1)) - 1
-let min_code s = -(1 lsl (s.bits - 1))
-
 (* [scale_for] and [quantize_scaled] are the scheme-free forms the
    engine's per-element and per-vector loops call: inlined, the scale
    and the element stay unboxed, where building a [scheme] record (or
@@ -23,13 +20,6 @@ let[@inline always] quantize_scaled ~bits ~scale v =
 let quantize s v = quantize_scaled ~bits:s.bits ~scale:s.scale v
 
 let dequantize s code = float_of_int code *. s.scale
-
-let quantize_mat s m =
-  Array.init (Mat.rows m) (fun i -> Array.init (Mat.cols m) (fun j -> quantize s (Mat.get m i j)))
-
-let dequantize_mat s codes =
-  Mat.init ~rows:(Array.length codes) ~cols:(Array.length codes.(0)) ~f:(fun i j ->
-      dequantize s codes.(i).(j))
 
 let quantization_error_bound s = s.scale /. 2.0
 

@@ -28,12 +28,6 @@ val quantize_scaled : bits:int -> scale:float -> float -> int
 
 val dequantize : scheme -> int -> float
 
-val quantize_mat : scheme -> Mat.t -> int array array
-val dequantize_mat : scheme -> int array array -> Mat.t
-
-val max_code : scheme -> int
-val min_code : scheme -> int
-
 val quantization_error_bound : scheme -> float
 (** Worst-case absolute error for one in-range value: [scale /. 2]. *)
 

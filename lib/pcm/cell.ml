@@ -34,11 +34,6 @@ let program t ~level =
   t.writes <- t.writes + 1;
   if not stuck then t.level <- level
 
-let force_stuck_at t ~level =
-  check_level t level;
-  t.level <- level;
-  t.stuck <- true
-
 let exhaust t = t.writes <- max t.writes t.config.endurance
 
 let level t = t.level

@@ -47,12 +47,6 @@ val is_stuck : t -> bool
 (** True when the cell no longer switches: either worn out (endurance
     budget exhausted) or carrying an injected manufacture defect. *)
 
-val force_stuck_at : t -> level:int -> unit
-(** Fault-injection hook: plant a manufacture-time stuck-at defect.
-    The cell reads back [level] forever and silently ignores all
-    further programming. Raises [Invalid_argument] on an out-of-range
-    level. Does not count as a write (the defect is there from the
-    fab, not from traffic). *)
 
 val exhaust : t -> unit
 (** Fault-injection hook: consume the remaining endurance budget, so

@@ -116,7 +116,7 @@ let interp_checksum (r : Trace.request) =
    (offloaded results are deterministic across identical devices);
    host-served requests compare against a direct interpreter run. *)
 let count_sdc ~(faulty : Scheduler.report) ~(baseline : Scheduler.report) =
-  let device_sdc = Scheduler.divergence faulty baseline in
+  let device_sdc = (Scheduler.divergence faulty baseline).Scheduler.divergent in
   let host_sdc =
     List.fold_left
       (fun acc (r : Telemetry.record) ->

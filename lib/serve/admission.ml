@@ -88,8 +88,3 @@ let admit t ~now_ps ~queue_len ~capacity (r : Trace.request) =
           Admit
         end
         else Shed_rate
-
-let tokens_left t tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some s -> Some s.tokens
-  | None -> Option.map (fun (b : bucket) -> b.burst) (bucket_for t tenant)

@@ -54,7 +54,3 @@ val admit : t -> now_ps:int -> queue_len:int -> capacity:int -> Trace.request ->
     first and consumes nothing; a token is consumed only on [Admit].
     Timestamps must be non-decreasing per tenant for the refill to be
     meaningful. *)
-
-val tokens_left : t -> int -> float option
-(** Current token level of a tenant ([None] = unmetered); burst level
-    for tenants that have not sent yet. Exposed for tests. *)

@@ -120,17 +120,14 @@ let serve ?(config = Scheduler.default_config) ~input ~output () =
      strictly after it, so the core never sees an arrival in its past *)
   let clock = ref (-1) in
   let quit = ref false in
-  let handle_stats () =
-    respond
-      ("stats "
-      ^ Telemetry.format_fields
-          (Telemetry.fields (Telemetry.summary (Scheduler.telemetry core))))
-  in
+  (* [stats] lines read in this pump: answered after its advance, so
+     they count the requests read alongside them *)
+  let stats_due = ref 0 in
   let handle_line ~at line =
     if String.trim line <> "" then
       match parse_line line with
       | Error msg -> respond (Printf.sprintf "err id=0 msg=%s" msg)
-      | Ok Stats -> handle_stats ()
+      | Ok Stats -> incr stats_due
       | Ok Quit_cmd -> quit := true
       | Ok (Request r) ->
           (* the client's arrival stamp is replaced with the wall clock:
@@ -202,7 +199,17 @@ let serve ?(config = Scheduler.default_config) ~input ~output () =
     List.iter (function Some line -> handle_line ~at line | None -> too_long ()) read;
     let until_ps = max (now_ps ()) at in
     Scheduler.advance core ~until_ps;
-    clock := until_ps
+    clock := until_ps;
+    if !stats_due > 0 then begin
+      let stats =
+        "stats "
+        ^ Telemetry.format_fields (Telemetry.fields (Telemetry.summary (Scheduler.telemetry core)))
+      in
+      for _ = 1 to !stats_due do
+        respond stats
+      done;
+      stats_due := 0
+    end
   in
   while not (!quit || !eof) do
     pump ~block:(Scheduler.pending core = 0)

@@ -23,7 +23,9 @@
     than {!Tdo_util.Json.parse} accepts. Two control verbs: [stats]
     answers with one line, [stats] followed by the session's
     {!Telemetry.fields} of {!Telemetry.summary} as [k=v] pairs
-    ({!Telemetry.format_fields}); [quit] ends the session.
+    ({!Telemetry.format_fields}), after the core has advanced past the
+    lines read with it, so the requests of the same burst are counted;
+    [quit] ends the session.
     Every request gets one response line, written when the core reaches
     its outcome:
 

@@ -242,6 +242,9 @@ type batch = {
       (** graph-scope residency key — (compiled entry, tenant) — every
           item of the batch runs under; graph batches are single-tenant
           by construction *)
+  plan : Offload.plan option;
+      (** the offload plan placement priced the batch by: what its
+          calibration samples are fitted against *)
   items : queued list;
 }
 
@@ -263,93 +266,155 @@ type estimate = {
    pool state. *)
 type exec_result =
   | Recorded of Telemetry.record
-  | Corrupt of {
-      item : queued;
-      dev_id : int;
-      service_ps : int;
-      fault : (int * (int * int * int * int)) option;
-    }
+  | Corrupt of { item : queued; fault : (int * (int * int * int * int)) option }
+
+(* The two shapes of a record. [host_record]: a request that never
+   reached a device — shed, rejected, failed before placement, or
+   answered by the host interpreter. [batch_record]: one item of a
+   batch, with [profile] built once per batch. *)
+let host_record (r : Trace.request) outcome ~depth ~start_ps ~service_ps ~retries ~checksum =
+  {
+    Telemetry.request = r;
+    outcome;
+    device = None;
+    profile = None;
+    batch = None;
+    cache_hit = false;
+    queue_depth = depth;
+    start_ps;
+    finish_ps = start_ps + service_ps;
+    service_ps;
+    retries;
+    tuned = false;
+    write_bytes = 0;
+    checksum;
+  }
+
+let batch_record (b : batch) ~profile item outcome ~start_ps ~service_ps ~write_bytes ~checksum =
+  {
+    Telemetry.request = item.req;
+    outcome;
+    device = Some (Device.id b.dev);
+    profile;
+    batch = Some b.batch_id;
+    cache_hit = b.cache_hit;
+    queue_depth = item.depth;
+    start_ps;
+    finish_ps = start_ps + service_ps;
+    service_ps;
+    retries = item.attempts;
+    tuned = b.entry.Kernel_cache.tuned;
+    write_bytes;
+    checksum;
+  }
 
 (* Runs on a worker domain: touches only its own device, the immutable
    compiled entry, and per-request data derived from the seed. *)
 let execute_batch (b : batch) =
-  let profile_name = Some (Device.profile b.dev).Backend.name in
+  let profile = Some (Device.profile b.dev).Backend.name in
   let cursor = ref b.start_ps in
   let results =
     List.map
       (fun item ->
         let r = item.req in
         let args, readback = b.bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed in
-        let exec () =
+        match
           match Device.device_class b.dev with
           | Backend.Host_blas ->
               Device.run_host b.dev ~ast:b.entry.Kernel_cache.ast ~args
                 ~macs:(b.bench.Kernels.macs ~n:r.Trace.n)
           | Backend.Pcm_crossbar | Backend.Digital_tile ->
               Device.run ?residency:b.residency b.dev b.entry.Kernel_cache.compiled ~args
-        in
-        match exec () with
+        with
         | stats ->
-            let start = !cursor in
-            cursor := !cursor + stats.Device.service_ps;
+            let start_ps = !cursor in
+            let service_ps = stats.Device.service_ps in
+            cursor := start_ps + service_ps;
             if stats.Device.abft_mismatches > 0 then
-              Corrupt
-                {
-                  item;
-                  dev_id = Device.id b.dev;
-                  service_ps = stats.Device.service_ps;
-                  fault = stats.Device.abft_fault;
-                }
+              Corrupt { item; fault = stats.Device.abft_fault }
             else
               Recorded
-                {
-                  Telemetry.request = r;
-                  outcome = Telemetry.Completed;
-                  device = Some (Device.id b.dev);
-                  profile = profile_name;
-                  batch = Some b.batch_id;
-                  cache_hit = b.cache_hit;
-                  queue_depth = item.depth;
-                  start_ps = start;
-                  finish_ps = !cursor;
-                  service_ps = stats.Device.service_ps;
-                  retries = item.attempts;
-                  tuned = b.entry.Kernel_cache.tuned;
-                  write_bytes = stats.Device.write_bytes;
-                  checksum = Some (checksum_of_mats (readback ()));
-                }
+                (batch_record b ~profile item Telemetry.Completed ~start_ps ~service_ps
+                   ~write_bytes:stats.Device.write_bytes
+                   ~checksum:(Some (checksum_of_mats (readback ()))))
         | exception Tdo_ir.Exec.Exec_error msg ->
             Recorded
-              {
-                Telemetry.request = r;
-                outcome = Telemetry.Failed msg;
-                device = Some (Device.id b.dev);
-                profile = profile_name;
-                batch = Some b.batch_id;
-                cache_hit = b.cache_hit;
-                queue_depth = item.depth;
-                start_ps = !cursor;
-                finish_ps = !cursor;
-                service_ps = 0;
-                retries = item.attempts;
-                tuned = b.entry.Kernel_cache.tuned;
-                write_bytes = 0;
-                checksum = None;
-              })
+              (batch_record b ~profile item (Telemetry.Failed msg) ~start_ps:!cursor ~service_ps:0
+                 ~write_bytes:0 ~checksum:None))
       b.items
   in
   Device.set_available_ps b.dev !cursor;
   results
 
-(* The steppable core: the event loop's state lives in the closures
-   [create] builds, and this record is their handle. *)
+(* One device class's online calibration: measured (plan, cycles)
+   samples, newest first, until the class has [calibrate_after] of
+   them; then one fit, adopted only when it beats the hand-priced prior
+   on its own samples (never worse). *)
+type fit = Sampling | Kept_prior | Adopted of Cost_model.t
+type calibration = { mutable samples : Cost_model.sample list; mutable fit : fit }
+
+(* The steppable core's whole state. The clock is [now]; [settled]
+   says the loop body has run at [now] until a wave found nothing more
+   to do, so the next step is a clock move — kept across [advance]
+   calls so a resumed core never re-runs a finished instant. *)
 type t = {
-  push : Trace.request -> unit;
-  step : int -> unit;
-  close : Trace.t -> report;
-  core_telemetry : Telemetry.t;
-  backlog : unit -> int;
+  config : config;
+  devices : Device.t array;
+  corruptions : int array;  (** detected corruptions per device *)
+  cache : Kernel_cache.t;
+  telemetry : Telemetry.t;
+  admission : Admission.t option;
+  arrivals : Trace.request Queue.t;  (** submitted, not yet admitted, in submission order *)
+  queue : queued Dll.t;
+  programs : (string * int, (Kernel_cache.parsed, string) result) Hashtbl.t;
+      (** the parsed program per (request kernel name, n), or its
+          front-end error: built once, not on every estimate, dispatch
+          and fallback *)
+  estimates : (string * int * Backend.device_class, estimate) Hashtbl.t;
+  calibration : (Backend.device_class, calibration) Hashtbl.t;
+      (** per class, from its first sample; samples accumulate in
+          wave-fold order, which is fixed before execution, so
+          calibration keeps the parallel==sequential determinism *)
+  started : float;  (** wall clock at [create] *)
+  mutable calibrations : (string * int * float) list;  (** adopted fits, newest first *)
+  mutable now : int;
+  mutable next_batch : int;
+  mutable has_deadlines : bool;
+  mutable settled : bool;
 }
+
+(* ---------- building the core ---------- *)
+
+let make_device config fleet id =
+  let d =
+    Device.create ~platform_config:config.platform_config ~seed:(config.device_seed + id)
+      ~backend:fleet.(id) ~id ()
+  in
+  Option.iter (fun f -> f d) config.on_device_create;
+  d
+
+(* One clamp geometry per class present in the fleet (the class
+   profiles reshape latencies, not the crossbar footprint). *)
+let class_geometries config fleet =
+  let xbar = config.platform_config.Platform.engine.Tdo_cimacc.Micro_engine.xbar in
+  let geometry = (xbar.Tdo_pcm.Crossbar.rows, xbar.Tdo_pcm.Crossbar.cols) in
+  Array.to_list fleet
+  |> List.map (fun (p : Backend.profile) -> p.Backend.cls)
+  |> List.sort_uniq compare
+  |> List.map (fun cls -> (cls, geometry))
+
+(* A pinned claim must not outlive the compiled entry backing it:
+   eviction drops any device residency derived from the evicted key. *)
+let drop_residency devices key =
+  Array.iter
+    (fun d ->
+      match Device.resident d with
+      | Some rk
+        when String.length rk >= String.length key && String.sub rk 0 (String.length key) = key
+        ->
+          Device.clear_resident d
+      | _ -> ())
+    devices
 
 let create ?(config = default_config) () =
   let fleet =
@@ -360,768 +425,632 @@ let create ?(config = default_config) () =
         if config.devices < 1 then invalid_arg "Scheduler.create: need at least one device";
         Array.make config.devices Backend.pcm
   in
-  let ndev = Array.length fleet in
   if config.max_batch < 1 then invalid_arg "Scheduler.create: max_batch must be >= 1";
   if config.recovery.max_attempts < 1 then
     invalid_arg "Scheduler.create: recovery.max_attempts must be >= 1";
-  let t0 = Unix.gettimeofday () in
-  let xbar = config.platform_config.Platform.engine.Tdo_cimacc.Micro_engine.xbar in
-  let geometry = (xbar.Tdo_pcm.Crossbar.rows, xbar.Tdo_pcm.Crossbar.cols) in
-  (* one clamp geometry per class present in the fleet (the class
-     profiles reshape latencies, not the crossbar footprint) *)
-  let classes =
-    Array.to_list fleet
-    |> List.map (fun (p : Backend.profile) -> p.Backend.cls)
-    |> List.sort_uniq compare
-  in
-  let devices =
-    Array.init ndev (fun id ->
-        let d =
-          Device.create ~platform_config:config.platform_config
-            ~seed:(config.device_seed + id) ~backend:fleet.(id) ~id ()
-        in
-        (match config.on_device_create with Some f -> f d | None -> ());
-        d)
-  in
-  (* Resolve a serving kernel name: registered graph programs first,
-     then the PolyBench suite. *)
-  let find_bench name =
-    match List.assoc_opt name config.graphs with
-    | Some bench -> Ok bench
-    | None -> Kernels.find name
-  in
-  let is_graph_kernel name = List.mem_assoc name config.graphs in
-  (* The parsed and type-checked program per (kernel, n), or its
-     front-end error, built once rather than on every estimate,
-     dispatch and fallback; [kernel] is the request's name, which
-     [find_bench] maps to [bench]. *)
-  let programs = Hashtbl.create 16 in
-  let program ~kernel (bench : Kernels.benchmark) ~n =
-    let key = (kernel, n) in
-    match Hashtbl.find_opt programs key with
-    | Some p -> p
-    | None ->
-        let p =
-          match Kernel_cache.parse (bench.Kernels.source ~n) with
-          | p -> Ok p
-          | exception e -> Error (Printexc.to_string e)
-        in
-        Hashtbl.add programs key p;
-        p
-  in
-  (* Residency key a run of [entry_key] for [tenant] latches: the
-     compiled entry (digest + effective options) scopes it to the
-     model's exact program, the tenant scopes it as isolation policy. *)
-  let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant in
-  (* A pinned claim must not outlive the compiled entry backing it:
-     eviction drops any device residency derived from the evicted key. *)
+  let started = Unix.gettimeofday () in
+  let devices = Array.init (Array.length fleet) (make_device config fleet) in
   let cache =
     Kernel_cache.create ~capacity:config.cache_capacity ~options:config.options
-      ?tuning:config.tuning
-      ~geometries:(List.map (fun cls -> (cls, geometry)) classes)
-      ~on_evict:(fun key ->
-        Array.iter
-          (fun d ->
-            match Device.resident d with
-            | Some rk when String.length rk >= String.length key
-                           && String.sub rk 0 (String.length key) = key ->
-                Device.clear_resident d
-            | _ -> ())
-          devices)
-      ()
+      ?tuning:config.tuning ~geometries:(class_geometries config fleet)
+      ~on_evict:(drop_residency devices) ()
   in
-  let corruptions = Array.make ndev 0 in
   let telemetry = Telemetry.create ?observer:config.on_record () in
   let admission = Option.map Admission.create config.admission in
-  (* submitted, not yet admitted: consumed in submission order *)
-  let arrivals : Trace.request Queue.t = Queue.create () in
-  let trace_has_deadlines = ref false in
-  let queue : queued Dll.t = Dll.create () in
-  let now = ref 0 in
-  let batch_counter = ref 0 in
-  let record = Telemetry.record telemetry in
-  let record_failed (r : Trace.request) depth msg =
-    record
-      {
-        Telemetry.request = r;
-        outcome = Telemetry.Failed msg;
-        device = None;
-        profile = None;
-        batch = None;
-        cache_hit = false;
-        queue_depth = depth;
-        start_ps = !now;
-        finish_ps = !now;
-        service_ps = 0;
-        retries = 0;
-        tuned = false;
-        write_bytes = 0;
-        checksum = None;
-      }
-  in
-
-  let record_dropped (r : Trace.request) outcome =
-    record
-      {
-        Telemetry.request = r;
-        outcome;
-        device = None;
-        profile = None;
-        batch = None;
-        cache_hit = false;
-        queue_depth = Dll.length queue;
-        start_ps = r.Trace.arrival_ps;
-        finish_ps = r.Trace.arrival_ps;
-        service_ps = 0;
-        retries = 0;
-        tuned = false;
-        write_bytes = 0;
-        checksum = None;
-      }
-  in
-  (* Admission verdict for one arrival: the policy's SLO-tiered load
-     shedding and per-tenant token buckets first (both judged at the
-     arrival timestamp), then the hard queue bound — so under overload
-     best-effort traffic is shed well before interactive traffic ever
-     sees a [Rejected_overloaded]. *)
-  let admission_verdict (r : Trace.request) =
-    match admission with
-    | None -> Admission.Admit
-    | Some adm ->
-        Admission.admit adm ~now_ps:r.Trace.arrival_ps ~queue_len:(Dll.length queue)
-          ~capacity:config.queue_capacity r
-  in
-  let admit_due () =
-    let rec go () =
-      match Queue.peek_opt arrivals with
-      | Some (r : Trace.request) when r.Trace.arrival_ps <= !now ->
-          ignore (Queue.pop arrivals : Trace.request);
-          (match admission_verdict r with
-          | Admission.Shed_rate ->
-              record_dropped r (Telemetry.Shed Telemetry.Rate_limited)
-          | Admission.Shed_load -> record_dropped r (Telemetry.Shed Telemetry.Load_shed)
-          | Admission.Admit ->
-              if config.queue_capacity > 0 && Dll.length queue >= config.queue_capacity
-              then record_dropped r Telemetry.Rejected_overloaded
-              else
-                Dll.push_back queue
-                  { req = r; depth = Dll.length queue; attempts = 0; tried = [] });
-          Telemetry.sample_queue_depth telemetry ~at_ps:r.Trace.arrival_ps
-            ~depth:(Dll.length queue);
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-
-  (* Host-interpreter execution: deadline degradation ([Cpu_fallback])
-     and the terminal recovery policy ([Recovered_host]) share this
-     path — exact results, modelled latency. *)
-  let run_fallback ?(outcome = Telemetry.Cpu_fallback) ?(retries = 0) ((r : Trace.request), depth)
-      =
-    match
-      Result.bind (find_bench r.Trace.kernel) (fun bench ->
-          Result.map (fun p -> (bench, p)) (program ~kernel:r.Trace.kernel bench ~n:r.Trace.n))
-    with
-    | Error msg -> record_failed r depth msg
-    | Ok (bench, p) -> (
-        match
-          let args, readback = bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed in
-          Interp.run p.Kernel_cache.ast ~args;
-          (readback (), bench.Kernels.macs ~n:r.Trace.n)
-        with
-        | mats, macs ->
-            let service_ps = Backend.host.Backend.cpu_ps_per_mac * macs in
-            record
-              {
-                Telemetry.request = r;
-                outcome;
-                device = None;
-                profile = None;
-                batch = None;
-                cache_hit = false;
-                queue_depth = depth;
-                start_ps = !now;
-                finish_ps = !now + service_ps;
-                service_ps;
-                retries;
-                tuned = false;
-                write_bytes = 0;
-                checksum = Some (checksum_of_mats mats);
-              }
-        | exception e -> record_failed r depth (Printexc.to_string e))
-  in
-
-  let cull_expired () =
-    if (not config.ignore_deadlines) && !trace_has_deadlines then
-      let rec go node =
-        match node with
-        | None -> ()
-        | Some n ->
-            let next = n.Dll.next in
-            let it = n.Dll.value in
-            (match it.req.Trace.deadline_ps with
-            | Some d when !now > it.req.Trace.arrival_ps + d ->
-                Dll.remove queue n;
-                run_fallback ~retries:it.attempts (it.req, it.depth)
-            | _ -> ());
-            go next
-      in
-      go (Dll.first queue)
-  in
-
-  let pop_batch ~skip ~dev_id =
-    (* The first queued item this device may take: one it has not
-       already corrupted and that placement does not defer off this
-       device ([skip], e.g. weight-residency items waiting for the
-       device that holds their model). Skipped items stay queued, in
-       order. *)
-    let rec find node =
-      match node with
-      | None -> None
-      | Some n when List.mem dev_id n.Dll.value.tried || skip n.Dll.value ->
-          find n.Dll.next
-      | Some n -> Some n
-    in
-    match find (Dll.first queue) with
-    | None -> None
-    | Some n ->
-        let item = n.Dll.value in
-        Dll.remove queue n;
-        if item.attempts > 0 || config.max_batch <= 1 then
-          (* retried work is dispatched alone: its timing must not be
-             entangled with fresh requests *)
-          Some [ item ]
-        else begin
-          (* coalesce fresh queued requests sharing (kernel, n): one
-             compile, one launch, back-to-back execution on one device.
-             Items skipped above all carry a non-empty [tried], so
-             scanning from the head selects the same mates as scanning
-             only past the popped item. *)
-          let taken = ref [ item ] in
-          let count = ref 1 in
-          let rec scan node =
-            if !count < config.max_batch then
-              match node with
-              | None -> ()
-              | Some m ->
-                  let next = m.Dll.next in
-                  let it = m.Dll.value in
-                  if
-                    it.attempts = 0 && it.tried = []
-                    && it.req.Trace.kernel = item.req.Trace.kernel
-                    && it.req.Trace.n = item.req.Trace.n
-                    (* graph batches stay single-tenant: one residency
-                       key per batch, and cross-tenant weight reuse is
-                       never even formable *)
-                    && ((not (is_graph_kernel item.req.Trace.kernel))
-                       || it.req.Trace.tenant = item.req.Trace.tenant)
-                  then begin
-                    Dll.remove queue m;
-                    taken := it :: !taken;
-                    incr count
-                  end;
-                  scan next
-          in
-          scan (Dll.first queue);
-          Some (List.rev !taken)
-        end
-  in
-
-  (* A fleet with no always-compute device (e.g. all dual-mode tiles,
-     or every plain device quarantined) must still be able to draft a
-     dual tile, or light load would never be served. *)
-  let compute_role_exists () =
-    Array.exists
-      (fun d ->
-        (not (Device.is_quarantined d))
-        && not (Device.profile d).Backend.dual_mode)
-      devices
-  in
-  let dual_draft_allowed () =
-    Dll.length queue > draft_queue_depth || not (compute_role_exists ())
-  in
-
-  (* Cost-based placement: predicted service time of one request of
-     this (kernel, size) on each device class, from the class's
-     cost-model coefficient set over the offload plan of the entry the
-     class would actually run (tuned configurations included). Memoised
-     — the compile behind a first estimate is shared with dispatch
-     through the kernel cache, and the plan is kept for the replay. *)
-  let estimates : (string * int * Backend.device_class, estimate) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  (* Online calibration: measured (plan, cycles) samples per device
-     class, fitted once a class has seen [calibrate_after] completed
-     requests. The fit is adopted only when it beats the hand-priced
-     prior on its own samples (never worse), and the class's kept
-     plans are re-priced with the calibrated coefficients — a plan
-     cannot change, so no kernel-cache lookup is needed. Samples
-     accumulate in wave-fold order, which is fixed before execution —
-     calibration preserves the parallel==sequential determinism
-     property. *)
-  let calib_samples : (Backend.device_class, Cost_model.sample list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let calibrated : (Backend.device_class, Cost_model.t) Hashtbl.t = Hashtbl.create 4 in
-  let calib_done : (Backend.device_class, unit) Hashtbl.t = Hashtbl.create 4 in
-  let calib_log = ref [] in
-  let model_for cls =
-    match Hashtbl.find_opt calibrated cls with
-    | Some m -> m
-    | None -> Cost_model.uncalibrated_for cls
-  in
-  let price cls e =
-    match e.plan with
-    | None ->
-        (* the class cannot compile this kernel: never preferred, but
-           still placeable as a last resort so the compile error
-           surfaces through the normal failure record *)
-        e.cold_ps <- Float.max_float;
-        e.resident_ps <- Float.max_float
-    | Some plan ->
-        let model = model_for cls in
-        e.cold_ps <- Cost_model.predict_cycles model plan *. Backend.ps_per_cycle;
-        e.resident_ps <- Cost_model.predict_resident_cycles model plan *. Backend.ps_per_cycle
-  in
-  let note_sample (b : batch) plan (r : Telemetry.record) =
-    if
-      config.calibrate_after <> None
-      && r.Telemetry.outcome = Telemetry.Completed
-      && r.Telemetry.service_ps > 0
-    then begin
-      let cls = Device.device_class b.dev in
-      if not (Hashtbl.mem calib_done cls) then begin
-        let samples =
-          match Hashtbl.find_opt calib_samples cls with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.add calib_samples cls l;
-              l
-        in
-        samples :=
-          {
-            Cost_model.plan = Lazy.force plan;
-            cycles = float_of_int r.Telemetry.service_ps /. Backend.ps_per_cycle;
-          }
-          :: !samples
-      end
-    end
-  in
-  let maybe_calibrate () =
-    match config.calibrate_after with
-    | None -> ()
-    | Some threshold ->
-        Hashtbl.iter
-          (fun cls samples ->
-            if (not (Hashtbl.mem calib_done cls)) && List.length !samples >= threshold then begin
-              Hashtbl.add calib_done cls ();
-              let fitted, err = Cost_model.calibrate !samples in
-              let prior_err =
-                Cost_model.mean_relative_error (Cost_model.uncalibrated_for cls) !samples
-              in
-              if err <= prior_err then begin
-                Hashtbl.replace calibrated cls fitted;
-                calib_log := (Backend.class_name cls, List.length !samples, err) :: !calib_log;
-                Hashtbl.iter (fun (_, _, c) e -> if c = cls then price cls e) estimates
-              end
-            end)
-          calib_samples
-  in
-  (* [cold_ps] is the predicted service of a cold run, [resident_ps]
-     the predicted service with the weight tiles already pinned (zero
-     programming traffic in the plan), and [entry_key] the cache key
-     the class's entry compiles to — what residency keys derive from. *)
-  let estimate ~cls ~kernel (bench : Kernels.benchmark) ~n =
-    let key = (kernel, n, cls) in
-    match Hashtbl.find_opt estimates key with
-    | Some e -> e
-    | None ->
-        let plan, entry_key =
-          match program ~kernel bench ~n with
-          | Error _ -> (None, "")
-          | Ok p -> (
-              match
-                let entry = Kernel_cache.find cache ~cls p in
-                ( Offload.plan entry.Kernel_cache.options.Flow.tactics
-                    entry.Kernel_cache.compiled.Flow.func,
-                  entry.Kernel_cache.key )
-              with
-              | plan, entry_key -> (Some plan, entry_key)
-              | exception _ -> (None, ""))
-        in
-        let e = { plan; entry_key; cold_ps = 0.0; resident_ps = 0.0 } in
-        price cls e;
-        Hashtbl.add estimates key e;
-        e
-  in
-  (* Graph-residency rules: a graph kernel served with [graph_residency]
-     on latches its (entry, tenant) key on the device that runs it. *)
-  let graph_scoped (bench : Kernels.benchmark) =
-    config.graph_residency && is_graph_kernel bench.Kernels.name
-  in
-  (* Placement's view of request [r] on device [d]:
-     [(cold_ps, resident_ps, holds)], the estimates of [d]'s class and
-     the one residency question placement asks — does [d] hold the
-     (entry, tenant) key [r] latches there, under the graph-residency
-     rules? *)
-  let quote (r : Trace.request) bench d =
-    let e = estimate ~cls:(Device.device_class d) ~kernel:r.Trace.kernel bench ~n:r.Trace.n in
-    let holds =
-      graph_scoped bench && e.entry_key <> ""
-      && Device.resident d
-         = Some (residency_key ~entry_key:e.entry_key ~tenant:r.Trace.tenant)
-    in
-    (e.cold_ps, e.resident_ps, holds)
-  in
-  (* Lower is better: the class estimate — the resident one on a device
-     that holds the request's key — plus the conversion charge if the
-     device must first be drafted out of its memory role. Ties break to
-     the least-written device, then the lowest id. *)
-  let score r bench dev =
-    let cold, warm, holds = quote r bench dev in
-    let conversion =
-      if Device.mode dev = Backend.Memory_mode then
-        float_of_int (Device.profile dev).Backend.conversion_latency_ps
-      else 0.0
-    in
-    ((if holds then warm else cold) +. conversion, Device.write_pressure dev, Device.id dev)
-  in
-
-  (* Recovery policy for one corrupt attempt (runs on the scheduler,
-     after the wave): count it against the device, quarantine the
-     device once it crosses the threshold, then either requeue the
-     request for another device or degrade it to the host. *)
-  let handle_corrupt ~item ~dev_id ~fault requeue =
-    let dev = devices.(dev_id) in
-    corruptions.(dev_id) <- corruptions.(dev_id) + 1;
-    if corruptions.(dev_id) >= config.recovery.quarantine_after && not (Device.is_quarantined dev)
-    then begin
-      let rows =
-        match fault with Some (_, (row_off, _, nrows, _)) -> (row_off, nrows) | None -> (0, 0)
-      in
-      Device.quarantine dev ~rows
-    end;
-    let item = { item with attempts = item.attempts + 1; tried = dev_id :: item.tried } in
-    let untried_device_exists =
-      Array.exists
-        (fun d -> (not (Device.is_quarantined d)) && not (List.mem (Device.id d) item.tried))
-        devices
-    in
-    if item.attempts >= config.recovery.max_attempts || not untried_device_exists then begin
-      run_fallback ~outcome:Telemetry.Recovered_host ~retries:item.attempts (item.req, item.depth);
-      requeue
-    end
-    else item :: requeue
-  in
-
-  (* Dual-mode release: a drafted tile that has sat idle past the
-     hysteresis window with nothing queued hands its capacity back to
-     the memory role. *)
-  let release_idle_duals () =
-    if Dll.is_empty queue then
-      Array.iter
-        (fun d ->
-          if
-            (Device.profile d).Backend.dual_mode
-            && Device.mode d = Backend.Compute_mode
-            && (not (Device.is_quarantined d))
-            && Device.available_ps d + revert_idle_ps <= !now
-          then begin
-            let displaced = Device.convert ~at_ps:!now d ~to_compute:false in
-            Telemetry.record_conversion ~displaced_bytes:displaced telemetry ~at_ps:!now
-              ~device:(Device.id d) ~profile:(Device.profile d).Backend.name
-              ~to_compute:false
-          end)
-        devices
-  in
-
-  (* Form batches head-of-queue first: for each placeable item, score
-     every eligible free device across the mixed fleet and take the
-     cheapest, converting a dual-mode tile if that is what won. Every
-     decision (membership, placement, conversions, start times) is
-     fixed before execution starts, so the wave's results do not depend
-     on how it is run. *)
-  let dispatch () =
-    let free =
-      ref
-        (Array.to_list devices
-        |> List.filter (fun d ->
-               (not (Device.is_quarantined d)) && Device.available_ps d <= !now))
-    in
-    let prepared = ref [] in
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      (* no free device means no queued item is placeable: skip the
-         scan entirely instead of walking the whole backlog to learn
-         nothing (the oracle's unbounded queue makes that walk hurt) *)
-      if !free <> [] then begin
-        let draft = dual_draft_allowed () in
-        let eligible item =
-          List.filter
-            (fun d ->
-              (not (List.mem (Device.id d) item.tried))
-              && (draft || Device.mode d = Backend.Compute_mode))
-            !free
-        in
-        (* [allowed item d]: may [d] take [item] now? A graph item whose
-           model is resident on a busy device prefers waiting for that
-           device over paying a cold programming pass on a free one —
-           but only while the wait it has already absorbed is under
-           twice the programming it would save (the request breaks even
-           at 1x; staying put also spares whichever model the free
-           device would have evicted its own cold pass later). Bounded,
-           so a backlogged resident device cannot starve the item.
-           Waiting only ever shrinks the choice to the devices that hold
-           the item's key; decided once per item. *)
-        let allowed item =
-          let r = item.req in
-          match find_bench r.Trace.kernel with
-          | Ok bench when graph_scoped bench ->
-              let waits =
-                Array.exists
-                  (fun d ->
-                    (not (Device.is_quarantined d))
-                    && Device.available_ps d > !now
-                    && (not (List.mem (Device.id d) item.tried))
-                    &&
-                    let cold, warm, holds = quote r bench d in
-                    holds && float_of_int (!now - r.Trace.arrival_ps) < 2.0 *. (cold -. warm))
-                  devices
-              in
-              if waits then fun d ->
-                let _, _, holds = quote r bench d in
-                holds
-              else fun _ -> true
-          | Ok _ | Error _ -> fun _ -> true
-        in
-        let placeable item =
-          (* [allowed] may compile estimates: ask it only when some
-             device is eligible at all *)
-          match eligible item with [] -> false | devs -> List.exists (allowed item) devs
-        in
-        match Dll.find_node queue placeable with
-        | None -> ()
-        | Some node -> (
-          progressed := true;
-          let item = node.Dll.value in
-          let r0 = item.req in
-          match find_bench r0.Trace.kernel with
-          | Error msg ->
-              (* unknown kernel: no device can help; drop just this item *)
-              Dll.remove queue node;
-              record_failed r0 item.depth msg
-          | Ok bench -> (
-              let misses0 = (Kernel_cache.stats cache).Kernel_cache.misses in
-              let best =
-                List.fold_left
-                  (fun acc d ->
-                    let s = score r0 bench d in
-                    match acc with
-                    | Some (_, s') when s' <= s -> acc
-                    | _ -> Some (d, s))
-                  None
-                  (List.filter (allowed item) (eligible item))
-              in
-              let dev, _ = Option.get best in
-              match
-                pop_batch
-                  ~skip:(fun it -> not (allowed it dev))
-                  ~dev_id:(Device.id dev)
-              with
-              | None -> assert false (* [item] is poppable by [dev] *)
-              | Some items -> (
-                  match
-                    Result.bind (program ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n)
-                      (fun p ->
-                        match Kernel_cache.find cache ~cls:(Device.device_class dev) p with
-                        | entry -> Ok entry
-                        | exception e -> Error (Printexc.to_string e))
-                  with
-                  | Ok entry ->
-                      let cache_hit =
-                        (Kernel_cache.stats cache).Kernel_cache.misses = misses0
-                      in
-                      let conversion_ps =
-                        if Device.mode dev = Backend.Memory_mode then begin
-                          let (_ : float) = Device.convert ~at_ps:!now dev ~to_compute:true in
-                          Telemetry.record_conversion telemetry ~at_ps:!now
-                            ~device:(Device.id dev)
-                            ~profile:(Device.profile dev).Backend.name ~to_compute:true;
-                          (Device.profile dev).Backend.conversion_latency_ps
-                        end
-                        else 0
-                      in
-                      let residency =
-                        if graph_scoped bench && Device.device_class dev <> Backend.Host_blas
-                        then
-                          Some
-                            (residency_key ~entry_key:entry.Kernel_cache.key
-                               ~tenant:r0.Trace.tenant)
-                        else None
-                      in
-                      let batch_id = !batch_counter in
-                      incr batch_counter;
-                      free := List.filter (fun d -> Device.id d <> Device.id dev) !free;
-                      prepared :=
-                        {
-                          dev;
-                          batch_id;
-                          start_ps = !now + config.dispatch_overhead_ps + conversion_ps;
-                          cache_hit;
-                          bench;
-                          entry;
-                          residency;
-                          items;
-                        }
-                        :: !prepared
-                  | Error msg ->
-                      List.iter (fun it -> record_failed it.req it.depth msg) items)))
-      end
-    done;
-    match List.rev !prepared with
-    | [] -> false
-    | waves ->
-        let results = Pool.parallel_map execute_batch waves in
-        let requeue =
-          List.fold_left2
-            (fun acc (b : batch) rs ->
-              let plan =
-                lazy
-                  (Offload.plan b.entry.Kernel_cache.options.Flow.tactics
-                     b.entry.Kernel_cache.compiled.Flow.func)
-              in
-              List.fold_left
-                (fun acc -> function
-                  | Recorded r ->
-                      record r;
-                      (* a warm resident run skipped its programming
-                         traffic, so its measured cycles would poison a
-                         calibration fitted against the full plan *)
-                      if b.residency = None then note_sample b plan r;
-                      acc
-                  | Corrupt { item; dev_id; service_ps = _; fault } ->
-                      handle_corrupt ~item ~dev_id ~fault acc)
-                acc rs)
-            [] waves results
-        in
-        maybe_calibrate ();
-        (* retried work goes back to the head of the queue so recovery
-           runs before newer arrivals *)
-        List.iter (fun it -> Dll.push_front queue it) requeue;
-        true
-  in
-
-  (* [settled]: the loop body has run at [!now] until dispatch found
-     nothing more to do, so the next step is a clock move. Kept across
-     [advance] calls so a resumed core never re-runs a finished
-     instant. *)
-  let settled = ref false in
-  let rec advance until_ps =
-    if not (Queue.is_empty arrivals && Dll.is_empty queue) then
-      if not !settled then begin
-        (* release before admitting: a revert is decided by the idle
-           interval leading up to [now], not by whatever arrives at that
-           same instant *)
-        release_idle_duals ();
-        admit_due ();
-        cull_expired ();
-        if not (dispatch ()) then settled := true;
-        advance until_ps
-      end
-      else begin
-        let next_arrival =
-          match Queue.peek_opt arrivals with None -> max_int | Some r -> r.Trace.arrival_ps
-        in
-        let next_free =
-          Array.fold_left
-            (fun acc d ->
-              let a = Device.available_ps d in
-              if a > !now then min acc a else acc)
-            max_int devices
-        in
-        let next =
-          if Dll.is_empty queue then next_arrival else min next_arrival next_free
-        in
-        if next = max_int then begin
-          (* dead end: every queued item has exhausted the usable pool
-             (e.g. all devices quarantined) and nothing else is coming —
-             drain it to the host. Only a draining call knows nothing
-             else is coming; a bounded one leaves the items queued. *)
-          if until_ps = max_int then begin
-            let stuck = Dll.to_list queue in
-            Dll.clear queue;
-            List.iter
-              (fun it ->
-                run_fallback ~outcome:Telemetry.Recovered_host ~retries:it.attempts
-                  (it.req, it.depth))
-              stuck
-          end
-        end
-        else
-          let next = max next (!now + 1) in
-          if next <= until_ps then begin
-            now := next;
-            settled := false;
-            advance until_ps
-          end
-      end
-  in
-
-  let finish (trace : Trace.t) =
-    advance max_int;
-    let makespan_ps = Telemetry.last_finish_ps telemetry in
-    (* a tile still drafted at the end of the run has displaced memory
-       traffic right up to the makespan — close the interval so the
-       report's displaced-bytes figure covers the whole run *)
-    Array.iter
-      (fun d -> ignore (Device.finalize_displacement d ~at_ps:makespan_ps : float))
-      devices;
-    {
-      trace;
-      config;
-      telemetry;
-      cache = Kernel_cache.stats cache;
-      devices =
-        Array.to_list devices
-        |> List.map (fun d ->
-               {
-                 dev_id = Device.id d;
-                 dev_profile = (Device.profile d).Backend.name;
-                 dev_class = Backend.class_name (Device.device_class d);
-                 dev_wear = Device.wear d;
-                 dev_served = Device.requests_served d;
-                 dev_energy_j = Device.energy_j d;
-                 dev_conversions = Device.conversions d;
-                 dev_displaced_bytes = Device.displaced_mem_bytes d;
-               });
-      quarantined =
-        Array.to_list devices
-        |> List.filter (fun d -> Device.is_quarantined d)
-        |> List.map Device.id;
-      makespan_ps;
-      wall_s = Unix.gettimeofday () -. t0;
-      calibrations = List.rev !calib_log;
-    }
-  in
   {
-    push =
-      (fun r ->
-        if r.Trace.deadline_ps <> None then trace_has_deadlines := true;
-        Queue.push r arrivals);
-    step = advance;
-    close = finish;
-    core_telemetry = telemetry;
-    backlog = (fun () -> Queue.length arrivals + Dll.length queue);
+    config;
+    devices;
+    corruptions = Array.make (Array.length devices) 0;
+    cache;
+    telemetry;
+    admission;
+    arrivals = Queue.create ();
+    queue = Dll.create ();
+    programs = Hashtbl.create 16;
+    estimates = Hashtbl.create 64;
+    calibration = Hashtbl.create 4;
+    started;
+    calibrations = [];
+    now = 0;
+    next_batch = 0;
+    has_deadlines = false;
+    settled = false;
   }
 
-let submit t r = t.push r
-let advance t ~until_ps = t.step until_ps
-let finish t trace = t.close trace
-let telemetry t = t.core_telemetry
-let pending t = t.backlog ()
+(* ---------- kernels and records ---------- *)
+
+(* A serving kernel name resolves to a registered graph program first,
+   then to the PolyBench suite. *)
+let find_bench (t : t) name =
+  match List.assoc_opt name t.config.graphs with Some bench -> Ok bench | None -> Kernels.find name
+
+let is_graph_kernel (t : t) name = List.mem_assoc name t.config.graphs
+
+(* Graph-residency rules: a graph kernel served with [graph_residency]
+   on latches its (entry, tenant) key on the device that runs it. *)
+let graph_scoped (t : t) (bench : Kernels.benchmark) =
+  t.config.graph_residency && is_graph_kernel t bench.Kernels.name
+
+(* The compiled entry scopes a residency key to the model's exact
+   program, the tenant scopes it as isolation policy. *)
+let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant
+
+let program (t : t) ~kernel (bench : Kernels.benchmark) ~n =
+  let key = (kernel, n) in
+  match Hashtbl.find_opt t.programs key with
+  | Some p -> p
+  | None ->
+      let p =
+        match Kernel_cache.parse (bench.Kernels.source ~n) with
+        | p -> Ok p
+        | exception e -> Error (Printexc.to_string e)
+      in
+      Hashtbl.add t.programs key p;
+      p
+
+let record_failed (t : t) (r : Trace.request) depth msg =
+  Telemetry.record t.telemetry
+    (host_record r (Telemetry.Failed msg) ~depth ~start_ps:t.now ~service_ps:0 ~retries:0
+       ~checksum:None)
+
+let record_dropped (t : t) (r : Trace.request) outcome =
+  Telemetry.record t.telemetry
+    (host_record r outcome ~depth:(Dll.length t.queue) ~start_ps:r.Trace.arrival_ps ~service_ps:0
+       ~retries:0 ~checksum:None)
+
+(* Host-interpreter execution: deadline degradation ([Cpu_fallback])
+   and the terminal recovery policy ([Recovered_host]) share this
+   path — exact results, modelled latency. *)
+let run_fallback (t : t) outcome item =
+  let r = item.req in
+  match
+    Result.bind (find_bench t r.Trace.kernel) (fun bench ->
+        Result.map (fun p -> (bench, p)) (program t ~kernel:r.Trace.kernel bench ~n:r.Trace.n))
+  with
+  | Error msg -> record_failed t r item.depth msg
+  | Ok (bench, p) -> (
+      match
+        let args, readback = bench.Kernels.make_args ~n:r.Trace.n ~seed:r.Trace.seed in
+        Interp.run p.Kernel_cache.ast ~args;
+        (readback (), bench.Kernels.macs ~n:r.Trace.n)
+      with
+      | mats, macs ->
+          Telemetry.record t.telemetry
+            (host_record r outcome ~depth:item.depth ~start_ps:t.now
+               ~service_ps:(Backend.host.Backend.cpu_ps_per_mac * macs) ~retries:item.attempts
+               ~checksum:(Some (checksum_of_mats mats)))
+      | exception e -> record_failed t r item.depth (Printexc.to_string e))
+
+(* ---------- admission and deadlines ---------- *)
+
+(* Admission verdict for one arrival: the policy's SLO-tiered load
+   shedding and per-tenant token buckets first (both judged at the
+   arrival timestamp), then the hard queue bound — so under overload
+   best-effort traffic is shed well before interactive traffic ever
+   sees a [Rejected_overloaded]. *)
+let admit (t : t) (r : Trace.request) =
+  match
+    match t.admission with
+    | None -> Admission.Admit
+    | Some adm ->
+        Admission.admit adm ~now_ps:r.Trace.arrival_ps ~queue_len:(Dll.length t.queue)
+          ~capacity:t.config.queue_capacity r
+  with
+  | Admission.Shed_rate -> record_dropped t r (Telemetry.Shed Telemetry.Rate_limited)
+  | Admission.Shed_load -> record_dropped t r (Telemetry.Shed Telemetry.Load_shed)
+  | Admission.Admit ->
+      if t.config.queue_capacity > 0 && Dll.length t.queue >= t.config.queue_capacity then
+        record_dropped t r Telemetry.Rejected_overloaded
+      else Dll.push_back t.queue { req = r; depth = Dll.length t.queue; attempts = 0; tried = [] }
+
+let rec admit_due (t : t) =
+  match Queue.peek_opt t.arrivals with
+  | Some (r : Trace.request) when r.Trace.arrival_ps <= t.now ->
+      ignore (Queue.pop t.arrivals : Trace.request);
+      admit t r;
+      Telemetry.sample_queue_depth t.telemetry ~at_ps:r.Trace.arrival_ps
+        ~depth:(Dll.length t.queue);
+      admit_due t
+  | _ -> ()
+
+let cull_expired (t : t) =
+  if (not t.config.ignore_deadlines) && t.has_deadlines then
+    let rec go = function
+      | None -> ()
+      | Some n ->
+          let next = n.Dll.next in
+          let it = n.Dll.value in
+          (match it.req.Trace.deadline_ps with
+          | Some d when t.now > it.req.Trace.arrival_ps + d ->
+              Dll.remove t.queue n;
+              run_fallback t Telemetry.Cpu_fallback it
+          | _ -> ());
+          go next
+    in
+    go (Dll.first t.queue)
+
+(* ---------- placement rules ---------- *)
+
+(* Whether a device can take work at all, and whether it may take
+   [item]: in rotation (not quarantined) and not one that already
+   returned a corrupt result for it. *)
+let in_rotation d = not (Device.is_quarantined d)
+let untried item d = in_rotation d && not (List.mem (Device.id d) item.tried)
+
+(* Dual drafting: a memory-mode dual tile may be placed on once more
+   than [draft_queue_depth] items are queued, and always when no
+   always-compute device is left in rotation (an all-dual fleet, or
+   every plain device quarantined), so light load is still served.
+   Placing on it charges its conversion latency. *)
+let draft_allowed (t : t) =
+  Dll.length t.queue > draft_queue_depth
+  || not
+       (Array.exists
+          (fun d -> in_rotation d && not (Device.profile d).Backend.dual_mode)
+          t.devices)
+
+let conversion_ps d =
+  if Device.mode d = Backend.Memory_mode then (Device.profile d).Backend.conversion_latency_ps
+  else 0
+
+(* Eligibility: may free device [d] take [item] in this wave? *)
+let eligible ~draft item d = untried item d && (draft || Device.mode d = Backend.Compute_mode)
+
+let model_for (t : t) cls =
+  match Hashtbl.find_opt t.calibration cls with
+  | Some { fit = Adopted m; _ } -> m
+  | Some _ | None -> Cost_model.uncalibrated_for cls
+
+let price (t : t) cls e =
+  match e.plan with
+  | None ->
+      (* the class cannot compile this kernel: never preferred, but
+         still placeable as a last resort so the compile error
+         surfaces through the normal failure record *)
+      e.cold_ps <- Float.max_float;
+      e.resident_ps <- Float.max_float
+  | Some plan ->
+      let model = model_for t cls in
+      e.cold_ps <- Cost_model.predict_cycles model plan *. Backend.ps_per_cycle;
+      e.resident_ps <- Cost_model.predict_resident_cycles model plan *. Backend.ps_per_cycle
+
+(* The estimate of [r] on [d]'s class: [cold_ps] is the predicted
+   service of a cold run, [resident_ps] the predicted service with the
+   weight tiles already pinned (zero programming traffic in the plan),
+   and [entry_key] the cache key the class's entry compiles to — what
+   residency keys derive from. Memoised: the compile behind a first
+   estimate is shared with dispatch through the kernel cache, and the
+   plan is kept for the replay. *)
+let quote (t : t) (r : Trace.request) bench d =
+  let cls = Device.device_class d in
+  let key = (r.Trace.kernel, r.Trace.n, cls) in
+  match Hashtbl.find_opt t.estimates key with
+  | Some e -> e
+  | None ->
+      let plan, entry_key =
+        match program t ~kernel:r.Trace.kernel bench ~n:r.Trace.n with
+        | Error _ -> (None, "")
+        | Ok p -> (
+            match
+              let entry = Kernel_cache.find t.cache ~cls p in
+              ( Offload.plan entry.Kernel_cache.options.Flow.tactics
+                  entry.Kernel_cache.compiled.Flow.func,
+                entry.Kernel_cache.key )
+            with
+            | plan, entry_key -> (Some plan, entry_key)
+            | exception _ -> (None, ""))
+      in
+      let e = { plan; entry_key; cold_ps = 0.0; resident_ps = 0.0 } in
+      price t cls e;
+      Hashtbl.add t.estimates key e;
+      e
+
+(* The one residency question placement asks: does [d] hold the
+   (entry, tenant) key [r] latches there, under the graph-residency
+   rules? [e] is [quote t r bench d]. *)
+let holds (t : t) (r : Trace.request) bench d e =
+  graph_scoped t bench && e.entry_key <> ""
+  && Device.resident d = Some (residency_key ~entry_key:e.entry_key ~tenant:r.Trace.tenant)
+
+(* The resident wait. A graph item whose model is resident on a busy
+   device prefers waiting for that device over paying a cold
+   programming pass on a free one — but only while the wait it has
+   already absorbed is under twice the programming it would save (the
+   request breaks even at 1x; staying put also spares whichever model
+   the free device would have evicted its own cold pass later).
+   Bounded, so a backlogged resident device cannot starve the item.
+   "Busy" is the device's own clock: a device given a batch earlier in
+   this wave is taken but not busy. [Some bench] when [item] waits, so
+   only devices that hold its key may take it. *)
+let resident_wait (t : t) item =
+  let r = item.req in
+  match find_bench t r.Trace.kernel with
+  | Ok bench
+    when graph_scoped t bench
+         && Array.exists
+              (fun d ->
+                untried item d
+                && Device.available_ps d > t.now
+                &&
+                let e = quote t r bench d in
+                holds t r bench d e
+                && float_of_int (t.now - r.Trace.arrival_ps)
+                   < 2.0 *. (e.cold_ps -. e.resident_ps))
+              t.devices ->
+      Some bench
+  | Ok _ | Error _ -> None
+
+(* May [d] take [item] under the resident wait ([waiting] is
+   [resident_wait t item])? *)
+let allowed (t : t) item waiting d =
+  match waiting with
+  | None -> true
+  | Some bench -> holds t item.req bench d (quote t item.req bench d)
+
+(* Lower is better: the class estimate — the resident one on a device
+   that holds the request's key — plus the conversion charge if the
+   device must first be drafted out of its memory role. Ties break to
+   the least-written device, then the lowest id. *)
+let score (t : t) r bench d =
+  let e = quote t r bench d in
+  ( (if holds t r bench d e then e.resident_ps else e.cold_ps) +. float_of_int (conversion_ps d),
+    Device.write_pressure d,
+    Device.id d )
+
+(* ---------- one wave: decide, apply, execute, settle ---------- *)
+
+type decision =
+  | Drop of queued Dll.node * string  (** unknown kernel: no device can help *)
+  | Place of {
+      node : queued Dll.node;  (** the head of the batch *)
+      bench : Kernels.benchmark;
+      dev : Device.t;
+      misses : int;  (** kernel-cache misses before scoring *)
+    }
+
+(* [allowed] may compile estimates: ask it only when some device is
+   eligible at all. *)
+let placeable (t : t) ~free ~draft item =
+  List.exists (eligible ~draft item) free
+  &&
+  let waiting = resident_wait t item in
+  List.exists (fun d -> eligible ~draft item d && allowed t item waiting d) free
+
+(* The next placement, head of queue first: the first queued item some
+   free device may take, on the cheapest such device. It changes
+   neither the queue nor the devices; scoring may fill the estimate
+   memo, and a compile behind a first estimate after [misses] is read
+   makes the batch a cache miss. *)
+let decide (t : t) ~free =
+  if free = [] then None
+  else
+    let draft = draft_allowed t in
+    match Dll.find_node t.queue (placeable t ~free ~draft) with
+    | None -> None
+    | Some node -> (
+        let item = node.Dll.value in
+        let r = item.req in
+        match find_bench t r.Trace.kernel with
+        | Error msg -> Some (Drop (node, msg))
+        | Ok bench ->
+            let misses = (Kernel_cache.stats t.cache).Kernel_cache.misses in
+            let waiting = resident_wait t item in
+            let best =
+              List.fold_left
+                (fun acc d ->
+                  if eligible ~draft item d && allowed t item waiting d then
+                    let s = score t r bench d in
+                    match acc with Some (_, s') when s' <= s -> acc | _ -> Some (d, s)
+                  else acc)
+                None free
+            in
+            let dev, _ = Option.get best in
+            Some (Place { node; bench; dev; misses }))
+
+(* Pop [node] and, unless it is a retry (dispatched alone, so its
+   timing is not entangled with fresh requests) or batching is off,
+   coalesce fresh queued requests sharing its (kernel, n) up to
+   [max_batch]: one compile, one launch, back-to-back execution on one
+   device. Graph batches stay single-tenant: one residency key per
+   batch, and cross-tenant weight reuse is never even formable. *)
+let pop_batch (t : t) node =
+  let item = node.Dll.value in
+  let r0 = item.req in
+  Dll.remove t.queue node;
+  if item.attempts > 0 || t.config.max_batch <= 1 then [ item ]
+  else
+    let single_tenant = is_graph_kernel t r0.Trace.kernel in
+    let rec scan taken count = function
+      | Some m when count < t.config.max_batch ->
+          let next = m.Dll.next in
+          let it = m.Dll.value in
+          let r = it.req in
+          if
+            it.attempts = 0 && it.tried = [] && r.Trace.kernel = r0.Trace.kernel
+            && r.Trace.n = r0.Trace.n
+            && ((not single_tenant) || r.Trace.tenant = r0.Trace.tenant)
+          then begin
+            Dll.remove t.queue m;
+            scan (it :: taken) (count + 1) next
+          end
+          else scan taken count next
+      | _ -> List.rev taken
+    in
+    scan [ item ] 1 (Dll.first t.queue)
+
+(* Carry a decision out: pop the batch, look its entry up, draft the
+   device out of its memory role if it is a dual tile there, and build
+   the batch. [None] when nothing is left to execute. *)
+let apply (t : t) = function
+  | Drop (node, msg) ->
+      Dll.remove t.queue node;
+      record_failed t node.Dll.value.req node.Dll.value.depth msg;
+      None
+  | Place { node; bench; dev; misses } -> (
+      let items = pop_batch t node in
+      let r0 = node.Dll.value.req in
+      match
+        Result.bind (program t ~kernel:r0.Trace.kernel bench ~n:r0.Trace.n) (fun p ->
+            match Kernel_cache.find t.cache ~cls:(Device.device_class dev) p with
+            | entry -> Ok entry
+            | exception e -> Error (Printexc.to_string e))
+      with
+      | Error msg ->
+          List.iter (fun it -> record_failed t it.req it.depth msg) items;
+          None
+      | Ok entry ->
+          let cache_hit = (Kernel_cache.stats t.cache).Kernel_cache.misses = misses in
+          let conversion = conversion_ps dev in
+          if Device.mode dev = Backend.Memory_mode then begin
+            let (_ : float) = Device.convert ~at_ps:t.now dev ~to_compute:true in
+            Telemetry.record_conversion t.telemetry ~at_ps:t.now ~device:(Device.id dev)
+              ~profile:(Device.profile dev).Backend.name ~to_compute:true
+          end;
+          let residency =
+            if graph_scoped t bench && Device.device_class dev <> Backend.Host_blas then
+              Some (residency_key ~entry_key:entry.Kernel_cache.key ~tenant:r0.Trace.tenant)
+            else None
+          in
+          let batch_id = t.next_batch in
+          t.next_batch <- batch_id + 1;
+          Some
+            {
+              dev;
+              batch_id;
+              start_ps = t.now + t.config.dispatch_overhead_ps + conversion;
+              cache_hit;
+              bench;
+              entry;
+              residency;
+              plan = (quote t r0 bench dev).plan;
+              items;
+            })
+
+(* Recovery policy for one corrupt attempt: count it against the
+   device, quarantine the device once it crosses the threshold, then
+   either requeue the request for another device or degrade it to the
+   host. *)
+let handle_corrupt (t : t) ~item ~dev_id ~fault requeue =
+  let dev = t.devices.(dev_id) in
+  t.corruptions.(dev_id) <- t.corruptions.(dev_id) + 1;
+  if t.corruptions.(dev_id) >= t.config.recovery.quarantine_after && in_rotation dev then begin
+    let rows =
+      match fault with Some (_, (row_off, _, nrows, _)) -> (row_off, nrows) | None -> (0, 0)
+    in
+    Device.quarantine dev ~rows
+  end;
+  let item = { item with attempts = item.attempts + 1; tried = dev_id :: item.tried } in
+  if item.attempts >= t.config.recovery.max_attempts || not (Array.exists (untried item) t.devices)
+  then begin
+    run_fallback t Telemetry.Recovered_host item;
+    requeue
+  end
+  else item :: requeue
+
+(* A completed cold run is one calibration sample of its class, until
+   the class is fitted. *)
+let note_sample (t : t) (b : batch) (r : Telemetry.record) =
+  match b.plan with
+  | Some plan
+    when t.config.calibrate_after <> None
+         && r.Telemetry.outcome = Telemetry.Completed
+         && r.Telemetry.service_ps > 0 -> (
+      let cls = Device.device_class b.dev in
+      match Hashtbl.find_opt t.calibration cls with
+      | Some { fit = Kept_prior | Adopted _; _ } -> ()
+      | found -> (
+          let sample =
+            {
+              Cost_model.plan;
+              cycles = float_of_int r.Telemetry.service_ps /. Backend.ps_per_cycle;
+            }
+          in
+          match found with
+          | Some c -> c.samples <- sample :: c.samples
+          | None -> Hashtbl.add t.calibration cls { samples = [ sample ]; fit = Sampling }))
+  | Some _ | None -> ()
+
+(* Fit every class that has reached [calibrate_after] samples; an
+   adopted fit re-prices the class's kept plans — a plan cannot change,
+   so no kernel-cache lookup is needed. *)
+let maybe_calibrate (t : t) =
+  match t.config.calibrate_after with
+  | None -> ()
+  | Some threshold ->
+      Hashtbl.iter
+        (fun cls c ->
+          match c.fit with
+          | Sampling when List.length c.samples >= threshold ->
+              let fitted, err = Cost_model.calibrate c.samples in
+              let prior =
+                Cost_model.mean_relative_error (Cost_model.uncalibrated_for cls) c.samples
+              in
+              if err <= prior then begin
+                c.fit <- Adopted fitted;
+                t.calibrations <-
+                  (Backend.class_name cls, List.length c.samples, err) :: t.calibrations;
+                Hashtbl.iter (fun (_, _, cls') e -> if cls' = cls then price t cls e) t.estimates
+              end
+              else c.fit <- Kept_prior;
+              c.samples <- []
+          | Sampling | Kept_prior | Adopted _ -> ())
+        t.calibration
+
+(* Fold the wave's results, in batch order, into records, calibration
+   samples and recovery; retried work goes back to the head of the
+   queue so recovery runs before newer arrivals. *)
+let settle (t : t) batches results =
+  let requeue =
+    List.fold_left2
+      (fun acc (b : batch) rs ->
+        List.fold_left
+          (fun acc -> function
+            | Recorded r ->
+                Telemetry.record t.telemetry r;
+                (* a warm resident run skipped its programming traffic,
+                   so its measured cycles would poison a calibration
+                   fitted against the full plan *)
+                if b.residency = None then note_sample t b r;
+                acc
+            | Corrupt { item; fault } -> handle_corrupt t ~item ~dev_id:(Device.id b.dev) ~fault acc)
+          acc rs)
+      [] batches results
+  in
+  maybe_calibrate t;
+  List.iter (Dll.push_front t.queue) requeue
+
+let rec place (t : t) free batches =
+  match decide t ~free with
+  | None -> List.rev batches
+  | Some decision -> (
+      match apply t decision with
+      | Some b ->
+          place t (List.filter (fun d -> Device.id d <> Device.id b.dev) free) (b :: batches)
+      | None -> place t free batches)
+
+(* One wave at [now]: place batches on the free devices until no queued
+   item is placeable, then execute them (on worker domains) and settle.
+   Every decision — membership, placement, conversions, start times —
+   is fixed before execution starts, so the results do not depend on
+   how the wave is run. Whether any batch ran. *)
+let wave (t : t) =
+  let free =
+    List.filter (fun d -> in_rotation d && Device.available_ps d <= t.now) (Array.to_list t.devices)
+  in
+  match place t free [] with
+  | [] -> false
+  | batches ->
+      settle t batches (Pool.parallel_map execute_batch batches);
+      true
+
+(* ---------- the event loop ---------- *)
+
+(* Dual-mode release: a drafted tile that has sat idle past the
+   hysteresis window with nothing queued hands its capacity back to the
+   memory role. *)
+let release_idle_duals (t : t) =
+  if Dll.is_empty t.queue then
+    Array.iter
+      (fun d ->
+        if
+          (Device.profile d).Backend.dual_mode
+          && Device.mode d = Backend.Compute_mode
+          && in_rotation d
+          && Device.available_ps d + revert_idle_ps <= t.now
+        then begin
+          let displaced = Device.convert ~at_ps:t.now d ~to_compute:false in
+          Telemetry.record_conversion ~displaced_bytes:displaced t.telemetry ~at_ps:t.now
+            ~device:(Device.id d) ~profile:(Device.profile d).Backend.name ~to_compute:false
+        end)
+      t.devices
+
+(* The next arrival, or while work is queued the next time a device
+   frees up, if sooner; [max_int] when neither will happen. *)
+let next_event (t : t) =
+  let next_arrival =
+    match Queue.peek_opt t.arrivals with None -> max_int | Some r -> r.Trace.arrival_ps
+  in
+  if Dll.is_empty t.queue then next_arrival
+  else
+    Array.fold_left
+      (fun acc d ->
+        let a = Device.available_ps d in
+        if a > t.now then min acc a else acc)
+      next_arrival t.devices
+
+let submit (t : t) (r : Trace.request) =
+  if r.Trace.deadline_ps <> None then t.has_deadlines <- true;
+  Queue.push r t.arrivals
+
+let rec advance (t : t) ~until_ps =
+  if not (Queue.is_empty t.arrivals && Dll.is_empty t.queue) then
+    if not t.settled then begin
+      (* release before admitting: a revert is decided by the idle
+         interval leading up to [now], not by whatever arrives at that
+         same instant *)
+      release_idle_duals t;
+      admit_due t;
+      cull_expired t;
+      if not (wave t) then t.settled <- true;
+      advance t ~until_ps
+    end
+    else
+      let next = next_event t in
+      if next = max_int then begin
+        (* dead end: every queued item has exhausted the usable pool
+           (e.g. all devices quarantined) and nothing else is coming —
+           drain it to the host. Only a draining call knows nothing
+           else is coming; a bounded one leaves the items queued. *)
+        if until_ps = max_int then begin
+          let stuck = Dll.to_list t.queue in
+          Dll.clear t.queue;
+          List.iter (run_fallback t Telemetry.Recovered_host) stuck
+        end
+      end
+      else
+        let next = max next (t.now + 1) in
+        if next <= until_ps then begin
+          t.now <- next;
+          t.settled <- false;
+          advance t ~until_ps
+        end
+
+let pending (t : t) = Queue.length t.arrivals + Dll.length t.queue
+let telemetry (t : t) = t.telemetry
+
+let device_report d =
+  {
+    dev_id = Device.id d;
+    dev_profile = (Device.profile d).Backend.name;
+    dev_class = Backend.class_name (Device.device_class d);
+    dev_wear = Device.wear d;
+    dev_served = Device.requests_served d;
+    dev_energy_j = Device.energy_j d;
+    dev_conversions = Device.conversions d;
+    dev_displaced_bytes = Device.displaced_mem_bytes d;
+  }
+
+let finish (t : t) (trace : Trace.t) =
+  advance t ~until_ps:max_int;
+  let makespan_ps = Telemetry.last_finish_ps t.telemetry in
+  (* a tile still drafted at the end of the run has displaced memory
+     traffic right up to the makespan — close the interval so the
+     report's displaced-bytes figure covers the whole run *)
+  Array.iter
+    (fun d -> ignore (Device.finalize_displacement d ~at_ps:makespan_ps : float))
+    t.devices;
+  {
+    trace;
+    config = t.config;
+    telemetry = t.telemetry;
+    cache = Kernel_cache.stats t.cache;
+    devices = Array.to_list (Array.map device_report t.devices);
+    quarantined =
+      Array.to_list t.devices |> List.filter Device.is_quarantined |> List.map Device.id;
+    makespan_ps;
+    wall_s = Unix.gettimeofday () -. t.started;
+    calibrations = List.rev t.calibrations;
+  }
 
 let replay ?config (trace : Trace.t) =
   let t = create ?config () in
@@ -1130,14 +1059,14 @@ let replay ?config (trace : Trace.t) =
 
 (* ---------- report accessors ---------- *)
 
-let cache_hit_rate r =
+let cache_hit_rate (r : report) =
   let c = r.cache in
   let lookups = c.Kernel_cache.hits + c.Kernel_cache.misses in
   if lookups = 0 then 0.0 else float_of_int c.Kernel_cache.hits /. float_of_int lookups
 
 let us_of_ps ps = float_of_int ps /. float_of_int Time_base.ps_per_us
 
-let fields ?(prefix = "") r =
+let fields ?(prefix = "") (r : report) =
   let t = r.telemetry in
   let run = Telemetry.fields (Telemetry.summary t) in
   let group name fields = List.map (fun (k, v) -> (name ^ "_" ^ k, v)) fields in
@@ -1218,22 +1147,28 @@ let record_class (r : Telemetry.record) =
       | Ok p -> Some p.Backend.cls
       | Error _ -> None)
 
-let divergence a b =
+type divergence = { divergent : int; compared : int }
+
+(* A completed record's checksum and compute class, keyed by request. *)
+let completed_checksum (r : Telemetry.record) =
+  match (r.Telemetry.outcome, r.Telemetry.checksum, record_class r) with
+  | Telemetry.Completed, Some cs, Some cls -> Some (cs, cls)
+  | _ -> None
+
+let divergence (a : report) (b : report) =
   let of_b = Hashtbl.create 256 in
   List.iter
     (fun (r : Telemetry.record) ->
-      match (r.Telemetry.outcome, r.Telemetry.checksum, record_class r) with
-      | Telemetry.Completed, Some cs, Some cls ->
-          Hashtbl.replace of_b r.Telemetry.request.Trace.id (cs, cls)
-      | _ -> ())
+      Option.iter (Hashtbl.replace of_b r.Telemetry.request.Trace.id) (completed_checksum r))
     (Telemetry.records b.telemetry);
   List.fold_left
     (fun acc (r : Telemetry.record) ->
-      match (r.Telemetry.outcome, r.Telemetry.checksum, record_class r) with
-      | Telemetry.Completed, Some cs, Some cls -> (
-          match Hashtbl.find_opt of_b r.Telemetry.request.Trace.id with
-          | Some (cs', cls') when cls' = cls && cs' <> cs -> acc + 1
-          | Some _ | None -> acc)
+      match (completed_checksum r, Hashtbl.find_opt of_b r.Telemetry.request.Trace.id) with
+      | Some (cs, cls), Some (cs', cls') when cls' = cls ->
+          {
+            divergent = (if cs' <> cs then acc.divergent + 1 else acc.divergent);
+            compared = acc.compared + 1;
+          }
       | _ -> acc)
-    0
+    { divergent = 0; compared = 0 }
     (Telemetry.records a.telemetry)

@@ -50,8 +50,16 @@
     All of it happens in virtual time, so the golden oracle and the
     parallel==sequential determinism property keep holding.
 
-    All scheduling decisions for a dispatch wave are taken {e before}
-    the wave executes, so executing the wave's batches on worker
+    {b One wave.} At each event the core releases idle dual tiles,
+    admits due arrivals and culls expired deadlines, then runs one
+    wave over the devices free at that instant. [decide] picks the
+    next batch head and its device from the queue, the free devices
+    and the clock, and changes none of them; [apply] pops the batch,
+    drafts a dual tile if it won and builds the batch; the two repeat
+    until no queued item is placeable. The batches then execute, and
+    [settle] folds their results into records, calibration samples,
+    recovery and the requeue. Every decision of a wave is taken
+    {e before} the wave executes, so executing its batches on worker
     domains ({!Tdo_util.Pool}) or sequentially produces bit-identical
     results and telemetry — the property the golden check and the
     qcheck determinism suite pin down. *)
@@ -188,6 +196,10 @@ type report = {
     requests. *)
 
 type t
+(** The core's whole state, one record: the fleet, kernel cache,
+    telemetry, admission state, arrival FIFO and queue, placement's
+    estimate memo, one calibration record per device class, and the
+    clock. *)
 
 val create : ?config:config -> unit -> t
 (** A fresh core at time 0: the fleet, kernel cache, telemetry and an
@@ -202,8 +214,8 @@ val submit : t -> Trace.request -> unit
 
 val advance : t -> until_ps:int -> unit
 (** Run the event loop (release idle dual tiles, admit due arrivals,
-    cull expired deadlines, dispatch, move to the next event) for every
-    event at or before [until_ps]. Returns without moving the clock when
+    cull expired deadlines, run a wave, move to the next event) for
+    every event at or before [until_ps]. Returns without moving the clock when
     no event is due by then. Records land in {!telemetry} (and the
     config's [on_record]) as batches are dispatched. *)
 
@@ -250,10 +262,18 @@ val record_class : Telemetry.record -> Backend.device_class option
 (** The compute class behind a record's checksum — what decides
     comparability in {!divergence}. *)
 
-val divergence : report -> report -> int
-(** Number of requests that completed on devices of the {e same
-    compute class} in both reports and produced different output
-    checksums — the cross-device golden check. 0 means every comparable
-    request is bit-identical. (Cross-class checksums are not compared:
-    class-keyed tuned geometries may tile the 8-bit quantisation
-    differently, and the host computes in full precision.) *)
+type divergence = {
+  divergent : int;  (** compared requests whose output checksums differ *)
+  compared : int;
+      (** requests that completed on devices of the same compute class
+          in both reports *)
+}
+
+val divergence : report -> report -> divergence
+(** The cross-device golden check: over the requests that completed on
+    devices of the {e same compute class} in both reports, how many
+    were compared and how many produced different output checksums.
+    [divergent = 0] means every compared request is bit-identical.
+    (Cross-class checksums are not compared: class-keyed tuned
+    geometries may tile the 8-bit quantisation differently, and the
+    host computes in full precision.) *)

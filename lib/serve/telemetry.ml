@@ -198,10 +198,11 @@ let group ~key ?conv_key t =
         match List.rev !lats with
         | [] -> !c
         | lats ->
+            let sorted = Stats.sorted lats in
             {
               !c with
-              latency_p50_us = Stats.percentile lats ~p:50.0;
-              latency_p99_us = Stats.percentile lats ~p:99.0;
+              latency_p50_us = Stats.percentile_sorted sorted ~p:50.0;
+              latency_p99_us = Stats.percentile_sorted sorted ~p:99.0;
               latency_mean_us = Stats.mean lats;
             }
       in
@@ -317,6 +318,8 @@ let add_finish a r =
   end
 
 let window_of_acc ~window_ps idx (a : window_acc) =
+  let sorted = Stats.sorted a.a_lats in
+  let rank p = if a.a_lats = [] then 0.0 else Stats.percentile_sorted sorted ~p in
   let slo_list table =
     List.filter_map
       (fun slo ->
@@ -329,8 +332,8 @@ let window_of_acc ~window_ps idx (a : window_acc) =
     w_arrivals = a.a_arrivals;
     w_served = a.a_served;
     w_shed = a.a_shed;
-    w_p50_us = (if a.a_lats = [] then 0.0 else Stats.percentile a.a_lats ~p:50.0);
-    w_p99_us = (if a.a_lats = [] then 0.0 else Stats.percentile a.a_lats ~p:99.0);
+    w_p50_us = rank 50.0;
+    w_p99_us = rank 99.0;
     w_throughput_rps =
       float_of_int a.a_served /. (float_of_int window_ps /. 1e12);
     w_max_depth = a.a_max_depth;

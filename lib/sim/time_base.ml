@@ -2,7 +2,6 @@ type ps = int
 
 let ps_per_ns = 1_000
 let ps_per_us = 1_000_000
-let ps_per_ms = 1_000_000_000
 let ps_per_s = 1_000_000_000_000
 
 let period_ps ~freq_hz =

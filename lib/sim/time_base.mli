@@ -9,7 +9,6 @@ type ps = int
 
 val ps_per_ns : int
 val ps_per_us : int
-val ps_per_ms : int
 val ps_per_s : int
 
 val period_ps : freq_hz:float -> ps

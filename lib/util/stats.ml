@@ -27,11 +27,14 @@ let maximum xs =
   require_nonempty "Stats.maximum" xs;
   List.fold_left Float.max Float.neg_infinity xs
 
-let percentile xs ~p =
-  require_nonempty "Stats.percentile" xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+let sorted xs =
   let a = Array.of_list xs in
   Array.sort compare a;
+  a
+
+let percentile_sorted a ~p =
+  if Array.length a = 0 then invalid_arg "Stats.percentile: empty list";
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   let n = Array.length a in
   if n = 1 then a.(0)
   else begin
@@ -41,5 +44,7 @@ let percentile xs ~p =
     let frac = rank -. float_of_int lo in
     (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
   end
+
+let percentile xs ~p = percentile_sorted (sorted xs) ~p
 
 let ratio a b = if b = 0.0 then invalid_arg "Stats.ratio: zero denominator" else a /. b

@@ -18,5 +18,13 @@ val percentile : float list -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation on
     the sorted sample. *)
 
+val sorted : float list -> float array
+(** The sample in ascending order: sort once, then read several ranks
+    with {!percentile_sorted}. *)
+
+val percentile_sorted : float array -> p:float -> float
+(** {!percentile} of a sample already in ascending order ({!sorted}),
+    bit for bit. *)
+
 val ratio : float -> float -> float
 (** [ratio a b = a /. b], raising [Invalid_argument] when [b = 0.]. *)

@@ -314,7 +314,7 @@ let test_scheduler_residency_amortises_writes () =
     true
     (wp * 5 <= wu);
   (* pinning must not change a single result *)
-  Alcotest.(check int) "pinned == unpinned outputs" 0 (Scheduler.divergence pinned unpinned)
+  Alcotest.(check int) "pinned == unpinned outputs" 0 (Scheduler.divergence pinned unpinned).Scheduler.divergent
 
 let test_scheduler_residency_multi_tenant_golden () =
   let trace = graph_trace ~requests:30 ~tenants:2 ~n:8 ~seed:200 in
@@ -324,7 +324,7 @@ let test_scheduler_residency_multi_tenant_golden () =
     golden_config.Scheduler.graph_residency;
   let golden = Scheduler.replay ~config:golden_config trace in
   Alcotest.(check int) "0 divergence vs sequential oracle" 0
-    (Scheduler.divergence report golden)
+    (Scheduler.divergence report golden).Scheduler.divergent
 
 (* ---------- graph tenants in the load generator ---------- *)
 

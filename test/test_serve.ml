@@ -462,7 +462,8 @@ let test_replay_smoke_and_golden () =
   Alcotest.(check int) "no rejections at this load" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.rejected;
   Alcotest.(check int) "no failures" 0 (Telemetry.summary report.Scheduler.telemetry).Telemetry.failed;
   Alcotest.(check int) "golden serves everything" total (Telemetry.summary golden.Scheduler.telemetry).Telemetry.completed;
-  Alcotest.(check int) "no cross-device divergence" 0 (Scheduler.divergence report golden);
+  Alcotest.(check int) "no cross-device divergence" 0
+    (Scheduler.divergence report golden).Scheduler.divergent;
   Alcotest.(check int) "one compile per distinct kernel"
     (List.length (Trace.distinct_kernels trace))
     report.Scheduler.cache.Kernel_cache.misses;
@@ -840,7 +841,7 @@ let test_mixed_fleet_places_on_every_class () =
       Alcotest.(check int)
         ("no divergence against the " ^ profile.Backend.name ^ " golden")
         0
-        (Scheduler.divergence report golden))
+        (Scheduler.divergence report golden).Scheduler.divergent)
     [ Backend.pcm; Backend.digital; Backend.host ]
 
 (* Dual-mode lifecycle: a burst deep enough to exceed the draft
@@ -848,6 +849,44 @@ let test_mixed_fleet_places_on_every_class () =
    recorded); once the queue drains and the hysteresis window passes,
    the straggler's arrival finds it reverted to plain memory, so the
    always-compute crossbar serves it. *)
+(* Each class's golden compares exactly the requests the report
+   completed on that class: on this fleet the pcm golden sees the pcm
+   and the dual tile's completions, the digital golden the digital
+   tile's, and neither sees the other's. *)
+let test_golden_compares_its_class () =
+  let trace =
+    match Trace.synthetic ~seed:7 "synthetic-smoke" with Ok t -> t | Error m -> failwith m
+  in
+  let config =
+    {
+      Scheduler.default_config with
+      Scheduler.fleet = Some [ Backend.pcm; Backend.digital; Backend.dual ];
+    }
+  in
+  let report = Scheduler.replay ~config trace in
+  let completed_on cls =
+    List.length
+      (List.filter
+         (fun (r : Telemetry.record) ->
+           r.Telemetry.outcome = Telemetry.Completed && Scheduler.record_class r = Some cls)
+         (Telemetry.records report.Scheduler.telemetry))
+  in
+  List.iter
+    (fun (profile : Backend.profile) ->
+      let golden = Scheduler.replay ~config:(Scheduler.golden_config ~profile config) trace in
+      let d = Scheduler.divergence report golden in
+      let completed = completed_on profile.Backend.cls in
+      Alcotest.(check bool)
+        (profile.Backend.name ^ " class served some requests")
+        true (completed > 0);
+      Alcotest.(check int) (profile.Backend.name ^ " golden compared its class") completed
+        d.Scheduler.compared;
+      Alcotest.(check int) (profile.Backend.name ^ " golden divergence") 0 d.Scheduler.divergent)
+    [ Backend.pcm; Backend.digital ];
+  Alcotest.(check int) "the two goldens cover every completion"
+    (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed
+    (completed_on Backend.Pcm_crossbar + completed_on Backend.Digital_tile)
+
 let test_dual_mode_draft_and_revert () =
   let base = burst_trace ~count:10 ~gap_ps:1000 () in
   let straggler =
@@ -912,7 +951,7 @@ let test_dual_mode_draft_and_revert () =
   (* dual-mode conversions never break the golden property *)
   let golden = Scheduler.replay ~config:(Scheduler.golden_config config) trace in
   Alcotest.(check int) "no divergence with conversions in play" 0
-    (Scheduler.divergence report golden)
+    (Scheduler.divergence report golden).Scheduler.divergent
 
 (* Identical analog crossbars quote identical estimates, so the
    least-written tie-break is what spreads their writes: with requests
@@ -1001,7 +1040,7 @@ let qcheck_batched_matches_sequential =
       let total = List.length trace.Trace.requests in
       (Telemetry.summary report.Scheduler.telemetry).Telemetry.completed = total
       && (Telemetry.summary golden.Scheduler.telemetry).Telemetry.completed = total
-      && Scheduler.divergence report golden = 0)
+      && (Scheduler.divergence report golden).Scheduler.divergent = 0)
 
 (* Determinism extends to heterogeneous fleets: every placement and
    conversion decision is taken on the scheduler thread before a wave
@@ -1337,6 +1376,64 @@ let qcheck_rollups_add_up =
       && latencies s
       && List.for_all (fun (profile, c) -> latencies ~profile c) classes)
 
+(* The percentile the roll-ups used before they sorted each group's
+   latencies once: every call copies and sorts its own sample. *)
+let two_sort_percentile xs ~p =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 1 then a.(0)
+  else begin
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = int_of_float (Float.ceil rank) in
+    let frac = rank -. float_of_int lo in
+    (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+  end
+
+(* Every group's and every window's p50 and p99, read from one sorted
+   copy, equal the two-sort form bit for bit. *)
+let qcheck_rollup_percentiles_sort_once =
+  QCheck.Test.make ~name:"one-sort roll-up percentiles == two sorts" ~count:200
+    (QCheck.make
+       ~print:(fun (rs, _) -> Printf.sprintf "%d records" (List.length rs))
+       telemetry_gen)
+    (fun (records, _) ->
+      let t = Telemetry.create () in
+      List.iter (Telemetry.record t) records;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let lat r =
+        float_of_int (Telemetry.latency_ps r) /. float_of_int Tdo_sim.Time_base.ps_per_us
+      in
+      let agrees keep p50 p99 =
+        match
+          List.filter_map
+            (fun r -> if Telemetry.served r && keep r then Some (lat r) else None)
+            records
+        with
+        | [] -> same p50 0.0 && same p99 0.0
+        | lats ->
+            same p50 (two_sort_percentile lats ~p:50.0)
+            && same p99 (two_sort_percentile lats ~p:99.0)
+      in
+      let counts keep (c : Telemetry.counts) =
+        agrees keep c.Telemetry.latency_p50_us c.Telemetry.latency_p99_us
+      in
+      let window_ps = 100 * Tdo_sim.Time_base.ps_per_us in
+      counts (fun _ -> true) (Telemetry.summary t)
+      && List.for_all
+           (fun (profile, c) -> counts (fun r -> Telemetry.profile_bucket r = profile) c)
+           (Telemetry.class_summary t)
+      && List.for_all
+           (fun (slo, c) -> counts (fun r -> r.Telemetry.request.Trace.slo = slo) c)
+           (Telemetry.slo_summary t)
+      && List.for_all
+           (fun (w : Telemetry.window) ->
+             agrees
+               (fun r -> r.Telemetry.finish_ps / window_ps = w.Telemetry.w_index)
+               w.Telemetry.w_p50_us w.Telemetry.w_p99_us)
+           (Telemetry.windows ~window_us:100.0 t))
+
 (* The report's keys for a mixed-fleet replay with calibration: unique,
    finite, all under the prefix, the run's telemetry fields first. *)
 let test_report_fields_unique_and_finite () =
@@ -1594,6 +1691,42 @@ let test_frontend_pipe_roundtrip () =
       Alcotest.(check bool) "record-clock latency is positive" true (Telemetry.latency_ps r > 0))
     (Telemetry.records t)
 
+(* A [stats] read in the same burst as requests answers after the
+   core has advanced past them: it follows their [ok] lines and counts
+   them. *)
+let test_frontend_stats_after_burst () =
+  let burst =
+    [
+      "req id=1 kernel=gemm n=8 seed=1";
+      "req id=2 kernel=gemm n=8 seed=2";
+      "req id=3 kernel=gemm n=8 seed=3";
+      "stats";
+      "quit";
+    ]
+  in
+  let config =
+    { Scheduler.default_config with Scheduler.fleet = Some [ Backend.pcm ]; device_seed = 11 }
+  in
+  let _, stop, lines = frontend_session ~config [ burst ] in
+  Alcotest.(check bool) "stopped on quit" true (stop = Frontend.Quit);
+  let index_of p =
+    let rec go i = function
+      | [] -> Alcotest.fail "missing response line"
+      | l :: ls -> if p l then i else go (i + 1) ls
+    in
+    go 0 lines
+  in
+  let stats = index_of (starts_with "stats ") in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "ok line for %d comes before stats" id)
+        true
+        (index_of (starts_with (Printf.sprintf "ok id=%d " id)) < stats))
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "stats counts the burst" true
+    (starts_with "stats requests=3 served=3 " (List.nth lines stats))
+
 (* Hostile lines: one over the 64 KiB cap (a kernel name of 100,000
    bytes, which an unknown-kernel error would echo) and a JSON request
    nested 30,000 deep, under the cap. Each is answered with one short
@@ -1802,6 +1935,8 @@ let suites =
       [
         Alcotest.test_case "cost-based placement reaches every class" `Quick
           test_mixed_fleet_places_on_every_class;
+        Alcotest.test_case "each golden compares its class's completions" `Quick
+          test_golden_compares_its_class;
         Alcotest.test_case "dual-mode draft and revert lifecycle" `Quick
           test_dual_mode_draft_and_revert;
         Alcotest.test_case "least-written tie-break alternates crossbars" `Quick
@@ -1826,6 +1961,7 @@ let suites =
         Alcotest.test_case "a 1-ps live view skips empty windows" `Quick
           test_live_view_skips_empty_windows;
         QCheck_alcotest.to_alcotest ~long:false qcheck_rollups_add_up;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_rollup_percentiles_sort_once;
         Alcotest.test_case "report fields unique and finite" `Quick
           test_report_fields_unique_and_finite;
         Alcotest.test_case "chrome trace parses, summaries from fields" `Quick
@@ -1840,6 +1976,7 @@ let suites =
     ( "serve.frontend",
       [
         Alcotest.test_case "wire protocol over a pipe" `Quick test_frontend_pipe_roundtrip;
+        Alcotest.test_case "stats answers after its burst" `Quick test_frontend_stats_after_burst;
         Alcotest.test_case "a session replays to the same records" `Quick
           test_frontend_session_replays;
         Alcotest.test_case "over-long and deeply nested lines" `Quick test_frontend_bounds_lines;
