@@ -10,8 +10,11 @@ test:
 
 # Lint CI gate: PolyBench + workload sources against the
 # expected-warnings manifest (bin/lintsweep.ml), compiled IR clean
-# under the IR-mode rules, and the crafted W008/W009/W010 examples
-# firing under --Wall --Werror. Also part of `dune runtest`.
+# under the IR-mode rules, the crafted W008/W009/W010 examples
+# firing under --Wall --Werror, and the export check (tools/exports.ml):
+# every value a lib/ .mli exports has a caller outside its module and
+# test/, or a line with a reason in tools/exports.allow. Also part of
+# `dune runtest`.
 lint:
 	dune build @lint
 

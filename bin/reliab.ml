@@ -9,40 +9,43 @@
 
 open Cmdliner
 module Campaign = Tdo_reliab.Campaign
+module Telemetry = Tdo_serve.Telemetry
 module Inject = Tdo_reliab.Inject
 module Report = Tdo_util.Bench_report
 
 let summarise stuck (r : Campaign.run) =
   let m = r.Campaign.metrics in
+  let c = m.Campaign.counts in
   Printf.printf
     "stuck=%d: %d requests, %d faults on %d of %d devices | detected %d, SDC %d, detection \
      rate %.1f%%\n"
-    stuck m.Campaign.requests m.Campaign.injected_faults m.Campaign.faulty_devices
-    r.Campaign.config.Campaign.devices m.Campaign.detected m.Campaign.sdc
+    stuck c.Telemetry.requests m.Campaign.injected_faults m.Campaign.faulty_devices
+    r.Campaign.config.Campaign.devices c.Telemetry.detected_corruptions m.Campaign.sdc
     (100.0 *. m.Campaign.detection_rate);
   Printf.printf
     "  completed %d (%d after retry), recovered-host %d, cpu-fallback %d, rejected %d, \
      failed %d, quarantined [%s]\n"
-    m.Campaign.completed m.Campaign.completed_after_retry m.Campaign.recovered_host
-    m.Campaign.cpu_fallbacks m.Campaign.rejected m.Campaign.failed
+    c.Telemetry.completed c.Telemetry.completed_after_retry c.Telemetry.recovered_host
+    c.Telemetry.cpu_fallbacks c.Telemetry.rejected c.Telemetry.failed
     (String.concat "," (List.map string_of_int m.Campaign.quarantined));
   Printf.printf "  latency overhead x%.3f, makespan overhead x%.3f\n"
     m.Campaign.latency_overhead m.Campaign.makespan_overhead
 
 let extras_of (stuck, (r : Campaign.run)) =
   let m = r.Campaign.metrics in
+  let c = m.Campaign.counts in
   let p fmt = Printf.sprintf ("s%d_" ^^ fmt) stuck in
   [
     (p "injected_faults", float_of_int m.Campaign.injected_faults);
     (p "faulty_devices", float_of_int m.Campaign.faulty_devices);
-    (p "detected", float_of_int m.Campaign.detected);
+    (p "detected", float_of_int c.Telemetry.detected_corruptions);
     (p "sdc", float_of_int m.Campaign.sdc);
     (p "detection_rate", m.Campaign.detection_rate);
     (p "sdc_rate", m.Campaign.sdc_rate);
-    (p "completed", float_of_int m.Campaign.completed);
-    (p "completed_after_retry", float_of_int m.Campaign.completed_after_retry);
-    (p "recovered_host", float_of_int m.Campaign.recovered_host);
-    (p "cpu_fallbacks", float_of_int m.Campaign.cpu_fallbacks);
+    (p "completed", float_of_int c.Telemetry.completed);
+    (p "completed_after_retry", float_of_int c.Telemetry.completed_after_retry);
+    (p "recovered_host", float_of_int c.Telemetry.recovered_host);
+    (p "cpu_fallbacks", float_of_int c.Telemetry.cpu_fallbacks);
     (p "quarantined_devices", float_of_int (List.length m.Campaign.quarantined));
     (p "latency_overhead", m.Campaign.latency_overhead);
     (p "makespan_overhead", m.Campaign.makespan_overhead);
@@ -110,7 +113,7 @@ let run kernels n requests mean_gap_us devices seed sweep worn flips flip_ops dr
       let results = List.map fst runs in
       let sections = List.map snd runs in
       let total f = List.fold_left (fun acc (_, r) -> acc + f r.Campaign.metrics) 0 results in
-      let detected = total (fun m -> m.Campaign.detected) in
+      let detected = total (fun m -> m.Campaign.counts.Telemetry.detected_corruptions) in
       let sdc = total (fun m -> m.Campaign.sdc) in
       let aggregate =
         [

@@ -151,50 +151,3 @@ let func (f : Ir.func) =
   in
   List.iter (walk []) f.Ir.body;
   !diags
-
-let tree ?(dims = []) t =
-  let extents_of bands =
-    List.filter_map
-      (fun (b : St.band) ->
-        match (Affine.is_constant b.St.lo, Affine.is_constant b.St.hi) with
-        | Some l, Some h when b.St.step > 0 && h > l ->
-            Some (b.St.iter, (l, l + (b.St.step * ((h - 1 - l) / b.St.step))))
-        | _ -> None)
-      bands
-  in
-  let of_stmt (bands, (s : St.stmt_info)) =
-    let extents = extents_of bands in
-    List.concat_map (check_access ~extents ~dims) (s.St.write :: s.St.reads)
-  in
-  let rec code_stmts = function
-    | St.Code stmts -> stmts
-    | St.Band (_, c) | St.Mark (_, c) -> code_stmts c
-    | St.Seq cs -> List.concat_map code_stmts cs
-    | St.Stmt _ -> []
-  in
-  let rec calls extents (s : Ir.stmt) =
-    match s with
-    | Ir.Call c -> List.concat_map (check_mat_ref ~extents ~dims) (call_mat_refs c)
-    | Ir.For { var; lo; hi; step; body } ->
-        let extents' =
-          match (const_of_expr lo, const_of_expr hi) with
-          | Some l, Some h when step > 0 && h > l ->
-              (var, (l, l + (step * ((h - 1 - l) / step)))) :: extents
-          | _ -> extents
-        in
-        List.concat_map (calls extents') body
-    | _ -> []
-  in
-  let rec degenerate_bands = function
-    | St.Band (b, c) ->
-        (match (Affine.is_constant b.St.lo, Affine.is_constant b.St.hi) with
-        | Some l, Some h when h <= l -> [ degenerate_loop ~var:b.St.iter ~lo:l ~hi:h ]
-        | _ -> [])
-        @ degenerate_bands c
-    | St.Seq cs -> List.concat_map degenerate_bands cs
-    | St.Mark (_, c) -> degenerate_bands c
-    | St.Stmt _ | St.Code _ -> []
-  in
-  degenerate_bands t
-  @ List.concat_map of_stmt (St.stmts_with_context t)
-  @ List.concat_map (calls []) (code_stmts t)

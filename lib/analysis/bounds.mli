@@ -14,8 +14,3 @@
 
 val func : Tdo_ir.Ir.func -> Diag.t list
 (** Empty list = every access provably in bounds. *)
-
-val tree : ?dims:(string * int list) list -> Tdo_poly.Schedule_tree.t -> Diag.t list
-(** Same proof over a schedule tree, with band ranges as the iteration
-    space. [dims] supplies array extents (e.g. from the function
-    parameters); arrays without an entry are skipped. *)

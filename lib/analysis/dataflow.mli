@@ -4,23 +4,13 @@
     recovered structurally: one node per atomic statement, one head
     node per loop (bound evaluation) with a back edge from the last
     body statement and an exit edge to the loop's continuation, plus
-    distinguished entry/exit nodes. The solver is a classic worklist
-    fixpoint over any join-semilattice, in either direction; the two
-    instantiations the analysis layer uses — reaching definitions with
-    host/device placement, and array liveness — are provided below. *)
+    distinguished entry/exit nodes. A classic worklist fixpoint over a
+    join-semilattice, in either direction, solves the two analyses the
+    analysis layer uses: reaching definitions with host/device
+    placement, and array liveness. *)
 
 module Ir = Tdo_ir.Ir
 module Strings = Tdo_poly.Deps.Strings
-
-module type LATTICE = sig
-  type t
-
-  val bottom : t
-  val equal : t -> t -> bool
-  val join : t -> t -> t
-end
-
-type direction = Forward | Backward
 
 type point =
   | Entry
@@ -32,25 +22,10 @@ type node = { id : int; point : point; loops : string list  (** enclosing iterat
 
 type graph
 
-val graph_of_func : Ir.func -> graph
 val nodes : graph -> node array
 (** In program order ([Entry] first, [Exit] last). *)
 
 val exit_id : graph -> int
-
-module Solve (L : LATTICE) : sig
-  type result = {
-    input : L.t array;
-        (** fact flowing into each node along the analysis direction:
-            join over predecessors' outputs (forward) or successors'
-            outputs (backward) *)
-    output : L.t array;  (** [transfer node input] at the fixpoint *)
-  }
-
-  val run : direction:direction -> graph -> init:L.t -> transfer:(node -> L.t -> L.t) -> result
-  (** [init] seeds the entry node (forward) or the exit node
-      (backward). Terminates for any finite-height lattice. *)
-end
 
 (** {1 Reaching definitions}
 
@@ -64,8 +39,6 @@ end
 
 module Def : sig
   type t = { site : int; array : string; on_device : bool }
-
-  val compare : t -> t -> int
 end
 
 module Defs : Set.S with type elt = Def.t

@@ -47,12 +47,6 @@ let of_tree tree =
   in
   { nodes; edges = pairs [] nodes }
 
-let independent g i j =
-  not
-    (List.exists
-       (fun e -> (e.src = i && e.dst = j) || (e.src = j && e.dst = i))
-       g.edges)
-
 let independent_trees x y = edges_between (node_of 0 x) (node_of 1 y) = []
 
 let to_dot g =

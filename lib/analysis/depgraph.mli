@@ -12,8 +12,6 @@ module St = Tdo_poly.Schedule_tree
 
 type kind = Raw | War | Waw
 
-val kind_label : kind -> string
-
 type node = {
   index : int;  (** position in the top-level sequence *)
   label : string;  (** ["S1,S2"] from statement ids, or ["code"] *)
@@ -28,13 +26,11 @@ type t = { nodes : node list; edges : edge list }
 val of_tree : St.t -> t
 (** A tree that is not a [Seq] yields a single-node graph. *)
 
-val independent : t -> int -> int -> bool
+val independent_trees : St.t -> St.t -> bool
 (** No dependence edge in either direction between the two events:
     executing them in either order gives identical results (up to the
-    floating-point reassociation this flow already accepts). *)
-
-val independent_trees : St.t -> St.t -> bool
-(** {!independent} over a two-event graph. At least as precise as
+    floating-point reassociation this flow already accepts). At least
+    as precise as
     {!Tdo_poly.Deps.independent}: identical on statement-only trees,
     sharper on [Code] events whose runtime-call operand windows get
     real regions instead of whole-array unknowns. *)

@@ -46,5 +46,3 @@ let pp_list ppf ds =
   Format.pp_open_vbox ppf 0;
   Format.pp_print_list ~pp_sep:Format.pp_print_cut pp ppf ds;
   Format.pp_close_box ppf ()
-
-let to_string d = Format.asprintf "@[<v>%a@]" pp d

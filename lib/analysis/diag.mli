@@ -26,7 +26,6 @@ val prefixed : string -> t -> t
 (** [prefixed pass d] tags the message with the pass that produced it,
     e.g. [(interchange) dependent statements reordered ...]. *)
 
-val is_error : t -> bool
 val errors : t list -> t list
 val has_errors : t list -> bool
 
@@ -39,7 +38,4 @@ val canonical : t list -> t list
     severity and hint, with exact duplicates removed. Printing a
     canonicalised list is byte-stable across runs. *)
 
-val severity_label : severity -> string
-val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
-val to_string : t -> string

@@ -30,4 +30,3 @@ module St = Tdo_poly.Schedule_tree
 
 val check : before:St.t -> after:St.t -> Diag.t list
 val check_stmt_level : before:St.t -> after:St.t -> Diag.t list
-val check_dataflow : before:St.t -> after:St.t -> Diag.t list

@@ -27,7 +27,8 @@
       pin evicted it. Replays the engine's generation-keyed single-slot
       reuse check, the same model {!Tdo_tactics.Offload.plan} prices,
       so a W008 program shows strictly larger
-      {!Tdo_tune.Cost_model.write_bytes} than its reordered variant.
+      {!Tdo_tune.Cost_model.predict_write_bytes} than its reordered
+      variant.
     - {b W009} stale host read: a host statement (or the caller, at
       function exit) reads an array whose freshest value a device
       kernel produced, with no [cim_d2h] copy-back in between. At
@@ -65,14 +66,6 @@ val default_config : config
     floor, fault rate 0 with the ABFT guard off, device geometry equal
     to the compile geometry. *)
 
-val func : ?config:config -> Tdo_ir.Ir.func -> Diag.t list
-(** Dead-store / unused-array rules (W004, W005). *)
-
-val tree : ?config:config -> Tdo_poly.Schedule_tree.t -> Diag.t list
-(** Profitability, overflow and endurance rules (W001-W003, W010) over
-    the accumulation kernels of a detected SCoP, then the cross-kernel
-    pinning/coherence replay (W008, W009) over its top-level events. *)
-
 val offload_ir : ?config:config -> Tdo_ir.Ir.func -> Diag.t list
 (** IR-mode rules over explicit runtime calls (compiled or hand-written
     offload code): W009 via reaching definitions with host/device
@@ -80,9 +73,13 @@ val offload_ir : ?config:config -> Tdo_ir.Ir.func -> Diag.t list
     over [cim_gemm] launches (loop bodies containing calls are walked
     twice so loop-carried evictions are observed; duplicates merged). *)
 
-val explain_scop_failure : string -> Diag.t list
-(** Translate a {!Tdo_poly.Scop_detect} error message into N001 notes. *)
-
 val run : ?config:config -> Tdo_ir.Ir.func -> Diag.t list
-(** The whole lint pass: [func] rules, then SCoP detection feeding
-    either [tree] rules or [explain_scop_failure]. *)
+(** The whole lint pass: the dead-store and unused-array rules (W004,
+    W005) over the function; {!offload_ir} when it already makes
+    runtime calls; then SCoP detection, feeding either the
+    profitability, overflow and endurance rules (W001-W003, W010) over
+    the accumulation kernels of the detected SCoP plus the
+    cross-kernel pinning/coherence replay (W008, W009) over its
+    top-level events (and an N002 note when the SCoP has no
+    kernel-shaped accumulation), or, when detection fails, N001 notes
+    explaining the obstruction. *)

@@ -26,18 +26,10 @@ let box_shape box =
   | [ (l0, h0); (l1, h1) ] -> (h0 - l0 + 1, h1 - l1 + 1)
   | bounds -> (List.fold_left (fun acc (lo, hi) -> acc * (hi - lo + 1)) 1 bounds, 1)
 
-let equal r1 r2 =
-  match (r1, r2) with
-  | Top, Top -> true
-  | Box a, Box b -> Domain.box_bounds a = Domain.box_bounds b
-  | Top, Box _ | Box _, Top -> false
-
 let overlap r1 r2 =
   match (r1, r2) with
   | Top, _ | _, Top -> true
   | Box a, Box b -> Domain.box_rank a <> Domain.box_rank b || Domain.inter_box a b <> None
-
-let cells = function Box b -> Some (box_cells b) | Top -> None
 
 let pp ppf = function
   | Top -> Format.pp_print_string ppf "[*]"

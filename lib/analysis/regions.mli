@@ -18,23 +18,15 @@ type region =
   | Box of Domain.box  (** the access stays inside this box of cells *)
   | Top  (** may touch any cell of the array *)
 
-val equal : region -> region -> bool
-
 val overlap : region -> region -> bool
 (** May the two regions share a cell?  [Top] overlaps everything;
     boxes of different rank are conservatively reported overlapping
     (well-formed programs access an array with one rank only). *)
 
-val cells : region -> int option
-(** Number of cells covered; [None] for [Top]. *)
-
 val box_cells : Domain.box -> int
 val box_shape : Domain.box -> int * int
 (** [rows, cols] view of a box: rank-1 boxes are [n x 1] columns,
     ranks above 2 collapse to [cells x 1]. *)
-
-val pp : Format.formatter -> region -> unit
-(** ASCII, e.g. [[0..7][0..15]]; [Top] prints as [[*]]. *)
 
 (** {1 Footprints} *)
 
@@ -49,11 +41,6 @@ val overlapping : footprint -> footprint -> string list
 
 val pp_footprint : Format.formatter -> footprint -> unit
 
-val region_of_access : env:(string * (int * int)) list -> Access.t -> region
-(** Bounding region of an access when each iterator ranges over its
-    inclusive interval in [env]; [Top] when a subscript involves a
-    variable without an extent. *)
-
 val mat_ref_region : env:(string * (int * int)) list -> Tdo_ir.Ir.mat_ref -> region
 (** Physical cells a runtime-call operand window can touch: the
     (affine) element offsets ranged over [env], spanned by the operand
@@ -65,10 +52,6 @@ val mat_ref_cells : Tdo_ir.Ir.mat_ref -> int
     offsets are constant (the region is a box of exactly that size).
     {!Tdo_tactics.Offload.plan} prices crossbar writes with this, so
     the tuner's write-bytes model and the analyzer agree. *)
-
-val band_env : St.band list -> (string * (int * int)) list option
-(** Inclusive iterator intervals of a band stack when every bound is
-    constant; [None] otherwise (mirrors {!Tdo_poly.Deps}). *)
 
 val tree_footprint : writes:bool -> St.t -> footprint
 (** Read ([writes:false], including the accumulated-into cell) or

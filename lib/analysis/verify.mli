@@ -14,10 +14,6 @@
     right-hand side bound by an enclosing band or a declared free
     symbol (the domain invariant). *)
 
-val signature_table : (string * string) list
-(** [runtime entry point -> C signature] for the [polly_cim*] library,
-    quoted in E009 diagnostics. *)
-
 val func : Tdo_ir.Ir.func -> Diag.t list
 (** Empty list = well-formed. *)
 

@@ -14,7 +14,6 @@ type pinning_row = {
 }
 
 val pinning : ?n:int -> ?seed:int -> unit -> pinning_row list
-val print_pinning : ?n:int -> unit -> unit
 
 (** {1 Kernel fusion on/off (Listing 2's mechanism)} *)
 
@@ -27,14 +26,12 @@ type fusion_row = {
 }
 
 val fusion : ?n:int -> ?seed:int -> unit -> fusion_row list
-val print_fusion : ?n:int -> unit -> unit
 
 (** {1 Double buffering in the micro-engine} *)
 
 type double_buffering_row = { double_buffering : bool; device_time_s : float }
 
 val double_buffering : ?n:int -> ?seed:int -> unit -> double_buffering_row list
-val print_double_buffering : ?n:int -> unit -> unit
 
 (** {1 Selective-offload threshold sweep (the Selective Geomean knob)} *)
 
@@ -46,7 +43,6 @@ type selective_row = {
 }
 
 val selective : ?dataset:Tdo_polybench.Dataset.t -> ?seed:int -> unit -> selective_row list
-val print_selective : ?dataset:Tdo_polybench.Dataset.t -> unit -> unit
 
 (** {1 Crossbar geometry sweep} *)
 
@@ -61,8 +57,6 @@ val geometry : ?n:int -> ?seed:int -> unit -> geometry_row list
 (** One GEMM against 32..256 crossbars: smaller arrays mean more tiles,
     more launches, more flush overhead. *)
 
-val print_geometry : ?n:int -> unit -> unit
-
 (** {1 Analog noise vs result accuracy} *)
 
 type noise_row = {
@@ -74,8 +68,6 @@ val noise : ?n:int -> ?seed:int -> unit -> noise_row list
 (** Additive per-column analog noise (in integer-LSB units) against the
     accuracy of an offloaded GEMM — the crossbar non-ideality the
     functional model can inject. *)
-
-val print_noise : ?n:int -> unit -> unit
 
 (** {1 Architectural wear-leveling vs the unlevelled crossbar}
 
@@ -95,8 +87,6 @@ val wear_leveling : ?lines:int -> ?writes:int -> ?seed:int -> unit -> wear_level
 (** Zipf-skewed row writes against (a) no leveling and (b) Start-Gap
     with a gap move every 16 writes. *)
 
-val print_wear_leveling : unit -> unit
-
 (** {1 Tile count (multi-tile accelerator DSE)}
 
     The paper's conclusion invites design-space exploration "by
@@ -113,7 +103,5 @@ type tiles_row = {
 
 val tiles : ?n:int -> ?seed:int -> unit -> tiles_row list
 (** The 3mm kernel against 1, 2 and 4 tiles. *)
-
-val print_tiles : ?n:int -> unit -> unit
 
 val print_all : unit -> unit

@@ -17,6 +17,3 @@ val listing2_source : n:int -> string
 val listing2_args :
   n:int -> seed:int -> (string * Interp.value) list * (unit -> Tdo_linalg.Mat.t * Tdo_linalg.Mat.t)
 (** Fresh arguments and a readback of (C, D). *)
-
-val random_array : Tdo_util.Prng.t -> dims:int list -> Interp.arr
-(** Binary32-rounded uniform [-1, 1) data. *)

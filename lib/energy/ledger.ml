@@ -49,11 +49,3 @@ let collect ?(table = Table1.ibm_pcm_a7) (platform : Platform.t) ~host_instructi
   }
 
 let edp ~energy_j ~time_s = energy_j *. time_s
-
-let pp ppf b =
-  let si = Tdo_util.Pretty.si_float ~digits:2 in
-  Format.fprintf ppf
-    "@[<v>host: %sJ@,crossbar compute: %sJ@,crossbar write: %sJ@,mixed signal: %sJ@,buffers: %sJ@,digital: %sJ@,dma+engine: %sJ@,total: %sJ@]"
-    (si b.host_j) (si b.crossbar_compute_j) (si b.crossbar_write_j) (si b.mixed_signal_j)
-    (si b.buffers_j) (si b.digital_j) (si b.dma_engine_j)
-    (si (total_j b))

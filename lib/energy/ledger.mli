@@ -25,5 +25,3 @@ val collect :
 
 val edp : energy_j:float -> time_s:float -> float
 (** Energy-delay product in joule-seconds. *)
-
-val pp : Format.formatter -> breakdown -> unit

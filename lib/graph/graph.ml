@@ -6,14 +6,6 @@ module Depgraph = Tdo_analysis.Depgraph
 
 type op = Dense | Add | Mul
 
-let op_name = function Dense -> "dense" | Add -> "add" | Mul -> "mul"
-
-let op_of_name = function
-  | "dense" -> Ok Dense
-  | "add" -> Ok Add
-  | "mul" -> Ok Mul
-  | other -> Error (Printf.sprintf "unknown layer op %S (expected dense, add or mul)" other)
-
 type layer = { lname : string; op : op; ins : string list; out : string }
 type t = { gname : string; inputs : string list; layers : layer list }
 
@@ -166,47 +158,6 @@ let valid_order t order =
         (activation_ins arr.(i)))
     (List.init n Fun.id)
 
-(* ---------- text codec ---------- *)
-
-let to_text t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "#tdo-graph v1\n";
-  Buffer.add_string b (Printf.sprintf "graph %s\n" t.gname);
-  List.iter (fun i -> Buffer.add_string b (Printf.sprintf "input %s\n" i)) t.inputs;
-  List.iter
-    (fun l ->
-      Buffer.add_string b
-        (Printf.sprintf "layer %s %s %s -> %s\n" l.lname (op_name l.op)
-           (String.concat "," l.ins) l.out))
-    t.layers;
-  Buffer.contents b
-
-let of_text text =
-  let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  let parse_line acc line =
-    let* name, inputs, layers = acc in
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ "graph"; g ] -> (
-        match name with
-        | None -> Ok (Some g, inputs, layers)
-        | Some _ -> Error "duplicate graph line")
-    | [ "input"; i ] -> Ok (name, i :: inputs, layers)
-    | [ "layer"; lname; opname; ins; "->"; out ] ->
-        let* op = op_of_name opname in
-        let ins = String.split_on_char ',' ins in
-        Ok (name, inputs, { lname; op; ins; out } :: layers)
-    | _ -> Error (Printf.sprintf "cannot parse graph line %S" line)
-  in
-  let* name, inputs, layers = List.fold_left parse_line (Ok (None, [], [])) lines in
-  match name with
-  | None -> Error "missing graph line"
-  | Some name -> make ~name ~inputs:(List.rev inputs) (List.rev layers)
-
 (* ---------- composed source ---------- *)
 
 (* Fixed parameter order regardless of the emission order: weights,
@@ -326,9 +277,6 @@ let benchmark t =
     macs = (fun ~n -> macs t ~n);
     make_args = (fun ~n ~seed -> make_args t ~n ~seed);
   }
-
-let digest t ~n =
-  Tdo_lang.Ast.structural_digest (Tdo_lang.Parser.parse_func (to_source t ~n))
 
 (* ---------- dependence-edge inference ---------- *)
 

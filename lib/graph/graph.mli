@@ -36,9 +36,6 @@ type op =
   | Add  (** element-wise [out = a + b] (host code) *)
   | Mul  (** element-wise [out = a * b] (host code) *)
 
-val op_name : op -> string
-(** ["dense"], ["add"], ["mul"] — the codec spelling. *)
-
 type layer = {
   lname : string;
   op : op;
@@ -76,23 +73,6 @@ val topo_order : t -> int list
 val valid_order : t -> int list -> bool
 (** Is this permutation of layer indices a topological order? *)
 
-val to_text : t -> string
-(** [#tdo-graph v1] spec: one [graph]/[input]/[layer] line each, fixed
-    field order — deterministic, diffable, {!of_text}'s inverse. *)
-
-val of_text : string -> (t, string) result
-
-val to_source : ?order:int list -> t -> n:int -> string
-(** The composed mini-C function at problem size [n]: square [n]x[n]
-    weights, length-[n] activations, one loop nest per layer in
-    [order] (default {!topo_order}; must satisfy {!valid_order}). The
-    parameter list is fixed (weights, inputs, produced arrays in
-    declaration order) so every order compiles against the same
-    argument bindings. *)
-
-val macs : t -> n:int -> int
-(** [n]² per Dense layer plus [n] per element-wise layer. *)
-
 val make_args :
   t -> n:int -> seed:int -> (string * Interp.value) list * (unit -> Mat.t list)
 (** Argument bindings for one request: weights seeded by (graph,
@@ -106,10 +86,6 @@ val benchmark : t -> Kernels.benchmark
 
 val kernel_name : t -> string
 
-val digest : t -> n:int -> string
-(** Structural AST digest of the composed source — the key space
-    {!Tdo_tune.Db} stores graph-scope tuned configurations under. *)
-
 val infer_edges : t -> n:int -> ((int * int * Depgraph.kind * string) list, string) result
 (** Re-derive the layer dependence edges from the composed source via
     the schedule-tree region analysis ({!Tdo_analysis.Depgraph}):
@@ -118,9 +94,9 @@ val infer_edges : t -> n:int -> ((int * int * Depgraph.kind * string) list, stri
     does not yield one top-level event per layer. *)
 
 val run_host : ?order:int list -> t -> n:int -> seed:int -> Mat.t list
-(** Reference execution: interpret {!to_source} under {!make_args} and
-    return the readback — the sequential oracle the order-invariance
-    test compares against. *)
+(** Reference execution: interpret the composed source (in [order],
+    default {!topo_order}) under {!make_args} and return the readback —
+    the sequential oracle the order-invariance test compares against. *)
 
 val mlp : ?name:string -> layers:int -> unit -> t
 (** [layers] Dense layers chained x → h1 → … — the MLP workload. *)
@@ -135,11 +111,8 @@ val standard : t list
 (** The serving models: [mlp ~layers:4] ("mlp4") and [attention]
     ("attn"). *)
 
-val find : string -> (t, string) result
-(** Look a standard model up by graph name or serving kernel name
-    (["mlp4"] or ["graph:mlp4"]). *)
-
 val find_bench : string -> (Kernels.benchmark, string) result
-(** {!find} composed with {!benchmark}; falls back to
+(** The {!benchmark} of a standard model named by graph or serving
+    kernel name (["mlp4"] or ["graph:mlp4"]); falls back to
     {!Kernels.find} for plain PolyBench kernel names, so call sites
     can resolve any serving kernel name through one function. *)

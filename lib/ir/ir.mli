@@ -62,7 +62,6 @@ type func = { name : string; params : Ast.param list; body : stmt list }
 val mat_ref_whole : array:string -> rows:int -> cols:int -> ?trans:bool -> unit -> mat_ref
 (** Reference covering a whole 2-D array (zero offsets). *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit
 (** Pretty-prints runtime calls with their [polly_cim*] names, so the
     output of the offload pass reads like Listing 1 of the paper. *)

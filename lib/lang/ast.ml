@@ -89,18 +89,6 @@ let rec expr_equal a b =
   | Neg x, Neg y -> expr_equal x y
   | (Int_lit _ | Float_lit _ | Var _ | Index _ | Binop _ | Neg _), _ -> false
 
-let rec stmt_iter_exprs f = function
-  | For { lo; hi; body; _ } ->
-      f lo;
-      f hi;
-      List.iter (stmt_iter_exprs f) body
-  | Assign { lhs; rhs; _ } ->
-      List.iter f lhs.indices;
-      f rhs
-  | Decl_scalar { init; _ } -> Option.iter f init
-  | Decl_array _ -> ()
-  | Block body -> List.iter (stmt_iter_exprs f) body
-
 (* The AST is plain data, so marshalling yields a canonical byte string
    of the structure; digesting it gives a stable structural key. *)
 let structural_digest (f : func) = Digest.to_hex (Digest.string (Marshal.to_string f []))

@@ -35,17 +35,12 @@ type func = { fname : string; ret : typ; params : param list; body : stmt list }
 
 type program = func list
 
-val binop_to_string : binop -> string
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit
 
 val expr_equal : expr -> expr -> bool
 (** Structural equality. *)
-
-val stmt_iter_exprs : (expr -> unit) -> stmt -> unit
-(** Visit every expression in a statement (including nested loops),
-    lvalue indices included. *)
 
 val structural_digest : func -> string
 (** Hex digest of the function's structure alone — identifiers, bounds,

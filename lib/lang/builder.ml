@@ -4,11 +4,7 @@ let int n = Int_lit n
 let float f = Float_lit f
 let var name = Var name
 let idx base indices = Index (base, indices)
-let ( + ) a b = Binop (Add, a, b)
-let ( - ) a b = Binop (Sub, a, b)
 let ( * ) a b = Binop (Mul, a, b)
-let ( / ) a b = Binop (Div, a, b)
-let neg e = Neg e
 
 let make_assign op base indices rhs = Assign { lhs = { base; indices }; op; rhs }
 let assign base indices rhs = make_assign Set base indices rhs

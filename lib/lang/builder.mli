@@ -1,6 +1,7 @@
-(** Combinators for constructing mini-C ASTs programmatically —
-    the embedded-DSL alternative to parsing source text. Used by tests
-    and by tools that generate kernels (e.g. workload sweeps). *)
+(** Combinators for constructing mini-C ASTs programmatically — the
+    embedded-DSL alternative to parsing source text. Only tests use it:
+    they generate random kernels with it and check that it builds what
+    the parser builds. *)
 
 open Ast
 
@@ -10,11 +11,7 @@ val int : int -> expr
 val float : float -> expr
 val var : string -> expr
 val idx : string -> expr list -> expr
-val ( + ) : expr -> expr -> expr
-val ( - ) : expr -> expr -> expr
 val ( * ) : expr -> expr -> expr
-val ( / ) : expr -> expr -> expr
-val neg : expr -> expr
 
 (** {1 Statements} *)
 

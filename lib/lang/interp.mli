@@ -13,9 +13,6 @@ type value = Vint of int | Vfloat of float | Varray of arr
 val make_array : dims:int list -> arr
 (** Zero-initialised. *)
 
-val arr_set : arr -> int list -> float -> unit
-(** Bounds-checked; stores round to binary32. *)
-
 val arr_of_mat : Tdo_linalg.Mat.t -> arr
 val mat_of_arr : arr -> Tdo_linalg.Mat.t
 (** 2-D conversions; raise {!Runtime_error} for other ranks. *)

@@ -2,10 +2,6 @@
 
 exception Parse_error of { line : int; message : string }
 
-val parse_program : string -> Ast.program
-(** Parse a full translation unit. Raises {!Parse_error} or
-    {!Lexer.Lex_error}. *)
-
 val parse_func : string -> Ast.func
 (** Parse a single function definition (convenience for tests and
     kernels). Raises if the source does not contain exactly one

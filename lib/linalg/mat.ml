@@ -43,7 +43,6 @@ let get m i j = m.data.(index m i j)
 let set m i j v = m.data.(index m i j) <- v
 let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 let copy m = { m with data = Array.copy m.data }
-let fill m v = Array.fill m.data 0 (Array.length m.data) v
 let transpose m = init ~rows:m.cols ~cols:m.rows ~f:(fun i j -> get m j i)
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)

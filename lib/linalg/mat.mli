@@ -40,7 +40,6 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val copy : t -> t
-val fill : t -> float -> unit
 val transpose : t -> t
 
 val row : t -> int -> float array

@@ -10,11 +10,6 @@ type process =
     }
   | Diurnal of { base_rps : float; peak_rps : float; period_s : float }
 
-let name = function
-  | Poisson _ -> "poisson"
-  | Bursty _ -> "bursty"
-  | Diurnal _ -> "diurnal"
-
 let describe = function
   | Poisson { rate_rps } -> Printf.sprintf "poisson:%g" rate_rps
   | Bursty { base_rps; burst_rps; mean_burst_s; mean_quiet_s } ->

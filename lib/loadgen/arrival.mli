@@ -29,9 +29,6 @@ type process =
     }
   | Diurnal of { base_rps : float; peak_rps : float; period_s : float }
 
-val name : process -> string
-(** ["poisson"], ["bursty"], ["diurnal"]. *)
-
 val describe : process -> string
 (** The spec string {!parse} accepts, e.g. ["poisson:25000"]. *)
 

@@ -40,13 +40,23 @@ let decode s =
           Option.value ~default:0
             (Option.bind (List.assoc_opt "seed" fields) int_of_string_opt)
         in
+        (* requests must come in arrival order, each id once: the
+           scheduler's arrival FIFO takes them in file order *)
+        let ids = Hashtbl.create 64 in
         let rec go lineno acc = function
           | [] -> Ok (List.rev acc)
           | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
           | line :: rest -> (
-              match Trace.request_of_line line with
-              | Ok r -> go (lineno + 1) (r :: acc) rest
-              | Error e -> fail "line %d: %s" lineno e)
+              match (Trace.request_of_line line, acc) with
+              | Error e, _ -> fail "line %d: %s" lineno e
+              | Ok r, _ when Hashtbl.mem ids r.Trace.id ->
+                  fail "line %d: duplicate id %d" lineno r.Trace.id
+              | Ok r, prev :: _ when r.Trace.arrival_ps < prev.Trace.arrival_ps ->
+                  fail "line %d: arrival_ps %d is before the previous request's %d" lineno
+                    r.Trace.arrival_ps prev.Trace.arrival_ps
+              | Ok r, _ ->
+                  Hashtbl.add ids r.Trace.id ();
+                  go (lineno + 1) (r :: acc) rest)
         in
         Result.map
           (fun requests -> { Trace.name; seed; requests })

@@ -15,7 +15,10 @@ module Trace = Tdo_serve.Trace
 val encode : Trace.t -> string
 val decode : string -> (Trace.t, string) result
 (** Inverse of {!encode}; blank lines are skipped, errors carry the
-    1-based line number. *)
+    1-based line number. A request whose [arrival_ps] is below the
+    previous request's, or whose [id] an earlier line already used, is
+    an error: {!Tdo_serve.Trace.t} lists its requests in arrival order,
+    and the scheduler takes them in that order. *)
 
 val write : Trace.t -> path:string -> unit
 val read : path:string -> (Trace.t, string) result

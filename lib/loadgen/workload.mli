@@ -22,9 +22,6 @@ type tenant = {
   deadline_us : int option;  (** per-request deadline; [None] = none *)
 }
 
-val default_mix : (string * int * int) list
-(** The GEMM-heavy skewed mix the synthetic trace profiles use. *)
-
 val standard_tenants :
   ?process:(Trace.slo -> float -> Arrival.process) ->
   total_rate_rps:float ->

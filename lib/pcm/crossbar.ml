@@ -27,17 +27,6 @@ type counters = {
   output_buffer_bytes : int;
 }
 
-let zero_counters =
-  {
-    cell_writes = 0;
-    logical_writes = 0;
-    write_bytes = 0;
-    gemv_ops = 0;
-    macs = 0;
-    input_buffer_bytes = 0;
-    output_buffer_bytes = 0;
-  }
-
 type plane = Msb | Lsb
 
 type flip = {
@@ -46,10 +35,10 @@ type flip = {
   mutable remaining : int;  (** gemv passes still affected *)
 }
 
-(* Cell state lives in structure-of-arrays form instead of a [Cell.t]
-   record per cell: a 2x(256x256) array held as records costs ~1M minor
-   words per crossbar, paid on every fresh platform. The per-cell
-   semantics mirror [Cell] exactly (see [pulse]).
+(* Cell state lives in structure-of-arrays form, not a record per
+   cell: a 2x(256x256) array held as records costs ~1M minor words per
+   crossbar, paid on every fresh platform. Each cell follows the
+   Fig. 1 device rules of {!Cell} (see [pulse]).
 
    Every array is indexed column-major, cell (r, c) at [c * rows + r],
    so a column of the array is one contiguous run and a GEMV reads it
@@ -147,7 +136,7 @@ let grow t i =
     extend t.lsb
   end
 
-(* ---------- per-cell operations (the [Cell] semantics, on SoA) ---------- *)
+(* ---------- per-cell operations (the Fig. 1 device rules, on SoA) ---------- *)
 
 let[@inline always] cell_wear p i =
   if i < Array.length p.writes then Array.unsafe_get p.writes i else 0
@@ -160,7 +149,7 @@ let[@inline always] cell_is_stuck t p i =
 let check_level t level =
   if level < 0 || level >= t.config.cell.Cell.levels then
     invalid_arg
-      (Printf.sprintf "Cell.program: level %d out of [0,%d)" level t.config.cell.Cell.levels)
+      (Printf.sprintf "Crossbar: level %d out of [0,%d)" level t.config.cell.Cell.levels)
 
 let plane_state t = function Msb -> t.msb | Lsb -> t.lsb
 
@@ -188,7 +177,7 @@ let add_writes t p i n =
   let endurance = t.config.cell.Cell.endurance in
   if before < endurance && after >= endurance then t.worn <- t.worn + 1
 
-(* Mirrors [Cell.program]: the write pulse is charged (and wear
+(* One write pulse on cell [i]: the pulse is charged (and wear
    accrues) even when the cell no longer switches, and stuckness (the
    defect flag, or a write count at the budget) is judged before this
    pulse's wear is added. Returns whether the cell takes the new level;
@@ -217,15 +206,6 @@ let counters t =
     input_buffer_bytes = t.input_buffer_bytes;
     output_buffer_bytes = t.output_buffer_bytes;
   }
-
-let reset_counters t =
-  t.cell_writes <- zero_counters.cell_writes;
-  t.logical_writes <- zero_counters.logical_writes;
-  t.write_bytes <- zero_counters.write_bytes;
-  t.gemv_ops <- zero_counters.gemv_ops;
-  t.macs <- zero_counters.macs;
-  t.input_buffer_bytes <- zero_counters.input_buffer_bytes;
-  t.output_buffer_bytes <- zero_counters.output_buffer_bytes
 
 let adc t = t.adc
 let active_region t = t.active

@@ -99,14 +99,12 @@ type counters = {
 }
 
 val counters : t -> counters
-val reset_counters : t -> unit
 
 val adc : t -> Adc.t
 (** The shared ADC bank (for conversion counts). *)
 
 val wear_total : t -> int
-(** Total physical write pulses over the array's lifetime (not reset by
-    [reset_counters]). *)
+(** Total physical write pulses over the array's lifetime. *)
 
 val wear_max : t -> int
 (** Largest per-cell write count. *)

@@ -18,30 +18,19 @@ module Tracker = struct
     cell_endurance : float;
     crossbar_bytes : int;
     mutable bytes_written : int;
-    mutable events : int;
   }
 
   let create ~cell_endurance ~crossbar_bytes =
     if cell_endurance <= 0.0 then invalid_arg "Endurance.Tracker: endurance must be positive";
     if crossbar_bytes <= 0 then invalid_arg "Endurance.Tracker: capacity must be positive";
-    { cell_endurance; crossbar_bytes; bytes_written = 0; events = 0 }
+    { cell_endurance; crossbar_bytes; bytes_written = 0 }
 
   let record t ~bytes =
     if bytes < 0 then invalid_arg "Endurance.Tracker.record: negative byte count";
-    t.bytes_written <- t.bytes_written + bytes;
-    t.events <- t.events + 1
+    t.bytes_written <- t.bytes_written + bytes
 
   let bytes_written t = t.bytes_written
-  let events t = t.events
 
   let budget_consumed t =
     float_of_int t.bytes_written /. (t.cell_endurance *. float_of_int t.crossbar_bytes)
-
-  let lifetime_years t ~elapsed_seconds =
-    if t.bytes_written = 0 then None
-    else
-      let b = write_traffic_bytes_per_second ~bytes_written:t.bytes_written ~elapsed_seconds in
-      Some
-        (lifetime_years ~cell_endurance:t.cell_endurance ~crossbar_bytes:t.crossbar_bytes
-           ~write_bytes_per_second:b)
 end

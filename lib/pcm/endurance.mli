@@ -5,25 +5,19 @@
     assuming writes are spread uniformly over the array (the paper's
     stated assumption). *)
 
-val lifetime_seconds :
-  cell_endurance:float -> crossbar_bytes:int -> write_bytes_per_second:float -> float
-(** Raises [Invalid_argument] on non-positive traffic, capacity or
-    endurance. *)
-
 val lifetime_years :
   cell_endurance:float -> crossbar_bytes:int -> write_bytes_per_second:float -> float
+(** Eq. 1 in years of 365.25 days. Raises [Invalid_argument] on
+    non-positive traffic, capacity or endurance. *)
 
 val write_traffic_bytes_per_second : bytes_written:int -> elapsed_seconds:float -> float
 (** [B] from a measured execution. Raises [Invalid_argument] when
     [elapsed_seconds <= 0]. *)
 
-val seconds_per_year : float
-
 (** Running write-traffic accumulator for one crossbar (or one pool
-    device): feeds measured traffic into the Eq. 1 lifetime model
-    without the caller keeping its own counters. Used by the serving
-    layer's endurance-aware dispatch and observable read-only through
-    the accessors below. *)
+    device): the bytes written and the share of the Eq. 1 write budget
+    they spent, without the caller keeping its own counters. The
+    serving layer's devices report their wear through it. *)
 module Tracker : sig
   type t
 
@@ -36,16 +30,10 @@ module Tracker : sig
       [Invalid_argument] on a negative count. *)
 
   val bytes_written : t -> int
-  val events : t -> int
 
   val budget_consumed : t -> float
   (** Fraction of the total write budget
       [cell_endurance * crossbar_bytes] already spent; 0 when nothing
       was written, 1.0 at end of life under the uniform-wear
       assumption. *)
-
-  val lifetime_years : t -> elapsed_seconds:float -> float option
-  (** Eq. 1 lifetime extrapolated from the traffic recorded so far over
-      [elapsed_seconds]; [None] before the first write. Raises
-      [Invalid_argument] when [elapsed_seconds <= 0]. *)
 end

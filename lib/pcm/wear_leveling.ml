@@ -94,7 +94,6 @@ let write t logical =
 
 let wear t = Array.copy t.wear
 let max_wear t = Array.fold_left max 0 t.wear
-let total_writes t = t.total_writes
 let gap_movements t = t.gap_movements
 
 type stats = { writes : int; max_per_cell : int; remaps : int; quarantined : int }

@@ -34,7 +34,6 @@ val wear : t -> int array
 (** Per-physical-line write counts, length [lines + 1]. *)
 
 val max_wear : t -> int
-val total_writes : t -> int
 val gap_movements : t -> int
 
 val quarantine : t -> int -> unit
@@ -44,13 +43,12 @@ val quarantine : t -> int -> unit
     quarantining it would leave no healthy line. Idempotent. *)
 
 val is_quarantined : t -> int -> bool
-val quarantined_count : t -> int
 
 type stats = {
-  writes : int;  (** logical writes recorded, = {!total_writes} *)
+  writes : int;  (** logical writes recorded *)
   max_per_cell : int;  (** hottest physical line, = {!max_wear} *)
   remaps : int;  (** gap movements performed, = {!gap_movements} *)
-  quarantined : int;  (** physical lines marked dead, = {!quarantined_count} *)
+  quarantined : int;  (** physical lines marked dead *)
 }
 
 val stats : t -> stats

@@ -14,7 +14,6 @@ val const : int -> t
 val var : string -> t
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val scale : int -> t -> t
 
 val of_expr : Ast.expr -> t option

@@ -4,8 +4,6 @@
     leaves become assignments, and [Code] escape nodes (inserted by the
     offload pass) pass through verbatim. *)
 
-val to_ir : Schedule_tree.t -> Tdo_ir.Ir.stmt list
-
 val func_with_body :
   Tdo_ir.Ir.func -> Schedule_tree.t -> Tdo_ir.Ir.func
 (** Replace the region between the function's ROI markers with the

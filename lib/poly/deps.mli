@@ -23,11 +23,3 @@ val independent : Schedule_tree.t -> Schedule_tree.t -> bool
     bands): kernels that touch provably disjoint slices of a shared
     array remain independent. Unknown regions (non-constant bounds,
     [Code] subtrees) fall back to the conservative name-level answer. *)
-
-val access_regions :
-  Schedule_tree.t -> writes:bool -> (string * Domain.box option list) list
-(** Per array, the bounding boxes of its accesses under the tree
-    ([writes:true] for written cells, [writes:false] for read cells,
-    the old value of [+=]-style targets included). A [None] entry means
-    an access whose region could not be bounded. [Code] subtrees
-    contribute [None] for every array they mention. *)

@@ -14,10 +14,6 @@ let box_bounds b = Array.to_list b
 
 type t = { rank : int; boxes : box list }
 
-let empty ~rank =
-  if rank <= 0 then invalid_arg "Domain.empty: rank must be positive";
-  { rank; boxes = [] }
-
 let of_box b = { rank = box_rank b; boxes = [ b ] }
 
 let of_boxes ~rank boxes =
@@ -27,7 +23,6 @@ let of_boxes ~rank boxes =
   if rank <= 0 then invalid_arg "Domain.of_boxes: rank must be positive";
   { rank; boxes }
 
-let rank t = t.rank
 let is_empty t = t.boxes = []
 
 let check_ranks a b what =
@@ -84,14 +79,3 @@ let cardinal t =
           let sign = if List.length subset mod 2 = 1 then 1 else -1 in
           acc + (sign * match inter_all with Some b -> box_cardinal b | None -> 0))
     0 (subsets t.boxes)
-
-let pp ppf t =
-  if is_empty t then Format.fprintf ppf "{}"
-  else
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf " u ")
-      (fun ppf b ->
-        Format.fprintf ppf "[%s]"
-          (String.concat ", "
-             (List.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) (box_bounds b))))
-      ppf t.boxes

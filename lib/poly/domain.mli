@@ -22,10 +22,8 @@ val box_bounds : box -> (int * int) list
 type t
 (** A union of same-rank boxes (possibly empty). *)
 
-val empty : rank:int -> t
 val of_box : box -> t
 val of_boxes : rank:int -> box list -> t
-val rank : t -> int
 val is_empty : t -> bool
 
 val union : t -> t -> t
@@ -43,5 +41,3 @@ val cardinal : t -> int
 (** Number of integer points (inclusion-exclusion over at most a
     handful of boxes; intended for the small unions this flow
     produces). *)
-
-val pp : Format.formatter -> t -> unit

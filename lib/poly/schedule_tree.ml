@@ -52,13 +52,6 @@ let stmts_with_context tree =
   in
   walk [] tree
 
-let rec map_marked ~name ~f = function
-  | Mark (n, child) when String.equal n name -> f child
-  | Mark (n, child) -> Mark (n, map_marked ~name ~f child)
-  | Band (b, child) -> Band (b, map_marked ~name ~f child)
-  | Seq children -> Seq (List.map (map_marked ~name ~f) children)
-  | (Stmt _ | Code _) as leaf -> leaf
-
 let band_extent b =
   match (Affine.is_constant b.lo, Affine.is_constant b.hi) with
   | Some lo, Some hi when hi >= lo -> Some ((hi - lo + b.step - 1) / b.step)

@@ -35,9 +35,6 @@ val stmts : t -> stmt_info list
 val stmts_with_context : t -> (band list * stmt_info) list
 (** Each statement with its enclosing bands, outermost first. *)
 
-val map_marked : name:string -> f:(t -> t) -> t -> t
-(** Rewrite every [Mark (name, subtree)] node with [f subtree]. *)
-
 val band_extent : band -> int option
 (** Trip count when both bounds are constant and the band is
     normalised ([lo <= hi]); counts full steps. *)

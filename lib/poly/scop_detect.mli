@@ -4,11 +4,9 @@
     "we rely on the polyhedral optimizer Polly to detect, extract and
     model compute kernels"). *)
 
-val detect : Tdo_ir.Ir.stmt list -> (Schedule_tree.t, string) result
-(** The region is everything between the ROI markers (markers
-    themselves excluded, and permitted at the region's edges). [Error]
-    explains the first obstruction: non-affine bound or subscript,
-    scalar assignment, declarations, or pre-existing runtime calls. *)
-
 val detect_func : Tdo_ir.Ir.func -> (Schedule_tree.t, string) result
-(** Apply {!detect} to the function body. *)
+(** The function body's region is everything between the ROI markers
+    (markers themselves excluded, and permitted at the region's edges).
+    [Error] explains the first obstruction: non-affine bound or
+    subscript, scalar assignment, declarations, or pre-existing runtime
+    calls. *)

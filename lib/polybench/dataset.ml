@@ -14,5 +14,3 @@ let of_string = function
   | "medium" -> Ok Medium
   | "large" -> Ok Large
   | other -> Error (Printf.sprintf "unknown dataset %S (mini|small|medium|large)" other)
-
-let all = [ Mini; Small; Medium; Large ]

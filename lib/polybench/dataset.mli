@@ -10,4 +10,3 @@ val n : t -> int
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val all : t list

@@ -32,17 +32,10 @@ let default_config =
   }
 
 type metrics = {
-  requests : int;
+  counts : Telemetry.counts;
   injected_faults : int;
   faulty_devices : int;
-  detected : int;
   sdc : int;
-  completed : int;
-  completed_after_retry : int;
-  recovered_host : int;
-  cpu_fallbacks : int;
-  rejected : int;
-  failed : int;
   quarantined : int list;
   detection_rate : float;
   sdc_rate : float;
@@ -148,17 +141,10 @@ let run ?(config = default_config) () =
   let ratio a b = match (a, b) with Some a, Some b when b > 0.0 -> a /. b | _ -> 1.0 in
   let metrics =
     {
-      requests = s.Telemetry.requests;
+      counts = s;
       injected_faults = !injected;
       faulty_devices = !faulty_devices;
-      detected;
       sdc;
-      completed = s.Telemetry.completed;
-      completed_after_retry = s.Telemetry.completed_after_retry;
-      recovered_host = s.Telemetry.recovered_host;
-      cpu_fallbacks = s.Telemetry.cpu_fallbacks;
-      rejected = s.Telemetry.rejected;
-      failed = s.Telemetry.failed;
       quarantined = faulty.Scheduler.quarantined;
       detection_rate =
         (if detected + sdc = 0 then 1.0

@@ -34,17 +34,12 @@ val default_config : config
     {!Inject.default_spec}, default recovery. *)
 
 type metrics = {
-  requests : int;
+  counts : Tdo_serve.Telemetry.counts;
+      (** the faulty replay's run totals; its [detected_corruptions]
+          are the corrupt attempts the ABFT guard caught *)
   injected_faults : int;
   faulty_devices : int;
-  detected : int;  (** corrupt attempts caught by the ABFT guard *)
   sdc : int;  (** silent corruptions that reached a client *)
-  completed : int;
-  completed_after_retry : int;
-  recovered_host : int;
-  cpu_fallbacks : int;
-  rejected : int;
-  failed : int;
   quarantined : int list;  (** devices pulled from rotation *)
   detection_rate : float;  (** detected / (detected + sdc); 1.0 when clean *)
   sdc_rate : float;  (** sdc / served *)

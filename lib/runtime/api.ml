@@ -53,7 +53,6 @@ let init platform =
   Sim.Cpu.issue_many (Platform.cpu platform) Sim.Cpu.Int_alu 400;
   t
 
-let platform t = t.platform
 let driver t = t.driver
 let counters t = t.counters
 
@@ -82,28 +81,6 @@ let check_live name buffer = if buffer.freed then invalid_arg (name ^ ": buffer 
 let bump_generation t buffer =
   t.generation_source <- t.generation_source + 1;
   buffer.generation <- t.generation_source
-
-(* Host-side element access: one cached store or load (plus address
-   arithmetic), with the data going straight to physical memory (the
-   cache model is timing-only). Inlined, so the element stays
-   unboxed. *)
-let[@inline always] store_elem t buffer ~offset_elems value =
-  let addr = buffer.phys + (4 * offset_elems) in
-  if addr + 4 > buffer.phys + buffer.buf_bytes then
-    invalid_arg "Api: store beyond the end of the buffer";
-  let cpu = Platform.cpu t.platform in
-  Sim.Cpu.issue cpu Sim.Cpu.Int_alu;
-  Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Store;
-  Sim.Memory.write_f32 t.platform.Platform.memory addr value
-
-let[@inline always] load_elem t buffer ~offset_elems =
-  let addr = buffer.phys + (4 * offset_elems) in
-  if addr + 4 > buffer.phys + buffer.buf_bytes then
-    invalid_arg "Api: load beyond the end of the buffer";
-  let cpu = Platform.cpu t.platform in
-  Sim.Cpu.issue cpu Sim.Cpu.Int_alu;
-  Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Load;
-  Sim.Memory.read_f32 t.platform.Platform.memory addr
 
 (* Runs of consecutive elements in a view's [rows x cols] window, in
    row-major order, as [f addr first count]: the run's physical address,
@@ -174,15 +151,6 @@ let dev_to_host_mem t ~src ~dst ~rows ~cols =
   iter_runs src ~rows ~cols (fun addr first count ->
       Sim.Memory.copy memory ~src:addr ~dst:(dst + (4 * first)) ~len:(4 * count));
   copied_to_host t ~rows ~cols
-
-let store_f32 t buffer ~offset_elems value =
-  check_live "Api.store_f32" buffer;
-  store_elem t buffer ~offset_elems value;
-  bump_generation t buffer
-
-let load_f32 t buffer ~offset_elems =
-  check_live "Api.load_f32" buffer;
-  load_elem t buffer ~offset_elems
 
 (* Element offset of position (row, col) of op(M) within the physical
    matrix, honouring a transposition flag. *)

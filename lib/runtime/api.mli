@@ -35,7 +35,6 @@ val init : Platform.t -> t
 (** [polly_cimInit]: open the device, reset it, build the runtime
     context. *)
 
-val platform : t -> Platform.t
 val driver : t -> Driver.t
 
 val malloc : t -> bytes:int -> (buffer, string) result
@@ -62,13 +61,6 @@ val dev_to_host_mem : t -> src:view -> dst:int -> rows:int -> cols:int -> unit
 (** {!dev_to_host} into simulated memory: copies the [rows x cols]
     window of [src] to the packed row-major array at physical address
     [dst]. The caller charges the host-side stores of [dst]. *)
-
-val store_f32 : t -> buffer -> offset_elems:int -> float -> unit
-(** Single-element store into a buffer, charged as one host store;
-    bumps the generation. Used by the IR executor for in-place
-    writes. *)
-
-val load_f32 : t -> buffer -> offset_elems:int -> float
 
 val sgemm :
   t ->

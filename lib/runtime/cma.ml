@@ -6,8 +6,6 @@ type t = {
   config : config;
   mutable free_list : (int * int) list;  (** (addr, size), sorted by addr *)
   live : (int, int) Hashtbl.t;  (** addr -> rounded size *)
-  mutable allocations : int;
-  mutable frees : int;
   mutable allocated : int;
   mutable peak : int;
 }
@@ -22,13 +20,9 @@ let create ?(config = default_config) () =
     config;
     free_list = [ (config.base, config.size) ];
     live = Hashtbl.create 64;
-    allocations = 0;
-    frees = 0;
     allocated = 0;
     peak = 0;
   }
-
-let config t = t.config
 
 let round_up t bytes = (bytes + t.config.alignment - 1) / t.config.alignment * t.config.alignment
 
@@ -49,7 +43,6 @@ let alloc t ~bytes =
     | Some (addr, free_list) ->
         t.free_list <- free_list;
         Hashtbl.add t.live addr need;
-        t.allocations <- t.allocations + 1;
         t.allocated <- t.allocated + need;
         t.peak <- max t.peak t.allocated;
         Ok addr
@@ -72,7 +65,6 @@ let free t addr =
   | None -> invalid_arg (Printf.sprintf "Cma.free: 0x%x was not allocated" addr)
   | Some size ->
       Hashtbl.remove t.live addr;
-      t.frees <- t.frees + 1;
       t.allocated <- t.allocated - size;
       t.free_list <- insert_free addr size t.free_list
 
@@ -81,6 +73,4 @@ let allocation_size t addr = Hashtbl.find_opt t.live addr
 let allocated_bytes t = t.allocated
 let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
 let largest_free_block t = List.fold_left (fun acc (_, s) -> max acc s) 0 t.free_list
-let allocations t = t.allocations
-let frees t = t.frees
 let peak_allocated_bytes t = t.peak

@@ -20,7 +20,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-val config : t -> config
 
 val alloc : t -> bytes:int -> (int, string) result
 (** Physical address of a fresh block, or [Error] when no contiguous
@@ -36,6 +35,4 @@ val allocation_size : t -> int -> int option
 val allocated_bytes : t -> int
 val free_bytes : t -> int
 val largest_free_block : t -> int
-val allocations : t -> int
-val frees : t -> int
 val peak_allocated_bytes : t -> int

@@ -71,8 +71,9 @@ let admit t ~now_ps ~queue_len ~capacity (r : Trace.request) =
   (* class-tiered load shedding on the shared bounded queue first (it
      consumes no budget, so a load-shed request does not burn the
      tenant's tokens): best-effort loses eligibility at half fill,
-     batch near full, interactive rides the queue to the hard bound
-     (where the scheduler's existing overflow rejection takes over) *)
+     batch near full, interactive at full — so an interactive arrival
+     at a full queue is load-shed here, and never reaches the
+     scheduler's hard bound *)
   let load_ok =
     capacity <= 0
     || float_of_int queue_len /. float_of_int capacity < class_fill_limit t.policy r.Trace.slo

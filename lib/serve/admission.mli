@@ -8,10 +8,11 @@
     to the same core), then checked against its SLO class's fill limit on
     the shared queue. Best-effort traffic loses queue eligibility at
     [best_effort_above] fill, batch at [batch_above], and interactive
-    traffic rides the queue to the hard bound, where the scheduler's
-    existing {!Telemetry.Rejected_overloaded} backpressure takes over —
-    so overload sheds the cheapest promise first and the hard bound is
-    only ever felt by the top class.
+    traffic may fill the whole queue: an interactive arrival at a full
+    queue is shed too, as [Shed_load]. So overload sheds the cheapest
+    promise first, and under a policy the scheduler's hard bound
+    ({!Telemetry.Rejected_overloaded}) never fires; it rejects overflow
+    only when no policy is set.
 
     Admission state is mutable but only touched on the scheduler
     thread, in arrival order, which keeps replays deterministic. *)

@@ -342,7 +342,3 @@ let wear t =
         leveling = Wear_leveling.stats t.leveler;
         budget_consumed = Endurance.Tracker.budget_consumed t.tracker;
       }
-
-let lifetime_years t ~elapsed_s =
-  if elapsed_s <= 0.0 || not t.backend.Backend.wears then None
-  else Endurance.Tracker.lifetime_years t.tracker ~elapsed_seconds:elapsed_s

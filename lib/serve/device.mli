@@ -172,8 +172,3 @@ val run_host :
 val wear : t -> wear
 (** Read-only wear snapshot. Zero cell counters for classes that do not
     wear (digital SRAM, host). *)
-
-val lifetime_years : t -> elapsed_s:float -> float option
-(** Eq. 1 lifetime extrapolated from this device's accumulated write
-    traffic over [elapsed_s] of simulated serving time; [None] for
-    classes that do not wear. *)

@@ -68,8 +68,6 @@ let create ?(capacity = 64) ?(options = Flow.o3_loop_tactics) ?tuning ?(geometri
     compile_s_total = 0.0;
   }
 
-let options t = t.opts
-
 let parse text =
   let ast = Tdo_lang.Parser.parse_func text in
   Tdo_lang.Typecheck.check_func ast;

@@ -73,8 +73,6 @@ val create :
     entry that backs it). Raises [Invalid_argument] when [capacity] is
     below 1. *)
 
-val options : t -> Flow.options
-
 val parse : string -> parsed
 (** Parse, type-check and digest a source text. Front-end errors
     (lexical, syntax, type) propagate to the caller. *)

@@ -525,9 +525,10 @@ let run_fallback (t : t) outcome item =
 
 (* Admission verdict for one arrival: the policy's SLO-tiered load
    shedding and per-tenant token buckets first (both judged at the
-   arrival timestamp), then the hard queue bound — so under overload
-   best-effort traffic is shed well before interactive traffic ever
-   sees a [Rejected_overloaded]. *)
+   arrival timestamp), so under overload best-effort traffic is shed
+   well before interactive traffic. A policy load-sheds every class at
+   a full queue, interactive included, so the hard queue bound below
+   ([Rejected_overloaded]) only fires when no policy is set. *)
 let admit (t : t) (r : Trace.request) =
   match
     match t.admission with
@@ -561,7 +562,7 @@ let cull_expired (t : t) =
           let next = n.Dll.next in
           let it = n.Dll.value in
           (match it.req.Trace.deadline_ps with
-          | Some d when t.now > it.req.Trace.arrival_ps + d ->
+          | Some d when t.now - it.req.Trace.arrival_ps > d ->
               Dll.remove t.queue n;
               run_fallback t Telemetry.Cpu_fallback it
           | _ -> ());

@@ -114,9 +114,6 @@ val served : record -> bool
 (** The client got an answer: [Completed], [Cpu_fallback] or
     [Recovered_host]. *)
 
-val shed : record -> bool
-(** The client got a drop: [Shed _] or [Rejected_overloaded]. *)
-
 type t
 
 val create : ?observer:(record -> unit) -> unit -> t
@@ -213,13 +210,10 @@ val window_ps : float -> int option
     [window_us] is finite and the width is at least 1 ps and below
     [max_int] ps. *)
 
-val format_window : window -> string
-(** One fixed-width human-readable roll-up line. *)
-
 val live_view : ?window_us:float -> emit:(string -> unit) -> unit -> record -> unit
 (** Build a stateful observer (pass it to {!create}) that folds records
-    into the current time window and calls [emit] with one
-    {!format_window} line each time a record lands past the window's
+    into the current time window and calls [emit] with one fixed-width
+    roll-up line each time a record lands past the window's
     end; the cost is per record, however many empty windows that
     record skips. Empty windows are not emitted. Raises
     [Invalid_argument] where {!windows} does. Records are seen in

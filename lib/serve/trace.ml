@@ -166,11 +166,15 @@ let request_of_line line =
           in
           let* seed = int_field ~default:0 "seed" in
           let* arrival_ps = int_field ~default:0 "arrival_ps" in
+          let* () =
+            if arrival_ps < 0 then fail "field arrival_ps: %d is negative" arrival_ps else Ok ()
+          in
           let* deadline_ps =
             match List.assoc_opt "deadline_ps" kvs with
             | None -> Ok None
             | Some v -> (
                 match int_of_string_opt v with
+                | Some d when d < 0 -> fail "field deadline_ps: %d is negative" d
                 | Some d -> Ok (Some d)
                 | None -> fail "field deadline_ps: %S is not an integer" v)
           in

@@ -42,12 +42,6 @@ type t = {
   requests : request list;  (** sorted by [arrival_ps], ids dense from 0 *)
 }
 
-val profiles : string list
-(** Names accepted by {!synthetic}: ["synthetic-smoke"] (40 requests,
-    2 kernels), ["synthetic-small"] (200), ["synthetic-medium"] (1000),
-    ["synthetic-large"] (4000), ["synthetic-tight"] (200, with
-    deadlines tight enough to force CPU fallback under load). *)
-
 val synthetic :
   ?seed:int -> ?deadline_us:int -> string -> (t, string) result
 (** Build a named profile. [deadline_us] overrides the profile's
@@ -80,5 +74,6 @@ val request_of_line : string -> (request, string) result
     [arrival_ps] default to 0 and [class] to [interactive] when absent,
     so hand-typed protocol lines only need [kernel] and [n]. [Error] on
     any key outside the codec's fixed set (a misspelt key must not
-    silently drop a deadline), a non-integer value, or [n] outside
+    silently drop a deadline), a non-integer value, a negative
+    [tenant], [arrival_ps] or [deadline_ps], or [n] outside
     [1..max_n]. *)

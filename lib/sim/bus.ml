@@ -17,8 +17,6 @@ let create ?(config = default_config) () =
   if config.bytes_per_ps <= 0.0 then invalid_arg "Bus.create: bandwidth must be positive";
   { config; last_bytes = -1; last_ps = 0 }
 
-let config t = t.config
-
 let transfer t ~bytes =
   if bytes < 0 then invalid_arg "Bus.transfer: negative size";
   if bytes <> t.last_bytes then begin

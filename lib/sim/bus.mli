@@ -17,7 +17,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-val config : t -> config
 
 val transfer : t -> bytes:int -> Time_base.ps
 (** Latency of moving [bytes] across the bus: the arbitration cost plus

@@ -106,7 +106,8 @@ let[@inline always] memory_op name = function
    load/store. *)
 let issue_at t ~addr cls =
   let latency = Cache.access t.l1d (memory_op "Cpu.issue_at" cls) ~addr in
-  (* [Time_base.ps_to_cycles], with the period taken once at [create] *)
+  (* rounded up, a partial period being a full cycle, with the period
+     taken once at [create] *)
   let mem_cycles =
     if latency = t.hit_ps then t.hit_cycles
     else (latency + t.period_ps - 1) / t.period_ps

@@ -2,17 +2,10 @@ type ps = int
 
 let ps_per_ns = 1_000
 let ps_per_us = 1_000_000
-let ps_per_s = 1_000_000_000_000
 
 let period_ps ~freq_hz =
   if freq_hz <= 0.0 then invalid_arg "Time_base.period_ps: frequency must be positive";
   int_of_float (Float.round (1e12 /. freq_hz))
-
-let cycles_to_ps ~freq_hz n = n * period_ps ~freq_hz
-
-let ps_to_cycles ~freq_hz ps =
-  let p = period_ps ~freq_hz in
-  (ps + p - 1) / p
 
 let seconds_of_ps ps = float_of_int ps /. 1e12
 let ps_of_seconds s = int_of_float (Float.round (s *. 1e12))

@@ -9,15 +9,10 @@ type ps = int
 
 val ps_per_ns : int
 val ps_per_us : int
-val ps_per_s : int
 
 val period_ps : freq_hz:float -> ps
 (** Clock period (rounded to the nearest picosecond). Raises
     [Invalid_argument] on a non-positive frequency. *)
-
-val cycles_to_ps : freq_hz:float -> int -> ps
-val ps_to_cycles : freq_hz:float -> ps -> int
-(** Rounds up: a partial period still occupies a full cycle. *)
 
 val seconds_of_ps : ps -> float
 val ps_of_seconds : float -> ps

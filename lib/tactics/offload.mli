@@ -94,9 +94,6 @@ type plan = {
   host_ops : int;  (** expression nodes evaluated by host statements *)
 }
 
-val empty_plan : plan
-(** All-zero census (a function with no work). *)
-
 val plan : config -> Tdo_ir.Ir.func -> plan
 (** Census of [func] as compiled — i.e. run the pipeline first and
     plan its output. Loops with non-constant bounds count as one

@@ -52,8 +52,3 @@ let run_checked ?(config = Offload.default_config) ?(verify = false) (f : Ir.fun
           { func = f; outcome = Rejected (Diag.errors !diags); diagnostics = !diags }
         else { func = f'; outcome = Offloaded report; diagnostics = !diags }
 
-let run ?config f =
-  let { func; outcome; _ } = run_checked ?config f in
-  match outcome with
-  | Offloaded report -> (func, Some report)
-  | Not_scop _ | Rejected _ -> (func, None)

@@ -7,7 +7,9 @@ module Diag = Tdo_analysis.Diag
 
 type outcome =
   | Offloaded of Offload.report  (** the pipeline ran (it may still have offloaded nothing) *)
-  | Not_scop of string  (** detection obstruction; the host path is used *)
+  | Not_scop of string
+      (** detection obstruction; [func] is the input unchanged and the
+          host path is used, as Polly does *)
   | Rejected of Diag.t list
       (** verification found errors; the {e original} function is
           returned — a miscompiled region never reaches execution *)
@@ -27,10 +29,3 @@ val run_checked : ?config:Offload.config -> ?verify:bool -> Tdo_ir.Ir.func -> ch
     {!Tdo_analysis.Legality}, proves accesses in bounds with
     {!Tdo_analysis.Bounds}, and re-verifies the regenerated IR. Each
     diagnostic is prefixed with the pipeline stage that produced it. *)
-
-val run :
-  ?config:Offload.config -> Tdo_ir.Ir.func -> Tdo_ir.Ir.func * Offload.report option
-(** [run f] returns the CIM-optimised function. When the function body
-    is not a SCoP the input is returned unchanged with [None] (the
-    flow silently falls back to the host path, as Polly does).
-    Equivalent to [run_checked] with verification off. *)

@@ -56,15 +56,3 @@ let interchange_candidates tree =
       tree :: variants
   | Some _ | None -> [ tree ]
 
-let interchange tree ~outer ~inner =
-  match perfect_nest tree with
-  | Some (bands, s) when permutable bands s ->
-      let rec swap = function
-        | (b1 : St.band) :: b2 :: rest
-          when String.equal b1.St.iter outer && String.equal b2.St.iter inner ->
-            Some (b2 :: b1 :: rest)
-        | b :: rest -> Option.map (fun swapped -> b :: swapped) (swap rest)
-        | [] -> None
-      in
-      Option.map (fun bands -> rebuild bands s) (swap bands)
-  | Some _ | None -> None

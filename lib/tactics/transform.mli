@@ -21,8 +21,3 @@ val interchange_candidates : St.t -> St.t list
 
     Non-conforming trees yield just [\[tree\]]. Nests deeper than 4 are
     not permuted (cost guard). *)
-
-val interchange : St.t -> outer:string -> inner:string -> St.t option
-(** Swap two adjacent bands of a perfect nest by iterator name; [None]
-    when the bands are not adjacent, not found, or the swap is not
-    legal under the rule above. *)

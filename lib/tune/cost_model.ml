@@ -78,8 +78,6 @@ let predict_amortized_cycles model ~reuse plan =
 
 let predict_write_bytes (p : Offload.plan) = p.Offload.cells_programmed
 
-let write_bytes config f = (Offload.plan config f).Offload.cells_programmed
-
 let predict_energy_j ?(table = Table1.ibm_pcm_a7) (p : Offload.plan) =
   (float_of_int p.Offload.device_macs *. table.Table1.crossbar_compute_j_per_mac)
   +. (float_of_int p.Offload.cells_programmed *. table.Table1.crossbar_write_j_per_byte)
@@ -154,18 +152,3 @@ let calibrate samples =
       if Array.for_all (fun c -> c = 0.0) model.coeffs then
         (uncalibrated, mean_relative_error uncalibrated samples)
       else (model, mean_relative_error model samples)
-
-let to_json model =
-  Json.Obj
-    (Array.to_list
-       (Array.mapi (fun i c -> (feature_names.(i), Json.Num c)) model.coeffs))
-
-let of_json json =
-  let coeffs =
-    Array.map
-      (fun name ->
-        Option.bind (Json.member name json) Json.to_float |> Option.value ~default:0.0)
-      feature_names
-  in
-  if Array.exists (fun c -> c < 0.0) coeffs then Error "cost model: negative coefficient"
-  else Ok { coeffs }

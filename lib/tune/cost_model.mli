@@ -19,25 +19,16 @@ type t = { coeffs : float array  (** one per feature, all [>= 0] *) }
 val feature_names : string array
 val features : Offload.plan -> float array
 
-val uncalibrated : t
-(** Rough hand-priced coefficients (Table-I latencies at 1.2 GHz) —
-    usable before any simulation has run. *)
-
 val uncalibrated_for : Tdo_backend.Backend.device_class -> t
 (** Per-class coefficient set over the same features: the analog
-    crossbar prior ({!uncalibrated}) for [Pcm_crossbar], SRAM-priced
+    crossbar prior (hand-priced Table-I latencies at 1.2 GHz, usable
+    before any simulation has run) for [Pcm_crossbar], SRAM-priced
     row writes with a slower adder-tree GEMV for [Digital_tile], and a
     MAC-rate-dominated set for [Host_blas] (every would-be device MAC
     priced at ~3 host cycles, no launch/programming/DMA terms). The
     mixed-fleet scheduler ranks placement candidates with these. *)
 
 val predict_cycles : t -> Offload.plan -> float
-
-val resident_plan : Offload.plan -> Offload.plan
-(** The plan with its programming counters ([rows_programmed],
-    [cells_programmed]) zeroed: the census of re-running the same
-    kernel on a device whose pinned weight tiles are already resident
-    (graph-scope residency in the serving layer skips the write). *)
 
 val predict_resident_cycles : t -> Offload.plan -> float
 (** [predict_cycles model (resident_plan plan)] — the warm-device
@@ -52,15 +43,13 @@ val predict_amortized_cycles : t -> reuse:int -> Offload.plan -> float
     programming cost amortises, GEMV cost does not. *)
 
 val predict_write_bytes : Offload.plan -> int
-(** Crossbar bytes programmed — exact for compiler-shaped plans. *)
-
-val write_bytes : Offload.config -> Tdo_ir.Ir.func -> int
-(** Crossbar bytes the whole function programs under [config]: the
-    {!Offload.plan} census, which prices each (re)program off the
-    pinned operand's {!Tdo_analysis.Regions.mat_ref_cells} region. The
-    W008 redundant-reprogram lint counts generations with the same
-    region keys, so a program flagged by W008 shows strictly larger
-    [write_bytes] than its hoisted/reordered variant. *)
+(** Crossbar bytes programmed — exact for compiler-shaped plans. Of an
+    {!Offload.plan} census of a compiled function, that census prices
+    each (re)program off the pinned operand's
+    {!Tdo_analysis.Regions.mat_ref_cells} region. The W008
+    redundant-reprogram lint counts generations with the same region
+    keys, so a program flagged by W008 shows strictly larger write
+    bytes than its hoisted/reordered variant. *)
 
 val predict_energy_j : ?table:Tdo_energy.Table1.t -> Offload.plan -> float
 (** Table-I pricing of the plan's device counters plus the host term
@@ -72,11 +61,9 @@ val calibrate : sample list -> t * float
 (** Fit coefficients by non-negative least squares (projected cyclic
     coordinate descent on scaled features) and report the mean relative
     error of the fitted model on the samples themselves. Falls back to
-    {!uncalibrated} (with its error) when the samples are degenerate. *)
+    the crossbar prior of {!uncalibrated_for} (with its error) when the
+    samples are degenerate. *)
 
 val mean_relative_error : t -> sample list -> float
 (** [mean |predicted - measured| / measured] over samples with
     [measured > 0]; [0.] for an empty list. *)
-
-val to_json : t -> Tdo_util.Json.t
-val of_json : Tdo_util.Json.t -> (t, string) result

@@ -46,7 +46,6 @@ let entries db =
 let add db e = Smap.add (key ~cls:e.device_class e.digest) e db
 
 let find ?(cls = Backend.Pcm_crossbar) db digest = Smap.find_opt (key ~cls digest) db
-let lookup ?cls db f = find ?cls db (Ast.structural_digest f)
 
 let entry_of_result ~n (r : Search.result) =
   let cycles e =

@@ -43,9 +43,6 @@ val find : ?cls:Tdo_backend.Backend.device_class -> t -> string -> entry option
 (** The entry tuned for [cls] (default [Pcm_crossbar]) under this
     digest, if any. *)
 
-val lookup : ?cls:Tdo_backend.Backend.device_class -> t -> Ast.func -> entry option
-(** {!find} on the function's structural digest. *)
-
 val entry_of_result : n:int -> Search.result -> entry
 (** Package a search result for the database (the result's device
     class is stamped into the entry). *)
@@ -70,5 +67,3 @@ val load : string -> (t, string) result
 (** A missing file loads as {!empty}; a malformed one is an [Error]. *)
 
 val save : t -> string -> unit
-val to_json : t -> Tdo_util.Json.t
-val of_json : Tdo_util.Json.t -> (t, string) result

@@ -137,17 +137,6 @@ let load_sections ~path =
              | _ -> None))
     (Json.of_file path)
 
-let load_extra ~path =
-  Result.map
-    (fun json ->
-      match json with
-      | Json.Obj fields ->
-          List.filter_map
-            (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
-            fields
-      | _ -> [])
-    (Json.of_file path)
-
 let compare ?(tolerance = 0.10) ?(alloc_tolerance = 0.25) ~baseline sections =
   Result.map
     (fun old_sections ->

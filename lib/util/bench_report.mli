@@ -33,9 +33,6 @@ val of_measure : name:string -> ?seq_wall_s:float -> measure -> section
 
 val section : name:string -> ?seq_wall_s:float -> (unit -> 'a) -> 'a * section
 
-val speedup_vs_sequential : section -> float option
-(** [seq_wall_s / wall_s] when the sequential timing is present. *)
-
 val write :
   path:string ->
   ?extra:(string * float) list ->
@@ -73,10 +70,6 @@ type delta = {
 val load_sections : path:string -> (section list, string) result
 (** Read the [sections] array of a previously written report.
     [seq_wall_s] round-trips; derived fields are ignored. *)
-
-val load_extra : path:string -> ((string * float) list, string) result
-(** Top-level numeric fields of a previously written report (the
-    [~extra] values, plus [domains]). *)
 
 val compare :
   ?tolerance:float ->

@@ -42,11 +42,3 @@ let gaussian t ~mu ~sigma =
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

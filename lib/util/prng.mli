@@ -12,9 +12,6 @@ val create : seed:int -> t
 val copy : t -> t
 (** Independent copy with the same current state. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit draw. *)
-
 val int : t -> bound:int -> int
 (** [int g ~bound] draws uniformly in [\[0, bound)]. Requires
     [bound > 0]. *)
@@ -29,6 +26,3 @@ val gaussian : t -> mu:float -> sigma:float -> float
 (** Box-Muller normal draw. *)
 
 val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

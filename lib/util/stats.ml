@@ -46,5 +46,3 @@ let percentile_sorted a ~p =
   end
 
 let percentile xs ~p = percentile_sorted (sorted xs) ~p
-
-let ratio a b = if b = 0.0 then invalid_arg "Stats.ratio: zero denominator" else a /. b

@@ -25,6 +25,3 @@ val sorted : float list -> float array
 val percentile_sorted : float array -> p:float -> float
 (** {!percentile} of a sample already in ascending order ({!sorted}),
     bit for bit. *)
-
-val ratio : float -> float -> float
-(** [ratio a b = a /. b], raising [Invalid_argument] when [b = 0.]. *)

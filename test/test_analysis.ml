@@ -381,7 +381,7 @@ void f(float A[4], float unused_param[4]) {
 }
 |}
   in
-  let ds = Lint.func (lower src) in
+  let ds = Lint.run (lower src) in
   Alcotest.(check bool) "dead store" true (has_code "W004" ds);
   check_mentions "W004" (message_with "W004" ds) [ "'dead'" ];
   Alcotest.(check bool) "unused arrays" true (has_code "W005" ds);
@@ -654,8 +654,15 @@ let source_3mm n =
 
 let test_depgraph_3mm () =
   let g = Depgraph.of_tree (tree_of (source_3mm 8)) in
+  let independent i j =
+    not
+      (List.exists
+         (fun (e : Depgraph.edge) ->
+           (e.Depgraph.src = i && e.Depgraph.dst = j) || (e.Depgraph.src = j && e.Depgraph.dst = i))
+         g.Depgraph.edges)
+  in
   Alcotest.(check int) "three kernel events" 3 (List.length g.Depgraph.nodes);
-  Alcotest.(check bool) "E and F kernels commute" true (Depgraph.independent g 0 1);
+  Alcotest.(check bool) "E and F kernels commute" true (independent 0 1);
   let raw src dst array =
     List.exists
       (fun (e : Depgraph.edge) ->
@@ -665,7 +672,7 @@ let test_depgraph_3mm () =
   in
   Alcotest.(check bool) "E flows into G" true (raw 0 2 "E");
   Alcotest.(check bool) "F flows into G" true (raw 1 2 "F");
-  Alcotest.(check bool) "G depends on its producers" false (Depgraph.independent g 0 2);
+  Alcotest.(check bool) "G depends on its producers" false (independent 0 2);
   let dot = Depgraph.to_dot g in
   check_mentions "dot export" dot [ "digraph"; "RAW E"; "RAW F"; "->" ]
 
@@ -683,7 +690,7 @@ let test_diag_canonical () =
   let e1 = Diag.errorf "E101" ~hint:"h" "x" in
   let shuffled = [ w1; e1; w1a; w1; e1 ] in
   let golden = "error[E101]: x\n  hint: h\nwarning[W001]: a\nwarning[W001]: b" in
-  let render ds = String.concat "\n" (List.map Diag.to_string (Diag.canonical ds)) in
+  let render ds = Format.asprintf "%a" Diag.pp_list (Diag.canonical ds) in
   Alcotest.(check string) "sorted and deduplicated" golden (render shuffled);
   Alcotest.(check string) "byte-stable under input order" (render shuffled)
     (render (List.rev shuffled))
@@ -825,7 +832,9 @@ let test_lint_offload_ir () =
 
 let test_cost_model_write_bytes () =
   let compiled src = (compile_checked src).Pipeline.func in
-  let wb src = Tdo_tune.Cost_model.write_bytes Offload.default_config (compiled src) in
+  let wb src =
+    Tdo_tune.Cost_model.predict_write_bytes (Offload.plan Offload.default_config (compiled src))
+  in
   let aba = wb (w008_src ~aba:true) and reordered = wb (w008_src ~aba:false) in
   (* A (64) + D (96) + A again (64): the W008 re-program is priced *)
   Alcotest.(check int) "ABA order programs 224 cells" 224 aba;

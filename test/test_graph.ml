@@ -59,54 +59,6 @@ let test_standard_shapes () =
   Alcotest.(check bool) "score before projections rejected" false
     (Graph.valid_order attn [ 3; 0; 1; 2; 4; 5 ])
 
-(* ---------- codec ---------- *)
-
-let test_codec_roundtrip_standard () =
-  List.iter
-    (fun g ->
-      match Graph.of_text (Graph.to_text g) with
-      | Ok g' -> Alcotest.(check bool) (Graph.kernel_name g ^ " roundtrip") true (g = g')
-      | Error m -> Alcotest.failf "%s: %s" (Graph.kernel_name g) m)
-    Graph.standard
-
-let test_codec_rejects_garbage () =
-  (match Graph.of_text "layer a dense W,x -> h\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing graph line accepted");
-  match Graph.of_text "#tdo-graph v1\ngraph g\ninput x\nlayer a spin W,x -> h\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op accepted"
-
-(* Random valid graphs by construction: each layer draws its operands
-   from the arrays already defined, so the DAG property holds and the
-   only thing under test is the codec. *)
-let gen_graph =
-  QCheck.Gen.(
-    let ident i prefix = Printf.sprintf "%s%d" prefix i in
-    let* nlayers = int_range 1 6 in
-    let* ninputs = int_range 1 3 in
-    let inputs = List.init ninputs (fun i -> ident i "x") in
-    let rec build i defined acc =
-      if i >= nlayers then return (List.rev acc)
-      else
-        let* op = oneofl [ Graph.Dense; Graph.Add; Graph.Mul ] in
-        let* a = oneofl defined in
-        let* b = oneofl defined in
-        let out = ident i "h" in
-        let ins = match op with Graph.Dense -> [ ident i "W"; a ] | _ -> [ a; b ] in
-        build (i + 1) (out :: defined)
-          ({ Graph.lname = ident i "l"; op; ins; out } :: acc)
-    in
-    let* layers = build 0 inputs [] in
-    match Graph.make ~name:"rand" ~inputs layers with
-    | Ok g -> return g
-    | Error m -> failwith ("generator produced invalid graph: " ^ m))
-
-let qcheck_codec_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"graph codec roundtrip"
-    (QCheck.make ~print:Graph.to_text gen_graph)
-    (fun g -> Graph.of_text (Graph.to_text g) = Ok g)
-
 (* ---------- composed source and execution ---------- *)
 
 let test_source_compiles_and_runs () =
@@ -349,9 +301,6 @@ let suites =
       [
         Alcotest.test_case "make rejects invalid graphs" `Quick test_make_rejects_invalid;
         Alcotest.test_case "standard model shapes" `Quick test_standard_shapes;
-        Alcotest.test_case "codec roundtrip (standard)" `Quick test_codec_roundtrip_standard;
-        Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
-        QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
         Alcotest.test_case "composed source runs" `Quick test_source_compiles_and_runs;
         Alcotest.test_case "weights are model-scoped" `Quick test_weights_model_scoped;
         Alcotest.test_case "topological-order invariance" `Quick

@@ -189,6 +189,23 @@ let test_codec_roundtrip () =
   | Ok _ -> Alcotest.fail "accepted a headerless trace"
   | Error _ -> ()
 
+(* Two gemm n=8 requests with the 1 ms arrival listed first: replayed,
+   the earlier request would wait behind the later one in the arrival
+   FIFO, so the file is refused at the line that goes back in time.
+   A repeated id is refused the same way. *)
+let test_codec_refuses_disorder () =
+  let header = "#tdo-trace v1 name=t seed=0\n" in
+  let later = "req id=0 kernel=gemm n=8 arrival_ps=1000000000\n" in
+  let earlier = "req id=1 kernel=gemm n=8 arrival_ps=0\n" in
+  let error_of text = match Codec.decode text with Ok _ -> "accepted" | Error e -> e in
+  Alcotest.(check string) "in arrival order it decodes" "accepted"
+    (error_of (header ^ earlier ^ later));
+  Alcotest.(check string) "backwards arrival names its line"
+    "line 3: arrival_ps 0 is before the previous request's 1000000000"
+    (error_of (header ^ later ^ earlier));
+  Alcotest.(check string) "duplicate id names its line" "line 3: duplicate id 0"
+    (error_of (header ^ later ^ "req id=0 kernel=gemm n=8 arrival_ps=2000000000\n"))
+
 (* ---------- admission against a generated stream ---------- *)
 
 (* Feed a generated open-loop stream straight into a token bucket:
@@ -245,6 +262,7 @@ let suites =
         Alcotest.test_case "merged multi-tenant trace shape" `Quick test_generate_shape;
         QCheck_alcotest.to_alcotest ~long:false qcheck_generate_deterministic;
         Alcotest.test_case "trace codec round-trip" `Quick test_codec_roundtrip;
+        Alcotest.test_case "trace codec refuses disorder" `Quick test_codec_refuses_disorder;
       ] );
     ( "loadgen.admission",
       [ QCheck_alcotest.to_alcotest ~long:false qcheck_admission_never_exceeds_budget ] );

@@ -3,45 +3,49 @@ module Prng = Tdo_util.Prng
 module Mat = Tdo_linalg.Mat
 module Blas_ref = Tdo_linalg.Blas_ref
 
-(* ---------- Cell ---------- *)
+(* ---------- Cell ----------
+
+   The crossbar holds the state of every cell and applies the Fig. 1
+   device rules of [Cell.config]. These tests drive the two cells of a
+   1x1 array: programming code [c] in [0, 15] sets the LSB cell to level
+   [c] and the MSB cell to level 8, and reading back gives
+   [(msb - 8) * 16 + lsb]. *)
+
+let one_cell ?(endurance = Cell.default_config.Cell.endurance) () =
+  Crossbar.create
+    ~config:
+      {
+        Crossbar.default_config with
+        Crossbar.rows = 1;
+        cols = 1;
+        cell = { Cell.default_config with Cell.endurance };
+        size_bytes = 1;
+      }
+    ()
+
+let read_cell xb = (Crossbar.read_codes xb).(0).(0)
 
 let test_cell_program_read () =
-  let c = Cell.create () in
-  Alcotest.(check int) "starts amorphous" 0 (Cell.level c);
-  Cell.program c ~level:9;
-  Alcotest.(check int) "stores level" 9 (Cell.level c);
-  Alcotest.(check int) "one write" 1 (Cell.writes c)
+  let xb = one_cell () in
+  Crossbar.program_codes xb [| [| 9 |] |];
+  Alcotest.(check int) "stores level" 9 (read_cell xb);
+  Alcotest.(check int) "one write per cell" 2 (Crossbar.wear_total xb);
+  Alcotest.(check int) "no cell written twice" 1 (Crossbar.wear_max xb)
 
 let test_cell_level_range () =
-  let c = Cell.create () in
-  Alcotest.check_raises "rejects level 16" (Invalid_argument "Cell.program: level 16 out of [0,16)")
-    (fun () -> Cell.program c ~level:16);
-  Alcotest.check_raises "rejects negative" (Invalid_argument "Cell.program: level -1 out of [0,16)")
-    (fun () -> Cell.program c ~level:(-1))
+  let xb = one_cell () in
+  Alcotest.check_raises "rejects level 16" (Invalid_argument "Crossbar: level 16 out of [0,16)")
+    (fun () -> Crossbar.inject_wear_out xb ~plane:Crossbar.Msb ~row:0 ~col:0 ~level:16);
+  Alcotest.check_raises "rejects negative" (Invalid_argument "Crossbar: level -1 out of [0,16)")
+    (fun () -> Crossbar.inject_wear_out xb ~plane:Crossbar.Lsb ~row:0 ~col:0 ~level:(-1))
 
 let test_cell_wear_out_sticks () =
-  let config = { Cell.default_config with Cell.endurance = 3 } in
-  let c = Cell.create ~config () in
-  Cell.program c ~level:5;
-  Cell.program c ~level:6;
-  Cell.program c ~level:7;
-  Alcotest.(check bool) "worn after budget" true (Cell.is_worn_out c);
-  Cell.program c ~level:1;
-  Alcotest.(check int) "stuck at last good level" 7 (Cell.level c);
-  Alcotest.(check int) "write attempts still counted" 4 (Cell.writes c)
-
-let test_cell_conductance_monotone () =
-  let c = Cell.create () in
-  let prev = ref (-1.0) in
-  for level = 0 to 15 do
-    Cell.program c ~level;
-    let g = Cell.conductance c in
-    Alcotest.(check bool) "monotone in level" true (g > !prev);
-    prev := g
-  done;
-  Cell.program c ~level:0;
-  Alcotest.(check (float 1e-12)) "min conductance" Cell.default_config.Cell.g_min_siemens
-    (Cell.conductance c)
+  let xb = one_cell ~endurance:3 () in
+  List.iter (fun c -> Crossbar.program_codes xb [| [| c |] |]) [ 5; 6; 7 ];
+  Alcotest.(check (float 0.0)) "worn after budget" 1.0 (Crossbar.worn_out_fraction xb);
+  Crossbar.program_codes xb [| [| 1 |] |];
+  Alcotest.(check int) "stuck at last good level" 7 (read_cell xb);
+  Alcotest.(check int) "write attempts still counted" 8 (Crossbar.wear_total xb)
 
 let test_pulse_shapes () =
   let peak p = List.fold_left (fun acc (_, temp) -> Float.max acc temp) 0.0 (Cell.pulse_profile p) in
@@ -133,9 +137,7 @@ let test_crossbar_counters () =
   Alcotest.(check int) "gemv ops" 2 c.Crossbar.gemv_ops;
   Alcotest.(check int) "macs" 40 c.Crossbar.macs;
   Alcotest.(check int) "adc conversions = 2 planes x cols x gemvs" 20
-    (Adc.conversions (Crossbar.adc xb));
-  Crossbar.reset_counters xb;
-  Alcotest.(check int) "reset clears" 0 (Crossbar.counters xb).Crossbar.gemv_ops
+    (Adc.conversions (Crossbar.adc xb))
 
 let test_crossbar_region_and_errors () =
   let g = Prng.create ~seed:25 in
@@ -160,9 +162,7 @@ let test_crossbar_wear_accumulates () =
   Alcotest.(check int) "wear total after one full write" (2 * 16 * 16) (Crossbar.wear_total xb);
   Crossbar.program_codes xb (random_codes g ~rows:16 ~cols:16);
   Alcotest.(check int) "wear grows" (4 * 16 * 16) (Crossbar.wear_total xb);
-  Alcotest.(check int) "max per-cell wear" 2 (Crossbar.wear_max xb);
-  Crossbar.reset_counters xb;
-  Alcotest.(check int) "wear survives counter reset" (4 * 16 * 16) (Crossbar.wear_total xb)
+  Alcotest.(check int) "max per-cell wear" 2 (Crossbar.wear_max xb)
 
 let test_crossbar_wear_out_visible_in_results () =
   let config =
@@ -238,7 +238,7 @@ let cell_model ~rows ~cols ~endurance =
 let plane_index = function Crossbar.Msb -> 0 | Crossbar.Lsb -> 1
 let model_is_stuck md p i j = md.stuck.(p).(i).(j) || md.writes.(p).(i).(j) >= md.endurance
 
-(* [Cell.program]: stuckness is judged before the pulse's wear *)
+(* A write pulse: stuckness is judged before the pulse's wear *)
 let model_program md p i j level =
   let was_stuck = model_is_stuck md p i j in
   md.writes.(p).(i).(j) <- md.writes.(p).(i).(j) + 1;
@@ -523,18 +523,21 @@ let qcheck_worn_cell_sticks =
     QCheck.(pair (int_bound 20) (list_of_size Gen.(1 -- 40) (int_bound 15)))
     (fun (endurance, levels) ->
       let endurance = 1 + endurance in
-      let c = Cell.create ~config:{ Cell.default_config with Cell.endurance } () in
+      let xb = one_cell ~endurance () in
       let last_good = ref 0 in
       List.iteri
         (fun i level ->
-          Cell.program c ~level;
+          Crossbar.program_codes xb [| [| level |] |];
           if i < endurance then last_good := level)
         levels;
-      let writes_ok = Cell.writes c = List.length levels in
+      let writes_ok = Crossbar.wear_total xb = 2 * List.length levels in
       if List.length levels >= endurance then
         (* the budget is spent: the cell froze at the last in-budget level *)
-        writes_ok && Cell.is_worn_out c && Cell.is_stuck c && Cell.level c = !last_good
-      else (not (Cell.is_worn_out c)) && writes_ok && Cell.level c = !last_good)
+        writes_ok
+        && Crossbar.worn_out_fraction xb = 1.0
+        && Crossbar.stuck_fraction xb = 1.0
+        && read_cell xb = !last_good
+      else Crossbar.worn_out_fraction xb = 0.0 && writes_ok && read_cell xb = !last_good)
 
 let test_crossbar_fault_hooks () =
   let g = Prng.create ~seed:31 in
@@ -573,14 +576,17 @@ let test_crossbar_inject_stuck () =
 
 (* ---------- Endurance ---------- *)
 
+let seconds_per_year = 365.25 *. 24.0 *. 3600.0
+
 let test_lifetime_equation () =
   (* endurance * S / B with easy numbers: 10 writes * 100 bytes / 1 B/s. *)
   Alcotest.(check (float 1e-9)) "seconds" 1000.0
-    (Endurance.lifetime_seconds ~cell_endurance:10.0 ~crossbar_bytes:100
-       ~write_bytes_per_second:1.0);
+    (seconds_per_year
+    *. Endurance.lifetime_years ~cell_endurance:10.0 ~crossbar_bytes:100
+         ~write_bytes_per_second:1.0);
   let years =
     Endurance.lifetime_years ~cell_endurance:1.0 ~crossbar_bytes:1
-      ~write_bytes_per_second:(1.0 /. Endurance.seconds_per_year)
+      ~write_bytes_per_second:(1.0 /. seconds_per_year)
   in
   Alcotest.(check (float 1e-9)) "one year" 1.0 years
 
@@ -595,7 +601,7 @@ let test_lifetime_invalid () =
   Alcotest.check_raises "zero traffic" (Invalid_argument "Endurance: traffic must be positive")
     (fun () ->
       ignore
-        (Endurance.lifetime_seconds ~cell_endurance:1.0 ~crossbar_bytes:1
+        (Endurance.lifetime_years ~cell_endurance:1.0 ~crossbar_bytes:1
            ~write_bytes_per_second:0.0))
 
 let test_write_traffic () =
@@ -610,7 +616,6 @@ let suites =
         Alcotest.test_case "level range" `Quick test_cell_level_range;
         Alcotest.test_case "wear-out sticks" `Quick test_cell_wear_out_sticks;
         QCheck_alcotest.to_alcotest qcheck_worn_cell_sticks;
-        Alcotest.test_case "conductance monotone" `Quick test_cell_conductance_monotone;
         Alcotest.test_case "pulse shapes (Fig 1)" `Quick test_pulse_shapes;
       ] );
     ( "pcm.adc",
@@ -692,7 +697,7 @@ let test_wl_levels_skewed_traffic () =
   Alcotest.(check bool) "far below the unlevelled worst case" true
     (max_wear < writes / 2);
   Alcotest.(check bool) "within 8x of the ideal bound" true (max_wear <= 8 * ideal);
-  Alcotest.(check int) "writes counted" writes (Wear_leveling.total_writes wl)
+  Alcotest.(check int) "writes counted" writes (Wear_leveling.stats wl).Wear_leveling.writes
 
 let test_wl_wear_conservation () =
   let wl = Wear_leveling.create ~lines:8 ~gap_interval:2 in
@@ -701,10 +706,10 @@ let test_wl_wear_conservation () =
     Wear_leveling.write wl (Prng.int g ~bound:8)
   done;
   let total_wear = Array.fold_left ( + ) 0 (Wear_leveling.wear wl) in
+  let writes = (Wear_leveling.stats wl).Wear_leveling.writes in
   (* every logical write plus every gap-copy lands on some physical line *)
   Alcotest.(check bool) "wear accounts for writes and copies" true
-    (total_wear >= Wear_leveling.total_writes wl
-    && total_wear <= Wear_leveling.total_writes wl + Wear_leveling.gap_movements wl)
+    (total_wear >= writes && total_wear <= writes + Wear_leveling.gap_movements wl)
 
 let test_wl_invalid () =
   let wl = Wear_leveling.create ~lines:4 ~gap_interval:1 in
@@ -720,9 +725,9 @@ let test_wl_quarantine_routes_away () =
   let phys = Wear_leveling.physical_of_logical wl 3 in
   Wear_leveling.quarantine wl phys;
   Alcotest.(check bool) "marked" true (Wear_leveling.is_quarantined wl phys);
-  Alcotest.(check int) "counted once" 1 (Wear_leveling.quarantined_count wl);
+  Alcotest.(check int) "counted once" 1 (Wear_leveling.stats wl).Wear_leveling.quarantined;
   Wear_leveling.quarantine wl phys;
-  Alcotest.(check int) "idempotent" 1 (Wear_leveling.quarantined_count wl);
+  Alcotest.(check int) "idempotent" 1 (Wear_leveling.stats wl).Wear_leveling.quarantined;
   let wear_before = (Wear_leveling.wear wl).(phys) in
   for i = 0 to 999 do
     Wear_leveling.write wl (i mod lines);

@@ -134,8 +134,9 @@ let test_campaign_fault_free_baseline () =
   let spec = { Inject.default_spec with Inject.stuck_cells = 0 } in
   let r = Campaign.run ~config:(small_campaign ~spec ()) () in
   let m = r.Campaign.metrics in
+  let c = m.Campaign.counts in
   Alcotest.(check int) "no faults injected" 0 m.Campaign.injected_faults;
-  Alcotest.(check int) "nothing detected" 0 m.Campaign.detected;
+  Alcotest.(check int) "nothing detected" 0 c.Telemetry.detected_corruptions;
   Alcotest.(check int) "no SDC" 0 m.Campaign.sdc;
   Alcotest.(check (list int)) "nothing quarantined" [] m.Campaign.quarantined;
   Alcotest.(check (float 1e-9)) "no latency overhead" 1.0 m.Campaign.latency_overhead;
@@ -144,23 +145,25 @@ let test_campaign_fault_free_baseline () =
 let test_campaign_detects_and_recovers () =
   let r = Campaign.run ~config:(small_campaign ~seed:11 ~requests:40 ()) () in
   let m = r.Campaign.metrics in
+  let c = m.Campaign.counts in
   Alcotest.(check bool) "campaign planted faults" true (m.Campaign.injected_faults > 0);
-  Alcotest.(check bool) "guard caught corruptions" true (m.Campaign.detected > 0);
+  Alcotest.(check bool) "guard caught corruptions" true (c.Telemetry.detected_corruptions > 0);
   Alcotest.(check int) "zero silent corruptions" 0 m.Campaign.sdc;
   Alcotest.(check (float 1e-9)) "detection rate 1" 1.0 m.Campaign.detection_rate;
   Alcotest.(check bool) "faulty device quarantined" true (m.Campaign.quarantined <> []);
   Alcotest.(check bool) "requests retried to completion" true
-    (m.Campaign.completed_after_retry > 0);
+    (c.Telemetry.completed_after_retry > 0);
   (* every request is accounted for by exactly one outcome *)
-  Alcotest.(check int) "outcome conservation" m.Campaign.requests
-    (m.Campaign.completed + m.Campaign.recovered_host + m.Campaign.cpu_fallbacks
-   + m.Campaign.rejected + m.Campaign.failed)
+  Alcotest.(check int) "outcome conservation" c.Telemetry.requests
+    (c.Telemetry.completed + c.Telemetry.recovered_host + c.Telemetry.cpu_fallbacks
+   + c.Telemetry.rejected + c.Telemetry.failed)
 
 let test_campaign_unguarded_suffers_sdc () =
   (* negative control: same faults, guard off -> corruptions are served *)
   let r = Campaign.run ~config:(small_campaign ~abft:false ~seed:11 ~requests:40 ()) () in
   let m = r.Campaign.metrics in
-  Alcotest.(check int) "nothing detected without the guard" 0 m.Campaign.detected;
+  let c = m.Campaign.counts in
+  Alcotest.(check int) "nothing detected without the guard" 0 c.Telemetry.detected_corruptions;
   Alcotest.(check bool) "silent corruptions reach clients" true (m.Campaign.sdc > 0)
 
 let test_campaign_degrades_to_host () =
@@ -171,7 +174,8 @@ let test_campaign_degrades_to_host () =
   in
   let r = Campaign.run ~config:(small_campaign ~spec ~requests:20 ()) () in
   let m = r.Campaign.metrics in
-  Alcotest.(check bool) "host degradation used" true (m.Campaign.recovered_host > 0);
+  let c = m.Campaign.counts in
+  Alcotest.(check bool) "host degradation used" true (c.Telemetry.recovered_host > 0);
   Alcotest.(check int) "still zero SDC" 0 m.Campaign.sdc;
   (* host-served results match the interpreter oracle bit-for-bit *)
   List.iter
@@ -187,8 +191,8 @@ let test_campaign_telemetry_summary () =
   let r = Campaign.run ~config:(small_campaign ~seed:11 ~requests:40 ()) () in
   let s = Telemetry.summary r.Campaign.faulty.Scheduler.telemetry in
   Alcotest.(check int) "summary requests" 40 s.Telemetry.requests;
-  Alcotest.(check int) "summary retries = campaign detected" r.Campaign.metrics.Campaign.detected
-    s.Telemetry.detected_corruptions;
+  Alcotest.(check int) "summary retries = campaign detected"
+    r.Campaign.metrics.Campaign.counts.Telemetry.detected_corruptions s.Telemetry.detected_corruptions;
   let trace = Telemetry.chrome_trace r.Campaign.faulty.Scheduler.telemetry in
   Alcotest.(check bool) "chrome trace carries the outcome summary" true
     (let needle = "outcome-summary" in
@@ -207,11 +211,12 @@ let qcheck_single_fault_zero_sdc =
       let config = small_campaign ~seed ~requests:16 () in
       let r = Campaign.run ~config () in
       let m = r.Campaign.metrics in
+      let c = m.Campaign.counts in
       m.Campaign.sdc = 0
       && m.Campaign.detection_rate = 1.0
-      && m.Campaign.requests
-         = m.Campaign.completed + m.Campaign.recovered_host + m.Campaign.cpu_fallbacks
-           + m.Campaign.rejected + m.Campaign.failed)
+      && c.Telemetry.requests
+         = c.Telemetry.completed + c.Telemetry.recovered_host + c.Telemetry.cpu_fallbacks
+           + c.Telemetry.rejected + c.Telemetry.failed)
 
 let suites =
   [

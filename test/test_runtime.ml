@@ -59,8 +59,6 @@ let test_cma_stats () =
   let a = Result.get_ok (Cma.alloc cma ~bytes:256) in
   let _b = Result.get_ok (Cma.alloc cma ~bytes:256) in
   Cma.free cma a;
-  Alcotest.(check int) "allocations" 2 (Cma.allocations cma);
-  Alcotest.(check int) "frees" 1 (Cma.frees cma);
   Alcotest.(check int) "allocated" 256 (Cma.allocated_bytes cma);
   Alcotest.(check int) "peak" 512 (Cma.peak_allocated_bytes cma);
   Alcotest.(check int) "free bytes" (4096 - 256) (Cma.free_bytes cma)
@@ -394,7 +392,7 @@ let test_api_free_rejected_after_use () =
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "use after free raises" true
     (try
-       ignore (Api.load_f32 api buf ~offset_elems:0);
+       ignore (Api.dev_to_host api ~src:(Api.view ~ld:1 buf) ~rows:1 ~cols:1);
        false
      with Invalid_argument _ -> true)
 

@@ -183,7 +183,7 @@ let test_db_lookup_and_clamp () =
   let entry = { entry with Db.config = { entry.Db.config with Offload.xbar_rows = 256; xbar_cols = 256 } } in
   let db = Db.add Db.empty entry in
   let ast = Tdo_lang.Parser.parse_func ((bench "gemm").Kernels.source ~n:16) in
-  (match Db.lookup db ast with
+  (match Db.find db (Tdo_lang.Ast.structural_digest ast) with
   | None -> Alcotest.fail "structural lookup missed"
   | Some e -> Alcotest.(check string) "lookup hits the entry" entry.Db.digest e.Db.digest);
   (match Db.config_for ~device:(64, 64) db (Tdo_lang.Ast.structural_digest ast) with
