@@ -283,7 +283,7 @@ let run file o3 tactics emit_ir report naive_pin min_intensity do_run seed lint 
         in
         let ds =
           Lint.run ~config:lcfg f0
-          @ if Tdo_ir.Ir.contains_cim_calls f then Lint.offload_ir ~config:lcfg f else []
+          @ if Tdo_ir.Ir.contains_cim_calls f then Lint.offload_ir f else []
         in
         let shown =
           List.filter

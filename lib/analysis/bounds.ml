@@ -4,33 +4,15 @@ module Access = Tdo_poly.Access
 module Ir = Tdo_ir.Ir
 module Ast = Tdo_lang.Ast
 
-let const_of_expr e =
-  match Affine.of_expr e with Some a -> Affine.is_constant a | None -> None
-
-(* Extreme value of an affine form when each variable ranges over its
-   (inclusive) extent; [None] when some variable has no extent. *)
-let corner ~extents ~maximise idx =
-  let pick v c =
-    match List.assoc_opt v extents with
-    | None -> None
-    | Some (lo, hi) -> Some (v, if (c > 0) = maximise then hi else lo)
-  in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | v :: rest -> (
-        match pick v (Affine.coeff idx v) with
-        | None -> None
-        | Some binding -> go (binding :: acc) rest)
-  in
-  match go [] (Affine.vars idx) with
-  | None -> None
-  | Some assignment ->
-      let value =
-        List.fold_left
-          (fun acc (v, x) -> acc + (Affine.coeff idx v * x))
-          (Affine.constant idx) assignment
-      in
-      Some (value, assignment)
+(* The iteration point at which an affine form takes its extreme value
+   over the loop extents: each variable at the end of its interval
+   that the sign of its coefficient picks. *)
+let extreme_point ~extents ~maximise idx =
+  List.map
+    (fun v ->
+      let lo, hi = List.assoc v extents in
+      (v, if (Affine.coeff idx v > 0) = maximise then hi else lo))
+    (Affine.vars idx)
 
 let witness_string = function
   | [] -> "the empty iteration point"
@@ -41,14 +23,15 @@ let pp_affine a = Format.asprintf "%a" Affine.pp a
 
 (* One subscript against one declared extent. *)
 let check_axis ~extents ~array ~axis ~extent idx =
-  match (corner ~extents ~maximise:true idx, corner ~extents ~maximise:false idx) with
-  | Some (hi, hi_at), Some (lo, lo_at) ->
+  match Affine.range ~extents idx with
+  | Some (lo, hi) ->
       (if hi >= extent then
          [
            Diag.errorf "E201"
              ~hint:"shrink the loop range or the subscript offset"
              "out-of-bounds access: '%s' dimension %d has extent %d but subscript %s reaches %d at %s"
-             array axis extent (pp_affine idx) hi (witness_string hi_at);
+             array axis extent (pp_affine idx) hi
+             (witness_string (extreme_point ~extents ~maximise:true idx));
          ]
        else [])
       @
@@ -57,10 +40,11 @@ let check_axis ~extents ~array ~axis ~extent idx =
           Diag.errorf "E202"
             ~hint:"negative subscripts fall before the array"
             "out-of-bounds access: '%s' dimension %d subscript %s reaches %d at %s" array axis
-            (pp_affine idx) lo (witness_string lo_at);
+            (pp_affine idx) lo
+            (witness_string (extreme_point ~extents ~maximise:false idx));
         ]
       else []
-  | _ ->
+  | None ->
       [
         Diag.notef "N203"
           "access to '%s' dimension %d not provable: subscript %s ranges over a non-constant \
@@ -129,15 +113,13 @@ let func (f : Ir.func) =
   let rec walk extents (stmt : Ir.stmt) =
     match stmt with
     | Ir.For { var; lo; hi; step; body } -> (
-        match (const_of_expr lo, const_of_expr hi) with
+        match (Regions.const_of_expr lo, Regions.const_of_expr hi) with
         | Some l, Some h when h <= l ->
             (* the body never executes: any legality or bounds claim
                about it would be vacuous, so reject instead of walking *)
             emit [ degenerate_loop ~var ~lo:l ~hi:h ]
-        | Some l, Some h when step > 0 ->
-            let last = l + (step * ((h - 1 - l) / step)) in
-            List.iter (walk ((var, (l, last)) :: extents)) body
-        | _ -> List.iter (walk extents) body)
+        | lo, hi ->
+            List.iter (walk (Regions.enter_loop extents var (Regions.interval ~lo ~hi ~step))) body)
     | Ir.Assign { lhs; rhs; _ } ->
         List.iter (fun a -> emit (check_access ~extents ~dims:!dims a)) (accesses_of_assign lhs rhs)
     | Ir.Decl_array { name; dims = ds } -> dims := (name, ds) :: !dims

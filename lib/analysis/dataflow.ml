@@ -1,7 +1,6 @@
 module Ir = Tdo_ir.Ir
 module Ast = Tdo_lang.Ast
-module Deps = Tdo_poly.Deps
-module Strings = Deps.Strings
+module Strings = Regions.Strings
 
 module type LATTICE = sig
   type t
@@ -177,7 +176,7 @@ let live_arrays (f : Ir.func) =
   let g = graph_of_func f in
   let transfer (nd : node) fact =
     match nd.point with
-    | Atom s -> Strings.union (fst (Deps.ir_arrays s)) fact
+    | Atom s -> Strings.union (fst (Regions.stmt_arrays s)) fact
     | Entry | Exit | Head _ -> fact
   in
   let r = Live_solver.run ~direction:Backward g ~init:Strings.empty ~transfer in

@@ -10,7 +10,7 @@
     placement, and array liveness. *)
 
 module Ir = Tdo_ir.Ir
-module Strings = Tdo_poly.Deps.Strings
+module Strings = Regions.Strings
 
 type point =
   | Entry

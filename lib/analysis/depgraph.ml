@@ -17,18 +17,14 @@ type t = { nodes : node list; edges : edge list }
 
 let top_events = function St.Seq children -> children | t -> [ t ]
 
-let label_of tree =
-  match List.map (fun (s : St.stmt_info) -> s.St.sid) (St.stmts tree) with
-  | [] -> if St.contains_code tree then "code" else "empty"
+let event_label ev =
+  match List.map (fun (s : St.stmt_info) -> s.St.sid) (St.stmts ev) with
+  | [] -> "generated code"
   | sids -> "S" ^ String.concat ",S" (List.map string_of_int sids)
 
 let node_of index tree =
-  {
-    index;
-    label = label_of tree;
-    reads = Regions.tree_footprint ~writes:false tree;
-    writes = Regions.tree_footprint ~writes:true tree;
-  }
+  let reads, writes = Regions.footprints tree in
+  { index; label = event_label tree; reads; writes }
 
 (* dependences from [x] (earlier) to [y] (later) *)
 let edges_between x y =

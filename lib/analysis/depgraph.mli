@@ -14,7 +14,7 @@ type kind = Raw | War | Waw
 
 type node = {
   index : int;  (** position in the top-level sequence *)
-  label : string;  (** ["S1,S2"] from statement ids, or ["code"] *)
+  label : string;  (** {!event_label} *)
   reads : Regions.footprint;
   writes : Regions.footprint;
 }
@@ -23,17 +23,22 @@ type edge = { src : int; dst : int; kind : kind; array : string }
 
 type t = { nodes : node list; edges : edge list }
 
+val top_events : St.t -> St.t list
+(** The children of a root [Seq]; any other tree is one event. *)
+
+val event_label : St.t -> string
+(** ["S1,S2"] from the event's statement ids, or ["generated code"]
+    for an event without statements. *)
+
 val of_tree : St.t -> t
 (** A tree that is not a [Seq] yields a single-node graph. *)
 
 val independent_trees : St.t -> St.t -> bool
 (** No dependence edge in either direction between the two events:
     executing them in either order gives identical results (up to the
-    floating-point reassociation this flow already accepts). At least
-    as precise as
-    {!Tdo_poly.Deps.independent}: identical on statement-only trees,
-    sharper on [Code] events whose runtime-call operand windows get
-    real regions instead of whole-array unknowns. *)
+    floating-point reassociation this flow already accepts). The one
+    dependence test of the flow: fusion ({!Tdo_tactics.Offload}) and
+    translation validation ({!Legality}) both ask it. *)
 
 val to_dot : t -> string
 (** GraphViz DOT, deterministic: nodes in sequence order annotated

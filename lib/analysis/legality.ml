@@ -1,12 +1,9 @@
 module St = Tdo_poly.Schedule_tree
-module Deps = Tdo_poly.Deps
 module Affine = Tdo_poly.Affine
 module Access = Tdo_poly.Access
 module Ir = Tdo_ir.Ir
 module Ast = Tdo_lang.Ast
-module Strings = Deps.Strings
-
-let top_events = function St.Seq children -> children | t -> [ t ]
+module Strings = Regions.Strings
 
 let wrap bands s = List.fold_right (fun b t -> St.Band (b, t)) bands (St.Stmt s)
 
@@ -270,12 +267,6 @@ let check_batched after =
     (tree_calls after);
   !diags
 
-let describe_event tree =
-  let sids = List.map (fun (s : St.stmt_info) -> s.St.sid) (St.stmts tree) in
-  match sids with
-  | [] -> "generated code"
-  | sids -> "S" ^ String.concat ",S" (List.map string_of_int sids)
-
 (* Can array [b]'s writes in [after] be fed (transitively, through any
    chain of intermediate arrays) by a value of [a] produced after [a]'s
    first write in [after]? *)
@@ -296,9 +287,8 @@ let flow_reproduced ~after_events ~a ~b =
 let check_dataflow ~before ~after =
   let diags = ref [] in
   let emit d = diags := !diags @ [ d ] in
-  let ev_b = top_events before and ev_a = top_events after in
-  let rw t = (Deps.arrays_read t, Deps.arrays_written t) in
-  let rwb = List.map rw ev_b and rwa = List.map rw ev_a in
+  let ev_b = Depgraph.top_events before and ev_a = Depgraph.top_events after in
+  let rwb = List.map Regions.arrays ev_b and rwa = List.map Regions.arrays ev_a in
   let union sel l = List.fold_left (fun acc x -> Strings.union acc (sel x)) Strings.empty l in
   let reads_b = union fst rwb
   and writes_b = union snd rwb
@@ -339,7 +329,7 @@ let check_dataflow ~before ~after =
                       (Diag.errorf "E101"
                          ~hint:"the consumer must still run after the producer's new value is ready"
                          "flow dependence '%s' -> '%s' (%s before %s) not preserved by the rewrite"
-                         a b (describe_event ti) (describe_event tj)))
+                         a b (Depgraph.event_label ti) (Depgraph.event_label tj)))
               wj)
           carried
     done

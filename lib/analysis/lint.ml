@@ -1,21 +1,17 @@
 module St = Tdo_poly.Schedule_tree
 module Affine = Tdo_poly.Affine
 module Access = Tdo_poly.Access
-module Deps = Tdo_poly.Deps
 module Scop_detect = Tdo_poly.Scop_detect
 module Endurance = Tdo_pcm.Endurance
 module Ir = Tdo_ir.Ir
 module Ast = Tdo_lang.Ast
-module Strings = Deps.Strings
+module Strings = Regions.Strings
 
 type config = {
   xbar_rows : int;
   xbar_cols : int;
   enable_tiling : bool;
   min_intensity : float;
-  cell_endurance : float;
-  invocations_per_second : float;
-  min_lifetime_years : float;
   fault_rate : float;
   abft_guard : bool;
   device_rows : int option;
@@ -28,26 +24,28 @@ let default_config =
     xbar_cols = 256;
     enable_tiling = true;
     min_intensity = 4.0;
-    cell_endurance = 1e7;
-    invocations_per_second = 1.0;
-    min_lifetime_years = 1.0;
     fault_rate = 0.0;
     abft_guard = false;
     device_rows = None;
     device_cols = None;
   }
 
+(* Eq. 1 parameters for W003: PCM cell endurance, one region execution
+   per second, and the lifetime floor *)
+let cell_endurance = 1e7
+let invocations_per_second = 1.0
+let min_lifetime_years = 1.0
+
 (* ---------- W004 / W005: dead stores and unused arrays ---------- *)
 
-let func ?(config = default_config) (f : Ir.func) =
-  ignore config;
+let func (f : Ir.func) =
   (* reads from the liveness solver: the union of live-in sets over the
      whole graph is exactly the arrays the function ever reads *)
   let _, live = Dataflow.live_arrays f in
   let reads = Array.fold_left Strings.union Strings.empty live in
   let writes =
     List.fold_left
-      (fun w stmt -> Strings.union w (snd (Deps.ir_arrays stmt)))
+      (fun w stmt -> Strings.union w (snd (Regions.stmt_arrays stmt)))
       Strings.empty f.Ir.body
   in
   let rec locals (stmt : Ir.stmt) =
@@ -110,11 +108,7 @@ let candidate_of (bands, (s : St.stmt_info)) =
   else
     let extents =
       List.filter_map
-        (fun (b : St.band) ->
-          match (Affine.is_constant b.St.lo, Affine.is_constant b.St.hi) with
-          | Some l, Some h when b.St.step > 0 && h > l ->
-              Some (b.St.iter, (l, l + (b.St.step * ((h - 1 - l) / b.St.step))))
-          | _ -> None)
+        (fun (b : St.band) -> Option.map (fun iv -> (b.St.iter, iv)) (Regions.band_interval b))
         bands
     in
     if List.length extents <> List.length bands || bands = [] then None
@@ -184,13 +178,6 @@ let candidates t = List.filter_map candidate_of (St.stmts_with_context t)
 
 (* ---------- W008 / W009: cross-kernel pinning and coherence ---------- *)
 
-let top_events = function St.Seq children -> children | t -> [ t ]
-
-let event_label ev =
-  match List.map (fun (s : St.stmt_info) -> s.St.sid) (St.stmts ev) with
-  | [] -> "generated code"
-  | sids -> "S" ^ String.concat ",S" (List.map string_of_int sids)
-
 let intensity c = float_of_int c.macs /. float_of_int (max 1 c.footprint)
 
 (* Replay the program's top-level events against the engine's
@@ -215,7 +202,7 @@ let coherence ~config t =
       let cands =
         List.filter (fun c -> intensity c >= config.min_intensity) (candidates ev)
       in
-      let reads = Deps.arrays_read ev and writes = Deps.arrays_written ev in
+      let reads, writes = Regions.arrays ev in
       if cands <> [] then
         List.iter
           (fun c ->
@@ -253,7 +240,7 @@ let coherence ~config t =
                         copy-back; reading the host array before it runs observes stale data"
                      "stale host read: %s reads '%s' whose freshest value was produced by \
                       offloaded kernel S%d on the device"
-                     (event_label ev) a producer)
+                     (Depgraph.event_label ev) a producer)
             | None -> ())
           reads;
       Strings.iter
@@ -261,7 +248,7 @@ let coherence ~config t =
           bump a;
           if cands = [] then Hashtbl.remove device_fresh a)
         writes)
-    (top_events t);
+    (Depgraph.top_events t);
   !diags
 
 let tree ?(config = default_config) t =
@@ -322,13 +309,13 @@ let tree ?(config = default_config) t =
       end)
     cands;
   (if !programmed > 0 then
-     let traffic = float_of_int !programmed *. config.invocations_per_second in
+     let traffic = float_of_int !programmed *. invocations_per_second in
      let years =
-       Endurance.lifetime_years ~cell_endurance:config.cell_endurance
+       Endurance.lifetime_years ~cell_endurance
          ~crossbar_bytes:(config.xbar_rows * config.xbar_cols)
          ~write_bytes_per_second:traffic
      in
-     if years < config.min_lifetime_years then
+     if years < min_lifetime_years then
        emit
          (Diag.warningf "W003"
             ~hint:
@@ -336,7 +323,7 @@ let tree ?(config = default_config) t =
                operand that is written least"
             "endurance budget: %d crossbar cells programmed per region execution projects a \
              system lifetime of %.2f years (Eq. 1, floor %.1f)"
-            !programmed years config.min_lifetime_years));
+            !programmed years min_lifetime_years));
   if cands <> [] && config.fault_rate > 0.0 && not config.abft_guard then
     emit
       (Diag.warningf "W006"
@@ -374,13 +361,6 @@ let explain_scop_failure msg =
 
 (* ---------- IR-mode coherence and pinning (explicit runtime calls) ---------- *)
 
-let rec expr_mentions vars = function
-  | Ast.Var v -> List.mem v vars
-  | Ast.Int_lit _ | Ast.Float_lit _ -> false
-  | Ast.Index (_, idx) -> List.exists (expr_mentions vars) idx
-  | Ast.Binop (_, a, b) -> expr_mentions vars a || expr_mentions vars b
-  | Ast.Neg e -> expr_mentions vars e
-
 (* Stale host reads (W009) against the reaching-definitions solver: a
    device definition flowing into a host read means no [cim_d2h] ran in
    between on that path. *)
@@ -392,7 +372,7 @@ let stale_reads (f : Ir.func) =
     (fun (nd : Dataflow.node) ->
       match nd.Dataflow.point with
       | Dataflow.Atom ((Ir.Assign _ | Ir.Decl_scalar _) as s) ->
-          let host_reads = fst (Deps.ir_arrays s) in
+          let host_reads = fst (Regions.stmt_arrays s) in
           Strings.iter
             (fun a ->
               if
@@ -447,7 +427,6 @@ let call_discipline (f : Ir.func) =
     | Ir.For { body; _ } -> List.exists has_call body
     | _ -> false
   in
-  let offsets (r : Ir.mat_ref) = [ r.Ir.row_off; r.Ir.col_off ] in
   let rec walk loop_vars (s : Ir.stmt) =
     match s with
     | Ir.For { var; body; _ } ->
@@ -458,7 +437,7 @@ let call_discipline (f : Ir.func) =
     | Ir.Assign { lhs; _ } -> if lhs.Ast.indices <> [] then bump lhs.Ast.base
     | Ir.Call (Ir.Cim_gemm { a; b; c; pin; _ }) ->
         let p = match pin with Ir.Pin_a -> a | Ir.Pin_b -> b in
-        let loop_dependent r = List.exists (expr_mentions loop_vars) (offsets r) in
+        let loop_dependent r = Regions.window_varies ~vars:loop_vars r in
         if loop_vars <> [] && not (List.exists loop_dependent [ a; b; c ]) then
           emit
             (Diag.warningf "W010"
@@ -501,13 +480,11 @@ let call_discipline (f : Ir.func) =
   List.iter (walk []) f.Ir.body;
   !diags
 
-let offload_ir ?(config = default_config) (f : Ir.func) =
-  ignore config;
-  stale_reads f @ call_discipline f
+let offload_ir (f : Ir.func) = stale_reads f @ call_discipline f
 
 let run ?(config = default_config) (f : Ir.func) =
-  func ~config f
-  @ (if Ir.contains_cim_calls f then offload_ir ~config f else [])
+  func f
+  @ (if Ir.contains_cim_calls f then offload_ir f else [])
   @
   match Scop_detect.detect_func f with
   | Error msg -> explain_scop_failure msg

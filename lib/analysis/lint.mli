@@ -10,8 +10,9 @@
       would be pinned does not fit the crossbar, so the kernel cannot be
       offloaded at all.
     - {b W003} endurance-budget exhaustion: projected system lifetime
-      under Eq. 1 for the region's crossbar programming traffic falls
-      below the configured minimum.
+      under Eq. 1 for the region's crossbar programming traffic, at
+      1e7 writes per cell and one region execution per second, falls
+      below one year.
     - {b W004}/{b W005} dead stores / unused arrays: local arrays
       written but never read, and arrays never referenced.
     - {b W006} unguarded offload on a faulty device: the target device
@@ -48,9 +49,6 @@ type config = {
   xbar_cols : int;
   enable_tiling : bool;
   min_intensity : float;  (** W001 threshold, MACs per pinned cell *)
-  cell_endurance : float;  (** Eq. 1 parameters for W003 *)
-  invocations_per_second : float;
-  min_lifetime_years : float;
   fault_rate : float;  (** W006: expected device fault rate, 0 = pristine *)
   abft_guard : bool;  (** W006: is the checksum guard enabled? *)
   device_rows : int option;
@@ -61,12 +59,11 @@ type config = {
 }
 
 val default_config : config
-(** 256x256 crossbar, tiling on, intensity threshold 4.0, endurance
-    1e7 writes at one region execution per second, one-year lifetime
-    floor, fault rate 0 with the ABFT guard off, device geometry equal
-    to the compile geometry. *)
+(** 256x256 crossbar, tiling on, intensity threshold 4.0, fault rate 0
+    with the ABFT guard off, device geometry equal to the compile
+    geometry. *)
 
-val offload_ir : ?config:config -> Tdo_ir.Ir.func -> Diag.t list
+val offload_ir : Tdo_ir.Ir.func -> Diag.t list
 (** IR-mode rules over explicit runtime calls (compiled or hand-written
     offload code): W009 via reaching definitions with host/device
     placement, W008/W010 by replaying the engine's pin-reuse discipline

@@ -190,9 +190,9 @@ let reserve_ints n cur = if Array.length cur >= n then cur else get_ints n cur
    [Bytes.t] payloads: a unit-stride run is one bulk
    [Memory.read_f32s]/[write_f32s], any other stride an element loop
    over the f32 fast path. Both leave the data as the element loop
-   does. The timing and traffic side is one descriptor over the whole
-   payload, whatever its stride ([Dma.charge]/[charge_write]): the same
-   byte count and burst latency as a contiguous transfer. *)
+   does. The timing side is one descriptor over the whole payload,
+   whatever its stride ([Dma.charge]): the same burst latency as a
+   contiguous transfer. *)
 
 let fetch_vector_into t ~addr ~len ~stride_elems out =
   let mem = Sim.Dma.memory t.dma in
@@ -210,7 +210,7 @@ let store_vector_into t ~addr ~stride_elems ~len values =
     for i = 0 to len - 1 do
       Sim.Memory.write_f32 mem (addr + (4 * i * stride_elems)) (Array.unsafe_get values i)
     done;
-  Sim.Dma.charge_write t.dma ~bytes:(4 * len)
+  Sim.Dma.charge t.dma ~bytes:(4 * len)
 
 (* Fetch the operand the crossbar will hold, W ([w_rows x w_cols]),
    into [w] row-major. Memory holds W, or W^T when [transposed],

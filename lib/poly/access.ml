@@ -42,23 +42,10 @@ let pp ppf a =
   List.iter (fun idx -> Format.fprintf ppf "[%a]" Affine.pp idx) a.indices
 
 let region a ~extents =
-  let index_bounds idx =
-    let base = Affine.constant idx in
-    List.fold_left
-      (fun acc v ->
-        match (acc, List.assoc_opt v extents) with
-        | None, _ | _, None -> None
-        | Some (lo, hi), Some (vlo, vhi) ->
-            let c = Affine.coeff idx v in
-            if c >= 0 then Some (lo + (c * vlo), hi + (c * vhi))
-            else Some (lo + (c * vhi), hi + (c * vlo)))
-      (Some (base, base))
-      (Affine.vars idx)
-  in
   let rec all acc = function
     | [] -> Domain.box (List.rev acc)
     | idx :: rest -> (
-        match index_bounds idx with
+        match Affine.range ~extents idx with
         | None -> None
         | Some bounds -> all (bounds :: acc) rest)
   in

@@ -66,6 +66,15 @@ let constant a = a.const
 let vars a = List.map fst (Terms.bindings a.terms)
 let equal a b = a.const = b.const && Terms.equal ( = ) a.terms b.terms
 
+let range ~extents a =
+  Terms.fold
+    (fun v c acc ->
+      match (acc, List.assoc_opt v extents) with
+      | Some (lo, hi), Some (l, h) -> Some (lo + min (c * l) (c * h), hi + max (c * l) (c * h))
+      | _ -> None)
+    a.terms
+    (Some (a.const, a.const))
+
 let subst a name g =
   match Terms.find_opt name a.terms with
   | None -> a

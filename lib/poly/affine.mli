@@ -31,6 +31,12 @@ val vars : t -> string list
 
 val is_constant : t -> int option
 val equal : t -> t -> bool
+
+val range : extents:(string * (int * int)) list -> t -> (int * int) option
+(** Least and greatest value of the form when each variable [v] ranges
+    over the inclusive interval [List.assoc v extents]; [None] when a
+    variable has no extent. *)
+
 val subst : t -> string -> t -> t
 (** [subst f x g] replaces [x] by [g] in [f]. *)
 

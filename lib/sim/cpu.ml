@@ -24,8 +24,6 @@ let class_index = function
   | Call -> 9
   | Ret -> 10
 
-let class_count_total = 11
-
 type config = { name : string; freq_hz : float; class_base_cycles : iclass -> int }
 
 let arm_a7_base_cycles = function
@@ -59,7 +57,6 @@ type t = {
   mutable cycles : int;
   mutable instructions : int;
   mutable extra_ps : Time_base.ps;  (** stall time not expressed in cycles *)
-  class_counts : int array;
   mutable roi_open : (int * int * Time_base.ps) option;
   mutable roi_acc : roi;
   memo : Cache.memo;  (** the probes' per-site line memo, over [l1d] *)
@@ -82,7 +79,6 @@ let create ?(config = arm_a7) ~l1d () =
     cycles = 0;
     instructions = 0;
     extra_ps = 0;
-    class_counts = Array.make class_count_total 0;
     roi_open = None;
     roi_acc = { roi_instructions = 0; roi_cycles = 0; roi_time_ps = 0 };
     memo = Cache.memo ();
@@ -91,10 +87,9 @@ let create ?(config = arm_a7) ~l1d () =
 let config t = t.config
 let time_ps t = (t.cycles * t.period_ps) + t.extra_ps
 
-let[@inline always] retire t i ~count ~cycles =
+let[@inline always] retire t ~count ~cycles =
   t.cycles <- t.cycles + cycles;
-  t.instructions <- t.instructions + count;
-  Array.unsafe_set t.class_counts i (Array.unsafe_get t.class_counts i + count)
+  t.instructions <- t.instructions + count
 
 let[@inline always] memory_op name = function
   | Load -> Cache.Read
@@ -112,15 +107,14 @@ let issue_at t ~addr cls =
     if latency = t.hit_ps then t.hit_cycles
     else (latency + t.period_ps - 1) / t.period_ps
   in
-  let i = class_index cls in
-  retire t i ~count:1 ~cycles:(Array.unsafe_get t.base_cycles i + mem_cycles)
+  retire t ~count:1 ~cycles:(Array.unsafe_get t.base_cycles (class_index cls) + mem_cycles)
 
 let issue_run t ~addr ~count cls =
   if count < 0 then invalid_arg "Cpu.issue_run: negative count";
   let op = memory_op "Cpu.issue_run" cls in
   let mem_cycles = Cache.access_run t.l1d op ~addr ~count ~cycle_ps:t.period_ps in
-  let i = class_index cls in
-  retire t i ~count ~cycles:((count * Array.unsafe_get t.base_cycles i) + mem_cycles)
+  retire t ~count
+    ~cycles:((count * Array.unsafe_get t.base_cycles (class_index cls)) + mem_cycles)
 
 (* The probes access the L1D now and leave the retiring to the caller:
    what [issue_at] would charge is [base + hit_cycles] per access plus
@@ -141,26 +135,22 @@ let[@inline always] probe_update t ~site ~addr =
 let retire_probed t ~loads ~stores ~cycles =
   if loads < 0 || stores < 0 || cycles < 0 then invalid_arg "Cpu.retire_probed: negative count";
   let load = class_index Load and store = class_index Store in
-  retire t load ~count:loads
-    ~cycles:(loads * (Array.unsafe_get t.base_cycles load + t.hit_cycles));
-  retire t store ~count:stores
-    ~cycles:(stores * (Array.unsafe_get t.base_cycles store + t.hit_cycles));
+  retire t ~count:loads ~cycles:(loads * (Array.unsafe_get t.base_cycles load + t.hit_cycles));
+  retire t ~count:stores ~cycles:(stores * (Array.unsafe_get t.base_cycles store + t.hit_cycles));
   t.cycles <- t.cycles + cycles
 
 let issue t cls =
   match cls with
   | Load | Store -> invalid_arg "Cpu.issue: memory instructions need addresses (issue_at)"
   | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret ->
-      let i = class_index cls in
-      retire t i ~count:1 ~cycles:(Array.unsafe_get t.base_cycles i)
+      retire t ~count:1 ~cycles:(Array.unsafe_get t.base_cycles (class_index cls))
 
 let issue_many t cls count =
   if count < 0 then invalid_arg "Cpu.issue_many: negative count";
   (match cls with
   | Load | Store -> invalid_arg "Cpu.issue_many: memory instructions need addresses"
   | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_mac | Fp_div | Branch | Call | Ret -> ());
-  let i = class_index cls in
-  retire t i ~count ~cycles:(count * Array.unsafe_get t.base_cycles i)
+  retire t ~count ~cycles:(count * Array.unsafe_get t.base_cycles (class_index cls))
 
 let stall_ps t ps =
   if ps < 0 then invalid_arg "Cpu.stall_ps: negative stall";
@@ -168,7 +158,6 @@ let stall_ps t ps =
 
 let cycles t = t.cycles
 let instructions t = t.instructions
-let class_count t cls = t.class_counts.(class_index cls)
 
 let roi_begin t =
   match t.roi_open with

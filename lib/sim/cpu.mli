@@ -53,7 +53,7 @@ val issue_at : t -> addr:int -> iclass -> unit
 val issue_run : t -> addr:int -> count:int -> iclass -> unit
 (** [count] consecutive 4-byte [Load]s or [Store]s at [addr],
     [addr + 4], ...: equivalent to [count] calls of {!issue_at} with
-    those addresses — the same cycles, instruction and class counts,
+    those addresses — the same cycles and instruction count,
     and L1D and L2 state, counters and traffic — at a host cost per
     cache line rather than per access ({!Cache.access_run}). Used by
     the element copy loops around each offload. Raises
@@ -103,7 +103,6 @@ val stall_ps : t -> Time_base.ps -> unit
 val cycles : t -> int
 val instructions : t -> int
 val time_ps : t -> Time_base.ps
-val class_count : t -> iclass -> int
 
 (** ROI markers (paper Section IV: "Dynamic instruction count and
     run-time are profiled in Gem5 by inserting ROI markers"). Multiple

@@ -19,21 +19,12 @@ val read : t -> addr:int -> bytes:int -> Bytes.t * Time_base.ps
     data and the transfer latency (setup + bus + DRAM burst). *)
 
 val charge : t -> bytes:int -> Time_base.ps
-(** Account one descriptor moving [bytes] (bus + DRAM timing and
-    traffic counters) without touching data: the engine performs the
-    functional side itself, through {!memory}'s bulk or element
-    accessors. Raises [Invalid_argument] on a negative size. *)
-
-val charge_write : t -> bytes:int -> Time_base.ps
-(** Like {!charge} but counts the traffic as written rather than
-    read. *)
+(** The latency of one descriptor moving [bytes] in either direction
+    (setup + bus + DRAM burst) without touching data: the engine
+    performs the functional side itself, through {!memory}'s bulk or
+    element accessors. Raises [Invalid_argument] on a negative size. *)
 
 val memory : t -> Memory.t
 (** The shared memory this engine moves data to and from — for callers
     that perform the functional side of a transfer themselves and use
-    {!charge}/{!charge_write} for the timing side. *)
-
-val bytes_read : t -> int
-val bytes_written : t -> int
-val transfers : t -> int
-(** Descriptors issued. *)
+    {!charge} for the timing side. *)

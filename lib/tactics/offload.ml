@@ -1,5 +1,6 @@
 module St = Tdo_poly.Schedule_tree
-module Deps = Tdo_poly.Deps
+module Regions = Tdo_analysis.Regions
+module Depgraph = Tdo_analysis.Depgraph
 module Ir = Tdo_ir.Ir
 module Ast = Tdo_lang.Ast
 
@@ -140,19 +141,14 @@ let shares_pinned pin kernels =
       | Pa -> List.for_all (fun g -> same_operand g.a g0.a) rest
       | Pb -> List.for_all (fun g -> same_operand g.b g0.b) rest)
 
-let estimated_intensity config pin kernels =
+let estimated_intensity pin kernels =
   let cells (g : gemm_like) = g.k * (match pin with Pa -> g.m | Pb -> g.n) in
   let macs = List.fold_left (fun acc g -> acc + (g.m * g.n * g.k)) 0 kernels in
   let programs = if shares_pinned pin kernels then 1 else List.length kernels in
-  (* an over-size kernel is tiled: every element of the pinned operand
-     is written exactly once either way *)
-  let writes =
-    if List.exists (fun g -> not (fits config pin g)) kernels then
-      List.fold_left (fun acc g -> acc + (g.k * match pin with Pa -> g.m | Pb -> g.n)) 0 kernels
-    else programs * cells (List.hd kernels)
-  in
-  ignore config;
-  float_of_int macs /. float_of_int (max 1 writes)
+  (* members of a group share one shape, and only a kernel alone can
+     exceed the crossbar: tiled, it writes every element of the pinned
+     operand exactly once, as a fitting kernel does *)
+  float_of_int macs /. float_of_int (max 1 (programs * cells (List.hd kernels)))
 
 (* ---------- fusion grouping (paper Listing 2) ---------- *)
 
@@ -180,7 +176,7 @@ let group_segments config segments =
           match rest with
           | Sgemm (g', t') :: tail
             when compatible g g'
-                 && List.for_all (fun prev -> Tdo_analysis.Depgraph.independent_trees prev t') trees
+                 && List.for_all (fun prev -> Depgraph.independent_trees prev t') trees
                  && fits config (group_pin config (kernels @ [ g' ])) g' ->
               absorb (kernels @ [ g' ]) (trees @ [ t' ]) tail
           | _ -> (kernels, trees, rest)
@@ -428,8 +424,7 @@ let apply ?on_rewrite ~shapes config tree =
         Hashtbl.add residency_table arr s;
         s
   in
-  let children = match tree with St.Seq children -> children | t -> [ t ] in
-  let segments = List.map (classify_segment ?on_rewrite) children in
+  let segments = List.map (classify_segment ?on_rewrite) (Depgraph.top_events tree) in
   let detected =
     List.length (List.filter (function Shost _ -> false | Sgemm _ | Sconv _ -> true) segments)
   in
@@ -491,12 +486,14 @@ let apply ?on_rewrite ~shapes config tree =
         s.host_fresh <- false)
       outputs
   in
-  let strings_to_list s = Deps.Strings.elements s in
+  let host t =
+    let reads, writes = Regions.arrays t in
+    ensure_host (Regions.Strings.elements reads);
+    host_writes (Regions.Strings.elements writes);
+    emit t
+  in
   let process = function
-    | Uhost t ->
-        ensure_host (strings_to_list (Deps.arrays_read t));
-        host_writes (strings_to_list (Deps.arrays_written t));
-        emit t
+    | Uhost t -> host t
     | Uconv c ->
         (* weight flattening and output scatter run on the host; the
            image goes to the device once and patches are gathered by
@@ -512,18 +509,13 @@ let apply ?on_rewrite ~shapes config tree =
         emit_code (conv_code gensym c)
     | Ugroup (kernels, trees) -> (
         let pin = group_pin config kernels in
-        let intensity = estimated_intensity config pin kernels in
+        let intensity = estimated_intensity pin kernels in
         let below_threshold =
           match config.min_intensity with Some t -> intensity < t | None -> false
         in
         if below_threshold then begin
           skipped := !skipped + List.length kernels;
-          List.iter
-            (fun t ->
-              ensure_host (strings_to_list (Deps.arrays_read t));
-              host_writes (strings_to_list (Deps.arrays_written t));
-              emit t)
-            trees
+          List.iter host trees
         end
         else
           (* A literal-0 beta needs no copy of C in, unless the
@@ -629,13 +621,6 @@ let rec expr_ops = function
   | Ast.Binop (_, a, b) -> 1 + expr_ops a + expr_ops b
   | Ast.Neg e -> 1 + expr_ops e
 
-let rec expr_mentions vars = function
-  | Ast.Var v -> List.mem v vars
-  | Ast.Int_lit _ | Ast.Float_lit _ -> false
-  | Ast.Index (_, idx) -> List.exists (expr_mentions vars) idx
-  | Ast.Binop (_, a, b) -> expr_mentions vars a || expr_mentions vars b
-  | Ast.Neg e -> expr_mentions vars e
-
 let plan config (f : Ir.func) =
   let ceil_div a b = (a + b - 1) / b in
   let dims = Hashtbl.create 16 in
@@ -666,9 +651,7 @@ let plan config (f : Ir.func) =
       (p.Ir.array, p.Ir.row_off, p.Ir.col_off, p.Ir.rows, p.Ir.cols, p.Ir.trans,
        generation p.Ir.array)
     in
-    let variant =
-      expr_mentions loop_vars p.Ir.row_off || expr_mentions loop_vars p.Ir.col_off
-    in
+    let variant = Regions.window_varies ~vars:loop_vars p in
     let programs =
       if variant then mult else if !pinned = Some key then 0 else 1
     in
@@ -685,7 +668,7 @@ let plan config (f : Ir.func) =
              price it off the region the analyzer sees: the tuner's
              write-bytes model and the W008 lint stay in agreement *)
           cells_programmed =
-            t.cells_programmed + (programs * Tdo_analysis.Regions.mat_ref_cells p);
+            t.cells_programmed + (programs * Regions.mat_ref_cells p);
           gemv_passes = t.gemv_passes + passes;
           gemv_row_passes = t.gemv_row_passes + (passes * k_active);
           device_macs = t.device_macs + (mult * m * n * k);

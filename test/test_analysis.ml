@@ -344,6 +344,20 @@ void oob(float B[8], float A[8]) {
   Alcotest.(check bool) "E202 raised" true (has_code "E202" ds);
   check_mentions "E202" (message_with "E202" ds) [ "'A'"; "i = 0"; "-2" ]
 
+(* an inner loop that reuses an outer iterator's name with a
+   parametric bound hides the outer range: nothing is provable *)
+let test_bounds_shadowed_loop () =
+  let src =
+    {|
+void f(float A[8], int n) {
+  for (int i = 0; i < 4; i++)
+    for (int i = 0; i < n; i++)
+      A[i] = 1.0;
+}
+|}
+  in
+  Alcotest.(check (list string)) "not provable" [ "N203" ] (codes (Bounds.func (lower src)))
+
 let test_bounds_clean_kernels () =
   Alcotest.(check (list string)) "gemm in bounds" [] (codes (Bounds.func (lower (gemm_src 8))));
   let f, _ = Flow.compile ~options:Flow.o3_loop_tactics (gemm_src 8) in
@@ -612,10 +626,10 @@ let test_dataflow_reaching_definitions () =
 let test_dataflow_liveness () =
   let f = lower (gemm_src 8) in
   let _, live = Dataflow.live_arrays f in
-  let ever_read = Array.fold_left Tdo_poly.Deps.Strings.union Tdo_poly.Deps.Strings.empty live in
+  let ever_read = Array.fold_left Dataflow.Strings.union Dataflow.Strings.empty live in
   List.iter
     (fun a ->
-      Alcotest.(check bool) (a ^ " live somewhere") true (Tdo_poly.Deps.Strings.mem a ever_read))
+      Alcotest.(check bool) (a ^ " live somewhere") true (Dataflow.Strings.mem a ever_read))
     [ "A"; "B"; "C" ]
 
 (* ---------- regions ---------- *)
@@ -828,6 +842,54 @@ let test_lint_offload_ir () =
   Alcotest.(check bool) "loop-invariant call flagged" true (has_code "W010" ds);
   Alcotest.(check bool) "adjacent re-pin is reuse, not W008" false (has_code "W008" ds)
 
+(* A read in a scalar initializer is a read like any other: the local
+   array below is observed through [t], and the device result in C is
+   read on the host before its copy-back. *)
+let test_lint_scalar_initializer_read_w004 () =
+  let src =
+    {|
+void f(float A[4], float B[4]) {
+  float tmp[4];
+  for (int i = 0; i < 4; i++) {
+    tmp[i] = B[i];
+    float t = tmp[i];
+    A[i] = t;
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "tmp is read, not dead" false (has_code "W004" (Lint.run (lower src)))
+
+let test_lint_scalar_initializer_read_w009 () =
+  let c_ij = Ast.Index ("C", [ Ast.Var "i"; Ast.Var "j" ]) in
+  let f =
+    {
+      Ir.name = "init_read";
+      params = [ mk_param "C" [ 4; 4 ]; mk_param "S" [ 4; 4 ]; mk_param "A" [ 4; 4 ]; mk_param "B" [ 4; 4 ] ];
+      body =
+        [
+          gemm_call "A" "B" "C" 4;
+          loop "i" 4
+            [
+              loop "j" 4
+                [
+                  Ir.Decl_scalar { name = "t"; typ = Ast.Tfloat; init = Some c_ij };
+                  Ir.Assign
+                    {
+                      lhs = { Ast.base = "S"; indices = [ Ast.Var "i"; Ast.Var "j" ] };
+                      op = Ast.Set;
+                      rhs = Ast.Var "t";
+                    };
+                ];
+            ];
+          Ir.Call (Ir.Cim_d2h { array = "C" });
+        ];
+    }
+  in
+  let ds = Lint.offload_ir f in
+  Alcotest.(check bool) "stale read in the initializer flagged" true (has_code "W009" ds);
+  check_mentions "W009" (message_with "W009" ds) [ "'C'" ]
+
 (* ---------- census / tuner agreement ---------- *)
 
 let test_cost_model_write_bytes () =
@@ -879,12 +941,15 @@ let qcheck_builder_programs_verify =
 
 (* Random two-kernel programs over a small array pool: whenever the
    dependence graph proves the kernels independent, executing them in
-   either order must produce bitwise-identical results. Also pins the
-   precision floor: the graph is never coarser than Deps.independent. *)
+   either order must produce bitwise-identical results. Also pins a
+   precision floor: two nests that share no array either of them
+   writes are independent. *)
 let pool = [| "C"; "D"; "A"; "B"; "E" |]
 
+(* array [i] of nest [s]: 0 is the written one, 1 and 2 the operands *)
+let pick s i = pool.(s / int_of_float (5. ** float_of_int i) mod 5)
+
 let two_kernel_source (s1, s2) =
-  let pick s i = pool.(s / int_of_float (5. ** float_of_int i) mod 5) in
   let nest s =
     Printf.sprintf
       {|  for (int i = 0; i < 4; i++)
@@ -926,14 +991,14 @@ let interp_results src =
 let qcheck_depgraph_independence =
   QCheck.Test.make ~name:"depgraph independence implies order-insensitive execution" ~count:80
     QCheck.(pair (int_bound 124) (int_bound 124))
-    (fun seeds ->
+    (fun ((s1, s2) as seeds) ->
       let src12, src21 = two_kernel_source seeds in
       match tree_of src12 with
       | St.Seq [ k1; k2 ] ->
-          let precise = Tdo_poly.Deps.independent k1 k2 in
+          let touches s a = List.exists (fun i -> String.equal (pick s i) a) [ 0; 1; 2 ] in
+          let unshared = (not (touches s2 (pick s1 0))) && not (touches s1 (pick s2 0)) in
           let graph_independent = Depgraph.independent_trees k1 k2 in
-          (* precision floor: never coarser than the pairwise check *)
-          ((not precise) || graph_independent)
+          ((not unshared) || graph_independent)
           && ((not graph_independent) || interp_results src12 = interp_results src21)
       | _ -> QCheck.assume_fail ())
 
@@ -979,6 +1044,7 @@ let suites =
         Alcotest.test_case "underflow witness" `Quick test_bounds_underflow_witness;
         Alcotest.test_case "clean kernels" `Quick test_bounds_clean_kernels;
         Alcotest.test_case "degenerate loop (E204)" `Quick test_bounds_degenerate_loop;
+        Alcotest.test_case "shadowed loop (N203)" `Quick test_bounds_shadowed_loop;
       ] );
     ( "analysis.dataflow",
       [
@@ -1009,6 +1075,8 @@ let suites =
         Alcotest.test_case "stale host read (W009)" `Quick test_lint_stale_host_read;
         Alcotest.test_case "loop-invariant offload (W010)" `Quick test_lint_loop_invariant_offload;
         Alcotest.test_case "IR-mode rules" `Quick test_lint_offload_ir;
+        Alcotest.test_case "scalar-init read (W004)" `Quick test_lint_scalar_initializer_read_w004;
+        Alcotest.test_case "scalar-init read (W009)" `Quick test_lint_scalar_initializer_read_w009;
         Alcotest.test_case "census / write-bytes agreement" `Quick test_cost_model_write_bytes;
       ] );
     ( "analysis.pipeline",

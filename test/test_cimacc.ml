@@ -759,22 +759,22 @@ let suites = suites @ [ multi_tile_suite; double_buffering_suite ]
    crossbar packed both planes' levels into one column-major array. *)
 let pinned_launch_rows =
   [
-    "pinA/ta=false/tb=false/ideal finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=c31858f430aec989a34540fd859bfa47";
-    "pinA/ta=false/tb=true/ideal finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=f2f18c716658fc4b8264af5cdfa6973a";
-    "pinA/ta=true/tb=false/ideal finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=dd62fed2d022b8cf3479843c371a81a3";
-    "pinA/ta=true/tb=true/ideal finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=579442583fbcd1adbecbd5f0386c2c66";
-    "pinB/ta=false/tb=false/ideal finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=557554054f00db7df1b6b4f2a6d2ba50";
-    "pinB/ta=false/tb=true/ideal finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=af0097647c7ff10790451b4458086406";
-    "pinB/ta=true/tb=false/ideal finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=dd932af8962af49af57e570b207c722b";
-    "pinB/ta=true/tb=true/ideal finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=20324bebbceb3c5f2c20783abacec4d1";
-    "pinA/ta=false/tb=false/noisy finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=6c206a812910446abc17d445646a4fe4";
-    "pinA/ta=false/tb=true/noisy finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=71b22900980c4d67a71cbcea09000f62";
-    "pinA/ta=true/tb=false/noisy finish=18034889,19877454 dma=596/280/36 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=2d0de84f309859e827121e9f748525c6";
-    "pinA/ta=true/tb=true/noisy finish=17238299,19109664 dma=596/280/36 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=b7a8a3c04ecaaecc0d05b4f485d8534f";
-    "pinB/ta=false/tb=false/noisy finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ac35cbd1d405149546134cad060fb24d";
-    "pinB/ta=false/tb=true/noisy finish=16874009,18361912 dma=548/280/26 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ffda09cf9edcb1fdaa1814bf2b663909";
-    "pinB/ta=true/tb=false/noisy finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=6b45f0d75c0fac519986c57318ecedb9";
-    "pinB/ta=true/tb=true/noisy finish=17400021,18868724 dma=548/280/26 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=bd11136d12156fabcbe0da4195dd5e0a";
+    "pinA/ta=false/tb=false/ideal finish=18034889,19877454 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=c31858f430aec989a34540fd859bfa47";
+    "pinA/ta=false/tb=true/ideal finish=17238299,19109664 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=f2f18c716658fc4b8264af5cdfa6973a";
+    "pinA/ta=true/tb=false/ideal finish=18034889,19877454 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=dd62fed2d022b8cf3479843c371a81a3";
+    "pinA/ta=true/tb=true/ideal finish=17238299,19109664 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=579442583fbcd1adbecbd5f0386c2c66";
+    "pinB/ta=false/tb=false/ideal finish=16874009,18361912 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=557554054f00db7df1b6b4f2a6d2ba50";
+    "pinB/ta=false/tb=true/ideal finish=16874009,18361912 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=af0097647c7ff10790451b4458086406";
+    "pinB/ta=true/tb=false/ideal finish=17400021,18868724 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=dd932af8962af49af57e570b207c722b";
+    "pinB/ta=true/tb=true/ideal finish=17400021,18868724 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=20324bebbceb3c5f2c20783abacec4d1";
+    "pinA/ta=false/tb=false/noisy finish=18034889,19877454 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=6c206a812910446abc17d445646a4fe4";
+    "pinA/ta=false/tb=true/noisy finish=17238299,19109664 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=71b22900980c4d67a71cbcea09000f62";
+    "pinA/ta=true/tb=false/noisy finish=18034889,19877454 eng=2,14,1,19876454 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=2d0de84f309859e827121e9f748525c6";
+    "pinA/ta=true/tb=true/noisy finish=17238299,19109664 eng=2,14,1,19108664 xbar=60,14,420,84,280 adc=140/140 wear=60/1 out=b7a8a3c04ecaaecc0d05b4f485d8534f";
+    "pinB/ta=false/tb=false/noisy finish=16874009,18361912 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ac35cbd1d405149546134cad060fb24d";
+    "pinB/ta=false/tb=true/noisy finish=16874009,18361912 eng=2,10,1,18360912 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=ffda09cf9edcb1fdaa1814bf2b663909";
+    "pinB/ta=true/tb=false/noisy finish=17400021,18868724 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=6b45f0d75c0fac519986c57318ecedb9";
+    "pinB/ta=true/tb=true/noisy finish=17400021,18868724 eng=2,10,1,18867724 xbar=84,10,420,60,280 adc=140/140 wear=84/1 out=bd11136d12156fabcbe0da4195dd5e0a";
   ]
 
 (* One orientation's row: finish times, DMA bytes read/written and
@@ -812,18 +812,17 @@ let launch_row ~pin ~trans_a ~trans_b ~noise =
   in
   let first = run job 0 in
   let second = run { job with Context_regs.beta = 0.0 } (first + 1_000) in
-  let dma = Accel.dma sys.accel and xb = Micro_engine.crossbar engine in
+  let xb = Micro_engine.crossbar engine in
   let e = Micro_engine.counters engine and x = Tdo_pcm.Crossbar.counters xb in
   let adc = Tdo_pcm.Crossbar.adc xb in
   let out = read_matrix sys.memory ~addr:c_addr ~ld:ldc ~rows:m ~cols:ldc in
   Printf.sprintf
-    "pin%s/ta=%b/tb=%b/%s finish=%d,%d dma=%d/%d/%d eng=%d,%d,%d,%d \
+    "pin%s/ta=%b/tb=%b/%s finish=%d,%d eng=%d,%d,%d,%d \
      xbar=%d,%d,%d,%d,%d adc=%d/%d wear=%d/%d out=%s"
     (if pin then "A" else "B")
     trans_a trans_b
     (if noise = None then "ideal" else "noisy")
     first second
-    (Sim.Dma.bytes_read dma) (Sim.Dma.bytes_written dma) (Sim.Dma.transfers dma)
     e.Micro_engine.jobs e.Micro_engine.streamed_vectors e.Micro_engine.programming_skipped
     e.Micro_engine.busy_ps x.Tdo_pcm.Crossbar.cell_writes x.Tdo_pcm.Crossbar.gemv_ops
     x.Tdo_pcm.Crossbar.macs x.Tdo_pcm.Crossbar.input_buffer_bytes

@@ -82,10 +82,7 @@ let test_exec_matches_interpreter_bitexact () =
   Alcotest.(check bool) "host-only" false metrics.Exec.used_cim
 
 let test_exec_instruction_accounting () =
-  let platform, metrics, _, _ = run_gemm_exec ~m:6 ~n:5 ~k:7 ~alpha:1.0 ~beta:1.0 ~seed:72 in
-  let cpu = Platform.cpu platform in
-  Alcotest.(check int) "one MAC per inner iteration" (6 * 5 * 7)
-    (Sim.Cpu.class_count cpu Sim.Cpu.Fp_mac);
+  let _, metrics, _, _ = run_gemm_exec ~m:6 ~n:5 ~k:7 ~alpha:1.0 ~beta:1.0 ~seed:72 in
   Alcotest.(check bool) "instructions dominated by the nest" true
     (metrics.Exec.roi_instructions > 6 * 5 * 7 * 5);
   Alcotest.(check bool) "cycles accumulated" true (metrics.Exec.roi_cycles > 0);
@@ -383,10 +380,6 @@ let suites = suites @ [ exec_edge_suite ]
 module Flow = Tdo_cim.Flow
 module Kernels = Tdo_polybench.Kernels
 
-let all_classes =
-  Sim.Cpu.
-    [ Int_alu; Int_mul; Fp_add; Fp_mul; Fp_mac; Fp_div; Load; Store; Branch; Call; Ret ]
-
 let cache_row c =
   let s = Sim.Cache.stats c in
   Sim.Cache.(
@@ -416,12 +409,10 @@ let launch_times timeline =
          else None)
   |> String.concat ","
 
-(* One pinned row: [label roi=insts/cycles/ps cls=… l1d=… l2=… launch=… out=…]. *)
+(* One pinned row: [label roi=insts/cycles/ps l1d=… l2=… launch=… out=…]. *)
 let numbers_row label (platform, timeline) (m : Exec.metrics) mats =
-  let cpu = Platform.cpu platform in
-  Printf.sprintf "%s roi=%d/%d/%d cls=%s l1d=%s l2=%s launch=%s out=%s" label
+  Printf.sprintf "%s roi=%d/%d/%d l1d=%s l2=%s launch=%s out=%s" label
     m.Exec.roi_instructions m.Exec.roi_cycles m.Exec.roi_time_ps
-    (String.concat "," (List.map (fun c -> string_of_int (Sim.Cpu.class_count cpu c)) all_classes))
     (cache_row platform.Platform.l1d) (cache_row platform.Platform.l2) (launch_times timeline)
     (outputs_digest mats)
 
@@ -544,46 +535,46 @@ let tiled_calls_row () =
 
 let pinned_polybench_rows =
   [
-    "2mm/o3/8 roi=14624/38584/32140472 cls=7568,0,64,512,1024,0,3136,1152,1168,0,0 l1d=4268/20/0/0/0/0 l2=0/20/0/0/0/0 launch= out=2523f504bb72439c83f91cd22f9e6ec9";
-    "2mm/o3/13 roi=61399/159554/132908482 cls=31798,0,169,2197,4394,0,13351,4732,4758,0,0 l1d=18028/55/0/0/0/0 l2=0/55/0/0/0/0 launch= out=3caafd8e5699b6c4a1c7814233636f2e";
-    "2mm/tactics/8 roi=149286/156478/167338386 cls=148518,0,0,0,0,0,384,384,0,0,0 l1d=720/48/0/16/2/1024 l2=4/60/0/8/2/512 launch=59647699,141691220 out=4bd110daf9eaf2945a5553353bd2be66";
-    "2mm/tactics/13 roi=160302/179828/211744756 cls=158274,0,0,0,0,0,1014,1014,0,0,0 l1d=1896/132/0/44/2/2816 l2=11/165/0/22/2/1408 launch=65249407,167725848 out=adef43ce163edf35f205beed0beca227";
-    "3mm/o3/8 roi=20976/53816/44828728 cls=11352,0,0,0,1536,0,4608,1728,1752,0,0 l1d=6308/28/0/0/0/0 l2=0/28/0/0/0/0 launch= out=7882ba11339d6baaae54a541aefb7348";
-    "3mm/o3/13 roi=88296/223516/186188828 cls=47697,0,0,0,6591,0,19773,7098,7137,0,0 l1d=26794/77/0/0/0/0 l2=0/77/0/0/0/0 launch= out=278c64f88c187274d45c290c1c18ce65";
-    "3mm/tactics/8 roi=155825/164801/190736940 cls=154923,0,0,0,0,0,448,454,0,0,0 l1d=845/57/0/17/2/1088 l2=0/74/0/17/2/1088 launch=63136342,164864734 out=3e4488588a45fb589c216ba242905c53";
-    "3mm/tactics/13 roi=171085/195251/251759634 cls=168713,0,0,0,0,0,1183,1189,0,0,0 l1d=2217/155/0/45/2/2880 l2=0/200/0/45/2/2880 launch=74339758,205730574 out=8f41c42540a68f352a915408b2f8a119";
-    "gemm/o3/8 roi=7632/20792/17319736 cls=3784,0,64,512,512,0,1600,576,584,0,0 l1d=2164/12/0/0/0/0 l2=0/12/0/0/0/0 launch= out=0849cd2ddfe20d148f8277035092ef9c";
-    "gemm/o3/13 roi=31967/85452/71181516 cls=15899,0,169,2197,2197,0,6760,2366,2379,0,0 l1d=9093/33/0/0/0/0 l2=0/33/0/0/0/0 launch= out=7ec822d995d218258dd8bbf828649eed";
-    "gemm/tactics/8 roi=75307/79971/85662513 cls=74795,0,0,0,0,0,256,256,0,0,0 l1d=480/32/0/12/1/768 l2=4/40/0/0/1/0 launch=61281507 out=a68edbd443d04965d45eca6442372091";
-    "gemm/tactics/13 roi=81371/94029/110279347 cls=80019,0,0,0,0,0,676,676,0,0,0 l1d=1264/88/0/33/1/2112 l2=11/110/0/0/1/0 launch=69684069 out=65b8daf0677f73127c15b7ba6a1f0c32";
-    "conv/o3/8 roi=9360/21816/18172728 cls=5576,0,0,0,576,0,1728,640,840,0,0 l1d=2356/12/0/0/0/0 l2=0/12/0/0/0/0 launch= out=261fd48f6c383ef0777ef2206fc625c5";
-    "conv/o3/13 roi=24700/57076/47544308 cls=14716,0,0,0,1521,0,4563,1690,2210,0,0 l1d=6226/27/0/0/0/0 l2=0/27/0/0/0/0 launch= out=f8d3eef27ee921c5112a92d7bca91f1e";
-    "conv/tactics/8 roi=77822/82488/94306691 cls=77246,0,0,0,0,0,246,246,84,0,0 l1d=463/29/0/9/1/576 l2=0/38/0/0/1/0 launch=61854718 out=477e5121181ea5e6fd23340dec22a103";
-    "conv/tactics/13 roi=82937/93683/115050908 cls=81581,0,0,0,0,0,581,581,194,0,0 l1d=1096/66/0/17/1/1088 l2=0/83/0/0/1/0 launch=67685750 out=f78c149cb4685f0c4f28fba0c2484122";
-    "gesummv/o3/8 roi=1560/5394/4493202 cls=704,0,8,16,128,0,400,152,152,0,0 l1d=541/11/0/0/0/0 l2=0/11/0/0/0/0 launch= out=ec99587917421fb9446b8f7da681fdc7";
-    "gesummv/o3/13 roi=3965/13449/11203017 cls=1794,0,13,26,338,0,1040,377,377,0,0 l1d=1392/25/0/0/0/0 l2=0/25/0/0/0/0 launch= out=8086f694895dae1906caa4e89409f86f";
-    "gesummv/tactics/8 roi=80510/84114/102709601 cls=80144,0,8,16,0,0,168,166,8,0,0 l1d=311/23/0/10/1/640 l2=0/33/0/0/1/0 launch=60210538 out=04b6313394c484edaea0b58ad85f5af6";
-    "gesummv/tactics/13 roi=89073/97197/133892034 cls=88222,0,13,26,0,0,403,396,13,0,0 l1d=748/51/0/24/1/1536 l2=0/75/0/0/1/0 launch=65853896 out=969caef42d9ed47c59caba6964ae91f8";
-    "bicg/o3/8 roi=1472/4832/4025056 cls=672,0,0,0,128,0,384,144,144,0,0 l1d=520/8/0/0/0/0 l2=0/8/0/0/0/0 launch= out=b28f182a09cdd36e12a04337400303cc";
-    "bicg/o3/13 roi=3822/11972/9972676 cls=1742,0,0,0,338,0,1014,364,364,0,0 l1d=1363/15/0/0/0/0 l2=0/15/0/0/0/0 launch= out=d57a53761421c269ec1e694fd6bb5679";
-    "bicg/tactics/8 roi=146982/149318/157318212 cls=146790,0,0,0,0,0,96,96,0,0,0 l1d=176/16/0/6/2/384 l2=0/22/0/5/2/320 launch=58355703,135986185 out=033a13813266f955e599802a53832bc3";
-    "bicg/tactics/13 roi=155082/159708/186194040 cls=154640,0,0,0,0,0,221,221,0,0,0 l1d=412/30/0/13/2/832 l2=0/43/0/12/2/768 launch=61198207,152111218 out=1857bb8a04114bf1bacd3dee21548d36";
-    "mvt/o3/8 roi=1440/4752/3958416 cls=656,0,0,0,128,0,384,128,144,0,0 l1d=504/8/0/0/0/0 l2=0/8/0/0/0/0 launch= out=790f9bfdb3e960ed2724a6f798f54fae";
-    "mvt/o3/13 roi=3770/11842/9864386 cls=1716,0,0,0,338,0,1014,338,364,0,0 l1d=1337/15/0/0/0/0 l2=0/15/0/0/0/0 launch= out=ff15a9dc3bf9e622d0a2342360bebec4";
-    "mvt/tactics/8 roi=147142/149916/158344028 cls=146918,0,0,0,0,0,112,112,0,0,0 l1d=204/20/0/8/2/512 l2=1/27/0/6/2/384 launch=58697515,136922678 out=52319da58293d3e505f02e60b79e98d2";
-    "mvt/tactics/13 roi=155298/160422/187316850 cls=154804,0,0,0,0,0,247,247,0,0,0 l1d=460/34/0/15/2/960 l2=1/48/0/13/2/832 launch=61581669,153137858 out=f754757c0c17652e60d60b30de488e6d";
+    "2mm/o3/8 roi=14624/38584/32140472 l1d=4268/20/0/0/0/0 l2=0/20/0/0/0/0 launch= out=2523f504bb72439c83f91cd22f9e6ec9";
+    "2mm/o3/13 roi=61399/159554/132908482 l1d=18028/55/0/0/0/0 l2=0/55/0/0/0/0 launch= out=3caafd8e5699b6c4a1c7814233636f2e";
+    "2mm/tactics/8 roi=149286/156478/167338386 l1d=720/48/0/16/2/1024 l2=4/60/0/8/2/512 launch=59647699,141691220 out=4bd110daf9eaf2945a5553353bd2be66";
+    "2mm/tactics/13 roi=160302/179828/211744756 l1d=1896/132/0/44/2/2816 l2=11/165/0/22/2/1408 launch=65249407,167725848 out=adef43ce163edf35f205beed0beca227";
+    "3mm/o3/8 roi=20976/53816/44828728 l1d=6308/28/0/0/0/0 l2=0/28/0/0/0/0 launch= out=7882ba11339d6baaae54a541aefb7348";
+    "3mm/o3/13 roi=88296/223516/186188828 l1d=26794/77/0/0/0/0 l2=0/77/0/0/0/0 launch= out=278c64f88c187274d45c290c1c18ce65";
+    "3mm/tactics/8 roi=155825/164801/190736940 l1d=845/57/0/17/2/1088 l2=0/74/0/17/2/1088 launch=63136342,164864734 out=3e4488588a45fb589c216ba242905c53";
+    "3mm/tactics/13 roi=171085/195251/251759634 l1d=2217/155/0/45/2/2880 l2=0/200/0/45/2/2880 launch=74339758,205730574 out=8f41c42540a68f352a915408b2f8a119";
+    "gemm/o3/8 roi=7632/20792/17319736 l1d=2164/12/0/0/0/0 l2=0/12/0/0/0/0 launch= out=0849cd2ddfe20d148f8277035092ef9c";
+    "gemm/o3/13 roi=31967/85452/71181516 l1d=9093/33/0/0/0/0 l2=0/33/0/0/0/0 launch= out=7ec822d995d218258dd8bbf828649eed";
+    "gemm/tactics/8 roi=75307/79971/85662513 l1d=480/32/0/12/1/768 l2=4/40/0/0/1/0 launch=61281507 out=a68edbd443d04965d45eca6442372091";
+    "gemm/tactics/13 roi=81371/94029/110279347 l1d=1264/88/0/33/1/2112 l2=11/110/0/0/1/0 launch=69684069 out=65b8daf0677f73127c15b7ba6a1f0c32";
+    "conv/o3/8 roi=9360/21816/18172728 l1d=2356/12/0/0/0/0 l2=0/12/0/0/0/0 launch= out=261fd48f6c383ef0777ef2206fc625c5";
+    "conv/o3/13 roi=24700/57076/47544308 l1d=6226/27/0/0/0/0 l2=0/27/0/0/0/0 launch= out=f8d3eef27ee921c5112a92d7bca91f1e";
+    "conv/tactics/8 roi=77822/82488/94306691 l1d=463/29/0/9/1/576 l2=0/38/0/0/1/0 launch=61854718 out=477e5121181ea5e6fd23340dec22a103";
+    "conv/tactics/13 roi=82937/93683/115050908 l1d=1096/66/0/17/1/1088 l2=0/83/0/0/1/0 launch=67685750 out=f78c149cb4685f0c4f28fba0c2484122";
+    "gesummv/o3/8 roi=1560/5394/4493202 l1d=541/11/0/0/0/0 l2=0/11/0/0/0/0 launch= out=ec99587917421fb9446b8f7da681fdc7";
+    "gesummv/o3/13 roi=3965/13449/11203017 l1d=1392/25/0/0/0/0 l2=0/25/0/0/0/0 launch= out=8086f694895dae1906caa4e89409f86f";
+    "gesummv/tactics/8 roi=80510/84114/102709601 l1d=311/23/0/10/1/640 l2=0/33/0/0/1/0 launch=60210538 out=04b6313394c484edaea0b58ad85f5af6";
+    "gesummv/tactics/13 roi=89073/97197/133892034 l1d=748/51/0/24/1/1536 l2=0/75/0/0/1/0 launch=65853896 out=969caef42d9ed47c59caba6964ae91f8";
+    "bicg/o3/8 roi=1472/4832/4025056 l1d=520/8/0/0/0/0 l2=0/8/0/0/0/0 launch= out=b28f182a09cdd36e12a04337400303cc";
+    "bicg/o3/13 roi=3822/11972/9972676 l1d=1363/15/0/0/0/0 l2=0/15/0/0/0/0 launch= out=d57a53761421c269ec1e694fd6bb5679";
+    "bicg/tactics/8 roi=146982/149318/157318212 l1d=176/16/0/6/2/384 l2=0/22/0/5/2/320 launch=58355703,135986185 out=033a13813266f955e599802a53832bc3";
+    "bicg/tactics/13 roi=155082/159708/186194040 l1d=412/30/0/13/2/832 l2=0/43/0/12/2/768 launch=61198207,152111218 out=1857bb8a04114bf1bacd3dee21548d36";
+    "mvt/o3/8 roi=1440/4752/3958416 l1d=504/8/0/0/0/0 l2=0/8/0/0/0/0 launch= out=790f9bfdb3e960ed2724a6f798f54fae";
+    "mvt/o3/13 roi=3770/11842/9864386 l1d=1337/15/0/0/0/0 l2=0/15/0/0/0/0 launch= out=ff15a9dc3bf9e622d0a2342360bebec4";
+    "mvt/tactics/8 roi=147142/149916/158344028 l1d=204/20/0/8/2/512 l2=1/27/0/6/2/384 launch=58697515,136922678 out=52319da58293d3e505f02e60b79e98d2";
+    "mvt/tactics/13 roi=155298/160422/187316850 l1d=460/34/0/15/2/960 l2=1/48/0/13/2/832 launch=61581669,153137858 out=f754757c0c17652e60d60b30de488e6d";
   ]
 
 (* Host runs whose operands overflow the 32 KB L1D, so that lines are
    evicted and written back and misses cost more than a cold fill. *)
 let pinned_evicting_rows =
   [
-    "gemm/o3/64 roi=3698816/9588864/7987523712 cls=1847360,0,4096,262144,262144,0,790528,266240,266304,0,0 l1d=1056000/768/256/128/0/0 l2=128/768/0/0/0/0 launch= out=f390f42ec9bc75b728026ba7b2779285";
-    "mvt/o3/128 roi=360960/1297952/1081194016 cls=164096,0,0,0,32768,0,98304,32768,33024,0,0 l1d=113504/17568/17056/8/0/0 l2=16520/1056/0/0/0/0 launch= out=ce150a075cf5d2b44782ee9fd43bed78";
+    "gemm/o3/64 roi=3698816/9588864/7987523712 l1d=1056000/768/256/128/0/0 l2=128/768/0/0/0/0 launch= out=f390f42ec9bc75b728026ba7b2779285";
+    "mvt/o3/128 roi=360960/1297952/1081194016 l1d=113504/17568/17056/8/0/0 l2=16520/1056/0/0/0/0 launch= out=ce150a075cf5d2b44782ee9fd43bed78";
   ]
 
 let pinned_tiled_calls_row =
-  "tiled_calls roi=142138/147594/143167639 cls=141552,0,20,16,0,0,274,258,18,0,0 l1d=497/35/0/14/2/896 l2=1/48/0/13/2/832 launch=61598329,140593007 out=c41aba3727bf7812d210d1e2dce2d3d0"
+  "tiled_calls roi=142138/147594/143167639 l1d=497/35/0/14/2/896 l2=1/48/0/13/2/832 launch=61598329,140593007 out=c41aba3727bf7812d210d1e2dce2d3d0"
 
 (* A rank-3 array read and written with computed subscripts: the
    general case of the address computation, which no PolyBench kernel
@@ -609,7 +600,7 @@ let rank3_args ~seed =
     fun () -> [ Mat.of_data ~rows:12 ~cols:5 (Array.copy t.Interp.data); Interp.mat_of_arr s ] )
 
 let pinned_rank3_row =
-  "rank3 roi=891/2691/2241603 cls=498,0,15,0,60,0,150,75,93,0,0 l1d=219/6/0/0/0/0 l2=0/6/0/0/0/0 launch= out=0759e23672a0536164198653b18b5cf3"
+  "rank3 roi=891/2691/2241603 l1d=219/6/0/0/0/0 l2=0/6/0/0/0/0 launch= out=0759e23672a0536164198653b18b5cf3"
 
 let test_exec_pinned_rank3 () =
   let f, _ = Flow.compile ~options:Flow.o3 rank3_src in
@@ -641,10 +632,9 @@ void big(float x[4]) {
   | exception Invalid_argument _ -> ());
   let cpu = Platform.cpu platform in
   Alcotest.(check string) "the core and L1D after the failure"
-    "core=22/272/226576 l1d=8/2/0/0/0/0 cls=6,4"
-    (Printf.sprintf "core=%d/%d/%d l1d=%s cls=%d,%d" (Sim.Cpu.instructions cpu)
-       (Sim.Cpu.cycles cpu) (Sim.Cpu.time_ps cpu) (cache_row platform.Platform.l1d)
-       (Sim.Cpu.class_count cpu Sim.Cpu.Load) (Sim.Cpu.class_count cpu Sim.Cpu.Store))
+    "core=22/272/226576 l1d=8/2/0/0/0/0"
+    (Printf.sprintf "core=%d/%d/%d l1d=%s" (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu)
+       (Sim.Cpu.time_ps cpu) (cache_row platform.Platform.l1d))
 
 (* A run that fails while it holds device buffers gives them back to
    the platform's CMA region, which outlives every run. One failing

@@ -7,6 +7,8 @@ module Exec = Tdo_ir.Exec
 module Platform = Tdo_runtime.Platform
 module Prng = Tdo_util.Prng
 module Mat = Tdo_linalg.Mat
+module Regions = Tdo_analysis.Regions
+module Depgraph = Tdo_analysis.Depgraph
 
 let parse_expr_int src =
   (* parse "void f(...) { t = <expr>; }" and pull the rhs out *)
@@ -143,7 +145,7 @@ let test_band_extent () =
       Alcotest.(check (option int)) "extent of i" (Some 8) (Schedule_tree.band_extent b)
   | Ok _ -> Alcotest.fail "expected band root"
 
-(* ---------- Deps ---------- *)
+(* ---------- dependences (Depgraph.independent_trees) ---------- *)
 
 let two_kernel_src shared =
   (* two GEMMs; if [shared] the second reads A again (independent),
@@ -170,18 +172,19 @@ let test_deps_independence () =
     | Ok _ | Error _ -> Alcotest.fail "expected two kernels"
   in
   let x, y = pair true in
-  Alcotest.(check bool) "shared input is independent (Listing 2)" true (Deps.independent x y);
+  Alcotest.(check bool) "shared input is independent (Listing 2)" true
+    (Depgraph.independent_trees x y);
   let x, y = pair false in
-  Alcotest.(check bool) "flow dependence detected" false (Deps.independent x y)
+  Alcotest.(check bool) "flow dependence detected" false (Depgraph.independent_trees x y)
 
 let test_deps_read_write_sets () =
   match detect_src gemm_src with
   | Error e -> Alcotest.failf "detect: %s" e
   | Ok tree ->
-      Alcotest.(check (list string)) "writes" [ "C" ]
-        (Deps.Strings.elements (Deps.arrays_written tree));
+      let reads, writes = Regions.footprints tree in
+      Alcotest.(check (list string)) "writes" [ "C" ] (List.map fst writes);
       Alcotest.(check (list string)) "reads (includes += target)" [ "A"; "B"; "C" ]
-        (Deps.Strings.elements (Deps.arrays_read tree))
+        (List.map fst reads)
 
 (* ---------- Codegen roundtrip ---------- *)
 
@@ -266,27 +269,16 @@ let suites =
 let test_domain_box_basics () =
   let b = Domain.box_exn [ (0, 3); (2, 5) ] in
   Alcotest.(check int) "rank" 2 (Domain.box_rank b);
+  Alcotest.(check (list (pair int int))) "bounds" [ (0, 3); (2, 5) ] (Domain.box_bounds b);
   Alcotest.(check bool) "empty box rejected" true (Domain.box [ (3, 2) ] = None);
-  let d = Domain.of_box b in
-  Alcotest.(check bool) "contains corner" true (Domain.contains d [ 0; 2 ]);
-  Alcotest.(check bool) "contains far corner" true (Domain.contains d [ 3; 5 ]);
-  Alcotest.(check bool) "excludes outside" false (Domain.contains d [ 4; 2 ]);
-  Alcotest.(check int) "cardinal" 16 (Domain.cardinal d)
-
-let test_domain_set_algebra () =
-  let d1 = Domain.of_box (Domain.box_exn [ (0, 3) ]) in
-  let d2 = Domain.of_box (Domain.box_exn [ (2, 5) ]) in
-  let d3 = Domain.of_box (Domain.box_exn [ (10, 12) ]) in
-  Alcotest.(check bool) "overlap detected" false (Domain.disjoint d1 d2);
-  Alcotest.(check bool) "disjoint detected" true (Domain.disjoint d1 d3);
-  let u = Domain.union d1 d2 in
-  Alcotest.(check int) "union cardinal (inclusion-exclusion)" 6 (Domain.cardinal u);
-  let i = Domain.inter d1 d2 in
-  Alcotest.(check int) "intersection cardinal" 2 (Domain.cardinal i);
-  Alcotest.(check bool) "empty intersection" true (Domain.is_empty (Domain.inter d1 d3))
+  Alcotest.(check (option (list (pair int int)))) "overlap" (Some [ (2, 3) ])
+    (Option.map Domain.box_bounds
+       (Domain.inter_box (Domain.box_exn [ (0, 3) ]) (Domain.box_exn [ (2, 5) ])));
+  Alcotest.(check bool) "disjoint" true
+    (Domain.inter_box (Domain.box_exn [ (0, 3) ]) (Domain.box_exn [ (10, 12) ]) = None)
 
 let qcheck_domain_inter_subset =
-  QCheck.Test.make ~name:"intersection points lie in both domains" ~count:100 QCheck.small_int
+  QCheck.Test.make ~name:"intersection points lie in both boxes" ~count:100 QCheck.small_int
     (fun seed ->
       let g = Prng.create ~seed in
       let random_box () =
@@ -294,34 +286,20 @@ let qcheck_domain_inter_subset =
         let lo2 = Prng.int g ~bound:10 and len2 = Prng.int g ~bound:6 in
         Domain.box_exn [ (lo, lo + len); (lo2, lo2 + len2) ]
       in
-      let d1 = Domain.of_box (random_box ()) and d2 = Domain.of_box (random_box ()) in
-      let i = Domain.inter d1 d2 in
+      let contains b p =
+        List.for_all2 (fun (lo, hi) x -> lo <= x && x <= hi) (Domain.box_bounds b) p
+      in
+      let b1 = random_box () and b2 = random_box () in
+      let i = Domain.inter_box b1 b2 in
       let ok = ref true in
       for x = 0 to 16 do
         for y = 0 to 16 do
           let p = [ x; y ] in
-          let expected = Domain.contains d1 p && Domain.contains d2 p in
-          if Domain.contains i p <> expected then ok := false
+          let expected = contains b1 p && contains b2 p in
+          if Option.fold ~none:false ~some:(fun i -> contains i p) i <> expected then ok := false
         done
       done;
       !ok)
-
-let qcheck_domain_cardinal_counts =
-  QCheck.Test.make ~name:"union cardinal equals brute-force point count" ~count:100
-    QCheck.small_int (fun seed ->
-      let g = Prng.create ~seed in
-      let random_box () =
-        let lo = Prng.int g ~bound:8 and len = Prng.int g ~bound:5 in
-        Domain.box_exn [ (lo, lo + len) ]
-      in
-      let d =
-        Domain.of_boxes ~rank:1 [ random_box (); random_box (); random_box () ]
-      in
-      let brute = ref 0 in
-      for x = 0 to 20 do
-        if Domain.contains d [ x ] then incr brute
-      done;
-      Domain.cardinal d = !brute)
 
 (* ---------- access regions ---------- *)
 
@@ -363,7 +341,7 @@ let test_access_region_unknown_var () =
   Alcotest.(check bool) "unbounded var yields None" true
     (Access.region access ~extents:[ ("i", (0, 3)) ] = None)
 
-(* ---------- region-refined independence ---------- *)
+(* ---------- independence of disjoint slices ---------- *)
 
 let test_deps_disjoint_slices_independent () =
   (* both nests write C, but provably disjoint row ranges *)
@@ -381,7 +359,8 @@ void halves(float C[8][4], float A[4][4], float B[4][4]) {
   in
   match detect_src src with
   | Ok (Schedule_tree.Seq [ x; y ]) ->
-      Alcotest.(check bool) "disjoint slices are independent" true (Deps.independent x y)
+      Alcotest.(check bool) "disjoint slices are independent" true
+        (Depgraph.independent_trees x y)
   | Ok _ | Error _ -> Alcotest.fail "expected two kernels"
 
 let test_deps_overlapping_slices_dependent () =
@@ -399,16 +378,15 @@ void overlap(float C[8][4], float A[4][4], float B[4][4]) {
   in
   match detect_src src with
   | Ok (Schedule_tree.Seq [ x; y ]) ->
-      Alcotest.(check bool) "overlapping slices conflict" false (Deps.independent x y)
+      Alcotest.(check bool) "overlapping slices conflict" false
+        (Depgraph.independent_trees x y)
   | Ok _ | Error _ -> Alcotest.fail "expected two kernels"
 
 let domain_suite =
   ( "poly.domain",
     [
       Alcotest.test_case "box basics" `Quick test_domain_box_basics;
-      Alcotest.test_case "set algebra" `Quick test_domain_set_algebra;
       QCheck_alcotest.to_alcotest qcheck_domain_inter_subset;
-      QCheck_alcotest.to_alcotest qcheck_domain_cardinal_counts;
     ] )
 
 let region_suite =
