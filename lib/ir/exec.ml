@@ -43,6 +43,10 @@ type state = {
   mutable miss_cycles : int;  (** what those probes cost beyond L1D hits *)
   memory_bytes : int;  (** the size of simulated memory *)
   mutable roi_open : bool;  (** this run opened the ROI window and has not closed it *)
+  addr : int array;  (** by site: a running loop kernel's address register *)
+  chunk : Bytes.t array;
+      (** by site: the memory chunk a running loop kernel's site reads
+          and writes directly, or [Bytes.empty] *)
 }
 
 let heap_base = 0x0100_0000
@@ -135,6 +139,9 @@ type slots = {
   mutable n_float : int;
   mutable n_arr : int;
   mutable n_site : int;  (** load and store sites *)
+  mutable written : int list;
+      (** array slots the program assigns or copies back from the device *)
+  kernels : bool;  (** compile qualifying innermost loops as loop kernels *)
 }
 
 let new_int s =
@@ -240,7 +247,10 @@ let rec compile_expr env s k (e : Ast.expr) : value =
       let site = new_site s in
       Float (fun st -> setf st (load st site (address st place)))
   | Ast.Binop (op, a, b) -> (
-      match (compile_expr env s k a, compile_expr env s k b) with
+      (* left operand first, so that sites are numbered in source order *)
+      let a = compile_expr env s k a in
+      let b = compile_expr env s k b in
+      match (a, b) with
       | Int ca, Int cb ->
           bump k alu;
           Int
@@ -391,6 +401,7 @@ let compile_call env s (call : Ir.call) : code =
         Api.host_to_dev_mem api ~src:info.base ~dst ~rows ~cols
   | Ir.Cim_d2h { array = name } ->
       let slot = array_slot env name in
+      s.written <- slot :: s.written;
       fun st ->
         retire st;
         let api = require_api st in
@@ -538,7 +549,8 @@ let[@inline always] run_block (block : code array) st =
 
 let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
   match (lookup env lhs.Ast.base, lhs.Ast.indices) with
-  | Barr _, indices -> (
+  | Barr (slot, _), indices -> (
+      s.written <- slot :: s.written;
       let place = compile_address env s k lhs.Ast.base indices in
       let site = new_site s in
       let rhs =
@@ -592,29 +604,478 @@ let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
         Array.unsafe_set st.ints slot (assign_i op (Array.unsafe_get st.ints slot) v)
   | (Bint _ | Bfloat _), _ :: _ -> fail "scalar '%s' indexed" lhs.Ast.base
 
+(* ---------- loop kernels ----------
+
+   An innermost loop whose body holds assignments only, and whose every
+   array subscript is affine in the loop variable (a compile-time
+   coefficient times the variable, plus terms the body does not
+   assign), also compiles into a kernel: one closure that runs the
+   whole loop. At loop entry the kernel evaluates each access site's
+   subscripts at the first iteration and derives them at the last. A
+   subscript moves linearly with the iteration, so when both ends are
+   in bounds, and both ends' addresses inside simulated memory, every
+   access of the loop is, and nothing in the body can fail: integer
+   division, the one other operation that can, keeps a loop off the
+   kernels. Otherwise the per-iteration closure runs the loop and fails
+   where it always failed, with every access before the failing one
+   probed.
+
+   Inside the kernel each site's byte address is a register in
+   [st.addr] that advances by the site's stride, and a site whose span
+   lies inside one memory chunk reads and writes that chunk's bytes
+   ([st.chunk]). An assignment [a[..] op= x], [x * y] or [x * y * z]
+   whose factors are loads, float slots or literals evaluates without a
+   closure per node; any other statement runs closures with its loads
+   and its store on the registers. Each site is probed at its own
+   number, in the per-iteration path's order, each store rounds to f32,
+   the loop variable holds each iteration's value and then the final
+   one, and the loop adds [trips] times its per-iteration count when it
+   exits, as the per-iteration closure does. *)
+
+exception Not_a_kernel
+
+type factor =
+  | Load of { site : int; stride : int }
+  | Slot of int  (** a float slot *)
+  | Lit of float
+
+type kstep =
+  | Product of { site : int; stride : int; op : Ast.assign_op; factors : factor array }
+      (** [a[..] op= f0 * f1 * f2], multiplied left to right; 1 to 3 factors *)
+  | Closure of code
+
+type ksite = {
+  id : int;  (** the site's number on the per-iteration path *)
+  arr : int;
+  subs : (state -> int) array;
+  deltas : int array;  (** each subscript's change per iteration *)
+  dims : int array;
+  stride : int;  (** bytes per iteration *)
+}
+
+type kernel = {
+  var : int;  (** the loop variable's slot *)
+  step : int;
+  sites : ksite array;
+  steps : kstep array;
+  loads : int;  (** per iteration *)
+  stores : int;
+  max_trips : int;  (** past it, a subscript's change over the loop could overflow *)
+}
+
+let chunk_mask = Sim.Memory.chunk_size - 1
+
+(* A load, store or update at [addr], through [c] when it is the chunk
+   that holds [addr], through [Sim.Memory] when it is [Bytes.empty]. *)
+
+let[@inline always] load_at st site addr c =
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_load st.cpu ~site ~addr;
+  if c != Bytes.empty then Int32.float_of_bits (Bytes.get_int32_le c (addr land chunk_mask))
+  else Sim.Memory.read_f32 st.memory addr
+
+let[@inline always] store_at st site addr c v =
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
+  if c != Bytes.empty then Bytes.set_int32_le c (addr land chunk_mask) (Int32.bits_of_float v)
+  else Sim.Memory.write_f32 st.memory addr v
+
+let[@inline always] update_at st site addr c op v =
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_update st.cpu ~site ~addr;
+  if c != Bytes.empty then begin
+    let off = addr land chunk_mask in
+    Bytes.set_int32_le c off
+      (Int32.bits_of_float (assign_f op (Int32.float_of_bits (Bytes.get_int32_le c off)) v))
+  end
+  else Sim.Memory.write_f32 st.memory addr (assign_f op (Sim.Memory.read_f32 st.memory addr) v)
+
+let[@inline always] assign_at st site addr c op v =
+  match op with
+  | Ast.Set -> store_at st site addr c v
+  | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign -> update_at st site addr c op v
+
+(* The same, at the site's register and chunk. *)
+let[@inline always] kernel_load st site =
+  load_at st site (Array.unsafe_get st.addr site) (Array.unsafe_get st.chunk site)
+
+let[@inline always] kernel_assign st site op v =
+  assign_at st site (Array.unsafe_get st.addr site) (Array.unsafe_get st.chunk site) op v
+
+let[@inline always] factor st = function
+  | Load { site; _ } -> kernel_load st site
+  | Slot slot -> Array.unsafe_get st.floats slot
+  | Lit x -> x
+
+let run_step st = function
+  | Product { site; op; factors; _ } ->
+      let n = Array.length factors in
+      let x = factor st (Array.unsafe_get factors 0) in
+      let x = if n > 1 then x *. factor st (Array.unsafe_get factors 1) else x in
+      let x = if n > 2 then x *. factor st (Array.unsafe_get factors 2) else x in
+      kernel_assign st site op x
+  | Closure code -> code st
+
+(* Sets each site's register to its first address and takes its chunk,
+   sets the loop variable to its first value, and tells whether every
+   subscript stays in bounds and every address inside memory for
+   [trips] iterations. A site whose span crosses a chunk boundary goes
+   through [Sim.Memory]. *)
+let kernel_enter st kn ~lo ~trips =
+  Array.unsafe_set st.ints kn.var lo;
+  let inside = ref true in
+  for j = 0 to Array.length kn.sites - 1 do
+    let s = Array.unsafe_get kn.sites j in
+    let first = ref 0 and last = ref 0 in
+    for d = 0 to Array.length s.dims - 1 do
+      let dim = Array.unsafe_get s.dims d in
+      let v0 = (Array.unsafe_get s.subs d) st in
+      let v1 = v0 + (Array.unsafe_get s.deltas d * (trips - 1)) in
+      if v0 < 0 || v0 >= dim || v1 < 0 || v1 >= dim then inside := false;
+      first := (!first * dim) + v0;
+      last := (!last * dim) + v1
+    done;
+    let base = (Array.unsafe_get st.arrays s.arr).base in
+    let a0 = base + (4 * !first) and a1 = base + (4 * !last) in
+    let low = Int.min a0 a1 and high = Int.max a0 a1 + 4 in
+    if low < 0 || high > st.memory_bytes then inside := false
+    else begin
+      Array.unsafe_set st.addr s.id a0;
+      Array.unsafe_set st.chunk s.id
+        (if low lxor (high - 1) <= chunk_mask then Sim.Memory.chunk_at st.memory low
+         else Bytes.empty)
+    end
+  done;
+  !inside
+
+let run_steps st kn ~lo ~trips =
+  let ints = st.ints and addr = st.addr and sites = kn.sites and steps = kn.steps in
+  let i = ref lo in
+  for _ = 1 to trips do
+    Array.unsafe_set ints kn.var !i;
+    for k = 0 to Array.length steps - 1 do
+      run_step st (Array.unsafe_get steps k)
+    done;
+    for j = 0 to Array.length sites - 1 do
+      let s = Array.unsafe_get sites j in
+      Array.unsafe_set addr s.id (Array.unsafe_get addr s.id + s.stride)
+    done;
+    i := !i + kn.step
+  done
+
+(* A one-statement product, the shape of every PolyBench and graph
+   multiply-accumulate, with its registers and chunks in locals. Its
+   factors are invariant unless they are loads, since the statement
+   assigns an array element. *)
+
+let[@inline always] factor_at st f addr c =
+  match f with
+  | Load { site; _ } -> load_at st site addr c
+  | Slot slot -> Array.unsafe_get st.floats slot
+  | Lit x -> x
+
+let register st = function Load { site; _ } -> Array.unsafe_get st.addr site | Slot _ | Lit _ -> 0
+let chunk st = function Load { site; _ } -> Array.unsafe_get st.chunk site | Slot _ | Lit _ -> Bytes.empty
+let stride = function Load { stride; _ } -> stride | Slot _ | Lit _ -> 0
+
+let run_product st ~site ~stride:target_stride ~op ~factors ~trips =
+  let n = Array.length factors in
+  let f0 = Array.unsafe_get factors 0 in
+  let f1 = Array.unsafe_get factors (Int.min 1 (n - 1)) in
+  let f2 = Array.unsafe_get factors (Int.min 2 (n - 1)) in
+  let c0 = chunk st f0 and c1 = chunk st f1 and c2 = chunk st f2 in
+  let d0 = stride f0 and d1 = stride f1 and d2 = stride f2 in
+  let ct = Array.unsafe_get st.chunk site in
+  let a0 = ref (register st f0) and a1 = ref (register st f1) and a2 = ref (register st f2) in
+  let at = ref (Array.unsafe_get st.addr site) in
+  for _ = 1 to trips do
+    let x = factor_at st f0 !a0 c0 in
+    let x = if n > 1 then x *. factor_at st f1 !a1 c1 else x in
+    let x = if n > 2 then x *. factor_at st f2 !a2 c2 else x in
+    assign_at st site !at ct op x;
+    a0 := !a0 + d0;
+    a1 := !a1 + d1;
+    a2 := !a2 + d2;
+    at := !at + target_stride
+  done
+
+(* The loop as one closure, [per_iteration] where a kernel may not run
+   it. [trips] is what the per-iteration loop would count: the body
+   does not assign the loop variable, and the variable's last value
+   plus the step does not overflow. *)
+let kernel_loop kn ~lo ~hi ~iteration (per_iteration : code) : code =
+ fun st ->
+  let lo = lo st and hi = hi st in
+  if lo >= hi then Array.unsafe_set st.ints kn.var lo
+  else begin
+    let span = hi - lo in
+    let trips =
+      if span <= 0 then 0 else if kn.step = 1 then span else ((span - 1) / kn.step) + 1
+    in
+    if
+      trips > 0
+      && trips - 1 <= kn.max_trips
+      && lo + ((trips - 1) * kn.step) <= max_int - kn.step
+      && kernel_enter st kn ~lo ~trips
+    then begin
+      (match kn.steps with
+      | [| Product { site; stride; op; factors } |] ->
+          run_product st ~site ~stride ~op ~factors ~trips
+      | _ -> run_steps st kn ~lo ~trips);
+      Array.unsafe_set st.ints kn.var (lo + (trips * kn.step));
+      st.loads <- st.loads + (trips * kn.loads);
+      st.stores <- st.stores + (trips * kn.stores);
+      add_pending st iteration trips
+    end
+    else per_iteration st
+  end
+
+(* The value of an integer expression of literals. *)
+let rec literal (e : Ast.expr) =
+  match e with
+  | Ast.Int_lit n -> Some n
+  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul) as op), a, b) -> (
+      match (literal a, literal b) with Some x, Some y -> Some (int_op op x y) | _ -> None)
+  | Ast.Neg a -> Option.map Int.neg (literal a)
+  | Ast.Binop (Ast.Div, _, _) | Ast.Float_lit _ | Ast.Var _ | Ast.Index _ -> None
+
+(* Coefficients stay small enough that no product of two overflows. *)
+let max_coefficient = 1 lsl 24
+
+let bounded c = if Int.abs c > max_coefficient then raise Not_a_kernel else c
+
+(* The coefficient of the loop variable (slot [var]) in a subscript;
+   [Not_a_kernel] when the subscript is not affine in it, with integer
+   slots in [assigned] not counting as terms. *)
+let rec coefficient env ~var ~assigned (e : Ast.expr) =
+  let coef = coefficient env ~var ~assigned in
+  match e with
+  | Ast.Int_lit _ -> 0
+  | Ast.Var name -> (
+      match lookup env name with
+      | Bint slot when slot = var -> 1
+      | Bint slot when not (List.mem slot assigned) -> 0
+      | Bint _ | Bfloat _ | Barr _ -> raise Not_a_kernel)
+  | Ast.Binop (Ast.Add, a, b) -> bounded (coef a + coef b)
+  | Ast.Binop (Ast.Sub, a, b) -> bounded (coef a - coef b)
+  | Ast.Binop (Ast.Mul, a, b) -> (
+      match (coef a, coef b) with
+      | 0, 0 -> 0
+      | c, 0 -> ( match literal b with Some n -> bounded (c * bounded n) | None -> raise Not_a_kernel)
+      | 0, c -> ( match literal a with Some n -> bounded (bounded n * c) | None -> raise Not_a_kernel)
+      | _ -> raise Not_a_kernel)
+  | Ast.Neg a -> -coef a
+  | Ast.Binop (Ast.Div, _, _) | Ast.Float_lit _ | Ast.Index _ -> raise Not_a_kernel
+
+(* The factors of [x], [x * y] or [x * y * z] (nested to the left), each
+   a load, a float slot or a float literal. *)
+let product_factors env (e : Ast.expr) =
+  let is_factor = function
+    | Ast.Index _ | Ast.Float_lit _ -> true
+    | Ast.Var name -> ( match lookup env name with Bfloat _ -> true | Bint _ | Barr _ -> false)
+    | Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _ -> false
+  in
+  let rec go = function
+    | Ast.Binop (Ast.Mul, a, b) when is_factor b -> (
+        match go a with Some fs when List.length fs < 3 -> Some (fs @ [ b ]) | _ -> None)
+    | e when is_factor e -> Some [ e ]
+    | _ -> None
+  in
+  go e
+
+(* A float expression whose loads read the registers: [compile_expr]'s
+   evaluation order and values, a load site from [site] per [Index]. *)
+let rec kernel_value env s site (e : Ast.expr) : value =
+  match e with
+  | Ast.Index (name, indices) ->
+      let id, _ = site name indices `Load in
+      Float (fun st -> setf st (kernel_load st id))
+  | Ast.Binop (op, a, b) -> (
+      let a = kernel_value env s site a in
+      let b = kernel_value env s site b in
+      match (a, b) with
+      | Int _, Int _ when op = Ast.Div -> raise Not_a_kernel
+      | Int ca, Int cb ->
+          Int
+            (fun st ->
+              let x = ca st in
+              int_op op x (cb st))
+      | a, b ->
+          let ca = as_float a in
+          let cb = as_float b in
+          Float
+            (fun st ->
+              ca st;
+              let x = getf st in
+              cb st;
+              setf st (float_op op x (getf st))))
+  | Ast.Neg a -> (
+      match kernel_value env s site a with
+      | Int ca -> Int (fun st -> -ca st)
+      | Float ca ->
+          Float
+            (fun st ->
+              ca st;
+              setf st (-.getf st)))
+  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Var _ -> compile_expr env s (new_count ()) e
+
+(* The kernel of an innermost loop whose per-iteration body was compiled
+   with its first site numbered [first_site], or [None] when the loop
+   does not qualify. Sites are numbered as the per-iteration compile
+   numbered them: each assignment's target, then its right-hand side's
+   loads, left to right. *)
+let loop_kernel_exn env s ~var ~step ~first_site (body : Ir.stmt list) =
+  let assigned =
+    List.filter_map
+      (function
+        | Ir.Assign { lhs = { Ast.base; indices = [] }; _ } -> (
+            match lookup env base with Bint slot -> Some slot | Bfloat _ | Barr _ -> None)
+        | Ir.Assign _ -> None
+        | Ir.For _ | Ir.Decl_scalar _ | Ir.Decl_array _ | Ir.Call _ | Ir.Roi_begin | Ir.Roi_end ->
+            raise Not_a_kernel)
+      body
+  in
+  let next = ref first_site and sites = ref [] and loads = ref 0 and stores = ref 0 in
+  let site name indices kind =
+    let arr, dims =
+      match lookup env name with
+      | Barr (arr, dims) when List.length dims = List.length indices -> (arr, Array.of_list dims)
+      | Barr _ | Bint _ | Bfloat _ -> raise Not_a_kernel
+    in
+    let deltas =
+      Array.of_list
+        (List.map
+           (fun e ->
+             let c = coefficient env ~var ~assigned e in
+             if Int.abs c > (1 lsl 40) / step then raise Not_a_kernel;
+             c * step)
+           indices)
+    in
+    let subs =
+      Array.of_list
+        (List.map
+           (fun e ->
+             match compile_expr env s (new_count ()) e with
+             | Int f -> f
+             | Float _ -> raise Not_a_kernel)
+           indices)
+    in
+    let elems = ref 0 in
+    Array.iteri (fun d delta -> elems := (!elems * dims.(d)) + delta) deltas;
+    let id = !next in
+    incr next;
+    sites := { id; arr; subs; deltas; dims; stride = 4 * !elems } :: !sites;
+    (match kind with
+    | `Load -> incr loads
+    | `Store -> incr stores
+    | `Update ->
+        incr loads;
+        incr stores);
+    (id, 4 * !elems)
+  in
+  let kernel_step = function
+    | Ir.Assign { lhs; op; rhs } -> (
+        match (lookup env lhs.Ast.base, lhs.Ast.indices) with
+        | Barr _, indices -> (
+            let target, stride =
+              site lhs.Ast.base indices (if op = Ast.Set then `Store else `Update)
+            in
+            match product_factors env rhs with
+            | Some fs ->
+                let factors =
+                  Array.of_list
+                    (List.map
+                       (function
+                         | Ast.Index (name, indices) ->
+                             let site, stride = site name indices `Load in
+                             Load { site; stride }
+                         | Ast.Float_lit x -> Lit x
+                         | Ast.Var name -> (
+                             match lookup env name with
+                             | Bfloat slot -> Slot slot
+                             | Bint _ | Barr _ -> raise Not_a_kernel)
+                         | Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _ -> raise Not_a_kernel)
+                       fs)
+                in
+                Product { site = target; stride; op; factors }
+            | None ->
+                let rhs = as_float (kernel_value env s site rhs) in
+                Closure
+                  (fun st ->
+                    rhs st;
+                    kernel_assign st target op (getf st)))
+        | Bfloat slot, [] ->
+            let rhs = as_float (kernel_value env s site rhs) in
+            Closure
+              (fun st ->
+                rhs st;
+                Array.unsafe_set st.floats slot
+                  (assign_f op (Array.unsafe_get st.floats slot) (getf st)))
+        | Bint slot, [] -> (
+            match kernel_value env s site rhs with
+            | Int rhs ->
+                Closure
+                  (fun st ->
+                    let v = rhs st in
+                    Array.unsafe_set st.ints slot (assign_i op (Array.unsafe_get st.ints slot) v))
+            | Float _ -> raise Not_a_kernel)
+        | (Bint _ | Bfloat _), _ :: _ -> raise Not_a_kernel)
+    | Ir.For _ | Ir.Decl_scalar _ | Ir.Decl_array _ | Ir.Call _ | Ir.Roi_begin | Ir.Roi_end ->
+        raise Not_a_kernel
+  in
+  if step <= 0 || List.mem var assigned then raise Not_a_kernel;
+  (* left to right, as the per-iteration compile numbered the sites *)
+  let steps = List.fold_left (fun acc stmt -> kernel_step stmt :: acc) [] body in
+  assert (!next = s.n_site);
+  let sites = Array.of_list (List.rev !sites) in
+  let widest =
+    Array.fold_left
+      (fun m site -> Array.fold_left (fun m d -> Int.max m (Int.abs d)) m site.deltas)
+      1 sites
+  in
+  {
+    var;
+    step;
+    sites;
+    steps = Array.of_list (List.rev steps);
+    loads = !loads;
+    stores = !stores;
+    max_trips = max_int / widest;
+  }
+
+let loop_kernel env s ~var ~step ~first_site body =
+  match loop_kernel_exn env s ~var ~step ~first_site body with
+  | kernel -> Some kernel
+  | exception Not_a_kernel -> None
+
 let rec compile_stmt env s k (stmt : Ir.stmt) =
   match stmt with
-  | Ir.For { var; lo; hi; step; body } when not (List.exists reads_counters body) ->
+  | Ir.For { var; lo; hi; step; body = stmts } when not (List.exists reads_counters stmts) ->
       let lo = int_expr env s k "loop bound" lo in
       let hi = int_expr env s k "loop bound" hi in
       let slot = new_int s in
       let iteration = new_count () in
-      let body = compile_block ((var, Bint slot) :: env) s (Some iteration) body in
+      let first_site = s.n_site in
+      let body_env = (var, Bint slot) :: env in
+      let body = compile_block body_env s (Some iteration) stmts in
       bump iteration alu;
       bump iteration branch;
+      let per_iteration st =
+        let lo = lo st in
+        let hi = hi st in
+        let ints = st.ints in
+        Array.unsafe_set ints slot lo;
+        let trips = ref 0 in
+        while Array.unsafe_get ints slot < hi do
+          run_block body st;
+          incr trips;
+          Array.unsafe_set ints slot (Array.unsafe_get ints slot + step)
+        done;
+        if !trips > 0 then add_pending st iteration !trips
+      in
       ( env,
-        fun st ->
-          let lo = lo st in
-          let hi = hi st in
-          let ints = st.ints in
-          Array.unsafe_set ints slot lo;
-          let trips = ref 0 in
-          while Array.unsafe_get ints slot < hi do
-            run_block body st;
-            incr trips;
-            Array.unsafe_set ints slot (Array.unsafe_get ints slot + step)
-          done;
-          if !trips > 0 then add_pending st iteration !trips )
+        match
+          if s.kernels then loop_kernel body_env s ~var:slot ~step ~first_site stmts else None
+        with
+        | Some kn -> kernel_loop kn ~lo ~hi ~iteration per_iteration
+        | None -> per_iteration )
   | Ir.For { var; lo; hi; step; body } ->
       let bounds = new_count () in
       let lo = int_expr env s bounds "loop bound" lo in
@@ -714,6 +1175,8 @@ type prepared = {
   n_ints : int;
   n_floats : int;
   n_arrays : int;
+  n_sites : int;
+  written : int list;  (** array slots the program may write *)
   body : code array;
 }
 
@@ -728,15 +1191,26 @@ let bind_param s (p : Ast.param) =
     | Ast.Tfloat -> Bfloat (new_float s)
     | Ast.Tvoid -> fail "parameter '%s' has type void" p.Ast.pname
 
-let prepare (f : Ir.func) : program =
+let compile ~kernels (f : Ir.func) : program =
   match
-    let s = { n_int = 0; n_float = 0; n_arr = 0; n_site = 0 } in
+    let s = { n_int = 0; n_float = 0; n_arr = 0; n_site = 0; written = []; kernels } in
     let params = List.map (fun (p : Ast.param) -> (p.Ast.pname, bind_param s p)) f.Ir.params in
     let body = compile_block params s None f.Ir.body in
-    { params; n_ints = s.n_int; n_floats = s.n_float; n_arrays = s.n_arr; body }
+    {
+      params;
+      n_ints = s.n_int;
+      n_floats = s.n_float;
+      n_arrays = s.n_arr;
+      n_sites = s.n_site;
+      written = s.written;
+      body;
+    }
   with
   | prepared -> Ok prepared
   | exception Exec_error msg -> Error msg
+
+let prepare f = compile ~kernels:true f
+let prepare_reference f = compile ~kernels:false f
 
 type arg = Aint of int * int | Afloat of int * float | Aarray of int * int list * Interp.arr
 
@@ -778,6 +1252,8 @@ let exec (program : program) ~platform ~args =
       miss_cycles = 0;
       memory_bytes = (Sim.Memory.config platform.Platform.memory).Sim.Memory.size_bytes;
       roi_open = false;
+      addr = Array.make (max 1 p.n_sites) 0;
+      chunk = Array.make (max 1 p.n_sites) Bytes.empty;
     }
   in
   let staged =
@@ -794,7 +1270,7 @@ let exec (program : program) ~platform ~args =
             let info = alloc_array st dims in
             st.arrays.(slot) <- info;
             stage_in st arr info;
-            (info, arr) :: staged)
+            if List.mem slot p.written then (info, arr) :: staged else staged)
       [] bound
   in
   (* A failed run leaves its platform as usable as a completed one: what

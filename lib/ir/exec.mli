@@ -49,6 +49,10 @@ val prepare : Ir.func -> program
     (unbound name, rank mismatch, ...) yields a program whose every
     {!exec} raises that error. *)
 
+val prepare_reference : Ir.func -> program
+(** [prepare] without loop kernels: every loop runs one closure per
+    iteration. The reference the loop kernels are tested against. *)
+
 val exec : program -> platform:Platform.t -> args:(string * Interp.value) list -> metrics
 (** Run a prepared program. Mutates [Varray] arguments in place with
     the final memory contents. Raises {!Exec_error} on argument

@@ -35,14 +35,6 @@ let gemv ?(trans_a = No_transpose) ~alpha ~beta ~a ~x ~y () =
     y.(i) <- (alpha *. !acc) +. (beta *. y.(i))
   done
 
-let gemm_batched ~alpha ~beta ~a ~b ~c () =
-  let na = List.length a and nb = List.length b and nc = List.length c in
-  if na <> nb || nb <> nc then invalid_arg "Blas_ref.gemm_batched: batch sizes differ";
-  List.iter2
-    (fun a (b, c) -> gemm ~alpha ~beta ~a ~b ~c ())
-    a
-    (List.combine b c)
-
 let conv2d ~input ~kernel =
   let ir = Mat.rows input and ic = Mat.cols input in
   let kr = Mat.rows kernel and kc = Mat.cols kernel in
@@ -55,9 +47,3 @@ let conv2d ~input ~kernel =
         done
       done;
       !acc)
-
-let dot x y =
-  if Array.length x <> Array.length y then invalid_arg "Blas_ref.dot: length mismatch";
-  let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) x;
-  !acc

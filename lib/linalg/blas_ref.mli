@@ -30,21 +30,7 @@ val gemv :
   unit
 (** In-place GEMV on [y]: [y <- alpha*op(A)*x + beta*y]. *)
 
-val gemm_batched :
-  alpha:float ->
-  beta:float ->
-  a:Mat.t list ->
-  b:Mat.t list ->
-  c:Mat.t list ->
-  unit ->
-  unit
-(** Pointwise batched GEMM (no transposition); the paper's
-    [cimBlasGemmBatched] counterpart. Lists must have equal length. *)
-
 val conv2d : input:Mat.t -> kernel:Mat.t -> Mat.t
 (** Valid 2-D convolution (no padding, stride 1); output size
     [(rows input - rows kernel + 1) x (cols input - cols kernel + 1)].
     The paper's [conv] benchmark. *)
-
-val dot : float array -> float array -> float
-(** Dot product; lengths must match. *)

@@ -44,7 +44,6 @@ let set m i j v = m.data.(index m i j) <- v
 let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 let copy m = { m with data = Array.copy m.data }
 let transpose m = init ~rows:m.cols ~cols:m.rows ~f:(fun i j -> get m j i)
-let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
 let map ~f m = { m with data = Array.map f m.data }
 

@@ -42,9 +42,6 @@ val set : t -> int -> int -> float -> unit
 val copy : t -> t
 val transpose : t -> t
 
-val row : t -> int -> float array
-(** Copy of row [i]. *)
-
 val col : t -> int -> float array
 (** Copy of column [j]. *)
 

@@ -35,9 +35,6 @@ type stats = {
   flushed_bytes : int;
 }
 
-let zero_stats =
-  { hits = 0; misses = 0; evictions = 0; writebacks = 0; flushes = 0; flushed_bytes = 0 }
-
 (* Line state lives in flat per-cache arrays indexed [set * ways +
    way], not in a record per line: [access] sits under every simulated
    load and store, so a probe must not chase pointers, and a platform
@@ -367,14 +364,6 @@ let stats t =
     flushes = t.flushes;
     flushed_bytes = t.flushed_bytes;
   }
-
-let reset_stats t =
-  t.hits <- zero_stats.hits;
-  t.misses <- zero_stats.misses;
-  t.evictions <- zero_stats.evictions;
-  t.writebacks <- zero_stats.writebacks;
-  t.flushes <- zero_stats.flushes;
-  t.flushed_bytes <- zero_stats.flushed_bytes
 
 let dirty_lines t =
   let n = ref 0 in

@@ -97,6 +97,5 @@ val flush : t -> Time_base.ps
     to the number of lines filled since the previous flush. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val dirty_lines : t -> int

@@ -76,6 +76,10 @@ let chunk t idx =
     c
   end
 
+let chunk_at t addr =
+  check_range t addr 1;
+  chunk t (addr lsr chunk_bits)
+
 let read_u8 t addr =
   check_range t addr 1;
   Char.code (Bytes.get (stored t (addr lsr chunk_bits)) (addr land offset_mask))

@@ -41,6 +41,25 @@ val write_f32 : t -> int -> float -> unit
 (** Rounds to binary32 before storing. Allocation-free on the in-chunk
     fast path, like {!read_f32}. *)
 
+(** {2 Direct chunk access}
+
+    A caller that streams f32 values through one part of memory can
+    take the chunk that holds it once and read and write its bytes
+    itself, as the executor's loop kernels do. *)
+
+val chunk_size : int
+(** 65,536: memory is kept in chunks of this many bytes, each starting
+    at a multiple of its size. *)
+
+val chunk_at : t -> int -> Bytes.t
+(** [chunk_at t addr] is the chunk that holds [addr]: byte
+    [addr mod chunk_size] of the result is byte [addr] of memory, for
+    as long as [t] exists, so reading and writing the result reads and
+    writes memory ({!read_f32} and {!write_f32} see the same bytes). A
+    chunk nothing was written to yet is allocated here, zeroed, as the
+    first write into it would allocate it. Raises [Invalid_argument]
+    when [addr] is outside memory. *)
+
 val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
 

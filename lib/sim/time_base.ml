@@ -8,4 +8,3 @@ let period_ps ~freq_hz =
   int_of_float (Float.round (1e12 /. freq_hz))
 
 let seconds_of_ps ps = float_of_int ps /. 1e12
-let ps_of_seconds s = int_of_float (Float.round (s *. 1e12))

@@ -15,4 +15,3 @@ val period_ps : freq_hz:float -> ps
     [Invalid_argument] on a non-positive frequency. *)
 
 val seconds_of_ps : ps -> float
-val ps_of_seconds : float -> ps

@@ -8,8 +8,6 @@ let create ~seed =
   Bytes.set_int64_ne t 0 (Int64.of_int seed);
   t
 
-let copy = Bytes.copy
-
 (* splitmix64: fast, good statistical quality, trivially seedable.
    Inlined into callers so the Int64 mixing chain, the state update and
    the float/int results all stay unboxed there. *)

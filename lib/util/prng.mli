@@ -9,9 +9,6 @@ val create : seed:int -> t
 (** [create ~seed] returns a fresh generator. Two generators created
     with the same seed produce identical streams. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
 val int : t -> bound:int -> int
 (** [int g ~bound] draws uniformly in [\[0, bound)]. Requires
     [bound > 0]. *)

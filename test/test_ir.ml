@@ -742,3 +742,280 @@ let suites =
           QCheck_alcotest.to_alcotest qcheck_prepared_program_reuse;
         ] );
     ]
+
+(* ---------- loop kernels against the per-iteration path ----------
+
+   Random innermost loops whose subscripts are affine in the loop
+   variable, inside an outer loop whose variable is a loop-invariant
+   term, run once with loop kernels ([Exec.prepare]) and once one
+   closure per iteration ([Exec.prepare_reference]), each twice on a
+   fresh platform of its own. Arrays [A] and [B] are parameters behind
+   a padding array sized to put them across a 64 KB chunk boundary;
+   [C] is a local array, which simulated memory may end inside. The
+   caches are the Table I ones or a tiny pair that evicts, so the
+   order of the probes shows in the statistics. Everything a run
+   leaves must match: its outcome (ROI numbers or error text), the
+   core's counters, both caches' statistics and dirty lines, the
+   arguments' bits and the bytes of every array in memory. *)
+
+type kernel_case = {
+  pad : int;  (** elements of the padding array in front of [A] *)
+  shapes : int list array;  (** dims of [A], [B] and [C] *)
+  alpha : float;
+  outer : int;
+  lo : int;
+  hi : int;
+  step : int;
+  stmts : Ir.stmt list;
+  memory : int option;  (** bytes of simulated memory past [C]'s base, when it ends there *)
+  tiny_caches : bool;
+  seed : int;
+}
+
+let kernel_array_names = [| "A"; "B"; "C" |]
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let v x = Ast.Var x and lit n = Ast.Int_lit n in
+  let ( +: ) a b = Ast.Binop (Ast.Add, a, b) and ( *: ) a b = Ast.Binop (Ast.Mul, a, b) in
+  int_range 1 3 >>= fun outer ->
+  int_range (-1) 2 >>= fun lo ->
+  int_range (-1) 7 >>= fun trips ->
+  frequency [ (4, return 1); (1, return 2); (1, return 3) ] >>= fun step ->
+  (* [c * i + o + off], with [off] most often keeping it in [0, extent)
+     over the loop, and otherwise leaving it at some iteration *)
+  let subscript extent =
+    let span c with_outer =
+      let last = lo + (Int.max 0 (trips - 1) * step) in
+      let low = Int.min (c * lo) (c * last) and high = Int.max (c * lo) (c * last) in
+      (low, if with_outer then high + outer - 1 else high)
+    in
+    let fits (c, with_outer) =
+      let low, high = span c with_outer in
+      -low <= extent - 1 - high
+    in
+    pair
+      (frequency [ (4, return 0); (8, return 1); (1, return (-1)); (1, return 2); (1, return (-2)) ])
+      (frequency [ (3, return false); (1, return true) ])
+    >>= fun term ->
+    (if fits term then return term else frequency [ (3, return (0, false)); (1, return term) ])
+    >>= fun ((c, with_outer) as term) ->
+    let low, high = span c with_outer in
+    let leaves = int_range (Int.min (-low - 2) (extent + 1 - high)) (-low + 2) in
+    (if fits term then frequency [ (29, int_range (-low) (extent - 1 - high)); (1, leaves) ]
+     else leaves)
+    >|= fun off ->
+    let var = match c with 0 -> [] | 1 -> [ v "i" ] | c -> [ lit c *: v "i" ] in
+    let terms = var @ (if with_outer then [ v "o" ] else []) @ [ lit off ] in
+    List.fold_left ( +: ) (List.hd terms) (List.tl terms)
+  in
+  let access shapes =
+    int_bound 2 >>= fun a ->
+    flatten_l (List.map subscript shapes.(a)) >|= fun subs -> (kernel_array_names.(a), subs)
+  in
+  let factor shapes =
+    frequency
+      [
+        (5, access shapes >|= fun (a, subs) -> Ast.Index (a, subs));
+        (1, return (v "alpha"));
+        (1, oneofl [ Ast.Float_lit 0.5; Ast.Float_lit (-1.25); Ast.Float_lit 0.1 ]);
+      ]
+  in
+  let product fs = List.fold_left ( *: ) (List.hd fs) (List.tl fs) in
+  let stmt shapes =
+    let assign (a, subs) op rhs = Ir.Assign { lhs = { Ast.base = a; indices = subs }; op; rhs } in
+    frequency
+      [
+        (* multiply-accumulate *)
+        ( 4,
+          map3
+            (fun target op fs -> assign target op (product fs))
+            (access shapes)
+            (oneofl Ast.[ Add_assign; Add_assign; Sub_assign; Mul_assign; Set ])
+            (list_size (int_range 2 3) (factor shapes)) );
+        (* store and scale *)
+        (2, map2 (fun target f -> assign target Ast.Set f) (access shapes) (factor shapes));
+        (2, map2 (fun target f -> assign target Ast.Mul_assign f) (access shapes) (factor shapes));
+        (* shapes that run as closures *)
+        ( 1,
+          map3
+            (fun target a b -> assign target Ast.Add_assign (Ast.Binop (Ast.Add, a, b)))
+            (access shapes) (factor shapes) (factor shapes) );
+        ( 1,
+          map2
+            (fun a b ->
+              Ir.Assign { lhs = { Ast.base = "acc"; indices = [] }; op = Ast.Add_assign; rhs = a *: b })
+            (factor shapes) (factor shapes) );
+      ]
+  in
+  let shape = int_range 1 3 >>= fun rank -> list_repeat rank (int_range 1 16) in
+  array_repeat 3 shape >>= fun shapes ->
+  list_size (int_range 1 3) (stmt shapes) >>= fun stmts ->
+  int_range 0 6 >>= fun below ->
+  frequency [ (3, return None); (1, map Option.some (int_bound 300)) ] >>= fun memory ->
+  bool >>= fun tiny_caches ->
+  oneofl [ 1.5; 1.1; -0.75 ] >>= fun alpha ->
+  int_bound 1000 >|= fun seed ->
+  {
+    pad = (65536 - (64 * below)) / 4;
+    shapes;
+    alpha;
+    outer;
+    lo;
+    hi = lo + (trips * step) - (if trips > 0 then step - 1 else 0);
+    step;
+    stmts;
+    memory;
+    tiny_caches;
+    seed;
+  }
+
+let kernel_case_func c =
+  let v x = Ast.Var x and lit n = Ast.Int_lit n in
+  let param name dims = { Ast.pname = name; ptyp = Ast.Tfloat; dims } in
+  let origin a = List.map (fun _ -> lit 0) c.shapes.(a) in
+  {
+    Ir.name = "kernel_case";
+    params =
+      [
+        param "pad" [ c.pad ];
+        param "A" c.shapes.(0);
+        param "B" c.shapes.(1);
+        { Ast.pname = "alpha"; ptyp = Ast.Tfloat; dims = [] };
+      ];
+    body =
+      [
+        Ir.Roi_begin;
+        Ir.Decl_scalar { name = "acc"; typ = Ast.Tfloat; init = Some (Ast.Float_lit 0.25) };
+        Ir.Decl_array { name = "C"; dims = c.shapes.(2) };
+        Ir.For
+          {
+            var = "o";
+            lo = lit 0;
+            hi = lit c.outer;
+            step = 1;
+            body = [ Ir.For { var = "i"; lo = lit c.lo; hi = lit c.hi; step = c.step; body = c.stmts } ];
+          };
+        Ir.Assign { lhs = { Ast.base = "A"; indices = origin 0 }; op = Ast.Add_assign; rhs = v "acc" };
+        Ir.Roi_end;
+      ];
+  }
+
+(* Where [exec] places each array: from the heap base, in declaration
+   order, 64-byte aligned. *)
+let kernel_case_layout c =
+  let bytes dims = 4 * List.fold_left ( * ) 1 dims in
+  let next at dims = (at + bytes dims + 63) / 64 * 64 in
+  let a = next 0x0100_0000 [ c.pad ] in
+  let b = next a c.shapes.(0) in
+  let local = next b c.shapes.(1) in
+  (a, local, next local c.shapes.(2))
+
+let kernel_case_platform c =
+  let _, local, _ = kernel_case_layout c in
+  let memory =
+    match c.memory with
+    | None -> Sim.Memory.default_config
+    | Some past -> { Sim.Memory.default_config with Sim.Memory.size_bytes = local + (4 * past) }
+  in
+  let config = { Platform.default_config with Platform.memory } in
+  let config =
+    if c.tiny_caches then
+      {
+        config with
+        Platform.l1d = { Sim.Cache.l1d_arm_a7 with Sim.Cache.size_bytes = 512; ways = 2 };
+        l2 = { Sim.Cache.l2_arm_a7 with Sim.Cache.size_bytes = 2048; ways = 4 };
+      }
+    else config
+  in
+  Platform.create ~config ()
+
+let kernel_case_args c =
+  let g = Prng.create ~seed:c.seed in
+  [
+    ("pad", Interp.Varray (Interp.make_array ~dims:[ c.pad ]));
+    ("A", Interp.Varray (Kernels.random_arr g ~dims:c.shapes.(0)));
+    ("B", Interp.Varray (Kernels.random_arr g ~dims:c.shapes.(1)));
+    ("alpha", Interp.Vfloat c.alpha);
+  ]
+
+(* Everything two runs of the case leave behind, as text. *)
+let kernel_case_outcome c program =
+  let platform = kernel_case_platform c in
+  let run () =
+    let args = kernel_case_args c in
+    let outcome =
+      match Exec.exec program ~platform ~args with
+      | m -> Printf.sprintf "roi=%d/%d/%d" m.Exec.roi_instructions m.Exec.roi_cycles m.Exec.roi_time_ps
+      | exception Exec.Exec_error msg -> "exec error: " ^ msg
+      | exception Invalid_argument msg -> "invalid argument: " ^ msg
+    in
+    let cpu = Platform.cpu platform in
+    let bits =
+      List.concat_map
+        (function
+          | ("A" | "B") as name, Interp.Varray arr ->
+              name :: List.map (Printf.sprintf "%h") (Array.to_list arr.Interp.data)
+          | _ -> [])
+        args
+    in
+    let a, _, past_c = kernel_case_layout c in
+    let size = (Sim.Memory.config platform.Platform.memory).Sim.Memory.size_bytes in
+    let memory = Sim.Memory.read_bytes platform.Platform.memory a (Int.min past_c size - a) in
+    Printf.sprintf "%s core=%d/%d/%d l1d=%s/%d l2=%s/%d args=%s memory=%s" outcome
+      (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu) (Sim.Cpu.time_ps cpu)
+      (cache_row platform.Platform.l1d)
+      (Sim.Cache.dirty_lines platform.Platform.l1d)
+      (cache_row platform.Platform.l2)
+      (Sim.Cache.dirty_lines platform.Platform.l2)
+      (String.concat "," bits)
+      (Digest.to_hex (Digest.bytes memory))
+  in
+  let first = run () in
+  first ^ "\n" ^ run ()
+
+let print_kernel_case c =
+  Format.asprintf "pad=%d memory=%s tiny_caches=%b seed=%d alpha=%h@.%a" c.pad
+    (match c.memory with None -> "2 GB" | Some past -> Printf.sprintf "C + %d floats" past)
+    c.tiny_caches c.seed c.alpha Ir.pp_func (kernel_case_func c)
+
+let qcheck_loop_kernels_exact =
+  QCheck.Test.make ~name:"loop kernels equal the per-iteration executor" ~count:600
+    (QCheck.make ~print:print_kernel_case kernel_case_gen)
+    (fun c ->
+      let f = kernel_case_func c in
+      let kernels = kernel_case_outcome c (Exec.prepare f) in
+      let reference = kernel_case_outcome c (Exec.prepare_reference f) in
+      if kernels <> reference then
+        QCheck.Test.fail_reportf "kernels:@.%s@.reference:@.%s" kernels reference;
+      true)
+
+(* [exec] copies back only the arrays the program may write: an input
+   it never writes keeps a value that binary32 cannot hold. *)
+let test_exec_writes_back_only_written () =
+  let f =
+    Lower.func
+      (Parser.parse_func
+         "void f(float x[2], float y[2]) { for (int i = 0; i < 2; i++) y[i] = x[i] * 2.0; }")
+  in
+  let x = Interp.make_array ~dims:[ 2 ] and y = Interp.make_array ~dims:[ 2 ] in
+  x.Interp.data.(0) <- 0.1;
+  x.Interp.data.(1) <- -1.0 /. 3.0;
+  ignore
+    (Exec.run f ~platform:(Platform.create ()) ~args:[ ("x", Interp.Varray x); ("y", Interp.Varray y) ]);
+  Alcotest.(check (array (float 0.0))) "the input keeps its doubles" [| 0.1; -1.0 /. 3.0 |] x.Interp.data;
+  let f32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+  Alcotest.(check (array (float 0.0))) "the output is written back"
+    [| f32 (f32 0.1 *. 2.0); f32 (f32 (-1.0 /. 3.0) *. 2.0) |]
+    y.Interp.data
+
+let suites =
+  suites
+  @ [
+      ( "ir.loop_kernels",
+        [
+          QCheck_alcotest.to_alcotest qcheck_loop_kernels_exact;
+          Alcotest.test_case "write-back of written arrays only" `Quick
+            test_exec_writes_back_only_written;
+        ] );
+    ]

@@ -29,11 +29,6 @@ let test_mat_transpose () =
     (Mat.of_arrays [| [| 1.0; 4.0 |]; [| 2.0; 5.0 |]; [| 3.0; 6.0 |] |])
     t
 
-let test_mat_row_col () =
-  let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Alcotest.(check (array (float 0.0))) "row" [| 3.0; 4.0 |] (Mat.row m 1);
-  Alcotest.(check (array (float 0.0))) "col" [| 2.0; 4.0 |] (Mat.col m 1)
-
 let test_mat_copy_isolated () =
   let m = Mat.create ~rows:2 ~cols:2 in
   let c = Mat.copy m in
@@ -106,14 +101,6 @@ let test_gemm_as_gemvs () =
   done;
   Alcotest.check mat_testable "gemm = gemv per column" c c'
 
-let test_batched_gemm () =
-  let a1 = Mat.of_arrays [| [| 1.0 |] |] and b1 = Mat.of_arrays [| [| 2.0 |] |] in
-  let a2 = Mat.of_arrays [| [| 3.0 |] |] and b2 = Mat.of_arrays [| [| 4.0 |] |] in
-  let c1 = Mat.create ~rows:1 ~cols:1 and c2 = Mat.create ~rows:1 ~cols:1 in
-  Blas_ref.gemm_batched ~alpha:1.0 ~beta:0.0 ~a:[ a1; a2 ] ~b:[ b1; b2 ] ~c:[ c1; c2 ] ();
-  Alcotest.(check (float 1e-9)) "batch 0" 2.0 (Mat.get c1 0 0);
-  Alcotest.(check (float 1e-9)) "batch 1" 12.0 (Mat.get c2 0 0)
-
 let test_conv2d_known () =
   let input = Mat.of_arrays [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |]; [| 7.0; 8.0; 9.0 |] |] in
   let kernel = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
@@ -121,9 +108,6 @@ let test_conv2d_known () =
   Alcotest.check mat_testable "valid conv"
     (Mat.of_arrays [| [| 6.0; 8.0 |]; [| 12.0; 14.0 |] |])
     out
-
-let test_dot () =
-  Alcotest.(check (float 1e-9)) "dot" 32.0 (Blas_ref.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |])
 
 let test_quant_roundtrip_exact_codes () =
   let s = Quant.scheme_for ~bits:8 ~max_abs:127.0 in
@@ -197,7 +181,6 @@ let suites =
         Alcotest.test_case "bounds checks" `Quick test_mat_bounds;
         Alcotest.test_case "ragged input" `Quick test_mat_of_arrays_ragged;
         Alcotest.test_case "transpose" `Quick test_mat_transpose;
-        Alcotest.test_case "row/col" `Quick test_mat_row_col;
         Alcotest.test_case "copy isolation" `Quick test_mat_copy_isolated;
         QCheck_alcotest.to_alcotest qcheck_transpose_involution;
       ] );
@@ -210,9 +193,7 @@ let suites =
         Alcotest.test_case "gemv known values" `Quick test_gemv_known;
         Alcotest.test_case "gemv transpose" `Quick test_gemv_transpose;
         Alcotest.test_case "gemm = column gemvs" `Quick test_gemm_as_gemvs;
-        Alcotest.test_case "batched gemm" `Quick test_batched_gemm;
         Alcotest.test_case "conv2d known values" `Quick test_conv2d_known;
-        Alcotest.test_case "dot" `Quick test_dot;
         QCheck_alcotest.to_alcotest qcheck_gemm_linearity;
         QCheck_alcotest.to_alcotest qcheck_conv_impulse;
       ] );

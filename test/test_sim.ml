@@ -1036,25 +1036,10 @@ let test_bus_transfer_count () =
   Alcotest.(check bool) "negative size rejected" true
     (match Bus.transfer b ~bytes:(-1) with _ -> false | exception Invalid_argument _ -> true)
 
-let test_cache_dirty_then_reset () =
-  let c = Cache.create ~next:(fun _ ~addr:_ ~bytes:_ -> 10) () in
-  ignore (Cache.access c Cache.Write ~addr:0);
-  ignore (Cache.access c Cache.Write ~addr:4);
-  Alcotest.(check int) "same line stays one dirty line" 1 (Cache.dirty_lines c);
-  Cache.reset_stats c;
-  Alcotest.(check int) "stats cleared" 0 (Cache.stats c).Cache.hits;
-  Alcotest.(check int) "state survives stats reset" 1 (Cache.dirty_lines c)
-
-let test_time_roundtrip () =
-  Alcotest.(check int) "ps_of_seconds inverse" 1_500_000
-    (Time_base.ps_of_seconds (Time_base.seconds_of_ps 1_500_000))
-
 let edge_suite =
   ( "sim.edges",
     [
       Alcotest.test_case "bus transfer count" `Quick test_bus_transfer_count;
-      Alcotest.test_case "cache dirty/reset" `Quick test_cache_dirty_then_reset;
-      Alcotest.test_case "time roundtrip" `Quick test_time_roundtrip;
     ] )
 
 let suites = suites @ [ edge_suite ]

@@ -6,17 +6,6 @@ let test_prng_determinism () =
     Alcotest.(check int) "same stream" (Prng.int a ~bound:max_int) (Prng.int b ~bound:max_int)
   done
 
-let test_prng_copy_independent () =
-  let a = Prng.create ~seed:7 in
-  let draw g = Prng.int g ~bound:max_int in
-  let _ = draw a in
-  let b = Prng.copy a in
-  Alcotest.(check int) "copy continues stream" (draw a) (draw b);
-  let _ = draw a in
-  (* advancing a must not advance b *)
-  let va = draw a and vb = draw b in
-  Alcotest.(check bool) "streams diverge after unequal draws" true (va <> vb)
-
 let test_prng_int_bounds () =
   let g = Prng.create ~seed:1 in
   for _ = 1 to 1000 do
@@ -110,7 +99,6 @@ let suites =
     ( "util.prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
-        Alcotest.test_case "copy independence" `Quick test_prng_copy_independent;
         Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
         Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
         Alcotest.test_case "float range" `Quick test_prng_float_range;
