@@ -284,6 +284,61 @@ let flow_reproduced ~after_events ~a ~b =
     after_events;
   !reached
 
+(* The arrays a subtree reads at a cell it may not have written earlier
+   in the same iteration of its loops: the reads that can see a value
+   from before the subtree. A statement leaf's read is covered by an
+   earlier leaf that writes the same cell in the same loop iterations:
+   the writer's bands are a prefix of the reader's, and the subscripts
+   mention no iterator of the reader's other bands. So conv's
+   [out[i][j] += ...] after [out[i][j] = 0.0] reads only what the nest
+   wrote, while gemm's [C[i][j] *= beta] reads C's old value. Reads in
+   [Code] subtrees always count. *)
+let exposed_reads t =
+  let leaves = Array.of_list (St.stmts_with_context t) in
+  let covered i (r : Access.t) =
+    let bands, _ = leaves.(i) in
+    let rec prefix ws bs =
+      match (ws, bs) with
+      | [], _ -> true
+      | w :: ws, b :: bs -> w == b && prefix ws bs
+      | _ :: _, [] -> false
+    in
+    let fixed wbands =
+      let moving =
+        List.filter_map
+          (fun (b : St.band) -> if List.memq b wbands then None else Some b.St.iter)
+          bands
+      in
+      List.for_all
+        (fun idx -> List.for_all (fun v -> not (List.mem v moving)) (Affine.vars idx))
+        r.Access.indices
+    in
+    let rec scan j =
+      j < i
+      &&
+      let wbands, (w : St.stmt_info) = leaves.(j) in
+      (prefix wbands bands && Access.equal w.St.write r && fixed wbands) || scan (j + 1)
+    in
+    scan 0
+  in
+  let exposed = ref Strings.empty in
+  Array.iteri
+    (fun i (_, (s : St.stmt_info)) ->
+      let reads = if s.St.op = Ast.Set then s.St.reads else s.St.write :: s.St.reads in
+      List.iter
+        (fun (r : Access.t) ->
+          if not (covered i r) then exposed := Strings.add r.Access.array !exposed)
+        reads)
+    leaves;
+  let rec code = function
+    | St.Code _ as c -> exposed := Strings.union (fst (Regions.arrays c)) !exposed
+    | St.Band (_, child) | St.Mark (_, child) -> code child
+    | St.Seq children -> List.iter code children
+    | St.Stmt _ -> ()
+  in
+  code t;
+  !exposed
+
 let check_dataflow ~before ~after =
   let diags = ref [] in
   let emit d = diags := !diags @ [ d ] in
@@ -303,12 +358,13 @@ let check_dataflow ~before ~after =
           (Diag.errorf "E106" ~hint:"the rewrite must still compute every output array"
              "rewrite lost all writes to '%s'" arr))
     writes_b;
-  (* dropped reads are suspicious but can be legal (e.g. beta = 0) *)
+  (* a dropped read of a value from before the nest is suspicious but
+     can be legal (e.g. beta = 0) *)
   Strings.iter
     (fun arr ->
       if not (Strings.mem arr reads_a) then
         emit (Diag.warningf "W108" "rewrite no longer reads '%s'" arr))
-    reads_b;
+    (union Fun.id (List.map exposed_reads ev_b));
   (* illegal fusion inside batched launches *)
   List.iter emit (check_batched after);
   (* array-granularity flow dependences must be reproducible *)

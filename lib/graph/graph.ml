@@ -217,8 +217,11 @@ let name_seed s =
    and kept for the last size asked for: at most one n x n matrix per
    weight of each graph served, so the table stays small and outside
    anything a scheduler retains. [make_args] runs on worker domains,
-   hence the lock. Each request gets its own copy, because a run writes
-   every argument array back. *)
+   hence the lock. Each request gets its own copy: a request's argument
+   arrays are its own, and whatever runs it ([Exec.exec], the host
+   path's [Interp.run]) writes back the arrays its program writes. A
+   graph program never writes a weight, but the shared table must not
+   rest on that. *)
 let weight_data : (string, int * float array) Hashtbl.t = Hashtbl.create 16
 let weight_lock = Mutex.create ()
 

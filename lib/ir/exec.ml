@@ -647,7 +647,8 @@ type kstep =
 type ksite = {
   id : int;  (** the site's number on the per-iteration path *)
   arr : int;
-  subs : (state -> int) array;
+  vars : int array;  (** each subscript's integer slot when it is a plain variable, or -1 *)
+  subs : (state -> int) array;  (** each subscript, for those that are not *)
   deltas : int array;  (** each subscript's change per iteration *)
   dims : int array;
   stride : int;  (** bytes per iteration *)
@@ -726,7 +727,10 @@ let kernel_enter st kn ~lo ~trips =
     let first = ref 0 and last = ref 0 in
     for d = 0 to Array.length s.dims - 1 do
       let dim = Array.unsafe_get s.dims d in
-      let v0 = (Array.unsafe_get s.subs d) st in
+      let var = Array.unsafe_get s.vars d in
+      let v0 =
+        if var >= 0 then Array.unsafe_get st.ints var else (Array.unsafe_get s.subs d) st
+      in
       let v1 = v0 + (Array.unsafe_get s.deltas d * (trips - 1)) in
       if v0 < 0 || v0 >= dim || v1 < 0 || v1 >= dim then inside := false;
       first := (!first * dim) + v0;
@@ -948,6 +952,14 @@ let loop_kernel_exn env s ~var ~step ~first_site (body : Ir.stmt list) =
              c * step)
            indices)
     in
+    let vars =
+      Array.of_list
+        (List.map
+           (function
+             | Ast.Var name -> ( match lookup env name with Bint slot -> slot | _ -> -1)
+             | _ -> -1)
+           indices)
+    in
     let subs =
       Array.of_list
         (List.map
@@ -961,7 +973,7 @@ let loop_kernel_exn env s ~var ~step ~first_site (body : Ir.stmt list) =
     Array.iteri (fun d delta -> elems := (!elems * dims.(d)) + delta) deltas;
     let id = !next in
     incr next;
-    sites := { id; arr; subs; deltas; dims; stride = 4 * !elems } :: !sites;
+    sites := { id; arr; vars; subs; deltas; dims; stride = 4 * !elems } :: !sites;
     (match kind with
     | `Load -> incr loads
     | `Store -> incr stores

@@ -22,9 +22,29 @@
     every simulated number equals one-instruction-at-a-time charging.
     DESIGN.md ("The executor") gives the counting rules.
 
+    An innermost loop whose body holds only assignments, with every
+    array subscript affine in the loop variable (a compile-time
+    coefficient plus terms the body does not assign), and no integer
+    division, also compiles into a loop kernel: one closure for the
+    whole loop. At loop entry it checks each access site's subscripts
+    at the first and the last iteration, and its address inside
+    simulated memory; if all hold, each site's address is a register
+    that advances by its stride, a site whose span lies inside one
+    memory chunk reads and writes that chunk's bytes
+    ({!Tdo_sim.Memory.chunk_at}), and a statement [a[..] op= x [* y [* z]]]
+    over loads, float scalars and literals runs without a closure per
+    node. Otherwise the loop runs one closure per iteration and fails
+    exactly as it always did. Either way every load and store probes
+    the L1D at its own site in program order, every store rounds to
+    binary32, and the counts, the loop variable's final value and every
+    simulated number are the same ({!prepare_reference} is the
+    per-iteration reference).
+
     Array arguments are staged into simulated main memory before the
-    run and copied back afterwards (uncharged — PolyBench
-    initialisation sits outside the ROI markers). *)
+    run (uncharged — PolyBench initialisation sits outside the ROI
+    markers). Afterwards the arrays the program may write — those it
+    assigns, or copies back with [polly_cimDevToHost] — are copied back
+    into their arguments; the others keep their values, bit for bit. *)
 
 module Interp = Tdo_lang.Interp
 module Platform = Tdo_runtime.Platform
@@ -54,8 +74,8 @@ val prepare_reference : Ir.func -> program
     iteration. The reference the loop kernels are tested against. *)
 
 val exec : program -> platform:Platform.t -> args:(string * Interp.value) list -> metrics
-(** Run a prepared program. Mutates [Varray] arguments in place with
-    the final memory contents. Raises {!Exec_error} on argument
+(** Run a prepared program. Mutates the [Varray] arguments the program
+    may write in place with their final memory contents. Raises {!Exec_error} on argument
     mismatch (a missing argument, an array of other dimensions, or a
     scalar of the other kind than the declared type), out-of-bounds
     accesses, runtime-call misuse, or a device error. A run that raises

@@ -76,9 +76,11 @@ let chunk t idx =
     c
   end
 
-let chunk_at t addr =
-  check_range t addr 1;
-  chunk t (addr lsr chunk_bits)
+let[@inline] chunk_at t addr =
+  if addr < 0 || addr >= t.limit then check_range t addr 1;
+  let idx = addr lsr chunk_bits in
+  let c = stored t idx in
+  if c != no_chunk then c else chunk t idx
 
 let read_u8 t addr =
   check_range t addr 1;

@@ -315,6 +315,82 @@ void chain(float C[8][8], float D[8][8], float A[8][8], float B[8][8], float E[8
   Alcotest.(check (list string)) "pipeline stays legal" []
     (codes (Diag.errors (Legality.check ~before ~after:legal)))
 
+(* A read the nest itself fed is not a dropped read: conv's
+   [out[i][j] += ...] reads only what [out[i][j] = 0.0] wrote, and the
+   beta = 0 lowering that never reads [out] verifies clean. *)
+let test_legality_conv_verifies_clean () =
+  let src = (Result.get_ok (Kernels.find "conv")).Kernels.source ~n:16 in
+  let checked = Pipeline.run_checked ~verify:true (lower src) in
+  (match checked.Pipeline.outcome with
+  | Pipeline.Offloaded r -> Alcotest.(check int) "offloaded" 1 r.Offload.kernels_offloaded
+  | _ -> Alcotest.fail "conv was not offloaded");
+  Alcotest.(check (list string)) "no diagnostics" [] (codes checked.Pipeline.diagnostics)
+
+(* gemm's [C[i][j] *= beta] reads C's old value, so a rewrite with
+   beta = 0 that never copies C in, computing into a temporary and
+   copying that over C, still draws W108. *)
+let test_legality_dropped_old_value_warns () =
+  let before = tree_of (gemm_src 8) in
+  let whole a = Ir.mat_ref_whole ~array:a ~rows:8 ~cols:8 () in
+  let v x = Ast.Var x and i n = Ast.Int_lit n in
+  let copy_back =
+    Ir.For
+      {
+        var = "i";
+        lo = i 0;
+        hi = i 8;
+        step = 1;
+        body =
+          [
+            Ir.For
+              {
+                var = "j";
+                lo = i 0;
+                hi = i 8;
+                step = 1;
+                body =
+                  [
+                    Ir.Assign
+                      {
+                        lhs = { Ast.base = "C"; indices = [ v "i"; v "j" ] };
+                        op = Ast.Set;
+                        rhs = Ast.Index ("T", [ v "i"; v "j" ]);
+                      };
+                  ];
+              };
+          ];
+      }
+  in
+  let after =
+    St.Code
+      (List.map (fun c -> Ir.Call c)
+         [
+           Ir.Cim_init;
+           Ir.Cim_alloc { array = "A" };
+           Ir.Cim_alloc { array = "B" };
+           Ir.Cim_alloc { array = "T" };
+           Ir.Cim_h2d { array = "A" };
+           Ir.Cim_h2d { array = "B" };
+           Ir.Cim_gemm
+             {
+               m = 8;
+               n = 8;
+               k = 8;
+               alpha = Ast.Var "alpha";
+               beta = Ast.Float_lit 0.0;
+               a = whole "A";
+               b = whole "B";
+               c = whole "T";
+               pin = Ir.Pin_b;
+             };
+           Ir.Cim_d2h { array = "T" };
+         ]
+      @ [ copy_back ])
+  in
+  let ds = Legality.check ~before ~after in
+  Alcotest.(check (list string)) "warning only" [ "W108" ] (codes ds);
+  check_mentions "W108" (message_with "W108" ds) [ "'C'" ]
+
 (* ---------- Bounds ---------- *)
 
 let test_bounds_overflow_witness () =
@@ -1036,6 +1112,8 @@ let suites =
         Alcotest.test_case "offload rewrite ok" `Quick test_legality_offload_rewrite_ok;
         Alcotest.test_case "lost write" `Quick test_legality_lost_write;
         Alcotest.test_case "illegal fusion" `Quick test_legality_illegal_fusion;
+        Alcotest.test_case "conv verifies clean" `Quick test_legality_conv_verifies_clean;
+        Alcotest.test_case "dropped old value warns" `Quick test_legality_dropped_old_value_warns;
         QCheck_alcotest.to_alcotest qcheck_mutated_trees_rejected;
       ] );
     ( "analysis.bounds",
