@@ -1214,7 +1214,7 @@ let compile ~kernels (f : Ir.func) : program =
       n_floats = s.n_float;
       n_arrays = s.n_arr;
       n_sites = s.n_site;
-      written = s.written;
+      written = List.sort_uniq compare s.written;
       body;
     }
   with
