@@ -11,6 +11,7 @@ type metrics = {
   roi_time_ps : int;
   used_cim : bool;
   cim_launches : int;
+  kernel_iterations : int;
 }
 
 exception Exec_error of string
@@ -47,6 +48,7 @@ type state = {
   chunk : Bytes.t array;
       (** by site: the memory chunk a running loop kernel's site reads
           and writes directly, or [Bytes.empty] *)
+  mutable kernel_iterations : int;  (** iterations run as loop kernels *)
 }
 
 let heap_base = 0x0100_0000
@@ -126,6 +128,40 @@ let[@inline always] store st site addr v =
   st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
   Sim.Memory.write_f32 st.memory addr v
 
+(* ---------- access sites ----------
+
+   Every array access of the program, a load or an assignment's
+   target, is one site: the record both the per-iteration closure and a
+   loop kernel's entry check read. Its address is row-major, each
+   subscript checked in order; a subscript that is an integer variable
+   is read from its slot in place, any other runs its closure. *)
+
+type site = {
+  id : int;  (** the site's number *)
+  arr : int;  (** the array's slot *)
+  extents : int array;
+  vars : int array;  (** each subscript's integer slot when it is a plain variable, or -1 *)
+  subs : (state -> int) array;  (** each other subscript's closure *)
+  exprs : Ast.expr array;  (** the subscripts *)
+}
+
+let[@inline always] check_index idx dim =
+  if idx < 0 || idx >= dim then fail "index %d out of bound %d" idx dim
+
+let[@inline always] subscript st s d =
+  let var = Array.unsafe_get s.vars d in
+  if var >= 0 then Array.unsafe_get st.ints var else (Array.unsafe_get s.subs d) st
+
+let[@inline always] address st s =
+  let flat = ref 0 in
+  for d = 0 to Array.length s.extents - 1 do
+    let idx = subscript st s d in
+    let dim = Array.unsafe_get s.extents d in
+    check_index idx dim;
+    flat := (!flat * dim) + idx
+  done;
+  (Array.unsafe_get st.arrays s.arr).base + (4 * !flat)
+
 (* ---------- binding ----------
 
    [prepare] compiles the IR in one pass: each identifier resolves to a
@@ -139,6 +175,7 @@ type slots = {
   mutable n_float : int;
   mutable n_arr : int;
   mutable n_site : int;  (** load and store sites *)
+  mutable last_sites : site list;  (** the sites of the assignment compiled last, latest first *)
   mutable written : int list;
       (** array slots the program assigns or copies back from the device *)
   kernels : bool;  (** compile qualifying innermost loops as loop kernels *)
@@ -158,11 +195,6 @@ let new_arr s =
   let slot = s.n_arr in
   s.n_arr <- slot + 1;
   slot
-
-let new_site s =
-  let site = s.n_site in
-  s.n_site <- site + 1;
-  site
 
 let lookup env name =
   match List.assoc_opt name env with
@@ -188,14 +220,6 @@ type value =
   | Int of (state -> int)
   | Float of code  (** leaves its result in [st.facc] *)
 
-(* How an array access finds its byte address. A rank-1 or rank-2
-   access subscripted by integer variables reads their slots in place;
-   any other access runs a closure per subscript. *)
-type address =
-  | Var1 of { arr : int; i : int; d0 : int }
-  | Var2 of { arr : int; i : int; j : int; d0 : int; d1 : int }
-  | Computed of (state -> int)
-
 let[@inline always] int_op op x y =
   match op with
   | Ast.Add -> x + y
@@ -212,26 +236,12 @@ let[@inline always] float_op op x y =
   | Ast.Mul -> x *. y
   | Ast.Div -> x /. y
 
-let[@inline always] check_index idx dim =
-  if idx < 0 || idx >= dim then fail "index %d out of bound %d" idx dim
-
-(* Row-major, checking the subscripts in order. *)
-let[@inline always] address st = function
-  | Var1 { arr; i; d0 } ->
-      let i = Array.unsafe_get st.ints i in
-      check_index i d0;
-      (Array.unsafe_get st.arrays arr).base + (4 * i)
-  | Var2 { arr; i; j; d0; d1 } ->
-      let i = Array.unsafe_get st.ints i in
-      check_index i d0;
-      let j = Array.unsafe_get st.ints j in
-      check_index j d1;
-      (Array.unsafe_get st.arrays arr).base + (4 * ((i * d1) + j))
-  | Computed f -> f st
-
 let as_float = function
   | Float f -> f
   | Int f -> fun st -> setf st (float_of_int (f st))
+
+(* The closure slot of a subscript read in place: never called. *)
+let in_place : state -> int = fun _ -> 0
 
 let rec compile_expr env s k (e : Ast.expr) : value =
   match e with
@@ -243,9 +253,8 @@ let rec compile_expr env s k (e : Ast.expr) : value =
       | Bfloat slot -> Float (fun st -> setf st (Array.unsafe_get st.floats slot))
       | Barr _ -> fail "array '%s' used as a scalar" name)
   | Ast.Index (name, indices) ->
-      let place = compile_address env s k name indices in
-      let site = new_site s in
-      Float (fun st -> setf st (load st site (address st place)))
+      let site = compile_site env s k name indices in
+      Float (fun st -> setf st (load st site.id (address st site)))
   | Ast.Binop (op, a, b) -> (
       (* left operand first, so that sites are numbered in source order *)
       let a = compile_expr env s k a in
@@ -279,40 +288,33 @@ let rec compile_expr env s k (e : Ast.expr) : value =
               ca st;
               setf st (-.getf st)))
 
-(* Byte address of a row-major element; one [Int_alu] per dimension. *)
-and compile_address env s k name indices : address =
+(* The next site, an access of array [name]; one [Int_alu] per
+   dimension. *)
+and compile_site env s k name indices : site =
   match lookup env name with
-  | Barr (slot, dims) -> (
+  | Barr (arr, dims) ->
       if List.length indices <> List.length dims then fail "array '%s': rank mismatch" name;
       k.(alu) <- k.(alu) + List.length dims;
       let int_var = function
         | Ast.Var v -> ( match List.assoc_opt v env with Some (Bint i) -> i | _ -> -1)
         | _ -> -1
       in
-      match (List.map int_var indices, dims) with
-      | [ i ], [ d0 ] when i >= 0 -> Var1 { arr = slot; i; d0 }
-      | [ i; j ], [ d0; d1 ] when i >= 0 && j >= 0 -> Var2 { arr = slot; i; j; d0; d1 }
-      | _ ->
-          let idxs =
-            Array.of_list
-              (List.map
-                 (fun e ->
-                   match compile_expr env s k e with
-                   | Int f -> f
-                   | Float _ -> fail "non-integer subscript")
-                 indices)
-          in
-          let dims = Array.of_list dims in
-          Computed
-            (fun st ->
-              let flat = ref 0 in
-              for i = 0 to Array.length dims - 1 do
-                let idx = (Array.unsafe_get idxs i) st in
-                let dim = Array.unsafe_get dims i in
-                check_index idx dim;
-                flat := (!flat * dim) + idx
-              done;
-              (Array.unsafe_get st.arrays slot).base + (4 * !flat)))
+      let exprs = Array.of_list indices in
+      let vars = Array.map int_var exprs in
+      let subs =
+        Array.mapi
+          (fun d e ->
+            if vars.(d) >= 0 then in_place
+            else
+              match compile_expr env s k e with
+              | Int f -> f
+              | Float _ -> fail "non-integer subscript")
+          exprs
+      in
+      let site = { id = s.n_site; arr; extents = Array.of_list dims; vars; subs; exprs } in
+      s.n_site <- s.n_site + 1;
+      s.last_sites <- site :: s.last_sites;
+      site
   | Bint _ | Bfloat _ -> fail "scalar '%s' indexed" name
 
 let int_expr env s k what e =
@@ -548,11 +550,11 @@ let[@inline always] run_block (block : code array) st =
   done
 
 let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
+  s.last_sites <- [];
   match (lookup env lhs.Ast.base, lhs.Ast.indices) with
   | Barr (slot, _), indices -> (
       s.written <- slot :: s.written;
-      let place = compile_address env s k lhs.Ast.base indices in
-      let site = new_site s in
+      let site = compile_site env s k lhs.Ast.base indices in
       let rhs =
         match (op, rhs) with
         | Ast.Add_assign, Ast.Binop (Ast.Mul, a, b) ->
@@ -578,14 +580,14 @@ let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
       match op with
       | Ast.Set ->
           fun st ->
-            let addr = address st place in
+            let addr = address st site in
             rhs st;
-            store st site addr (getf st)
+            store st site.id addr (getf st)
       | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
           fun st ->
-            let addr = address st place in
+            let addr = address st site in
             rhs st;
-            update st site addr op (getf st))
+            update st site.id addr op (getf st))
   | Bfloat slot, [] ->
       let rhs = as_float (compile_expr env s k rhs) in
       if op <> Ast.Set then bump k fadd;
@@ -606,31 +608,30 @@ let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
 
 (* ---------- loop kernels ----------
 
-   An innermost loop whose body holds assignments only, and whose every
-   array subscript is affine in the loop variable (a compile-time
-   coefficient times the variable, plus terms the body does not
-   assign), also compiles into a kernel: one closure that runs the
-   whole loop. At loop entry the kernel evaluates each access site's
-   subscripts at the first iteration and derives them at the last. A
-   subscript moves linearly with the iteration, so when both ends are
-   in bounds, and both ends' addresses inside simulated memory, every
-   access of the loop is, and nothing in the body can fail: integer
-   division, the one other operation that can, keeps a loop off the
-   kernels. Otherwise the per-iteration closure runs the loop and fails
-   where it always failed, with every access before the failing one
-   probed.
+   An innermost loop with a positive step whose body is one assignment
+   [a[..] op= x], [x * y] or [x * y * z], each factor a load, a float
+   scalar or a float literal, and whose every subscript is affine in
+   the loop variable (a compile-time coefficient times the variable,
+   plus integer terms, which the one array assignment cannot change),
+   also compiles into a kernel: one closure that runs the whole loop
+   from the sites its per-iteration compile built. At loop entry the
+   kernel evaluates each site's subscripts at the first iteration and
+   derives them at the last. A subscript moves linearly with the
+   iteration, so when both ends are in bounds, and both ends' addresses
+   inside simulated memory, every access of the loop is, and nothing in
+   the loop can fail: an affine subscript holds no integer division.
+   Otherwise the per-iteration closure runs the loop and fails where it
+   always failed, with every access before the failing one probed. Any
+   other loop runs its per-iteration closure.
 
-   Inside the kernel each site's byte address is a register in
-   [st.addr] that advances by the site's stride, and a site whose span
-   lies inside one memory chunk reads and writes that chunk's bytes
-   ([st.chunk]). An assignment [a[..] op= x], [x * y] or [x * y * z]
-   whose factors are loads, float slots or literals evaluates without a
-   closure per node; any other statement runs closures with its loads
-   and its store on the registers. Each site is probed at its own
-   number, in the per-iteration path's order, each store rounds to f32,
-   the loop variable holds each iteration's value and then the final
-   one, and the loop adds [trips] times its per-iteration count when it
-   exits, as the per-iteration closure does. *)
+   Inside the kernel each site's byte address advances by the site's
+   stride, and a site whose span lies inside one memory chunk reads and
+   writes that chunk's bytes, with the registers, chunks and factors in
+   locals. Each iteration probes the loads left to right and then the
+   target, at their own site numbers, as the closures do, each store
+   rounds to f32, the loop variable ends at its final value, and the
+   loop adds [trips] times its per-iteration count when it exits, as
+   the per-iteration closure does. *)
 
 exception Not_a_kernel
 
@@ -639,80 +640,44 @@ type factor =
   | Slot of int  (** a float slot *)
   | Lit of float
 
-type kstep =
-  | Product of { site : int; stride : int; op : Ast.assign_op; factors : factor array }
-      (** [a[..] op= f0 * f1 * f2], multiplied left to right; 1 to 3 factors *)
-  | Closure of code
-
-type ksite = {
-  id : int;  (** the site's number on the per-iteration path *)
-  arr : int;
-  vars : int array;  (** each subscript's integer slot when it is a plain variable, or -1 *)
-  subs : (state -> int) array;  (** each subscript, for those that are not *)
-  deltas : int array;  (** each subscript's change per iteration *)
-  dims : int array;
-  stride : int;  (** bytes per iteration *)
-}
-
 type kernel = {
   var : int;  (** the loop variable's slot *)
   step : int;
-  sites : ksite array;
-  steps : kstep array;
+  sites : site array;  (** the statement's sites: its target, then its loads *)
+  deltas : int array array;  (** by site, each subscript's change per iteration *)
+  target : int;  (** the target's site number *)
+  stride : int;  (** the target's bytes per iteration *)
+  op : Ast.assign_op;
+  factors : factor array;  (** 1 to 3, multiplied left to right *)
   loads : int;  (** per iteration *)
-  stores : int;
   max_trips : int;  (** past it, a subscript's change over the loop could overflow *)
 }
 
 let chunk_mask = Sim.Memory.chunk_size - 1
 
-(* A load, store or update at [addr], through [c] when it is the chunk
-   that holds [addr], through [Sim.Memory] when it is [Bytes.empty]. *)
+(* A load, or a store or update, at [addr], through [c] when it is the
+   chunk that holds [addr], through [Sim.Memory] when it is
+   [Bytes.empty]. *)
 
 let[@inline always] load_at st site addr c =
   st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_load st.cpu ~site ~addr;
   if c != Bytes.empty then Int32.float_of_bits (Bytes.get_int32_le c (addr land chunk_mask))
   else Sim.Memory.read_f32 st.memory addr
 
-let[@inline always] store_at st site addr c v =
-  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
-  if c != Bytes.empty then Bytes.set_int32_le c (addr land chunk_mask) (Int32.bits_of_float v)
-  else Sim.Memory.write_f32 st.memory addr v
-
-let[@inline always] update_at st site addr c op v =
-  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_update st.cpu ~site ~addr;
-  if c != Bytes.empty then begin
-    let off = addr land chunk_mask in
-    Bytes.set_int32_le c off
-      (Int32.bits_of_float (assign_f op (Int32.float_of_bits (Bytes.get_int32_le c off)) v))
-  end
-  else Sim.Memory.write_f32 st.memory addr (assign_f op (Sim.Memory.read_f32 st.memory addr) v)
-
 let[@inline always] assign_at st site addr c op v =
   match op with
-  | Ast.Set -> store_at st site addr c v
-  | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign -> update_at st site addr c op v
-
-(* The same, at the site's register and chunk. *)
-let[@inline always] kernel_load st site =
-  load_at st site (Array.unsafe_get st.addr site) (Array.unsafe_get st.chunk site)
-
-let[@inline always] kernel_assign st site op v =
-  assign_at st site (Array.unsafe_get st.addr site) (Array.unsafe_get st.chunk site) op v
-
-let[@inline always] factor st = function
-  | Load { site; _ } -> kernel_load st site
-  | Slot slot -> Array.unsafe_get st.floats slot
-  | Lit x -> x
-
-let run_step st = function
-  | Product { site; op; factors; _ } ->
-      let n = Array.length factors in
-      let x = factor st (Array.unsafe_get factors 0) in
-      let x = if n > 1 then x *. factor st (Array.unsafe_get factors 1) else x in
-      let x = if n > 2 then x *. factor st (Array.unsafe_get factors 2) else x in
-      kernel_assign st site op x
-  | Closure code -> code st
+  | Ast.Set ->
+      st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
+      if c != Bytes.empty then Bytes.set_int32_le c (addr land chunk_mask) (Int32.bits_of_float v)
+      else Sim.Memory.write_f32 st.memory addr v
+  | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
+      st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_update st.cpu ~site ~addr;
+      if c != Bytes.empty then begin
+        let off = addr land chunk_mask in
+        Bytes.set_int32_le c off
+          (Int32.bits_of_float (assign_f op (Int32.float_of_bits (Bytes.get_int32_le c off)) v))
+      end
+      else Sim.Memory.write_f32 st.memory addr (assign_f op (Sim.Memory.read_f32 st.memory addr) v)
 
 (* Sets each site's register to its first address and takes its chunk,
    sets the loop variable to its first value, and tells whether every
@@ -724,14 +689,12 @@ let kernel_enter st kn ~lo ~trips =
   let inside = ref true in
   for j = 0 to Array.length kn.sites - 1 do
     let s = Array.unsafe_get kn.sites j in
+    let deltas = Array.unsafe_get kn.deltas j in
     let first = ref 0 and last = ref 0 in
-    for d = 0 to Array.length s.dims - 1 do
-      let dim = Array.unsafe_get s.dims d in
-      let var = Array.unsafe_get s.vars d in
-      let v0 =
-        if var >= 0 then Array.unsafe_get st.ints var else (Array.unsafe_get s.subs d) st
-      in
-      let v1 = v0 + (Array.unsafe_get s.deltas d * (trips - 1)) in
+    for d = 0 to Array.length s.extents - 1 do
+      let dim = Array.unsafe_get s.extents d in
+      let v0 = subscript st s d in
+      let v1 = v0 + (Array.unsafe_get deltas d * (trips - 1)) in
       if v0 < 0 || v0 >= dim || v1 < 0 || v1 >= dim then inside := false;
       first := (!first * dim) + v0;
       last := (!last * dim) + v1
@@ -749,23 +712,7 @@ let kernel_enter st kn ~lo ~trips =
   done;
   !inside
 
-let run_steps st kn ~lo ~trips =
-  let ints = st.ints and addr = st.addr and sites = kn.sites and steps = kn.steps in
-  let i = ref lo in
-  for _ = 1 to trips do
-    Array.unsafe_set ints kn.var !i;
-    for k = 0 to Array.length steps - 1 do
-      run_step st (Array.unsafe_get steps k)
-    done;
-    for j = 0 to Array.length sites - 1 do
-      let s = Array.unsafe_get sites j in
-      Array.unsafe_set addr s.id (Array.unsafe_get addr s.id + s.stride)
-    done;
-    i := !i + kn.step
-  done
-
-(* A one-statement product, the shape of every PolyBench and graph
-   multiply-accumulate, with its registers and chunks in locals. Its
+(* The loop, with its registers, chunks and factors in locals. Its
    factors are invariant unless they are loads, since the statement
    assigns an array element. *)
 
@@ -779,13 +726,14 @@ let register st = function Load { site; _ } -> Array.unsafe_get st.addr site | S
 let chunk st = function Load { site; _ } -> Array.unsafe_get st.chunk site | Slot _ | Lit _ -> Bytes.empty
 let stride = function Load { stride; _ } -> stride | Slot _ | Lit _ -> 0
 
-let run_product st ~site ~stride:target_stride ~op ~factors ~trips =
+let run_product st kn ~trips =
+  let factors = kn.factors and site = kn.target and op = kn.op in
   let n = Array.length factors in
   let f0 = Array.unsafe_get factors 0 in
   let f1 = Array.unsafe_get factors (Int.min 1 (n - 1)) in
   let f2 = Array.unsafe_get factors (Int.min 2 (n - 1)) in
   let c0 = chunk st f0 and c1 = chunk st f1 and c2 = chunk st f2 in
-  let d0 = stride f0 and d1 = stride f1 and d2 = stride f2 in
+  let d0 = stride f0 and d1 = stride f1 and d2 = stride f2 and dt = kn.stride in
   let ct = Array.unsafe_get st.chunk site in
   let a0 = ref (register st f0) and a1 = ref (register st f1) and a2 = ref (register st f2) in
   let at = ref (Array.unsafe_get st.addr site) in
@@ -797,11 +745,11 @@ let run_product st ~site ~stride:target_stride ~op ~factors ~trips =
     a0 := !a0 + d0;
     a1 := !a1 + d1;
     a2 := !a2 + d2;
-    at := !at + target_stride
+    at := !at + dt
   done
 
-(* The loop as one closure, [per_iteration] where a kernel may not run
-   it. [trips] is what the per-iteration loop would count: the body
+(* The loop as one closure, [per_iteration] where the kernel may not
+   run it. [trips] is what the per-iteration loop would count: the body
    does not assign the loop variable, and the variable's last value
    plus the step does not overflow. *)
 let kernel_loop kn ~lo ~hi ~iteration (per_iteration : code) : code =
@@ -819,13 +767,11 @@ let kernel_loop kn ~lo ~hi ~iteration (per_iteration : code) : code =
       && lo + ((trips - 1) * kn.step) <= max_int - kn.step
       && kernel_enter st kn ~lo ~trips
     then begin
-      (match kn.steps with
-      | [| Product { site; stride; op; factors } |] ->
-          run_product st ~site ~stride ~op ~factors ~trips
-      | _ -> run_steps st kn ~lo ~trips);
+      run_product st kn ~trips;
       Array.unsafe_set st.ints kn.var (lo + (trips * kn.step));
       st.loads <- st.loads + (trips * kn.loads);
-      st.stores <- st.stores + (trips * kn.stores);
+      st.stores <- st.stores + trips;
+      st.kernel_iterations <- st.kernel_iterations + trips;
       add_pending st iteration trips
     end
     else per_iteration st
@@ -846,17 +792,15 @@ let max_coefficient = 1 lsl 24
 let bounded c = if Int.abs c > max_coefficient then raise Not_a_kernel else c
 
 (* The coefficient of the loop variable (slot [var]) in a subscript;
-   [Not_a_kernel] when the subscript is not affine in it, with integer
-   slots in [assigned] not counting as terms. *)
-let rec coefficient env ~var ~assigned (e : Ast.expr) =
-  let coef = coefficient env ~var ~assigned in
+   [Not_a_kernel] when the subscript is not affine in it. *)
+let rec coefficient env ~var (e : Ast.expr) =
+  let coef = coefficient env ~var in
   match e with
   | Ast.Int_lit _ -> 0
   | Ast.Var name -> (
       match lookup env name with
-      | Bint slot when slot = var -> 1
-      | Bint slot when not (List.mem slot assigned) -> 0
-      | Bint _ | Bfloat _ | Barr _ -> raise Not_a_kernel)
+      | Bint slot -> if slot = var then 1 else 0
+      | Bfloat _ | Barr _ -> raise Not_a_kernel)
   | Ast.Binop (Ast.Add, a, b) -> bounded (coef a + coef b)
   | Ast.Binop (Ast.Sub, a, b) -> bounded (coef a - coef b)
   | Ast.Binop (Ast.Mul, a, b) -> (
@@ -868,194 +812,65 @@ let rec coefficient env ~var ~assigned (e : Ast.expr) =
   | Ast.Neg a -> -coef a
   | Ast.Binop (Ast.Div, _, _) | Ast.Float_lit _ | Ast.Index _ -> raise Not_a_kernel
 
-(* The factors of [x], [x * y] or [x * y * z] (nested to the left), each
-   a load, a float slot or a float literal. *)
-let product_factors env (e : Ast.expr) =
-  let is_factor = function
-    | Ast.Index _ | Ast.Float_lit _ -> true
-    | Ast.Var name -> ( match lookup env name with Bfloat _ -> true | Bint _ | Barr _ -> false)
-    | Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _ -> false
-  in
-  let rec go = function
-    | Ast.Binop (Ast.Mul, a, b) when is_factor b -> (
-        match go a with Some fs when List.length fs < 3 -> Some (fs @ [ b ]) | _ -> None)
-    | e when is_factor e -> Some [ e ]
-    | _ -> None
-  in
-  go e
+(* The operands of [x], [x * y] or [x * y * z], nested to the left. *)
+let rec operands = function
+  | Ast.Binop (Ast.Mul, a, b) -> operands a @ [ b ]
+  | e -> [ e ]
 
-(* A float expression whose loads read the registers: [compile_expr]'s
-   evaluation order and values, a load site from [site] per [Index]. *)
-let rec kernel_value env s site (e : Ast.expr) : value =
-  match e with
-  | Ast.Index (name, indices) ->
-      let id, _ = site name indices `Load in
-      Float (fun st -> setf st (kernel_load st id))
-  | Ast.Binop (op, a, b) -> (
-      let a = kernel_value env s site a in
-      let b = kernel_value env s site b in
-      match (a, b) with
-      | Int _, Int _ when op = Ast.Div -> raise Not_a_kernel
-      | Int ca, Int cb ->
-          Int
-            (fun st ->
-              let x = ca st in
-              int_op op x (cb st))
-      | a, b ->
-          let ca = as_float a in
-          let cb = as_float b in
-          Float
-            (fun st ->
-              ca st;
-              let x = getf st in
-              cb st;
-              setf st (float_op op x (getf st))))
-  | Ast.Neg a -> (
-      match kernel_value env s site a with
-      | Int ca -> Int (fun st -> -ca st)
-      | Float ca ->
-          Float
-            (fun st ->
-              ca st;
-              setf st (-.getf st)))
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Var _ -> compile_expr env s (new_count ()) e
-
-(* The kernel of an innermost loop whose per-iteration body was compiled
-   with its first site numbered [first_site], or [None] when the loop
-   does not qualify. Sites are numbered as the per-iteration compile
-   numbered them: each assignment's target, then its right-hand side's
-   loads, left to right. *)
-let loop_kernel_exn env s ~var ~step ~first_site (body : Ir.stmt list) =
-  let assigned =
-    List.filter_map
-      (function
-        | Ir.Assign { lhs = { Ast.base; indices = [] }; _ } -> (
-            match lookup env base with Bint slot -> Some slot | Bfloat _ | Barr _ -> None)
-        | Ir.Assign _ -> None
-        | Ir.For _ | Ir.Decl_scalar _ | Ir.Decl_array _ | Ir.Call _ | Ir.Roi_begin | Ir.Roi_end ->
-            raise Not_a_kernel)
-      body
+(* The kernel of an innermost loop over slot [var] whose body is [body],
+   or [Not_a_kernel]. [sites] are the sites the per-iteration compile
+   built for the body's assignment, latest first: its target, then its
+   loads left to right. *)
+let loop_kernel_exn env ~var ~step (body : Ir.stmt list) sites =
+  let op, operands =
+    match body with
+    | [ Ir.Assign { lhs; op; rhs } ] when step > 0 -> (
+        match lookup env lhs.Ast.base with
+        | Barr _ -> (op, operands rhs)
+        | Bint _ | Bfloat _ -> raise Not_a_kernel)
+    | _ -> raise Not_a_kernel
   in
-  let next = ref first_site and sites = ref [] and loads = ref 0 and stores = ref 0 in
-  let site name indices kind =
-    let arr, dims =
-      match lookup env name with
-      | Barr (arr, dims) when List.length dims = List.length indices -> (arr, Array.of_list dims)
-      | Barr _ | Bint _ | Bfloat _ -> raise Not_a_kernel
-    in
-    let deltas =
-      Array.of_list
-        (List.map
-           (fun e ->
-             let c = coefficient env ~var ~assigned e in
-             if Int.abs c > (1 lsl 40) / step then raise Not_a_kernel;
-             c * step)
-           indices)
-    in
-    let vars =
-      Array.of_list
-        (List.map
-           (function
-             | Ast.Var name -> ( match lookup env name with Bint slot -> slot | _ -> -1)
-             | _ -> -1)
-           indices)
-    in
-    let subs =
-      Array.of_list
-        (List.map
-           (fun e ->
-             match compile_expr env s (new_count ()) e with
-             | Int f -> f
-             | Float _ -> raise Not_a_kernel)
-           indices)
-    in
+  if List.length operands > 3 then raise Not_a_kernel;
+  let sites = Array.of_list (List.rev sites) in
+  let deltas =
+    Array.map
+      (fun site ->
+        Array.map
+          (fun e ->
+            let c = coefficient env ~var e in
+            if Int.abs c > (1 lsl 40) / step then raise Not_a_kernel;
+            c * step)
+          site.exprs)
+      sites
+  in
+  let stride j =
     let elems = ref 0 in
-    Array.iteri (fun d delta -> elems := (!elems * dims.(d)) + delta) deltas;
-    let id = !next in
-    incr next;
-    sites := { id; arr; vars; subs; deltas; dims; stride = 4 * !elems } :: !sites;
-    (match kind with
-    | `Load -> incr loads
-    | `Store -> incr stores
-    | `Update ->
-        incr loads;
-        incr stores);
-    (id, 4 * !elems)
+    Array.iteri (fun d delta -> elems := (!elems * sites.(j).extents.(d)) + delta) deltas.(j);
+    4 * !elems
   in
-  let kernel_step = function
-    | Ir.Assign { lhs; op; rhs } -> (
-        match (lookup env lhs.Ast.base, lhs.Ast.indices) with
-        | Barr _, indices -> (
-            let target, stride =
-              site lhs.Ast.base indices (if op = Ast.Set then `Store else `Update)
-            in
-            match product_factors env rhs with
-            | Some fs ->
-                let factors =
-                  Array.of_list
-                    (List.map
-                       (function
-                         | Ast.Index (name, indices) ->
-                             let site, stride = site name indices `Load in
-                             Load { site; stride }
-                         | Ast.Float_lit x -> Lit x
-                         | Ast.Var name -> (
-                             match lookup env name with
-                             | Bfloat slot -> Slot slot
-                             | Bint _ | Barr _ -> raise Not_a_kernel)
-                         | Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _ -> raise Not_a_kernel)
-                       fs)
-                in
-                Product { site = target; stride; op; factors }
-            | None ->
-                let rhs = as_float (kernel_value env s site rhs) in
-                Closure
-                  (fun st ->
-                    rhs st;
-                    kernel_assign st target op (getf st)))
-        | Bfloat slot, [] ->
-            let rhs = as_float (kernel_value env s site rhs) in
-            Closure
-              (fun st ->
-                rhs st;
-                Array.unsafe_set st.floats slot
-                  (assign_f op (Array.unsafe_get st.floats slot) (getf st)))
-        | Bint slot, [] -> (
-            match kernel_value env s site rhs with
-            | Int rhs ->
-                Closure
-                  (fun st ->
-                    let v = rhs st in
-                    Array.unsafe_set st.ints slot (assign_i op (Array.unsafe_get st.ints slot) v))
-            | Float _ -> raise Not_a_kernel)
-        | (Bint _ | Bfloat _), _ :: _ -> raise Not_a_kernel)
-    | Ir.For _ | Ir.Decl_scalar _ | Ir.Decl_array _ | Ir.Call _ | Ir.Roi_begin | Ir.Roi_end ->
-        raise Not_a_kernel
+  let rec factors j = function
+    | [] -> []
+    | Ast.Index _ :: rest -> Load { site = sites.(j).id; stride = stride j } :: factors (j + 1) rest
+    | Ast.Float_lit x :: rest -> Lit x :: factors j rest
+    | Ast.Var name :: rest -> (
+        match lookup env name with
+        | Bfloat slot -> Slot slot :: factors j rest
+        | Bint _ | Barr _ -> raise Not_a_kernel)
+    | (Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _) :: _ -> raise Not_a_kernel
   in
-  if step <= 0 || List.mem var assigned then raise Not_a_kernel;
-  (* left to right, as the per-iteration compile numbered the sites *)
-  let steps = List.fold_left (fun acc stmt -> kernel_step stmt :: acc) [] body in
-  assert (!next = s.n_site);
-  let sites = Array.of_list (List.rev !sites) in
-  let widest =
-    Array.fold_left
-      (fun m site -> Array.fold_left (fun m d -> Int.max m (Int.abs d)) m site.deltas)
-      1 sites
-  in
+  let widest = Array.fold_left (Array.fold_left (fun m d -> Int.max m (Int.abs d))) 1 deltas in
   {
     var;
     step;
     sites;
-    steps = Array.of_list (List.rev steps);
-    loads = !loads;
-    stores = !stores;
+    deltas;
+    target = sites.(0).id;
+    stride = stride 0;
+    op;
+    factors = Array.of_list (factors 1 operands);
+    loads = Array.length sites - (if op = Ast.Set then 1 else 0);
     max_trips = max_int / widest;
   }
-
-let loop_kernel env s ~var ~step ~first_site body =
-  match loop_kernel_exn env s ~var ~step ~first_site body with
-  | kernel -> Some kernel
-  | exception Not_a_kernel -> None
 
 let rec compile_stmt env s k (stmt : Ir.stmt) =
   match stmt with
@@ -1064,7 +879,6 @@ let rec compile_stmt env s k (stmt : Ir.stmt) =
       let hi = int_expr env s k "loop bound" hi in
       let slot = new_int s in
       let iteration = new_count () in
-      let first_site = s.n_site in
       let body_env = (var, Bint slot) :: env in
       let body = compile_block body_env s (Some iteration) stmts in
       bump iteration alu;
@@ -1083,11 +897,11 @@ let rec compile_stmt env s k (stmt : Ir.stmt) =
         if !trips > 0 then add_pending st iteration !trips
       in
       ( env,
-        match
-          if s.kernels then loop_kernel body_env s ~var:slot ~step ~first_site stmts else None
-        with
-        | Some kn -> kernel_loop kn ~lo ~hi ~iteration per_iteration
-        | None -> per_iteration )
+        if not s.kernels then per_iteration
+        else
+          match loop_kernel_exn body_env ~var:slot ~step stmts s.last_sites with
+          | kn -> kernel_loop kn ~lo ~hi ~iteration per_iteration
+          | exception Not_a_kernel -> per_iteration )
   | Ir.For { var; lo; hi; step; body } ->
       let bounds = new_count () in
       let lo = int_expr env s bounds "loop bound" lo in
@@ -1205,7 +1019,9 @@ let bind_param s (p : Ast.param) =
 
 let compile ~kernels (f : Ir.func) : program =
   match
-    let s = { n_int = 0; n_float = 0; n_arr = 0; n_site = 0; written = []; kernels } in
+    let s =
+      { n_int = 0; n_float = 0; n_arr = 0; n_site = 0; last_sites = []; written = []; kernels }
+    in
     let params = List.map (fun (p : Ast.param) -> (p.Ast.pname, bind_param s p)) f.Ir.params in
     let body = compile_block params s None f.Ir.body in
     {
@@ -1266,6 +1082,7 @@ let exec (program : program) ~platform ~args =
       roi_open = false;
       addr = Array.make (max 1 p.n_sites) 0;
       chunk = Array.make (max 1 p.n_sites) Bytes.empty;
+      kernel_iterations = 0;
     }
   in
   let staged =
@@ -1309,6 +1126,7 @@ let exec (program : program) ~platform ~args =
     roi_time_ps = roi.Sim.Cpu.roi_time_ps;
     used_cim = st.api <> None;
     cim_launches = launches;
+    kernel_iterations = st.kernel_iterations;
   }
 
 let run f ~platform ~args = exec (prepare f) ~platform ~args

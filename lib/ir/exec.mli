@@ -22,23 +22,24 @@
     every simulated number equals one-instruction-at-a-time charging.
     DESIGN.md ("The executor") gives the counting rules.
 
-    An innermost loop whose body holds only assignments, with every
-    array subscript affine in the loop variable (a compile-time
-    coefficient plus terms the body does not assign), and no integer
-    division, also compiles into a loop kernel: one closure for the
-    whole loop. At loop entry it checks each access site's subscripts
+    Each array access is compiled once, into one site record that both
+    its per-iteration closure and a loop kernel read. An innermost loop
+    whose body is one statement [a[..] op= x [* y [* z]]] over loads,
+    float scalars and literals, with every subscript affine in the loop
+    variable (a compile-time coefficient plus integer terms), also runs
+    as a loop kernel: one closure for the whole loop, built from the
+    statement's sites. At loop entry it checks each site's subscripts
     at the first and the last iteration, and its address inside
     simulated memory; if all hold, each site's address is a register
-    that advances by its stride, a site whose span lies inside one
+    that advances by its stride, and a site whose span lies inside one
     memory chunk reads and writes that chunk's bytes
-    ({!Tdo_sim.Memory.chunk_at}), and a statement [a[..] op= x [* y [* z]]]
-    over loads, float scalars and literals runs without a closure per
-    node. Otherwise the loop runs one closure per iteration and fails
-    exactly as it always did. Either way every load and store probes
-    the L1D at its own site in program order, every store rounds to
-    binary32, and the counts, the loop variable's final value and every
-    simulated number are the same ({!prepare_reference} is the
-    per-iteration reference).
+    ({!Tdo_sim.Memory.chunk_at}). Otherwise, and for every other loop,
+    the loop runs one closure per iteration and fails exactly as it
+    always did. Either way every load and store probes the L1D at its
+    own site in program order, every store rounds to binary32, and the
+    counts, the loop variable's final value and every simulated number
+    are the same ({!prepare_reference} is the per-iteration
+    reference).
 
     Array arguments are staged into simulated main memory before the
     run (uncharged — PolyBench initialisation sits outside the ROI
@@ -55,6 +56,7 @@ type metrics = {
   roi_time_ps : int;
   used_cim : bool;  (** at least one runtime call executed *)
   cim_launches : int;
+  kernel_iterations : int;  (** loop iterations this run executed as loop kernels *)
 }
 
 exception Exec_error of string

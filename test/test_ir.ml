@@ -756,7 +756,9 @@ let suites =
    order of the probes shows in the statistics. Everything a run
    leaves must match: its outcome (ROI numbers or error text), the
    core's counters, both caches' statistics and dirty lines, the
-   arguments' bits and the bytes of every array in memory. *)
+   arguments' bits and the bytes of every array in memory. Only a loop
+   of one statement can run as a kernel, so four loops in five hold
+   one; the others hold two or three and run per iteration. *)
 
 type kernel_case = {
   pad : int;  (** elements of the padding array in front of [A] *)
@@ -836,7 +838,7 @@ let kernel_case_gen =
         (* store and scale *)
         (2, map2 (fun target f -> assign target Ast.Set f) (access shapes) (factor shapes));
         (2, map2 (fun target f -> assign target Ast.Mul_assign f) (access shapes) (factor shapes));
-        (* shapes that run as closures *)
+        (* shapes that run one closure per iteration *)
         ( 1,
           map3
             (fun target a b -> assign target Ast.Add_assign (Ast.Binop (Ast.Add, a, b)))
@@ -850,7 +852,8 @@ let kernel_case_gen =
   in
   let shape = int_range 1 3 >>= fun rank -> list_repeat rank (int_range 1 16) in
   array_repeat 3 shape >>= fun shapes ->
-  list_size (int_range 1 3) (stmt shapes) >>= fun stmts ->
+  list_size (frequency [ (8, return 1); (1, return 2); (1, return 3) ]) (stmt shapes)
+  >>= fun stmts ->
   int_range 0 6 >>= fun below ->
   frequency [ (3, return None); (1, map Option.some (int_bound 300)) ] >>= fun memory ->
   bool >>= fun tiny_caches ->
@@ -1009,6 +1012,36 @@ let test_exec_writes_back_only_written () =
     [| f32 (f32 0.1 *. 2.0); f32 (f32 (-1.0 /. 3.0) *. 2.0) |]
     y.Interp.data
 
+(* Every multiply-accumulate, store and scale loop of the PolyBench
+   kernels runs as a loop kernel under [Flow.o3]: the iterations
+   [exec] ran as kernels are exactly those of the innermost loops of
+   that shape. gesummv's [y[i] = alpha * tmp[i] + beta * y[i]] is a
+   sum, so its loop runs one closure per iteration and counts nothing.
+   Without kernels nothing counts. *)
+let test_polybench_loops_run_as_kernels () =
+  let n = 8 in
+  let platform = Platform.create () in
+  List.iter
+    (fun (name, expected) ->
+      let b = Result.get_ok (Kernels.find name) in
+      let f, _ = Flow.compile ~options:Flow.o3 (b.Kernels.source ~n) in
+      let iterations prepare =
+        let args, _ = b.Kernels.make_args ~n ~seed:5 in
+        (Exec.exec (prepare f) ~platform ~args).Exec.kernel_iterations
+      in
+      Alcotest.(check int) (name ^ ": kernel iterations") expected (iterations Exec.prepare);
+      Alcotest.(check int) (name ^ ": per-iteration reference") 0
+        (iterations Exec.prepare_reference))
+    [
+      ("gemm", n * n * n);
+      ("2mm", 2 * n * n * n);
+      ("3mm", 3 * n * n * n);
+      ("conv", 9 * n * n);
+      ("gesummv", 2 * n * n);
+      ("bicg", 2 * n * n);
+      ("mvt", 2 * n * n);
+    ]
+
 let suites =
   suites
   @ [
@@ -1017,5 +1050,7 @@ let suites =
           QCheck_alcotest.to_alcotest qcheck_loop_kernels_exact;
           Alcotest.test_case "write-back of written arrays only" `Quick
             test_exec_writes_back_only_written;
+          Alcotest.test_case "PolyBench loops run as kernels" `Quick
+            test_polybench_loops_run_as_kernels;
         ] );
     ]

@@ -164,6 +164,21 @@ let test_host_run_allocation_is_per_run () =
     (List.map (fun (b : Tdo_polybench.Kernels.benchmark) -> b.Tdo_polybench.Kernels.name)
        Tdo_polybench.Kernels.all)
 
+(* [prepare] compiles each statement once: the loop kernels are an
+   analysis of the sites the per-iteration compile built, so
+   [Exec.prepare] allocates more than [Exec.prepare_reference], which
+   builds no kernel, but not twice as much. *)
+let test_prepare_compiles_once () =
+  List.iter
+    (fun (b : Tdo_polybench.Kernels.benchmark) ->
+      let f, _ = Tdo_cim.Flow.compile ~options:Tdo_cim.Flow.o3 (b.Tdo_polybench.Kernels.source ~n:24) in
+      let words prepare = minor_words_of (fun () -> ignore (prepare f)) in
+      let reference = words Tdo_ir.Exec.prepare_reference and kernels = words Tdo_ir.Exec.prepare in
+      if not (kernels > reference && kernels <= 1.6 *. reference) then
+        Alcotest.failf "%s: prepare %.0f minor words, prepare_reference %.0f (%.2fx)"
+          b.Tdo_polybench.Kernels.name kernels reference (kernels /. reference))
+    Tdo_polybench.Kernels.all
+
 (* An offloaded launch allocates per launch, not per streamed vector:
    on a warmed platform, a [Flow.o3_loop_tactics] gemm runs for the
    same minor words, within a few, at n = 8 and at n = 32, four times
@@ -357,6 +372,8 @@ let suites =
         Alcotest.test_case "chunk alternation" `Quick test_chunk_alternation_allocates_nothing;
         Alcotest.test_case "host-only runs" `Quick test_host_run_allocation_is_per_run;
         Alcotest.test_case "offloaded runs" `Quick test_offloaded_run_allocation_is_per_launch;
+        Alcotest.test_case "prepare compiles each statement once" `Quick
+          test_prepare_compiles_once;
       ] );
     ( "perf.pool",
       [
