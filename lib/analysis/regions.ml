@@ -121,20 +121,20 @@ let rec ir_accesses visit env (s : Ir.stmt) =
   | Ir.Decl_scalar { init = Some e; _ } -> reads_of_expr e
   | Ir.Decl_scalar _ | Ir.Decl_array _ | Ir.Roi_begin | Ir.Roi_end -> ()
   | Ir.Call c -> (
-      let operands ((a : Ir.mat_ref), (b : Ir.mat_ref), (c : Ir.mat_ref)) =
+      (* a GEMM reads its output window only to scale it by a beta that
+         is not the literal 0 *)
+      let operands beta ((a : Ir.mat_ref), (b : Ir.mat_ref), (c : Ir.mat_ref)) =
         read a.Ir.array (Window a);
         read b.Ir.array (Window b);
-        read c.Ir.array (Window c);
+        (match beta with Ast.Float_lit 0.0 | Ast.Int_lit 0 -> () | _ -> read c.Ir.array (Window c));
         write c.Ir.array (Window c)
       in
       match c with
-      | Ir.Cim_init -> ()
-      | Ir.Cim_alloc { array } | Ir.Cim_free { array } | Ir.Cim_h2d { array } -> read array Whole
-      | Ir.Cim_d2h { array } ->
-          read array Whole;
-          write array Whole
-      | Ir.Cim_gemm { a; b; c; _ } -> operands (a, b, c)
-      | Ir.Cim_gemm_batched { batch; _ } -> List.iter operands batch
+      | Ir.Cim_init | Ir.Cim_alloc _ | Ir.Cim_free _ -> ()
+      | Ir.Cim_h2d { array } -> read array Whole
+      | Ir.Cim_d2h { array } -> write array Whole
+      | Ir.Cim_gemm { beta; a; b; c; _ } -> operands beta (a, b, c)
+      | Ir.Cim_gemm_batched { beta; batch; _ } -> List.iter (operands beta) batch
       | Ir.Cim_im2col { src; dst; _ } ->
           read src Whole;
           read dst Whole;

@@ -326,12 +326,40 @@ let test_legality_conv_verifies_clean () =
   | _ -> Alcotest.fail "conv was not offloaded");
   Alcotest.(check (list string)) "no diagnostics" [] (codes checked.Pipeline.diagnostics)
 
-(* gemm's [C[i][j] *= beta] reads C's old value, so a rewrite with
-   beta = 0 that never copies C in, computing into a temporary and
-   copying that over C, still draws W108. *)
-let test_legality_dropped_old_value_warns () =
-  let before = tree_of (gemm_src 8) in
+(* gemm's [C[i][j] *= beta] reads C's old value, so a rewrite of the
+   8x8 gemm that never copies C in, launching with beta = 0 into [into]
+   and copying [into] back, then running [after], draws W108 naming C
+   and nothing else. *)
+let check_drops_old_c ~into ~after =
   let whole a = Ir.mat_ref_whole ~array:a ~rows:8 ~cols:8 () in
+  let calls =
+    [ Ir.Cim_init ]
+    @ List.map (fun a -> Ir.Cim_alloc { array = a }) [ "A"; "B"; into ]
+    @ [
+        Ir.Cim_h2d { array = "A" };
+        Ir.Cim_h2d { array = "B" };
+        Ir.Cim_gemm
+          {
+            m = 8;
+            n = 8;
+            k = 8;
+            alpha = Ast.Var "alpha";
+            beta = Ast.Float_lit 0.0;
+            a = whole "A";
+            b = whole "B";
+            c = whole into;
+            pin = Ir.Pin_b;
+          };
+        Ir.Cim_d2h { array = into };
+      ]
+  in
+  let after = St.Code (List.map (fun c -> Ir.Call c) calls @ after) in
+  let ds = Legality.check ~before:(tree_of (gemm_src 8)) ~after in
+  Alcotest.(check (list string)) "warning only" [ "W108" ] (codes ds);
+  check_mentions "W108" (message_with "W108" ds) [ "'C'" ]
+
+(* Computing into a temporary T and copying T over C. *)
+let test_legality_dropped_old_value_warns () =
   let v x = Ast.Var x and i n = Ast.Int_lit n in
   let copy_back =
     Ir.For
@@ -361,35 +389,13 @@ let test_legality_dropped_old_value_warns () =
           ];
       }
   in
-  let after =
-    St.Code
-      (List.map (fun c -> Ir.Call c)
-         [
-           Ir.Cim_init;
-           Ir.Cim_alloc { array = "A" };
-           Ir.Cim_alloc { array = "B" };
-           Ir.Cim_alloc { array = "T" };
-           Ir.Cim_h2d { array = "A" };
-           Ir.Cim_h2d { array = "B" };
-           Ir.Cim_gemm
-             {
-               m = 8;
-               n = 8;
-               k = 8;
-               alpha = Ast.Var "alpha";
-               beta = Ast.Float_lit 0.0;
-               a = whole "A";
-               b = whole "B";
-               c = whole "T";
-               pin = Ir.Pin_b;
-             };
-           Ir.Cim_d2h { array = "T" };
-         ]
-      @ [ copy_back ])
-  in
-  let ds = Legality.check ~before ~after in
-  Alcotest.(check (list string)) "warning only" [ "W108" ] (codes ds);
-  check_mentions "W108" (message_with "W108" ds) [ "'C'" ]
+  check_drops_old_c ~into:"T" ~after:[ copy_back ]
+
+(* Straight into C: allocating C on the device, launching into it,
+   copying it back and freeing it read nothing of C. *)
+let test_legality_dropped_old_value_no_temporary () =
+  check_drops_old_c ~into:"C"
+    ~after:(List.map (fun a -> Ir.Call (Ir.Cim_free { array = a })) [ "A"; "B"; "C" ])
 
 (* ---------- Bounds ---------- *)
 
@@ -1114,6 +1120,8 @@ let suites =
         Alcotest.test_case "illegal fusion" `Quick test_legality_illegal_fusion;
         Alcotest.test_case "conv verifies clean" `Quick test_legality_conv_verifies_clean;
         Alcotest.test_case "dropped old value warns" `Quick test_legality_dropped_old_value_warns;
+        Alcotest.test_case "dropped old value warns without a temporary" `Quick
+          test_legality_dropped_old_value_no_temporary;
         QCheck_alcotest.to_alcotest qcheck_mutated_trees_rejected;
       ] );
     ( "analysis.bounds",
