@@ -80,20 +80,26 @@ type t = {
   pinned : pinned option array;  (** per tile *)
   busy_until : Sim.Time_base.ps array;  (** per tile *)
   c : counters_mut;
-  (* Local buffers of the streamed phase, sized on first use and reused
-     across vectors and jobs. [xbuf] holds the streamed input vector
-     (k elements) and [codes] its quantised form; [raw]/[result]/[c_old]
-     are output-sized. All are fully overwritten before every read. *)
-  mutable xbuf : float array;
+  (* Buffers of the streamed phase, grown to the largest block seen and
+     reused across blocks and launches; only a prefix of each is used,
+     and a block writes every element it reads. [xs] holds the block's
+     streamed operand as its memory rows lie, [codes] its quantised
+     vectors one after another and [scales] each vector's combined
+     scale; [raw] holds the column sums vector after vector, and
+     [c_old]/[result] the block's old and new C slices as C's memory
+     rows lie. *)
+  mutable xs : float array;
   mutable codes : int array;
+  mutable scales : float array;
   mutable raw : int array;
-  mutable result : float array;
   mutable c_old : float array;
+  mutable result : float array;
   mutable wbuf : float array;
   mutable wcodes : int array;
-      (** the pinned operand and its codes while it is programmed,
-          row-major; grown to the largest operand seen and only their
-          first [rows * cols] elements are used *)
+      (** the pinned operand as its memory rows lie, and its codes
+          row-major, while it is programmed; grown to the largest
+          operand seen and only their first [rows * cols] elements are
+          used *)
   mutable last_abft_fault : (int * (int * int * int * int)) option;
       (** (tile, active region) of the most recent checksum mismatch *)
 }
@@ -124,11 +130,12 @@ let create ?(config = default_config) ?(seed = 0) ~dma () =
         abft_checks_m = 0;
         abft_mismatches_m = 0;
       };
-    xbuf = [||];
+    xs = [||];
     codes = [||];
+    scales = [||];
     raw = [||];
-    result = [||];
     c_old = [||];
+    result = [||];
     wbuf = [||];
     wcodes = [||];
     last_abft_fault = None;
@@ -180,57 +187,34 @@ let clear_abft_fault t = t.last_abft_fault <- None
 
 let invalidate_pinned t = Array.fill t.pinned 0 (Array.length t.pinned) None
 
-let get_floats n cur = if Array.length cur = n then cur else Array.make n 0.0
-let get_ints n cur = if Array.length cur = n then cur else Array.make n 0
-let reserve_floats n cur = if Array.length cur >= n then cur else get_floats n cur
-let reserve_ints n cur = if Array.length cur >= n then cur else get_ints n cur
+let grow_floats n cur = if Array.length cur >= n then cur else Array.make n 0.0
+let grow_ints n cur = if Array.length cur >= n then cur else Array.make n 0
 
-(* DMA transfers whose functional side moves f32 values between memory
-   and the engine's float buffers instead of materialising packed
-   [Bytes.t] payloads: a unit-stride run is one bulk
-   [Memory.read_f32s]/[write_f32s], any other stride an element loop
-   over the f32 fast path. Both leave the data as the element loop
-   does. The timing side is one descriptor over the whole payload,
-   whatever its stride ([Dma.charge]): the same burst latency as a
-   contiguous transfer. *)
+(* The functional side of a DMA transfer moves f32 values between
+   memory and the engine's float buffers, whole memory rows at a time:
+   [rows] rows of [cols] elements each, [ld] elements apart, to or from
+   [buf] row-major from 0. A packed window ([ld = cols]) is one run.
+   The data end as after the same transfer made one element at a time.
+   The timing side is one descriptor per transfer, whatever its layout
+   ([Dma.charge]). *)
 
-let fetch_vector_into t ~addr ~len ~stride_elems out =
-  let mem = Sim.Dma.memory t.dma in
-  if stride_elems = 1 then Sim.Memory.read_f32s mem addr out ~pos:0 ~len
+let read_rows mem ~addr ~ld ~rows ~cols buf =
+  if ld = cols then Sim.Memory.read_f32s mem addr buf ~pos:0 ~len:(rows * cols)
   else
-    for i = 0 to len - 1 do
-      Array.unsafe_set out i (Sim.Memory.read_f32 mem (addr + (4 * i * stride_elems)))
-    done;
-  Sim.Dma.charge t.dma ~bytes:(4 * len)
-
-let store_vector_into t ~addr ~stride_elems ~len values =
-  let mem = Sim.Dma.memory t.dma in
-  if stride_elems = 1 then Sim.Memory.write_f32s mem addr values ~pos:0 ~len
-  else
-    for i = 0 to len - 1 do
-      Sim.Memory.write_f32 mem (addr + (4 * i * stride_elems)) (Array.unsafe_get values i)
-    done;
-  Sim.Dma.charge t.dma ~bytes:(4 * len)
-
-(* Fetch the operand the crossbar will hold, W ([w_rows x w_cols]),
-   into [w] row-major. Memory holds W, or W^T when [transposed],
-   row-major with leading dimension [ld]; it is read in that physical
-   row-major order, W's rows in bulk, and charged as one
-   [w_rows * w_cols] descriptor. *)
-let fetch_operand_into t ~addr ~w_rows ~w_cols ~ld ~transposed w =
-  let mem = Sim.Dma.memory t.dma in
-  if transposed then
-    for r = 0 to w_cols - 1 do
-      for c = 0 to w_rows - 1 do
-        Array.unsafe_set w ((c * w_cols) + r)
-          (Sim.Memory.read_f32 mem (addr + (4 * ((r * ld) + c))))
-      done
+    for r = 0 to rows - 1 do
+      Sim.Memory.read_f32s mem (addr + (4 * r * ld)) buf ~pos:(r * cols) ~len:cols
     done
+
+let write_rows mem ~addr ~ld ~rows ~cols buf =
+  if ld = cols then Sim.Memory.write_f32s mem addr buf ~pos:0 ~len:(rows * cols)
   else
-    for r = 0 to w_rows - 1 do
-      Sim.Memory.read_f32s mem (addr + (4 * r * ld)) w ~pos:(r * w_cols) ~len:w_cols
-    done;
-  Sim.Dma.charge t.dma ~bytes:(4 * w_rows * w_cols)
+    for r = 0 to rows - 1 do
+      Sim.Memory.write_f32s mem (addr + (4 * r * ld)) buf ~pos:(r * cols) ~len:cols
+    done
+
+(* Bytes from a window's first element to just past its last: [rows]
+   memory rows of [cols] f32 each, [ld] elements apart. *)
+let span ~ld ~rows ~cols = 4 * (((rows - 1) * ld) + cols)
 
 (* Largest absolute value of [v.(0 .. len-1)], NaN if any element is
    NaN (a [Float.max] fold from 0). *)
@@ -242,25 +226,116 @@ let[@inline] max_abs_prefix v len =
   done;
   !m
 
-(* inlined, so the per-vector result is not boxed *)
-let[@inline] max_abs v =
-  let m = ref 0.0 in
-  for i = 0 to Array.length v - 1 do
-    let a = Float.abs (Array.unsafe_get v i) in
-    if a > !m then m := a
+(* Where a launch's streamed vectors and C slices lie. Pin_a streams
+   the n columns of op(B) and produces columns of C; Pin_b streams the
+   m rows of op(A) and produces rows of C. Vector [idx]'s element [i]
+   is at [x_addr + 4 * (idx * x_ld + i)] when the vectors are memory
+   rows ([x_rows]: rows of A under Pin_b, rows of physical B under
+   Pin_a with trans_b), else at [x_addr + 4 * (i * x_ld + idx)].
+   Element [e] of C's slice [idx] is at [c_addr + 4 * (idx * ldc + e)]
+   when the slices are C's rows ([c_rows], under Pin_b), else at
+   [c_addr + 4 * (e * ldc + idx)]. *)
+let stream_count (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> job.n | Context_regs.Pin_b -> job.m
+
+let out_len (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> job.m | Context_regs.Pin_b -> job.n
+
+let x_rows (job : Context_regs.job) =
+  match (job.pin, job.trans_a, job.trans_b) with
+  | Context_regs.Pin_b, false, _ | Context_regs.Pin_a, _, true -> true
+  | Context_regs.Pin_b, true, _ | Context_regs.Pin_a, _, false -> false
+
+let x_addr (job : Context_regs.job) ~a_addr ~b_addr =
+  match job.pin with Context_regs.Pin_a -> b_addr | Context_regs.Pin_b -> a_addr
+
+let x_ld (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> job.ldb | Context_regs.Pin_b -> job.lda
+
+let c_rows (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> false | Context_regs.Pin_b -> true
+
+(* The functional pass over the block of [count] consecutive vectors
+   from [first]: read the block's streamed operand and, when beta <> 0,
+   its old C slices; quantise each vector; run every GEMV in one
+   crossbar call; verify and finish each vector; write the block's C
+   slices. A block's reads all come before its writes, so a block of
+   more than one vector needs C disjoint from the streamed operand and
+   C's slices disjoint from each other ([run_single] decides). *)
+let stream_block t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~scale_w ~pin_check
+    ~first ~count =
+  let mem = Sim.Dma.memory t.dma and xbar = t.xbars.(tile) in
+  let k = job.k and out_len = out_len job and ldc = job.ldc in
+  let xs = t.xs and codes = t.codes and scales = t.scales and raw = t.raw in
+  let x_rows = x_rows job and x_addr = x_addr job ~a_addr ~b_addr and x_ld = x_ld job in
+  (* vector [v]'s element [i] is [xs.(v * xv + i * xi)] *)
+  let xv = if x_rows then k else 1 and xi = if x_rows then 1 else count in
+  if x_rows then read_rows mem ~addr:(x_addr + (4 * first * x_ld)) ~ld:x_ld ~rows:count ~cols:k xs
+  else read_rows mem ~addr:(x_addr + (4 * first)) ~ld:x_ld ~rows:k ~cols:count xs;
+  (* The block's C window starts at [c_first] and has [c_mem_rows]
+     memory rows of [c_mem_cols]; slice [v]'s element [e] is at
+     [v * cv + e * ce] in [c_old] and [result]. *)
+  let c_rows = c_rows job in
+  let c_first = c_addr + (4 * first * if c_rows then ldc else 1) in
+  let c_mem_rows = if c_rows then count else out_len
+  and c_mem_cols = if c_rows then out_len else count in
+  let cv = if c_rows then out_len else 1 and ce = if c_rows then 1 else count in
+  let c_old =
+    if job.beta = 0.0 then None
+    else begin
+      read_rows mem ~addr:c_first ~ld:ldc ~rows:c_mem_rows ~cols:c_mem_cols t.c_old;
+      Some t.c_old
+    end
+  in
+  for v = 0 to count - 1 do
+    let x0 = v * xv in
+    let m = ref 0.0 in
+    for i = 0 to k - 1 do
+      let a = Float.abs (Array.unsafe_get xs (x0 + (i * xi))) in
+      if a > !m then m := a
+    done;
+    let scale_x = Quant.scale_for ~bits:8 ~max_abs:!m in
+    let c0 = v * k in
+    for i = 0 to k - 1 do
+      Array.unsafe_set codes (c0 + i)
+        (Quant.quantize_scaled ~bits:8 ~scale:scale_x (Array.unsafe_get xs (x0 + (i * xi))))
+    done;
+    Array.unsafe_set scales v (scale_w *. scale_x)
   done;
-  !m
+  Crossbar.gemv_block xbar codes ~vectors:count ~out:raw;
+  if t.config.abft then
+    for v = 0 to count - 1 do
+      t.c.abft_checks_m <- t.c.abft_checks_m + 1;
+      match
+        Abft.verify ~row_sums:pin_check ~input:codes ~input_pos:(v * k) ~output:raw
+          ~output_pos:(v * out_len) ~output_len:out_len
+      with
+      | Abft.Pass -> ()
+      | Abft.Fail _ ->
+          t.c.abft_mismatches_m <- t.c.abft_mismatches_m + 1;
+          let region =
+            match Crossbar.active_region xbar with
+            | Some r -> r
+            | None -> (0, 0, 0, 0)
+          in
+          t.last_abft_fault <- Some (tile, region)
+    done;
+  Digital_logic.postprocess_into t.digital ~alpha:job.alpha ~beta:job.beta ~scales ~raw ~c_old
+    ~out:t.result ~passes:count ~len:out_len ~slice_stride:cv ~elem_stride:ce;
+  write_rows mem ~addr:c_first ~ld:ldc ~rows:c_mem_rows ~cols:c_mem_cols t.result
 
 (* One GEMM (or GEMV, n = 1) with explicit operand addresses; the
    batched path calls this once per descriptor. Returns the finish
-   time. *)
-let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
+   time. [blocked] lets a launch run as one block when that is exact;
+   without it every vector is its own block. *)
+let run_single t (job : Context_regs.job) ~blocked ~tile ~a_addr ~b_addr ~c_addr ~start =
   let xbar = t.xbars.(tile) in
-  let { Context_regs.m; n; k; trans_a; trans_b; alpha; beta; lda; ldb; ldc; pin; generation; _ }
+  let { Context_regs.m; n; k; trans_a; trans_b; beta; lda; ldb; ldc; pin; generation; _ }
       =
     job
   in
   let cfg = t.config in
+  let mem = Sim.Dma.memory t.dma in
   let cursor = ref start in
   (* -- decode ------------------------------------------------------ *)
   cursor := !cursor + cfg.decode_latency_ps;
@@ -292,20 +367,23 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
       else begin
         (* Physical layout of A is (m x k) unless transposed, of B
            (k x n); W = op(A)^T or op(B) is stored transposed for an
-           untransposed A and for a transposed B. *)
+           untransposed A and for a transposed B. Memory holds W, or
+           W^T when [transposed], row-major with leading dimension
+           [ld]; its memory rows are read in bulk and charged as one
+           [w_rows * w_cols] descriptor. *)
         let transposed, ld =
           match pin with
           | Context_regs.Pin_a -> (not trans_a, lda)
           | Context_regs.Pin_b -> (trans_b, ldb)
         in
         let size = w_rows * w_cols in
-        let w = reserve_floats size t.wbuf in
+        let w = grow_floats size t.wbuf in
         t.wbuf <- w;
-        let codes = reserve_ints size t.wcodes in
+        let codes = grow_ints size t.wcodes in
         t.wcodes <- codes;
-        let fill_lat =
-          fetch_operand_into t ~addr:pin_addr ~w_rows ~w_cols ~ld ~transposed w
-        in
+        let rows, cols = if transposed then (w_cols, w_rows) else (w_rows, w_cols) in
+        read_rows mem ~addr:pin_addr ~ld ~rows ~cols w;
+        let fill_lat = Sim.Dma.charge t.dma ~bytes:(4 * size) in
         (match t.timeline with
         | None -> ()
         | Some tl ->
@@ -313,9 +391,19 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
               (Timeline.Pinned_operand { rows = w_rows; cols = w_cols }));
         cursor := !cursor + fill_lat;
         let scale = Quant.scale_for ~bits:8 ~max_abs:(max_abs_prefix w size) in
-        for i = 0 to size - 1 do
-          Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
-        done;
+        (* W(i, j) is code [i * w_cols + j]; it was read from memory row
+           i, or row j when transposed *)
+        if transposed then
+          for r = 0 to rows - 1 do
+            for c = 0 to cols - 1 do
+              Array.unsafe_set codes ((c * w_cols) + r)
+                (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w ((r * cols) + c)))
+            done
+          done
+        else
+          for i = 0 to size - 1 do
+            Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
+          done;
         (match t.timeline with
         | None -> ()
         | Some tl ->
@@ -344,156 +432,146 @@ let run_single t (job : Context_regs.job) ~tile ~a_addr ~b_addr ~c_addr ~start =
       end
     in
     (* -- streamed phase -------------------------------------------- *)
-    (* Pin_a: stream the n columns of op(B), produce columns of C.
-       Pin_b: stream the m rows of op(A), produce rows of C. *)
-    let stream_count = match pin with Context_regs.Pin_a -> n | Context_regs.Pin_b -> m in
-    let out_len = match pin with Context_regs.Pin_a -> m | Context_regs.Pin_b -> n in
-    let x = get_floats k t.xbuf in
-    t.xbuf <- x;
-    let x_codes = get_ints k t.codes in
-    t.codes <- x_codes;
-    let raw = get_ints out_len t.raw in
-    t.raw <- raw;
-    let result = get_floats out_len t.result in
-    t.result <- result;
-    (* one [Some] for the whole launch, not one per vector *)
-    let c_old =
-      if beta = 0.0 then None
-      else begin
-        let c = get_floats out_len t.c_old in
-        t.c_old <- c;
-        Some c
-      end
+    let stream_count = stream_count job and out_len = out_len job in
+    let x_rows = x_rows job and x_addr = x_addr job ~a_addr ~b_addr and x_ld = x_ld job in
+    let c_rows = c_rows job in
+    (* The whole launch is one block when its reads cannot see its
+       writes and nothing can fail part-way: C's slices are disjoint
+       from each other (ldc >= n), C's window is disjoint from the
+       streamed operand's, and both lie in memory. Any other launch
+       runs one vector per block, in the order of one vector at a
+       time. *)
+    let blocked =
+      blocked && ldc >= n
+      &&
+      let x_span =
+        if x_rows then span ~ld:x_ld ~rows:stream_count ~cols:k
+        else span ~ld:x_ld ~rows:k ~cols:stream_count
+      in
+      let c_span =
+        if c_rows then span ~ld:ldc ~rows:stream_count ~cols:out_len
+        else span ~ld:ldc ~rows:out_len ~cols:stream_count
+      in
+      let limit = (Sim.Memory.config mem).Sim.Memory.size_bytes in
+      x_addr >= 0 && x_addr + x_span <= limit && c_addr >= 0 && c_addr + c_span <= limit
+      && (x_addr + x_span <= c_addr || c_addr + c_span <= x_addr)
     in
-    let fetch_stream idx =
-      match (pin, trans_b, trans_a) with
-      | Context_regs.Pin_a, false, _ ->
-          (* column idx of B (k x n, ld = ldb) *)
-          fetch_vector_into t ~addr:(b_addr + (4 * idx)) ~len:k ~stride_elems:ldb x
-      | Context_regs.Pin_a, true, _ ->
-          (* column idx of op(B) = row idx of physical B (n x k) *)
-          fetch_vector_into t ~addr:(b_addr + (4 * idx * ldb)) ~len:k ~stride_elems:1 x
-      | Context_regs.Pin_b, _, false ->
-          (* row idx of A (m x k) *)
-          fetch_vector_into t ~addr:(a_addr + (4 * idx * lda)) ~len:k ~stride_elems:1 x
-      | Context_regs.Pin_b, _, true ->
-          (* row idx of op(A) = column idx of physical A (k x m) *)
-          fetch_vector_into t ~addr:(a_addr + (4 * idx)) ~len:k ~stride_elems:lda x
-    in
-    (* slice idx of C: column idx under Pin_a, row idx under Pin_b *)
-    let c_slice_addr idx =
-      match pin with
-      | Context_regs.Pin_a -> c_addr + (4 * idx)
-      | Context_regs.Pin_b -> c_addr + (4 * idx * ldc)
-    in
-    let c_stride = match pin with Context_regs.Pin_a -> ldc | Context_regs.Pin_b -> 1 in
+    let block = if blocked then stream_count else 1 in
+    t.xs <- grow_floats (block * k) t.xs;
+    t.codes <- grow_ints (block * k) t.codes;
+    t.scales <- grow_floats block t.scales;
+    t.raw <- grow_ints (block * out_len) t.raw;
+    t.result <- grow_floats (block * out_len) t.result;
+    if beta <> 0.0 then t.c_old <- grow_floats (block * out_len) t.c_old;
+    (* The timing side: every vector moves the same bytes, so one
+       descriptor's latency per kind of transfer serves the launch. *)
+    let vector_lat = Sim.Dma.charge t.dma ~bytes:(4 * k) in
+    let slice_lat = Sim.Dma.charge t.dma ~bytes:(4 * out_len) in
+    let c_fill_lat = if beta = 0.0 then 0 else slice_lat in
     (* integration time scales with the number of active wordlines *)
     let gemv_latency =
       max cfg.min_compute_latency_ps (cfg.compute_latency_ps * k / cfg.xbar.Crossbar.rows)
     in
     (* Consecutive streamed vectors that are contiguous rows in memory
-       (rows of A under Pin_b, rows of physical B under Pin_a+trans_b)
        are fetched in row-buffer-sized bursts: one DMA descriptor per
-       burst instead of one per vector. *)
+       burst instead of one per vector. Results collect in the output
+       buffer and drain one DMA descriptor per buffer-full, mirroring
+       the input bursting. [in_burst] and [in_store] are the current
+       vector's place in its fill and its store burst. *)
     let row_buffer_bytes = 1536 in
-    let burst =
-      let contiguous_rows =
-        match (pin, trans_a, trans_b) with
-        | Context_regs.Pin_b, false, _ | Context_regs.Pin_a, _, true -> true
-        | Context_regs.Pin_b, true, _ | Context_regs.Pin_a, _, false -> false
-      in
-      if contiguous_rows then max 1 (row_buffer_bytes / (4 * k)) else 1
-    in
+    let burst = if x_rows then max 1 (row_buffer_bytes / (4 * k)) else 1 in
+    let store_burst = max 1 (row_buffer_bytes / (4 * out_len)) in
+    let in_burst = ref 0 and in_store = ref 0 in
     let fill_channel = ref !cursor in
     let compute_channel = ref !cursor in
-    for idx = 0 to stream_count - 1 do
-      if not cfg.double_buffering then fill_channel := Int.max !fill_channel !compute_channel;
-      (match t.timeline with
-      | None -> ()
-      | Some tl ->
-          Timeline.record tl ~at:!fill_channel ~phase:Timeline.Dma_fill (Timeline.Vector idx));
-      let fill_lat = fetch_stream idx in
-      (* burst accounting: the descriptor fetched at the head of a burst
-         covers the next [burst-1] vectors; their payload time is part
-         of that burst's latency *)
-      let fill_lat =
-        if burst = 1 then fill_lat
-        else if idx mod burst = 0 then
-          let vectors = min burst (stream_count - idx) in
-          fill_lat + ((vectors - 1) * 4 * k * Sim.Time_base.ps_per_ns / 5)
-          (* ~payload share at bus bandwidth for the rest of the burst *)
-        else 0
-      in
-      let c_fill_lat =
-        match c_old with
-        | None -> 0
-        | Some c ->
-            fetch_vector_into t ~addr:(c_slice_addr idx) ~len:out_len ~stride_elems:c_stride c
-      in
-      fill_channel := !fill_channel + fill_lat + c_fill_lat;
-      compute_channel := Int.max !compute_channel !fill_channel;
-      (match t.timeline with
-      | None -> ()
-      | Some tl ->
-          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Compute (Timeline.Gemv idx));
-      let scale_x = Quant.scale_for ~bits:8 ~max_abs:(max_abs x) in
-      for i = 0 to k - 1 do
-        Array.unsafe_set x_codes i
-          (Quant.quantize_scaled ~bits:8 ~scale:scale_x (Array.unsafe_get x i))
-      done;
-      Crossbar.gemv_codes_into xbar x_codes ~out:raw;
-      compute_channel := !compute_channel + gemv_latency;
-      if cfg.abft then begin
-        (* one extra dot product (k MACs) plus the output sum (out_len
-           adds), on the digital ALU *)
+    let first = ref 0 in
+    while !first < stream_count do
+      let count = Int.min block (stream_count - !first) in
+      stream_block t job ~tile ~a_addr ~b_addr ~c_addr ~scale_w ~pin_check ~first:!first ~count;
+      for idx = !first to !first + count - 1 do
+        if not cfg.double_buffering then fill_channel := Int.max !fill_channel !compute_channel;
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!fill_channel ~phase:Timeline.Dma_fill (Timeline.Vector idx));
+        (* burst accounting: the descriptor fetched at the head of a
+           burst covers the next [burst-1] vectors; their payload time
+           is part of that burst's latency *)
+        let fill_lat =
+          if !in_burst = 0 then
+            let vectors = Int.min burst (stream_count - idx) in
+            vector_lat + ((vectors - 1) * 4 * k * Sim.Time_base.ps_per_ns / 5)
+            (* ~payload share at bus bandwidth for the rest of the burst *)
+          else 0
+        in
+        in_burst := if !in_burst = burst - 1 then 0 else !in_burst + 1;
+        fill_channel := !fill_channel + fill_lat + c_fill_lat;
+        compute_channel := Int.max !compute_channel !fill_channel;
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!compute_channel ~phase:Timeline.Compute (Timeline.Gemv idx));
+        compute_channel := !compute_channel + gemv_latency;
+        if cfg.abft then begin
+          (* one extra dot product (k MACs) plus the output sum (out_len
+             adds), on the digital ALU *)
+          (match t.timeline with
+          | None -> ()
+          | Some tl ->
+              Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
+                (Timeline.Abft_verify idx));
+          compute_channel := !compute_channel + ((k + out_len) * cfg.alu_latency_ps)
+        end;
         (match t.timeline with
         | None -> ()
         | Some tl ->
             Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
-              (Timeline.Abft_verify idx));
-        compute_channel := !compute_channel + ((k + out_len) * cfg.alu_latency_ps);
-        t.c.abft_checks_m <- t.c.abft_checks_m + 1;
-        match Abft.verify ~row_sums:pin_check ~input:x_codes ~output:raw with
-        | Abft.Pass -> ()
-        | Abft.Fail _ ->
-            t.c.abft_mismatches_m <- t.c.abft_mismatches_m + 1;
-            let region =
-              match Crossbar.active_region xbar with
-              | Some r -> r
-              | None -> (0, 0, 0, 0)
-            in
-            t.last_abft_fault <- Some (tile, region)
-      end;
-      (match t.timeline with
-      | None -> ()
-      | Some tl ->
-          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Accumulate
-            (Timeline.Epilogue idx));
-      Digital_logic.postprocess_into t.digital ~alpha ~beta ~scale:(scale_w *. scale_x) ~raw
-        ~c_old ~out:result;
-      compute_channel := !compute_channel + (out_len * cfg.alu_latency_ps);
-      (match t.timeline with
-      | None -> ()
-      | Some tl ->
-          Timeline.record tl ~at:!compute_channel ~phase:Timeline.Store_result
-            (Timeline.Slice idx));
-      let store_lat =
-        store_vector_into t ~addr:(c_slice_addr idx) ~stride_elems:c_stride ~len:out_len result
-      in
-      (* results collect in the output buffer and drain one DMA
-         descriptor per buffer-full, mirroring the input bursting *)
-      let store_burst = max 1 (row_buffer_bytes / (4 * out_len)) in
-      let store_lat =
-        if store_burst = 1 then store_lat
-        else if idx mod store_burst = store_burst - 1 || idx = stream_count - 1 then
-          store_lat + ((min store_burst (idx + 1) - 1) * 4 * out_len * Sim.Time_base.ps_per_ns / 5)
-        else 0
-      in
-      compute_channel := !compute_channel + store_lat;
-      t.c.streamed_vectors_m <- t.c.streamed_vectors_m + 1
+              (Timeline.Epilogue idx));
+        compute_channel := !compute_channel + (out_len * cfg.alu_latency_ps);
+        (match t.timeline with
+        | None -> ()
+        | Some tl ->
+            Timeline.record tl ~at:!compute_channel ~phase:Timeline.Store_result
+              (Timeline.Slice idx));
+        let store_lat =
+          if !in_store = store_burst - 1 || idx = stream_count - 1 then
+            slice_lat
+            + ((Int.min store_burst (idx + 1) - 1) * 4 * out_len * Sim.Time_base.ps_per_ns / 5)
+          else 0
+        in
+        in_store := if !in_store = store_burst - 1 then 0 else !in_store + 1;
+        compute_channel := !compute_channel + store_lat
+      done;
+      t.c.streamed_vectors_m <- t.c.streamed_vectors_m + count;
+      first := !first + count
     done;
     Ok (Int.max !cursor !compute_channel)
   end
+
+(* The gather stages the source window and the patch matrix in the
+   launch buffers [xs] and [result]: no launch is in flight while it
+   runs. *)
+let im2col t ~src ~src_ld ~dst ~dst_ld ~kh ~kw ~oh ~ow =
+  let mem = Sim.Dma.memory t.dma in
+  let window = span ~ld:src_ld ~rows:(oh + kh - 1) ~cols:(ow + kw - 1) / 4 in
+  let xs = grow_floats window t.xs in
+  t.xs <- xs;
+  let kk = kh * kw in
+  let patches = grow_floats (oh * ow * kk) t.result in
+  t.result <- patches;
+  Sim.Memory.read_f32s mem src xs ~pos:0 ~len:window;
+  for i = 0 to oh - 1 do
+    for j = 0 to ow - 1 do
+      let row = ((i * ow) + j) * kk in
+      for p = 0 to kh - 1 do
+        let from = ((i + p) * src_ld) + j and into = row + (p * kw) in
+        for q = 0 to kw - 1 do
+          Array.unsafe_set patches (into + q) (Array.unsafe_get xs (from + q))
+        done
+      done
+    done
+  done;
+  write_rows mem ~addr:dst ~ld:dst_ld ~rows:(oh * ow) ~cols:kk patches
 
 let read_batch_descriptors t ~addr ~count =
   let data, latency = Sim.Dma.read t.dma ~addr ~bytes:(12 * count) in
@@ -541,7 +619,7 @@ let least_busy_tile busy =
   Array.iteri (fun i u -> if u < busy.(!best) then best := i) busy;
   !best
 
-let run_job t (job : Context_regs.job) ~start =
+let run t (job : Context_regs.job) ~blocked ~start =
   (match t.timeline with
   | None -> ()
   | Some tl ->
@@ -568,7 +646,7 @@ let run_job t (job : Context_regs.job) ~start =
         in
         let begin_time = max start t.busy_until.(tile) in
         let result =
-          run_single t job ~tile ~a_addr ~b_addr ~c_addr:job.Context_regs.c_addr
+          run_single t job ~blocked ~tile ~a_addr ~b_addr ~c_addr:job.Context_regs.c_addr
             ~start:begin_time
         in
         Result.iter (fun finish -> t.busy_until.(tile) <- finish) result;
@@ -603,7 +681,7 @@ let run_job t (job : Context_regs.job) ~start =
                 List.fold_left
                   (fun acc (a_addr, b_addr, c_addr) ->
                     Result.bind acc (fun time ->
-                        run_single t job ~tile ~a_addr ~b_addr ~c_addr ~start:time))
+                        run_single t job ~blocked ~tile ~a_addr ~b_addr ~c_addr ~start:time))
                   (Ok tile_free.(tile))
                   (List.rev !entries)
               in
@@ -629,3 +707,6 @@ let run_job t (job : Context_regs.job) ~start =
       t.c.busy_ps_m <- t.c.busy_ps_m + (finish - start)
   | Error _ -> ());
   result
+
+let run_job t job ~start = run t job ~blocked:true ~start
+let run_job_per_vector t job ~start = run t job ~blocked:false ~start

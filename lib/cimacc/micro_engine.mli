@@ -8,7 +8,21 @@
     current compute/store) and pinned-operand reuse (a job whose pinned
     operand is already programmed skips the crossbar writes — the
     mechanism behind the paper's endurance-oriented fusion and
-    tiling). *)
+    tiling).
+
+    The stream of GEMVs runs in blocks of consecutive vectors. For each
+    block a functional pass reads the block's operand vectors and old C
+    slices, quantises each vector, runs every GEMV in one
+    {!Tdo_pcm.Crossbar.gemv_block} call, verifies and finishes each
+    vector, and writes the block's C slices; then a timing recurrence
+    walks the block's vectors, rebuilding the DMA fill and compute
+    channels, bursts and event log from latencies that are the same for
+    every vector of the launch. A launch is one block when C's window
+    is disjoint from the streamed operand's, C's slices are disjoint
+    from each other ([ldc >= n]) and both windows lie in memory; any
+    other launch runs one vector per block, in the order of one vector
+    at a time. Either way memory, times, counters and events come out
+    as the vector-at-a-time stream would leave them. *)
 
 module Sim = Tdo_sim
 
@@ -49,7 +63,40 @@ val run_job : t -> Context_regs.job -> start:Sim.Time_base.ps -> (Sim.Time_base.
 (** Execute the job. Functional effects (result stores) happen
     immediately; the returned value is the simulated completion time.
     [Error] reports a rejected job (e.g. operands exceeding the
-    crossbar) without side effects on memory. *)
+    crossbar) without side effects on memory. A window outside memory
+    raises [Invalid_argument] from {!Sim.Memory} after the vectors
+    before it have been stored, as a vector-at-a-time stream would.
+    The engine's buffers grow to the largest block seen and are
+    reused, so a launch allocates nothing per vector. *)
+
+val run_job_per_vector :
+  t -> Context_regs.job -> start:Sim.Time_base.ps -> (Sim.Time_base.ps, string) result
+(** {!run_job} with every streamed vector its own block, the order an
+    aliased or failing launch runs in: the reference the blocking
+    property compares {!run_job} with. *)
+
+val im2col :
+  t ->
+  src:int ->
+  src_ld:int ->
+  dst:int ->
+  dst_ld:int ->
+  kh:int ->
+  kw:int ->
+  oh:int ->
+  ow:int ->
+  unit
+(** The data movement of the device's patch gather
+    ([polly_cimIm2col]): row [i * ow + j] of the [(oh * ow) x (kh * kw)]
+    patch matrix at physical address [dst] (leading dimension [dst_ld])
+    becomes the [kh x kw] window at [(i, j)] of the f32 matrix at [src]
+    (leading dimension [src_ld]):
+    [dst(i*ow+j, p*kw+q) = src(i+p, j+q)]. The source window is one bulk
+    read and the patch matrix one bulk write (one per patch row when
+    [dst_ld > kh * kw]), staged in the engine's launch buffers, so a
+    gather allocates nothing once they have grown. The caller checks
+    the geometry and that the two ranges are disjoint, and charges the
+    DMA time. *)
 
 type counters = {
   jobs : int;

@@ -35,5 +35,17 @@ val observe : int array -> int
 
 type verdict = Pass | Fail of { expected : int; observed : int }
 
-val verify : row_sums:int array -> input:int array -> output:int array -> verdict
-(** Compare both sides for one GEMV pass. *)
+val verify :
+  row_sums:int array ->
+  input:int array ->
+  input_pos:int ->
+  output:int array ->
+  output_pos:int ->
+  output_len:int ->
+  verdict
+(** Compare both sides for one GEMV pass: its input codes are
+    [input.(input_pos ..)], one per row sum, and its column results
+    [output.(output_pos .. output_pos + output_len - 1)]. The arrays
+    may hold other passes around this one, as the engine's block
+    buffers do. Raises [Invalid_argument] when the pass is not inside
+    its arrays. *)

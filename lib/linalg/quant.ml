@@ -12,8 +12,21 @@ let[@inline always] scale_for ~bits ~max_abs =
 
 let scheme_for ~bits ~max_abs = { bits; scale = scale_for ~bits ~max_abs }
 
+(* [int_of_float (Float.round x)] without the call to C's [round]. For
+   |x| < 2^52, [x] minus its truncation [i] is exact and lies in
+   (-1, 1); doubling it is exact too, and truncating the double gives
+   1 from one half up, -1 from minus one half down and 0 in between:
+   the step away from zero that rounds halves away from zero, as
+   [round] does, with no branch on the data. Larger values, infinities
+   and NaN take [Float.round]. *)
+let[@inline always] round_to_int x =
+  if Float.abs x < 4503599627370496.0 then
+    let i = int_of_float x in
+    i + int_of_float ((x -. float_of_int i) *. 2.0)
+  else int_of_float (Float.round x)
+
 let[@inline always] quantize_scaled ~bits ~scale v =
-  let code = int_of_float (Float.round (v /. scale)) in
+  let code = round_to_int (v /. scale) in
   let hi = (1 lsl (bits - 1)) - 1 and lo = -(1 lsl (bits - 1)) in
   if code > hi then hi else if code < lo then lo else code
 

@@ -294,56 +294,107 @@ let rec apply_flips flips ~col v =
       in
       apply_flips rest ~col v
 
-let gemv_codes_into t input ~out =
+(* One cell's product: input code [codes.(x)] times level byte
+   [levels.[l]]. Unchecked. *)
+let[@inline always] product codes levels ~x ~l =
+  Array.unsafe_get codes x * Char.code (Bytes.unsafe_get levels l)
+
+(* A column's sum plus drift, after the armed flips of column [col]. *)
+let[@inline] disturbed t ~col v = match t.flips with [] -> v | flips -> apply_flips flips ~col v
+
+let gemv_block t codes ~vectors ~out =
   let row_off, col_off, m, n = require_active t in
-  if Array.length input <> m then
+  if vectors < 0 || Array.length codes < vectors * m || Array.length out < vectors * n then
     invalid_arg
-      (Printf.sprintf "Crossbar.gemv_codes: input length %d, active rows %d"
-         (Array.length input) m);
-  if Array.length out <> n then
-    invalid_arg
-      (Printf.sprintf "Crossbar.gemv_codes_into: output length %d, active columns %d"
-         (Array.length out) n);
+      (Printf.sprintf
+         "Crossbar.gemv_block: %d vectors need %d codes and %d outputs, have %d and %d" vectors
+         (vectors * m) (vectors * n) (Array.length codes) (Array.length out));
   (* Analog currents: one Kirchhoff sum per plane per column, over the
      column's contiguous run of levels. The model is functional — the
      integer column sums are what an ideal sense/convert chain recovers
-     — with optional additive noise on each plane sum, the MSB plane's
-     first, and the column result is [16 * hi + lo]. Conductance drift
-     shifts every column; see [apply_flips] for the transient
-     disturbances. The loop writes into the caller's buffer and keeps
-     its accumulators in locals, so a streamed launch performs the
-     whole GEMV without allocating. *)
+     — and a column's result is [16 * hi + lo], where [hi] sums
+     [x * ((u lsr 4) - 8)] and [lo] sums [x * (u land 15)] over its
+     level bytes [u]. Since [u = 16 * (u lsr 4) + (u land 15)], that is
+     [sum x * u - 128 * sum x] on an ideal crossbar: one multiply per
+     cell, and one sum of the inputs per vector. With noise each plane
+     sum is perturbed before the two combine, the MSB plane's first, so
+     there the sums stay apart. Both loops visit vector by vector and
+     column by column, the order of the noise stream and of the armed
+     flips. Conductance drift shifts every column; see [apply_flips]
+     for the transient disturbances. The loops write into the caller's
+     buffer and keep their accumulators in locals, so a block
+     allocates nothing. *)
   let rows = t.config.rows in
   (* Unchecked reads: they stay inside the active region, and
      [program_flat] grows the arrays over every cell of a region before
      it latches [active]. *)
   let levels = t.levels in
-  for j = 0 to n - 1 do
-    let base = ((col_off + j) * rows) + row_off in
-    let sum_hi = ref 0 and sum_lo = ref 0 in
-    for i = 0 to m - 1 do
-      let x = Array.unsafe_get input i
-      and u = Char.code (Bytes.unsafe_get levels (base + i)) in
-      sum_hi := !sum_hi + (x * ((u lsr 4) - 8));
-      sum_lo := !sum_lo + (x * (u land 15))
-    done;
-    let hi = perturb t !sum_hi in
-    let lo = perturb t !sum_lo in
-    out.(j) <- apply_flips t.flips ~col:(col_off + j) ((16 * hi) + lo + t.drift)
-  done;
-  (* Two conversions per column, one per physical plane. The code path
-     keeps the integer value (ideal transfer function), so only the
-     events are counted. *)
-  Adc.count t.adc (2 * n);
-  t.gemv_ops <- t.gemv_ops + 1;
-  t.macs <- t.macs + (m * n);
-  t.input_buffer_bytes <- t.input_buffer_bytes + m;
-  t.output_buffer_bytes <- t.output_buffer_bytes + (4 * n)
+  (match t.config.noise_sigma with
+  | None ->
+      (* four products a step into two sums, the last [m mod 4] one by
+         one: integer sums, so the grouping changes nothing *)
+      let m4 = m land lnot 3 in
+      for v = 0 to vectors - 1 do
+        let x0 = v * m and o0 = v * n in
+        let sum_x = ref 0 in
+        for i = 0 to m - 1 do
+          sum_x := !sum_x + Array.unsafe_get codes (x0 + i)
+        done;
+        let offset = 128 * !sum_x in
+        for j = 0 to n - 1 do
+          let base = ((col_off + j) * rows) + row_off in
+          let sum0 = ref 0 and sum1 = ref 0 and i = ref 0 in
+          while !i < m4 do
+            let x = x0 + !i and l = base + !i in
+            sum0 :=
+              !sum0 + product codes levels ~x ~l + product codes levels ~x:(x + 1) ~l:(l + 1);
+            sum1 :=
+              !sum1
+              + product codes levels ~x:(x + 2) ~l:(l + 2)
+              + product codes levels ~x:(x + 3) ~l:(l + 3);
+            i := !i + 4
+          done;
+          for i = m4 to m - 1 do
+            sum0 := !sum0 + product codes levels ~x:(x0 + i) ~l:(base + i)
+          done;
+          Array.unsafe_set out (o0 + j)
+            (disturbed t ~col:(col_off + j) (!sum0 + !sum1 - offset + t.drift))
+        done
+      done
+  | Some _ ->
+      for v = 0 to vectors - 1 do
+        let x0 = v * m and o0 = v * n in
+        for j = 0 to n - 1 do
+          let base = ((col_off + j) * rows) + row_off in
+          let sum_hi = ref 0 and sum_lo = ref 0 in
+          for i = 0 to m - 1 do
+            let x = Array.unsafe_get codes (x0 + i)
+            and u = Char.code (Bytes.unsafe_get levels (base + i)) in
+            sum_hi := !sum_hi + (x * ((u lsr 4) - 8));
+            sum_lo := !sum_lo + (x * (u land 15))
+          done;
+          let hi = perturb t !sum_hi in
+          let lo = perturb t !sum_lo in
+          Array.unsafe_set out (o0 + j) (disturbed t ~col:(col_off + j) ((16 * hi) + lo + t.drift))
+        done
+      done);
+  (* Two conversions per column and pass, one per physical plane. The
+     code path keeps the integer value (ideal transfer function), so
+     only the events are counted. *)
+  Adc.count t.adc (2 * n * vectors);
+  t.gemv_ops <- t.gemv_ops + vectors;
+  t.macs <- t.macs + (m * n * vectors);
+  t.input_buffer_bytes <- t.input_buffer_bytes + (m * vectors);
+  t.output_buffer_bytes <- t.output_buffer_bytes + (4 * n * vectors)
 
 let gemv_codes t input =
-  let _, _, _, n = require_active t in
+  let _, _, m, n = require_active t in
+  if Array.length input <> m then
+    invalid_arg
+      (Printf.sprintf "Crossbar.gemv_codes: input length %d, active rows %d"
+         (Array.length input) m);
   let out = Array.make n 0 in
-  gemv_codes_into t input ~out;
+  gemv_block t input ~vectors:1 ~out;
   out
 
 (* ---------- fault-injection hooks ---------- *)

@@ -70,19 +70,30 @@ val active_region : t -> (int * int * int * int) option
 val gemv_codes : t -> int array -> int array
 (** Analog GEMV over the active region: input length must equal the
     active row count; the result has one (exact, full-precision) integer
-    per active column. Raises [Failure] if nothing was programmed.
+    per active column. Raises [Failure] if nothing was programmed. One
+    call of {!gemv_block} with one vector. *)
 
-    The array stores each operand's two cell levels in one byte,
-    column-major, so each column's two plane sums run over contiguous
-    memory, and stuck or worn cells contribute the levels they hold.
-    With noise, each plane sum is perturbed before the two are
-    combined. Each GEMV counts two ADC events per active column (see
-    {!Adc.count}). *)
+val gemv_block : t -> int array -> vectors:int -> out:int array -> unit
+(** [gemv_block t codes ~vectors ~out] runs [vectors] GEMVs over the
+    active region ([m] rows, [n] columns), one pass per vector: pass
+    [v] reads its input from [codes.(v * m)] to [codes.(v * m + m - 1)]
+    and writes its column results to [out.(v * n)] to
+    [out.(v * n + n - 1)]. Both arrays may be longer (the engine grows
+    its buffers to the largest block seen). The results, the noise
+    draws, the armed flips consumed, drift and every counter are those
+    of [vectors] {!gemv_codes} calls in order.
 
-val gemv_codes_into : t -> int array -> out:int array -> unit
-(** Allocation-free {!gemv_codes}: writes the column results into [out],
-    whose length must equal the active column count. The engine's
-    streamed launch loop calls this with a reused buffer. *)
+    The array stores each operand's two cell levels in one byte [u],
+    column-major, and stuck or worn cells contribute the levels they
+    hold. On an ideal crossbar a column's value is
+    [sum x * (u - 128)], formed as [sum x * u - 128 * sum x]: one
+    multiply per cell, since [u = 16 * msb + lsb] and the MSB plane is
+    offset by 8. With noise each plane sum is formed and perturbed
+    before the two are combined, the MSB plane's first, in vector then
+    column order, which is the order of the crossbar's noise stream.
+    Each pass counts two ADC events per active column (see
+    {!Adc.count}). Raises [Failure] if nothing was programmed and
+    [Invalid_argument] when either array is too short. *)
 
 val read_codes : t -> int array array
 (** Read back the active region (digital read path; reconstructs codes

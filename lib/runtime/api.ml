@@ -360,23 +360,19 @@ let dev_im2col t ~src ~src_rows ~src_cols ~dst ~kh ~kw ~oh ~ow =
   if oh + kh - 1 > src_rows || ow + kw - 1 > src_cols then
     invalid_arg "Api.dev_im2col: window exceeds the source";
   if dst.ld < kh * kw then invalid_arg "Api.dev_im2col: destination rows too narrow";
-  let memory = t.platform.Platform.memory in
   let src_at r c = src.buf.phys + (4 * (src.offset_elems + (r * src.ld) + c)) in
   let dst_at r c = dst.buf.phys + (4 * (dst.offset_elems + (r * dst.ld) + c)) in
-  let dst_end = dst_at ((oh * ow) - 1) ((kh * kw) - 1) in
-  if dst_end + 4 > dst.buf.phys + dst.buf.buf_bytes then
+  let src_first = src_at 0 0 and src_end = src_at (oh + kh - 2) (ow + kw - 2) + 4 in
+  if src_end > src.buf.phys + src.buf.buf_bytes then
+    invalid_arg "Api.dev_im2col: window leaves the source buffer";
+  let dst_first = dst_at 0 0 and dst_end = dst_at ((oh * ow) - 1) ((kh * kw) - 1) + 4 in
+  if dst_end > dst.buf.phys + dst.buf.buf_bytes then
     invalid_arg "Api.dev_im2col: destination too small";
-  for i = 0 to oh - 1 do
-    for j = 0 to ow - 1 do
-      for p = 0 to kh - 1 do
-        for q = 0 to kw - 1 do
-          Sim.Memory.write_f32 memory
-            (dst_at ((i * ow) + j) ((p * kw) + q))
-            (Sim.Memory.read_f32 memory (src_at (i + p) (j + q)))
-        done
-      done
-    done
-  done;
+  if src_first < dst_end && dst_first < src_end then
+    invalid_arg "Api.dev_im2col: source and destination overlap";
+  Tdo_cimacc.Micro_engine.im2col
+    (Tdo_cimacc.Accel.engine t.platform.Platform.accel)
+    ~src:src_first ~src_ld:src.ld ~dst:dst_first ~dst_ld:dst.ld ~kh ~kw ~oh ~ow;
   (* timing: the engine's DMA moves the gathered bytes in and the packed
      matrix out; the host pays one ioctl and waits *)
   let bytes = 4 * oh * ow * kh * kw in

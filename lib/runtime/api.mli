@@ -130,9 +130,13 @@ val dev_im2col :
     [kh x kw] window of every output position out as one row of the
     [\[oh*ow\] x \[kh*kw\]] patch matrix:
     [dst(i*ow+j, p*kw+q) = src(i+p, j+q)]. Runs on the accelerator's
-    DMA (no host copy loop); the host pays one ioctl and waits out the
-    transfer. Used by the conv tactic. Raises [Invalid_argument] on
-    geometry that does not fit either buffer. *)
+    DMA (no host copy loop): one bulk read of the source window and
+    one bulk write of the patch matrix ({!Tdo_cimacc.Micro_engine.im2col});
+    the host pays one ioctl and waits out the transfer. Used by the
+    conv tactic. Raises [Invalid_argument] before moving anything when
+    the geometry does not fit [src_rows x src_cols] or the destination
+    view, when the source window's last element lies beyond [src]'s
+    buffer, or when the source window and the patch matrix overlap. *)
 
 type counters = {
   gemm_calls : int;

@@ -167,8 +167,8 @@ let test_regs_unaligned () =
 let test_digital_postprocess () =
   let d = Digital_logic.create () in
   let out = Array.make 2 0.0 in
-  Digital_logic.postprocess_into d ~alpha:2.0 ~beta:0.5 ~scale:0.1 ~raw:[| 10; -20 |]
-    ~c_old:(Some [| 1.0; 2.0 |]) ~out;
+  Digital_logic.postprocess_into d ~alpha:2.0 ~beta:0.5 ~scales:[| 0.1 |] ~raw:[| 10; -20 |]
+    ~c_old:(Some [| 1.0; 2.0 |]) ~out ~passes:1 ~len:2 ~slice_stride:2 ~elem_stride:1;
   Alcotest.(check (array (float 1e-9))) "epilogue" [| 2.5; -3.0 |] out;
   let c = Digital_logic.counters d in
   Alcotest.(check int) "one weighted sum" 1 c.Digital_logic.weighted_sums;
@@ -178,8 +178,8 @@ let test_digital_beta_needs_c () =
   let d = Digital_logic.create () in
   Alcotest.(check bool) "beta without c_old raises" true
     (try
-       Digital_logic.postprocess_into d ~alpha:1.0 ~beta:1.0 ~scale:1.0 ~raw:[| 1 |] ~c_old:None
-         ~out:[| 0.0 |];
+       Digital_logic.postprocess_into d ~alpha:1.0 ~beta:1.0 ~scales:[| 1.0 |] ~raw:[| 1 |]
+         ~c_old:None ~out:[| 0.0 |] ~passes:1 ~len:1 ~slice_stride:1 ~elem_stride:1;
        false
      with Invalid_argument _ -> true)
 
@@ -434,6 +434,176 @@ let qcheck_engine_matches_reference =
           let actual = read_matrix sys.memory ~addr:c_addr ~ld:n ~rows:m ~cols:n in
           Mat.max_abs_diff expected actual <= gemm_tolerance ~k ~a ~b)
 
+(* ---------- blocked launches ---------- *)
+
+(* One random launch, set up identically on two fresh systems: one runs
+   it with [run_job], which streams a launch as one block when its
+   windows allow, the other with [run_job_per_vector], one vector per
+   block. Each runs the job twice (the second time with the pinned
+   operand latched and beta flipped), and the two must agree on C's
+   bytes, every finish time (or the exception), the engine, crossbar,
+   ADC and digital-logic counters, the armed flips left, the ABFT fault
+   and the Timeline log. The draws cover both pins and transposes,
+   conv's k = 9 with one output, leading dimensions above the shape,
+   beta zero and not, noise, armed column flips and drift, ABFT, an
+   attached log, batched jobs over 1-4 tiles, and the launches that
+   must not run as one block: C over the streamed operand, C slices
+   that overlap (ldc < n) and a C window past the end of memory. *)
+let blocked_launch_state ~seed ~per_vector =
+  let g = Prng.create ~seed in
+  let chance p = Prng.int g ~bound:p = 0 in
+  let noise = if Prng.bool g then Some 2.0 else None in
+  let engine_config =
+    {
+      Micro_engine.default_config with
+      Micro_engine.xbar = { small_xbar with Tdo_pcm.Crossbar.noise_sigma = noise };
+      tiles = 1 + Prng.int g ~bound:4;
+      abft = Prng.bool g;
+      double_buffering = Prng.bool g;
+    }
+  in
+  let conv = chance 4 in
+  let m = if conv then 1 + Prng.int g ~bound:300 else 1 + Prng.int g ~bound:24
+  and n = if conv then 1 else 1 + Prng.int g ~bound:24
+  and k = if conv then 9 else 1 + Prng.int g ~bound:24 in
+  let pin = if conv || Prng.bool g then Context_regs.Pin_b else Context_regs.Pin_a in
+  let trans_a = (not conv) && Prng.bool g and trans_b = (not conv) && Prng.bool g in
+  let lda = (if trans_a then m else k) + Prng.int g ~bound:4
+  and ldb = (if trans_b then k else n) + Prng.int g ~bound:4 in
+  let ldc = if n > 1 && chance 8 then 1 + Prng.int g ~bound:(n - 1) else n + Prng.int g ~bound:4 in
+  let a_rows = if trans_a then k else m and b_rows = if trans_b then n else k in
+  let bytes rows ld = 4 * rows * ld in
+  (* a batch has up to three entries, each with its own operands; two
+     entries may share the pinned operand *)
+  let batch = if chance 4 then 2 + Prng.int g ~bound:2 else 1 in
+  let region = ref 0x1000 in
+  let alloc size =
+    let at = !region in
+    region := at + ((size + 255) / 256 * 256);
+    at
+  in
+  let entries =
+    List.init batch (fun _ ->
+        let a = alloc (bytes a_rows lda) in
+        let b = alloc (bytes b_rows ldb) in
+        let c = alloc (bytes m ldc) in
+        (a, b, c))
+  in
+  let entries =
+    match entries with
+    | ((a0, b0, _) as e0) :: (_, _, c1) :: rest when Prng.bool g -> e0 :: (a0, b0, c1) :: rest
+    | _ -> entries
+  in
+  let top = !region in
+  let memory_bytes = (Sim.Memory.default_config).Sim.Memory.size_bytes in
+  (* C over the streamed operand, or C running off the end of memory *)
+  let entries =
+    List.map
+      (fun (a, b, c) ->
+        let streamed = match pin with Context_regs.Pin_a -> b | Context_regs.Pin_b -> a in
+        if chance 8 then (a, b, streamed + (4 * Prng.int g ~bound:8))
+        else if chance 12 then (a, b, memory_bytes - (4 * ((m * ldc / 2) + 1)))
+        else (a, b, c))
+      entries
+  in
+  let sys = make_system ~engine_config () in
+  let random_fill addr size =
+    for i = 0 to (size / 4) - 1 do
+      Sim.Memory.write_f32 sys.memory (addr + (4 * i)) (Prng.float_range g ~lo:(-1.0) ~hi:1.0)
+    done
+  in
+  random_fill 0x1000 (top - 0x1000);
+  List.iter
+    (fun (_, _, c) ->
+      if c + bytes m ldc > top then
+        random_fill c (Int.min (bytes m ldc) (memory_bytes - c) / 4 * 4))
+    entries;
+  (* zero vectors quantise with scale 1 *)
+  (if chance 6 then
+     let a, b, _ = List.hd entries in
+     match pin with
+     | Context_regs.Pin_a -> Sim.Memory.write_bytes sys.memory b (Bytes.make (bytes b_rows ldb) '\000')
+     | Context_regs.Pin_b -> Sim.Memory.write_bytes sys.memory a (Bytes.make (bytes a_rows lda) '\000'));
+  let engine = Accel.engine sys.accel in
+  Array.iter
+    (fun xb ->
+      if chance 3 then Tdo_pcm.Crossbar.set_drift xb ~offset:(Prng.int g ~bound:7 - 3);
+      for _ = 1 to Prng.int g ~bound:3 do
+        Tdo_pcm.Crossbar.arm_column_flip xb ~col:(Prng.int g ~bound:32)
+          ~bit:(Prng.int g ~bound:12) ~ops:(1 + Prng.int g ~bound:6)
+      done)
+    (Micro_engine.crossbars engine);
+  let log = if Prng.bool g then Some (Micro_engine.record_timeline engine) else None in
+  let a0, b0, c0 = List.hd entries in
+  let job =
+    {
+      (base_job ~m ~n ~k) with
+      Context_regs.op = (if batch > 1 then Context_regs.Gemm_batched else Context_regs.Gemm);
+      trans_a;
+      trans_b;
+      lda;
+      ldb;
+      ldc;
+      alpha = Prng.float_range g ~lo:(-2.0) ~hi:2.0;
+      beta = (if Prng.bool g then 0.0 else Prng.float_range g ~lo:(-1.0) ~hi:1.0);
+      a_addr = a0;
+      b_addr = b0;
+      c_addr = c0;
+      pin;
+      batch_count = (if batch > 1 then batch else 0);
+      batch_desc_addr = desc_addr + 0x100000;
+    }
+  in
+  List.iteri
+    (fun i (a, b, c) ->
+      List.iteri
+        (fun j v ->
+          Sim.Memory.write_i32 sys.memory (job.Context_regs.batch_desc_addr + (12 * i) + (4 * j))
+            (Int32.of_int v))
+        [ a; b; c ])
+    entries;
+  let run job start =
+    let run = if per_vector then Micro_engine.run_job_per_vector else Micro_engine.run_job in
+    match run engine job ~start with
+    | Ok finish -> Printf.sprintf "finish %d" finish
+    | Error e -> "error " ^ e
+    | exception Invalid_argument e -> "raised " ^ e
+  in
+  let first = run job 0 in
+  let second =
+    run { job with Context_regs.beta = (if job.Context_regs.beta = 0.0 then 0.5 else 0.0) } 50_000_000
+  in
+  let c_bytes =
+    List.map
+      (fun (_, _, c) ->
+        let len = Int.min (bytes m ldc + 64) (memory_bytes - c) in
+        Digest.to_hex (Digest.bytes (Sim.Memory.read_bytes sys.memory c len)))
+      entries
+  in
+  let tiles = Micro_engine.crossbars engine in
+  ( ( first,
+      second,
+      Digest.to_hex (Digest.bytes (Sim.Memory.read_bytes sys.memory 0x1000 (top - 0x1000))),
+      c_bytes ),
+    ( Micro_engine.counters engine,
+      Array.map Tdo_pcm.Crossbar.counters tiles,
+      Array.map
+        (fun xb ->
+          let adc = Tdo_pcm.Crossbar.adc xb in
+          ( Tdo_pcm.Adc.samples adc,
+            Tdo_pcm.Adc.conversions adc,
+            Tdo_pcm.Crossbar.flips_remaining xb,
+            Tdo_pcm.Crossbar.wear_total xb ))
+        tiles,
+      Digital_logic.counters (Micro_engine.digital engine),
+      Micro_engine.last_abft_fault engine ),
+    Option.map Timeline.events log )
+
+let qcheck_blocked_equals_per_vector =
+  QCheck.Test.make ~name:"a launch run as one block equals it run one vector per block"
+    ~count:500 (QCheck.int_bound 1_000_000) (fun seed ->
+      blocked_launch_state ~seed ~per_vector:false = blocked_launch_state ~seed ~per_vector:true)
+
 (* ---------- Accelerator (register-level round trip) ---------- *)
 
 let test_accel_register_roundtrip () =
@@ -541,6 +711,7 @@ let suites =
         Alcotest.test_case "timeline records only into an attached log" `Quick
           test_engine_timeline_attach;
         QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_blocked_equals_per_vector;
       ] );
     ( "cimacc.accel",
       [

@@ -131,6 +131,33 @@ let test_quant_saturation () =
   Alcotest.(check int) "saturates high" 127 (Quant.quantize s 50.0);
   Alcotest.(check int) "saturates low" (-128) (Quant.quantize s (-50.0))
 
+(* The quantiser rounds without calling C's [round]: it must pick the
+   code [Float.round] picks, exact halves, negative zero, values too
+   large for the fast path, infinities and NaN included. *)
+let test_quant_rounds_as_float_round () =
+  let reference ~scale v =
+    let code = int_of_float (Float.round (v /. scale)) in
+    if code > 127 then 127 else if code < -128 then -128 else code
+  in
+  let g = Prng.create ~seed:13 in
+  let specials =
+    [ 0.0; -0.0; 0.5; -0.5; 1.5; -1.5; 126.5; -127.5; 0.49999999999999994; -0.49999999999999994;
+      4503599627370495.5; 4503599627370496.0; -4503599627370497.0; 1e300; -1e300; Float.infinity;
+      Float.neg_infinity; Float.nan ]
+  in
+  let halves = List.init 512 (fun i -> Float.of_int (i - 256) +. 0.5) in
+  let randoms = List.init 2000 (fun _ -> Prng.float_range g ~lo:(-200.0) ~hi:200.0) in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun scale ->
+          Alcotest.(check int)
+            (Printf.sprintf "%h / %h" v scale)
+            (reference ~scale v)
+            (Quant.quantize_scaled ~bits:8 ~scale v))
+        [ 1.0; 0.25; 1.0 /. 127.0 ])
+    (specials @ halves @ randoms)
+
 let test_nibble_split () =
   for code = -128 to 127 do
     let msb, lsb = Quant.split_nibbles code in
@@ -202,6 +229,7 @@ let suites =
         Alcotest.test_case "code roundtrip" `Quick test_quant_roundtrip_exact_codes;
         Alcotest.test_case "error bound" `Quick test_quant_error_bound;
         Alcotest.test_case "saturation" `Quick test_quant_saturation;
+        Alcotest.test_case "rounds as Float.round" `Quick test_quant_rounds_as_float_round;
         Alcotest.test_case "nibble split/recombine" `Quick test_nibble_split;
       ] );
   ]

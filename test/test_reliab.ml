@@ -17,11 +17,13 @@ let test_abft_known_values () =
   let output = [| 6; 15; 24 |] in
   Alcotest.(check int) "predicted sum" 45 (Abft.predict ~row_sums:rs ~input);
   Alcotest.(check int) "observed sum" 45 (Abft.observe output);
-  (match Abft.verify ~row_sums:rs ~input ~output with
+  (match Abft.verify ~row_sums:rs ~input ~input_pos:0 ~output ~output_pos:0
+      ~output_len:(Array.length output) with
   | Abft.Pass -> ()
   | Abft.Fail _ -> Alcotest.fail "clean product must pass");
   output.(1) <- output.(1) + 1;
-  match Abft.verify ~row_sums:rs ~input ~output with
+  match Abft.verify ~row_sums:rs ~input ~input_pos:0 ~output ~output_pos:0
+      ~output_len:(Array.length output) with
   | Abft.Fail { expected; observed } ->
       Alcotest.(check int) "expected" 45 expected;
       Alcotest.(check int) "observed" 46 observed
@@ -56,13 +58,15 @@ let qcheck_abft_detects_any_single_fault =
             !acc)
       in
       let rs = Abft.row_sums w in
-      let clean = Abft.verify ~row_sums:rs ~input ~output = Abft.Pass in
+      let clean = Abft.verify ~row_sums:rs ~input ~input_pos:0 ~output ~output_pos:0
+      ~output_len:(Array.length output) = Abft.Pass in
       (* perturb one output element by any nonzero delta *)
       let j = Prng.int g ~bound:n in
       let delta = 1 + Prng.int g ~bound:1000 in
       let delta = if Prng.bool g then delta else -delta in
       output.(j) <- output.(j) + delta;
-      let caught = Abft.verify ~row_sums:rs ~input ~output <> Abft.Pass in
+      let caught = Abft.verify ~row_sums:rs ~input ~input_pos:0 ~output ~output_pos:0
+      ~output_len:(Array.length output) <> Abft.Pass in
       clean && caught)
 
 (* ---------- fault taxonomy & injection ---------- *)

@@ -419,6 +419,99 @@ let test_api_offload_overhead_visible () =
   Alcotest.(check bool) "host stalled during flush" true (Driver.flush_stall_ps (Api.driver api) > 0);
   Alcotest.(check bool) "host stalled waiting" true (Driver.wait_stall_ps (Api.driver api) > 0)
 
+(* ---------- device-side im2col ---------- *)
+
+(* Source element (r, c) is 10 r + c, so a patch row can be written
+   down by hand. *)
+let im2col_source api ~rows ~ld =
+  let buf = Result.get_ok (Api.malloc api ~bytes:(4 * rows * ld)) in
+  Api.host_to_dev api
+    ~src:(Mat.init ~rows ~cols:ld ~f:(fun r c -> float_of_int ((10 * r) + c)))
+    ~dst:(Api.view ~ld buf);
+  buf
+
+(* A destination of [rows x ld] holding -1 everywhere. *)
+let im2col_destination api ~rows ~ld =
+  let buf = Result.get_ok (Api.malloc api ~bytes:(4 * rows * ld)) in
+  Api.host_to_dev api ~src:(Mat.init ~rows ~cols:ld ~f:(fun _ _ -> -1.0)) ~dst:(Api.view ~ld buf);
+  buf
+
+let check_patches what api dst ~ld expected =
+  Alcotest.(check (array (array (float 0.0))))
+    what expected
+    (Mat.to_arrays (Api.dev_to_host api ~src:(Api.view ~ld dst) ~rows:(Array.length expected) ~cols:ld))
+
+let test_api_im2col_values () =
+  let p = make_platform () in
+  let api = Api.init p in
+  (* a 3x4 source and a 2x2 kernel: 2x3 outputs, packed patch rows *)
+  let src = im2col_source api ~rows:3 ~ld:4 in
+  let dst = im2col_destination api ~rows:6 ~ld:4 in
+  Api.dev_im2col api ~src:(Api.view ~ld:4 src) ~src_rows:3 ~src_cols:4 ~dst:(Api.view ~ld:4 dst)
+    ~kh:2 ~kw:2 ~oh:2 ~ow:3;
+  check_patches "2x2 kernel" api dst ~ld:4
+    [|
+      [| 0.; 1.; 10.; 11. |];
+      [| 1.; 2.; 11.; 12. |];
+      [| 2.; 3.; 12.; 13. |];
+      [| 10.; 11.; 20.; 21. |];
+      [| 11.; 12.; 21.; 22. |];
+      [| 12.; 13.; 22.; 23. |];
+    |];
+  (* a 4x5 window of a source with leading dimension 6 and a 3x2
+     kernel, into patch rows padded to 7: the padding keeps its -1 *)
+  let src = im2col_source api ~rows:4 ~ld:6 in
+  let dst = im2col_destination api ~rows:6 ~ld:7 in
+  Api.dev_im2col api ~src:(Api.view ~ld:6 src) ~src_rows:4 ~src_cols:5 ~dst:(Api.view ~ld:7 dst)
+    ~kh:3 ~kw:2 ~oh:2 ~ow:3;
+  check_patches "3x2 kernel, padded rows" api dst ~ld:7
+    [|
+      [| 0.; 1.; 10.; 11.; 20.; 21.; -1. |];
+      [| 1.; 2.; 11.; 12.; 21.; 22.; -1. |];
+      [| 2.; 3.; 12.; 13.; 22.; 23.; -1. |];
+      [| 10.; 11.; 20.; 21.; 30.; 31.; -1. |];
+      [| 11.; 12.; 21.; 22.; 31.; 32.; -1. |];
+      [| 12.; 13.; 22.; 23.; 32.; 33.; -1. |];
+    |];
+  (* source and patches side by side in one buffer *)
+  let shared = Result.get_ok (Api.malloc api ~bytes:(4 * (12 + 24))) in
+  Api.host_to_dev api
+    ~src:(Mat.init ~rows:3 ~cols:4 ~f:(fun r c -> float_of_int ((10 * r) + c)))
+    ~dst:(Api.view ~ld:4 shared);
+  Api.dev_im2col api ~src:(Api.view ~ld:4 shared) ~src_rows:3 ~src_cols:4
+    ~dst:(Api.view ~offset_elems:12 ~ld:4 shared) ~kh:2 ~kw:2 ~oh:2 ~ow:3;
+  Alcotest.(check (array (float 0.0)))
+    "adjacent ranges" [| 0.; 1.; 10.; 11.; 12.; 13.; 22.; 23. |]
+    (let m = Api.dev_to_host api ~src:(Api.view ~offset_elems:12 ~ld:4 shared) ~rows:6 ~cols:4 in
+     Array.append (Mat.to_arrays m).(0) (Mat.to_arrays m).(5))
+
+let test_api_im2col_rejects () =
+  let p = make_platform () in
+  let api = Api.init p in
+  let dst = im2col_destination api ~rows:9 ~ld:4 in
+  let untouched () =
+    check_patches "destination untouched" api dst ~ld:4 (Array.make 9 (Array.make 4 (-1.0)))
+  in
+  (* the view claims four rows; the buffer holds three *)
+  let src = im2col_source api ~rows:3 ~ld:4 in
+  Alcotest.check_raises "source too small"
+    (Invalid_argument "Api.dev_im2col: window leaves the source buffer") (fun () ->
+      Api.dev_im2col api ~src:(Api.view ~ld:4 src) ~src_rows:4 ~src_cols:4
+        ~dst:(Api.view ~ld:4 dst) ~kh:2 ~kw:2 ~oh:3 ~ow:3);
+  untouched ();
+  let small = im2col_destination api ~rows:5 ~ld:4 in
+  Alcotest.check_raises "destination too small"
+    (Invalid_argument "Api.dev_im2col: destination too small") (fun () ->
+      Api.dev_im2col api ~src:(Api.view ~ld:4 src) ~src_rows:3 ~src_cols:4
+        ~dst:(Api.view ~ld:4 small) ~kh:2 ~kw:2 ~oh:2 ~ow:3);
+  (* patches that start inside the source window *)
+  let shared = Result.get_ok (Api.malloc api ~bytes:(4 * 64)) in
+  Alcotest.check_raises "overlapping ranges"
+    (Invalid_argument "Api.dev_im2col: source and destination overlap") (fun () ->
+      Api.dev_im2col api ~src:(Api.view ~ld:4 shared) ~src_rows:3 ~src_cols:4
+        ~dst:(Api.view ~offset_elems:8 ~ld:4 shared) ~kh:2 ~kw:2 ~oh:2 ~ow:3);
+  untouched ()
+
 let suites =
   [
     ( "runtime.cma",
@@ -447,6 +540,8 @@ let suites =
         Alcotest.test_case "generation invalidation" `Quick test_api_generation_invalidation;
         Alcotest.test_case "free semantics" `Quick test_api_free_rejected_after_use;
         Alcotest.test_case "offload overhead visible" `Quick test_api_offload_overhead_visible;
+        Alcotest.test_case "im2col patches" `Quick test_api_im2col_values;
+        Alcotest.test_case "im2col rejects bad ranges" `Quick test_api_im2col_rejects;
       ] );
   ]
 

@@ -153,6 +153,32 @@ let test_gemv_selective_offload_rediscovered () =
   Alcotest.(check bool) "and is strictly faster" true
     (best.Flow.roi_cycles < default.Flow.roi_cycles)
 
+(* A search simulates the same points however many domains its two
+   pool maps use: with every map on the calling domain, and with two
+   domains interleaving the simulations, one [Search.tune] call picks
+   the same point after the same number of simulations, measured
+   alike. *)
+let test_search_same_on_one_and_two_domains () =
+  let tune () = tune_bench ~n:16 "mvt" in
+  Tdo_util.Pool.set_sequential (Some true);
+  let sequential = Fun.protect ~finally:(fun () -> Tdo_util.Pool.set_sequential None) tune in
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "TDO_DOMAINS" "")
+      (fun () ->
+        Unix.putenv "TDO_DOMAINS" "2";
+        tune ())
+  in
+  let measurements (r : Search.result) =
+    List.map (fun (e : Search.evaluation) -> (e.Search.point, e.Search.measurement)) r.Search.evaluations
+  in
+  Alcotest.(check bool) "same best point" true
+    (sequential.Search.best.Search.point = parallel.Search.best.Search.point);
+  Alcotest.(check int) "same simulations" sequential.Search.simulated parallel.Search.simulated;
+  Alcotest.(check bool) "same best measurement" true
+    (sequential.Search.best.Search.measurement = parallel.Search.best.Search.measurement);
+  Alcotest.(check bool) "same measurements" true (measurements sequential = measurements parallel)
+
 (* ---------- Tuning database ---------- *)
 
 let test_db_roundtrip () =
@@ -298,6 +324,8 @@ let suites =
         Alcotest.test_case "never worse than default" `Quick test_search_never_worse;
         Alcotest.test_case "rediscovers selective offload" `Quick
           test_gemv_selective_offload_rediscovered;
+        Alcotest.test_case "same on one and two domains" `Quick
+          test_search_same_on_one_and_two_domains;
       ] );
     ( "tune.db",
       [
