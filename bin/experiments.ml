@@ -68,15 +68,30 @@ let run_ablations () =
 let bench_json dataset out baseline report_baseline =
   let module Pool = Tdo_util.Pool in
   let module Report = Tdo_util.Bench_report in
+  (* more domains than the machine runs at once only time-share its
+     cores, and make the parallel wall a measure of the scheduler *)
+  let recommended = max 1 (Domain.recommended_domain_count ()) in
+  if Pool.size () > recommended then Unix.putenv "TDO_DOMAINS" (string_of_int recommended);
+  let median_by_wall ms =
+    List.nth
+      (List.sort (fun (a : Report.measure) b -> Float.compare a.elapsed_s b.elapsed_s) ms)
+      (List.length ms / 2)
+  in
   let section name f =
-    (* the fan-out first, then the same work forced sequential *)
-    Pool.set_sequential (Some false);
-    let _, m = Report.timed f in
-    Pool.set_sequential (Some true);
-    let _, (ms : Report.measure) = Report.timed f in
+    (* the fan-out and the same work forced sequential, alternately,
+       three times each; each mode's median run is recorded *)
+    let runs =
+      List.init 3 (fun _ ->
+          Pool.set_sequential (Some false);
+          let _, m = Report.timed f in
+          Pool.set_sequential (Some true);
+          let _, ms = Report.timed f in
+          (m, ms))
+    in
     Pool.set_sequential None;
-    Printf.printf "%-18s %8.3f s parallel, %8.3f s sequential\n%!" name m.Report.elapsed_s
-      ms.Report.elapsed_s;
+    let m = median_by_wall (List.map fst runs) and ms = median_by_wall (List.map snd runs) in
+    Printf.printf "%-18s %8.3f s parallel, %8.3f s sequential (medians of 3)\n%!" name
+      m.Report.elapsed_s ms.Report.elapsed_s;
     Report.of_measure ~name ~seq_wall_s:ms.Report.elapsed_s m
   in
   let fig6_name = Printf.sprintf "fig6-%s" (Dataset.to_string dataset) in
@@ -126,9 +141,12 @@ let bench_json dataset out baseline report_baseline =
        arrays indexed by shift and mask, the copy loops were charged a cache line at a \
        time and bus accounting stopped hashing the master name, it measured \
        fig6-medium at 3.14e6 minor words, fig5 at 0.70e6 and ablations at 14.5e6 / \
-       0.96 s. Measured on a 2-CPU container with TDO_DOMAINS=4, so parallel speedup \
-       is bounded at 2.0 and wall-clock is noisy; the allocation columns are the \
-       load-bearing figures here."
+       0.96 s. Each section runs with the domain pool and forced sequential, \
+       alternately, three times each, and records each mode's median run; the pool \
+       runs at most the machine's recommended domain count (TDO_DOMAINS, when set, \
+       only lowers it), 2 on the 2-CPU container this was measured on, so parallel \
+       speedup is bounded at 2.0 and wall-clock is noisy; the allocation columns are \
+       the load-bearing figures here."
     ~extra ~sections ();
   Printf.printf "wrote %s\n" out
 
@@ -158,8 +176,9 @@ let bench_json_cmd =
   Cmd.v
     (Cmd.info "bench-json"
        ~doc:
-         "Time the Fig. 5 / Fig. 6 / ablation sections (parallel and forced-sequential) \
-          and write BENCH_sim.json.")
+         "Time the Fig. 5 / Fig. 6 / ablation sections (parallel and forced-sequential, \
+          the median of three runs each, the pool capped at the recommended domain \
+          count) and write BENCH_sim.json.")
     Term.(const bench_json $ dataset_arg $ out_arg $ baseline_arg $ report_baseline_arg)
 
 (* ---------- regression gate against a committed report ---------- *)
@@ -167,10 +186,10 @@ let bench_json_cmd =
 let sim_bench dataset baseline smoke tolerance alloc_tolerance =
   let module Report = Tdo_util.Bench_report in
   (* wall-clock drifts with the host; allocation is deterministic for a
-     fixed domain count, so it gets the tight default tolerance *)
-  let wall_tol =
-    match tolerance with Some t -> t | None -> if smoke then 5.0 else 1.0
-  in
+     fixed domain count, so it gets the tight default tolerance, and it
+     is all the smoke gate judges: one fig5 run takes a few ms, within
+     the spread of a busy host's scheduling *)
+  let wall_tol = match tolerance with Some t -> t | None -> 1.0 in
   let alloc_tol =
     match alloc_tolerance with Some t -> t | None -> if smoke then 0.5 else 0.25
   in
@@ -201,19 +220,18 @@ let sim_bench dataset baseline smoke tolerance alloc_tolerance =
         baseline;
       exit 2
   | Ok deltas ->
+      let wall_regression (d : Report.delta) = d.Report.regression && not smoke in
       List.iter
         (fun (d : Report.delta) ->
           Printf.printf
             "%-18s wall %8.3f s vs %8.3f s%s   minor %14.0f w vs %14.0f w%s\n" d.Report.name
             d.Report.wall_s d.Report.baseline_wall_s
-            (if d.Report.regression then "  WALL-REGRESSION" else "")
+            (if smoke then "  (not judged)" else if wall_regression d then "  WALL-REGRESSION" else "")
             d.Report.minor_words d.Report.baseline_minor_words
             (if d.Report.alloc_regression then "  ALLOC-REGRESSION" else ""))
         deltas;
       let bad =
-        List.filter
-          (fun (d : Report.delta) -> d.Report.regression || d.Report.alloc_regression)
-          deltas
+        List.filter (fun (d : Report.delta) -> wall_regression d || d.Report.alloc_regression) deltas
       in
       if bad <> [] then begin
         Printf.eprintf "sim-bench: %d section(s) regressed against %s\n%!"
@@ -235,8 +253,9 @@ let sim_bench_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "Fast variant for `dune runtest`: only the Fig. 5 section, timed on a second \
-             run as $(b,bench-json) times it, with loose default tolerances.")
+            "Fast variant for `dune runtest`: only the Fig. 5 section, measured on a second \
+             run as $(b,bench-json) measures it, judged on its minor-heap allocation \
+             alone (with a loose default tolerance); its wall-clock is printed, not judged.")
   in
   let tolerance_arg =
     Arg.(
@@ -244,8 +263,8 @@ let sim_bench_cmd =
       & opt (some float) None
       & info [ "tolerance" ] ~docv:"FRACTION"
           ~doc:
-            "Relative wall-clock slowdown that counts as a regression (default 1.0, or \
-             5.0 with $(b,--smoke) — wall-clock is noisy across hosts).")
+            "Relative wall-clock slowdown that counts as a regression (default 1.0; not \
+             used with $(b,--smoke) — wall-clock is noisy across hosts).")
   in
   let alloc_tolerance_arg =
     Arg.(

@@ -35,7 +35,9 @@ type state = {
           at every call *)
   mutable heap : int;
   mutable api : Api.t option;
-  dev : (int, Api.buffer) Hashtbl.t;  (** keyed by array slot *)
+  mutable dev : (int, Api.buffer) Hashtbl.t;
+      (** keyed by array slot; made by [polly_cimInit], before which
+          no call reaches it *)
   pending : int array;
       (** instructions counted but not yet retired to the core, by
           {!counted_classes} index *)
@@ -49,9 +51,18 @@ type state = {
       (** by site: the memory chunk a running loop kernel's site reads
           and writes directly, or [Bytes.empty] *)
   mutable kernel_iterations : int;  (** iterations run as loop kernels *)
+  mutable binary32 : Tdo_linalg.Quant.binary32;
+      (** the cell a loop kernel's register rounds through, made at the
+          run's first such loop; [unused_cell] until then *)
 }
 
 let heap_base = 0x0100_0000
+
+(* Shared by every run: [dev] before [polly_cimInit] and [binary32]
+   before the first loop kernel whose target stays in a register. Each
+   is replaced before anything could write to it. *)
+let no_buffers : (int, Api.buffer) Hashtbl.t = Hashtbl.create 1
+let unused_cell = Tdo_linalg.Quant.binary32 ()
 
 let no_array = { base = -1; dims = [] }
 
@@ -379,7 +390,10 @@ let compile_call env s (call : Ir.call) : code =
   | Ir.Cim_init ->
       fun st ->
         retire st;
-        if st.api = None then st.api <- Some (Api.init st.platform)
+        if st.api = None then begin
+          st.api <- Some (Api.init st.platform);
+          st.dev <- Hashtbl.create 8
+        end
   | Ir.Cim_alloc { array = name } ->
       let slot = array_slot env name in
       fun st ->
@@ -621,17 +635,41 @@ let compile_assign env s k (lhs : Ast.lvalue) op (rhs : Ast.expr) : code =
    inside simulated memory, every access of the loop is, and nothing in
    the loop can fail: an affine subscript holds no integer division.
    Otherwise the per-iteration closure runs the loop and fails where it
-   always failed, with every access before the failing one probed. Any
-   other loop runs its per-iteration closure.
+   always failed, with every access before the failing one probed. It
+   also runs a loop whose sites outnumber the L1D's ways (below), and
+   any loop of another shape.
 
    Inside the kernel each site's byte address advances by the site's
    stride, and a site whose span lies inside one memory chunk reads and
    writes that chunk's bytes, with the registers, chunks and factors in
-   locals. Each iteration probes the loads left to right and then the
-   target, at their own site numbers, as the closures do, each store
-   rounds to f32, the loop variable ends at its final value, and the
-   loop adds [trips] times its per-iteration count when it exits, as
-   the per-iteration closure does. *)
+   locals. Each iteration accesses the loads left to right and then the
+   target, each store rounds to f32, the loop variable ends at its
+   final value, and the loop adds [trips] times its per-iteration count
+   when it exits, as the per-iteration closure does.
+
+   The L1D sees the accesses line by line. With S sites, at most the
+   L1D's ways, an access on the line its site touched one iteration
+   earlier is a hit: only S - 1 accesses came between, and evicting the
+   line takes [ways] other lines. Such a hit is skipped (see
+   {!Sim.Cache.skip_hits}); only a site that moves to a new line is
+   probed, at its own site number, once the clock is brought up to the
+   probe's tick. Every access ticks the clock once, a read-modify-write
+   twice, so the tick of a site's access in iteration [i] is the clock
+   at entry plus [i] times the ticks per iteration plus the site's
+   place among them. A skipped hit leaves one more trace, its line's
+   LRU stamp, which only a fill in that line's set reads: a line gets
+   the stamp of its site's last access there when the site leaves it,
+   before a probe that would miss fills a line of its set, and at exit,
+   when the clock moves to the loop's end. Between two iterations where
+   some site moves the loop only computes.
+
+   A target with stride 0 that no load reads keeps its value in a
+   local, rounded to binary32 after each update, as a store and a load
+   of memory round it, and is stored once at exit: nothing else reads
+   memory while the loop runs, and nothing in it can fail. Arrays never
+   overlap, so a loop qualifies unless a load names the target's array;
+   then it qualifies at an entry where that load's span misses the
+   target. *)
 
 exception Not_a_kernel
 
@@ -640,44 +678,49 @@ type factor =
   | Slot of int  (** a float slot *)
   | Lit of float
 
+type shape = Two_loads | Scaled_two_loads | Other
+
 type kernel = {
   var : int;  (** the loop variable's slot *)
   step : int;
-  sites : site array;  (** the statement's sites: its target, then its loads *)
+  sites : site array;  (** the statement's sites in access order: its loads, then its target *)
   deltas : int array array;  (** by site, each subscript's change per iteration *)
+  strides : int array;  (** by site, its bytes per iteration *)
+  shifts : int array;  (** by site, log2 of its stride's magnitude when a power of two, or -1 *)
   target : int;  (** the target's site number *)
   stride : int;  (** the target's bytes per iteration *)
   op : Ast.assign_op;
   factors : factor array;  (** 1 to 3, multiplied left to right *)
-  loads : int;  (** per iteration *)
+  shape : shape;
+  period : int;  (** L1D clock ticks per iteration: one per load, one or two for the target *)
+  aliases : int;  (** bit [j] set: the [j]th load reads the target's array *)
+  loads : int;  (** counted per iteration *)
   max_trips : int;  (** past it, a subscript's change over the loop could overflow *)
 }
 
 let chunk_mask = Sim.Memory.chunk_size - 1
 
-(* A load, or a store or update, at [addr], through [c] when it is the
-   chunk that holds [addr], through [Sim.Memory] when it is
-   [Bytes.empty]. *)
+(* An f32 at [addr], through [c] when it is the chunk that holds
+   [addr], through [Sim.Memory] when it is [Bytes.empty]. A chunk holds
+   its site's whole span, checked at loop entry, so the kernel reads
+   and writes it without a bounds check, little-endian as [Sim.Memory]
+   lays it out. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
-let[@inline always] load_at st site addr c =
-  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_load st.cpu ~site ~addr;
-  if c != Bytes.empty then Int32.float_of_bits (Bytes.get_int32_le c (addr land chunk_mask))
+let[@inline always] get_i32_le c off = if Sys.big_endian then swap32 (get32u c off) else get32u c off
+
+let[@inline always] set_i32_le c off v =
+  if Sys.big_endian then set32u c off (swap32 v) else set32u c off v
+
+let[@inline always] read_at st addr c =
+  if c != Bytes.empty then Int32.float_of_bits (get_i32_le c (addr land chunk_mask))
   else Sim.Memory.read_f32 st.memory addr
 
-let[@inline always] assign_at st site addr c op v =
-  match op with
-  | Ast.Set ->
-      st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_store st.cpu ~site ~addr;
-      if c != Bytes.empty then Bytes.set_int32_le c (addr land chunk_mask) (Int32.bits_of_float v)
-      else Sim.Memory.write_f32 st.memory addr v
-  | Ast.Add_assign | Ast.Sub_assign | Ast.Mul_assign ->
-      st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_update st.cpu ~site ~addr;
-      if c != Bytes.empty then begin
-        let off = addr land chunk_mask in
-        Bytes.set_int32_le c off
-          (Int32.bits_of_float (assign_f op (Int32.float_of_bits (Bytes.get_int32_le c off)) v))
-      end
-      else Sim.Memory.write_f32 st.memory addr (assign_f op (Sim.Memory.read_f32 st.memory addr) v)
+let[@inline always] write_at st addr c v =
+  if c != Bytes.empty then set_i32_le c (addr land chunk_mask) (Int32.bits_of_float v)
+  else Sim.Memory.write_f32 st.memory addr v
 
 (* Sets each site's register to its first address and takes its chunk,
    sets the loop variable to its first value, and tells whether every
@@ -712,41 +755,206 @@ let kernel_enter st kn ~lo ~trips =
   done;
   !inside
 
-(* The loop, with its registers, chunks and factors in locals. Its
-   factors are invariant unless they are loads, since the statement
-   assigns an array element. *)
+(* Whether no load's span covers the target, at [addr], over [trips]
+   iterations. *)
+let clear_of_loads st kn ~addr ~trips =
+  let clear = ref true in
+  for j = 0 to Array.length kn.sites - 2 do
+    if kn.aliases land (1 lsl j) <> 0 then begin
+      let a0 = Array.unsafe_get st.addr (Array.unsafe_get kn.sites j).id in
+      let a1 = a0 + (Array.unsafe_get kn.strides j * (trips - 1)) in
+      if Int.min a0 a1 <= addr && addr <= Int.max a0 a1 then clear := false
+    end
+  done;
+  !clear
 
-let[@inline always] factor_at st f addr c =
-  match f with
-  | Load { site; _ } -> load_at st site addr c
-  | Slot slot -> Array.unsafe_get st.floats slot
-  | Lit x -> x
+(* Whether the target stays in a register for [trips] iterations: its
+   stride is 0 and no load reads it. *)
+let[@inline always] in_register st kn ~trips =
+  kn.stride = 0
+  && (kn.aliases = 0 || clear_of_loads st kn ~addr:(Array.unsafe_get st.addr kn.target) ~trips)
 
+(* The tick of the [r]th access of iteration [i] in a loop entered at
+   clock [clock], the later one if the access takes two. *)
+let[@inline always] tick kn ~clock ~i r =
+  clock + (i * kn.period) + if r < Array.length kn.sites - 1 then r + 1 else kn.period
+
+let[@inline always] site_number kn r = (Array.unsafe_get kn.sites r).id
+
+(* The address of the [r]th access of iteration [i]. *)
+let[@inline always] address_at st kn ~i r =
+  Array.unsafe_get st.addr (site_number kn r) + (i * Array.unsafe_get kn.strides r)
+
+(* The [q]th access of iteration [i], at site [site], moves to the line
+   of [addr], so it is probed; [pending]: the line it leaves took
+   skipped hits, the last one in iteration [i - 1]. No site touches
+   that line again, so it gets its stamp now. The clock moves to the
+   tick before the probe. A probe that would miss fills a line of
+   [addr]'s set, choosing the victim by the stamps there, so first each
+   other site's line in that set gets the stamp of that site's last
+   access ([probe_missed]). Lines in other sets keep their skipped hits
+   until their own set fills, their site moves on or the loop exits. *)
+let probe_missed st kn ~clock ~i ~q ~site op ~update ~addr =
+  let l1d = st.platform.Platform.l1d in
+  let set = Sim.Cache.set_of l1d addr in
+  for r = 0 to Array.length kn.sites - 1 do
+    let i = if r < q then i else i - 1 in
+    if r <> q && i >= 0 && Sim.Cache.set_of l1d (address_at st kn ~i r) = set then
+      Sim.Cpu.stamp_site st.cpu ~site:(site_number kn r) (tick kn ~clock ~i r)
+  done;
+  st.miss_cycles <-
+    st.miss_cycles
+    +
+    if update then Sim.Cpu.probe_update st.cpu ~site ~addr
+    else if op = Sim.Cache.Read then Sim.Cpu.probe_load st.cpu ~site ~addr
+    else Sim.Cpu.probe_store st.cpu ~site ~addr
+
+let[@inline always] probe_moved st kn ~clock ~i ~q ~site op ~update ~addr ~pending =
+  if pending then Sim.Cpu.stamp_site st.cpu ~site (tick kn ~clock ~i:(i - 1) q);
+  Sim.Cpu.skip_hits st.cpu ~until:(clock + (i * kn.period) + q);
+  if not (Sim.Cpu.probe_hit st.cpu ~site op ~update ~addr) then
+    probe_missed st kn ~clock ~i ~q ~site op ~update ~addr
+
+(* A factor position's parts, read once per loop entry. Factors are
+   invariant unless they are loads, since the statement assigns an
+   array element. *)
+
+let[@inline always] factor kn p = Array.unsafe_get kn.factors (Int.min p (Array.length kn.factors - 1))
+let is_load = function Load _ -> true | Slot _ | Lit _ -> false
 let register st = function Load { site; _ } -> Array.unsafe_get st.addr site | Slot _ | Lit _ -> 0
 let chunk st = function Load { site; _ } -> Array.unsafe_get st.chunk site | Slot _ | Lit _ -> Bytes.empty
 let stride = function Load { stride; _ } -> stride | Slot _ | Lit _ -> 0
+let scalar st = function Slot slot -> Array.unsafe_get st.floats slot | Lit x -> x | Load _ -> 0.0
 
-let run_product st kn ~trips =
-  let factors = kn.factors and site = kn.target and op = kn.op in
-  let n = Array.length factors in
-  let f0 = Array.unsafe_get factors 0 in
-  let f1 = Array.unsafe_get factors (Int.min 1 (n - 1)) in
-  let f2 = Array.unsafe_get factors (Int.min 2 (n - 1)) in
+(* The first iteration after [i] whose access, from [a] at [i] on by
+   [d] bytes per iteration, leaves the line of [a], or [trips] when
+   none before it does. A column walk leaves at once. Within a line a
+   stride of [1 lsl p] bytes takes a shift; any other stride steps
+   through the line, which costs less than a division per move. *)
+let step_lines ~sh a d ~i ~trips =
+  let line = a lsr sh in
+  let a = ref (a + d) and i = ref (i + 1) in
+  while !i < trips && !a lsr sh = line do
+    a := !a + d;
+    incr i
+  done;
+  !i
+
+let[@inline always] next_move ~sh a d ~p ~i ~trips =
+  if d = 0 then trips
+  else if (a + d) lsr sh <> a lsr sh then i + 1
+  else if p < 0 then step_lines ~sh (a + d) d ~i:(i + 1) ~trips
+  else
+    let first = (a lsr sh) lsl sh in
+    Int.min trips (i + 1 + if d > 0 then (first + (1 lsl sh) - 1 - a) lsr p else (a - first) lsr p)
+
+(* The [q]th load's site number, or 0 past the last load, for a factor
+   position that holds no load and is never probed; the [q]th site's
+   shift *)
+let load_site kn q = if q < Array.length kn.sites - 1 then site_number kn q else 0
+let shift kn q = if q < Array.length kn.shifts then Array.unsafe_get kn.shifts q else -1
+
+(* The loop, with its registers, chunks, factors and lines in locals.
+   It runs from one iteration where sites move to a new line to the
+   next: there it probes them, in order, and in between it only
+   computes. [n] factors, [k0], [k1] and [k2] telling which positions
+   hold loads, and [register] are constants where this is inlined. *)
+let[@inline always] run_lines st kn ~trips ~n ~k0 ~k1 ~k2 ~register:in_register cell =
+  let sh = Sim.Cache.line_shift st.platform.Platform.l1d and op = kn.op in
+  let clock = Sim.Cpu.l1d_clock st.cpu in
+  let f0 = factor kn 0 and f1 = factor kn 1 and f2 = factor kn 2 in
+  let q1 = Bool.to_int k0 in
+  let q2 = q1 + Bool.to_int k1 in
+  let qt = q2 + Bool.to_int k2 in
+  let z0 = load_site kn 0 and z1 = load_site kn q1 and z2 = load_site kn q2 and zt = kn.target in
+  let p0 = shift kn 0 and p1 = shift kn q1 and p2 = shift kn q2 and pt = shift kn qt in
+  let s0 = scalar st f0 and s1 = scalar st f1 and s2 = scalar st f2 in
   let c0 = chunk st f0 and c1 = chunk st f1 and c2 = chunk st f2 in
   let d0 = stride f0 and d1 = stride f1 and d2 = stride f2 and dt = kn.stride in
-  let ct = Array.unsafe_get st.chunk site in
   let a0 = ref (register st f0) and a1 = ref (register st f1) and a2 = ref (register st f2) in
-  let at = ref (Array.unsafe_get st.addr site) in
-  for _ = 1 to trips do
-    let x = factor_at st f0 !a0 c0 in
-    let x = if n > 1 then x *. factor_at st f1 !a1 c1 else x in
-    let x = if n > 2 then x *. factor_at st f2 !a2 c2 else x in
-    assign_at st site !at ct op x;
-    a0 := !a0 + d0;
-    a1 := !a1 + d1;
-    a2 := !a2 + d2;
-    at := !at + dt
-  done
+  let ct = Array.unsafe_get st.chunk kn.target in
+  let at = ref (Array.unsafe_get st.addr kn.target) in
+  (* by site, the iteration it next moves to a new line at, and the one
+     it moved to its current line at *)
+  let m0 = ref (if k0 then 0 else trips) and m1 = ref (if k1 then 0 else trips) in
+  let m2 = ref (if k2 then 0 else trips) and mt = ref 0 in
+  let e0 = ref 0 and e1 = ref 0 and e2 = ref 0 and et = ref 0 in
+  let update = op <> Ast.Set in
+  let target_op = if update then Sim.Cache.Read else Sim.Cache.Write in
+  let v = ref (if in_register then read_at st !at ct else 0.0) in
+  let i = ref 0 in
+  while !i < trips do
+    (* the sites that move to a new line at iteration [i0], in order;
+       then the iterations up to the next move *)
+    let i0 = !i in
+    if !m0 = i0 then begin
+      probe_moved st kn ~clock ~i:i0 ~q:0 ~site:z0 Sim.Cache.Read ~update:false ~addr:!a0
+        ~pending:(i0 - !e0 >= 2);
+      e0 := i0;
+      m0 := next_move ~sh !a0 d0 ~p:p0 ~i:i0 ~trips
+    end;
+    if !m1 = i0 then begin
+      probe_moved st kn ~clock ~i:i0 ~q:q1 ~site:z1 Sim.Cache.Read ~update:false ~addr:!a1
+        ~pending:(i0 - !e1 >= 2);
+      e1 := i0;
+      m1 := next_move ~sh !a1 d1 ~p:p1 ~i:i0 ~trips
+    end;
+    if !m2 = i0 then begin
+      probe_moved st kn ~clock ~i:i0 ~q:q2 ~site:z2 Sim.Cache.Read ~update:false ~addr:!a2
+        ~pending:(i0 - !e2 >= 2);
+      e2 := i0;
+      m2 := next_move ~sh !a2 d2 ~p:p2 ~i:i0 ~trips
+    end;
+    if !mt = i0 then begin
+      probe_moved st kn ~clock ~i:i0 ~q:qt ~site:zt target_op ~update ~addr:!at
+        ~pending:(i0 - !et >= 2);
+      et := i0;
+      mt := next_move ~sh !at dt ~p:pt ~i:i0 ~trips
+    end;
+    let next = Int.min (Int.min !m0 !m1) (Int.min !m2 !mt) in
+    for _ = i0 to Int.min next trips - 1 do
+      let x = if k0 then read_at st !a0 c0 else s0 in
+      let x = if n > 1 then x *. if k1 then read_at st !a1 c1 else s1 else x in
+      let x = if n > 2 then x *. if k2 then read_at st !a2 c2 else s2 else x in
+      if in_register then v := Tdo_linalg.Quant.round_binary32 cell (assign_f op !v x)
+      else if op = Ast.Set then write_at st !at ct x
+      else write_at st !at ct (assign_f op (read_at st !at ct) x);
+      if k0 then a0 := !a0 + d0;
+      if k1 then a1 := !a1 + d1;
+      if k2 then a2 := !a2 + d2;
+      if not in_register then at := !at + dt
+    done;
+    i := next
+  done;
+  if in_register then write_at st !at ct !v;
+  (* each line that took skipped hits since its site moved there gets
+     the stamp of the last, and the clock moves to the loop's end *)
+  let last = trips - 1 in
+  if k0 && !e0 < last then Sim.Cpu.stamp_site st.cpu ~site:z0 (tick kn ~clock ~i:last 0);
+  if k1 && !e1 < last then Sim.Cpu.stamp_site st.cpu ~site:z1 (tick kn ~clock ~i:last q1);
+  if k2 && !e2 < last then Sim.Cpu.stamp_site st.cpu ~site:z2 (tick kn ~clock ~i:last q2);
+  if !et < last then Sim.Cpu.stamp_site st.cpu ~site:zt (tick kn ~clock ~i:last qt);
+  Sim.Cpu.skip_hits st.cpu ~until:(clock + (trips * kn.period))
+
+(* Two loads, or a scalar and then two loads, into a target in a
+   register are most kernels' shapes, and get loops of their own; any
+   other shape takes its loads' places from [kn.factors]. *)
+let[@inline always] run_shapes st kn ~trips ~register cell =
+  match kn.shape with
+  | Two_loads -> run_lines st kn ~trips ~n:2 ~k0:true ~k1:true ~k2:false ~register cell
+  | Scaled_two_loads -> run_lines st kn ~trips ~n:3 ~k0:false ~k1:true ~k2:true ~register cell
+  | Other ->
+      let n = Array.length kn.factors in
+      let k0 = is_load (factor kn 0) and k1 = n > 1 && is_load (factor kn 1) in
+      let k2 = n > 2 && is_load (factor kn 2) in
+      run_lines st kn ~trips ~n ~k0 ~k1 ~k2 ~register cell
+
+let run_kernel st kn ~trips =
+  if in_register st kn ~trips then begin
+    if st.binary32 == unused_cell then st.binary32 <- Tdo_linalg.Quant.binary32 ();
+    run_shapes st kn ~trips ~register:true st.binary32
+  end
+  else run_shapes st kn ~trips ~register:false unused_cell
 
 (* The loop as one closure, [per_iteration] where the kernel may not
    run it. [trips] is what the per-iteration loop would count: the body
@@ -765,9 +973,10 @@ let kernel_loop kn ~lo ~hi ~iteration (per_iteration : code) : code =
       trips > 0
       && trips - 1 <= kn.max_trips
       && lo + ((trips - 1) * kn.step) <= max_int - kn.step
+      && Array.length kn.sites <= (Sim.Cache.config st.platform.Platform.l1d).Sim.Cache.ways
       && kernel_enter st kn ~lo ~trips
     then begin
-      run_product st kn ~trips;
+      run_kernel st kn ~trips;
       Array.unsafe_set st.ints kn.var (lo + (trips * kn.step));
       st.loads <- st.loads + (trips * kn.loads);
       st.stores <- st.stores + trips;
@@ -812,6 +1021,14 @@ let rec coefficient env ~var (e : Ast.expr) =
   | Ast.Neg a -> -coef a
   | Ast.Binop (Ast.Div, _, _) | Ast.Float_lit _ | Ast.Index _ -> raise Not_a_kernel
 
+(* [k] when [abs d = 1 lsl k], or -1. *)
+let pow2_log d =
+  let d = Int.abs d in
+  if d = 0 || d land (d - 1) <> 0 then -1
+  else
+    let rec go k = if 1 lsl k = d then k else go (k + 1) in
+    go 0
+
 (* The operands of [x], [x * y] or [x * y * z], nested to the left. *)
 let rec operands = function
   | Ast.Binop (Ast.Mul, a, b) -> operands a @ [ b ]
@@ -831,7 +1048,14 @@ let loop_kernel_exn env ~var ~step (body : Ir.stmt list) sites =
     | _ -> raise Not_a_kernel
   in
   if List.length operands > 3 then raise Not_a_kernel;
-  let sites = Array.of_list (List.rev sites) in
+  (* [sites] is latest first: the loads right to left, then the target *)
+  let sites = Array.of_list sites in
+  let n = Array.length sites in
+  for k = 0 to ((n - 1) / 2) - 1 do
+    let site = sites.(k) in
+    sites.(k) <- sites.(n - 2 - k);
+    sites.(n - 2 - k) <- site
+  done;
   let deltas =
     Array.map
       (fun site ->
@@ -845,12 +1069,16 @@ let loop_kernel_exn env ~var ~step (body : Ir.stmt list) sites =
   in
   let stride j =
     let elems = ref 0 in
-    Array.iteri (fun d delta -> elems := (!elems * sites.(j).extents.(d)) + delta) deltas.(j);
+    for d = 0 to Array.length deltas.(j) - 1 do
+      elems := (!elems * sites.(j).extents.(d)) + deltas.(j).(d)
+    done;
     4 * !elems
   in
+  let strides = Array.init n stride in
+  let shifts = Array.map pow2_log strides in
   let rec factors j = function
     | [] -> []
-    | Ast.Index _ :: rest -> Load { site = sites.(j).id; stride = stride j } :: factors (j + 1) rest
+    | Ast.Index _ :: rest -> Load { site = sites.(j).id; stride = strides.(j) } :: factors (j + 1) rest
     | Ast.Float_lit x :: rest -> Lit x :: factors j rest
     | Ast.Var name :: rest -> (
         match lookup env name with
@@ -859,17 +1087,33 @@ let loop_kernel_exn env ~var ~step (body : Ir.stmt list) sites =
     | (Ast.Int_lit _ | Ast.Binop _ | Ast.Neg _) :: _ -> raise Not_a_kernel
   in
   let widest = Array.fold_left (Array.fold_left (fun m d -> Int.max m (Int.abs d))) 1 deltas in
+  let target = sites.(n - 1) in
+  let aliases = ref 0 in
+  for j = 0 to n - 2 do
+    if sites.(j).arr = target.arr then aliases := !aliases lor (1 lsl j)
+  done;
+  let factors = Array.of_list (factors 0 operands) in
   {
     var;
     step;
     sites;
     deltas;
-    target = sites.(0).id;
-    stride = stride 0;
+    strides;
+    shifts;
+    target = target.id;
+    stride = strides.(n - 1);
     op;
-    factors = Array.of_list (factors 1 operands);
-    loads = Array.length sites - (if op = Ast.Set then 1 else 0);
-    max_trips = max_int / widest;
+    factors;
+    shape =
+      (match factors with
+      | [| Load _; Load _ |] -> Two_loads
+      | [| (Slot _ | Lit _); Load _; Load _ |] -> Scaled_two_loads
+      | _ -> Other);
+    period = n - 1 + (if op = Ast.Set then 1 else 2);
+    aliases = !aliases;
+    loads = n - 1 + (if op = Ast.Set then 0 else 1);
+    (* clock ticks, at most 5 an iteration, stay far from overflow *)
+    max_trips = max_int / widest / 8;
   }
 
 let rec compile_stmt env s k (stmt : Ir.stmt) =
@@ -1073,7 +1317,7 @@ let exec (program : program) ~platform ~args =
       facc = Float.Array.create 1;
       heap = heap_base;
       api = None;
-      dev = Hashtbl.create 8;
+      dev = no_buffers;
       pending = new_count ();
       loads = 0;
       stores = 0;
@@ -1083,6 +1327,7 @@ let exec (program : program) ~platform ~args =
       addr = Array.make (max 1 p.n_sites) 0;
       chunk = Array.make (max 1 p.n_sites) Bytes.empty;
       kernel_iterations = 0;
+      binary32 = unused_cell;
     }
   in
   let staged =

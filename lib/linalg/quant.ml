@@ -36,6 +36,18 @@ let dequantize s code = float_of_int code *. s.scale
 
 let quantization_error_bound s = s.scale /. 2.0
 
+(* A store and a load through a float32 cell compile inline to the
+   same conversions ([cvtsd2ss], [cvtss2sd] on x86-64) that
+   [Int32.bits_of_float] and [Int32.float_of_bits] make behind a C
+   call. *)
+type binary32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let binary32 () : binary32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1
+
+let[@inline always] round_binary32 (cell : binary32) v =
+  Bigarray.Array1.unsafe_set cell 0 v;
+  Bigarray.Array1.unsafe_get cell 0
+
 (* Euclidean split keeps the low nibble non-negative so it maps onto
    an unsigned 4-bit conductance level: on two's-complement ints that
    is the low four bits, and the high nibble is the arithmetic shift. *)

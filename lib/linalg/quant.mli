@@ -31,6 +31,17 @@ val dequantize : scheme -> int -> float
 val quantization_error_bound : scheme -> float
 (** Worst-case absolute error for one in-range value: [scale /. 2]. *)
 
+type binary32
+(** A one-element float32 cell. It is mutable: give each domain that
+    rounds its own. *)
+
+val binary32 : unit -> binary32
+
+val round_binary32 : binary32 -> float -> float
+(** [round_binary32 cell v] is [v] rounded to binary32 and back,
+    bit for bit [Int32.float_of_bits (Int32.bits_of_float v)], NaNs
+    included, without a C call: inlined, the value stays unboxed. *)
+
 val split_nibbles : int -> int * int
 (** [split_nibbles code] for an 8-bit signed code returns
     [(msb, lsb)] with [code = msb*16 + lsb], [lsb] in [\[0,15\]]. Used

@@ -129,6 +129,8 @@ let create ?(config = l1d_arm_a7) ~next () =
   }
 
 let config t = t.config
+let line_shift t = t.line_shift
+let[@inline always] set_of t addr = (addr lsr t.line_shift) land t.set_mask
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -216,25 +218,24 @@ type memo = { mutable entries : int array }
 
 let memo () = { entries = [||] }
 
-let remember memo ~site ~line_addr i generation =
+let grow memo ~site =
+  let grown = Array.make (3 * max (site + 1) (2 * Array.length memo.entries / 3)) (-1) in
+  Array.blit memo.entries 0 grown 0 (Array.length memo.entries);
+  memo.entries <- grown
+
+let[@inline always] remember memo ~site ~line_addr i generation =
   let j = 3 * site in
-  if j >= Array.length memo.entries then begin
-    let grown = Array.make (3 * max (site + 1) (2 * Array.length memo.entries / 3)) (-1) in
-    Array.blit memo.entries 0 grown 0 (Array.length memo.entries);
-    memo.entries <- grown
-  end;
+  if j >= Array.length memo.entries then grow memo ~site;
   let e = memo.entries in
   Array.unsafe_set e j line_addr;
   Array.unsafe_set e (j + 1) i;
   Array.unsafe_set e (j + 2) generation
 
-(* [access t op ~addr], and with [update] then [access t Write ~addr],
-   which hits the line the first access left resident. A site whose
-   memo entry holds this line in the current generation hits its index
-   without the set search: no fill or flush since means the index still
-   holds that line. *)
-let[@inline always] probe_gen t memo ~site op ~update ~addr =
-  let line_addr = addr lsr t.line_shift in
+(* The index that holds [line_addr], or -1. A site whose memo entry
+   holds this line in the current generation finds its index without
+   the set search: no fill or flush since means the index still holds
+   that line. A search that finds the line is remembered. *)
+let[@inline always] lookup t memo ~site ~line_addr ~addr =
   let e = memo.entries in
   let j = 3 * site in
   if
@@ -242,36 +243,68 @@ let[@inline always] probe_gen t memo ~site op ~update ~addr =
     && j < Array.length e
     && Array.unsafe_get e j = line_addr
     && Array.unsafe_get e (j + 2) = t.generation
-  then begin
-    let i = Array.unsafe_get e (j + 1) in
-    hit t op i;
-    if update then hit t Write i;
-    t.config.hit_latency_ps
-  end
+  then Array.unsafe_get e (j + 1)
   else begin
     if addr < 0 then invalid_arg "Cache.probe: negative address";
     if site < 0 then invalid_arg "Cache.probe: negative site";
     let set = line_addr land t.set_mask in
     let base = set * t.ways in
-    let n = Array.unsafe_get t.valid set in
-    let i = find t.tags (line_addr lsr t.set_shift) base (base + n) in
-    if i >= 0 then begin
-      hit t op i;
-      if update then hit t Write i;
-      remember memo ~site ~line_addr i t.generation;
-      t.config.hit_latency_ps
-    end
-    else begin
-      let v = victim t base n in
-      let latency = fill t op ~set ~line_addr v in
-      if update then hit t Write v;
-      remember memo ~site ~line_addr v t.generation;
-      latency
-    end
+    let i = find t.tags (line_addr lsr t.set_shift) base (base + Array.unsafe_get t.valid set) in
+    if i >= 0 then remember memo ~site ~line_addr i t.generation;
+    i
+  end
+
+(* [access t op ~addr], and with [update] then [access t Write ~addr],
+   which hits the line the first access left resident. *)
+let[@inline always] probe_gen t memo ~site op ~update ~addr =
+  let line_addr = addr lsr t.line_shift in
+  let i = lookup t memo ~site ~line_addr ~addr in
+  if i >= 0 then begin
+    hit t op i;
+    if update then hit t Write i;
+    t.config.hit_latency_ps
+  end
+  else begin
+    let set = line_addr land t.set_mask in
+    let base = set * t.ways in
+    let v = victim t base (Array.unsafe_get t.valid set) in
+    let latency = fill t op ~set ~line_addr v in
+    if update then hit t Write v;
+    remember memo ~site ~line_addr v t.generation;
+    latency
   end
 
 let probe t memo ~site op ~addr = probe_gen t memo ~site op ~update:false ~addr
 let probe_update t memo ~site ~addr = probe_gen t memo ~site Read ~update:true ~addr
+
+(* Deferred hits. Every access ticks the clock once, hit or miss (a
+   read-modify-write twice), and each tick is one hit or one miss, so
+   [hits + misses - clock] never changes: ticks skipped up to [until]
+   are hits. A skipped hit changes nothing else but its line's stamp,
+   which [stamp_site] writes later; it cannot change a dirty bit, since
+   the line's first access in the caller's run was a probe, nor the
+   generation, so the site's memo entry still names the line. *)
+let clock t = t.clock
+
+let[@inline always] skip_hits t ~until =
+  if until < t.clock then invalid_arg "Cache.skip_hits: the clock runs backwards";
+  t.hits <- t.hits + (until - t.clock);
+  t.clock <- until
+
+let[@inline always] stamp_site t memo ~site tick =
+  let i = Array.unsafe_get memo.entries ((3 * site) + 1) in
+  if tick > Array.unsafe_get t.stamps i then Array.unsafe_set t.stamps i tick
+
+(* [probe_gen] when the access hits; a miss returns false before it
+   touches anything. *)
+let[@inline always] probe_hit t memo ~site op ~update ~addr =
+  let i = lookup t memo ~site ~line_addr:(addr lsr t.line_shift) ~addr in
+  i >= 0
+  && begin
+       hit t op i;
+       if update then hit t Write i;
+       true
+     end
 
 (* A line's first access goes through the [access] path; the others
    hit the line it left resident, so they are charged together: one

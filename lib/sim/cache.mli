@@ -54,6 +54,12 @@ val create :
 
 val config : t -> config
 
+val line_shift : t -> int
+(** [log2 line_bytes]: an address's line is [addr lsr line_shift t]. *)
+
+val set_of : t -> int -> int
+(** The set an address falls in. *)
+
 val access : t -> op -> addr:int -> Time_base.ps
 (** Latency of one access at [addr]. A miss fetches the line from the
     next level (and writes back the victim first if dirty). *)
@@ -77,6 +83,49 @@ val probe_update : t -> memo -> site:int -> addr:int -> Time_base.ps
     in one probe, as a read-modify-write issues them. The write always
     hits the line the read left resident; the result is the read's
     latency. *)
+
+(** {2 Deferred hits}
+
+    A caller that knows an access hits may skip it and account for it
+    later, at a cost per line rather than per access. The clock ticks
+    once per access ({!probe_update}: twice), hit or miss, and a
+    line's LRU stamp is the tick of its last access. A hit changes
+    only its line's stamp, the clock and the hit count: an access is a
+    guaranteed hit when its site's last probe was on the same line and
+    fewer than [ways] distinct other lines were accessed since, because
+    a line leaves the cache only as the least recently used line of its
+    full set when another line fills it. Such a hit writes no dirty bit
+    that the site's own earlier access did not write.
+
+    The caller keeps the cache exact. Before every {!probe} it moves
+    the clock over the skipped ticks with {!skip_hits}. Before a probe
+    that misses, since a fill chooses its victim by the stamps of its
+    set, and before the cache is read in any other way, it stamps
+    each line of that set (of every set) that skipped hits touched
+    with {!stamp_site}; {!probe_hit} tells a miss before it happens.
+    Then stamps, clock, counters, dirty bits and next-level calls are
+    those of probing every access. *)
+
+val clock : t -> int
+(** The tick of the latest access. *)
+
+val skip_hits : t -> until:int -> unit
+(** [skip_hits t ~until] records the accesses of ticks [clock t + 1] to
+    [until] as hits: the clock becomes [until] and the hit count grows
+    by the difference. No line changes. Raises [Invalid_argument] when
+    [until < clock t]. *)
+
+val stamp_site : t -> memo -> site:int -> int -> unit
+(** [stamp_site t memo ~site tick]: the line [site]'s last {!probe}
+    resolved to, which must still be resident, was accessed at [tick].
+    Its stamp becomes [tick] unless it is already later, so two sites
+    on one line leave the later of their ticks. *)
+
+val probe_hit : t -> memo -> site:int -> op -> update:bool -> addr:int -> bool
+(** [probe t memo ~site op ~addr] ([probe_update] when [update]) if
+    the access hits, and [true]; [false], with nothing changed, if it
+    would miss. A hit chooses no victim, so only the stamps of the
+    lines in a missing access's set need be current. *)
 
 val access_run : t -> op -> addr:int -> count:int -> cycle_ps:int -> int
 (** [count] consecutive 4-byte accesses at [addr], [addr + 4], ...:

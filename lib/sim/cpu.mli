@@ -91,6 +91,26 @@ val retire_probed : t -> loads:int -> stores:int -> cycles:int -> unit
     [cycles], the sum of their probes' results. Raises
     [Invalid_argument] on a negative argument. *)
 
+(** {2 Deferred hits}
+
+    The L1D's deferred-hit entry ({!Cache.skip_hits}) over the probes'
+    memory: an access that is a guaranteed hit costs nothing beyond a
+    hit, so it is retired like a probed one and its cache effects are
+    settled later, per line. *)
+
+val l1d_clock : t -> int
+(** {!Cache.clock} of the L1D. *)
+
+val skip_hits : t -> until:int -> unit
+(** {!Cache.skip_hits} on the L1D. *)
+
+val stamp_site : t -> site:int -> int -> unit
+(** {!Cache.stamp_site} on the L1D, for the line [site]'s last probe
+    resolved to. *)
+
+val probe_hit : t -> site:int -> Cache.op -> update:bool -> addr:int -> bool
+(** {!Cache.probe_hit} on the L1D: a hit costs nothing beyond a hit. *)
+
 val issue_many : t -> iclass -> int -> unit
 (** Account [count] identical non-memory instructions in one step (used
     for modelled fixed-cost loops like the driver's set/way cache

@@ -752,13 +752,26 @@ let suites =
    fresh platform of its own. Arrays [A] and [B] are parameters behind
    a padding array sized to put them across a 64 KB chunk boundary;
    [C] is a local array, which simulated memory may end inside. The
-   caches are the Table I ones or a tiny pair that evicts, so the
-   order of the probes shows in the statistics. Everything a run
-   leaves must match: its outcome (ROI numbers or error text), the
-   core's counters, both caches' statistics and dirty lines, the
+   caches are the Table I ones or a small pair that evicts: a 2-way
+   L1D of two sets, where a kernel of more than two sites runs per
+   iteration, or a 4-way one of four, so the order of the probes shows
+   in the statistics. A
+   kernel skips the hits on a line its site touched one iteration
+   before and writes their stamps later, so after each run a fixed
+   sweep through [Cpu.issue_at] fills a line in every set and then
+   reads every line of [A], [B] and [C]: a stamp written early, late
+   or not at all changes which lines the fills evict, and so the
+   sweep's latencies. Everything a run and its sweep leave must match:
+   its outcome (ROI numbers or error text), the core's counters, both
+   caches' statistics and dirty lines, the sweep's latencies, the
    arguments' bits and the bytes of every array in memory. Only a loop
    of one statement can run as a kernel, so four loops in five hold
-   one; the others hold two or three and run per iteration. *)
+   one; the others hold two or three and run per iteration. Targets
+   of stride 0, which a kernel keeps in a register, get extra weight,
+   two in three of them with a load of their own array that reads them
+   at some iteration or passes them by. *)
+
+type kernel_caches = Table_i | Two_way | Four_way
 
 type kernel_case = {
   pad : int;  (** elements of the padding array in front of [A] *)
@@ -770,7 +783,7 @@ type kernel_case = {
   step : int;
   stmts : Ir.stmt list;
   memory : int option;  (** bytes of simulated memory past [C]'s base, when it ends there *)
-  tiny_caches : bool;
+  caches : kernel_caches;
   seed : int;
 }
 
@@ -815,6 +828,18 @@ let kernel_case_gen =
     int_bound 2 >>= fun a ->
     flatten_l (List.map subscript shapes.(a)) >|= fun subs -> (kernel_array_names.(a), subs)
   in
+  (* an element the loop does not move: [o + off] or [off] in each
+     dimension *)
+  let fixed_access shapes =
+    let fixed extent =
+      bool >>= fun with_outer ->
+      let top = if with_outer then extent - outer else extent - 1 in
+      (if top < 0 then return 0 else int_range 0 top) >|= fun off ->
+      if with_outer && top >= 0 then Ast.Binop (Ast.Add, v "o", lit off) else lit off
+    in
+    int_bound 2 >>= fun a ->
+    flatten_l (List.map fixed shapes.(a)) >|= fun subs -> (a, subs)
+  in
   let factor shapes =
     frequency
       [
@@ -826,8 +851,27 @@ let kernel_case_gen =
   let product fs = List.fold_left ( *: ) (List.hd fs) (List.tl fs) in
   let stmt shapes =
     let assign (a, subs) op rhs = Ir.Assign { lhs = { Ast.base = a; indices = subs }; op; rhs } in
+    (* a stride-0 target; in two cases of three one factor loads its
+       array, moving in one dimension, so that it reads the target at
+       some iteration or passes it by *)
+    let accumulate =
+      fixed_access shapes >>= fun (a, subs) ->
+      frequency [ (1, return false); (2, return true) ] >>= fun alias ->
+      list_size (int_range 1 (if alias then 2 else 3)) (factor shapes) >>= fun fs ->
+      (if alias then
+         int_bound (List.length subs - 1) >>= fun d ->
+         subscript (List.nth shapes.(a) d) >>= fun moving ->
+         int_bound (List.length fs) >|= fun at ->
+         let load = Ast.Index (kernel_array_names.(a), List.mapi (fun k e -> if k = d then moving else e) subs) in
+         List.filteri (fun k _ -> k < at) fs @ [ load ] @ List.filteri (fun k _ -> k >= at) fs
+       else return fs)
+      >>= fun fs ->
+      oneofl Ast.[ Add_assign; Add_assign; Sub_assign; Mul_assign; Set ] >|= fun op ->
+      assign (kernel_array_names.(a), subs) op (product fs)
+    in
     frequency
       [
+        (4, accumulate);
         (* multiply-accumulate *)
         ( 4,
           map3
@@ -856,7 +900,7 @@ let kernel_case_gen =
   >>= fun stmts ->
   int_range 0 6 >>= fun below ->
   frequency [ (3, return None); (1, map Option.some (int_bound 300)) ] >>= fun memory ->
-  bool >>= fun tiny_caches ->
+  frequency [ (1, return Table_i); (2, return Two_way); (2, return Four_way) ] >>= fun caches ->
   oneofl [ 1.5; 1.1; -0.75 ] >>= fun alpha ->
   int_bound 1000 >|= fun seed ->
   {
@@ -869,7 +913,7 @@ let kernel_case_gen =
     step;
     stmts;
     memory;
-    tiny_caches;
+    caches;
     seed;
   }
 
@@ -922,14 +966,18 @@ let kernel_case_platform c =
     | Some past -> { Sim.Memory.default_config with Sim.Memory.size_bytes = local + (4 * past) }
   in
   let config = { Platform.default_config with Platform.memory } in
+  let small ~l1d ~ways ~l2 =
+    {
+      config with
+      Platform.l1d = { Sim.Cache.l1d_arm_a7 with Sim.Cache.size_bytes = l1d; ways };
+      l2 = { Sim.Cache.l2_arm_a7 with Sim.Cache.size_bytes = l2; ways = 4 };
+    }
+  in
   let config =
-    if c.tiny_caches then
-      {
-        config with
-        Platform.l1d = { Sim.Cache.l1d_arm_a7 with Sim.Cache.size_bytes = 512; ways = 2 };
-        l2 = { Sim.Cache.l2_arm_a7 with Sim.Cache.size_bytes = 2048; ways = 4 };
-      }
-    else config
+    match c.caches with
+    | Table_i -> config
+    | Two_way -> small ~l1d:256 ~ways:2 ~l2:1024
+    | Four_way -> small ~l1d:1024 ~ways:4 ~l2:4096
   in
   Platform.create ~config ()
 
@@ -941,6 +989,25 @@ let kernel_case_args c =
     ("B", Interp.Varray (Kernels.random_arr g ~dims:c.shapes.(1)));
     ("alpha", Interp.Vfloat c.alpha);
   ]
+
+(* The sweep after a run: one load in each L1D set, from the padding
+   array at the heap's base, which no loop touches, then one load of every line from [A]
+   to the end of [C] or of memory; each access's cycles. *)
+let kernel_case_sweep c platform =
+  let cpu = Platform.cpu platform in
+  let l1d = Sim.Cache.config platform.Platform.l1d in
+  let line = l1d.Sim.Cache.line_bytes in
+  let sets = l1d.Sim.Cache.size_bytes / line / l1d.Sim.Cache.ways in
+  let a, _, past_c = kernel_case_layout c in
+  let size = (Sim.Memory.config platform.Platform.memory).Sim.Memory.size_bytes in
+  let cycles addr =
+    let before = Sim.Cpu.cycles cpu in
+    Sim.Cpu.issue_at cpu ~addr Sim.Cpu.Load;
+    Sim.Cpu.cycles cpu - before
+  in
+  let fills = List.init sets (fun k -> cycles (0x0100_0000 + (k * line))) in
+  let reads = List.init ((Int.min past_c size - a + line - 1) / line) (fun k -> cycles (a + (k * line))) in
+  String.concat "," (List.map string_of_int (fills @ reads))
 
 (* Everything two runs of the case leave behind, as text. *)
 let kernel_case_outcome c program =
@@ -965,25 +1032,33 @@ let kernel_case_outcome c program =
     let a, _, past_c = kernel_case_layout c in
     let size = (Sim.Memory.config platform.Platform.memory).Sim.Memory.size_bytes in
     let memory = Sim.Memory.read_bytes platform.Platform.memory a (Int.min past_c size - a) in
-    Printf.sprintf "%s core=%d/%d/%d l1d=%s/%d l2=%s/%d args=%s memory=%s" outcome
-      (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu) (Sim.Cpu.time_ps cpu)
-      (cache_row platform.Platform.l1d)
-      (Sim.Cache.dirty_lines platform.Platform.l1d)
-      (cache_row platform.Platform.l2)
-      (Sim.Cache.dirty_lines platform.Platform.l2)
-      (String.concat "," bits)
+    let caches () =
+      Printf.sprintf "l1d=%s/%d l2=%s/%d"
+        (cache_row platform.Platform.l1d)
+        (Sim.Cache.dirty_lines platform.Platform.l1d)
+        (cache_row platform.Platform.l2)
+        (Sim.Cache.dirty_lines platform.Platform.l2)
+    in
+    let core =
+      Printf.sprintf "core=%d/%d/%d %s" (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu)
+        (Sim.Cpu.time_ps cpu) (caches ())
+    in
+    let sweep = kernel_case_sweep c platform in
+    Printf.sprintf "%s %s args=%s memory=%s sweep=%s %s" outcome core (String.concat "," bits)
       (Digest.to_hex (Digest.bytes memory))
+      sweep (caches ())
   in
   let first = run () in
   first ^ "\n" ^ run ()
 
 let print_kernel_case c =
-  Format.asprintf "pad=%d memory=%s tiny_caches=%b seed=%d alpha=%h@.%a" c.pad
+  Format.asprintf "pad=%d memory=%s caches=%s seed=%d alpha=%h@.%a" c.pad
     (match c.memory with None -> "2 GB" | Some past -> Printf.sprintf "C + %d floats" past)
-    c.tiny_caches c.seed c.alpha Ir.pp_func (kernel_case_func c)
+    (match c.caches with Table_i -> "Table I" | Two_way -> "2-way" | Four_way -> "4-way")
+    c.seed c.alpha Ir.pp_func (kernel_case_func c)
 
 let qcheck_loop_kernels_exact =
-  QCheck.Test.make ~name:"loop kernels equal the per-iteration executor" ~count:600
+  QCheck.Test.make ~name:"loop kernels equal the per-iteration executor" ~count:1000
     (QCheck.make ~print:print_kernel_case kernel_case_gen)
     (fun c ->
       let f = kernel_case_func c in

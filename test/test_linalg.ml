@@ -200,6 +200,43 @@ let qcheck_conv_impulse =
       let out = Blas_ref.conv2d ~input ~kernel in
       Float.abs (Mat.get out 0 0 -. Mat.get kernel 0 0) < 1e-12)
 
+(* The executor's register accumulator rounds through a float32 cell
+   where memory rounds through [Int32.bits_of_float]: the two must
+   agree bit for bit on every double, so the doubles here are random
+   bit patterns, weighted towards NaNs with any payload and sign,
+   infinities, zeros, subnormals of either format, the edges of
+   binary32's range and values beyond it. *)
+let qcheck_binary32_cell_rounds_as_int32_bits =
+  let cell = Quant.binary32 () in
+  let gen =
+    QCheck.Gen.(
+      let bits ~exponent =
+        map3
+          (fun sign e mantissa ->
+            Int64.(
+              logor
+                (shift_left (of_int sign) 63)
+                (logor (shift_left (of_int e) 52) (logand (of_int mantissa) 0xF_FFFF_FFFF_FFFFL))))
+          (int_bound 1) exponent
+          (frequency [ (4, int); (1, return 0); (1, int_bound 0xFFFFFF); (1, map (fun m -> m lsl 29) int) ])
+      in
+      frequency
+        [
+          (3, bits ~exponent:(int_bound 2047));
+          (1, bits ~exponent:(return 2047));
+          (1, bits ~exponent:(return 0));
+          (2, bits ~exponent:(int_range (1023 - 152) (1023 - 124)));
+          (2, bits ~exponent:(int_range (1023 + 124) (1023 + 130)));
+          (1, bits ~exponent:(int_range (1023 - 30) (1023 + 30)));
+        ])
+  in
+  QCheck.Test.make ~name:"binary32 cell rounds as Int32.bits_of_float" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%016Lx") gen)
+    (fun bits ->
+      let v = Int64.float_of_bits bits in
+      Int64.bits_of_float (Quant.round_binary32 cell v)
+      = Int64.bits_of_float (Int32.float_of_bits (Int32.bits_of_float v)))
+
 let suites =
   [
     ( "linalg.mat",
@@ -231,5 +268,6 @@ let suites =
         Alcotest.test_case "saturation" `Quick test_quant_saturation;
         Alcotest.test_case "rounds as Float.round" `Quick test_quant_rounds_as_float_round;
         Alcotest.test_case "nibble split/recombine" `Quick test_nibble_split;
+        QCheck_alcotest.to_alcotest qcheck_binary32_cell_rounds_as_int32_bits;
       ] );
   ]

@@ -616,6 +616,63 @@ let qcheck_flush_matches_full_sweep =
       && Cache.stats c = Sweep_cache.stats r
       && !log = !ref_log)
 
+(* Accesses through the deferred-hit entry leave the cache as probing
+   each of them does. Two sites take lines [x] (written) and [y] of one
+   set of a 2-way cache, then three rounds of y and x follow, skipped:
+   their ticks count as hits, and each line gets the stamp of its last
+   access. [probe_hit] reports a fill in the full set as a miss and
+   changes nothing; the fill itself then evicts [y], whose last access
+   came before [x]'s, as it does after three probed rounds. Without the
+   stamps it would evict [x], the line probed first. *)
+let test_cache_deferred_hits_match_probes () =
+  let config =
+    { Cache.name = "tiny"; size_bytes = 4 * 2 * 16; line_bytes = 16; ways = 2; hit_latency_ps = 3 }
+  in
+  (* 4 sets: x, y and z all fall in set 0 *)
+  let x = 0 and y = 64 and z = 128 in
+  let run rounds =
+    let log = ref [] in
+    let c = Cache.create ~config ~next:(recording_next log) () in
+    let memo = Cache.memo () in
+    ignore (Cache.probe c memo ~site:0 Cache.Write ~addr:x);
+    ignore (Cache.probe c memo ~site:1 Cache.Read ~addr:y);
+    rounds c memo;
+    let stats = Cache.stats c in
+    let missed = Cache.probe_hit c memo ~site:2 Cache.Read ~update:false ~addr:z in
+    Alcotest.(check bool) "a fill is reported as a miss" false missed;
+    Alcotest.(check bool) "and changes nothing" true (stats = Cache.stats c);
+    let fill = Cache.probe c memo ~site:2 Cache.Read ~addr:z in
+    let hit_x = Cache.probe_hit c memo ~site:0 Cache.Write ~update:false ~addr:(x + 4) in
+    let again_y = Cache.access c Cache.Read ~addr:y in
+    (fill, hit_x, again_y, Cache.clock c, Cache.stats c, Cache.dirty_lines c, !log)
+  in
+  let probed =
+    run (fun c memo ->
+        for _ = 1 to 3 do
+          ignore (Cache.probe c memo ~site:1 Cache.Read ~addr:(y + 4));
+          ignore (Cache.probe c memo ~site:0 Cache.Write ~addr:(x + 8))
+        done)
+  in
+  let deferred ~stamps =
+    run (fun c memo ->
+        let t = Cache.clock c in
+        if stamps then begin
+          Cache.stamp_site c memo ~site:1 (t + 5);
+          Cache.stamp_site c memo ~site:0 (t + 6)
+        end;
+        Cache.skip_hits c ~until:(t + 6))
+  in
+  let _, hit_x, again_y, _, _, _, _ = probed in
+  Alcotest.(check bool) "x survives the fill" true hit_x;
+  Alcotest.(check bool) "y was evicted" true (again_y > 3);
+  Alcotest.(check bool) "deferred hits equal probed ones" true (deferred ~stamps:true = probed);
+  Alcotest.(check bool) "unstamped, the fill evicts x" false (deferred ~stamps:false = probed);
+  Alcotest.check_raises "the clock never runs backwards"
+    (Invalid_argument "Cache.skip_hits: the clock runs backwards") (fun () ->
+      let c = Cache.create ~config ~next:(flat_next 1) () in
+      ignore (Cache.access c Cache.Read ~addr:x);
+      Cache.skip_hits c ~until:0)
+
 let test_cache_rejects_non_power_of_two_sets () =
   let raises config =
     match Cache.create ~config ~next:(flat_next 1) () with
@@ -998,6 +1055,8 @@ let suites =
         Alcotest.test_case "flush (coherence)" `Quick test_cache_flush;
         QCheck_alcotest.to_alcotest qcheck_cache_latency_positive;
         QCheck_alcotest.to_alcotest qcheck_flush_matches_full_sweep;
+        Alcotest.test_case "deferred hits equal probed ones" `Quick
+          test_cache_deferred_hits_match_probes;
         Alcotest.test_case "set count must be a power of two" `Quick
           test_cache_rejects_non_power_of_two_sets;
         Alcotest.test_case "flush cost follows the touched sets" `Quick
