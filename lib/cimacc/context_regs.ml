@@ -46,17 +46,19 @@ let reg_generation = 18
 let register_words = 20
 let register_file_bytes = register_words * 4
 
-let status_code = function Idle -> 0l | Busy -> 1l | Done -> 2l | Error -> 3l
+let status_code = function Idle -> 0 | Busy -> 1 | Done -> 2 | Error -> 3
 
+(* Each register holds its 32-bit word as an unboxed [int] in
+   [0, 0xFFFF_FFFF]: the driver's writes and polls allocate nothing. *)
 type t = {
-  regs : int32 array;
+  regs : int array;
   mutable on_trigger : (job -> unit) option;
   mutable status : status;
   mutable triggers : int;
 }
 
 let create () =
-  { regs = Array.make register_words 0l; on_trigger = None; status = Idle; triggers = 0 }
+  { regs = Array.make register_words 0; on_trigger = None; status = Idle; triggers = 0 }
 
 let set_on_trigger t f = t.on_trigger <- Some f
 let status t = t.status
@@ -65,55 +67,52 @@ let set_status t s =
   t.status <- s;
   t.regs.(reg_status) <- status_code s
 
-let geti t reg = Int32.to_int t.regs.(reg) land 0xFFFFFFFF
-let getf t reg = Int32.float_of_bits t.regs.(reg)
+let geti t reg = t.regs.(reg)
+let getf t reg = Int32.float_of_bits (Int32.of_int t.regs.(reg))
 
-let decode_job t =
-  let ( let* ) = Result.bind in
-  let* op =
+exception Bad_job of string
+
+(* The job the registers hold, or [Bad_job]: a valid one costs the job
+   record and nothing else. *)
+let decode t =
+  let op =
     match geti t reg_op with
-    | 0 -> Ok Gemv
-    | 1 -> Ok Gemm
-    | 2 -> Ok Gemm_batched
-    | code -> Error (Printf.sprintf "unknown op code %d" code)
+    | 0 -> Gemv
+    | 1 -> Gemm
+    | 2 -> Gemm_batched
+    | code -> raise (Bad_job (Printf.sprintf "unknown op code %d" code))
   in
   let m = geti t reg_m and n = geti t reg_n and k = geti t reg_k in
-  let* () =
-    if m <= 0 || n <= 0 || k <= 0 then
-      Error (Printf.sprintf "non-positive dimensions m=%d n=%d k=%d" m n k)
-    else Ok ()
-  in
-  let* () =
-    if op = Gemv && n <> 1 then Error "GEMV requires n = 1" else Ok ()
-  in
+  if m <= 0 || n <= 0 || k <= 0 then
+    raise (Bad_job (Printf.sprintf "non-positive dimensions m=%d n=%d k=%d" m n k));
+  if op = Gemv && n <> 1 then raise (Bad_job "GEMV requires n = 1");
   let batch_count = geti t reg_batch_count in
-  let* () =
-    if op = Gemm_batched && batch_count <= 0 then Error "batched GEMM requires a batch count"
-    else Ok ()
-  in
+  if op = Gemm_batched && batch_count <= 0 then
+    raise (Bad_job "batched GEMM requires a batch count");
   let trans = geti t reg_trans in
   let pin = if geti t reg_pin = 1 then Pin_b else Pin_a in
-  Ok
-    {
-      op;
-      m;
-      n;
-      k;
-      trans_a = trans land 1 <> 0;
-      trans_b = trans land 2 <> 0;
-      alpha = getf t reg_alpha;
-      beta = getf t reg_beta;
-      a_addr = geti t reg_a_addr;
-      b_addr = geti t reg_b_addr;
-      c_addr = geti t reg_c_addr;
-      lda = geti t reg_lda;
-      ldb = geti t reg_ldb;
-      ldc = geti t reg_ldc;
-      batch_count;
-      batch_desc_addr = geti t reg_batch_desc;
-      pin;
-      generation = geti t reg_generation;
-    }
+  {
+    op;
+    m;
+    n;
+    k;
+    trans_a = trans land 1 <> 0;
+    trans_b = trans land 2 <> 0;
+    alpha = getf t reg_alpha;
+    beta = getf t reg_beta;
+    a_addr = geti t reg_a_addr;
+    b_addr = geti t reg_b_addr;
+    c_addr = geti t reg_c_addr;
+    lda = geti t reg_lda;
+    ldb = geti t reg_ldb;
+    ldc = geti t reg_ldc;
+    batch_count;
+    batch_desc_addr = geti t reg_batch_desc;
+    pin;
+    generation = geti t reg_generation;
+  }
+
+let decode_job t = match decode t with job -> Ok job | exception Bad_job reason -> Error reason
 
 let word_offset offset =
   if offset land 3 <> 0 then invalid_arg "Context_regs: unaligned register access";
@@ -132,12 +131,13 @@ let handler t =
           (* status is device-owned; host writes are ignored *)
           ()
         else begin
+          let v = v land 0xFFFF_FFFF in
           t.regs.(word) <- v;
-          if word = reg_command && v <> 0l then begin
+          if word = reg_command && v <> 0 then begin
             t.triggers <- t.triggers + 1;
-            match decode_job t with
-            | Error _ -> set_status t Error
-            | Ok job -> (
+            match decode t with
+            | exception Bad_job _ -> set_status t Error
+            | job -> (
                 match t.on_trigger with
                 | None -> set_status t Error
                 | Some f -> f job)

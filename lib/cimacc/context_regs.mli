@@ -6,7 +6,9 @@
     and polls the status register for completion. The register file
     snapshots its contents into a {!job} on trigger, so the host can
     prepare the next call while the engine runs (register double
-    buffering). *)
+    buffering). Each register keeps its 32-bit word as an unboxed
+    [int] (see {!Tdo_sim.Mmio}): integer fields decode as the word,
+    [alpha] and [beta] as the binary32 whose bits it is. *)
 
 type op = Gemv | Gemm | Gemm_batched
 

@@ -57,14 +57,18 @@ type counters_mut = {
   mutable abft_mismatches_m : int;
 }
 
+(* A tile's latch: the operand programmed into it, so that a launch
+   pinning the same operand again skips the programming. Programming
+   rewrites the fields in place. *)
 type pinned = {
-  pin_addr : int;
-  pin_rows : int;
-  pin_cols : int;
-  pin_trans : bool;  (** orientation of the programmed operand *)
-  pin_generation : int;
-  pin_scale : float;
-  pin_check : int array;  (** ABFT per-row checksums of the programmed codes *)
+  mutable valid : bool;  (** false before any programming and once invalidated *)
+  mutable pin_addr : int;
+  mutable pin_rows : int;
+  mutable pin_cols : int;
+  mutable pin_trans : bool;  (** orientation of the programmed operand *)
+  mutable pin_generation : int;
+  mutable pin_scale : float;
+  mutable pin_check : int array;  (** ABFT per-row checksums of the programmed codes *)
 }
 
 type t = {
@@ -77,7 +81,7 @@ type t = {
           and builds its detail inside the [Some] branch: this compiler
           does not sink allocations, so a helper taking a built detail
           would allocate a block per streamed vector on every device. *)
-  pinned : pinned option array;  (** per tile *)
+  pinned : pinned array;  (** per tile *)
   busy_until : Sim.Time_base.ps array;  (** per tile *)
   c : counters_mut;
   (* Buffers of the streamed phase, grown to the largest block seen and
@@ -116,7 +120,18 @@ let create ?(config = default_config) ?(seed = 0) ~dma () =
           Crossbar.create ~config:config.xbar ~seed:((seed * 1_000_003) + tile) ());
     digital = Digital_logic.create ();
     timeline = None;
-    pinned = Array.make config.tiles None;
+    pinned =
+      Array.init config.tiles (fun _ ->
+          {
+            valid = false;
+            pin_addr = 0;
+            pin_rows = 0;
+            pin_cols = 0;
+            pin_trans = false;
+            pin_generation = 0;
+            pin_scale = 0.0;
+            pin_check = [||];
+          });
     busy_until = Array.make config.tiles 0;
     c =
       {
@@ -160,6 +175,13 @@ let total_crossbar_counters t =
     (Crossbar.counters t.xbars.(0))
     (Array.sub t.xbars 1 (Array.length t.xbars - 1))
 
+let sum_tiles t f =
+  let sum = ref 0 in
+  for i = 0 to Array.length t.xbars - 1 do
+    sum := !sum + f t.xbars.(i)
+  done;
+  !sum
+
 let total_adc_conversions t =
   Array.fold_left (fun acc xb -> acc + Tdo_pcm.Adc.conversions (Crossbar.adc xb)) 0 t.xbars
 
@@ -182,10 +204,12 @@ let counters t =
     abft_mismatches = t.c.abft_mismatches_m;
   }
 
+let abft_checks t = t.c.abft_checks_m
+let abft_mismatches t = t.c.abft_mismatches_m
 let last_abft_fault t = t.last_abft_fault
 let clear_abft_fault t = t.last_abft_fault <- None
 
-let invalidate_pinned t = Array.fill t.pinned 0 (Array.length t.pinned) None
+let invalidate_pinned t = Array.iter (fun p -> p.valid <- false) t.pinned
 
 let grow_floats n cur = if Array.length cur >= n then cur else Array.make n 0.0
 let grow_ints n cur = if Array.length cur >= n then cur else Array.make n 0
@@ -350,87 +374,73 @@ let run_single t (job : Context_regs.job) ~blocked ~tile ~a_addr ~b_addr ~c_addr
          cfg.xbar.Crossbar.rows cfg.xbar.Crossbar.cols)
   else begin
     let pin_trans = match pin with Context_regs.Pin_a -> trans_a | Context_regs.Pin_b -> trans_b in
-    let reusable =
-      match t.pinned.(tile) with
-      | Some p ->
-          p.pin_addr = pin_addr && p.pin_rows = w_rows && p.pin_cols = w_cols
-          && p.pin_trans = pin_trans
-          && p.pin_generation = generation
-      | None -> false
-    in
-    let scale_w, pin_check =
-      if reusable then begin
-        t.c.programming_skipped_m <- t.c.programming_skipped_m + 1;
-        let p = Option.get t.pinned.(tile) in
-        (p.pin_scale, p.pin_check)
-      end
-      else begin
-        (* Physical layout of A is (m x k) unless transposed, of B
-           (k x n); W = op(A)^T or op(B) is stored transposed for an
-           untransposed A and for a transposed B. Memory holds W, or
-           W^T when [transposed], row-major with leading dimension
-           [ld]; its memory rows are read in bulk and charged as one
-           [w_rows * w_cols] descriptor. *)
-        let transposed, ld =
-          match pin with
-          | Context_regs.Pin_a -> (not trans_a, lda)
-          | Context_regs.Pin_b -> (trans_b, ldb)
-        in
-        let size = w_rows * w_cols in
-        let w = grow_floats size t.wbuf in
-        t.wbuf <- w;
-        let codes = grow_ints size t.wcodes in
-        t.wcodes <- codes;
-        let rows, cols = if transposed then (w_cols, w_rows) else (w_rows, w_cols) in
-        read_rows mem ~addr:pin_addr ~ld ~rows ~cols w;
-        let fill_lat = Sim.Dma.charge t.dma ~bytes:(4 * size) in
-        (match t.timeline with
-        | None -> ()
-        | Some tl ->
-            Timeline.record tl ~at:!cursor ~phase:Timeline.Dma_fill
-              (Timeline.Pinned_operand { rows = w_rows; cols = w_cols }));
-        cursor := !cursor + fill_lat;
-        let scale = Quant.scale_for ~bits:8 ~max_abs:(max_abs_prefix w size) in
-        (* W(i, j) is code [i * w_cols + j]; it was read from memory row
-           i, or row j when transposed *)
-        if transposed then
-          for r = 0 to rows - 1 do
-            for c = 0 to cols - 1 do
-              Array.unsafe_set codes ((c * w_cols) + r)
-                (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w ((r * cols) + c)))
-            done
+    let p = t.pinned.(tile) in
+    if
+      p.valid && p.pin_addr = pin_addr && p.pin_rows = w_rows && p.pin_cols = w_cols
+      && p.pin_trans = pin_trans
+      && p.pin_generation = generation
+    then t.c.programming_skipped_m <- t.c.programming_skipped_m + 1
+    else begin
+      (* Physical layout of A is (m x k) unless transposed, of B
+         (k x n); W = op(A)^T or op(B) is stored transposed for an
+         untransposed A and for a transposed B. Memory holds W, or
+         W^T when [transposed], row-major with leading dimension
+         [ld]; its memory rows are read in bulk and charged as one
+         [w_rows * w_cols] descriptor. *)
+      let transposed, ld =
+        match pin with
+        | Context_regs.Pin_a -> (not trans_a, lda)
+        | Context_regs.Pin_b -> (trans_b, ldb)
+      in
+      let size = w_rows * w_cols in
+      let w = grow_floats size t.wbuf in
+      t.wbuf <- w;
+      let codes = grow_ints size t.wcodes in
+      t.wcodes <- codes;
+      let rows, cols = if transposed then (w_cols, w_rows) else (w_rows, w_cols) in
+      read_rows mem ~addr:pin_addr ~ld ~rows ~cols w;
+      let fill_lat = Sim.Dma.charge t.dma ~bytes:(4 * size) in
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!cursor ~phase:Timeline.Dma_fill
+            (Timeline.Pinned_operand { rows = w_rows; cols = w_cols }));
+      cursor := !cursor + fill_lat;
+      let scale = Quant.scale_for ~bits:8 ~max_abs:(max_abs_prefix w size) in
+      (* W(i, j) is code [i * w_cols + j]; it was read from memory row
+         i, or row j when transposed *)
+      if transposed then
+        for r = 0 to rows - 1 do
+          for c = 0 to cols - 1 do
+            Array.unsafe_set codes ((c * w_cols) + r)
+              (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w ((r * cols) + c)))
           done
-        else
-          for i = 0 to size - 1 do
-            Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
-          done;
-        (match t.timeline with
-        | None -> ()
-        | Some tl ->
-            Timeline.record tl ~at:!cursor ~phase:Timeline.Program_crossbar
-              (Timeline.Program_tile { tile; rows = w_rows }));
-        Crossbar.program_flat xbar ~rows:w_rows ~cols:w_cols codes;
-        cursor := !cursor + (w_rows * cfg.write_latency_per_row_ps);
-        (* The checksums describe what the host {e asked} the crossbar to
-           store; a stuck cell diverges from them, which is exactly what
-           the per-GEMV verify catches. *)
-        let pin_check =
-          if cfg.abft then Abft.row_sums_flat ~rows:w_rows ~cols:w_cols codes else [||]
-        in
-        t.pinned.(tile) <-
-          Some
-            {
-              pin_addr;
-              pin_rows = w_rows;
-              pin_cols = w_cols;
-              pin_trans;
-              pin_generation = generation;
-              pin_scale = scale;
-              pin_check;
-            };
-        (scale, pin_check)
-      end
-    in
+        done
+      else
+        for i = 0 to size - 1 do
+          Array.unsafe_set codes i (Quant.quantize_scaled ~bits:8 ~scale (Array.unsafe_get w i))
+        done;
+      (match t.timeline with
+      | None -> ()
+      | Some tl ->
+          Timeline.record tl ~at:!cursor ~phase:Timeline.Program_crossbar
+            (Timeline.Program_tile { tile; rows = w_rows }));
+      Crossbar.program_flat xbar ~rows:w_rows ~cols:w_cols codes;
+      cursor := !cursor + (w_rows * cfg.write_latency_per_row_ps);
+      (* The checksums describe what the host {e asked} the crossbar to
+         store; a stuck cell diverges from them, which is exactly what
+         the per-GEMV verify catches. *)
+      p.pin_check <-
+        (if cfg.abft then Abft.row_sums_flat ~rows:w_rows ~cols:w_cols codes else [||]);
+      p.valid <- true;
+      p.pin_addr <- pin_addr;
+      p.pin_rows <- w_rows;
+      p.pin_cols <- w_cols;
+      p.pin_trans <- pin_trans;
+      p.pin_generation <- generation;
+      p.pin_scale <- scale
+    end;
+    let scale_w = p.pin_scale and pin_check = p.pin_check in
     (* -- streamed phase -------------------------------------------- *)
     let stream_count = stream_count job and out_len = out_len job in
     let x_rows = x_rows job and x_addr = x_addr job ~a_addr ~b_addr and x_ld = x_ld job in
@@ -581,43 +591,42 @@ let read_batch_descriptors t ~addr ~count =
   in
   (List.init count entry, latency)
 
-(* Identity of the operand a job would pin, for tile affinity. *)
-let prospective_pin_key (job : Context_regs.job) ~a_addr ~b_addr =
-  let pin_addr =
-    match job.Context_regs.pin with
-    | Context_regs.Pin_a -> a_addr
-    | Context_regs.Pin_b -> b_addr
-  in
-  let pin_trans =
-    match job.Context_regs.pin with
-    | Context_regs.Pin_a -> job.Context_regs.trans_a
-    | Context_regs.Pin_b -> job.Context_regs.trans_b
-  in
-  let pin_cols =
-    match job.Context_regs.pin with
-    | Context_regs.Pin_a -> job.Context_regs.m
-    | Context_regs.Pin_b -> job.Context_regs.n
-  in
-  (pin_addr, job.Context_regs.k, pin_cols, pin_trans, job.Context_regs.generation)
+(* The operand a job would pin with the given A and B addresses — its
+   address, its columns in the crossbar and its orientation; its rows
+   are [k] — for tile affinity. *)
+let pin_addr (job : Context_regs.job) ~a_addr ~b_addr =
+  match job.pin with Context_regs.Pin_a -> a_addr | Context_regs.Pin_b -> b_addr
 
-let tile_holding t (addr, rows, cols, trans, generation) =
-  let found = ref None in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Some p
-        when !found = None && p.pin_addr = addr && p.pin_rows = rows && p.pin_cols = cols
-             && p.pin_trans = trans
-             && p.pin_generation = generation ->
-          found := Some i
-      | Some _ | None -> ())
-    t.pinned;
+let pin_cols (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> job.m | Context_regs.Pin_b -> job.n
+
+let pin_trans (job : Context_regs.job) =
+  match job.pin with Context_regs.Pin_a -> job.trans_a | Context_regs.Pin_b -> job.trans_b
+
+(* The first tile whose latch holds [job]'s operand at [addr], or -1. *)
+let tile_holding t (job : Context_regs.job) ~addr =
+  let cols = pin_cols job and trans = pin_trans job in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length t.pinned do
+    let p = t.pinned.(!i) in
+    if
+      p.valid && p.pin_addr = addr && p.pin_rows = job.k && p.pin_cols = cols
+      && p.pin_trans = trans && p.pin_generation = job.generation
+    then found := !i;
+    incr i
+  done;
   !found
 
+(* The first tile of least [busy]. *)
 let least_busy_tile busy =
   let best = ref 0 in
-  Array.iteri (fun i u -> if u < busy.(!best) then best := i) busy;
+  for i = 1 to Array.length busy - 1 do
+    if busy.(i) < busy.(!best) then best := i
+  done;
   !best
+
+let tile_for t job ~addr ~busy =
+  match tile_holding t job ~addr with -1 -> least_busy_tile busy | tile -> tile
 
 let run t (job : Context_regs.job) ~blocked ~start =
   (match t.timeline with
@@ -637,34 +646,33 @@ let run t (job : Context_regs.job) ~blocked ~start =
            }));
   let result =
     match job.Context_regs.op with
-    | Context_regs.Gemv | Context_regs.Gemm ->
+    | Context_regs.Gemv | Context_regs.Gemm -> (
         let a_addr = job.Context_regs.a_addr and b_addr = job.Context_regs.b_addr in
-        let tile =
-          match tile_holding t (prospective_pin_key job ~a_addr ~b_addr) with
-          | Some tile -> tile
-          | None -> least_busy_tile t.busy_until
-        in
-        let begin_time = max start t.busy_until.(tile) in
-        let result =
+        let tile = tile_for t job ~addr:(pin_addr job ~a_addr ~b_addr) ~busy:t.busy_until in
+        let begin_time = Int.max start t.busy_until.(tile) in
+        match
           run_single t job ~blocked ~tile ~a_addr ~b_addr ~c_addr:job.Context_regs.c_addr
             ~start:begin_time
-        in
-        Result.iter (fun finish -> t.busy_until.(tile) <- finish) result;
-        result
+        with
+        | Ok finish as result ->
+            t.busy_until.(tile) <- finish;
+            result
+        | Error _ as result -> result)
     | Context_regs.Gemm_batched ->
         let descriptors, desc_lat =
           read_batch_descriptors t ~addr:job.Context_regs.batch_desc_addr
             ~count:job.Context_regs.batch_count
         in
         let t0 = start + desc_lat in
-        (* Group the batch entries by the operand they would pin; groups
-           with different pinned operands run on different tiles in
-           parallel, entries within a group run back-to-back on their
-           tile and reuse its programming. *)
+        (* Group the batch entries by the operand they would pin — the
+           job fixes all of it but the address; groups with different
+           pinned operands run on different tiles in parallel, entries
+           within a group run back-to-back on their tile and reuse its
+           programming. *)
         let groups = ref [] in
         List.iter
           (fun ((a_addr, b_addr, _) as entry) ->
-            let key = prospective_pin_key job ~a_addr ~b_addr in
+            let key = pin_addr job ~a_addr ~b_addr in
             match List.assoc_opt key !groups with
             | Some entries -> entries := entry :: !entries
             | None -> groups := !groups @ [ (key, ref [ entry ]) ])
@@ -672,11 +680,7 @@ let run t (job : Context_regs.job) ~blocked ~start =
         let tile_free = Array.map (fun busy -> max busy t0) t.busy_until in
         let run_group acc (key, entries) =
           Result.bind acc (fun latest ->
-              let tile =
-                match tile_holding t key with
-                | Some tile -> tile
-                | None -> least_busy_tile tile_free
-              in
+              let tile = tile_for t job ~addr:key ~busy:tile_free in
               let group_result =
                 List.fold_left
                   (fun acc (a_addr, b_addr, c_addr) ->

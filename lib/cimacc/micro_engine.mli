@@ -112,6 +112,12 @@ type counters = {
 
 val counters : t -> counters
 
+val abft_checks : t -> int
+
+val abft_mismatches : t -> int
+(** These two are fields of {!counters}, read without building the
+    record. *)
+
 val last_abft_fault : t -> (int * (int * int * int * int)) option
 (** [(tile, (row_off, col_off, rows, cols))] of the most recent
     checksum mismatch — the localisation handed to recovery policies.
@@ -127,6 +133,11 @@ val crossbars : t -> Tdo_pcm.Crossbar.t array
 
 val total_crossbar_counters : t -> Tdo_pcm.Crossbar.counters
 (** Counters summed over every tile. *)
+
+val sum_tiles : t -> (Tdo_pcm.Crossbar.t -> int) -> int
+(** [f] summed over every tile: with {!Tdo_pcm.Crossbar.write_bytes}
+    and its kin, a field of {!total_crossbar_counters} read without
+    building a record. *)
 
 val total_adc_conversions : t -> int
 

@@ -18,8 +18,6 @@ exception Exec_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 
-type array_info = { base : int; dims : int list }
-
 (* ---------- runtime state ---------- *)
 
 type state = {
@@ -28,16 +26,18 @@ type state = {
   memory : Sim.Memory.t;
   ints : int array;
   floats : float array;
-  arrays : array_info array;
+  bases : int array;
+      (** by array slot: the array's base address in simulated memory,
+          -1 before its declaration *)
   facc : floatarray;
       (** single-slot accumulator a compiled float expression leaves
           its result in: a [float]-returning closure boxes its result
           at every call *)
   mutable heap : int;
   mutable api : Api.t option;
-  mutable dev : (int, Api.buffer) Hashtbl.t;
-      (** keyed by array slot; made by [polly_cimInit], before which
-          no call reaches it *)
+  dev : Api.view option array;
+      (** by array slot: the whole-array view of its device buffer,
+          made by [polly_cimMalloc] *)
   pending : int array;
       (** instructions counted but not yet retired to the core, by
           {!counted_classes} index *)
@@ -58,19 +58,17 @@ type state = {
 
 let heap_base = 0x0100_0000
 
-(* Shared by every run: [dev] before [polly_cimInit] and [binary32]
-   before the first loop kernel whose target stays in a register. Each
-   is replaced before anything could write to it. *)
-let no_buffers : (int, Api.buffer) Hashtbl.t = Hashtbl.create 1
+(* Shared by every run: [binary32] before the first loop kernel whose
+   target stays in a register. It is replaced before anything could
+   write to it. *)
 let unused_cell = Tdo_linalg.Quant.binary32 ()
 
-let no_array = { base = -1; dims = [] }
-
+(* The base address of a fresh array of [dims]. *)
 let alloc_array st dims =
   let bytes = 4 * List.fold_left ( * ) 1 dims in
   let base = st.heap in
   st.heap <- (st.heap + bytes + 63) / 64 * 64;
-  { base; dims }
+  base
 
 let[@inline always] getf st = Float.Array.unsafe_get st.facc 0
 let[@inline always] setf st v = Float.Array.unsafe_set st.facc 0 v
@@ -171,7 +169,7 @@ let[@inline always] address st s =
     check_index idx dim;
     flat := (!flat * dim) + idx
   done;
-  (Array.unsafe_get st.arrays s.arr).base + (4 * !flat)
+  Array.unsafe_get st.bases s.arr + (4 * !flat)
 
 (* ---------- binding ----------
 
@@ -340,46 +338,57 @@ let require_api st =
   | Some api -> api
   | None -> fail "CIM runtime used before polly_cimInit"
 
-let array_info st slot name =
-  let info = st.arrays.(slot) in
-  if info.base < 0 then fail "array '%s' used before its declaration" name;
-  info
+let array_base st slot name =
+  let base = st.bases.(slot) in
+  if base < 0 then fail "array '%s' used before its declaration" name;
+  base
 
-let array_shape_2d info =
-  match info.dims with
-  | [ rows; cols ] -> (rows, cols)
-  | [ n ] -> (n, 1)
-  | _ -> fail "device arrays must have rank 1 or 2"
+(* A device array's slot and shape: [rows x cols], a vector of [n] is
+   [n x 1], and [None] for a rank a runtime call rejects when it runs. *)
+let device_array env name =
+  let shape =
+    match lookup env name with
+    | Barr (_, [ rows; cols ]) -> Some (rows, cols)
+    | Barr (_, [ n ]) -> Some (n, 1)
+    | Barr _ | Bint _ | Bfloat _ -> None
+  in
+  (array_slot env name, shape)
 
-let dev_buffer st slot name =
-  match Hashtbl.find_opt st.dev slot with
-  | Some buf -> buf
+let shape_2d = function
+  | Some shape -> shape
+  | None -> fail "device arrays must have rank 1 or 2"
+
+let dev_view st slot name =
+  match Array.unsafe_get st.dev slot with
+  | Some view -> view
   | None -> fail "array '%s' is not on the device (missing polly_cimMalloc)" name
 
-(* The host side of a copy between an array and its device buffer: one
-   address computation and one load or store per element of the packed
-   array, charged in bulk ([Cpu.issue_run] is equivalent to one
-   [issue_at] per element). The data moves memory to memory in [Api]. *)
-let charge_host_copy st info cls =
-  let rows, cols = array_shape_2d info in
-  let n = rows * cols in
-  Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu n;
-  Sim.Cpu.issue_run st.cpu ~addr:info.base ~count:n cls
+(* The host side of a copy between an array at [base] and its device
+   buffer: one address computation and one load or store per element
+   of the packed array, charged in bulk ([Cpu.issue_run] is equivalent
+   to one [issue_at] per element). The data moves memory to memory in
+   [Api]. *)
+let charge_host_copy st base ~rows ~cols cls =
+  Sim.Cpu.issue_many st.cpu Sim.Cpu.Int_alu (rows * cols);
+  Sim.Cpu.issue_run st.cpu ~addr:base ~count:(rows * cols) cls
 
-(* Device view of an operand; one [Int_alu] for the offset. *)
+(* Device view of an operand; one [Int_alu] for the offset. An operand
+   at offset 0 is its array's whole view. *)
 let compile_view env s k (r : Ir.mat_ref) : state -> Api.view =
   let name = r.Ir.array in
-  let slot = array_slot env name in
+  let slot, shape = device_array env name in
   let row_off = int_expr env s k "mat_ref row offset" r.Ir.row_off in
   let col_off = int_expr env s k "mat_ref col offset" r.Ir.col_off in
   bump k alu;
   fun st ->
-    let info = array_info st slot name in
-    let _, ld = array_shape_2d info in
-    let buf = dev_buffer st slot name in
+    ignore (array_base st slot name : int);
+    let _, ld = shape_2d shape in
+    let whole = dev_view st slot name in
     let row_off = row_off st in
     let col_off = col_off st in
-    Api.view ~offset_elems:((row_off * ld) + col_off) ~ld buf
+    match (row_off * ld) + col_off with
+    | 0 -> whole
+    | offset_elems -> Api.view ~offset_elems ~ld whole.Api.buf
 
 let pin_of = function Ir.Pin_a -> Regs.Pin_a | Ir.Pin_b -> Regs.Pin_b
 
@@ -390,66 +399,59 @@ let compile_call env s (call : Ir.call) : code =
   | Ir.Cim_init ->
       fun st ->
         retire st;
-        if st.api = None then begin
-          st.api <- Some (Api.init st.platform);
-          st.dev <- Hashtbl.create 8
-        end
+        if st.api = None then st.api <- Some (Api.init st.platform)
   | Ir.Cim_alloc { array = name } ->
-      let slot = array_slot env name in
+      let slot, shape = device_array env name in
       fun st ->
         retire st;
         let api = require_api st in
-        let info = array_info st slot name in
-        let rows, cols = array_shape_2d info in
-        if Hashtbl.mem st.dev slot then fail "polly_cimMalloc: '%s' already allocated" name;
+        ignore (array_base st slot name : int);
+        let rows, cols = shape_2d shape in
+        if Option.is_some st.dev.(slot) then fail "polly_cimMalloc: '%s' already allocated" name;
         (match Api.malloc api ~bytes:(4 * rows * cols) with
         | Error reason -> fail "polly_cimMalloc(%s): %s" name reason
-        | Ok buf -> Hashtbl.add st.dev slot buf)
+        | Ok buf -> st.dev.(slot) <- Some (Api.view ~ld:cols buf))
   | Ir.Cim_h2d { array = name } ->
-      let slot = array_slot env name in
+      let slot, shape = device_array env name in
       fun st ->
         retire st;
         let api = require_api st in
-        let info = array_info st slot name in
-        let rows, cols = array_shape_2d info in
-        let dst = Api.view ~ld:cols (dev_buffer st slot name) in
-        charge_host_copy st info Sim.Cpu.Load;
-        Api.host_to_dev_mem api ~src:info.base ~dst ~rows ~cols
+        let base = array_base st slot name in
+        let rows, cols = shape_2d shape in
+        let dst = dev_view st slot name in
+        charge_host_copy st base ~rows ~cols Sim.Cpu.Load;
+        Api.host_to_dev_mem api ~src:base ~dst ~rows ~cols
   | Ir.Cim_d2h { array = name } ->
-      let slot = array_slot env name in
+      let slot, shape = device_array env name in
       s.written <- slot :: s.written;
       fun st ->
         retire st;
         let api = require_api st in
-        let info = array_info st slot name in
-        let rows, cols = array_shape_2d info in
-        let src = Api.view ~ld:cols (dev_buffer st slot name) in
-        Api.dev_to_host_mem api ~src ~dst:info.base ~rows ~cols;
-        charge_host_copy st info Sim.Cpu.Store
+        let base = array_base st slot name in
+        let rows, cols = shape_2d shape in
+        let src = dev_view st slot name in
+        Api.dev_to_host_mem api ~src ~dst:base ~rows ~cols;
+        charge_host_copy st base ~rows ~cols Sim.Cpu.Store
   | Ir.Cim_free { array = name } ->
       let slot = array_slot env name in
       fun st ->
         retire st;
         let api = require_api st in
-        Api.free api (dev_buffer st slot name);
-        Hashtbl.remove st.dev slot
+        Api.free api (dev_view st slot name).Api.buf;
+        st.dev.(slot) <- None
   | Ir.Cim_im2col { src; dst; kh; kw; oh; ow } ->
-      let src_slot = array_slot env src in
-      let dst_slot = array_slot env dst in
+      let src_slot, src_shape = device_array env src in
+      let dst_slot, dst_shape = device_array env dst in
       fun st ->
         retire st;
         let api = require_api st in
-        let src_info = array_info st src_slot src in
-        let src_rows, src_cols = array_shape_2d src_info in
-        let dst_info = array_info st dst_slot dst in
-        let _, dst_ld = array_shape_2d dst_info in
-        let src_buf = dev_buffer st src_slot src in
-        let dst_buf = dev_buffer st dst_slot dst in
-        Api.dev_im2col api
-          ~src:(Api.view ~ld:src_cols src_buf)
-          ~src_rows ~src_cols
-          ~dst:(Api.view ~ld:dst_ld dst_buf)
-          ~kh ~kw ~oh ~ow
+        ignore (array_base st src_slot src : int);
+        let src_rows, src_cols = shape_2d src_shape in
+        ignore (array_base st dst_slot dst : int);
+        ignore (shape_2d dst_shape : int * int);
+        let src_view = dev_view st src_slot src in
+        let dst_view = dev_view st dst_slot dst in
+        Api.dev_im2col api ~src:src_view ~src_rows ~src_cols ~dst:dst_view ~kh ~kw ~oh ~ow
   | Ir.Cim_gemm { m; n; k = kdim; alpha; beta; a; b; c; pin } ->
       if c.Ir.trans then fail "polly_cimBlasSGemm: transposed C is not supported";
       let k = new_count () in
@@ -458,7 +460,8 @@ let compile_call env s (call : Ir.call) : code =
       let va = compile_view env s k a in
       let vb = compile_view env s k b in
       let vc = compile_view env s k c in
-      let pin = pin_of pin in
+      (* passed as options, so a launch wraps none of them *)
+      let trans_a = Some a.Ir.trans and trans_b = Some b.Ir.trans and pin = Some (pin_of pin) in
       fun st ->
         let api = require_api st in
         alpha st;
@@ -471,8 +474,7 @@ let compile_call env s (call : Ir.call) : code =
         add_pending st k 1;
         retire st;
         (match
-           Api.sgemm api ~trans_a:a.Ir.trans ~trans_b:b.Ir.trans ~pin ~m ~n ~k:kdim ~alpha ~a:va
-             ~b:vb ~beta ~c:vc ()
+           Api.sgemm api ?trans_a ?trans_b ?pin ~m ~n ~k:kdim ~alpha ~a:va ~b:vb ~beta ~c:vc ()
          with
         | Ok () -> ()
         | Error reason -> fail "polly_cimBlasSGemm: %s" reason)
@@ -742,7 +744,7 @@ let kernel_enter st kn ~lo ~trips =
       first := (!first * dim) + v0;
       last := (!last * dim) + v1
     done;
-    let base = (Array.unsafe_get st.arrays s.arr).base in
+    let base = Array.unsafe_get st.bases s.arr in
     let a0 = base + (4 * !first) and a1 = base + (4 * !last) in
     let low = Int.min a0 a1 and high = Int.max a0 a1 + 4 in
     if low < 0 || high > st.memory_bytes then inside := false
@@ -792,8 +794,10 @@ let[@inline always] address_at st kn ~i r =
    tick before the probe. A probe that would miss fills a line of
    [addr]'s set, choosing the victim by the stamps there, so first each
    other site's line in that set gets the stamp of that site's last
-   access ([probe_missed]). Lines in other sets keep their skipped hits
-   until their own set fills, their site moves on or the loop exits. *)
+   access ([probe_missed]); then the line fills without a second search
+   of the set ([Cpu.probe_fill]). Lines in other sets keep their
+   skipped hits until their own set fills, their site moves on or the
+   loop exits. *)
 let probe_missed st kn ~clock ~i ~q ~site op ~update ~addr =
   let l1d = st.platform.Platform.l1d in
   let set = Sim.Cache.set_of l1d addr in
@@ -802,12 +806,7 @@ let probe_missed st kn ~clock ~i ~q ~site op ~update ~addr =
     if r <> q && i >= 0 && Sim.Cache.set_of l1d (address_at st kn ~i r) = set then
       Sim.Cpu.stamp_site st.cpu ~site:(site_number kn r) (tick kn ~clock ~i r)
   done;
-  st.miss_cycles <-
-    st.miss_cycles
-    +
-    if update then Sim.Cpu.probe_update st.cpu ~site ~addr
-    else if op = Sim.Cache.Read then Sim.Cpu.probe_load st.cpu ~site ~addr
-    else Sim.Cpu.probe_store st.cpu ~site ~addr
+  st.miss_cycles <- st.miss_cycles + Sim.Cpu.probe_fill st.cpu ~site op ~update ~addr
 
 let[@inline always] probe_moved st kn ~clock ~i ~q ~site op ~update ~addr ~pending =
   if pending then Sim.Cpu.stamp_site st.cpu ~site (tick kn ~clock ~i:(i - 1) q);
@@ -1188,7 +1187,7 @@ let rec compile_stmt env s k (stmt : Ir.stmt) =
   | Ir.Decl_scalar { typ = Ast.Tvoid; _ } -> fail "void declaration"
   | Ir.Decl_array { name; dims } ->
       let slot = new_arr s in
-      ((name, Barr (slot, dims)) :: env, fun st -> st.arrays.(slot) <- alloc_array st dims)
+      ((name, Barr (slot, dims)) :: env, fun st -> st.bases.(slot) <- alloc_array st dims)
   | Ir.Call call -> (env, compile_call env s call)
   | Ir.Roi_begin ->
       ( env,
@@ -1230,13 +1229,13 @@ and compile_block env s (into : count option) (body : Ir.stmt list) : code array
 
 (* ---------- staging arguments in and out of simulated memory ---------- *)
 
-let stage_in st (arr : Interp.arr) info =
+let stage_in st (arr : Interp.arr) base =
   let data = arr.Interp.data in
-  Sim.Memory.write_f32s st.memory info.base data ~pos:0 ~len:(Array.length data)
+  Sim.Memory.write_f32s st.memory base data ~pos:0 ~len:(Array.length data)
 
-let stage_out st info (arr : Interp.arr) =
+let stage_out st base (arr : Interp.arr) =
   let data = arr.Interp.data in
-  Sim.Memory.read_f32s st.memory info.base data ~pos:0 ~len:(Array.length data)
+  Sim.Memory.read_f32s st.memory base data ~pos:0 ~len:(Array.length data)
 
 (* ---------- prepared programs ---------- *)
 
@@ -1284,40 +1283,58 @@ let compile ~kernels (f : Ir.func) : program =
 let prepare f = compile ~kernels:true f
 let prepare_reference f = compile ~kernels:false f
 
-type arg = Aint of int * int | Afloat of int * float | Aarray of int * int list * Interp.arr
-
+(* The argument bound to [name], checked against its declaration. *)
 let check_arg args (name, bind) =
-  match (bind, List.assoc_opt name args) with
-  | _, None -> fail "missing argument '%s'" name
-  | Bint slot, Some (Interp.Vint n) -> Aint (slot, n)
-  | Bfloat slot, Some (Interp.Vfloat v) -> Afloat (slot, v)
-  | Bint _, Some (Interp.Vfloat _) -> fail "argument '%s' should be an int" name
-  | Bfloat _, Some (Interp.Vint _) -> fail "argument '%s' should be a float" name
-  | Barr _, Some (Interp.Vint _ | Interp.Vfloat _) ->
-      fail "argument '%s' should be an array" name
-  | (Bint _ | Bfloat _), Some (Interp.Varray _) ->
-      fail "argument '%s' has mismatched dimensions" name
-  | Barr (slot, dims), Some (Interp.Varray arr) ->
-      if arr.Interp.dims <> dims then fail "argument '%s' has mismatched dimensions" name;
-      Aarray (slot, dims, arr)
+  let value =
+    match List.assoc name args with v -> v | exception Not_found -> fail "missing argument '%s'" name
+  in
+  match (bind, value) with
+  | Bint _, Interp.Vint _ | Bfloat _, Interp.Vfloat _ -> ()
+  | Bint _, Interp.Vfloat _ -> fail "argument '%s' should be an int" name
+  | Bfloat _, Interp.Vint _ -> fail "argument '%s' should be a float" name
+  | Barr _, (Interp.Vint _ | Interp.Vfloat _) -> fail "argument '%s' should be an array" name
+  | (Bint _ | Bfloat _), Interp.Varray _ -> fail "argument '%s' has mismatched dimensions" name
+  | Barr (_, dims), Interp.Varray arr ->
+      if arr.Interp.dims <> dims then fail "argument '%s' has mismatched dimensions" name
+
+(* Bind one checked argument: scalars into their slots, arrays into
+   simulated memory. *)
+let bind_arg st args (name, bind) =
+  match (bind, List.assoc name args) with
+  | Bint slot, Interp.Vint n -> st.ints.(slot) <- n
+  | Bfloat slot, Interp.Vfloat v -> st.floats.(slot) <- v
+  | Barr (slot, dims), Interp.Varray arr ->
+      let base = alloc_array st dims in
+      st.bases.(slot) <- base;
+      stage_in st arr base
+  | _ -> assert false
+
+(* Copy the arrays the program may write back into their arguments,
+   last parameter first. *)
+let rec stage_outs st args written = function
+  | [] -> ()
+  | (name, bind) :: rest -> (
+      stage_outs st args written rest;
+      match (bind, List.assoc name args) with
+      | Barr (slot, _), Interp.Varray arr when List.mem slot written ->
+          stage_out st st.bases.(slot) arr
+      | _ -> ())
 
 let exec (program : program) ~platform ~args =
   let p = match program with Ok p -> p | Error msg -> raise (Exec_error msg) in
-  let bound = List.map (check_arg args) p.params in
-  let ints = Array.make (max 1 p.n_ints) 0 in
-  let floats = Array.make (max 1 p.n_floats) 0.0 in
+  List.iter (check_arg args) p.params;
   let st =
     {
       platform;
       cpu = Platform.cpu platform;
       memory = platform.Platform.memory;
-      ints;
-      floats;
-      arrays = Array.make (max 1 p.n_arrays) no_array;
+      ints = Array.make (max 1 p.n_ints) 0;
+      floats = Array.make (max 1 p.n_floats) 0.0;
+      bases = Array.make (max 1 p.n_arrays) (-1);
       facc = Float.Array.create 1;
       heap = heap_base;
       api = None;
-      dev = no_buffers;
+      dev = Array.make (max 1 p.n_arrays) None;
       pending = new_count ();
       loads = 0;
       stores = 0;
@@ -1330,23 +1347,7 @@ let exec (program : program) ~platform ~args =
       binary32 = unused_cell;
     }
   in
-  let staged =
-    List.fold_left
-      (fun staged arg ->
-        match arg with
-        | Aint (slot, n) ->
-            ints.(slot) <- n;
-            staged
-        | Afloat (slot, v) ->
-            floats.(slot) <- v;
-            staged
-        | Aarray (slot, dims, arr) ->
-            let info = alloc_array st dims in
-            st.arrays.(slot) <- info;
-            stage_in st arr info;
-            if List.mem slot p.written then (info, arr) :: staged else staged)
-      [] bound
-  in
+  List.iter (bind_arg st args) p.params;
   (* A failed run leaves its platform as usable as a completed one: what
      it counted is retired, a ROI window it opened is closed and the
      device buffers it still holds go back to the CMA region, which
@@ -1358,13 +1359,13 @@ let exec (program : program) ~platform ~args =
      let bt = Printexc.get_raw_backtrace () in
      retire st;
      if st.roi_open then Sim.Cpu.roi_end st.cpu;
-     Option.iter (fun api -> Hashtbl.iter (fun _ buf -> Api.free api buf) st.dev) st.api;
+     Option.iter
+       (fun api -> Array.iter (Option.iter (fun view -> Api.free api view.Api.buf)) st.dev)
+       st.api;
      Printexc.raise_with_backtrace e bt);
-  List.iter (fun (info, arr) -> stage_out st info arr) staged;
+  stage_outs st args p.written p.params;
   let roi = Sim.Cpu.roi st.cpu in
-  let launches =
-    match st.api with None -> 0 | Some api -> (Api.counters api).Api.launches
-  in
+  let launches = match st.api with None -> 0 | Some api -> Api.launches api in
   {
     roi_instructions = roi.Sim.Cpu.roi_instructions;
     roi_cycles = roi.Sim.Cpu.roi_cycles;

@@ -67,7 +67,12 @@ type t = {
   lsb : plane_state;  (** plane holding the unsigned low nibble *)
   adc : Adc.t;
   prng : Prng.t;
-  mutable active : (int * int * int * int) option;
+  mutable active_rows : int;
+      (** the last programmed region's rows, 0 before any; programming
+          writes four ints, no option *)
+  mutable active_cols : int;
+  mutable active_row_off : int;
+  mutable active_col_off : int;
   mutable cell_writes : int;
   mutable logical_writes : int;
   mutable write_bytes : int;
@@ -98,7 +103,10 @@ let create ?(config = default_config) ?(seed = 0) () =
     lsb = empty_plane ();
     adc = Adc.create ();
     prng = Prng.create ~seed;
-    active = None;
+    active_rows = 0;
+    active_cols = 0;
+    active_row_off = 0;
+    active_col_off = 0;
     cell_writes = 0;
     logical_writes = 0;
     write_bytes = 0;
@@ -207,8 +215,14 @@ let counters t =
     output_buffer_bytes = t.output_buffer_bytes;
   }
 
+let cell_writes (t : t) = t.cell_writes
+let logical_writes (t : t) = t.logical_writes
+let write_bytes (t : t) = t.write_bytes
+let macs (t : t) = t.macs
 let adc t = t.adc
-let active_region t = t.active
+let active_region t =
+  if t.active_rows = 0 then None
+  else Some (t.active_row_off, t.active_col_off, t.active_rows, t.active_cols)
 
 let check_region t ~row_off ~col_off ~m ~n name =
   if row_off < 0 || col_off < 0 || row_off + m > t.config.rows || col_off + n > t.config.cols
@@ -244,7 +258,10 @@ let program_flat t ?(row_off = 0) ?(col_off = 0) ~rows:m ~cols:n codes =
     done
   done;
   t.wear_sum <- t.wear_sum + (2 * m * n);
-  t.active <- Some (row_off, col_off, m, n);
+  t.active_row_off <- row_off;
+  t.active_col_off <- col_off;
+  t.active_rows <- m;
+  t.active_cols <- n;
   t.cell_writes <- t.cell_writes + (2 * m * n);
   t.logical_writes <- t.logical_writes + (m * n);
   t.write_bytes <- t.write_bytes + (m * n)
@@ -261,13 +278,12 @@ let program_codes t ?(row_off = 0) ?(col_off = 0) codes =
   check_region t ~row_off ~col_off ~m ~n "Crossbar.program_codes";
   program_flat t ~row_off ~col_off ~rows:m ~cols:n (Array.concat (Array.to_list codes))
 
-let require_active t =
-  match t.active with
-  | Some region -> region
-  | None -> failwith "Crossbar: no matrix programmed"
+let require_active t = if t.active_rows = 0 then failwith "Crossbar: no matrix programmed"
 
 let read_codes t =
-  let row_off, col_off, m, n = require_active t in
+  require_active t;
+  let row_off = t.active_row_off and col_off = t.active_col_off in
+  let m = t.active_rows and n = t.active_cols in
   let rows = t.config.rows in
   Array.init m (fun i ->
       Array.init n (fun j ->
@@ -303,7 +319,9 @@ let[@inline always] product codes levels ~x ~l =
 let[@inline] disturbed t ~col v = match t.flips with [] -> v | flips -> apply_flips flips ~col v
 
 let gemv_block t codes ~vectors ~out =
-  let row_off, col_off, m, n = require_active t in
+  require_active t;
+  let row_off = t.active_row_off and col_off = t.active_col_off in
+  let m = t.active_rows and n = t.active_cols in
   if vectors < 0 || Array.length codes < vectors * m || Array.length out < vectors * n then
     invalid_arg
       (Printf.sprintf
@@ -388,7 +406,8 @@ let gemv_block t codes ~vectors ~out =
   t.output_buffer_bytes <- t.output_buffer_bytes + (4 * n * vectors)
 
 let gemv_codes t input =
-  let _, _, m, n = require_active t in
+  require_active t;
+  let m = t.active_rows and n = t.active_cols in
   if Array.length input <> m then
     invalid_arg
       (Printf.sprintf "Crossbar.gemv_codes: input length %d, active rows %d"

@@ -111,6 +111,14 @@ type counters = {
 
 val counters : t -> counters
 
+val cell_writes : t -> int
+val logical_writes : t -> int
+val write_bytes : t -> int
+
+val macs : t -> int
+(** These four are fields of {!counters}, read without building the
+    record. *)
+
 val adc : t -> Adc.t
 (** The shared ADC bank (for conversion counts). *)
 

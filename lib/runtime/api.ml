@@ -28,39 +28,61 @@ type counters = {
   dev_to_host_bytes : int;
 }
 
-let zero_counters =
-  {
-    gemm_calls = 0;
-    gemv_calls = 0;
-    batched_calls = 0;
-    launches = 0;
-    mallocs = 0;
-    host_to_dev_bytes = 0;
-    dev_to_host_bytes = 0;
-  }
-
+(* The counters are mutable fields, bumped in place on every call; the
+   [counters] snapshot is built on demand. *)
 type t = {
   platform : Platform.t;
   driver : Driver.t;
-  mutable counters : counters;
+  mutable gemm_calls : int;
+  mutable gemv_calls : int;
+  mutable batched_calls : int;
+  mutable launches : int;
+  mutable mallocs : int;
+  mutable host_to_dev_bytes : int;
+  mutable dev_to_host_bytes : int;
   mutable generation_source : int;
 }
 
 let init platform =
   let driver = Driver.create platform in
-  let t = { platform; driver; counters = zero_counters; generation_source = 0 } in
+  let t =
+    {
+      platform;
+      driver;
+      gemm_calls = 0;
+      gemv_calls = 0;
+      batched_calls = 0;
+      launches = 0;
+      mallocs = 0;
+      host_to_dev_bytes = 0;
+      dev_to_host_bytes = 0;
+      generation_source = 0;
+    }
+  in
   (* device-open cost of polly_cimInit *)
   Sim.Cpu.issue_many (Platform.cpu platform) Sim.Cpu.Int_alu 400;
   t
 
 let driver t = t.driver
-let counters t = t.counters
+
+let counters (t : t) =
+  {
+    gemm_calls = t.gemm_calls;
+    gemv_calls = t.gemv_calls;
+    batched_calls = t.batched_calls;
+    launches = t.launches;
+    mallocs = t.mallocs;
+    host_to_dev_bytes = t.host_to_dev_bytes;
+    dev_to_host_bytes = t.dev_to_host_bytes;
+  }
+
+let launches (t : t) = t.launches
 
 let malloc t ~bytes =
   match Cma.alloc t.platform.Platform.cma ~bytes with
   | Error reason -> Error reason
   | Ok phys ->
-      t.counters <- { t.counters with mallocs = t.counters.mallocs + 1 };
+      t.mallocs <- t.mallocs + 1;
       t.generation_source <- t.generation_source + 1;
       Ok
         {
@@ -82,18 +104,13 @@ let bump_generation t buffer =
   t.generation_source <- t.generation_source + 1;
   buffer.generation <- t.generation_source
 
-(* Runs of consecutive elements in a view's [rows x cols] window, in
-   row-major order, as [f addr first count]: the run's physical address,
-   the row-major index of its first element and its length. A packed
-   window (leading dimension = cols) is one run, otherwise each row is
-   one. *)
-let iter_runs view ~rows ~cols f =
-  let base = view.buf.phys + (4 * view.offset_elems) in
-  if view.ld = cols then f base 0 (rows * cols)
-  else
-    for i = 0 to rows - 1 do
-      f (base + (4 * i * view.ld)) (i * cols) cols
-    done
+(* A view's [rows x cols] window is [runs] runs of consecutive
+   elements in row-major order: one when it is packed (leading
+   dimension = cols), else one per row. Run [i] starts at physical
+   address [run_addr], at row-major index [i * run_len]. *)
+let runs view ~rows ~cols = if view.ld = cols then 1 else rows
+let run_len view ~rows ~cols = if view.ld = cols then rows * cols else cols
+let run_addr view i = view.buf.phys + (4 * (view.offset_elems + (i * view.ld)))
 
 (* The copies below charge what an element-by-element loop would — one
    address computation and one store or load per element — a cache line
@@ -106,24 +123,26 @@ let charge_copy t view ~rows ~cols ~what cls =
     invalid_arg ("Api: " ^ what ^ " beyond the end of the buffer");
   let cpu = Platform.cpu t.platform in
   Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu (rows * cols);
-  iter_runs view ~rows ~cols (fun addr _ count -> Sim.Cpu.issue_run cpu ~addr ~count cls)
+  let count = run_len view ~rows ~cols in
+  for i = 0 to runs view ~rows ~cols - 1 do
+    Sim.Cpu.issue_run cpu ~addr:(run_addr view i) ~count cls
+  done
 
 let copied_to_dev t dst ~rows ~cols =
-  let bytes = 4 * rows * cols in
-  t.counters <- { t.counters with host_to_dev_bytes = t.counters.host_to_dev_bytes + bytes };
+  t.host_to_dev_bytes <- t.host_to_dev_bytes + (4 * rows * cols);
   bump_generation t dst.buf
 
-let copied_to_host t ~rows ~cols =
-  let bytes = 4 * rows * cols in
-  t.counters <- { t.counters with dev_to_host_bytes = t.counters.dev_to_host_bytes + bytes }
+let copied_to_host t ~rows ~cols = t.dev_to_host_bytes <- t.dev_to_host_bytes + (4 * rows * cols)
 
 let host_to_dev t ~src ~dst =
   check_live "Api.host_to_dev" dst.buf;
   let rows = Mat.rows src and cols = Mat.cols src in
   charge_copy t dst ~rows ~cols ~what:"store" Sim.Cpu.Store;
   let memory = t.platform.Platform.memory and data = Mat.data src in
-  iter_runs dst ~rows ~cols (fun addr first count ->
-      Sim.Memory.write_f32s memory addr data ~pos:first ~len:count);
+  let len = run_len dst ~rows ~cols in
+  for i = 0 to runs dst ~rows ~cols - 1 do
+    Sim.Memory.write_f32s memory (run_addr dst i) data ~pos:(i * len) ~len
+  done;
   copied_to_dev t dst ~rows ~cols
 
 let dev_to_host t ~src ~rows ~cols =
@@ -131,8 +150,10 @@ let dev_to_host t ~src ~rows ~cols =
   let out = Mat.create ~rows ~cols in
   charge_copy t src ~rows ~cols ~what:"load" Sim.Cpu.Load;
   let memory = t.platform.Platform.memory and data = Mat.data out in
-  iter_runs src ~rows ~cols (fun addr first count ->
-      Sim.Memory.read_f32s memory addr data ~pos:first ~len:count);
+  let len = run_len src ~rows ~cols in
+  for i = 0 to runs src ~rows ~cols - 1 do
+    Sim.Memory.read_f32s memory (run_addr src i) data ~pos:(i * len) ~len
+  done;
   copied_to_host t ~rows ~cols;
   out
 
@@ -140,16 +161,20 @@ let host_to_dev_mem t ~src ~dst ~rows ~cols =
   check_live "Api.host_to_dev_mem" dst.buf;
   charge_copy t dst ~rows ~cols ~what:"store" Sim.Cpu.Store;
   let memory = t.platform.Platform.memory in
-  iter_runs dst ~rows ~cols (fun addr first count ->
-      Sim.Memory.copy memory ~src:(src + (4 * first)) ~dst:addr ~len:(4 * count));
+  let len = run_len dst ~rows ~cols in
+  for i = 0 to runs dst ~rows ~cols - 1 do
+    Sim.Memory.copy memory ~src:(src + (4 * i * len)) ~dst:(run_addr dst i) ~len:(4 * len)
+  done;
   copied_to_dev t dst ~rows ~cols
 
 let dev_to_host_mem t ~src ~dst ~rows ~cols =
   check_live "Api.dev_to_host_mem" src.buf;
   charge_copy t src ~rows ~cols ~what:"load" Sim.Cpu.Load;
   let memory = t.platform.Platform.memory in
-  iter_runs src ~rows ~cols (fun addr first count ->
-      Sim.Memory.copy memory ~src:addr ~dst:(dst + (4 * first)) ~len:(4 * count));
+  let len = run_len src ~rows ~cols in
+  for i = 0 to runs src ~rows ~cols - 1 do
+    Sim.Memory.copy memory ~src:(run_addr src i) ~dst:(dst + (4 * i * len)) ~len:(4 * len)
+  done;
   copied_to_host t ~rows ~cols
 
 (* Element offset of position (row, col) of op(M) within the physical
@@ -157,7 +182,7 @@ let dev_to_host_mem t ~src ~dst ~rows ~cols =
 let op_offset ~trans ~ld ~row ~col = if trans then (col * ld) + row else (row * ld) + col
 
 let launch_and_wait t job =
-  t.counters <- { t.counters with launches = t.counters.launches + 1 };
+  t.launches <- t.launches + 1;
   Driver.launch t.driver job;
   Driver.await t.driver
 
@@ -187,12 +212,9 @@ let sgemm_untiled t ~op ~trans_a ~trans_b ~pin ~m ~n ~k ~alpha ~a ~b ~beta ~c =
   in
   launch_and_wait t job
 
-let xbar_limits t =
-  let cfg =
-    (Tdo_pcm.Crossbar.config
-       (Tdo_cimacc.Micro_engine.crossbar (Tdo_cimacc.Accel.engine t.platform.Platform.accel)))
-  in
-  (cfg.Tdo_pcm.Crossbar.rows, cfg.Tdo_pcm.Crossbar.cols)
+let xbar_config t =
+  Tdo_pcm.Crossbar.config
+    (Tdo_cimacc.Micro_engine.crossbar (Tdo_cimacc.Accel.engine t.platform.Platform.accel))
 
 let subview v ~elems = { v with offset_elems = v.offset_elems + elems }
 
@@ -251,8 +273,9 @@ let sgemm t ?(trans_a = false) ?(trans_b = false) ?(pin = Regs.Pin_a) ~m ~n ~k ~
   check_live "Api.sgemm" a.buf;
   check_live "Api.sgemm" b.buf;
   check_live "Api.sgemm" c.buf;
-  t.counters <- { t.counters with gemm_calls = t.counters.gemm_calls + 1 };
-  let xbar_rows, xbar_cols = xbar_limits t in
+  t.gemm_calls <- t.gemm_calls + 1;
+  let xbar = xbar_config t in
+  let xbar_rows = xbar.Tdo_pcm.Crossbar.rows and xbar_cols = xbar.Tdo_pcm.Crossbar.cols in
   let tile_k = min k xbar_rows in
   let fits_untouched =
     k <= xbar_rows && (match pin with Regs.Pin_a -> m <= xbar_cols | Regs.Pin_b -> n <= xbar_cols)
@@ -327,9 +350,9 @@ let sgemv t ?(trans_a = false) ~m ~k ~alpha ~a ~x ~beta ~y () =
   check_live "Api.sgemv" a.buf;
   check_live "Api.sgemv" x.buf;
   check_live "Api.sgemv" y.buf;
-  t.counters <- { t.counters with gemv_calls = t.counters.gemv_calls + 1 };
-  let xbar_rows, xbar_cols = xbar_limits t in
-  if k <= xbar_rows && m <= xbar_cols then
+  t.gemv_calls <- t.gemv_calls + 1;
+  let xbar = xbar_config t in
+  if k <= xbar.Tdo_pcm.Crossbar.rows && m <= xbar.Tdo_pcm.Crossbar.cols then
     sgemm_untiled t ~op:Regs.Gemv ~trans_a ~trans_b:false ~pin:Regs.Pin_a ~m ~n:1 ~k ~alpha ~a
       ~b:x ~beta ~c:y
   else sgemm t ~trans_a ~pin:Regs.Pin_a ~m ~n:1 ~k ~alpha ~a ~b:x ~beta ~c:y ()
@@ -343,8 +366,9 @@ let gemm_batched t ?(trans_a = false) ?(trans_b = false) ?(pin = Regs.Pin_a) ~m 
       check_live "Api.gemm_batched" b.buf;
       check_live "Api.gemm_batched" c.buf)
     batch;
-  t.counters <- { t.counters with batched_calls = t.counters.batched_calls + 1 };
-  let xbar_rows, xbar_cols = xbar_limits t in
+  t.batched_calls <- t.batched_calls + 1;
+  let xbar = xbar_config t in
+  let xbar_rows = xbar.Tdo_pcm.Crossbar.rows and xbar_cols = xbar.Tdo_pcm.Crossbar.cols in
   let pinned_cols = match pin with Regs.Pin_a -> m | Regs.Pin_b -> n in
   if k > xbar_rows || pinned_cols > xbar_cols then
     Error

@@ -149,3 +149,7 @@ type counters = {
 }
 
 val counters : t -> counters
+(** A snapshot of the counters, built on demand. *)
+
+val launches : t -> int
+(** [(counters t).launches], read without building the snapshot. *)

@@ -6,7 +6,9 @@
     contiguous pages, buffer sizes are not limited by the page boundary,
     and the driver needs no per-page management.
 
-    First-fit free-list allocator with coalescing on free. *)
+    First-fit free-list allocator with coalescing on free. The free
+    list and the live allocations are int arrays: past their first few
+    slots, an allocation or a free allocates nothing but its [Ok]. *)
 
 type config = {
   base : int;  (** physical base address of the reserved region *)

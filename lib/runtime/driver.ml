@@ -76,71 +76,70 @@ let read_reg t ~reg =
   Sim.Mmio.read t.platform.Platform.mmio
     ~addr:(t.platform.Platform.config.Platform.register_base + (4 * reg))
 
+(* A binary32's bits as a register word. *)
+let float_word v = Int32.to_int (Int32.bits_of_float v) land 0xFFFF_FFFF
+
 let launch t (job : Regs.job) =
   t.ioctls <- t.ioctls + 1;
   charge_instructions t syscall_instructions;
   (* Coherence: make every host-side store visible to the device's
      uncacheable reads before it starts. *)
   flush_caches t;
-  let wi reg v = write_reg t ~reg (Int32.of_int v) in
-  let wf reg v = write_reg t ~reg (Int32.bits_of_float v) in
-  wi Regs.reg_op
+  write_reg t ~reg:Regs.reg_op
     (match job.Regs.op with Regs.Gemv -> 0 | Regs.Gemm -> 1 | Regs.Gemm_batched -> 2);
-  wi Regs.reg_m job.Regs.m;
-  wi Regs.reg_n job.Regs.n;
-  wi Regs.reg_k job.Regs.k;
-  wi Regs.reg_trans ((if job.Regs.trans_a then 1 else 0) lor if job.Regs.trans_b then 2 else 0);
-  wf Regs.reg_alpha job.Regs.alpha;
-  wf Regs.reg_beta job.Regs.beta;
-  wi Regs.reg_a_addr (translate t job.Regs.a_addr);
-  wi Regs.reg_b_addr (translate t job.Regs.b_addr);
-  wi Regs.reg_c_addr (translate t job.Regs.c_addr);
-  wi Regs.reg_lda job.Regs.lda;
-  wi Regs.reg_ldb job.Regs.ldb;
-  wi Regs.reg_ldc job.Regs.ldc;
-  wi Regs.reg_batch_count job.Regs.batch_count;
-  wi Regs.reg_batch_desc
+  write_reg t ~reg:Regs.reg_m job.Regs.m;
+  write_reg t ~reg:Regs.reg_n job.Regs.n;
+  write_reg t ~reg:Regs.reg_k job.Regs.k;
+  write_reg t ~reg:Regs.reg_trans
+    ((if job.Regs.trans_a then 1 else 0) lor if job.Regs.trans_b then 2 else 0);
+  write_reg t ~reg:Regs.reg_alpha (float_word job.Regs.alpha);
+  write_reg t ~reg:Regs.reg_beta (float_word job.Regs.beta);
+  write_reg t ~reg:Regs.reg_a_addr (translate t job.Regs.a_addr);
+  write_reg t ~reg:Regs.reg_b_addr (translate t job.Regs.b_addr);
+  write_reg t ~reg:Regs.reg_c_addr (translate t job.Regs.c_addr);
+  write_reg t ~reg:Regs.reg_lda job.Regs.lda;
+  write_reg t ~reg:Regs.reg_ldb job.Regs.ldb;
+  write_reg t ~reg:Regs.reg_ldc job.Regs.ldc;
+  write_reg t ~reg:Regs.reg_batch_count job.Regs.batch_count;
+  write_reg t ~reg:Regs.reg_batch_desc
     (if job.Regs.batch_desc_addr = 0 then 0 else translate t job.Regs.batch_desc_addr);
-  wi Regs.reg_pin (match job.Regs.pin with Regs.Pin_a -> 0 | Regs.Pin_b -> 1);
-  wi Regs.reg_generation job.Regs.generation;
-  wi Regs.reg_command 1
+  write_reg t ~reg:Regs.reg_pin (match job.Regs.pin with Regs.Pin_a -> 0 | Regs.Pin_b -> 1);
+  write_reg t ~reg:Regs.reg_generation job.Regs.generation;
+  write_reg t ~reg:Regs.reg_command 1
 
 (* The device's completion is a time ([Accel.complete]), so the spin
    loop is not simulated one poll at a time: at the first busy poll the
    host is charged, in one step, the polls that fit before the job
    finishes, and the next poll reads [Done]. *)
-let await t =
-  let accel = t.platform.Platform.accel in
-  let cpu = Platform.cpu t.platform in
-  let rec spin () =
-    let status = read_reg t ~reg:Regs.reg_status in
-    match Int32.to_int status with
-    | 2 (* done *) -> Ok ()
-    | 3 (* error *) ->
-        Error (Option.value ~default:"device error" (Tdo_cimacc.Accel.last_error accel))
-    | 0 | 1 -> (
-        match Tdo_cimacc.Accel.complete accel with
-        | None -> failwith "Driver.await: device busy with no pending completion event"
-        | Some finish ->
-            let ahead = finish - Sim.Cpu.time_ps cpu in
-            if ahead > 0 then begin
-              (* one poll iteration = the loop body's instructions plus
-                 the uncached status read; issue the instructions (they
-                 advance the clock by themselves) and stall only for the
-                 register-access share of the wait *)
-              let cycle_ps = Sim.Time_base.period_ps ~freq_hz:(Sim.Cpu.config cpu).Sim.Cpu.freq_hz in
-              let iteration_ps = (poll_instructions * cycle_ps) + uncached_access_ps in
-              let iterations = ahead / iteration_ps in
-              let instructions = iterations * poll_instructions in
-              Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu instructions;
-              let remaining = ahead - (instructions * cycle_ps) in
-              if remaining > 0 then Sim.Cpu.stall_ps cpu remaining;
-              t.wait_stall_ps <- t.wait_stall_ps + ahead
-            end;
-            spin ())
-    | code -> failwith (Printf.sprintf "Driver.await: unknown status code %d" code)
-  in
-  spin ()
+let rec await t =
+  match read_reg t ~reg:Regs.reg_status with
+  | 2 (* done *) -> Ok ()
+  | 3 (* error *) ->
+      Error
+        (Option.value ~default:"device error"
+           (Tdo_cimacc.Accel.last_error t.platform.Platform.accel))
+  | 0 | 1 -> (
+      match Tdo_cimacc.Accel.complete t.platform.Platform.accel with
+      | None -> failwith "Driver.await: device busy with no pending completion event"
+      | Some finish ->
+          let cpu = Platform.cpu t.platform in
+          let ahead = finish - Sim.Cpu.time_ps cpu in
+          if ahead > 0 then begin
+            (* one poll iteration = the loop body's instructions plus
+               the uncached status read; issue the instructions (they
+               advance the clock by themselves) and stall only for the
+               register-access share of the wait *)
+            let cycle_ps = Sim.Time_base.period_ps ~freq_hz:(Sim.Cpu.config cpu).Sim.Cpu.freq_hz in
+            let iteration_ps = (poll_instructions * cycle_ps) + uncached_access_ps in
+            let iterations = ahead / iteration_ps in
+            let instructions = iterations * poll_instructions in
+            Sim.Cpu.issue_many cpu Sim.Cpu.Int_alu instructions;
+            let remaining = ahead - (instructions * cycle_ps) in
+            if remaining > 0 then Sim.Cpu.stall_ps cpu remaining;
+            t.wait_stall_ps <- t.wait_stall_ps + ahead
+          end;
+          await t)
+  | code -> failwith (Printf.sprintf "Driver.await: unknown status code %d" code)
 
 let ioctls t = t.ioctls
 let cache_flushes t = t.cache_flushes

@@ -220,51 +220,53 @@ let run ?residency t (compiled : Flow.compiled) ~args =
      it programs are model-seeded, so an identical key means the same
      (address, generation, data) programming sequence is about to be
      replayed verbatim. Only then is skipping the invalidation sound. *)
-  (match residency with
-  | Some key when t.resident = Some key -> ()
+  (match (residency, t.resident) with
+  | Some wanted, Some held when String.equal wanted held -> ()
   | _ -> Cimacc.Micro_engine.invalidate_pinned (engine t));
   t.resident <- None;
   Cimacc.Micro_engine.clear_abft_fault (engine t);
   let platform = platform_exn t in
   let cpu = Platform.cpu platform in
-  let roi0 = Sim.Cpu.roi cpu in
-  let xc0 = Cimacc.Micro_engine.total_crossbar_counters (engine t) in
-  let ec0 = Cimacc.Micro_engine.counters (engine t) in
+  let engine = engine t in
+  (* the counters' deltas, read field by field: no snapshot record *)
+  let roi_instructions0 = (Sim.Cpu.roi cpu).Sim.Cpu.roi_instructions in
+  let roi_time0 = (Sim.Cpu.roi cpu).Sim.Cpu.roi_time_ps in
+  let write_bytes0 = Cimacc.Micro_engine.sum_tiles engine Crossbar.write_bytes in
+  let cell_writes0 = Cimacc.Micro_engine.sum_tiles engine Crossbar.cell_writes in
+  let logical_writes0 = Cimacc.Micro_engine.sum_tiles engine Crossbar.logical_writes in
+  let macs0 = Cimacc.Micro_engine.sum_tiles engine Crossbar.macs in
+  let abft_checks0 = Cimacc.Micro_engine.abft_checks engine in
+  let abft_mismatches0 = Cimacc.Micro_engine.abft_mismatches engine in
   let metrics = Tdo_ir.Exec.exec compiled.Flow.program ~platform ~args in
-  let roi1 = Sim.Cpu.roi cpu in
-  let xc1 = Cimacc.Micro_engine.total_crossbar_counters (engine t) in
-  let ec1 = Cimacc.Micro_engine.counters (engine t) in
-  let write_bytes = xc1.Crossbar.write_bytes - xc0.Crossbar.write_bytes in
-  let cell_writes = xc1.Crossbar.cell_writes - xc0.Crossbar.cell_writes in
-  let logical_writes = xc1.Crossbar.logical_writes - xc0.Crossbar.logical_writes in
+  let write_bytes = Cimacc.Micro_engine.sum_tiles engine Crossbar.write_bytes - write_bytes0 in
+  let cell_writes = Cimacc.Micro_engine.sum_tiles engine Crossbar.cell_writes - cell_writes0 in
+  let logical_writes =
+    Cimacc.Micro_engine.sum_tiles engine Crossbar.logical_writes - logical_writes0
+  in
   Endurance.Tracker.record t.tracker ~bytes:write_bytes;
   (* Approximate the operand row-write stream for the Start-Gap view:
      programming is row-parallel, so [logical_writes / cols] wordlines
      took a pulse. *)
-  let cols =
-    (Crossbar.config (Cimacc.Micro_engine.crossbar (engine t))).Crossbar.cols
-  in
+  let cols = (Crossbar.config (Cimacc.Micro_engine.crossbar engine)).Crossbar.cols in
   let rows_written = logical_writes / max 1 cols in
   let lines = Wear_leveling.lines t.leveler in
   for i = 0 to rows_written - 1 do
     Wear_leveling.write t.leveler (i mod lines)
   done;
   t.served <- t.served + 1;
-  let roi_instructions = roi1.Sim.Cpu.roi_instructions - roi0.Sim.Cpu.roi_instructions in
-  let macs = xc1.Crossbar.macs - xc0.Crossbar.macs in
+  let roi_instructions = (Sim.Cpu.roi cpu).Sim.Cpu.roi_instructions - roi_instructions0 in
+  let macs = Cimacc.Micro_engine.sum_tiles engine Crossbar.macs - macs0 in
   let launches = metrics.Tdo_ir.Exec.cim_launches in
   let energy_j =
     device_energy_j t.backend.Backend.energy ~macs ~write_bytes ~launches ~roi_instructions
   in
   t.energy <- t.energy +. energy_j;
-  let abft_mismatches =
-    ec1.Cimacc.Micro_engine.abft_mismatches - ec0.Cimacc.Micro_engine.abft_mismatches
-  in
+  let abft_mismatches = Cimacc.Micro_engine.abft_mismatches engine - abft_mismatches0 in
   (* Latch the residency key only on a clean completion: a corrupt or
      faulted run's pinned state is not trusted for reuse. *)
   if abft_mismatches = 0 then t.resident <- residency;
   {
-    service_ps = roi1.Sim.Cpu.roi_time_ps - roi0.Sim.Cpu.roi_time_ps;
+    service_ps = (Sim.Cpu.roi cpu).Sim.Cpu.roi_time_ps - roi_time0;
     roi_instructions;
     used_cim = metrics.Tdo_ir.Exec.used_cim;
     launches;
@@ -272,9 +274,9 @@ let run ?residency t (compiled : Flow.compiled) ~args =
     cell_writes;
     macs;
     energy_j;
-    abft_checks = ec1.Cimacc.Micro_engine.abft_checks - ec0.Cimacc.Micro_engine.abft_checks;
+    abft_checks = Cimacc.Micro_engine.abft_checks engine - abft_checks0;
     abft_mismatches;
-    abft_fault = Cimacc.Micro_engine.last_abft_fault (engine t);
+    abft_fault = Cimacc.Micro_engine.last_abft_fault engine;
   }
 
 let run_host t ~(ast : Ast.func) ~args ~macs =

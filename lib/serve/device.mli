@@ -157,8 +157,10 @@ val run :
     skipped with bit-identical results ([exec_stats.write_bytes] = 0).
     Any other run (no key, different key) invalidates the latches
     first, exactly as before. On clean completion the key (if any) is
-    latched for the next run. Raises {!Tdo_ir.Exec.Exec_error} on a
-    device rejection; the device stays usable. Raises
+    latched for the next run. The counters behind [exec_stats] are read
+    as deltas, field by field: a run builds no counter snapshot. Raises
+    {!Tdo_ir.Exec.Exec_error} on a device rejection; the device stays
+    usable. Raises
     [Invalid_argument] on a host-class device — use {!run_host}. *)
 
 val run_host :

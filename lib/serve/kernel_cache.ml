@@ -173,4 +173,5 @@ let stats t =
     compile_s_total = t.compile_s_total;
   }
 
+let misses t = t.misses
 let memoised t = Hashtbl.length t.memo

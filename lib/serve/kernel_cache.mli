@@ -101,6 +101,9 @@ val find_or_compile : t -> ?cls:Backend.device_class -> string -> entry
 
 val stats : t -> stats
 
+val misses : t -> int
+(** [(stats t).misses], read without building the record. *)
+
 val memoised : t -> int
 (** (Class, source) pairs remembered: the compiling text of each
     resident entry, once per class that resolves to it, so never more

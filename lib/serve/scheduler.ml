@@ -252,13 +252,30 @@ type batch = {
    offload plan of the entry the class runs ([None] when the class
    cannot compile the kernel), that entry's key, and the plan priced by
    the class's current cost model. The plan and key are fixed for the
-   replay; calibration re-prices them. *)
+   replay; calibration re-prices them. [keys] are the residency keys of
+   [entry_key] for the tenants placement asked about, each built once. *)
 type estimate = {
   plan : Offload.plan option;
   entry_key : string;
   mutable cold_ps : float;
   mutable resident_ps : float;
+  mutable keys : (int * string) list;
 }
+
+(* The estimate memo's key. A lookup fills the scheduler's one probe
+   key in place, so a hit builds no tuple. *)
+type estimate_key = {
+  mutable kernel : string;
+  mutable size : int;
+  mutable cls : Backend.device_class;
+}
+
+module Estimates = Hashtbl.Make (struct
+  type t = estimate_key
+
+  let equal a b = a.size = b.size && a.cls = b.cls && String.equal a.kernel b.kernel
+  let hash (k : t) = Hashtbl.hash k
+end)
 
 (* What one batch item produced. A corrupt attempt consumed device time
    but its outputs are discarded; the scheduler (not the worker) decides
@@ -370,7 +387,10 @@ type t = {
       (** the parsed program per (request kernel name, n), or its
           front-end error: built once, not on every estimate, dispatch
           and fallback *)
-  estimates : (string * int * Backend.device_class, estimate) Hashtbl.t;
+  benches : (string, (Kernels.benchmark, string) result) Hashtbl.t;
+      (** what each requested kernel name resolves to *)
+  estimates : estimate Estimates.t;
+  probe : estimate_key;  (** the key every estimate lookup fills in *)
   calibration : (Backend.device_class, calibration) Hashtbl.t;
       (** per class, from its first sample; samples accumulate in
           wave-fold order, which is fixed before execution, so
@@ -409,11 +429,8 @@ let drop_residency devices key =
   Array.iter
     (fun d ->
       match Device.resident d with
-      | Some rk
-        when String.length rk >= String.length key && String.sub rk 0 (String.length key) = key
-        ->
-          Device.clear_resident d
-      | _ -> ())
+      | Some rk when String.starts_with ~prefix:key rk -> Device.clear_resident d
+      | Some _ | None -> ())
     devices
 
 let create ?(config = default_config) () =
@@ -447,7 +464,9 @@ let create ?(config = default_config) () =
     arrivals = Queue.create ();
     queue = Dll.create ();
     programs = Hashtbl.create 16;
-    estimates = Hashtbl.create 64;
+    benches = Hashtbl.create 16;
+    estimates = Estimates.create 64;
+    probe = { kernel = ""; size = 0; cls = Backend.Pcm_crossbar };
     calibration = Hashtbl.create 4;
     started;
     calibrations = [];
@@ -460,20 +479,30 @@ let create ?(config = default_config) () =
 (* ---------- kernels and records ---------- *)
 
 (* A serving kernel name resolves to a registered graph program first,
-   then to the PolyBench suite. *)
+   then to the PolyBench suite. Memoised: placement asks once per
+   queued item and device, and a hit allocates nothing. *)
 let find_bench (t : t) name =
-  match List.assoc_opt name t.config.graphs with Some bench -> Ok bench | None -> Kernels.find name
+  match Hashtbl.find t.benches name with
+  | found -> found
+  | exception Not_found ->
+      let found =
+        match List.assoc_opt name t.config.graphs with
+        | Some bench -> Ok bench
+        | None -> Kernels.find name
+      in
+      Hashtbl.add t.benches name found;
+      found
 
 let is_graph_kernel (t : t) name = List.mem_assoc name t.config.graphs
+
+(* The compiled entry scopes a residency key to the model's exact
+   program, the tenant scopes it as isolation policy. *)
+let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant
 
 (* Graph-residency rules: a graph kernel served with [graph_residency]
    on latches its (entry, tenant) key on the device that runs it. *)
 let graph_scoped (t : t) (bench : Kernels.benchmark) =
   t.config.graph_residency && is_graph_kernel t bench.Kernels.name
-
-(* The compiled entry scopes a residency key to the model's exact
-   program, the tenant scopes it as isolation policy. *)
-let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant
 
 let program (t : t) ~kernel (bench : Kernels.benchmark) ~n =
   let key = (kernel, n) in
@@ -619,15 +648,17 @@ let price (t : t) cls e =
    service of a cold run, [resident_ps] the predicted service with the
    weight tiles already pinned (zero programming traffic in the plan),
    and [entry_key] the cache key the class's entry compiles to — what
-   residency keys derive from. Memoised: the compile behind a first
+   residency derives from. Memoised: the compile behind a first
    estimate is shared with dispatch through the kernel cache, and the
-   plan is kept for the replay. *)
+   plan is kept for the replay. A memo hit allocates nothing. *)
 let quote (t : t) (r : Trace.request) bench d =
   let cls = Device.device_class d in
-  let key = (r.Trace.kernel, r.Trace.n, cls) in
-  match Hashtbl.find_opt t.estimates key with
-  | Some e -> e
-  | None ->
+  t.probe.kernel <- r.Trace.kernel;
+  t.probe.size <- r.Trace.n;
+  t.probe.cls <- cls;
+  match Estimates.find t.estimates t.probe with
+  | e -> e
+  | exception Not_found ->
       let plan, entry_key =
         match program t ~kernel:r.Trace.kernel bench ~n:r.Trace.n with
         | Error _ -> (None, "")
@@ -641,17 +672,43 @@ let quote (t : t) (r : Trace.request) bench d =
             | plan, entry_key -> (Some plan, entry_key)
             | exception _ -> (None, ""))
       in
-      let e = { plan; entry_key; cold_ps = 0.0; resident_ps = 0.0 } in
+      let e = { plan; entry_key; cold_ps = 0.0; resident_ps = 0.0; keys = [] } in
       price t cls e;
-      Hashtbl.add t.estimates key e;
+      Estimates.add t.estimates { kernel = r.Trace.kernel; size = r.Trace.n; cls } e;
       e
+
+(* [residency_key ~entry_key:e.entry_key ~tenant], looked up in
+   [keys], the rest of [e.keys], and built on its first use. *)
+let rec tenant_key e tenant keys =
+  match keys with
+  | (tenant', key) :: rest -> if tenant' = tenant then key else tenant_key e tenant rest
+  | [] ->
+      let key = residency_key ~entry_key:e.entry_key ~tenant in
+      e.keys <- (tenant, key) :: e.keys;
+      key
 
 (* The one residency question placement asks: does [d] hold the
    (entry, tenant) key [r] latches there, under the graph-residency
    rules? [e] is [quote t r bench d]. *)
 let holds (t : t) (r : Trace.request) bench d e =
   graph_scoped t bench && e.entry_key <> ""
-  && Device.resident d = Some (residency_key ~entry_key:e.entry_key ~tenant:r.Trace.tenant)
+  &&
+  match Device.resident d with
+  | Some key -> String.equal key (tenant_key e r.Trace.tenant e.keys)
+  | None -> false
+
+(* Does a busy device from index [i] on hold [item]'s program, with the
+   wait [item] has absorbed under twice the programming it would save? *)
+let rec resident_busy (t : t) item bench i =
+  i < Array.length t.devices
+  && ((let d = t.devices.(i) and r = item.req in
+       untried item d
+       && Device.available_ps d > t.now
+       &&
+       let e = quote t r bench d in
+       holds t r bench d e
+       && float_of_int (t.now - r.Trace.arrival_ps) < 2.0 *. (e.cold_ps -. e.resident_ps))
+     || resident_busy t item bench (i + 1))
 
 (* The resident wait. A graph item whose model is resident on a busy
    device prefers waiting for that device over paying a cold
@@ -661,42 +718,64 @@ let holds (t : t) (r : Trace.request) bench d e =
    the free device would have evicted its own cold pass later).
    Bounded, so a backlogged resident device cannot starve the item.
    "Busy" is the device's own clock: a device given a batch earlier in
-   this wave is taken but not busy. [Some bench] when [item] waits, so
-   only devices that hold its key may take it. *)
-let resident_wait (t : t) item =
+   this wave is taken but not busy. While [item] waits, only devices
+   that hold its program may take it. *)
+let waits (t : t) item bench = graph_scoped t bench && resident_busy t item bench 0
+
+(* May [d] take [item] in this wave: is it eligible and, while the item
+   [waiting] under the resident wait, does it hold the item's program? *)
+let allowed (t : t) ~draft item bench ~waiting d =
+  eligible ~draft item d && ((not waiting) || holds t item.req bench d (quote t item.req bench d))
+
+let rec any_eligible ~draft item = function
+  | [] -> false
+  | d :: rest -> eligible ~draft item d || any_eligible ~draft item rest
+
+let rec any_allowed (t : t) ~draft item bench ~waiting = function
+  | [] -> false
+  | d :: rest ->
+      allowed t ~draft item bench ~waiting d || any_allowed t ~draft item bench ~waiting rest
+
+(* The device placement ranks first among the [free] ones [item] may
+   take. Lower is better: the class estimate — the resident one on a
+   device that holds the request's program — plus the conversion charge
+   if the device must first be drafted out of its memory role. Ties
+   break to the least-written device, then the lowest id, then the
+   earlier in [free]. The best score so far lives in locals, so ranking
+   builds no score. *)
+let cheapest (t : t) ~draft item bench ~waiting free =
   let r = item.req in
-  match find_bench t r.Trace.kernel with
-  | Ok bench
-    when graph_scoped t bench
-         && Array.exists
-              (fun d ->
-                untried item d
-                && Device.available_ps d > t.now
-                &&
-                let e = quote t r bench d in
-                holds t r bench d e
-                && float_of_int (t.now - r.Trace.arrival_ps)
-                   < 2.0 *. (e.cold_ps -. e.resident_ps))
-              t.devices ->
-      Some bench
-  | Ok _ | Error _ -> None
-
-(* May [d] take [item] under the resident wait ([waiting] is
-   [resident_wait t item])? *)
-let allowed (t : t) item waiting d =
-  match waiting with
-  | None -> true
-  | Some bench -> holds t item.req bench d (quote t item.req bench d)
-
-(* Lower is better: the class estimate — the resident one on a device
-   that holds the request's key — plus the conversion charge if the
-   device must first be drafted out of its memory role. Ties break to
-   the least-written device, then the lowest id. *)
-let score (t : t) r bench d =
-  let e = quote t r bench d in
-  ( (if holds t r bench d e then e.resident_ps else e.cold_ps) +. float_of_int (conversion_ps d),
-    Device.write_pressure d,
-    Device.id d )
+  let found = ref false and best = ref (List.hd free) in
+  let best_ps = ref 0.0 and best_pressure = ref 0 and best_id = ref 0 in
+  let rest = ref free in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | d :: tl ->
+        rest := tl;
+        if allowed t ~draft item bench ~waiting d then begin
+          let e = quote t r bench d in
+          let ps =
+            (if holds t r bench d e then e.resident_ps else e.cold_ps)
+            +. float_of_int (conversion_ps d)
+          in
+          let pressure = Device.write_pressure d and id = Device.id d in
+          let keeps_best =
+            !found
+            && (!best_ps < ps
+               || !best_ps = ps
+                  && (!best_pressure < pressure || (!best_pressure = pressure && !best_id <= id)))
+          in
+          if not keeps_best then begin
+            found := true;
+            best := d;
+            best_ps := ps;
+            best_pressure := pressure;
+            best_id := id
+          end
+        end
+  done;
+  !best
 
 (* ---------- one wave: decide, apply, execute, settle ---------- *)
 
@@ -709,13 +788,14 @@ type decision =
       misses : int;  (** kernel-cache misses before scoring *)
     }
 
-(* [allowed] may compile estimates: ask it only when some device is
-   eligible at all. *)
+(* The resident wait may compile estimates: ask it only when some
+   device is eligible at all. *)
 let placeable (t : t) ~free ~draft item =
-  List.exists (eligible ~draft item) free
+  any_eligible ~draft item free
   &&
-  let waiting = resident_wait t item in
-  List.exists (fun d -> eligible ~draft item d && allowed t item waiting d) free
+  match find_bench t item.req.Trace.kernel with
+  | Ok bench when waits t item bench -> any_allowed t ~draft item bench ~waiting:true free
+  | Ok _ | Error _ -> true
 
 (* The next placement, head of queue first: the first queued item some
    free device may take, on the cheapest such device. It changes
@@ -734,19 +814,9 @@ let decide (t : t) ~free =
         match find_bench t r.Trace.kernel with
         | Error msg -> Some (Drop (node, msg))
         | Ok bench ->
-            let misses = (Kernel_cache.stats t.cache).Kernel_cache.misses in
-            let waiting = resident_wait t item in
-            let best =
-              List.fold_left
-                (fun acc d ->
-                  if eligible ~draft item d && allowed t item waiting d then
-                    let s = score t r bench d in
-                    match acc with Some (_, s') when s' <= s -> acc | _ -> Some (d, s)
-                  else acc)
-                None free
-            in
-            let dev, _ = Option.get best in
-            Some (Place { node; bench; dev; misses }))
+            let misses = Kernel_cache.misses t.cache in
+            let waiting = waits t item bench in
+            Some (Place { node; bench; dev = cheapest t ~draft item bench ~waiting free; misses }))
 
 (* Pop [node] and, unless it is a retry (dispatched alone, so its
    timing is not entangled with fresh requests) or batching is off,
@@ -800,7 +870,7 @@ let apply (t : t) = function
           List.iter (fun it -> record_failed t it.req it.depth msg) items;
           None
       | Ok entry ->
-          let cache_hit = (Kernel_cache.stats t.cache).Kernel_cache.misses = misses in
+          let cache_hit = Kernel_cache.misses t.cache = misses in
           let conversion = conversion_ps dev in
           if Device.mode dev = Backend.Memory_mode then begin
             let (_ : float) = Device.convert ~at_ps:t.now dev ~to_compute:true in
@@ -890,7 +960,7 @@ let maybe_calibrate (t : t) =
                 c.fit <- Adopted fitted;
                 t.calibrations <-
                   (Backend.class_name cls, List.length c.samples, err) :: t.calibrations;
-                Hashtbl.iter (fun (_, _, cls') e -> if cls' = cls then price t cls e) t.estimates
+                Estimates.iter (fun k e -> if k.cls = cls then price t cls e) t.estimates
               end
               else c.fit <- Kept_prior;
               c.samples <- []
@@ -911,7 +981,7 @@ let settle (t : t) batches results =
                 (* a warm resident run skipped its programming traffic,
                    so its measured cycles would poison a calibration
                    fitted against the full plan *)
-                if b.residency = None then note_sample t b r;
+                if Option.is_none b.residency then note_sample t b r;
                 acc
             | Corrupt { item; fault } -> handle_corrupt t ~item ~dev_id:(Device.id b.dev) ~fault acc)
           acc rs)

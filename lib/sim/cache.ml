@@ -254,6 +254,16 @@ let[@inline always] lookup t memo ~site ~line_addr ~addr =
     i
   end
 
+(* The miss path of a probe: [line_addr] is in no way of its set. *)
+let[@inline always] probe_miss t memo ~site op ~update ~line_addr =
+  let set = line_addr land t.set_mask in
+  let base = set * t.ways in
+  let v = victim t base (Array.unsafe_get t.valid set) in
+  let latency = fill t op ~set ~line_addr v in
+  if update then hit t Write v;
+  remember memo ~site ~line_addr v t.generation;
+  latency
+
 (* [access t op ~addr], and with [update] then [access t Write ~addr],
    which hits the line the first access left resident. *)
 let[@inline always] probe_gen t memo ~site op ~update ~addr =
@@ -264,15 +274,7 @@ let[@inline always] probe_gen t memo ~site op ~update ~addr =
     if update then hit t Write i;
     t.config.hit_latency_ps
   end
-  else begin
-    let set = line_addr land t.set_mask in
-    let base = set * t.ways in
-    let v = victim t base (Array.unsafe_get t.valid set) in
-    let latency = fill t op ~set ~line_addr v in
-    if update then hit t Write v;
-    remember memo ~site ~line_addr v t.generation;
-    latency
-  end
+  else probe_miss t memo ~site op ~update ~line_addr
 
 let probe t memo ~site op ~addr = probe_gen t memo ~site op ~update:false ~addr
 let probe_update t memo ~site ~addr = probe_gen t memo ~site Read ~update:true ~addr
@@ -305,6 +307,11 @@ let[@inline always] probe_hit t memo ~site op ~update ~addr =
        if update then hit t Write i;
        true
      end
+
+(* The line is still absent: since [probe_hit] searched the set, only
+   stamps may have changed, and the victim is chosen by them now. *)
+let probe_fill t memo ~site op ~update ~addr =
+  probe_miss t memo ~site op ~update ~line_addr:(addr lsr t.line_shift)
 
 (* A line's first access goes through the [access] path; the others
    hit the line it left resident, so they are charged together: one

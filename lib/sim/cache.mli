@@ -127,6 +127,14 @@ val probe_hit : t -> memo -> site:int -> op -> update:bool -> addr:int -> bool
     would miss. A hit chooses no victim, so only the stamps of the
     lines in a missing access's set need be current. *)
 
+val probe_fill : t -> memo -> site:int -> op -> update:bool -> addr:int -> Time_base.ps
+(** [probe t memo ~site op ~addr] ([probe_update] when [update]) for an
+    access that {!probe_hit} has just reported a miss, without searching
+    the set again: it fills the line, choosing the victim by the set's
+    stamps as they are now. Exact when, since that {!probe_hit}, only
+    {!stamp_site} and {!skip_hits} touched the cache: they change no
+    tag, valid count or generation, so the line is still absent. *)
+
 val access_run : t -> op -> addr:int -> count:int -> cycle_ps:int -> int
 (** [count] consecutive 4-byte accesses at [addr], [addr + 4], ...:
     the lines, counters and next-level calls end exactly as after

@@ -137,6 +137,9 @@ let[@inline always] skip_hits t ~until = Cache.skip_hits t.l1d ~until
 let[@inline always] stamp_site t ~site tick = Cache.stamp_site t.l1d t.memo ~site tick
 let[@inline always] probe_hit t ~site op ~update ~addr = Cache.probe_hit t.l1d t.memo ~site op ~update ~addr
 
+let[@inline always] probe_fill t ~site op ~update ~addr =
+  beyond_hit t (Cache.probe_fill t.l1d t.memo ~site op ~update ~addr)
+
 let retire_probed t ~loads ~stores ~cycles =
   if loads < 0 || stores < 0 || cycles < 0 then invalid_arg "Cpu.retire_probed: negative count";
   let load = class_index Load and store = class_index Store in

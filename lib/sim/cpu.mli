@@ -111,6 +111,10 @@ val stamp_site : t -> site:int -> int -> unit
 val probe_hit : t -> site:int -> Cache.op -> update:bool -> addr:int -> bool
 (** {!Cache.probe_hit} on the L1D: a hit costs nothing beyond a hit. *)
 
+val probe_fill : t -> site:int -> Cache.op -> update:bool -> addr:int -> int
+(** {!Cache.probe_fill} on the L1D, after {!probe_hit} reported a
+    miss: the cycles beyond an L1D hit, as {!probe_load} returns. *)
+
 val issue_many : t -> iclass -> int -> unit
 (** Account [count] identical non-memory instructions in one step (used
     for modelled fixed-cost loops like the driver's set/way cache

@@ -1,4 +1,4 @@
-type handler = { read : offset:int -> int32; write : offset:int -> int32 -> unit }
+type handler = { read : offset:int -> int; write : offset:int -> int -> unit }
 
 type mapping = { base : int; size : int; handler : handler }
 
@@ -28,4 +28,4 @@ let read t ~addr =
 
 let write t ~addr v =
   let m = find_in addr t.mappings in
-  m.handler.write ~offset:(addr - m.base) v
+  m.handler.write ~offset:(addr - m.base) (v land 0xFFFF_FFFF)

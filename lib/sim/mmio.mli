@@ -4,11 +4,16 @@
     handler for an address range; the CPU-side driver reads and writes
     32-bit words through it. This is the PMIO interface of Section
     II-D. The space counts no accesses; the host driver counts its own
-    register writes. *)
+    register writes.
+
+    A word travels as an unboxed [int] holding its 32-bit pattern,
+    [0] to [0xFFFF_FFFF]: a register access allocates nothing. The
+    word's two's-complement value is [Int32.of_int w], a binary32's
+    bits are [Int32.to_int (Int32.bits_of_float x) land 0xFFFF_FFFF]. *)
 
 type handler = {
-  read : offset:int -> int32;
-  write : offset:int -> int32 -> unit;
+  read : offset:int -> int;  (** the word at [offset], in [0, 0xFFFF_FFFF] *)
+  write : offset:int -> int -> unit;  (** given a word in [0, 0xFFFF_FFFF] *)
 }
 
 type t
@@ -20,8 +25,10 @@ val map : t -> base:int -> size:int -> handler -> unit
     [Invalid_argument] if the range overlaps an existing mapping or is
     empty. *)
 
-val read : t -> addr:int -> int32
-(** Raises [Failure] on an unmapped address. *)
+val read : t -> addr:int -> int
+(** The handler's word. Raises [Failure] on an unmapped address. *)
 
-val write : t -> addr:int -> int32 -> unit
-(** Raises [Failure] on an unmapped address. *)
+val write : t -> addr:int -> int -> unit
+(** Hand the handler the low 32 bits of the value, so a negative
+    [int] arrives as its two's-complement word. Raises [Failure] on an
+    unmapped address. *)

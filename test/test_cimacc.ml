@@ -92,25 +92,28 @@ let check_gemm_close ~what ~k ~a ~b ~expected sys =
 
 (* ---------- Context registers ---------- *)
 
+(* A binary32's bits as a register word. *)
+let float_word v = Int32.to_int (Int32.bits_of_float v) land 0xFFFF_FFFF
+
 let test_regs_decode_roundtrip () =
   let regs = Context_regs.create () in
   let h = Context_regs.handler regs in
   let wr reg v = h.Sim.Mmio.write ~offset:(4 * reg) v in
-  wr Context_regs.reg_op 1l;
-  wr Context_regs.reg_m 8l;
-  wr Context_regs.reg_n 4l;
-  wr Context_regs.reg_k 6l;
-  wr Context_regs.reg_alpha (Int32.bits_of_float 2.5);
-  wr Context_regs.reg_beta (Int32.bits_of_float 0.5);
-  wr Context_regs.reg_a_addr 0x100l;
-  wr Context_regs.reg_b_addr 0x200l;
-  wr Context_regs.reg_c_addr 0x300l;
-  wr Context_regs.reg_lda 6l;
-  wr Context_regs.reg_ldb 4l;
-  wr Context_regs.reg_ldc 4l;
-  wr Context_regs.reg_trans 2l;
-  wr Context_regs.reg_pin 1l;
-  wr Context_regs.reg_generation 7l;
+  wr Context_regs.reg_op 1;
+  wr Context_regs.reg_m 8;
+  wr Context_regs.reg_n 4;
+  wr Context_regs.reg_k 6;
+  wr Context_regs.reg_alpha (float_word 2.5);
+  wr Context_regs.reg_beta (float_word 0.5);
+  wr Context_regs.reg_a_addr 0x100;
+  wr Context_regs.reg_b_addr 0x200;
+  wr Context_regs.reg_c_addr 0x300;
+  wr Context_regs.reg_lda 6;
+  wr Context_regs.reg_ldb 4;
+  wr Context_regs.reg_ldc 4;
+  wr Context_regs.reg_trans 2;
+  wr Context_regs.reg_pin 1;
+  wr Context_regs.reg_generation 7;
   match Context_regs.decode_job regs with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok job ->
@@ -128,20 +131,20 @@ let test_regs_trigger_and_status () =
   Context_regs.set_on_trigger regs (fun job -> triggered := Some job);
   let h = Context_regs.handler regs in
   let wr reg v = h.Sim.Mmio.write ~offset:(4 * reg) v in
-  wr Context_regs.reg_op 1l;
-  wr Context_regs.reg_m 2l;
-  wr Context_regs.reg_n 2l;
-  wr Context_regs.reg_k 2l;
+  wr Context_regs.reg_op 1;
+  wr Context_regs.reg_m 2;
+  wr Context_regs.reg_n 2;
+  wr Context_regs.reg_k 2;
   Alcotest.(check bool) "no trigger before command" true (!triggered = None);
-  wr Context_regs.reg_command 1l;
+  wr Context_regs.reg_command 1;
   Alcotest.(check bool) "triggered" true (!triggered <> None);
   Alcotest.(check int) "trigger count" 1 (Context_regs.triggers regs);
   (* device-owned status: host writes must be ignored *)
   Context_regs.set_status regs Context_regs.Done;
-  wr Context_regs.reg_status 0l;
+  wr Context_regs.reg_status 0;
   Alcotest.(check bool) "status write ignored" true
     (Context_regs.status regs = Context_regs.Done);
-  Alcotest.(check int32) "status readable" 2l
+  Alcotest.(check int) "status readable" 2
     (h.Sim.Mmio.read ~offset:(4 * Context_regs.reg_status))
 
 let test_regs_bad_job_sets_error () =
@@ -149,8 +152,8 @@ let test_regs_bad_job_sets_error () =
   Context_regs.set_on_trigger regs (fun _ -> ());
   let h = Context_regs.handler regs in
   let wr reg v = h.Sim.Mmio.write ~offset:(4 * reg) v in
-  wr Context_regs.reg_op 9l;
-  wr Context_regs.reg_command 1l;
+  wr Context_regs.reg_op 9;
+  wr Context_regs.reg_command 1;
   Alcotest.(check bool) "error status" true (Context_regs.status regs = Context_regs.Error)
 
 let test_regs_unaligned () =
@@ -617,7 +620,7 @@ let test_accel_register_roundtrip () =
   write_matrix sys.memory ~addr:a_addr ~ld:k a;
   write_matrix sys.memory ~addr:b_addr ~ld:n b;
   let wr reg v =
-    Sim.Mmio.write mmio ~addr:(Accel.default_register_base + (4 * reg)) (Int32.of_int v)
+    Sim.Mmio.write mmio ~addr:(Accel.default_register_base + (4 * reg)) v
   in
   wr Context_regs.reg_op 1;
   wr Context_regs.reg_m m;
@@ -625,10 +628,10 @@ let test_accel_register_roundtrip () =
   wr Context_regs.reg_k k;
   Sim.Mmio.write mmio
     ~addr:(Accel.default_register_base + (4 * Context_regs.reg_alpha))
-    (Int32.bits_of_float 1.0);
+    (float_word 1.0);
   Sim.Mmio.write mmio
     ~addr:(Accel.default_register_base + (4 * Context_regs.reg_beta))
-    (Int32.bits_of_float 0.0);
+    (float_word 0.0);
   wr Context_regs.reg_a_addr a_addr;
   wr Context_regs.reg_b_addr b_addr;
   wr Context_regs.reg_c_addr c_addr;
@@ -642,17 +645,17 @@ let test_accel_register_roundtrip () =
   let status_reg () =
     Sim.Mmio.read mmio ~addr:(Accel.default_register_base + (4 * Context_regs.reg_status))
   in
-  Alcotest.(check int32) "busy after trigger" 1l (status_reg ());
+  Alcotest.(check int) "busy after trigger" 1 (status_reg ());
   let busy_ps = (Micro_engine.counters (Accel.engine sys.accel)).Micro_engine.busy_ps in
   (* the status does not flip by itself, even once the host is past
      the finish *)
   sys.now := start + busy_ps + 1;
-  Alcotest.(check int32) "busy until completed" 1l (status_reg ());
+  Alcotest.(check int) "busy until completed" 1 (status_reg ());
   Alcotest.(check (option int)) "completes at start + busy time" (Some (start + busy_ps))
     (Accel.complete sys.accel);
-  Alcotest.(check int32) "done after completion" 2l (status_reg ());
+  Alcotest.(check int) "done after completion" 2 (status_reg ());
   Alcotest.(check (option int)) "delivered once" None (Accel.complete sys.accel);
-  Alcotest.(check int32) "still done" 2l (status_reg ());
+  Alcotest.(check int) "still done" 2 (status_reg ());
   let expected = Mat.create ~rows:m ~cols:n in
   Blas_ref.gemm ~alpha:1.0 ~beta:0.0 ~a ~b ~c:expected ();
   check_gemm_close ~what:"register-driven gemm" ~k ~a ~b ~expected sys
@@ -661,7 +664,7 @@ let test_accel_error_reported () =
   let sys = make_system () in
   let mmio = Sim.Mmio.create () in
   Accel.map_registers sys.accel mmio ~base:0x4000 ;
-  let wr reg v = Sim.Mmio.write mmio ~addr:(0x4000 + (4 * reg)) (Int32.of_int v) in
+  let wr reg v = Sim.Mmio.write mmio ~addr:(0x4000 + (4 * reg)) v in
   wr Context_regs.reg_op 1;
   wr Context_regs.reg_m 8;
   wr Context_regs.reg_n 8;

@@ -217,6 +217,70 @@ let test_offloaded_run_allocation_is_per_launch () =
         Alcotest.failf "%s launch: %.0f words at n = 8, %.0f at n = 32" name w8 w32)
     [ "gemm"; "conv" ]
 
+(* A register write allocates nothing: the word travels as an
+   unboxed int from the driver through the IO space into the register
+   file. *)
+let test_register_write_allocates_nothing () =
+  let platform = Tdo_runtime.Platform.create () in
+  let mmio = platform.Tdo_runtime.Platform.mmio in
+  let addr =
+    platform.Tdo_runtime.Platform.config.Tdo_runtime.Platform.register_base
+    + (4 * Tdo_cimacc.Context_regs.reg_m)
+  in
+  Mmio.write mmio ~addr 1;
+  check_words "1,000 register writes" ~below:1.0
+    (minor_words_of (fun () ->
+         for v = 1 to 1_000 do
+           Mmio.write mmio ~addr (v lsl 20)
+         done))
+
+(* [Api.malloc] and [Api.free] allocate the buffer record and the
+   results that carry it, not a free-list or live-table entry: 16 words
+   or fewer per pair, with other buffers live around it. *)
+let test_malloc_free_pair () =
+  let module Api = Tdo_runtime.Api in
+  let api = Api.init (Tdo_runtime.Platform.create ()) in
+  let malloc bytes = Result.get_ok (Api.malloc api ~bytes) in
+  let held = List.map malloc [ 4096; 100; 2304 ] in
+  Api.free api (List.nth held 1);
+  let pair () = Api.free api (malloc 1024) in
+  pair ();
+  let words = minor_words_of (fun () -> for _ = 1 to 100 do pair () done) /. 100.0 in
+  check_words "an Api.malloc + Api.free pair" ~below:16.5 words
+
+(* The launch path allocates per launch its job descriptors, and per
+   device buffer the buffer and its whole-array view: a warm resident
+   MLP request on a 4-tile pcm device, as graph serving runs it, costs
+   at most 100 words in [Device.run] per dense layer (MLP-8 against
+   MLP-4: one launch, two device buffers, their copies) and at most
+   1,100 words in all for MLP-4. Each figure is the least of three
+   warm runs. *)
+let warm_mlp_run_words ~layers =
+  let module Graph = Tdo_graph.Graph in
+  let module Device = Tdo_serve.Device in
+  let module Kernel_cache = Tdo_serve.Kernel_cache in
+  let module Kernels = Tdo_polybench.Kernels in
+  let bench = Graph.benchmark (Graph.mlp ~layers ()) and n = 24 in
+  let d = Tdo_runtime.Platform.default_config in
+  let engine = { d.Tdo_runtime.Platform.engine with Tdo_cimacc.Micro_engine.tiles = 4 } in
+  let dev =
+    Device.create ~platform_config:{ d with Tdo_runtime.Platform.engine } ~id:0 ()
+  in
+  let entry = Kernel_cache.find_or_compile (Kernel_cache.create ()) (bench.Kernels.source ~n) in
+  let residency = entry.Kernel_cache.key ^ "#t1" in
+  let run seed =
+    let args, _ = bench.Kernels.make_args ~n ~seed in
+    minor_words_of (fun () ->
+        ignore (Device.run ~residency dev entry.Kernel_cache.compiled ~args : Device.exec_stats))
+  in
+  ignore (run 1 +. run 2);
+  List.fold_left Float.min Float.infinity (List.init 3 (fun i -> run (3 + i)))
+
+let test_launch_path_words_per_layer () =
+  let mlp4 = warm_mlp_run_words ~layers:4 and mlp8 = warm_mlp_run_words ~layers:8 in
+  check_words "MLP-4's Device.run" ~below:1100.5 mlp4;
+  check_words "each dense layer beyond the fourth" ~below:100.5 ((mlp8 -. mlp4) /. 4.0)
+
 (* ---------- domain pool ---------- *)
 
 let qcheck_pool_order_preserved =
@@ -391,6 +455,9 @@ let suites =
         Alcotest.test_case "offloaded runs" `Quick test_offloaded_run_allocation_is_per_launch;
         Alcotest.test_case "prepare compiles each statement once" `Quick
           test_prepare_compiles_once;
+        Alcotest.test_case "register write" `Quick test_register_write_allocates_nothing;
+        Alcotest.test_case "malloc and free" `Quick test_malloc_free_pair;
+        Alcotest.test_case "launch path per dense layer" `Quick test_launch_path_words_per_layer;
       ] );
     ( "perf.pool",
       [

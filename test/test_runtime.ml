@@ -179,6 +179,82 @@ let test_driver_translate_rejects () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------- register round trip ---------- *)
+
+(* A job written by [Driver.launch] over MMIO is the job the register
+   file decodes on the command write, field for field: the 32-bit
+   words 0, 1, 0x7FFF_FFFF, 0x8000_0000 and 0xFFFF_FFFF in every
+   integer register (dimensions stay positive; the addresses are
+   physical, in a 4 GB memory, so translation keeps them), and alpha
+   and beta as binary32 bit patterns, -0.0 and a NaN included. A
+   negative int arrives as its two's-complement word. The engine is
+   not run: the trigger hands the decoded job to the test. *)
+let test_register_roundtrip () =
+  let memory = { Sim.Memory.default_config with Sim.Memory.size_bytes = 1 lsl 32 } in
+  let p = Platform.create ~config:{ Platform.default_config with Platform.memory } () in
+  let driver = Driver.create p in
+  let regs = Tdo_cimacc.Accel.regs p.Platform.accel in
+  let decoded = ref None in
+  Regs.set_on_trigger regs (fun job -> decoded := Some job);
+  let roundtrip (job : Regs.job) =
+    decoded := None;
+    Driver.launch driver job;
+    match !decoded with None -> Alcotest.fail "no job decoded" | Some job -> job
+  in
+  let bits x = Int32.bits_of_float x in
+  let same what (a : Regs.job) (b : Regs.job) =
+    Alcotest.(check bool) (what ^ ": alpha bits") true (bits a.Regs.alpha = bits b.Regs.alpha);
+    Alcotest.(check bool) (what ^ ": beta bits") true (bits a.Regs.beta = bits b.Regs.beta);
+    Alcotest.(check bool) (what ^ ": other fields") true
+      ({ a with Regs.alpha = 0.0; beta = 0.0 } = { b with Regs.alpha = 0.0; beta = 0.0 })
+  in
+  let job w =
+    let dim = if w = 0 then 1 else w in
+    {
+      Regs.op = Regs.Gemm;
+      m = dim;
+      n = dim;
+      k = dim;
+      trans_a = w land 1 = 1;
+      trans_b = w land 2 = 0;
+      alpha = 1.0;
+      beta = 0.5;
+      a_addr = w;
+      b_addr = w;
+      c_addr = w;
+      lda = w;
+      ldb = w;
+      ldc = w;
+      batch_count = w;
+      batch_desc_addr = w;
+      pin = (if w land 1 = 1 then Regs.Pin_b else Regs.Pin_a);
+      generation = w;
+    }
+  in
+  List.iter
+    (fun w ->
+      let what = Printf.sprintf "word 0x%x" w in
+      same what (job w) (roundtrip (job w));
+      Alcotest.(check int) (what ^ ": read back over MMIO") w
+        (Sim.Mmio.read p.Platform.mmio
+           ~addr:(p.Platform.config.Platform.register_base + (4 * Regs.reg_ldc))))
+    [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ];
+  let wrapped = roundtrip { (job 1) with Regs.generation = -1; lda = -0x8000_0000 } in
+  Alcotest.(check int) "-1 arrives as 0xFFFF_FFFF" 0xFFFF_FFFF wrapped.Regs.generation;
+  Alcotest.(check int) "-2^31 arrives as 0x8000_0000" 0x8000_0000 wrapped.Regs.lda;
+  List.iter
+    (fun (alpha, beta) ->
+      let j = { (job 1) with Regs.alpha; beta } in
+      same (Printf.sprintf "alpha %h, beta %h" alpha beta) j (roundtrip j))
+    [
+      (0.0, -0.0);
+      (-0.0, 0.0);
+      (1.0, -2.5);
+      (0x1p-149, -0x1p-126);
+      (0x1.fffffep127, Float.neg_infinity);
+      (Float.infinity, Float.nan);
+    ]
+
 (* ---------- API end-to-end ---------- *)
 
 let test_api_gemm_end_to_end () =
@@ -512,6 +588,81 @@ let test_api_im2col_rejects () =
         ~dst:(Api.view ~offset_elems:8 ~ld:4 shared) ~kh:2 ~kw:2 ~oh:2 ~ow:3);
   untouched ()
 
+(* The first-fit free list CMA kept before its free list became
+   arrays: (address, size) blocks sorted by address, the first large
+   enough block gives up its low end, a freed block merges with the
+   blocks it touches. *)
+module List_first_fit = struct
+  type t = { alignment : int; mutable free : (int * int) list; mutable live : (int * int) list }
+
+  let create (c : Cma.config) = { alignment = c.Cma.alignment; free = [ (c.Cma.base, c.Cma.size) ]; live = [] }
+
+  let alloc t bytes =
+    let need = (bytes + t.alignment - 1) / t.alignment * t.alignment in
+    let rec take acc = function
+      | [] -> None
+      | (addr, size) :: rest when size >= need ->
+          let rest = if size > need then (addr + need, size - need) :: rest else rest in
+          Some (addr, List.rev_append acc rest)
+      | block :: rest -> take (block :: acc) rest
+    in
+    match take [] t.free with
+    | None -> None
+    | Some (addr, free) ->
+        t.free <- free;
+        t.live <- (addr, need) :: t.live;
+        Some addr
+
+  let rec insert addr size = function
+    | (a, s) :: rest when a + s = addr -> (
+        match rest with
+        | (b, s') :: rest when addr + size = b -> (a, s + size + s') :: rest
+        | _ -> (a, s + size) :: rest)
+    | ((a, _) as block) :: rest when a < addr -> block :: insert addr size rest
+    | (b, s') :: rest when addr + size = b -> (addr, size + s') :: rest
+    | blocks -> (addr, size) :: blocks
+
+  let free t addr =
+    let size = List.assoc addr t.live in
+    t.live <- List.remove_assoc addr t.live;
+    t.free <- insert addr size t.free
+
+  let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free
+  let largest t = List.fold_left (fun acc (_, s) -> max acc s) 0 t.free
+end
+
+(* Interleaved allocations and frees of mixed sizes, enough to fill and
+   fragment a 16 KB region: every allocation lands where the list-based
+   first fit puts it, fails when it fails, and the free space agrees
+   after every step. *)
+let qcheck_cma_matches_list_first_fit =
+  QCheck.Test.make ~name:"cma matches a list-based first fit" ~count:200 QCheck.small_int
+    (fun seed ->
+      let g = Prng.create ~seed in
+      let config = { Cma.base = 0x4000; size = 16384; alignment = 128 } in
+      let cma = Cma.create ~config () and reference = List_first_fit.create config in
+      let live = ref [] in
+      let ok = ref true in
+      for _ = 1 to 120 do
+        if Prng.int g ~bound:5 < 3 || !live = [] then begin
+          let bytes = 1 + Prng.int g ~bound:(if Prng.bool g then 300 else 3000) in
+          let got = Result.to_option (Cma.alloc cma ~bytes) in
+          if got <> List_first_fit.alloc reference bytes then ok := false;
+          Option.iter (fun addr -> live := addr :: !live) got
+        end
+        else begin
+          let addr = List.nth !live (Prng.int g ~bound:(List.length !live)) in
+          Cma.free cma addr;
+          List_first_fit.free reference addr;
+          live := List.filter (fun a -> a <> addr) !live
+        end;
+        if
+          Cma.free_bytes cma <> List_first_fit.free_bytes reference
+          || Cma.largest_free_block cma <> List_first_fit.largest reference
+        then ok := false
+      done;
+      !ok)
+
 let suites =
   [
     ( "runtime.cma",
@@ -523,12 +674,14 @@ let suites =
         Alcotest.test_case "stats" `Quick test_cma_stats;
         QCheck_alcotest.to_alcotest qcheck_cma_no_overlap;
         QCheck_alcotest.to_alcotest qcheck_cma_conservation;
+        QCheck_alcotest.to_alcotest qcheck_cma_matches_list_first_fit;
       ] );
     ( "runtime.platform",
       [
         Alcotest.test_case "mmu resolve" `Quick test_platform_resolve;
         Alcotest.test_case "driver translate" `Quick test_driver_translate_charges;
         Alcotest.test_case "translate rejects" `Quick test_driver_translate_rejects;
+        Alcotest.test_case "register round trip" `Quick test_register_roundtrip;
       ] );
     ( "runtime.api",
       [

@@ -673,6 +673,63 @@ let test_cache_deferred_hits_match_probes () =
       ignore (Cache.access c Cache.Read ~addr:x);
       Cache.skip_hits c ~until:0)
 
+(* [probe_fill] after a [probe_hit] that missed is one [probe]: on a
+   full 2-way set whose lines [x] (written) and [y] took skipped hits,
+   stamped between the two calls, the fill of [z] has the same latency,
+   evicts the same line, and leaves the same clock, stats, dirty lines,
+   next-level calls and memo entry ([z]'s site names the line it
+   filled, so stamping that site decides the next eviction). For reads,
+   writes and read-modify-writes. *)
+let test_cache_probe_fill_is_one_probe () =
+  let config =
+    { Cache.name = "tiny"; size_bytes = 4 * 2 * 16; line_bytes = 16; ways = 2; hit_latency_ps = 3 }
+  in
+  let x = 0 and y = 64 and z = 128 and w = 192 in
+  let run ~split op ~update =
+    let log = ref [] in
+    let c = Cache.create ~config ~next:(recording_next log) () in
+    let memo = Cache.memo () in
+    ignore (Cache.probe c memo ~site:0 Cache.Write ~addr:x);
+    ignore (Cache.probe c memo ~site:1 Cache.Read ~addr:y);
+    let t = Cache.clock c in
+    Cache.skip_hits c ~until:(t + 4);
+    let stamp () =
+      Cache.stamp_site c memo ~site:1 (t + 3);
+      Cache.stamp_site c memo ~site:0 (t + 4)
+    in
+    let fill =
+      if split then begin
+        let missed = Cache.probe_hit c memo ~site:2 op ~update ~addr:z in
+        Alcotest.(check bool) "the fill is reported as a miss" false missed;
+        stamp ();
+        Cache.probe_fill c memo ~site:2 op ~update ~addr:z
+      end
+      else begin
+        stamp ();
+        if update then Cache.probe_update c memo ~site:2 ~addr:z
+        else Cache.probe c memo ~site:2 op ~addr:z
+      end
+    in
+    let state = (Cache.clock c, Cache.stats c, Cache.dirty_lines c) in
+    let kept_x = Cache.probe_hit c memo ~site:0 Cache.Read ~update:false ~addr:x in
+    let kept_y = Cache.probe_hit c memo ~site:1 Cache.Read ~update:false ~addr:y in
+    (* the memo: [z]'s line becomes the most recent, so [w] evicts the other *)
+    Cache.stamp_site c memo ~site:2 (Cache.clock c + 1);
+    Cache.skip_hits c ~until:(Cache.clock c + 1);
+    ignore (Cache.access c Cache.Read ~addr:w);
+    let kept_z = Cache.probe_hit c memo ~site:2 Cache.Read ~update:false ~addr:z in
+    (fill, state, kept_x, kept_y, kept_z, Cache.stats c, !log)
+  in
+  List.iter
+    (fun (name, op, update) ->
+      let probed = run ~split:false op ~update and split = run ~split:true op ~update in
+      let _, _, kept_x, kept_y, kept_z, _, _ = probed in
+      Alcotest.(check bool) (name ^ ": x survives") true kept_x;
+      Alcotest.(check bool) (name ^ ": y was the victim") false kept_y;
+      Alcotest.(check bool) (name ^ ": z survives w") true kept_z;
+      Alcotest.(check bool) (name ^ ": probe_fill equals probe") true (split = probed))
+    [ ("read", Cache.Read, false); ("write", Cache.Write, false); ("update", Cache.Read, true) ]
+
 let test_cache_rejects_non_power_of_two_sets () =
   let raises config =
     match Cache.create ~config ~next:(flat_next 1) () with
@@ -769,21 +826,24 @@ let qcheck_dma_split_never_undercharges =
 
 let test_mmio_dispatch () =
   let io = Mmio.create () in
-  let reg = ref 0l in
+  let reg = ref 0 in
   let handler =
     {
-      Mmio.read = (fun ~offset -> if offset = 0 then !reg else Int32.of_int offset);
+      Mmio.read = (fun ~offset -> if offset = 0 then !reg else offset);
       write = (fun ~offset v -> if offset = 0 then reg := v);
     }
   in
   Mmio.map io ~base:0x4000 ~size:64 handler;
-  Mmio.write io ~addr:0x4000 42l;
-  Alcotest.(check int32) "register write visible" 42l (Mmio.read io ~addr:0x4000);
-  Alcotest.(check int32) "offset dispatch" 8l (Mmio.read io ~addr:0x4008)
+  Mmio.write io ~addr:0x4000 42;
+  Alcotest.(check int) "register write visible" 42 (Mmio.read io ~addr:0x4000);
+  Alcotest.(check int) "offset dispatch" 8 (Mmio.read io ~addr:0x4008);
+  Mmio.write io ~addr:0x4000 (-1);
+  Alcotest.(check int) "a negative value arrives as its 32-bit word" 0xFFFF_FFFF
+    (Mmio.read io ~addr:0x4000)
 
 let test_mmio_overlap_rejected () =
   let io = Mmio.create () in
-  let handler = { Mmio.read = (fun ~offset:_ -> 0l); write = (fun ~offset:_ _ -> ()) } in
+  let handler = { Mmio.read = (fun ~offset:_ -> 0); write = (fun ~offset:_ _ -> ()) } in
   Mmio.map io ~base:0x1000 ~size:0x100 handler;
   Alcotest.(check bool) "overlap raises" true
     (try
@@ -1057,6 +1117,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_flush_matches_full_sweep;
         Alcotest.test_case "deferred hits equal probed ones" `Quick
           test_cache_deferred_hits_match_probes;
+        Alcotest.test_case "a reported miss fills as one probe" `Quick
+          test_cache_probe_fill_is_one_probe;
         Alcotest.test_case "set count must be a power of two" `Quick
           test_cache_rejects_non_power_of_two_sets;
         Alcotest.test_case "flush cost follows the touched sets" `Quick
