@@ -338,10 +338,12 @@ let require_api st =
   | Some api -> api
   | None -> fail "CIM runtime used before polly_cimInit"
 
+let check_declared st slot name =
+  if st.bases.(slot) < 0 then fail "array '%s' used before its declaration" name
+
 let array_base st slot name =
-  let base = st.bases.(slot) in
-  if base < 0 then fail "array '%s' used before its declaration" name;
-  base
+  check_declared st slot name;
+  st.bases.(slot)
 
 (* A device array's slot and shape: [rows x cols], a vector of [n] is
    [n x 1], and [None] for a rank a runtime call rejects when it runs. *)
@@ -381,7 +383,7 @@ let compile_view env s k (r : Ir.mat_ref) : state -> Api.view =
   let col_off = int_expr env s k "mat_ref col offset" r.Ir.col_off in
   bump k alu;
   fun st ->
-    ignore (array_base st slot name : int);
+    check_declared st slot name;
     let _, ld = shape_2d shape in
     let whole = dev_view st slot name in
     let row_off = row_off st in
@@ -405,7 +407,7 @@ let compile_call env s (call : Ir.call) : code =
       fun st ->
         retire st;
         let api = require_api st in
-        ignore (array_base st slot name : int);
+        check_declared st slot name;
         let rows, cols = shape_2d shape in
         if Option.is_some st.dev.(slot) then fail "polly_cimMalloc: '%s' already allocated" name;
         (match Api.malloc api ~bytes:(4 * rows * cols) with
@@ -445,9 +447,10 @@ let compile_call env s (call : Ir.call) : code =
       fun st ->
         retire st;
         let api = require_api st in
-        ignore (array_base st src_slot src : int);
+        check_declared st src_slot src;
         let src_rows, src_cols = shape_2d src_shape in
-        ignore (array_base st dst_slot dst : int);
+        check_declared st dst_slot dst;
+        (* the destination's rank is checked, its whole view used *)
         ignore (shape_2d dst_shape : int * int);
         let src_view = dev_view st src_slot src in
         let dst_view = dev_view st dst_slot dst in

@@ -495,14 +495,14 @@ let find_bench (t : t) name =
 
 let is_graph_kernel (t : t) name = List.mem_assoc name t.config.graphs
 
-(* The compiled entry scopes a residency key to the model's exact
-   program, the tenant scopes it as isolation policy. *)
-let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant
-
 (* Graph-residency rules: a graph kernel served with [graph_residency]
    on latches its (entry, tenant) key on the device that runs it. *)
 let graph_scoped (t : t) (bench : Kernels.benchmark) =
   t.config.graph_residency && is_graph_kernel t bench.Kernels.name
+
+(* The compiled entry scopes a residency key to the model's exact
+   program, the tenant scopes it as isolation policy. *)
+let residency_key ~entry_key ~tenant = entry_key ^ "#t" ^ string_of_int tenant
 
 let program (t : t) ~kernel (bench : Kernels.benchmark) ~n =
   let key = (kernel, n) in

@@ -28,4 +28,4 @@ let read t ~addr =
 
 let write t ~addr v =
   let m = find_in addr t.mappings in
-  m.handler.write ~offset:(addr - m.base) (v land 0xFFFF_FFFF)
+  m.handler.write ~offset:(addr - m.base) v

@@ -6,15 +6,14 @@
     II-D. The space counts no accesses; the host driver counts its own
     register writes.
 
-    A word travels as an unboxed [int] holding its 32-bit pattern,
-    [0] to [0xFFFF_FFFF]: a register access allocates nothing. The
-    word's two's-complement value is [Int32.of_int w], a binary32's
-    bits are [Int32.to_int (Int32.bits_of_float x) land 0xFFFF_FFFF]. *)
+    A word travels as an unboxed [int], so a register access
+    allocates nothing. A device keeps a written value's low 32 bits and
+    reads back words in [0, 0xFFFF_FFFF]: a negative [int] is stored as
+    its two's-complement word, [Int32.of_int w] is a word's signed
+    value, and a binary32's word is
+    [Int32.to_int (Int32.bits_of_float x) land 0xFFFF_FFFF]. *)
 
-type handler = {
-  read : offset:int -> int;  (** the word at [offset], in [0, 0xFFFF_FFFF] *)
-  write : offset:int -> int -> unit;  (** given a word in [0, 0xFFFF_FFFF] *)
-}
+type handler = { read : offset:int -> int; write : offset:int -> int -> unit }
 
 type t
 
@@ -26,9 +25,7 @@ val map : t -> base:int -> size:int -> handler -> unit
     empty. *)
 
 val read : t -> addr:int -> int
-(** The handler's word. Raises [Failure] on an unmapped address. *)
+(** Raises [Failure] on an unmapped address. *)
 
 val write : t -> addr:int -> int -> unit
-(** Hand the handler the low 32 bits of the value, so a negative
-    [int] arrives as its two's-complement word. Raises [Failure] on an
-    unmapped address. *)
+(** Raises [Failure] on an unmapped address. *)
