@@ -1300,8 +1300,9 @@ let check_arg args (name, bind) =
   | Barr (_, dims), Interp.Varray arr ->
       if arr.Interp.dims <> dims then fail "argument '%s' has mismatched dimensions" name
 
-(* Bind one checked argument: scalars into their slots, arrays into
-   simulated memory. *)
+(* Bind one argument [check_arg] accepted: scalars into their slots,
+   arrays into simulated memory. [check_arg] rejected every other
+   pairing. *)
 let bind_arg st args (name, bind) =
   match (bind, List.assoc name args) with
   | Bint slot, Interp.Vint n -> st.ints.(slot) <- n
@@ -1310,7 +1311,7 @@ let bind_arg st args (name, bind) =
       let base = alloc_array st dims in
       st.bases.(slot) <- base;
       stage_in st arr base
-  | _ -> assert false
+  | (Bint _ | Bfloat _ | Barr _), _ -> assert false
 
 (* Copy the arrays the program may write back into their arguments,
    last parameter first. *)
